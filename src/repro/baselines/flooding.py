@@ -21,11 +21,10 @@ import random
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..net.transport import Network
-from ..overlay.peer import _mapping_sort_key
 from ..overlay.storage_node import StorageNode
 from ..rdf.triple import Triple
 from ..sparql.algebra import Algebra
-from ..sparql.solutions import SolutionMapping
+from ..sparql.solutions import SolutionMapping, canonical_key
 
 __all__ = ["FloodingNode", "FloodingSystem"]
 
@@ -55,7 +54,7 @@ class FloodingNode(StorageNode):
                 "deliver",
                 {
                     "corr": qid,
-                    "data": sorted(matches, key=_mapping_sort_key),
+                    "data": sorted(matches, key=canonical_key),
                     "notify": None,
                 },
             )
@@ -149,7 +148,7 @@ class FloodingSystem:
             )
             yield self.sim.timeout(settle_time)
             collected = initiator.mailbox.pop(qid, set())
-            return sorted(collected, key=_mapping_sort_key)
+            return sorted(collected, key=canonical_key)
 
         return self.sim.run_process(proc())
 

@@ -28,11 +28,13 @@ from ..chord.idspace import IdentifierSpace
 from ..chord.node import ChordNode
 from ..chord.ring import ChordRing
 from ..net.transport import Network
-from ..overlay.peer import QueryPeer, _mapping_sort_key
+from ..overlay.peer import QueryPeer
 from ..rdf.graph import Graph
 from ..rdf.terms import IRI, RDFTerm, is_concrete
 from ..rdf.triple import Triple, TriplePattern
-from ..sparql.solutions import SolutionMapping, join as omega_join, match_pattern
+from ..sparql.solutions import (
+    SolutionMapping, canonical_key, join as omega_join, match_pattern,
+)
 from .ranges import LocalityHash, NumericRange, numeric_value, sort_ranges
 
 __all__ = ["RDFPeersNode", "RDFPeersSystem"]
@@ -73,7 +75,7 @@ class RDFPeersNode(QueryPeer, ChordNode):
             mu = match_pattern(pattern, triple)
             if mu is not None:
                 out.add(mu)
-        return sorted(out, key=_mapping_sort_key)
+        return sorted(out, key=canonical_key)
 
     def rpc_match_with_candidates(self, payload: Dict[str, Any], src: str) -> List[SolutionMapping]:
         """One step of the conjunctive algorithm: join incoming candidate
@@ -81,7 +83,7 @@ class RDFPeersNode(QueryPeer, ChordNode):
         matches = self.rpc_match_pattern(payload, src)
         candidates: Sequence[SolutionMapping] = payload.get("candidates", ())
         joined = omega_join(candidates, matches)
-        return sorted(joined, key=_mapping_sort_key)
+        return sorted(joined, key=canonical_key)
 
     def triples_stored(self) -> int:
         return sum(len(g) for g in self.store.values())

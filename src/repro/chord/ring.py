@@ -18,7 +18,8 @@ number of rounds.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from bisect import bisect_left
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..net.transport import Network
 from .idspace import IdentifierSpace
@@ -34,27 +35,47 @@ class ChordRing:
         self.network = network
         self.space = space
         self.nodes: Dict[str, ChordNode] = {}
+        self._ident_holder: Dict[int, str] = {}
+        #: (membership epoch, node count) → (live refs sorted by ident,
+        #: their idents): the ground-truth helpers bisect this instead of
+        #: re-sorting the ring per call.
+        self._live_key: Optional[Tuple[int, int]] = None
+        self._live: Tuple[List[NodeRef], List[int]] = ([], [])
 
     # ------------------------------------------------------------- building
 
     def add_node(self, node: ChordNode) -> ChordNode:
         if node.space != self.space:
             raise ValueError("node identifier space differs from ring space")
-        for existing in self.nodes.values():
-            if existing.ident == node.ident:
-                raise ValueError(
-                    f"identifier collision: {node.node_id} and {existing.node_id} "
-                    f"both hash to {node.ident}"
-                )
+        # (A node removed from ``nodes`` leaves a stale holder id behind.)
+        existing = self.nodes.get(self._ident_holder.get(node.ident))
+        if existing is not None and existing.ident == node.ident:
+            raise ValueError(
+                f"identifier collision: {node.node_id} and {existing.node_id} "
+                f"both hash to {node.ident}"
+            )
         self.network.register(node)
         self.nodes[node.node_id] = node
+        self._ident_holder[node.ident] = node.node_id
         return node
 
     def sorted_refs(self, alive_only: bool = True) -> List[NodeRef]:
-        nodes = [
-            n for n in self.nodes.values() if (n.alive or not alive_only)
-        ]
-        return sorted((n.ref for n in nodes), key=lambda r: r.ident)
+        if alive_only:
+            return list(self._live_ring()[0])
+        return sorted((n.ref for n in self.nodes.values()),
+                      key=lambda r: r.ident)
+
+    def _live_ring(self) -> Tuple[List[NodeRef], List[int]]:
+        """Live refs in ring order and their idents, re-sorted only when
+        membership changed (every join, leave, crash and recovery bumps
+        the network's membership epoch)."""
+        key = (self.network.membership_epoch, len(self.nodes))
+        if key != self._live_key:
+            refs = sorted((n.ref for n in self.nodes.values() if n.alive),
+                          key=lambda r: r.ident)
+            self._live = (refs, [r.ident for r in refs])
+            self._live_key = key
+        return self._live
 
     def build_static(self) -> None:
         """Wire the fully-converged ring topology directly."""
@@ -62,7 +83,6 @@ class ChordRing:
         if not refs:
             return
         n = len(refs)
-        by_ident = {ref.ident: ref for ref in refs}
         idents = [ref.ident for ref in refs]
         for i, ref in enumerate(refs):
             node = self.nodes[ref.node_id]
@@ -73,14 +93,12 @@ class ChordRing:
                 node.successor_list = [ref]
             for f in range(self.space.bits):
                 start = self.space.finger_start(ref.ident, f)
-                node.fingers[f] = by_ident[self._successor_ident(idents, start)]
+                node.fingers[f] = refs[self._successor_index(idents, start)]
 
     @staticmethod
-    def _successor_ident(sorted_idents: Sequence[int], key: int) -> int:
-        for ident in sorted_idents:
-            if ident >= key:
-                return ident
-        return sorted_idents[0]
+    def _successor_index(sorted_idents: Sequence[int], key: int) -> int:
+        """Position of the first ident >= *key*, wrapping to the start."""
+        return bisect_left(sorted_idents, key) % len(sorted_idents)
 
     # -------------------------------------------------------------- dynamic
 
@@ -138,9 +156,8 @@ class ChordRing:
 
     def owner_of(self, key: int) -> ChordNode:
         """Ground-truth successor of *key* among live nodes (no messages)."""
-        refs = self.sorted_refs()
+        refs, idents = self._live_ring()
         if not refs:
             raise LookupError("empty ring")
-        ident = self._successor_ident([r.ident for r in refs], self.space.normalize(key))
-        ref = next(r for r in refs if r.ident == ident)
+        ref = refs[self._successor_index(idents, self.space.normalize(key))]
         return self.nodes[ref.node_id]

@@ -9,11 +9,12 @@ comparisons between strategies are meaningful and stable across runs.
 
 Sizing is a wall-clock hot spot: every simulated message charges
 ``size_of`` over its whole payload, and solution sets are re-sized each
-time they ship. Dispatch is a ``type() -> handler`` table (falling back to
-the original ``isinstance`` cascade for subclasses), and the per-term /
-per-mapping results are cached on the instances themselves — sound
-because RDF terms are interned and solution mappings are immutable. The
-computed sizes are byte-identical to the original structural recursion.
+time they ship. Dispatch is a ``type() -> handler`` table (a type's rule
+is resolved once, on first sight, for subclasses and the open-ended
+cases), and the per-term / per-mapping results are cached on the
+instances themselves — sound because RDF terms are interned and solution
+mappings are immutable. The computed sizes are byte-identical to the
+original structural recursion.
 """
 
 from __future__ import annotations
@@ -94,9 +95,17 @@ def _size_dict(payload: dict) -> int:
 
 
 def _size_sequence(payload) -> int:
-    return _CONTAINER_OVERHEAD + sum(
-        size_of(item) + _PER_ITEM_OVERHEAD for item in payload
-    )
+    """Container overhead plus every item. Solution sets are what ships
+    in bulk, so rows take a fast path straight to their cached size: one
+    O(n) pass in any iteration order, the same sum a sorted list gets."""
+    n = _CONTAINER_OVERHEAD + _PER_ITEM_OVERHEAD * len(payload)
+    for item in payload:
+        if type(item) is SolutionMapping:
+            size = item._size
+            n += size if size is not None else _size_mapping(item)
+        else:
+            n += size_of(item)
+    return n
 
 
 def _size_str(payload: str) -> int:
@@ -124,6 +133,9 @@ _DISPATCH = {
     frozenset: _size_sequence,
 }
 
+#: The rules above, in precedence order, for resolving subclasses.
+_BASE_RULES = tuple(_DISPATCH.items())
+
 
 def size_of(payload: Any) -> int:
     """Estimated serialized size of *payload* in bytes.
@@ -132,52 +144,28 @@ def size_of(payload: Any) -> int:
     objects may implement ``wire_size() -> int``.
     """
     handler = _DISPATCH.get(type(payload))
-    if handler is not None:
-        return handler(payload)
-    return _size_of_slow(payload)
+    if handler is None:
+        handler = _DISPATCH[type(payload)] = _rule_for(type(payload))
+    return handler(payload)
 
 
-def _size_of_slow(payload: Any) -> int:
-    """The original isinstance cascade, for subclasses of the table types
-    and the open-ended cases (enums, ``wire_size`` objects, dataclasses)."""
-    if payload is None:
-        return 1
-    if isinstance(payload, bool):
-        return 1
-    if isinstance(payload, int):
-        return 8
-    if isinstance(payload, float):
-        return 8
-    if isinstance(payload, str):
-        return _size_str(payload)
-    if isinstance(payload, bytes):
-        return len(payload)
-    if isinstance(payload, IRI):
-        return _size_iri(payload)
-    if isinstance(payload, Literal):
-        return _size_literal(payload)
-    if isinstance(payload, BlankNode):
-        return _size_blank(payload)
-    if isinstance(payload, Variable):
-        return _size_variable(payload)
-    if isinstance(payload, (Triple, TriplePattern)):
-        return _size_triple(payload)
-    if isinstance(payload, SolutionMapping):
-        return _size_mapping(payload)
-    if isinstance(payload, dict):
-        return _size_dict(payload)
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        return _size_sequence(payload)
-    if isinstance(payload, enum.Enum):
-        return len(payload.name) + 1
-    wire_size = getattr(payload, "wire_size", None)
-    if callable(wire_size):
-        return int(wire_size())
-    if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
+def _rule_for(cls: type):
+    """Resolve the sizing rule for a type on first sight: subclasses
+    inherit a table rule, then the open-ended cases (enums, ``wire_size``
+    objects, dataclasses) in that order."""
+    for kind, handler in _BASE_RULES:
+        if issubclass(cls, kind):
+            return handler
+    if issubclass(cls, enum.Enum):
+        return lambda payload: len(payload.name) + 1
+    if callable(getattr(cls, "wire_size", None)):
+        return lambda payload: int(payload.wire_size())
+    if dataclasses.is_dataclass(cls):
         # Generic rule for structured payloads (algebra nodes, plan steps):
         # the sum of the fields plus container overhead.
-        return _CONTAINER_OVERHEAD + sum(
-            size_of(getattr(payload, f.name)) + _PER_ITEM_OVERHEAD
-            for f in dataclasses.fields(payload)
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        return lambda payload: _CONTAINER_OVERHEAD + sum(
+            size_of(getattr(payload, name)) + _PER_ITEM_OVERHEAD
+            for name in names
         )
-    raise TypeError(f"no wire-size rule for {type(payload).__name__}")
+    raise TypeError(f"no wire-size rule for {cls.__name__}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from types import GeneratorType
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Set
 
 from ..cache.epoch import DataEpochLedger
 from ..metrics.counters import CacheCounters, FailoverCounters
@@ -222,6 +222,11 @@ class Network:
         #: then every call attempt feeds the ledger and consults the
         #: per-peer circuit breaker.
         self.health: Optional[HealthLedger] = None
+        #: Live flow (query) id → the nodes its messages were addressed
+        #: to: the only places that can hold the query's correlation
+        #: state. The executor opens the entry with the query and pops it
+        #: on release; other flows are not tracked.
+        self.flow_peers: Dict[str, Set[str]] = {}
 
     def install_faults(self, plan: Optional[FaultPlan]) -> Optional[FaultInjector]:
         """Attach (or, with ``None``, detach) a chaos plan. When a
@@ -412,6 +417,9 @@ class Network:
         deadline = timeout if timeout is not None else self.default_timeout
         if flow is None:
             flow = self._sniff_flow(payload)
+        peers = self.flow_peers.get(flow)
+        if peers is not None:
+            peers.add(dst)
         state: dict = {"done": False, "flow": flow}
         if health is not None:
             started = self.sim.now
@@ -493,6 +501,11 @@ class Network:
         nbytes = HEADER_BYTES + size_of(method) + size_of(payload)
         if dst not in self.nodes:
             return
+        if flow is None:
+            flow = self._sniff_flow(payload)
+        peers = self.flow_peers.get(flow)
+        if peers is not None:
+            peers.add(dst)
         delay = self.link.delay(nbytes)
         faults = self.faults
         fate = None
@@ -504,8 +517,6 @@ class Network:
             fate = faults.message_fate(src, dst, now)
             delay += fate.extra_delay
         if self.contention is not None:
-            if flow is None:
-                flow = self._sniff_flow(payload)
             delay += self.contention.transfer_wait(
                 src, dst, flow, self.sim.now, nbytes / self.link.bandwidth
             )

@@ -11,7 +11,8 @@ module provides the two payload types that cut that cost:
   ``wire_size()`` is exact and *adaptive*: when the dictionary would be
   larger than the naive list (tiny sets with no repetition), the batch is
   charged at the naive size instead, so a batch never costs more than
-  ``naive + BATCH_HEADER_BYTES``.
+  ``naive + BATCH_HEADER_BYTES``. The size is the model: payloads travel
+  by reference inside the simulator, so the format is priced, not built.
 * :class:`JoinDigest` — a semijoin pre-filter: the projection of a
   resident solution set onto the prospective join variables, shipped as
   an exact key set when small and as a counting-free Bloom filter above
@@ -25,12 +26,13 @@ Both types implement ``wire_size()`` and therefore integrate with
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from itertools import chain
+from typing import FrozenSet, Iterable, Sequence, Set, Tuple
 
 from ..chord.hashing import hash_terms_seeded
 from ..rdf.terms import RDFTerm, Variable
-from ..sparql.solutions import SolutionMapping, _Schema
-from .sizes import size_of
+from ..sparql.solutions import SolutionMapping, canonical_key as mapping_sort_key
+from .sizes import _CONTAINER_OVERHEAD, _PER_ITEM_OVERHEAD, size_of
 
 __all__ = [
     "SolutionBatch",
@@ -62,21 +64,6 @@ DICT_WIRE_SCALE = 0.6
 #: counter, part of the documented digest overhead bound.
 PRUNED_COUNTER_BYTES = 4
 
-_CONTAINER_OVERHEAD = 8
-_PER_ITEM_OVERHEAD = 2
-
-
-def mapping_sort_key(mu: SolutionMapping):
-    """Canonical, deterministic ordering of solution mappings.
-
-    Cached on the mapping: canonical ordering is applied every time a set
-    ships, and the same rows ship repeatedly along an aggregation chain.
-    """
-    key = mu._skey
-    if key is None:
-        key = mu._skey = tuple((v.name, t.n3()) for v, t in mu.items())
-    return key
-
 
 def _index_width(count: int) -> int:
     if count <= 0xFF:
@@ -87,112 +74,48 @@ def _index_width(count: int) -> int:
 
 
 class SolutionBatch:
-    """A dictionary-delta encoded set of solution mappings.
+    """A solution set charged at its dictionary-delta wire size.
 
-    Variables and RDF terms appear once each in side tables; every row is
-    a tuple of (variable index, term index) pairs. Construction is
-    deterministic: rows are canonically ordered and the term table is
-    filled in first-appearance order over that ordering, so encoding the
-    same set twice (or from any iteration order) yields identical
-    structure and identical ``wire_size()``.
+    The modelled format tables every variable and RDF term once and
+    writes each row as (variable index, term index) pairs. Nothing here
+    leaves the process, so no table is ever built: ``encode`` derives the
+    exact size of that format from the distinct term and variable sets,
+    the row and pair counts and the cached per-term sizes, and hands the
+    rows over by reference. A batch is immutable once sent; ``decode``
+    gives each receiver its own set.
     """
 
-    __slots__ = ("variables", "terms", "rows", "mode", "_wire")
+    __slots__ = ("rows", "mode", "_wire")
 
-    def __init__(
-        self,
-        variables: Tuple[Variable, ...],
-        terms: Tuple[RDFTerm, ...],
-        rows: Tuple[Tuple[Tuple[int, int], ...], ...],
-        mode: str,
-        wire: int,
-    ) -> None:
-        self.variables = variables
-        self.terms = terms
+    def __init__(self, rows: FrozenSet[SolutionMapping], mode: str,
+                 wire: int) -> None:
         self.rows = rows
         self.mode = mode
         self._wire = wire
 
-    # ------------------------------------------------------------ encoding
-
     @classmethod
     def encode(cls, solutions: Iterable[SolutionMapping]) -> "SolutionBatch":
-        ordered = sorted(set(solutions), key=mapping_sort_key)
-        var_index: Dict[Variable, int] = {}
-        term_index: Dict[RDFTerm, int] = {}
-        variables: List[Variable] = []
-        terms: List[RDFTerm] = []
-        rows: List[Tuple[Tuple[int, int], ...]] = []
-        naive = _CONTAINER_OVERHEAD
-        npairs = 0
-        # Rows sharing a schema share variable indices; resolve the
-        # variable table once per schema instead of once per row. The
-        # tables still fill in first-appearance order over the canonical
-        # row ordering, so the encoding is unchanged.
-        schema_vis: Dict[object, Tuple[int, ...]] = {}
-        for mu in ordered:
-            naive += size_of(mu) + _PER_ITEM_OVERHEAD
-            schema = mu._schema
-            vis = schema_vis.get(schema)
-            if vis is None:
-                resolved: List[int] = []
-                for var in schema.vars:
-                    vi = var_index.get(var)
-                    if vi is None:
-                        vi = var_index[var] = len(variables)
-                        variables.append(var)
-                    resolved.append(vi)
-                vis = schema_vis[schema] = tuple(resolved)
-            row: List[Tuple[int, int]] = []
-            for vi, term in zip(vis, mu._values):
-                ti = term_index.get(term)
-                if ti is None:
-                    ti = term_index[term] = len(terms)
-                    terms.append(term)
-                row.append((vi, ti))
-            npairs += len(row)
-            rows.append(tuple(row))
-
-        var_w = _index_width(len(variables))
-        term_w = _index_width(len(terms))
+        rows = frozenset(solutions)
+        naive = size_of(rows)
+        values = [mu._values for mu in rows]
+        terms = set(chain.from_iterable(values))
+        variables = set(chain.from_iterable(
+            [schema.vars for schema in {mu._schema for mu in rows}]))
+        # Sizing the rows above cached the size of every term and
+        # variable they hold.
         dict_size = (
-            _CONTAINER_OVERHEAD
-            + sum(size_of(v) + _PER_ITEM_OVERHEAD for v in variables)
-            + _CONTAINER_OVERHEAD
-            + sum(size_of(t) + _PER_ITEM_OVERHEAD for t in terms)
-            + _CONTAINER_OVERHEAD
-            + len(rows) * _PER_ITEM_OVERHEAD
-            + npairs * (var_w + term_w)
+            3 * _CONTAINER_OVERHEAD
+            + sum([v._size for v in variables])
+            + sum([t._size for t in terms])
+            + _PER_ITEM_OVERHEAD * (len(variables) + len(terms) + len(rows))
+            + sum(map(len, values))
+            * (_index_width(len(variables)) + _index_width(len(terms)))
         )
         mode = "dict" if dict_size <= naive else "plain"
-        wire = BATCH_HEADER_BYTES + min(dict_size, naive)
-        return cls(tuple(variables), tuple(terms), tuple(rows), mode, wire)
+        return cls(rows, mode, BATCH_HEADER_BYTES + min(dict_size, naive))
 
     def decode(self) -> Set[SolutionMapping]:
-        variables = self.variables
-        terms = self.terms
-        # Rows sharing a variable-index signature share a schema; the
-        # (schema, permutation) plan is computed once per signature.
-        plans: Dict[Tuple[int, ...], Tuple[_Schema, Tuple[int, ...]]] = {}
-        out: Set[SolutionMapping] = set()
-        add = out.add
-        for row in self.rows:
-            signature = tuple([vi for vi, _ in row])
-            plan = plans.get(signature)
-            if plan is None:
-                row_vars = [variables[vi] for vi in signature]
-                order = sorted(range(len(row_vars)),
-                               key=lambda i: row_vars[i].name)
-                schema = _Schema.of(tuple([row_vars[i] for i in order]))
-                plan = plans[signature] = (schema, tuple(order))
-            schema, order = plan
-            row_terms = [terms[ti] for _, ti in row]
-            add(SolutionMapping._make(
-                schema, tuple([row_terms[i] for i in order])
-            ))
-        return out
-
-    # ---------------------------------------------------------------- misc
+        return set(self.rows)
 
     def wire_size(self) -> int:
         return self._wire
@@ -201,10 +124,7 @@ class SolutionBatch:
         return len(self.rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<SolutionBatch {len(self.rows)} rows, {len(self.terms)} terms, "
-            f"{self.mode}, {self._wire}B>"
-        )
+        return f"<SolutionBatch {len(self.rows)} rows, {self.mode}, {self._wire}B>"
 
 
 class JoinDigest:
@@ -332,11 +252,11 @@ class FilteredResult:
 
 def encode_solutions(solutions: Iterable[SolutionMapping], encode: bool):
     """The on-wire representation of a solution set: a
-    :class:`SolutionBatch` when dictionary encoding is on, else the
-    canonical sorted list (the original wire format, byte-identical)."""
+    :class:`SolutionBatch` when dictionary encoding is on, else the rows
+    themselves, charged as the plain list of mappings they model."""
     if encode:
         return SolutionBatch.encode(solutions)
-    return sorted(set(solutions), key=mapping_sort_key)
+    return frozenset(solutions)
 
 
 def as_solution_set(data) -> Set[SolutionMapping]:

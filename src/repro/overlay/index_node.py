@@ -17,9 +17,8 @@ from ..chord.idspace import IdentifierSpace
 from ..chord.node import ChordNode
 from ..net.transport import RpcError
 from ..net.wire import FilteredResult, as_solution_set, encode_solutions
-from ..sparql.solutions import union as omega_union
 from .location_table import LocationEntry, LocationTable
-from .peer import QueryPeer, _mapping_sort_key
+from .peer import QueryPeer
 
 __all__ = ["IndexNode", "PRIMITIVE_STRATEGIES"]
 
@@ -379,7 +378,7 @@ class IndexNode(QueryPeer, ChordNode):
         keep = payload.get("project")
         if keep is not None:
             solutions = {mu.project(keep) for mu in solutions}
-        return sorted(solutions, key=_mapping_sort_key), pruned
+        return solutions, pruned
 
     def _execute_basic(self, payload: Dict[str, Any], entries: List[LocationEntry]):
         """Parallel fan-out to every target storage node; union here.
@@ -453,8 +452,8 @@ class IndexNode(QueryPeer, ChordNode):
             if isinstance(batch, FilteredResult):
                 pruned = (pruned or 0) + batch.pruned
                 batch = batch.data
-            solutions = omega_union(solutions, as_solution_set(batch))
-        return sorted(solutions, key=_mapping_sort_key), pruned, dropped
+            solutions |= as_solution_set(batch)
+        return solutions, pruned, dropped
 
     def _route(
         self,

@@ -452,7 +452,3 @@ class QueryPeer:
         out = {mu for mu in box if filter_passes(condition, mu)}
         self.mailbox[payload.get("out", corr)] = out
         return {"count": len(out)}
-
-
-def _mapping_sort_key(mu: SolutionMapping):
-    return tuple((v.name, t.n3()) for v, t in mu.items())

@@ -18,9 +18,8 @@ from ..net.transport import Node
 from ..net.wire import FilteredResult, as_solution_set, encode_solutions
 from ..rdf.graph import Graph
 from ..rdf.triple import Triple, TriplePattern
-from ..sparql.algebra import Algebra
-from ..sparql.eval import evaluate_algebra
-from ..sparql.solutions import union as omega_union
+from ..sparql.algebra import BGP, Algebra
+from ..sparql.eval import evaluate_algebra, evaluate_bgp
 from .keys import KeyKind, index_keys
 from .peer import QueryPeer
 
@@ -117,14 +116,18 @@ class StorageNode(QueryPeer, Node):
         Returns (solutions, pruned) — *pruned* is None when no digest was
         supplied, else the number of rows it dropped.
         """
-        solutions = self.local_eval(payload["algebra"])
-        pruned = None
+        algebra = payload["algebra"]
+        keep = payload.get("project")
         digest = payload.get("digest")
+        if digest is None and type(algebra) is BGP:
+            # The plain sub-query: scan straight to (projected) rows.
+            return evaluate_bgp(algebra, self.graph, keep), None
+        solutions = self.local_eval(algebra)
+        pruned = None
         if digest is not None:
             kept = digest.filter(solutions)
             pruned = len(solutions) - len(kept)
             solutions = kept
-        keep = payload.get("project")
         if keep is not None:
             solutions = {mu.project(keep) for mu in solutions}
         return solutions, pruned
@@ -148,7 +151,8 @@ class StorageNode(QueryPeer, Node):
         assert self.network is not None
         local, _pruned = self._eval_shippable(payload)
         encode = payload.get("encode", False)
-        merged = omega_union(as_solution_set(payload.get("acc", ())), local)
+        merged = as_solution_set(payload.get("acc", ()))
+        merged.update(local)
         route: List[str] = list(payload.get("route", ()))
         if route:
             next_hop = route[0]

@@ -217,6 +217,9 @@ class ExecutionContext:
         self.query_id = (
             initiator if self._slot == 0 else f"{initiator}~{self._slot}"
         )
+        # From here on the transport notes every node this query's
+        # messages address, so release() knows where its state can be.
+        system.network.flow_peers[self.query_id] = {initiator}
 
     def _reattach(self, storage) -> str:
         from ..chord.hashing import hash_string
@@ -275,6 +278,9 @@ class ExecutionContext:
             target = self.network.nodes.get(site)
             if isinstance(target, QueryPeer):
                 target.abandon_corr(corr)
+                # Tombstoned by hand, not by a message: release() must
+                # still find it.
+                self.network.flow_peers[self.query_id].add(site)
         self._abandoned.add(corr)
 
     def flag_partial(self, what: str, node=None) -> None:
@@ -346,10 +352,10 @@ class ExecutionContext:
         self.initiator_peer._delivered_early.pop(corr, None)
 
     def release(self) -> int:
-        """Sweep every correlation id this query minted out of all query
-        peers and free the initiator's namespace slot — run when the
-        query completes or fails, so long-running multi-query systems
-        accumulate no mailbox/expectation state.
+        """Sweep every correlation id this query minted out of the query
+        peers its messages touched and free the initiator's namespace
+        slot — run when the query completes or fails, so long-running
+        multi-query systems accumulate no mailbox/expectation state.
 
         Correlation ids abandoned after a delivery timeout keep their
         dead-letter tombstones for one more ``delivery_timeout``: a late
@@ -365,39 +371,41 @@ class ExecutionContext:
         """
         network = self.network
         slot, self._slot = self._slot, None
-        if not self._corrs:
-            if slot is not None:
-                self.initiator_peer.release_query_slot(slot)
+        if slot is None:
             return 0
+        # Stays registered (and growing) until the slot is freed, so the
+        # delayed sweep also reaches a node first addressed after release.
+        touched = network.flow_peers[self.query_id]
+
+        def peers() -> List[QueryPeer]:
+            nodes = (network.nodes.get(node_id) for node_id in sorted(touched))
+            return [node for node in nodes if isinstance(node, QueryPeer)]
+
+        def free() -> None:
+            del network.flow_peers[self.query_id]
+            self.initiator_peer.release_query_slot(slot)
+
         if network.faults is not None:
             late = sorted(self._corrs)
             prompt: List[str] = []
-            # Tombstone everywhere: a duplicated one-way may trail in at
-            # any peer, not just the sites abandon() knew about.
-            for node in network.nodes.values():
-                if isinstance(node, QueryPeer):
-                    node._dead_corrs.update(late)
+            # A duplicated one-way may trail in at any peer the query
+            # addressed, not just the sites abandon() knew about.
+            for node in peers():
+                node._dead_corrs.update(late)
         else:
             late = sorted(self._abandoned)
             prompt = [c for c in self._corrs if c not in self._abandoned]
-        removed = 0
-        for node in network.nodes.values():
-            if isinstance(node, QueryPeer):
-                removed += node.purge_corrs(prompt)
+        removed = sum(node.purge_corrs(prompt) for node in peers())
         if late:
-            peer = self.initiator_peer
-
             def sweep(_event) -> None:
-                for node in network.nodes.values():
-                    if isinstance(node, QueryPeer):
-                        node.purge_corrs(late)
-                if slot is not None:
-                    peer.release_query_slot(slot)
+                for node in peers():
+                    node.purge_corrs(late)
+                free()
 
             self.sim.timeout(self.options.delivery_timeout).callbacks.append(sweep)
             self._abandoned = set()
-        elif slot is not None:
-            self.initiator_peer.release_query_slot(slot)
+        else:
+            free()
         self._corrs.clear()
         return removed
 

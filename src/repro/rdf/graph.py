@@ -21,12 +21,14 @@ OSP       o / o,s
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Set
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
-from .terms import RDFTerm, Variable, is_concrete
+from .terms import RDFTerm, Term, Variable
 from .triple import Triple, TriplePattern
 
 __all__ = ["Graph"]
+
+TermTuple = Tuple[RDFTerm, RDFTerm, RDFTerm]
 
 
 class Graph:
@@ -147,79 +149,65 @@ class Graph:
         Repeated variables in the pattern (e.g. ``?x <p> ?x``) are honoured:
         positions sharing a variable must hold equal terms.
         """
-        s = pattern.s if is_concrete(pattern.s) else None
-        p = pattern.p if is_concrete(pattern.p) else None
-        o = pattern.o if is_concrete(pattern.o) else None
+        for s, p, o in self.scan(pattern.s, pattern.p, pattern.o):
+            yield Triple(s, p, o)
 
-        candidates = self._walk(s, p, o)
+    def scan(self, s: Term, p: Term, o: Term) -> Sequence[TermTuple]:
+        """Matches of the pattern ``(s, p, o)`` as plain term tuples.
 
-        # Enforce repeated-variable equality, if any.
-        shared = self._shared_positions(pattern)
-        if shared:
-            for t in candidates:
-                vals = (t.s, t.p, t.o)
-                if all(vals[i] == vals[j] for i, j in shared):
-                    yield t
-        else:
-            yield from candidates
+        The row-producing access path behind :meth:`triples` and BGP
+        evaluation: a variable is a wildcard, the same variable in two
+        positions requires equal terms there. No :class:`Triple` is built
+        (or re-validated) per match — whatever is in the index already
+        passed :meth:`add`.
+        """
+        s_var = type(s) is Variable
+        p_var = type(p) is Variable
+        rows = self._walk(None if s_var else s, None if p_var else p,
+                          None if type(o) is Variable else o)
+        # Interned variables: a repeated one is the same object.
+        if s_var and s is p:
+            rows = [t for t in rows if t[0] == t[1]]
+        if s_var and s is o:
+            rows = [t for t in rows if t[0] == t[2]]
+        if p_var and p is o:
+            rows = [t for t in rows if t[1] == t[2]]
+        return rows
 
-    @staticmethod
-    def _shared_positions(pattern: TriplePattern) -> list[tuple[int, int]]:
-        pos: Dict[Variable, int] = {}
-        shared: list[tuple[int, int]] = []
-        for i, term in enumerate(pattern):
-            if isinstance(term, Variable):
-                if term in pos:
-                    shared.append((pos[term], i))
-                else:
-                    pos[term] = i
-        return shared
-
-    def _walk(self, s, p, o) -> Iterator[Triple]:
+    def _walk(self, s, p, o) -> Sequence[TermTuple]:
+        """Direct index walk for the bound positions (None = unbound)."""
         if s is not None:
             po = self._spo.get(s)
             if po is None:
-                return
+                return ()
             if p is not None:
-                objs = po.get(p)
-                if objs is None:
-                    return
+                objs = po.get(p, ())
                 if o is not None:
-                    if o in objs:
-                        yield Triple(s, p, o)
-                else:
-                    for obj in objs:
-                        yield Triple(s, p, obj)
-            elif o is not None:
-                preds = self._osp.get(o, {}).get(s)
-                if preds:
-                    for pred in preds:
-                        yield Triple(s, pred, o)
-            else:
-                for pred, objs in po.items():
-                    for obj in objs:
-                        yield Triple(s, pred, obj)
-        elif p is not None:
+                    return ((s, p, o),) if o in objs else ()
+                return [(s, p, obj) for obj in objs]
+            if o is not None:
+                return [(s, pred, o)
+                        for pred in self._osp.get(o, {}).get(s, ())]
+            return [(s, pred, obj) for pred, objs in po.items()
+                    for obj in objs]
+        if p is not None:
             os_ = self._pos.get(p)
             if os_ is None:
-                return
+                return ()
             if o is not None:
-                for subj in os_.get(o, ()):
-                    yield Triple(subj, p, o)
-            else:
-                for obj, subjects in os_.items():
-                    for subj in subjects:
-                        yield Triple(subj, p, obj)
-        elif o is not None:
-            for subj, preds in self._osp.get(o, {}).items():
-                for pred in preds:
-                    yield Triple(subj, pred, o)
-        else:
-            yield from iter(self)
+                return [(subj, p, o) for subj in os_.get(o, ())]
+            return [(subj, p, obj) for obj, subjects in os_.items()
+                    for subj in subjects]
+        if o is not None:
+            return [(subj, pred, o)
+                    for subj, preds in self._osp.get(o, {}).items()
+                    for pred in preds]
+        return [(subj, pred, obj) for subj, po in self._spo.items()
+                for pred, objs in po.items() for obj in objs]
 
     def count(self, pattern: TriplePattern) -> int:
-        """Number of triples matching *pattern* (no materialization)."""
-        return sum(1 for _ in self.triples(pattern))
+        """Number of triples matching *pattern*."""
+        return len(self.scan(pattern.s, pattern.p, pattern.o))
 
     # --------------------------------------------------------------- views
 

@@ -23,6 +23,7 @@ from .solutions import (
     EMPTY_MAPPING,
     SolutionMapping,
     SolutionSet,
+    canonical_key,
     compile_extractor,
     merge,
 )
@@ -36,50 +37,56 @@ __all__ = [
 ]
 
 
-def evaluate_bgp(bgp: BGP, graph: Graph) -> SolutionSet:
+def evaluate_bgp(
+    bgp: BGP, graph: Graph, keep: Optional[Iterable[Variable]] = None
+) -> SolutionSet:
     """⟦BGP⟧_D with index-backed candidate generation.
 
     Patterns are evaluated left to right; each accumulated mapping µ is
     pushed into the next pattern (µ(t)) so the graph indexes prune the
-    search — the standard index nested-loop join.
+    search — the standard index nested-loop join. Rows are built straight
+    from the index's term tuples. *keep* projects the answer onto those
+    variables; for a single pattern (every storage-node sub-query) the
+    projection is fused into the row extractor.
     """
+    scan = graph.scan
+    if keep is not None:
+        keep = frozenset(keep)
+    fused = keep if len(bgp.patterns) == 1 else None
     solutions: List[SolutionMapping] = [EMPTY_MAPPING]
     for pattern in bgp.patterns:
-        ps, pp, po = pattern.s, pattern.p, pattern.o
-        s_var = isinstance(ps, Variable)
-        p_var = isinstance(pp, Variable)
-        o_var = isinstance(po, Variable)
+        terms = (pattern.s, pattern.p, pattern.o)
+        ps, pp, po = terms
         next_solutions: List[SolutionMapping] = []
-        append = next_solutions.append
-        # µ(t) leaves exactly the variables outside dom(µ) unbound, so the
-        # extractor for the bound pattern depends only on µ's schema.
-        extractors: Dict[object, object] = {}
+        # µ(t) leaves exactly the variables outside dom(µ) unbound, so
+        # which positions µ binds, and the extractor for the rest, depend
+        # only on µ's schema.
+        plans: Dict[object, tuple] = {}
         for mu in solutions:
-            bs, bp, bo = ps, pp, po
-            if s_var:
-                term = mu.get(ps)
-                if term is not None:
-                    bs = term
-            if p_var:
-                term = mu.get(pp)
-                if term is not None:
-                    bp = term
-            if o_var:
-                term = mu.get(po)
-                if term is not None:
-                    bo = term
-            bound = TriplePattern(bs, bp, bo)
-            schema = mu._schema
-            extract = extractors.get(schema)
-            if extract is None:
-                # graph.triples already enforces concrete positions and
+            plan = plans.get(mu._schema)
+            if plan is None:
+                index = mu._schema.index
+                slots = [index.get(term, -1) for term in terms]
+                # graph.scan already enforces concrete positions and
                 # repeated-variable equality; extraction is all that remains.
-                extract = extractors[schema] = compile_extractor(bound)
-            for triple in graph.triples(bound):
-                append(merge(mu, extract(triple)))
+                extract = compile_extractor(
+                    [term if i < 0 else None for term, i in zip(terms, slots)],
+                    fused)
+                plan = plans[mu._schema] = (*slots, extract)
+            si, pi, oi, extract = plan
+            values = mu._values
+            rows = scan(ps if si < 0 else values[si],
+                        pp if pi < 0 else values[pi],
+                        po if oi < 0 else values[oi])
+            if mu is EMPTY_MAPPING:
+                next_solutions.extend(map(extract, rows))
+            else:
+                next_solutions.extend([merge(mu, extract(t)) for t in rows])
         if not next_solutions:
             return set()
         solutions = next_solutions
+    if keep is not None and fused is None:
+        return {mu.project(keep) for mu in solutions}
     return set(solutions)
 
 
@@ -162,7 +169,7 @@ def apply_modifiers(
         )
     if not modifiers.order:
         # Deterministic output for unordered queries: canonical term order.
-        rows.sort(key=_canonical_row_key)
+        rows.sort(key=canonical_key)
 
     if projection:
         rows = [mu.project(projection) for mu in rows]
@@ -181,10 +188,6 @@ def apply_modifiers(
     if modifiers.limit is not None:
         rows = rows[: modifiers.limit]
     return rows
-
-
-def _canonical_row_key(mu: SolutionMapping):
-    return tuple((v.name, t.n3()) for v, t in mu.items())
 
 
 def evaluate_query(

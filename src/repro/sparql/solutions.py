@@ -27,6 +27,7 @@ comparison inside those kernels a pointer check.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
     Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
     Set, Tuple,
@@ -39,6 +40,7 @@ __all__ = [
     "SolutionMapping",
     "SolutionSet",
     "EMPTY_MAPPING",
+    "canonical_key",
     "compatible",
     "merge",
     "join",
@@ -120,10 +122,10 @@ class SolutionMapping:
         self._values = values
         self._hash = schema.hash ^ hash(values)
         self._size = None  # wire-size cache (repro.net.sizes)
-        self._skey = None  # canonical sort-key cache (repro.net.wire)
+        self._skey = None  # canonical sort-key cache (canonical_key)
 
     #: (schema, values) → canonical instance. Mappings are immutable, so
-    #: the kernels intern them: the same row decoded or merged twice is
+    #: the kernels intern them: the same row scanned or merged twice is
     #: one object, and its wire-size / sort-key caches survive re-shipping
     #: along aggregation chains.
     _intern: Dict[Tuple["_Schema", Tuple[RDFTerm, ...]], "SolutionMapping"] = {}
@@ -206,6 +208,17 @@ SolutionMapping._intern[(_EMPTY_SCHEMA, ())] = EMPTY_MAPPING
 
 #: A set of solution mappings Ω.
 SolutionSet = Set[SolutionMapping]
+
+
+def canonical_key(mu: SolutionMapping):
+    """Canonical, deterministic ordering of solution mappings — for
+    output that must not depend on set iteration order. Cached on the
+    mapping: the same rows are ordered again by every query they answer.
+    """
+    key = mu._skey
+    if key is None:
+        key = mu._skey = tuple((v.name, t.n3()) for v, t in mu.items())
+    return key
 
 
 def _compat_plan(s1: _Schema, s2: _Schema) -> Tuple[Tuple[int, int], ...]:
@@ -368,9 +381,33 @@ def union(omega1: Iterable[SolutionMapping], omega2: Iterable[SolutionMapping]) 
 
 
 def minus(omega1: Iterable[SolutionMapping], omega2: Iterable[SolutionMapping]) -> SolutionSet:
-    """Ω1 − Ω2: mappings of Ω1 compatible with *no* mapping of Ω2."""
-    right = list(omega2)
-    return {mu for mu in omega1 if not any(compatible(mu, nu) for nu in right)}
+    """Ω1 − Ω2: mappings of Ω1 compatible with *no* mapping of Ω2.
+
+    Hashed per schema pair, like :func:`join`: two rows are compatible
+    exactly when they agree on the variables their schemas share, so each
+    right-hand schema contributes one key set and every left row one
+    probe into it. A pair sharing no variable is compatible outright.
+    """
+    right: Dict[_Schema, List[Tuple[RDFTerm, ...]]] = {}
+    for nu in omega2:
+        right.setdefault(nu._schema, []).append(nu._values)
+    left: Dict[_Schema, List[SolutionMapping]] = {}
+    for mu in omega1:
+        left.setdefault(mu._schema, []).append(mu)
+    out: SolutionSet = set()
+    for s1, survivors in left.items():
+        for s2, rows in right.items():
+            plan = _compat_plan(s1, s2)
+            if not plan:
+                survivors = []
+                break
+            taken = {tuple([values[j] for _, j in plan]) for values in rows}
+            survivors = [
+                mu for mu in survivors
+                if tuple([mu._values[i] for i, _ in plan]) not in taken
+            ]
+        out.update(survivors)
+    return out
 
 
 def left_outer_join(
@@ -438,32 +475,33 @@ def combine_sets(
     return out
 
 
-def compile_extractor(pattern: TriplePattern):
-    """A binding extractor for triples already known to match *pattern*.
+def compile_extractor(terms, keep: Optional[Iterable[Variable]] = None):
+    """A row builder for term tuples already known to match a pattern.
 
-    :meth:`repro.rdf.graph.Graph.triples` verifies concrete positions and
-    repeated-variable consistency during the index walk, so per-triple
-    work reduces to picking the variable positions out of the triple. The
-    schema and position plan are computed once per pattern; the returned
-    callable builds each mapping with the fast constructor.
+    *terms* is the pattern's (s, p, o) with anything but a variable —
+    a constant, or None for a position bound upstream — skipped.
+    :meth:`repro.rdf.graph.Graph.scan` verifies concrete positions and
+    repeated-variable consistency during the index walk, so per-match
+    work reduces to picking the variable positions out of the tuple;
+    *keep* (projection pushdown) picks only those variables. The schema
+    and position plan are computed once; the returned callable builds
+    each mapping with the fast constructor.
     """
     seen: Dict[Variable, int] = {}
-    for i, term in enumerate((pattern.s, pattern.p, pattern.o)):
-        if type(term) is Variable and term not in seen:
+    for i, term in enumerate(terms):
+        if (type(term) is Variable and term not in seen
+                and (keep is None or term in keep)):
             seen[term] = i
     if not seen:
-        return lambda triple: EMPTY_MAPPING
+        return lambda row: EMPTY_MAPPING
     pairs = sorted(seen.items(), key=_name_key)
     schema = _Schema.of(tuple([v for v, _ in pairs]))
-    idxs = tuple([i for _, i in pairs])
-
     make = SolutionMapping._make
-
-    def extract(triple: Triple) -> SolutionMapping:
-        values = (triple.s, triple.p, triple.o)
-        return make(schema, tuple([values[i] for i in idxs]))
-
-    return extract
+    if len(pairs) == 1:
+        only = pairs[0][1]
+        return lambda row: make(schema, (row[only],))
+    pick = itemgetter(*[i for _, i in pairs])
+    return lambda row: make(schema, pick(row))
 
 
 def match_pattern(pattern: TriplePattern, triple: Triple) -> Optional[SolutionMapping]:

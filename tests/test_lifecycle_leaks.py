@@ -215,6 +215,74 @@ class TestDeadCorrelations:
         assert peer_state(system) == CLEAN
 
 
+class TestReleaseVisitsTouchedPeersOnly:
+    """Per-query cleanup is proportional to the peers the query's
+    messages addressed, not to the size of the network."""
+
+    QUERIES = [
+        "SELECT ?x WHERE { ?x foaf:knows ns:me . }",
+        """SELECT ?x ?y ?z WHERE {
+            ?x foaf:knows ?z . ?x ns:knowsNothingAbout ?y . }""",
+        "SELECT * WHERE { ?x foaf:name ?n . OPTIONAL { ?x foaf:nick ?k . } }",
+    ]
+
+    @staticmethod
+    def _peers_purged_per_query(monkeypatch, num_index, options, faults=None):
+        """Runs QUERIES; returns, per query, the node of every
+        ``purge_corrs`` call its release (and delayed sweep) made."""
+        calls = []
+        real = QueryPeer.purge_corrs
+
+        def counting(self, corrs):
+            calls.append(self.node_id)
+            return real(self, corrs)
+
+        monkeypatch.setattr(QueryPeer, "purge_corrs", counting)
+        system = build_system(num_index=num_index)
+        system.network.install_faults(faults)
+        executor = DistributedExecutor(system, options)
+        per_query = []
+        for query in TestReleaseVisitsTouchedPeersOnly.QUERIES:
+            before = len(calls)
+            result, _ = executor.execute(query, initiator="D1")
+            assert result.rows == _oracle_rows(system, query)
+            system.sim.run()  # let any delayed sweep fire
+            per_query.append(calls[before:])
+        # Nothing may be left anywhere — not only where release() looked.
+        for node in system.network.nodes.values():
+            residue = {k: v for k, v in node.__dict__.items()
+                       if k.startswith("_qp_") and k != "_qp_result_cache" and v}
+            assert not residue, (node.node_id, residue)
+        assert system.network.flow_peers == {}
+        assert live_heap(system.sim) == []
+        return per_query
+
+    @pytest.mark.parametrize("options", [
+        ExecutionOptions(),
+        ExecutionOptions(primitive_strategy=PrimitiveStrategy.CHAINED),
+    ], ids=["basic", "chained"])
+    def test_purge_calls_do_not_grow_with_the_ring(self, monkeypatch, options):
+        small = self._peers_purged_per_query(monkeypatch, 64, options)
+        monkeypatch.undo()
+        large = self._peers_purged_per_query(monkeypatch, 512, options)
+        assert [len(c) for c in small] == [len(c) for c in large]
+        # Initiator, its entry node, one owner per pattern, the providers.
+        assert max(len(c) for c in large) <= 4 + 1 + 2 + 1
+
+    def test_same_peers_under_a_fault_plan(self, monkeypatch):
+        from repro.net.faults import FaultPlan, FaultRule
+
+        plan = FaultPlan(rules=(FaultRule("duplicate", probability=1.0,
+                                          delay=0.2, jitter=0.5),), seed=3)
+        healthy = self._peers_purged_per_query(
+            monkeypatch, 64, ExecutionOptions())
+        monkeypatch.undo()
+        chaotic = self._peers_purged_per_query(
+            monkeypatch, 64, ExecutionOptions(), faults=plan)
+        # Quarantine changes when corrs are purged, not where.
+        assert [set(c) for c in chaotic] == [set(c) for c in healthy]
+
+
 def _oracle_rows(system, query_text):
     from repro.rdf import COMMON_PREFIXES
     from repro.sparql import evaluate_query, parse_query

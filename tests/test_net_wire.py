@@ -12,6 +12,7 @@ Pins the PR's core size invariants:
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chord.hashing import hash_terms_seeded
 from repro.net.sizes import size_of
@@ -26,6 +27,8 @@ from repro.net.wire import (
 )
 from repro.rdf import IRI, Literal, Variable
 from repro.sparql.solutions import SolutionMapping
+
+from reference_wire import ReferenceBatch
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -75,10 +78,10 @@ class TestSolutionBatch:
         rows = sorted(repetitive(), key=mapping_sort_key)
         a = SolutionBatch.encode(rows)
         b = SolutionBatch.encode(list(reversed(rows)))
-        assert a.rows == b.rows
-        assert a.terms == b.terms
-        assert a.variables == b.variables
+        assert a.rows == b.rows == frozenset(rows)
+        assert a.mode == b.mode
         assert a.wire_size() == b.wire_size()
+        assert a.wire_size() == ReferenceBatch.encode(rows).wire_size()
 
     def test_plain_encoding_charges_repeats_in_full(self):
         # The regression this PR fixes the cost of: 50 rows sharing LONG
@@ -110,10 +113,82 @@ class TestSolutionBatch:
     def test_encode_solutions_off_is_the_original_wire_format(self):
         sols = unique_rows()
         plain = encode_solutions(sols, False)
-        assert plain == sorted(sols, key=mapping_sort_key)
+        assert set(plain) == sols and len(plain) == len(sols)
         assert size_of(plain) == plain_size(sols)
         assert as_solution_set(plain) == sols
         assert as_solution_set(encode_solutions(sols, True)) == sols
+
+
+# A small term pool forces repetition (the dictionary wins); the wide one
+# makes rows mostly unique (plain mode wins). Mixed schemas, including the
+# empty mapping, come from drawing 0-3 variables per row.
+_narrow = st.sampled_from(
+    [LONG, IRI("http://e/1"), Literal("1"), Literal("one", language="en")])
+_wide = st.builds(lambda i: IRI(f"http://wide.example/{i}"),
+                  st.integers(0, 2000))
+
+
+@st.composite
+def _rows(draw):
+    pool = draw(st.sampled_from([_narrow, _wide, st.one_of(_narrow, _wide)]))
+    row = st.dictionaries(st.sampled_from([X, Y, Z]), pool, max_size=3)
+    return [SolutionMapping(b) for b in draw(st.lists(row, max_size=40))]
+
+
+class TestSizeOnlyEncoding:
+    """``encode`` prices the dictionary-delta format without building it;
+    the table-building encoder it replaced is the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_rows())
+    def test_size_and_mode_match_the_table_building_encoder(self, rows):
+        batch, reference = SolutionBatch.encode(rows), ReferenceBatch.encode(rows)
+        assert batch.wire_size() == reference.wire_size()
+        assert batch.mode == reference.mode
+        assert len(batch) == len(reference)
+        assert batch.decode() == reference.decode() == set(rows)
+
+    @pytest.mark.parametrize("distinct", [255, 256, 65_535, 65_536],
+                             ids=lambda n: f"{n}-terms")
+    def test_index_width_steps(self, distinct):
+        # The term table crosses the 1 -> 2 -> 4 byte index widths
+        # exactly at these counts. Wide rows overlapping by half put every
+        # term in two rows, so the dictionary wins and the index widths
+        # are what the size is made of.
+        terms = [IRI(f"http://w.example/{i}") for i in range(distinct)]
+        wide = [Variable(f"v{k:02}") for k in range(16)]
+        rows = [SolutionMapping({v: terms[(i + k) % distinct]
+                                 for k, v in enumerate(wide)})
+                for i in range(0, distinct, 8)]
+        batch, reference = SolutionBatch.encode(rows), ReferenceBatch.encode(rows)
+        assert len(reference.terms) == distinct
+        assert batch.wire_size() == reference.wire_size()
+        assert batch.mode == reference.mode == "dict"
+
+    def test_decode_hands_every_receiver_its_own_set(self):
+        # A duplicated delivery decodes one payload twice; what the
+        # first receiver does to its rows must not reach the second.
+        rows = repetitive(5)
+        batch = SolutionBatch.encode(rows)
+        first = batch.decode()
+        first.clear()
+        first.add(SolutionMapping({Z: LONG}))
+        assert batch.decode() == rows and len(batch) == 5
+        assert batch.wire_size() == SolutionBatch.encode(rows).wire_size()
+
+    def test_encoding_does_not_alias_the_senders_set(self):
+        rows = repetitive(5)
+        batch, plain = SolutionBatch.encode(rows), encode_solutions(rows, False)
+        rows.clear()
+        assert len(batch.decode()) == len(as_solution_set(plain)) == 5
+
+    @pytest.mark.parametrize("solutions", [
+        set(), unique_rows(), repetitive(), {SolutionMapping()},
+    ], ids=["empty", "unique", "repetitive", "empty-mapping"])
+    def test_row_sets_size_like_the_sorted_list(self, solutions):
+        as_list = sorted(solutions, key=mapping_sort_key)
+        assert (size_of(frozenset(solutions)) == size_of(set(solutions))
+                == size_of(as_list) == size_of(tuple(reversed(as_list))))
 
 
 def key_rows(n, var=X):

@@ -124,7 +124,7 @@ class TestIndexNode:
             ))
 
         response = paper_system.sim.run_process(proc())
-        assert response["data"] == []
+        assert len(response["data"]) == 0
         assert owner.locate(key) == []  # stale entry removed
 
     def test_route_freq_ordering(self):
@@ -168,7 +168,7 @@ class TestQueryPeerMailbox:
         d1 = paper_system.storage_nodes["D1"]
         mu = SolutionMapping({X: IRI("http://x/a")})
         d1.mailbox["f"] = {mu}
-        assert d1.rpc_fetch({"corr": "f"}, "t") == [mu]
+        assert set(d1.rpc_fetch({"corr": "f"}, "t")) == {mu}
         assert "f" not in d1.mailbox
 
     def test_expect_latches_early_notification(self, paper_system):

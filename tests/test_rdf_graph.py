@@ -134,6 +134,33 @@ class TestPatternAccess:
         matches = list(g.triples(TriplePattern(X, P[0], X)))
         assert matches == [Triple(shared, P[0], shared)]
 
+    @pytest.mark.parametrize("pattern", [
+        TriplePattern(X, Y, Z), TriplePattern(S[0], Y, Z),
+        TriplePattern(X, P[0], Z), TriplePattern(X, Y, O[0]),
+        TriplePattern(S[0], P[0], Z), TriplePattern(X, P[0], O[0]),
+        TriplePattern(S[0], Y, O[0]), TriplePattern(S[0], P[0], O[0]),
+        TriplePattern(S[4], Y, Z), TriplePattern(X, P[1], Literal("nope")),
+        TriplePattern(X, Y, X), TriplePattern(X, P[0], X),
+        TriplePattern(S[0], Y, Y), TriplePattern(X, X, Z),
+        TriplePattern(X, X, X),
+    ], ids=lambda p: p.n3())
+    def test_scan_yields_the_term_tuples_of_the_matches(self, pattern):
+        """The tuple scan behind ``triples`` and BGP evaluation, on all
+        eight shapes, misses and repeated variables, against a linear
+        scan with the binding-consistent matcher."""
+        from repro.sparql.solutions import match_pattern
+
+        g = make_graph()
+        g.add(Triple(S[0], P[0], S[0]))
+        g.add(Triple(P[1], P[1], O[1]))
+        g.add(Triple(P[2], P[2], P[2]))
+        rows = g.scan(pattern.s, pattern.p, pattern.o)
+        expected = [t for t in g if match_pattern(pattern, t) is not None]
+        assert len(rows) == len(expected) == g.count(pattern)
+        assert all(type(row) is tuple for row in rows)
+        assert set(rows) == {(t.s, t.p, t.o) for t in expected}
+        assert set(g.triples(pattern)) == set(expected)
+
     def test_views(self):
         g = make_graph()
         assert S[0] in g.subjects()

@@ -148,3 +148,23 @@ class TestBgpSemantics:
         g = Graph(paper_example_dataset())
         res = run(g, "ASK {}")
         assert res.boolean is True
+
+    @pytest.mark.parametrize("where", [
+        "?a foaf:knows ?b .",
+        "?a ?p ?a .",
+        "?a foaf:knows ?b . ?b foaf:nick ?n .",
+        "?a foaf:knows ?b . ?b foaf:knows ?a .",
+        "?a foaf:name \"nobody\" .",
+    ])
+    @pytest.mark.parametrize("keep", [["a"], ["b", "n"], [], ["a", "b", "n", "p"]])
+    def test_pushed_down_projection_equals_projecting_afterwards(
+            self, graph, where, keep):
+        """``keep`` is fused into the row extractor for a single pattern
+        and applied at the end otherwise; either way it is π(⟦BGP⟧)."""
+        from repro.sparql import evaluate_bgp, translate_pattern
+
+        bgp = translate_pattern(
+            parse_query(f"SELECT * WHERE {{ {where} }}", COMMON_PREFIXES).where)
+        keep = [Variable(name) for name in keep]
+        full = evaluate_bgp(bgp, graph)
+        assert evaluate_bgp(bgp, graph, keep) == {mu.project(keep) for mu in full}

@@ -205,3 +205,25 @@ def test_join_reference_nested_loop(o1, o2):
         merge(m1, m2) for m1 in o1 for m2 in o2 if compatible(m1, m2)
     }
     assert join(o1, o2) == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(omegas, omegas)
+def test_minus_reference_nested_loop(o1, o2):
+    """The per-schema-pair hashed difference equals the definition —
+    `mappings()` draws partial domains, so rows sharing some, all or none
+    of their variables (the always-compatible case) all occur."""
+    reference = {
+        m1 for m1 in o1 if not any(compatible(m1, m2) for m2 in o2)
+    }
+    assert minus(o1, o2) == reference
+
+
+def test_minus_partial_domains():
+    left = {mu(x=A, y=B), mu(x=B), mu(z=C), EMPTY_MAPPING}
+    # x=A kills the first row only; a right row over an unshared variable
+    # (or none at all) is compatible with, and so removes, everything.
+    assert minus(left, {mu(x=A)}) == {mu(x=B)}
+    assert minus(left, {mu(x=C, y=B)}) == {mu(x=A, y=B), mu(x=B)}
+    assert minus(left, {mu(w=A)}) == set()
+    assert minus(left, {EMPTY_MAPPING}) == set()
