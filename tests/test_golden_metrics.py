@@ -19,16 +19,23 @@ simulated time — fails this test. To re-capture after an *intentional*
 metrics change (never for a perf-only PR):
 
     GOLDEN_REGEN=1 PYTHONPATH=src:tests python -m pytest tests/test_golden_metrics.py
+
+The grid is fault-free, so it never reaches the transport's drop,
+duplicate, delay-spike and brownout branches. One more cell pins those:
+the Fig. 4-9 mix under a seeded chaos plan with the whole defense stack
+on, down to a hash of every traced message (``chaos_fig4_9.json``).
 """
 
 import hashlib
 import itertools
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro.net.faults import chaos_plan
 from repro.query import (
     ConjunctionMode,
     DistributedExecutor,
@@ -36,10 +43,14 @@ from repro.query import (
     JoinSitePolicy,
     PrimitiveStrategy,
 )
+from repro.query.executor import QueryFailed
+from repro.trace import Tracer
+from repro.workloads import PAPER_FIG_QUERIES
 
 from helpers import build_system
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "metrics_fig4_9.json"
+CHAOS_GOLDEN_PATH = Path(__file__).parent / "golden" / "chaos_fig4_9.json"
 
 QUERIES = {
     "fig4": """SELECT ?x ?y ?z WHERE {
@@ -134,15 +145,71 @@ def capture():
     return out
 
 
-def test_simulated_metrics_match_golden():
-    if os.environ.get("GOLDEN_REGEN"):
-        GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN_PATH.write_text(json.dumps(capture(), indent=1, sort_keys=True)
-                               + "\n")
-        pytest.skip(f"golden file regenerated at {GOLDEN_PATH}")
+CHAOS_OPTIONS = ExecutionOptions(retries=2, failover=True, breaker=True,
+                                 partial_results=True, query_deadline=30.0)
+#: Three rounds of the mix: the fewest at which every fault branch of
+#: request, one-way, reply and error reply fires at least once.
+CHAOS_JOBS = [(f"{name}.{round_}", query) for round_ in range(3)
+              for name, query in PAPER_FIG_QUERIES.items()]
 
-    golden = json.loads(GOLDEN_PATH.read_text())
+
+def _digest(blob) -> str:
+    return hashlib.sha256(
+        json.dumps(blob, separators=(",", ":")).encode()).hexdigest()
+
+
+def capture_chaos():
+    """The Fig. 4-9 mix, in order, on one fresh rf=2 system under a seeded
+    plan of loss, duplication, delay spikes and a brownout: per query the
+    outcome, a row-multiset digest and the simulated cost, then the fault
+    tally and a hash of the traced message sequence."""
+    system = build_system(replication_factor=2)
+    system.network.install_faults(chaos_plan(
+        sorted(system.network.nodes), seed=4, loss=0.1, duplicate=0.15,
+        delay=0.15, brownouts=2))
+    tracer = Tracer()
+    executor = DistributedExecutor(system, CHAOS_OPTIONS, tracer=tracer)
+    out = {}
+    for key, query in CHAOS_JOBS:
+        try:
+            result, report = executor.execute(query)
+        except QueryFailed as exc:
+            out[key] = {"outcome": type(exc).__name__, "now": system.sim.now}
+            continue
+        rows = sorted(Counter(
+            tuple(sorted((v.name, t.n3()) for v, t in mu.items()))
+            for mu in result.rows).items())
+        out[key] = {
+            "outcome": "incomplete" if report.incomplete else "ok",
+            "rows": _digest([result.boolean, rows]),
+            "bytes_total": report.bytes_total,
+            "messages": report.messages,
+            "response_time": report.response_time,
+        }
+    out["faults_injected"] = dict(system.network.faults.injected)
+    out["trace"] = _digest([
+        [e.time, e.kind, e.src, e.dst, e.name, e.bytes]
+        for e in tracer.message_events()])
+    return out
+
+
+def _check_golden(path: Path, got: dict) -> dict:
+    """Regenerate *path* under ``GOLDEN_REGEN``, else return its content."""
+    if os.environ.get("GOLDEN_REGEN"):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+        pytest.skip(f"golden file regenerated at {path}")
+    return json.loads(path.read_text())
+
+
+def test_chaos_cell_matches_golden():
+    got = capture_chaos()
+    assert got == _check_golden(CHAOS_GOLDEN_PATH, got)
+
+
+def test_simulated_metrics_match_golden():
     got = capture()
+    golden = _check_golden(GOLDEN_PATH, got)
     assert set(got) == set(golden), "configuration grid changed"
     drifted = {
         key: {field: (golden[key][field], got[key][field])
