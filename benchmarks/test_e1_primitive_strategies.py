@@ -22,6 +22,7 @@ import random
 from repro.metrics import render_table
 from repro.query import DistributedExecutor, ExecutionOptions, PrimitiveStrategy
 from repro.rdf import FOAF
+from repro.trace import Tracer
 from repro.workloads import FoafConfig, generate_foaf_triples
 
 from conftest import build_system, emit, run_once
@@ -138,14 +139,15 @@ def test_e1_freq_orders_route_by_frequency(benchmark):
     system = build_system(num_index=8, parts=parts)
 
     def run():
+        tracer = Tracer()
         executor = DistributedExecutor(
-            system, ExecutionOptions(primitive_strategy=PrimitiveStrategy.FREQ)
+            system, ExecutionOptions(primitive_strategy=PrimitiveStrategy.FREQ),
+            tracer=tracer,
         )
-        system.stats.records.clear()
         executor.execute(QUERY, initiator="D0")
         return [
-            (r.src, r.dst, r.bytes) for r in system.stats.records
-            if r.kind == "chain_step"
+            (e.src, e.dst, e.bytes) for e in tracer.message_events()
+            if e.name == "chain_step"
         ]
 
     chain_messages = run_once(benchmark, run)

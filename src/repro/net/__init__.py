@@ -10,7 +10,7 @@ from .faults import FaultInjector, FaultPlan, FaultRule, chaos_plan
 from .health import HealthLedger, PeerHealth
 from .sim import AllOf, AnyOf, Event, Process, SimError, Simulator, Timeout
 from .sizes import HEADER_BYTES, size_of
-from .stats import MessageRecord, NetworkStats
+from .stats import NetworkStats
 from .transport import (
     LinkModel,
     Network,
@@ -35,7 +35,6 @@ __all__ = [
     "size_of",
     "HEADER_BYTES",
     "NetworkStats",
-    "MessageRecord",
     "LinkModel",
     "Network",
     "Node",

@@ -27,6 +27,10 @@ class SimError(RuntimeError):
     """Raised for misuse of the simulation kernel."""
 
 
+#: Action slot of a deferred call not yet due (see _schedule_after).
+_DUE = object()
+
+
 class Event:
     """A one-shot occurrence with a value and callbacks.
 
@@ -313,6 +317,13 @@ class Simulator:
         self._now_queue.append(entry)
         return entry
 
+    def _schedule_after(self, delay: float, fn: Callable, *args: Any) -> list:
+        """Run ``fn(*args)`` *delay* from now, without an Event. When due,
+        the entry takes a second sequence number and queues behind what is
+        already due: the two a :class:`Timeout` and its ``_dispatch`` take,
+        so one may replace the other. ``entry[2] = None`` withdraws it."""
+        return self._schedule_at(self.now + delay, _DUE, fn, args)
+
     def _ready(self, event: Event) -> None:
         # Run callbacks via the queue so triggering is never re-entrant.
         self._schedule_now(self._dispatch, event)
@@ -365,7 +376,12 @@ class Simulator:
             else:
                 queue.popleft()
             self.now = time
-            entry[2](*entry[3])
+            if entry[2] is _DUE:  # a deferred call's first hop
+                entry[1] = next(self._seq)
+                entry[2], entry[3] = entry[3]
+                queue.append(entry)
+            else:
+                entry[2](*entry[3])
 
     def run_process(self, gen: Generator[Event, Any, Any]) -> Any:
         """Convenience: spawn *gen*, run to completion, return its value.

@@ -11,10 +11,11 @@ Sizing is a wall-clock hot spot: every simulated message charges
 ``size_of`` over its whole payload, and solution sets are re-sized each
 time they ship. Dispatch is a ``type() -> handler`` table (a type's rule
 is resolved once, on first sight, for subclasses and the open-ended
-cases), and the per-term / per-mapping results are cached on the
-instances themselves — sound because RDF terms are interned and solution
-mappings are immutable. The computed sizes are byte-identical to the
-original structural recursion.
+cases; containers use it without re-entering ``size_of``), and per-term,
+per-mapping and per-BGP results are cached on the instances themselves —
+sound because RDF terms are interned and mappings and algebra trees are
+immutable. The sizes are byte-identical to the original structural
+recursion (a Hypothesis test pins them against it).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Any
 
 from ..rdf.terms import IRI, BlankNode, Literal, Variable
 from ..rdf.triple import Triple, TriplePattern
+from ..sparql.algebra import BGP
 from ..sparql.solutions import SolutionMapping
 
 __all__ = ["size_of", "HEADER_BYTES"]
@@ -78,6 +80,15 @@ def _size_triple(payload) -> int:
     return size_of(payload.s) + size_of(payload.p) + size_of(payload.o) + 3
 
 
+def _size_bgp(payload: BGP) -> int:
+    """The dataclass rule over ``patterns``, kept on the BGP."""
+    n = getattr(payload, "_size", None)
+    if n is None:
+        n = _CONTAINER_OVERHEAD + _PER_ITEM_OVERHEAD + _size_sequence(payload.patterns)
+        _set(payload, "_size", n)
+    return n
+
+
 def _size_mapping(payload: SolutionMapping) -> int:
     n = payload._size
     if n is None:
@@ -89,9 +100,10 @@ def _size_mapping(payload: SolutionMapping) -> int:
 
 
 def _size_dict(payload: dict) -> int:
-    return _CONTAINER_OVERHEAD + sum(
-        size_of(k) + size_of(v) + _PER_ITEM_OVERHEAD for k, v in payload.items()
-    )
+    n = _CONTAINER_OVERHEAD + _PER_ITEM_OVERHEAD * len(payload)
+    for k, v in payload.items():
+        n += (_DISPATCH.get(type(k)) or size_of)(k) + (_DISPATCH.get(type(v)) or size_of)(v)
+    return n
 
 
 def _size_sequence(payload) -> int:
@@ -104,12 +116,12 @@ def _size_sequence(payload) -> int:
             size = item._size
             n += size if size is not None else _size_mapping(item)
         else:
-            n += size_of(item)
+            n += (_DISPATCH.get(type(item)) or size_of)(item)
     return n
 
 
 def _size_str(payload: str) -> int:
-    return len(payload.encode("utf-8"))
+    return len(payload) if payload.isascii() else len(payload.encode("utf-8"))
 
 
 _DISPATCH = {
@@ -125,6 +137,7 @@ _DISPATCH = {
     Variable: _size_variable,
     Triple: _size_triple,
     TriplePattern: _size_triple,
+    BGP: _size_bgp,
     SolutionMapping: _size_mapping,
     dict: _size_dict,
     list: _size_sequence,

@@ -2,27 +2,17 @@
 
 Every experiment in EXPERIMENTS.md reports some subset of: total bytes
 shipped between sites, message count, per-link breakdowns, and response
-times. This module is the single source of those numbers.
+times. This module is the single source of those numbers, as counters;
+per-message detail lives in an attached :class:`~repro.trace.Tracer`.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-__all__ = ["NetworkStats", "MessageRecord"]
-
-
-@dataclass(frozen=True, slots=True)
-class MessageRecord:
-    """One message that crossed a link."""
-
-    time: float
-    src: str
-    dst: str
-    kind: str
-    bytes: int
+__all__ = ["NetworkStats"]
 
 
 @dataclass
@@ -40,18 +30,13 @@ class NetworkStats:
     per_link_bytes: Dict[Tuple[str, str], int] = field(
         default_factory=lambda: defaultdict(int)
     )
-    records: List[MessageRecord] = field(default_factory=list)
-    #: Record individual messages (costly for big runs; on by default).
-    keep_records: bool = True
 
-    def record(self, time: float, src: str, dst: str, kind: str, nbytes: int) -> None:
+    def record(self, src: str, dst: str, kind: str, nbytes: int) -> None:
         self.messages += 1
         self.bytes_total += nbytes
         self.per_kind_bytes[kind] += nbytes
         self.per_kind_messages[kind] += 1
         self.per_link_bytes[(src, dst)] += nbytes
-        if self.keep_records:
-            self.records.append(MessageRecord(time, src, dst, kind, nbytes))
 
     def reset(self) -> None:
         self.messages = 0
@@ -59,7 +44,6 @@ class NetworkStats:
         self.per_kind_bytes.clear()
         self.per_kind_messages.clear()
         self.per_link_bytes.clear()
-        self.records.clear()
 
     def checkpoint(self) -> Tuple[int, int]:
         return (self.messages, self.bytes_total)

@@ -13,11 +13,16 @@ chains through storage nodes). Failed nodes silently drop traffic; callers
 observe an :class:`RpcTimeout`, which is precisely the failure-detection
 mechanism Sect. III-D prescribes ("no acknowledgement ... after a timeout
 period").
+
+One RPC attempt costs one slotted :class:`_Call` plus the raw heap
+entries it schedules (:meth:`Simulator._schedule_after`); a settled call
+is freed by reference counting (DESIGN.md §4).
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from types import GeneratorType
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set
@@ -28,19 +33,22 @@ from ..trace.tracer import phase_for_method
 from .contention import ContentionModel
 from .faults import FaultInjector, FaultPlan
 from .health import HealthLedger
-from .sim import Event, Simulator, Timeout
+from .sim import Event, SimError, Simulator
 from .sizes import HEADER_BYTES, size_of
 from .stats import NetworkStats
 
-_RPC_ATTRS: Dict[str, str] = {}
+#: Per-method message constants, worked out once per method name.
+_Method = namedtuple("_Method", "attr reply error header_bytes")
+_METHODS: Dict[str, _Method] = {}
 
 
-def _rpc_attr(method: str) -> str:
-    """Memoized ``rpc_<method>`` attribute name (no per-delivery f-string)."""
-    name = _RPC_ATTRS.get(method)
-    if name is None:
-        name = _RPC_ATTRS[method] = "rpc_" + method
-    return name
+def _method(method: str) -> _Method:
+    info = _METHODS.get(method)
+    if info is None:
+        info = _METHODS[method] = _Method(
+            "rpc_" + method, method + ".reply", method + ".error",
+            HEADER_BYTES + size_of(method))
+    return info
 
 
 __all__ = [
@@ -172,6 +180,126 @@ class Node:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "up" if self.alive else "down"
         return f"<{type(self).__name__} {self.node_id} ({status})>"
+
+
+class _Call:
+    """One RPC attempt in flight: the caller's event and what its reply
+    needs. Settled, its deadline entry is tombstoned or spent, so the
+    call dies with the last heap entry that names it."""
+
+    __slots__ = ("network", "result", "src", "dst", "method", "consts", "flow",
+                 "timer", "done", "target", "health", "started")
+
+    def __init__(self, network: "Network", result: Event, src: str, dst: str,
+                 method: str, flow: Optional[str]) -> None:
+        self.network = network
+        self.result = result
+        self.src = src
+        self.dst = dst
+        self.method = method
+        self.consts = _method(method)
+        self.flow = flow
+        self.done = False
+
+    def observe(self, event: Event) -> None:
+        """Result callback: feed the outcome to the health ledger."""
+        if event.failure is None:
+            self.health.observe_success(self.dst, event.sim.now - self.started)
+        elif isinstance(event.failure, RpcTimeout):
+            self.health.observe_failure(self.dst)
+
+    def replied(self, event: Event) -> None:
+        """Callback of a generator handler's process: answer the caller."""
+        if event.failure is not None:
+            self.network._respond_failure(self, RemoteError(
+                f"{self.dst}.{self.method}: {event.failure}"))
+        else:
+            self.network._respond_value(self, event.value, self.target)
+
+
+class _Retrying:
+    """The retry loop of one :meth:`Network.call` (see there). Attempts
+    reach it only through their callbacks, so no cycle outlives it."""
+
+    __slots__ = ("network", "outer", "src", "dst", "method", "payload",
+                 "timeout", "flow", "retry", "deadline", "attempt", "clamped")
+
+    def __init__(self, network: "Network", src: str, dst: str, method: str,
+                 payload: Any, timeout: float, flow: Optional[str],
+                 retry: Optional[RetryPolicy], deadline: Optional[float]) -> None:
+        self.network = network
+        self.outer = network.sim.event()
+        self.src = src
+        self.dst = dst
+        self.method = method
+        self.payload = payload
+        self.timeout = timeout
+        self.flow = flow
+        self.retry = retry
+        self.deadline = deadline
+        self.attempt = 0
+        self.clamped = False
+
+    def launch(self) -> None:
+        network = self.network
+        self.attempt += 1
+        self.clamped = False
+        per = self.timeout
+        retry = self.retry
+        if retry is not None and retry.per_attempt_timeout is not None:
+            per = min(per, retry.per_attempt_timeout)
+        deadline = self.deadline
+        if deadline is not None:
+            remaining = deadline - network.sim.now
+            if remaining <= 0:
+                network.failover.deadline_exhausted += 1
+                self.outer.fail(RpcTimeout(
+                    f"{self.src} -> {self.dst}.{self.method}: "
+                    "query deadline exhausted"))
+                return
+            if remaining < per:
+                per = remaining
+                self.clamped = True
+        inner = network._call_once(self.src, self.dst, self.method,
+                                   self.payload, per, self.flow)
+        inner.callbacks.append(self.settle)
+
+    def settle(self, event: Event) -> None:
+        network = self.network
+        failure = event.failure
+        if failure is None:
+            if self.attempt > 1:
+                network.failover.retries_recovered += 1
+            self.outer.succeed(event.value)
+            return
+        # A timeout on a deadline-clamped attempt is the deadline's doing,
+        # not the peer's — attribute it (and never retry past it).
+        retry = self.retry
+        deadline_hit = isinstance(failure, RpcTimeout) and self.clamped
+        exhausted = (
+            retry is None
+            or not isinstance(failure, RpcTimeout)
+            or self.attempt >= retry.attempts
+        )
+        if not exhausted and not deadline_hit:
+            delay = retry.backoff_before(
+                self.attempt + 1, key=f"{self.src}>{self.dst}.{self.method}")
+            if self.deadline is not None and network.sim.now + delay >= self.deadline:
+                deadline_hit = True
+        if exhausted or deadline_hit:
+            if deadline_hit:
+                network.failover.deadline_exhausted += 1
+            self.outer.fail(failure)
+            return
+        network.failover.retries += 1
+        tracer = network.sim.tracer
+        if tracer.enabled:
+            tracer.record(
+                "rpc_retry", src=self.src, dst=self.dst, name=self.method,
+                phase=phase_for_method(self.method),
+                detail={"attempt": self.attempt + 1, "backoff": delay},
+            )
+        network.sim._schedule_after(delay, self.launch)
 
 
 class Network:
@@ -312,86 +440,16 @@ class Network:
         timeout is clamped to the remaining budget, and no retry is
         launched past it. With both omitted (the default) the call takes
         the classic single-attempt path, byte-identical to before.
+        A negative *timeout* raises :class:`SimError`.
         """
         if retry is None and deadline is None:
             return self._call_once(src, dst, method, payload, timeout, flow)
-        return self._call_retrying(src, dst, method, payload, timeout, flow,
-                                   retry, deadline)
-
-    def _call_retrying(
-        self,
-        src: str,
-        dst: str,
-        method: str,
-        payload: Any,
-        timeout: Optional[float],
-        flow: Optional[str],
-        retry: Optional[RetryPolicy],
-        deadline: Optional[float],
-    ) -> Event:
-        """Retry loop around :meth:`_call_once` (see :meth:`call`)."""
-        outer = self.sim.event()
-        base_timeout = timeout if timeout is not None else self.default_timeout
-        attempts = retry.attempts if retry is not None else 1
-        key = f"{src}>{dst}.{method}"
-        state = {"attempt": 0}
-
-        def launch() -> None:
-            state["attempt"] += 1
-            state["clamped"] = False
-            per = base_timeout
-            if retry is not None and retry.per_attempt_timeout is not None:
-                per = min(per, retry.per_attempt_timeout)
-            if deadline is not None:
-                remaining = deadline - self.sim.now
-                if remaining <= 0:
-                    self.failover.deadline_exhausted += 1
-                    outer.fail(RpcTimeout(
-                        f"{src} -> {dst}.{method}: query deadline exhausted"))
-                    return
-                if remaining < per:
-                    per = remaining
-                    state["clamped"] = True
-            inner = self._call_once(src, dst, method, payload, per, flow)
-            inner.callbacks.append(settle)
-
-        def settle(event: Event) -> None:
-            failure = event.failure
-            if failure is None:
-                if state["attempt"] > 1:
-                    self.failover.retries_recovered += 1
-                outer.succeed(event.value)
-                return
-            # A timeout on a deadline-clamped attempt is the deadline's
-            # doing, not the peer's — attribute it (and never retry past
-            # it).
-            deadline_hit = isinstance(failure, RpcTimeout) and state["clamped"]
-            exhausted = (
-                retry is None
-                or not isinstance(failure, RpcTimeout)
-                or state["attempt"] >= attempts
-            )
-            if not exhausted and not deadline_hit:
-                delay = retry.backoff_before(state["attempt"] + 1, key=key)
-                if deadline is not None and self.sim.now + delay >= deadline:
-                    deadline_hit = True
-            if exhausted or deadline_hit:
-                if deadline_hit:
-                    self.failover.deadline_exhausted += 1
-                outer.fail(failure)
-                return
-            self.failover.retries += 1
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                tracer.record(
-                    "rpc_retry", src=src, dst=dst, name=method,
-                    phase=phase_for_method(method),
-                    detail={"attempt": state["attempt"] + 1, "backoff": delay},
-                )
-            self.sim.timeout(delay).callbacks.append(lambda _e: launch())
-
-        launch()
-        return outer
+        retrying = _Retrying(
+            self, src, dst, method, payload,
+            timeout if timeout is not None else self.default_timeout,
+            flow, retry, deadline)
+        retrying.launch()
+        return retrying.outer
 
     def _call_once(
         self,
@@ -403,63 +461,48 @@ class Network:
         flow: Optional[str] = None,
     ) -> Event:
         """One attempt of :meth:`call`: the classic fail-fast RPC."""
+        deadline = timeout if timeout is not None else self.default_timeout
+        if deadline < 0:
+            # A deadline entry in the past would time the call out at once.
+            raise SimError(f"negative RPC timeout {deadline}")
+        sim = self.sim
         health = self.health
         if health is not None and not health.allow(dst):
             # Open circuit: fail this attempt immediately instead of
             # burning a real timeout on a peer recent history condemned.
             self.failover.breaker_short_circuits += 1
-            result = self.sim.event()
-            self.sim._schedule_now(
+            result = sim.event()
+            sim._schedule_now(
                 result.fail,
                 RpcTimeout(f"{src} -> {dst}.{method}: circuit open"))
             return result
-        result = self.sim.event()
-        deadline = timeout if timeout is not None else self.default_timeout
+        result = Event(sim)
         if flow is None:
             flow = self._sniff_flow(payload)
         peers = self.flow_peers.get(flow)
         if peers is not None:
             peers.add(dst)
-        state: dict = {"done": False, "flow": flow}
+        call = _Call(self, result, src, dst, method, flow)
         if health is not None:
-            started = self.sim.now
+            call.health = health
+            call.started = sim.now
+            result.callbacks.append(call.observe)
+        # Whichever reply settles the call first tombstones this entry,
+        # so no dead timer lingers in the heap.
+        call.timer = sim._schedule_after(deadline, self._expire, call, deadline)
 
-            def observe(event: Event) -> None:
-                if event.failure is None:
-                    health.observe_success(dst, self.sim.now - started)
-                elif isinstance(event.failure, RpcTimeout):
-                    health.observe_failure(dst)
-
-            result.callbacks.append(observe)
-
-        def expire(_event: Event) -> None:
-            if not state["done"]:
-                state["done"] = True
-                tracer = self.sim.tracer
-                if tracer.enabled:
-                    tracer.record("rpc_timeout", src=src, dst=dst, name=method,
-                                  phase=phase_for_method(method),
-                                  detail={"deadline": deadline})
-                result.fail(RpcTimeout(f"{src} -> {dst}.{method} timed out"))
-
-        timer = self.sim.timeout(deadline)
-        timer.callbacks.append(expire)
-        # The winner of the reply/deadline race cancels the loser, so no
-        # dead timer lingers in the heap after the call settles.
-        state["timer"] = timer
-
-        request_bytes = HEADER_BYTES + size_of(method) + size_of(payload)
+        request_bytes = call.consts.header_bytes + size_of(payload)
         target = self.nodes.get(dst)
         if target is None:
             # Unknown address: fail fast (a real stack would ICMP-reject).
-            self.sim._schedule_now(self._fail_fast, result, state, NodeUnknown(dst))
+            sim._schedule_now(self._settle, call, None, NodeUnknown(dst))
             return result
 
         delay = self.link.delay(request_bytes)
         faults = self.faults
         fate = None
         if faults is not None:
-            now = self.sim.now
+            now = sim.now
             scale = faults.brownout_factor(src, now)
             if scale != 1.0:
                 # Brownout: the sender's NIC serves bytes `scale` slower.
@@ -468,11 +511,11 @@ class Network:
             delay += fate.extra_delay
         if self.contention is not None:
             delay += self.contention.transfer_wait(
-                src, dst, flow, self.sim.now,
+                src, dst, flow, sim.now,
                 request_bytes / self.link.bandwidth,
             )
-        self.stats.record(self.sim.now, src, dst, method, request_bytes)
-        tracer = self.sim.tracer
+        self.stats.record(src, dst, method, request_bytes)
+        tracer = sim.tracer
         if tracer.enabled:
             tracer.message("rpc_request", src, dst, method, request_bytes, delay)
         if fate is not None:
@@ -481,15 +524,9 @@ class Network:
                 # the caller's timer will fire.
                 return result
             if fate.duplicate:
-                dup = self.sim.timeout(delay + fate.dup_delay)
-                dup.callbacks.append(
-                    lambda _e: self._deliver(src, dst, method, payload,
-                                             result, state)
-                )
-        arrival = self.sim.timeout(delay)
-        arrival.callbacks.append(
-            lambda _e: self._deliver(src, dst, method, payload, result, state)
-        )
+                sim._schedule_after(delay + fate.dup_delay,
+                                    self._deliver, payload, call)
+        sim._schedule_after(delay, self._deliver, payload, call)
         return result
 
     def send(self, src: str, dst: str, method: str, payload: Any = None,
@@ -498,7 +535,7 @@ class Network:
         along storage-node chains, where the paper's optimized strategies
         deliberately avoid response traffic. Dropped silently when the
         destination is unknown or dead, like a datagram."""
-        nbytes = HEADER_BYTES + size_of(method) + size_of(payload)
+        nbytes = _method(method).header_bytes + size_of(payload)
         if dst not in self.nodes:
             return
         if flow is None:
@@ -506,11 +543,12 @@ class Network:
         peers = self.flow_peers.get(flow)
         if peers is not None:
             peers.add(dst)
+        sim = self.sim
         delay = self.link.delay(nbytes)
         faults = self.faults
         fate = None
         if faults is not None:
-            now = self.sim.now
+            now = sim.now
             scale = faults.brownout_factor(src, now)
             if scale != 1.0:
                 delay += (nbytes / self.link.bandwidth) * (scale - 1.0)
@@ -518,27 +556,25 @@ class Network:
             delay += fate.extra_delay
         if self.contention is not None:
             delay += self.contention.transfer_wait(
-                src, dst, flow, self.sim.now, nbytes / self.link.bandwidth
+                src, dst, flow, sim.now, nbytes / self.link.bandwidth
             )
-        self.stats.record(self.sim.now, src, dst, method, nbytes)
-        tracer = self.sim.tracer
+        self.stats.record(src, dst, method, nbytes)
+        tracer = sim.tracer
         if tracer.enabled:
             tracer.message("oneway", src, dst, method, nbytes, delay)
         if fate is not None:
             if fate.drop:
                 return  # datagram lost in flight
             if fate.duplicate:
-                dup = self.sim.timeout(delay + fate.dup_delay)
-                dup.callbacks.append(
-                    lambda _e: self._deliver_oneway(src, dst, method, payload))
-        arrival = self.sim.timeout(delay)
-        arrival.callbacks.append(lambda _e: self._deliver_oneway(src, dst, method, payload))
+                sim._schedule_after(delay + fate.dup_delay, self._deliver_oneway,
+                                    src, dst, method, payload)
+        sim._schedule_after(delay, self._deliver_oneway, src, dst, method, payload)
 
     def _deliver_oneway(self, src: str, dst: str, method: str, payload: Any) -> None:
         target = self.nodes.get(dst)
         if target is None or not target.alive:
             return
-        handler = getattr(target, _rpc_attr(method), None)
+        handler = getattr(target, _method(method).attr, None)
         if handler is None:
             return
         try:
@@ -549,68 +585,67 @@ class Network:
             self.sim.process(outcome)
 
     @staticmethod
-    def _settle(state: dict) -> bool:
-        """Mark the call settled and cancel its deadline timer. Returns
-        False when the timeout already won the race."""
-        if state["done"]:
-            return False
-        state["done"] = True
-        timer: Optional[Timeout] = state.get("timer")
-        if timer is not None:
-            timer.cancel()
-        return True
+    def _settle(call: _Call, value: Any, exc: Optional[Exception]) -> None:
+        """Settle *call* with *value* or *exc* and tombstone its deadline
+        entry — unless the deadline (or an earlier copy) won the race."""
+        if call.done:
+            return
+        call.done = True
+        entry = call.timer
+        entry[2] = None  # run() drops it without firing
+        entry[3] = ()
+        if exc is None:
+            call.result.succeed(value)
+        else:
+            call.result.fail(exc)
 
-    @classmethod
-    def _fail_fast(cls, result: Event, state: dict, exc: Exception) -> None:
-        if cls._settle(state):
-            result.fail(exc)
+    def _expire(self, call: _Call, deadline: float) -> None:
+        if call.done:
+            return
+        call.done = True
+        call.timer = None  # spent: its entry names this call
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.record("rpc_timeout", src=call.src, dst=call.dst,
+                          name=call.method, phase=phase_for_method(call.method),
+                          detail={"deadline": deadline})
+        call.result.fail(
+            RpcTimeout(f"{call.src} -> {call.dst}.{call.method} timed out"))
 
-    def _deliver(
-        self, src: str, dst: str, method: str, payload: Any, result: Event, state: dict
-    ) -> None:
+    def _deliver(self, payload: Any, call: _Call) -> None:
+        dst, method = call.dst, call.method
         target = self.nodes.get(dst)
         if target is None or not target.alive:
             return  # dropped; the caller's timer will fire
-        handler = getattr(target, _rpc_attr(method), None)
+        handler = getattr(target, call.consts.attr, None)
         if handler is None:
-            self._respond_failure(src, dst, method, result, state,
-                                  RemoteError(f"{dst} has no handler rpc_{method}"))
+            self._respond_failure(
+                call, RemoteError(f"{dst} has no handler rpc_{method}"))
             return
         try:
-            outcome = handler(payload, src)
+            outcome = handler(payload, call.src)
         except Exception as exc:  # noqa: BLE001 - remote fault becomes RemoteError
-            self._respond_failure(src, dst, method, result, state,
-                                  RemoteError(f"{dst}.{method}: {exc}"))
+            self._respond_failure(call, RemoteError(f"{dst}.{method}: {exc}"))
             return
         if type(outcome) is GeneratorType:
-            proc = self.sim.process(outcome)
-            proc.callbacks.append(
-                lambda event: self._respond_event(src, dst, method, event, result, state, target)
-            )
+            call.target = target
+            self.sim.process(outcome).callbacks.append(call.replied)
         else:
-            self._respond_value(src, dst, method, outcome, result, state, target)
+            self._respond_value(call, outcome, target)
 
-    def _respond_event(
-        self, src: str, dst: str, method: str, event: Event, result: Event, state: dict, target: Node
-    ) -> None:
-        if event.failure is not None:
-            self._respond_failure(src, dst, method, result, state,
-                                  RemoteError(f"{dst}.{method}: {event.failure}"))
-        else:
-            self._respond_value(src, dst, method, event.value, result, state, target)
-
-    def _respond_value(
-        self, src: str, dst: str, method: str, value: Any, result: Event, state: dict, target: Node
-    ) -> None:
+    def _respond_value(self, call: _Call, value: Any, target: Node) -> None:
         if not target.alive:
             return  # crashed before replying
+        sim = self.sim
+        src, dst = call.src, call.dst
+        kind = call.consts.reply
         response_bytes = HEADER_BYTES + size_of(value)
-        self.stats.record(self.sim.now, dst, src, f"{method}.reply", response_bytes)
+        self.stats.record(dst, src, kind, response_bytes)
         total_delay = self.link.delay(response_bytes) + target.compute_delay
         faults = self.faults
         fate = None
         if faults is not None:
-            now = self.sim.now
+            now = sim.now
             scale = faults.brownout_factor(dst, now)
             if scale != 1.0:
                 # Browned-out responder: its compute and egress both slow.
@@ -620,42 +655,35 @@ class Network:
             fate = faults.message_fate(dst, src, now)
             total_delay += fate.extra_delay
         if self.contention is not None:
-            flow = state.get("flow")
-            now = self.sim.now
+            now = sim.now
             compute_wait = self.contention.compute_wait(
-                dst, flow, now, target.compute_delay
+                dst, call.flow, now, target.compute_delay
             )
             total_delay += compute_wait + self.contention.transfer_wait(
-                dst, src, flow, now + compute_wait + target.compute_delay,
+                dst, src, call.flow, now + compute_wait + target.compute_delay,
                 response_bytes / self.link.bandwidth,
             )
-        tracer = self.sim.tracer
+        tracer = sim.tracer
         if tracer.enabled:
-            tracer.message("rpc_reply", dst, src, f"{method}.reply",
-                           response_bytes, total_delay)
-
-        def finish(_event: Event) -> None:
-            if self._settle(state):
-                result.succeed(value)
-
+            tracer.message("rpc_reply", dst, src, kind, response_bytes, total_delay)
         if fate is not None:
             if fate.drop:
                 return  # reply lost in flight; the caller's timer fires
             if fate.duplicate:
-                dup = self.sim.timeout(total_delay + fate.dup_delay)
-                dup.callbacks.append(finish)
-        arrival = self.sim.timeout(total_delay)
-        arrival.callbacks.append(finish)
+                sim._schedule_after(total_delay + fate.dup_delay,
+                                    self._settle, call, value, None)
+        sim._schedule_after(total_delay, self._settle, call, value, None)
 
-    def _respond_failure(
-        self, src: str, dst: str, method: str, result: Event, state: dict, exc: Exception
-    ) -> None:
+    def _respond_failure(self, call: _Call, exc: Exception) -> None:
+        sim = self.sim
+        src, dst = call.src, call.dst
+        kind = call.consts.error
         response_bytes = HEADER_BYTES + size_of(str(exc))
         delay = self.link.delay(response_bytes)
         faults = self.faults
         fate = None
         if faults is not None:
-            now = self.sim.now
+            now = sim.now
             scale = faults.brownout_factor(dst, now)
             if scale != 1.0:
                 delay += (response_bytes / self.link.bandwidth) * (scale - 1.0)
@@ -663,24 +691,18 @@ class Network:
             delay += fate.extra_delay
         if self.contention is not None:
             delay += self.contention.transfer_wait(
-                dst, src, state.get("flow"), self.sim.now,
+                dst, src, call.flow, sim.now,
                 response_bytes / self.link.bandwidth,
             )
-        self.stats.record(self.sim.now, dst, src, f"{method}.error", response_bytes)
-        tracer = self.sim.tracer
+        self.stats.record(dst, src, kind, response_bytes)
+        tracer = sim.tracer
         if tracer.enabled:
-            tracer.message("rpc_error", dst, src, f"{method}.error",
-                           response_bytes, delay, detail={"error": str(exc)})
-
-        def finish(_event: Event) -> None:
-            if self._settle(state):
-                result.fail(exc)
-
+            tracer.message("rpc_error", dst, src, kind, response_bytes, delay,
+                           detail={"error": str(exc)})
         if fate is not None:
             if fate.drop:
                 return  # error reply lost; the caller's timer fires
             if fate.duplicate:
-                dup = self.sim.timeout(delay + fate.dup_delay)
-                dup.callbacks.append(finish)
-        arrival = self.sim.timeout(delay)
-        arrival.callbacks.append(finish)
+                sim._schedule_after(delay + fate.dup_delay,
+                                    self._settle, call, None, exc)
+        sim._schedule_after(delay, self._settle, call, None, exc)

@@ -34,7 +34,8 @@ __all__ = [
 class Algebra:
     """Base class of algebra operators."""
 
-    __slots__ = ()
+    #: Wire size, cached by :mod:`repro.net.sizes` (trees are immutable).
+    __slots__ = ("_size",)
 
     def in_scope_vars(self) -> frozenset[Variable]:
         """Variables that *may* be bound in a solution of this pattern."""

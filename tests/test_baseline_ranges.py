@@ -15,6 +15,7 @@ from repro.baselines.ranges import (
 )
 from repro.chord import IdentifierSpace
 from repro.rdf import IRI, Literal, Triple, XSD_INTEGER
+from repro.trace import Tracer
 
 AGE = IRI("http://example.org/ns#age")
 SPACE = IdentifierSpace(16)
@@ -120,10 +121,11 @@ class TestRangeQueries:
     def test_walk_visits_only_arc_nodes(self):
         """A narrow range must touch far fewer nodes than the ring holds."""
         system = build_range_system(self.AGES, num_nodes=10)
-        system.stats.reset()
+        sim = system.network.sim
+        sim.tracer = tracer = Tracer(sim)
         system.range_query("P1", AGE, [NumericRange(18, 19)])
         scanned = {
-            r.dst for r in system.stats.records if r.kind == "range_scan"
+            e.dst for e in tracer.message_events() if e.name == "range_scan"
         }
         assert 1 <= len(scanned) <= 4  # not the whole 10-node ring
 

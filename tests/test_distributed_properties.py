@@ -19,6 +19,7 @@ from repro.query import (
 )
 from repro.rdf import COMMON_PREFIXES, PatternShape
 from repro.sparql import evaluate_query, parse_query
+from repro.trace import Tracer
 from repro.workloads import (
     FoafConfig,
     QueryWorkload,
@@ -106,10 +107,14 @@ class TestDeterminism:
 
     def run_once(self):
         system, _ = make_system(7, num_providers=4, overlap=0.3)
-        executor = DistributedExecutor(system)
+        tracer = Tracer()
+        executor = DistributedExecutor(system, tracer=tracer)
         result, report = executor.execute(self.QUERY, initiator="D0")
-        trace = [(r.src, r.dst, r.kind, r.bytes) for r in system.stats.records]
-        return result.rows, report.bytes_total, report.response_time, trace
+        trace = [(e.src, e.dst, e.name, e.bytes, e.time)
+                 for e in tracer.message_events()]
+        # Publication ran untraced; the ledger's per-link totals cover it.
+        links = dict(system.stats.per_link_bytes)
+        return result.rows, report.bytes_total, report.response_time, trace, links
 
     def test_identical_runs_produce_identical_traces(self):
         first = self.run_once()
@@ -117,7 +122,9 @@ class TestDeterminism:
         assert first[0] == second[0]          # rows
         assert first[1] == second[1]          # bytes
         assert first[2] == second[2]          # simulated time
+        assert first[3]                       # the trace saw the query
         assert first[3] == second[3]          # full message trace
+        assert first[4] == second[4]          # per-link bytes, set-up included
 
     def test_adaptive_runs_are_deterministic_too(self):
         def run():

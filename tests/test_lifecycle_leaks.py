@@ -12,11 +12,14 @@ Two leak families fixed together with the tracing work:
    abandoned on timeout (dead-letter tombstones) and swept at query end.
 """
 
+import gc
+
 import pytest
 
 from repro.net import Network, Node
 from repro.query import DistributedExecutor, ExecutionOptions, PrimitiveStrategy
 from repro.overlay.peer import QueryPeer
+from repro.workloads import PAPER_FIG_QUERIES
 
 from helpers import build_system
 
@@ -281,6 +284,41 @@ class TestReleaseVisitsTouchedPeersOnly:
             monkeypatch, 64, ExecutionOptions(), faults=plan)
         # Quarantine changes when corrs are purged, not where.
         assert [set(c) for c in chaotic] == [set(c) for c in healthy]
+
+
+class TestNoCyclicGarbage:
+    """A settled RPC — retried, failed over or short-circuited — is freed
+    by reference counting. Reference cycles left per call would hand
+    every query's call state to the cycle collector, whose full passes
+    scan every live object of a long-running system."""
+
+    OPTIONS = ExecutionOptions(retries=2, per_attempt_timeout=0.5,
+                               failover=True, breaker=True,
+                               query_deadline=30.0)
+
+    def _garbage_after(self, num_queries):
+        system = build_system(replication_factor=2)
+        # N2 owns index rows the mix reads: its lookups time out, retry,
+        # trip its breaker and fail over to the replica holder.
+        system.network.fail_node("N2")
+        executor = DistributedExecutor(system, self.OPTIONS)
+        queries = list(PAPER_FIG_QUERIES.values())
+        gc.collect()
+        for i in range(num_queries):
+            executor.execute(queries[i % len(queries)], initiator="D1")
+        return gc.collect(), system.network.failover
+
+    def test_garbage_does_not_grow_with_queries(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            small, _ = self._garbage_after(6)
+            large, failover = self._garbage_after(24)
+        finally:
+            if enabled:
+                gc.enable()
+        assert failover.retries and failover.breaker_short_circuits
+        assert large <= small, (small, large)
 
 
 def _oracle_rows(system, query_text):

@@ -43,23 +43,18 @@ class TestSummarize:
 class TestNetworkStats:
     def test_record_and_reset(self):
         stats = NetworkStats()
-        stats.record(0.0, "a", "b", "echo", 100)
-        stats.record(1.0, "b", "a", "echo.reply", 50)
+        stats.record("a", "b", "echo", 100)
+        stats.record("b", "a", "echo.reply", 50)
         assert stats.messages == 2
         assert stats.bytes_total == 150
         assert stats.per_kind_bytes["echo"] == 100
         assert stats.bytes_for("echo", "echo.reply") == 150
         stats.reset()
-        assert stats.messages == 0 and not stats.records
-
-    def test_keep_records_off(self):
-        stats = NetworkStats(keep_records=False)
-        stats.record(0.0, "a", "b", "x", 10)
-        assert stats.messages == 1 and stats.records == []
+        assert stats.messages == 0
 
     def test_summary_text(self):
         stats = NetworkStats()
-        stats.record(0.0, "a", "b", "x", 10)
+        stats.record("a", "b", "x", 10)
         assert "messages=1" in stats.summary()
         assert "x: 1 msgs, 10 bytes" in stats.summary()
 

@@ -44,6 +44,37 @@ class TestTimeouts:
         sim.run()
         assert order == ["a", "b", "c"]
 
+    def test_deferred_call_orders_like_a_timeout(self):
+        """The two-sequence-number rule: a raw ``_schedule_after`` entry
+        interleaves with timers and processes exactly as a Timeout plus
+        its callback would — the transport relies on it for bit-identical
+        simulations."""
+
+        def scenario(raw):
+            sim = Simulator()
+            log = []
+
+            def later(delay, tag):
+                if raw:
+                    sim._schedule_after(delay, log.append, tag)
+                else:
+                    sim.timeout(delay).callbacks.append(lambda _e: log.append(tag))
+
+            def proc():
+                yield sim.timeout(1.0)
+                log.append("process")
+                later(0.0, "from process")
+
+            sim.timeout(1.0).callbacks.append(lambda _e: log.append("timer"))
+            later(1.0, "deferred")
+            sim.process(proc())
+            later(0.0, "now")
+            sim.run()
+            return log
+
+        assert scenario(raw=True) == scenario(raw=False)
+        assert scenario(raw=True)[:3] == ["now", "timer", "deferred"]
+
 
 class TestProcesses:
     def test_nested_process_wait(self):

@@ -1,10 +1,15 @@
 """Wire-size model tests: determinism and structural additivity."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net import size_of
 from repro.overlay import KeyKind, LocationEntry
-from repro.rdf import IRI, BlankNode, Literal, Triple, Variable
+from repro.rdf import (
+    IRI, XSD_INTEGER, BlankNode, Literal, Triple, TriplePattern, Variable,
+)
 from repro.sparql import BGP, parse_query, translate_pattern
 from repro.sparql.solutions import SolutionMapping
 
@@ -78,3 +83,72 @@ class TestStructuredPayloads:
     def test_deterministic(self):
         mu = SolutionMapping({Variable("x"): Literal("val")})
         assert size_of([mu, mu]) == size_of([mu, mu])
+
+
+def reference_size(payload) -> int:
+    """The structural rule itself — no dispatch table, no caches: the
+    oracle the optimized ``size_of`` must match byte for byte."""
+    if payload is None or isinstance(payload, bool):
+        return 1
+    if isinstance(payload, (int, float)):
+        return 8
+    if isinstance(payload, str):
+        return len(payload.encode("utf-8"))
+    if isinstance(payload, bytes):
+        return len(payload)
+    if isinstance(payload, IRI):
+        return len(payload.value) + 2
+    if isinstance(payload, Literal):
+        n = len(payload.lexical) + 2
+        if payload.language:
+            n += len(payload.language) + 1
+        if payload.datatype:
+            n += len(payload.datatype.value) + 4
+        return n
+    if isinstance(payload, BlankNode):
+        return len(payload.label) + 2
+    if isinstance(payload, Variable):
+        return len(payload.name) + 1
+    if isinstance(payload, (Triple, TriplePattern)):
+        return sum(map(reference_size, (payload.s, payload.p, payload.o))) + 3
+    if isinstance(payload, (dict, SolutionMapping)):
+        return 8 + sum(reference_size(k) + reference_size(v) + 2
+                       for k, v in payload.items())
+    if isinstance(payload, (list, tuple, set, frozenset)):
+        return 8 + sum(reference_size(item) + 2 for item in payload)
+    assert dataclasses.is_dataclass(payload)
+    return 8 + sum(reference_size(getattr(payload, f.name)) + 2
+                   for f in dataclasses.fields(payload))
+
+
+_names = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
+_text = st.text(max_size=12)  # non-ASCII included: sized as UTF-8 bytes
+_terms = st.one_of(
+    st.text(st.characters(whitelist_categories=("L", "N")), max_size=8)
+    .map(lambda s: IRI("http://x/" + s)),
+    st.builds(Literal, _text,
+              language=st.sampled_from([None, "en", "fr-ca"])),
+    _text.map(lambda s: Literal(s, datatype=IRI(XSD_INTEGER))),
+    _names.map(BlankNode),
+    _names.map(Variable),
+)
+_patterns = st.builds(TriplePattern, _terms, _terms, _terms)
+_bgps = st.lists(_patterns, min_size=1, max_size=4).map(
+    lambda ps: BGP(tuple(ps)))
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    _text, st.binary(max_size=8), _terms, _patterns, _bgps)
+_payloads = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads)
+def test_size_matches_the_structural_rule(payload):
+    expected = reference_size(payload)
+    assert size_of(payload) == expected
+    assert size_of(payload) == expected  # again, from the cached parts

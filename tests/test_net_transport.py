@@ -9,9 +9,12 @@ from repro.net import (
     Node,
     NodeUnknown,
     RemoteError,
+    RetryPolicy,
     RpcTimeout,
+    SimError,
     size_of,
 )
+from repro.trace import Tracer
 
 
 class EchoNode(Node):
@@ -77,6 +80,14 @@ class TestRpc:
             return net.sim.now
 
         assert run(net, proc()) < 0.5  # immediate, not a timeout
+
+    @pytest.mark.parametrize("retry", [None, RetryPolicy()],
+                             ids=["single", "retrying"])
+    def test_negative_timeout_rejected(self, net, retry):
+        """A deadline in the past is a caller bug, not an instant timeout."""
+        with pytest.raises(SimError, match="negative"):
+            net.call("client", "a", "echo", "x", timeout=-1, retry=retry)
+        assert net.stats.messages == 0
 
     def test_dead_node_times_out(self, net):
         net.fail_node("b")
@@ -162,17 +173,25 @@ class TestOneWay:
         net.sim.run()  # no exception
 
 
+@pytest.fixture
+def messages(net):
+    """The per-message log: a Tracer on the network's simulator."""
+    tracer = Tracer(net.sim)
+    net.sim.tracer = tracer
+    return tracer.message_events
+
+
 class TestAccounting:
-    def test_bytes_and_messages_counted(self, net):
+    def test_bytes_and_messages_counted(self, net, messages):
         def proc():
             yield net.call("client", "a", "echo", "12345")
 
         run(net, proc())
         assert net.stats.messages == 2  # request + reply
-        request = net.stats.records[0]
+        request = messages()[0]
         assert request.bytes == HEADER_BYTES + size_of("echo") + size_of("12345")
 
-    def test_request_bytes_charged_exactly_once_per_message(self, net):
+    def test_request_bytes_charged_exactly_once_per_message(self, net, messages):
         """Every message crossing a link appears exactly once in the
         stats ledger, even when handlers chain nested RPCs."""
 
@@ -182,27 +201,27 @@ class TestAccounting:
         run(net, proc())
         # client->a request, a->b nested request, b->a reply, a->client reply
         assert net.stats.messages == 4
-        assert len(net.stats.records) == 4
-        labels = [(r.src, r.dst, r.kind) for r in net.stats.records]
+        assert len(messages()) == 4
+        labels = [(e.src, e.dst, e.name) for e in messages()]
         assert len(set(labels)) == 4  # no message double-charged
-        assert net.stats.bytes_total == sum(r.bytes for r in net.stats.records)
+        assert net.stats.bytes_total == sum(e.bytes for e in messages())
 
-    def test_error_reply_charged(self, net):
+    def test_error_reply_charged(self, net, messages):
         def proc():
             with pytest.raises(RemoteError):
                 yield net.call("client", "a", "boom")
 
         run(net, proc())
         assert net.stats.messages == 2
-        assert net.stats.records[1].kind == "boom.error"
-        assert net.stats.records[1].bytes > HEADER_BYTES
+        assert messages()[1].name == "boom.error"
+        assert messages()[1].bytes > HEADER_BYTES
 
-    def test_oneway_bytes_charged_once(self, net):
+    def test_oneway_bytes_charged_once(self, net, messages):
         net.send("client", "a", "note", {"k": 1})
         net.sim.run()
         assert net.stats.messages == 1
         expected = HEADER_BYTES + size_of("note") + size_of({"k": 1})
-        assert net.stats.records[0].bytes == expected
+        assert messages()[0].bytes == expected
 
     def test_latency_model(self):
         link = LinkModel(latency=0.5, bandwidth=100.0)
