@@ -23,7 +23,10 @@ metrics change (never for a perf-only PR):
 The grid is fault-free, so it never reaches the transport's drop,
 duplicate, delay-spike and brownout branches. One more cell pins those:
 the Fig. 4-9 mix under a seeded chaos plan with the whole defense stack
-on, down to a hash of every traced message (``chaos_fig4_9.json``).
+on, down to a hash of every traced message (``chaos_fig4_9.json``). A
+second chaos cell adds the contention model and auto-hedged reads
+(``chaos_contention_fig4_9.json``), pinning the brownout-scaled queue
+service times and the reply path's compute admissions as well.
 """
 
 import hashlib
@@ -31,10 +34,12 @@ import itertools
 import json
 import os
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.net.contention import ContentionModel
 from repro.net.faults import chaos_plan
 from repro.query import (
     ConjunctionMode,
@@ -44,6 +49,8 @@ from repro.query import (
     PrimitiveStrategy,
 )
 from repro.query.executor import QueryFailed
+from repro.rdf.namespaces import COMMON_PREFIXES
+from repro.sparql import parse_query
 from repro.trace import Tracer
 from repro.workloads import PAPER_FIG_QUERIES
 
@@ -51,6 +58,8 @@ from helpers import build_system
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "metrics_fig4_9.json"
 CHAOS_GOLDEN_PATH = Path(__file__).parent / "golden" / "chaos_fig4_9.json"
+CONTENTION_GOLDEN_PATH = (Path(__file__).parent / "golden"
+                          / "chaos_contention_fig4_9.json")
 
 QUERIES = {
     "fig4": """SELECT ?x ?y ?z WHERE {
@@ -158,24 +167,53 @@ def _digest(blob) -> str:
         json.dumps(blob, separators=(",", ":")).encode()).hexdigest()
 
 
-def capture_chaos():
-    """The Fig. 4-9 mix, in order, on one fresh rf=2 system under a seeded
-    plan of loss, duplication, delay spikes and a brownout: per query the
-    outcome, a row-multiset digest and the simulated cost, then the fault
-    tally and a hash of the traced message sequence."""
+def capture_chaos(options=CHAOS_OPTIONS, contention=False):
+    """The Fig. 4-9 mix on one fresh rf=2 system under a seeded plan of
+    loss, duplication, delay spikes and a brownout: per query the outcome,
+    a row-multiset digest and the simulated cost, then the fault tally and
+    a hash of the traced message sequence.
+
+    Without *contention* the jobs run one after another. With it a
+    :class:`ContentionModel` is installed first (so its service times
+    inherit the brownouts), every job starts at once so the flows queue
+    behind each other, and the queue statistics are captured too."""
     system = build_system(replication_factor=2)
+    model = ContentionModel() if contention else None
+    system.network.contention = model
     system.network.install_faults(chaos_plan(
         sorted(system.network.nodes), seed=4, loss=0.1, duplicate=0.15,
         delay=0.15, brownouts=2))
     tracer = Tracer()
-    executor = DistributedExecutor(system, CHAOS_OPTIONS, tracer=tracer)
-    out = {}
-    for key, query in CHAOS_JOBS:
+    executor = DistributedExecutor(system, options, tracer=tracer)
+    sim = system.sim
+    outcomes = {}
+
+    def job(key, query):
         try:
-            result, report = executor.execute(query)
+            outcomes[key] = yield from executor.execute_process(
+                parse_query(query, COMMON_PREFIXES), tracer=tracer)
         except QueryFailed as exc:
-            out[key] = {"outcome": type(exc).__name__, "now": system.sim.now}
+            outcomes[key] = {"outcome": type(exc).__name__, "now": sim.now}
+
+    if contention:
+        tracer.attach(sim)
+        sim.tracer = tracer
+        for key, query in CHAOS_JOBS:
+            sim.process(job(key, query))
+        sim.run()
+    else:
+        for key, query in CHAOS_JOBS:
+            try:
+                outcomes[key] = executor.execute(query)
+            except QueryFailed as exc:
+                outcomes[key] = {"outcome": type(exc).__name__,
+                                 "now": sim.now}
+    out = {}
+    for key, _query in CHAOS_JOBS:
+        if isinstance(outcomes[key], dict):
+            out[key] = outcomes[key]
             continue
+        result, report = outcomes[key]
         rows = sorted(Counter(
             tuple(sorted((v.name, t.n3()) for v, t in mu.items()))
             for mu in result.rows).items())
@@ -190,6 +228,12 @@ def capture_chaos():
     out["trace"] = _digest([
         [e.time, e.kind, e.src, e.dst, e.name, e.bytes]
         for e in tracer.message_events()])
+    if model is not None:
+        out["contention"] = model.snapshot()
+        # Every flow-tagged value reply admits to its responder's compute
+        # queue, even at zero compute delay: the admission counts pin that.
+        out["admissions"] = {queue.name: queue.admissions
+                             for queue in model._queues.values()}
     return out
 
 
@@ -205,6 +249,12 @@ def _check_golden(path: Path, got: dict) -> dict:
 def test_chaos_cell_matches_golden():
     got = capture_chaos()
     assert got == _check_golden(CHAOS_GOLDEN_PATH, got)
+
+
+def test_contention_chaos_cell_matches_golden():
+    got = capture_chaos(replace(CHAOS_OPTIONS, hedge_delay=0.0),
+                        contention=True)
+    assert got == _check_golden(CONTENTION_GOLDEN_PATH, got)
 
 
 def test_simulated_metrics_match_golden():
