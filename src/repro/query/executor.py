@@ -159,8 +159,6 @@ class ExecutionContext:
             system.network.health = HealthLedger(
                 system.sim,
                 system.network.failover,
-                failure_threshold=options.breaker_failures,
-                reset_after=options.breaker_reset,
                 latency_threshold=options.breaker_latency,
             )
         #: Observability hook shared by the operator modules; the no-op
@@ -257,10 +255,6 @@ class ExecutionContext:
 
     def call(self, dst: str, method: str, payload: Any = None,
              timeout: Optional[float] = None) -> Event:
-        if self.deadline_at is None and self._retry is None:
-            # The classic fail-fast path, byte-identical to before.
-            return self.network.call(self.initiator, dst, method, payload,
-                                     timeout, flow=self.query_id)
         if self.deadline_at is not None and self.sim.now >= self.deadline_at:
             self.network.failover.deadline_exhausted += 1
             raise QueryDeadlineExceeded(
@@ -568,29 +562,34 @@ class ExecutionContext:
         try:
             entries = yield from self._read_row(owner_id, key)
             return owner_id, entries, hops
-        except RpcTimeout as exc:
+        except RpcTimeout:
             if not self.options.failover:
                 raise
-            alt_id, alt_hops = yield from self._failover_lookup(key, owner_id,
-                                                                exc)
-            entries = yield self.call(alt_id, "index_lookup", {"key": key})
-            self.network.failover.lookup_failovers += 1
-            return alt_id, entries, hops + alt_hops
-
-    def _failover_lookup(self, key: int, dead: str, exc: Exception):
-        """Generator: find *key*'s replica holder via an avoid-hint ring
-        lookup — the dead owner's first live successor (Sect. III-D), whose
-        :meth:`IndexNode.locate` promotes the replica row on read."""
-        span = self.tracer.span("failover", phase=PHASE_LOOKUP, dead=dead,
+        # The replica holder's IndexNode.locate promotes its replica row
+        # on read.
+        span = self.tracer.span("failover", phase=PHASE_LOOKUP, dead=owner_id,
                                 key=key)
         try:
-            result = yield from self.ring_resolve(
-                {"key": key, "avoid": [dead]})
-            if result.ref.node_id == dead:
-                raise exc  # the ring knows no live alternative
-            return result.ref.node_id, result.hops
+            alt_id, alt_hops = yield from self.replica_of(key, owner_id)
         finally:
             span.close()
+        entries = yield self.call(alt_id, "index_lookup", {"key": key})
+        self.network.failover.lookup_failovers += 1
+        return alt_id, entries, hops + alt_hops
+
+    def replica_of(self, key: int, dead: str):
+        """Generator: *key*'s replica holder once its owner *dead* failed
+        → ``(node_id, hops)``.
+
+        The ring answers an ``avoid`` hint with the first other member of
+        the owner's successor list, which under successor-list replication
+        (Sect. III-D) is the node taking over the dead owner's keys.
+        Raises :class:`RpcTimeout` when the ring knows no alternative.
+        """
+        result = yield from self.ring_resolve({"key": key, "avoid": [dead]})
+        if result.ref.node_id == dead:
+            raise RpcTimeout(f"{dead}: no replica holder for key {key}")
+        return result.ref.node_id, result.hops
 
     def _read_row(self, owner_id: str, key: int):
         """Generator: read the owner's location-table row; with hedging
@@ -639,11 +638,7 @@ class ExecutionContext:
     def _hedge_read(self, owner_id: str, key: int):
         """Generator: the hedged duplicate — resolve the replica holder
         and read its copy of the row without promoting it."""
-        result = yield from self.ring_resolve(
-            {"key": key, "avoid": [owner_id]})
-        alt = result.ref.node_id
-        if alt == owner_id:
-            raise QueryFailed(f"no replica holder for key {key}")
+        alt, _hops = yield from self.replica_of(key, owner_id)
         entries = yield self.call(alt, "replica_lookup", {"key": key})
         return tuple(entries)
 

@@ -3,10 +3,9 @@
 Sect. III-D replicates each index node's location table across its
 successor list so the system "can eventually recover" from failure. These
 helpers make in-flight queries exploit that replication *now*: when an
-RPC to a key's owner times out, the key is re-resolved with an ``avoid``
-hint — Chord answers with the first non-avoided successor, which is
-exactly the replica holder taking over the dead owner's keys — and the
-timed-out step is re-dispatched there instead of abandoning the query.
+RPC to a key's owner times out, the key's replica holder is re-resolved
+(:meth:`ExecutionContext.replica_of`) and the timed-out step is
+re-dispatched there instead of abandoning the query.
 
 Everything here is gated on ``ExecutionOptions.failover``; the default
 configuration never reaches this module.
@@ -20,7 +19,7 @@ from typing import Optional
 from ..net.transport import RpcTimeout
 from ..trace.tracer import PHASE_LOOKUP
 
-__all__ = ["guarded", "resolve_avoiding", "dispatch_primitive"]
+__all__ = ["guarded", "dispatch_primitive"]
 
 
 def guarded(sim, event):
@@ -42,18 +41,6 @@ def guarded(sim, event):
     return out
 
 
-def resolve_avoiding(ctx, key: int, avoid):
-    """Generator: re-resolve *key*'s owner routing around *avoid*.
-
-    Returns ``(owner_id, hops)``. Under successor-list replication the
-    first non-avoided successor IS the replica holder about to take over
-    the avoided (dead) owner's keys.
-    """
-    payload = {"key": key, "avoid": sorted(avoid)}
-    result = yield from ctx.ring_resolve(payload)
-    return result.ref.node_id, result.hops
-
-
 def dispatch_primitive(ctx, info, payload: dict, corr: str,
                        timeout: Optional[float] = None):
     """Generator: dispatch ``execute_primitive`` to *info.owner*, failing
@@ -72,29 +59,16 @@ def dispatch_primitive(ctx, info, payload: dict, corr: str,
     """
     if ctx.deadline_at is not None:
         payload = dict(payload, deadline=ctx.deadline_at)
+    failover = ctx.options.failover and info.key is not None
     health = ctx.network.health
-    if (health is not None and ctx.options.failover and info.key is not None
-            and health.open_now(info.owner)):
-        result = yield from _failover_dispatch(
-            ctx, info, payload, corr, timeout,
-            RpcTimeout(f"{info.owner}.execute_primitive: circuit open"))
-        return result
-    try:
-        ack = yield ctx.call(info.owner, "execute_primitive", payload,
-                             timeout=timeout)
-        return ack, info, corr
-    except RpcTimeout as exc:
-        if not ctx.options.failover or info.key is None:
-            raise
-        result = yield from _failover_dispatch(ctx, info, payload, corr,
-                                               timeout, exc)
-        return result
-
-
-def _failover_dispatch(ctx, info, payload: dict, corr: str,
-                       timeout: Optional[float], exc: RpcTimeout):
-    """Generator: re-resolve around ``info.owner`` and re-dispatch there
-    under a fresh corr (shared by the timeout and open-circuit paths)."""
+    if not (failover and health is not None and health.open_now(info.owner)):
+        try:
+            ack = yield ctx.call(info.owner, "execute_primitive", payload,
+                                 timeout=timeout)
+            return ack, info, corr
+        except RpcTimeout:
+            if not failover:
+                raise
     dead = info.owner
     span = ctx.tracer.span("failover", phase=PHASE_LOOKUP, dead=dead,
                            key=info.key, corr=corr)
@@ -102,13 +76,10 @@ def _failover_dispatch(ctx, info, payload: dict, corr: str,
         # The dead owner may have started the fan-out before dying: a
         # late delivery under the old id must be dropped on arrival.
         ctx.abandon(corr, site=payload.get("final"))
-        owner_id, _hops = yield from resolve_avoiding(ctx, info.key, [dead])
-        if owner_id == dead:
-            raise exc
+        owner_id, _hops = yield from ctx.replica_of(info.key, dead)
         corr = ctx.new_corr()
-        retry_payload = dict(payload, corr=corr)
-        ack = yield ctx.call(owner_id, "execute_primitive", retry_payload,
-                             timeout=timeout)
+        ack = yield ctx.call(owner_id, "execute_primitive",
+                             dict(payload, corr=corr), timeout=timeout)
     finally:
         span.close()
     ctx.network.failover.dispatch_failovers += 1

@@ -38,6 +38,11 @@ __all__ = ["pick_join_site", "combine_handles", "ship_handle", "fetch_digest",
            "digest_embed_cost"]
 
 _PER_ITEM_OVERHEAD = 2
+#: Digest mode switch: at most this many distinct join keys ship as an
+#: exact key set; above it, a counting-free Bloom filter.
+SEMIJOIN_EXACT_THRESHOLD = 64
+#: Bloom digest density (bits per key).
+SEMIJOIN_BLOOM_BITS = 10
 
 
 def pick_join_site(ctx, left: ResultHandle, right: ResultHandle) -> str:
@@ -85,12 +90,11 @@ def fetch_digest(ctx, handle: ResultHandle, shared_vars):
     ``report.digest_bytes``; a local build at the initiator is free, like
     every other local mailbox operation.
     """
-    opts = ctx.options
     payload = {
         "corr": handle.corr,
         "vars": sorted(shared_vars, key=lambda v: v.name),
-        "exact_threshold": opts.semijoin_exact_threshold,
-        "bloom_bits": opts.semijoin_bloom_bits,
+        "exact_threshold": SEMIJOIN_EXACT_THRESHOLD,
+        "bloom_bits": SEMIJOIN_BLOOM_BITS,
     }
     span = ctx.tracer.span("digest", phase=PHASE_SHIP,
                            site=handle.site, corr=handle.corr)

@@ -118,11 +118,6 @@ class ExecutionOptions:
     #: Dictionary-delta wire encoding (:class:`repro.net.wire.SolutionBatch`)
     #: for every shipped solution set.
     dictionary_encoding: bool = False
-    #: Digest mode switch: at most this many distinct join keys ship as an
-    #: exact key set; above it, a counting-free Bloom filter.
-    semijoin_exact_threshold: int = 64
-    #: Bloom digest density (bits per key).
-    semijoin_bloom_bits: int = 10
     #: Skip the digest round-trip when the candidate operand has fewer
     #: rows than this (the digest would cost more than it saves).
     semijoin_min_rows: int = 4
@@ -140,14 +135,6 @@ class ExecutionOptions:
     retries: int = 0
     #: Backoff before the first retry, in seconds.
     backoff: float = 0.05
-    #: Multiplier applied to the backoff for each further retry.
-    backoff_multiplier: float = 2.0
-    #: Upper bound on any single backoff interval.
-    backoff_cap: float = 2.0
-    #: Jitter as a +/- fraction of the raw backoff (deterministic, seeded).
-    retry_jitter: float = 0.5
-    #: Seed for the backoff jitter schedule.
-    retry_seed: int = 0
     #: Cap on each attempt's RPC timeout (None = the call's own timeout).
     #: Retrying is pointless unless this undercuts the query's patience.
     per_attempt_timeout: Optional[float] = None
@@ -174,10 +161,6 @@ class ExecutionOptions:
     #: before dialing, so a browned-out owner stops burning the query
     #: deadline one timeout at a time.
     breaker: bool = False
-    #: Consecutive RPC timeouts that trip a peer's breaker open.
-    breaker_failures: int = 3
-    #: Seconds an open breaker waits before admitting one half-open probe.
-    breaker_reset: float = 1.0
     #: EWMA round-trip latency (seconds) above which a *responding* peer
     #: is treated as browned out and its breaker tripped (the gray-failure
     #: trigger). None disables latency tripping.
@@ -212,15 +195,12 @@ class ExecutionOptions:
 
     def retry_policy(self) -> Optional[RetryPolicy]:
         """The transport-level policy these options describe (None when
-        retries are disabled)."""
+        retries are disabled); growth, cap and jitter are the
+        :class:`RetryPolicy` defaults."""
         if self.retries <= 0:
             return None
         return RetryPolicy(
             attempts=self.retries + 1,
             base_backoff=self.backoff,
-            multiplier=self.backoff_multiplier,
-            max_backoff=self.backoff_cap,
-            jitter=self.retry_jitter,
-            seed=self.retry_seed,
             per_attempt_timeout=self.per_attempt_timeout,
         )

@@ -4,23 +4,35 @@ Covers the deterministic :class:`FaultInjector` (seeded per-link fates,
 window independence, brownout scaling), the :class:`HealthLedger`
 breaker state machine, the transport's open-circuit short-circuit, the
 duplicate-absorbing corr lifecycle across the release sweep boundary,
-hedged index reads against a slow-not-dead owner, and the all-zero
+hedged index reads against a slow-not-dead owner, the one place a dead
+owner's replica holder is re-resolved, and the all-zero
 guard: with every chaos feature off, none of the new machinery runs.
 """
 
 from __future__ import annotations
 
+import inspect
+from pathlib import Path
+
 import pytest
+
+import repro.query
 
 from repro.metrics import FailoverCounters
 from repro.net.faults import FaultInjector, FaultPlan, FaultRule, chaos_plan
 from repro.net.health import CLOSED, HALF_OPEN, OPEN, HealthLedger
 from repro.net.sim import Simulator
 from repro.net.transport import RpcTimeout
+from repro.overlay import key_for_pattern
 from repro.query import DistributedExecutor, ExecutionOptions
+from repro.query.executor import ExecutionContext
+from repro.rdf import FOAF, TriplePattern, Variable
 from repro.workloads import PAPER_FIG_QUERIES
 
 from helpers import build_system
+from test_churn_under_load import KNOWS_QUERY, fail_at, knows_owner
+
+KNOWS_PATTERN = TriplePattern(Variable("x"), FOAF.knows, Variable("y"))
 
 
 def _rows(result):
@@ -283,39 +295,47 @@ class TestDuplicateStorm:
 # Satellite 3: hedged index reads against a slow-not-dead owner
 
 
+HEDGE_QUERY = PAPER_FIG_QUERIES["fig5"]
+HEDGE_OPTIONS = ExecutionOptions(failover=True, retries=1, hedge_delay=0.02)
+
+
+def slow_owner_system():
+    """``(system, owner, oracle)``: an rf=2 system whose index node serving
+    fig5's single lookup from D2 is browned out, every message to or from
+    it dragging an extra half second — slow, not dead."""
+    # Find that node when nothing is injected (the topology is
+    # deterministic).
+    probe = build_system(replication_factor=2)
+    served = []
+    for node_id, node in probe.index_nodes.items():
+        original = node.rpc_index_lookup
+
+        def spy(payload, src, _orig=original, _id=node_id):
+            served.append(_id)
+            return _orig(payload, src)
+
+        node.rpc_index_lookup = spy
+    result, _ = DistributedExecutor(probe).execute(HEDGE_QUERY, initiator="D2")
+    oracle, (owner,) = _rows(result), served
+
+    system = build_system(replication_factor=2)
+    plan = FaultPlan(
+        rules=(
+            FaultRule("delay", dst=owner, probability=1.0, delay=0.5),
+            FaultRule("delay", src=owner, probability=1.0, delay=0.5),
+            FaultRule("brownout", node=owner, factor=8.0),
+        ),
+        seed=1,
+    )
+    system.network.install_faults(plan)
+    return system, owner, oracle
+
+
 class TestHedgeUnderChaos:
     def test_hedge_wins_against_slow_owner_and_counts_once(self):
-        query = PAPER_FIG_QUERIES["fig5"]
-        # Find the index node that serves fig5's single lookup when
-        # nothing is injected (the topology is deterministic).
-        probe = build_system(replication_factor=2)
-        served = []
-        for node_id, node in probe.index_nodes.items():
-            original = node.rpc_index_lookup
-
-            def spy(payload, src, _orig=original, _id=node_id):
-                served.append(_id)
-                return _orig(payload, src)
-
-            node.rpc_index_lookup = spy
-        result, _ = DistributedExecutor(probe).execute(query, initiator="D2")
-        oracle, (owner,) = _rows(result), served
-
-        # Same topology, but the owner is browned out and every message
-        # to or from it drags an extra half second: slow, not dead.
-        system = build_system(replication_factor=2)
-        plan = FaultPlan(
-            rules=(
-                FaultRule("delay", dst=owner, probability=1.0, delay=0.5),
-                FaultRule("delay", src=owner, probability=1.0, delay=0.5),
-                FaultRule("brownout", node=owner, factor=8.0),
-            ),
-            seed=1,
-        )
-        system.network.install_faults(plan)
-        options = ExecutionOptions(failover=True, retries=1, hedge_delay=0.02)
-        result, _ = DistributedExecutor(system, options).execute(
-            query, initiator="D2")
+        system, _owner, oracle = slow_owner_system()
+        result, _ = DistributedExecutor(system, HEDGE_OPTIONS).execute(
+            HEDGE_QUERY, initiator="D2")
         counters = system.network.failover
         assert _rows(result) == oracle
         assert counters.hedges_launched == 1
@@ -331,6 +351,64 @@ class TestHedgeUnderChaos:
         result, _ = DistributedExecutor(system, options).execute(
             PAPER_FIG_QUERIES["fig5"], initiator="D2")
         assert system.network.failover.hedges_launched == 0
+
+
+# --------------------------------------------------------------------------
+# Re-resolving a dead owner's replica has one home
+
+
+def avoid_hints(system, initiator):
+    """Record every ``find_successor`` payload carrying an ``avoid`` hint
+    that *initiator* sends into the ring."""
+    seen = []
+    call = system.network.call
+
+    def spy(src, dst, method, payload=None, *args, **kwargs):
+        if src == initiator and method == "find_successor" and "avoid" in payload:
+            seen.append(payload)
+        return call(src, dst, method, payload, *args, **kwargs)
+
+    system.network.call = spy
+    return seen
+
+
+class TestReplicaOf:
+    """Lookup failover, dispatch failover and the hedged read all find the
+    replica holder through ``ExecutionContext.replica_of``."""
+
+    @pytest.mark.parametrize("crash_at, counter", [
+        (0.001, "lookup_failovers"),  # dies before its row is read
+        (0.05, "dispatch_failovers"),  # dies after the read, before dispatch
+    ])
+    def test_failover_hint_shape(self, crash_at, counter):
+        system = build_system(replication_factor=2)
+        victim = knows_owner(system)
+        initiator = next(sid for sid, node in sorted(system.storage_nodes.items())
+                         if node.index_node_id != victim)
+        seen = avoid_hints(system, initiator)
+        fail_at(system, victim, crash_at)
+        options = ExecutionOptions(failover=True, retries=1, backoff=0.02)
+        DistributedExecutor(system, options).execute(KNOWS_QUERY,
+                                                     initiator=initiator)
+        assert getattr(system.network.failover, counter) == 1
+        _kind, key = key_for_pattern(KNOWS_PATTERN, system.space)
+        assert seen == [{"key": key, "avoid": [victim]}]
+
+    def test_hedge_hint_shape(self):
+        system, owner, _oracle = slow_owner_system()
+        seen = avoid_hints(system, "D2")
+        DistributedExecutor(system, HEDGE_OPTIONS).execute(
+            HEDGE_QUERY, initiator="D2")
+        assert system.network.failover.hedges_launched == 1
+        assert len(seen) == 1
+        assert seen == [{"key": seen[0]["key"], "avoid": [owner]}]
+
+    def test_avoid_payload_built_only_in_replica_of(self):
+        package = Path(repro.query.__file__).parent
+        sites = {path.name: path.read_text().count('"avoid"')
+                 for path in sorted(package.glob("*.py"))}
+        assert {name: n for name, n in sites.items() if n} == {"executor.py": 1}
+        assert '"avoid"' in inspect.getsource(ExecutionContext.replica_of)
 
 
 # --------------------------------------------------------------------------
