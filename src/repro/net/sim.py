@@ -317,7 +317,7 @@ class Simulator:
         self._now_queue.append(entry)
         return entry
 
-    def _schedule_after(self, delay: float, fn: Callable, *args: Any) -> list:
+    def _schedule_after(self, delay: float, fn: Callable, args: tuple = ()) -> list:
         """Run ``fn(*args)`` *delay* from now, without an Event. When due,
         the entry takes a second sequence number and queues behind what is
         already due: the two a :class:`Timeout` and its ``_dispatch`` take,

@@ -56,7 +56,7 @@ class TestTimeouts:
 
             def later(delay, tag):
                 if raw:
-                    sim._schedule_after(delay, log.append, tag)
+                    sim._schedule_after(delay, log.append, (tag,))
                 else:
                     sim.timeout(delay).callbacks.append(lambda _e: log.append(tag))
 
