@@ -2,7 +2,7 @@
 
 The paper's conclusions pose the open problem of planning "in the face of
 a mixture of such objectives" (transmission vs response time). E11
-evaluates our implementation of that planner (``repro.query.adaptive``):
+evaluates our implementation of that planner (``repro.query.cost``):
 for each provider-count regime, the adaptive executor should track the
 better of BASIC / FREQ under its configured objective — turning E1's
 crossover from a trap into a planning input.

@@ -30,8 +30,8 @@ __all__ = ["exec_cache_probe"]
 
 def exec_cache_probe(ctx, walk):
     """Generator: execute a CacheProbe operator → ResultHandle."""
-    from ..query.conjunction import _fallback_site, _locate_leaves, exec_bgp
-    from ..query.plan import ResultHandle, choose_shared_site
+    from ..query.conjunction import _locate_leaves, exec_bgp, walk_mode, walk_site
+    from ..query.plan import ResultHandle
     from ..query.strategies import ConjunctionMode
 
     cfg = ctx.cache_cfg()
@@ -45,10 +45,8 @@ def exec_cache_probe(ctx, walk):
         leaf.lookup.info = info
     infos = [info for _leaf, info in steps]
 
-    mode = (ConjunctionMode(walk.plan_mode) if walk.plan_mode is not None
-            else ctx.options.conjunction_mode)
     if (
-        mode is not ConjunctionMode.OPTIMIZED
+        walk_mode(ctx, walk) is not ConjunctionMode.OPTIMIZED
         or walk.post_filter is not None
         or any(info.owner is None for info in infos)
         or any(leaf.lookup.condition is not None for leaf in walk.children)
@@ -58,12 +56,7 @@ def exec_cache_probe(ctx, walk):
 
     # The probe site must be exactly where the walk would combine, so a
     # fill lands where the next probe looks. Pin it on the plan.
-    site = walk.plan_site
-    if site is None:
-        site = choose_shared_site(infos)
-    if site is None:
-        site = _fallback_site(ctx, infos)
-    walk.plan_site = site
+    site = walk.plan_site = walk_site(ctx, walk, infos)
 
     ckey = bgp_cache_key(
         [leaf.lookup.pattern for leaf in walk.children], ctx.live_vars)

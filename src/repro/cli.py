@@ -482,10 +482,7 @@ def _chaos_main(argv: Sequence[str]) -> int:
             f"# latency ms: p50={lat.p50 * 1000:.2f} "
             f"p95={lat.p95 * 1000:.2f} p99={lat.p99 * 1000:.2f}"
         )
-    defense = {
-        k: v for k, v in sorted(report.failover.items())
-        if v and k != "lookup_rtts"
-    }
+    defense = {k: v for k, v in sorted(report.failover.items()) if v}
     if defense:
         print("# defense: " + ", ".join(f"{k}={v}" for k, v in defense.items()))
     failures = [j for j in report.jobs if j.error is not None and not j.shed]

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import mean, median
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = ["Summary", "summarize", "DurabilityCounters", "FailoverCounters",
            "CacheCounters"]
@@ -40,8 +41,29 @@ def _nearest_rank(data: Sequence[float], q: float) -> float:
     return data[min(len(data) - 1, math.ceil(q * len(data)) - 1)]
 
 
+@functools.cache
+def _counter_names(cls: type) -> Tuple[str, ...]:
+    """The ledger dataclass's counters: its fields with an int default."""
+    return tuple(f.name for f in fields(cls) if isinstance(f.default, int))
+
+
+class _Ledger:
+    """Checkpoint/delta over a dataclass ledger's integer counters."""
+
+    def as_dict(self) -> Dict[str, int]:
+        return {name: getattr(self, name) for name in _counter_names(type(self))}
+
+    def checkpoint(self):
+        """A frozen copy, for before/after deltas."""
+        return type(self)(**self.as_dict())
+
+    def delta(self, since) -> Dict[str, int]:
+        return {name: value - getattr(since, name)
+                for name, value in self.as_dict().items()}
+
+
 @dataclass
-class DurabilityCounters:
+class DurabilityCounters(_Ledger):
     """Ledger of the durability subsystem's work (one per system).
 
     Shared by every WAL, snapshot store, and durable wrapper of a
@@ -67,31 +89,9 @@ class DurabilityCounters:
     #: Replica rows merged back into a restarted index node's table.
     replica_rows_reconciled: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "wal_records_appended": self.wal_records_appended,
-            "wal_records_replayed": self.wal_records_replayed,
-            "wal_torn_records_truncated": self.wal_torn_records_truncated,
-            "wal_fsyncs": self.wal_fsyncs,
-            "snapshots_written": self.snapshots_written,
-            "snapshots_loaded": self.snapshots_loaded,
-            "snapshot_bytes_written": self.snapshot_bytes_written,
-            "recoveries": self.recoveries,
-            "stale_entries_dropped": self.stale_entries_dropped,
-            "replica_rows_reconciled": self.replica_rows_reconciled,
-        }
-
-    def checkpoint(self) -> "DurabilityCounters":
-        """A frozen copy, for before/after deltas."""
-        return DurabilityCounters(**self.as_dict())
-
-    def delta(self, since: "DurabilityCounters") -> Dict[str, int]:
-        mine, theirs = self.as_dict(), since.as_dict()
-        return {key: mine[key] - theirs[key] for key in mine}
-
 
 @dataclass
-class FailoverCounters:
+class FailoverCounters(_Ledger):
     """Ledger of the fault-tolerance layer's work (one per network).
 
     Shared by the transport's retry loop and the executor's failover
@@ -141,41 +141,13 @@ class FailoverCounters:
     #: failing outright.
     partial_results: int = 0
     #: Observed ``index_lookup`` round-trip times (only collected while
-    #: hedging is enabled; feeds the auto hedge-delay percentile).
+    #: hedging is enabled; feeds the auto hedge-delay percentile). Not a
+    #: counter: left out of ``as_dict``/``checkpoint``/``delta``.
     lookup_rtts: List[float] = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "retries": self.retries,
-            "retries_recovered": self.retries_recovered,
-            "deadline_exhausted": self.deadline_exhausted,
-            "lookup_failovers": self.lookup_failovers,
-            "dispatch_failovers": self.dispatch_failovers,
-            "entry_failovers": self.entry_failovers,
-            "hedges_launched": self.hedges_launched,
-            "hedges_won": self.hedges_won,
-            "promotions_rereplicated": self.promotions_rereplicated,
-            "replica_rows_swept": self.replica_rows_swept,
-            "breaker_trips": self.breaker_trips,
-            "breaker_half_opens": self.breaker_half_opens,
-            "breaker_short_circuits": self.breaker_short_circuits,
-            "health_observations": self.health_observations,
-            "duplicates_dropped": self.duplicates_dropped,
-            "partial_patterns_dropped": self.partial_patterns_dropped,
-            "partial_results": self.partial_results,
-        }
-
-    def checkpoint(self) -> "FailoverCounters":
-        """A frozen copy, for before/after deltas."""
-        return FailoverCounters(**self.as_dict())
-
-    def delta(self, since: "FailoverCounters") -> Dict[str, int]:
-        mine, theirs = self.as_dict(), since.as_dict()
-        return {key: mine[key] - theirs[key] for key in mine}
 
 
 @dataclass
-class CacheCounters:
+class CacheCounters(_Ledger):
     """Ledger of the cross-query result cache's work (one per network).
 
     All per-node caches increment the shared instance, so experiments
@@ -206,27 +178,6 @@ class CacheCounters:
     def hit_ratio(self) -> float:
         """Hits over probes (0.0 before any probe)."""
         return self.hits / self.probes if self.probes else 0.0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "probes": self.probes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "stale_drops": self.stale_drops,
-            "admissions": self.admissions,
-            "admission_deferred": self.admission_deferred,
-            "evictions": self.evictions,
-            "bytes_cached": self.bytes_cached,
-            "bytes_evicted": self.bytes_evicted,
-        }
-
-    def checkpoint(self) -> "CacheCounters":
-        """A frozen copy, for before/after deltas."""
-        return CacheCounters(**self.as_dict())
-
-    def delta(self, since: "CacheCounters") -> Dict[str, int]:
-        mine, theirs = self.as_dict(), since.as_dict()
-        return {key: mine[key] - theirs[key] for key in mine}
 
 
 def summarize(values: Iterable[float]) -> Summary:

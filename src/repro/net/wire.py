@@ -22,12 +22,14 @@ module provides the two payload types that cut that cost:
 
 Both types implement ``wire_size()`` and therefore integrate with
 :func:`repro.net.sizes.size_of` wherever they are embedded in payloads.
+:func:`shed` is the one reduction every site applies to rows before they
+ship (digest filter, then projection).
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import FrozenSet, Iterable, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from ..chord.hashing import hash_terms_seeded
 from ..rdf.terms import RDFTerm, Variable
@@ -45,6 +47,7 @@ __all__ = [
     "as_solution_set",
     "encode_solutions",
     "mapping_sort_key",
+    "shed",
 ]
 
 #: Fixed batch envelope: mode flag + three table lengths (the bounded
@@ -248,6 +251,23 @@ class FilteredResult:
 
 
 # ------------------------------------------------------------------ helpers
+
+
+def shed(rows, digest: Optional[JoinDigest], keep):
+    """The receiver-side reduction applied before a solution set ships:
+    drop the rows *digest* rejects, then project onto *keep*.
+
+    Returns ``(rows, pruned)``; *pruned* is None without a digest, else
+    the number of rows it dropped. Either directive may be None.
+    """
+    pruned = None
+    if digest is not None:
+        kept = digest.filter(rows)
+        pruned = len(rows) - len(kept)
+        rows = kept
+    if keep is not None:
+        rows = {mu.project(keep) for mu in rows}
+    return rows, pruned
 
 
 def encode_solutions(solutions: Iterable[SolutionMapping], encode: bool):

@@ -16,7 +16,7 @@ from ..cache.keys import canonical_rows, pattern_cache_key, rebind_rows
 from ..chord.idspace import IdentifierSpace
 from ..chord.node import ChordNode
 from ..net.transport import RpcError
-from ..net.wire import FilteredResult, as_solution_set, encode_solutions
+from ..net.wire import FilteredResult, as_solution_set, encode_solutions, shed
 from .location_table import LocationEntry, LocationTable
 from .peer import QueryPeer
 
@@ -289,32 +289,23 @@ class IndexNode(QueryPeer, ChordNode):
         ``partial`` payload flag, keeping the wire byte-identical for
         every other configuration.
         """
-        corr = payload.get("corr")
-        flag_partial = dropped and payload.get("partial")
+        corr = payload["corr"]
+        final = payload.get("final")
+        encode = payload.get("encode", False)
         if payload.get("deposit"):
             self.mailbox[corr] = set(result)
             ack = {"mode": "deposited", "count": len(result)}
-            if pruned is not None:
-                ack["pruned"] = pruned
-            if flag_partial:
-                ack["dropped"] = dropped
-            return ack
-        final = payload.get("final")
-        encode = payload.get("encode", False)
-        if final is not None and final != src:
+        elif final is not None and final != src:
             assert self.network is not None
-            delivery = {"corr": corr,
-                        "data": encode_solutions(result, encode),
-                        "notify": payload.get("notify")}
-            if "notify_corr" in payload:
-                delivery["notify_corr"] = payload["notify_corr"]
-            self.network.send(self.node_id, final, "deliver", delivery)
+            self.network.send(self.node_id, final, "deliver", self._deliver_msg(
+                payload, corr, encode_solutions(result, encode)))
             ack = {"mode": "shipped", "count": len(result)}
-            if flag_partial:
-                ack["dropped"] = dropped
-            return ack
-        ack = {"mode": "direct", "data": encode_solutions(result, encode)}
-        if flag_partial:
+        else:
+            ack = {"mode": "direct", "data": encode_solutions(result, encode)}
+        # A digest (hence *pruned*) only rides with deposited steps.
+        if pruned is not None:
+            ack["pruned"] = pruned
+        if dropped and payload.get("partial"):
             ack["dropped"] = dropped
         return ack
 
@@ -344,8 +335,8 @@ class IndexNode(QueryPeer, ChordNode):
         tracer = self.sim.tracer
         if entry is not None:
             span = tracer.span("cache", key=ckey, outcome="hit")
-            solutions = rebind_rows(entry.value, variables)
-            result, pruned = self._decorate(solutions, payload)
+            result, pruned = shed(rebind_rows(entry.value, variables),
+                                  payload.get("digest"), payload.get("project"))
             span.close(rows=len(result))
             return self._primitive_reply(payload, src, result, pruned)
         if not admit:
@@ -361,24 +352,9 @@ class IndexNode(QueryPeer, ChordNode):
         full, _, _dropped = yield from self._execute_basic(bare, entries)
         cache.admit(ckey, canonical_rows(full, variables), variables,
                     stamps, membership)
-        result, pruned = self._decorate(set(full), payload)
+        result, pruned = shed(full, payload.get("digest"), payload.get("project"))
         span.close(rows=len(result))
         return self._primitive_reply(payload, src, result, pruned)
-
-    @staticmethod
-    def _decorate(solutions, payload: Dict[str, Any]):
-        """Apply a request's shipping decorations to full cached rows —
-        the exact transforms providers apply before shipping."""
-        pruned = None
-        digest = payload.get("digest")
-        if digest is not None:
-            kept = digest.filter(solutions)
-            pruned = len(solutions) - len(kept)
-            solutions = kept
-        keep = payload.get("project")
-        if keep is not None:
-            solutions = {mu.project(keep) for mu in solutions}
-        return solutions, pruned
 
     def _execute_basic(self, payload: Dict[str, Any], entries: List[LocationEntry]):
         """Parallel fan-out to every target storage node; union here.
@@ -477,19 +453,8 @@ class IndexNode(QueryPeer, ChordNode):
 
     def _kickoff_chain(self, payload: Dict[str, Any], route: List[str]) -> None:
         assert self.network is not None
-        first, rest = route[0], route[1:]
-        step = {
-            "algebra": payload["algebra"],
-            "acc": [],
-            "route": rest,
-            "final": payload["final"],
-            "corr": payload["corr"],
-            "notify": payload.get("notify"),
-        }
-        for key in ("digest", "project", "encode", "notify_corr"):
-            if key in payload:
-                step[key] = payload[key]
-        self.network.send(self.node_id, first, "chain_step", step)
+        self.network.send(self.node_id, route[0], "chain_step",
+                          self._chain_step_msg(payload, [], route[1:]))
 
     def rpc_get_attached(self, payload: Any, src: str) -> List[str]:
         """Storage nodes attached beneath this index node (used by the

@@ -197,18 +197,11 @@ def restart_storage_node(
         parent.attached_storage.append(node_id)
 
     if republish:
-        for (kind, key), freq in sorted(
-            node.key_counts(system.space).items(),
-            key=lambda kv: (kv[0][1], kv[0][0].name),
-        ):
-            owner = system.ring.owner_of(key)
+        for key, freq, owner, holders in system.placements(
+                node.key_counts(system.space)):
             owner.table.import_row(key, {node_id: freq})
-            for ref in owner.successor_list[: system.replication_factor - 1]:
-                if ref == owner.ref:
-                    continue
-                system.index_nodes[ref.node_id].replicas.import_row(
-                    key, {node_id: freq}
-                )
+            for holder in holders:
+                holder.replicas.import_row(key, {node_id: freq})
 
     system.durability.recoveries += 1
     system.journal_event("storage-restart", node_id)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Set
 
 from ..net.sim import Event
-from ..net.wire import JoinDigest, as_solution_set, encode_solutions
+from ..net.wire import JoinDigest, as_solution_set, encode_solutions, shed
 from ..sparql import ast
 from ..sparql.expr import filter_passes
 from ..sparql.solutions import SolutionMapping, combine_sets
@@ -324,6 +324,37 @@ class QueryPeer:
         else:
             self._delivered_early[corr] = count
 
+    # ------------------------------------------------------------ messages
+
+    @staticmethod
+    def _chain_step_msg(payload: Dict[str, Any], acc, route) -> Dict[str, Any]:
+        """The ``chain_step`` message carrying a chained primitive's
+        sub-query, its shipping directives and the rows accumulated so
+        far (*acc*) to the next node of the chain; *route* is what is
+        left of the chain after that node."""
+        step = {
+            "algebra": payload["algebra"],
+            "acc": acc,
+            "route": route,
+            "final": payload["final"],
+            "corr": payload["corr"],
+            "notify": payload.get("notify"),
+        }
+        for key in ("digest", "project", "encode", "notify_corr"):
+            if key in payload:
+                step[key] = payload[key]
+        return step
+
+    @staticmethod
+    def _deliver_msg(payload: Dict[str, Any], corr: str, data) -> Dict[str, Any]:
+        """The one-way ``deliver`` message landing *data* in mailbox
+        *corr*, with the notification directives of the request
+        (*payload*) that caused it."""
+        delivery = {"corr": corr, "data": data, "notify": payload.get("notify")}
+        if "notify_corr" in payload:
+            delivery["notify_corr"] = payload["notify_corr"]
+        return delivery
+
     # ------------------------------------------------------------- mailbox
 
     def rpc_deliver(self, payload: Dict[str, Any], src: str) -> None:
@@ -365,16 +396,9 @@ class QueryPeer:
         transfer to the query initiator, charged as reply traffic."""
         corr = payload["corr"]
         data = self.mailbox.get(corr, set())
-        if payload.get("discard", True) and not self._chaos_keep:
+        if not self._chaos_keep:
             self.mailbox.pop(corr, None)
         return encode_solutions(data, payload.get("encode", False))
-
-    def rpc_discard(self, payload: Dict[str, Any], src: str) -> int:
-        dropped = 0
-        for corr in payload["corrs"]:
-            if self.mailbox.pop(corr, None) is not None:
-                dropped += 1
-        return dropped
 
     def rpc_ship(self, payload: Dict[str, Any], src: str):
         """Forward a mailbox entry to another site's mailbox (one-way).
@@ -388,27 +412,14 @@ class QueryPeer:
         """
         corr = payload["corr"]
         data = self.mailbox.get(corr, set())
-        if payload.get("discard", True) and not self._chaos_keep:
+        if not self._chaos_keep:
             self.mailbox.pop(corr, None)
-        digest: Optional[JoinDigest] = payload.get("digest")
-        pruned = 0
-        if digest is not None:
-            kept = digest.filter(data)
-            pruned = len(data) - len(kept)
-            data = kept
-        keep = payload.get("project")
-        if keep is not None:
-            data = {mu.project(keep) for mu in data}
+        data, pruned = shed(data, payload.get("digest"), payload.get("project"))
         assert self.network is not None
-        delivery = {
-            "corr": payload.get("dst_corr", corr),
-            "data": encode_solutions(data, payload.get("encode", False)),
-            "notify": payload.get("notify"),
-        }
-        if "notify_corr" in payload:
-            delivery["notify_corr"] = payload["notify_corr"]
-        self.network.send(self.node_id, payload["dst"], "deliver", delivery)
-        if digest is not None:
+        self.network.send(self.node_id, payload["dst"], "deliver", self._deliver_msg(
+            payload, payload["dst_corr"],
+            encode_solutions(data, payload.get("encode", False))))
+        if pruned is not None:
             return {"count": len(data), "pruned": pruned}
         return len(data)
 
@@ -423,8 +434,8 @@ class QueryPeer:
         return JoinDigest.build(
             data,
             payload["vars"],
-            exact_threshold=payload.get("exact_threshold", 64),
-            bloom_bits=payload.get("bloom_bits", 10),
+            exact_threshold=payload["exact_threshold"],
+            bloom_bits=payload["bloom_bits"],
         )
 
     # ------------------------------------------------------------- operators
@@ -438,7 +449,7 @@ class QueryPeer:
         left = self.mailbox.get(payload["left"], set())
         right = self.mailbox.get(payload["right"], set())
         out = _combine(payload["op"], left, right, payload.get("condition"))
-        if payload.get("discard_inputs", True) and not self._chaos_keep:
+        if not self._chaos_keep:
             self.mailbox.pop(payload["left"], None)
             self.mailbox.pop(payload["right"], None)
         self.mailbox[payload["out"]] = out
@@ -450,5 +461,5 @@ class QueryPeer:
         condition: ast.Expression = payload["condition"]
         box = self.mailbox.get(corr, set())
         out = {mu for mu in box if filter_passes(condition, mu)}
-        self.mailbox[payload.get("out", corr)] = out
+        self.mailbox[payload["out"]] = out
         return {"count": len(out)}

@@ -11,13 +11,13 @@ join-site flexibility.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..chord.idspace import IdentifierSpace
 from ..net.transport import Node
-from ..net.wire import FilteredResult, as_solution_set, encode_solutions
+from ..net.wire import FilteredResult, as_solution_set, encode_solutions, shed
 from ..rdf.graph import Graph
-from ..rdf.triple import Triple, TriplePattern
+from ..rdf.triple import Triple
 from ..sparql.algebra import BGP, Algebra
 from ..sparql.eval import evaluate_algebra, evaluate_bgp
 from .keys import KeyKind, index_keys
@@ -66,8 +66,11 @@ class StorageNode(QueryPeer, Node):
         return sum(1 for t in triples if self.graph.discard(t))
 
     def key_counts_for(self, triples, space: IdentifierSpace) -> Dict[Tuple[KeyKind, int], int]:
-        """Aggregate the six index keys over an explicit triple set (the
-        delta-publication path)."""
+        """Aggregate the six index keys over *triples*.
+
+        Returns (kind, ring key) → triple count; the counts become the
+        frequency numbers in the location tables (Table I).
+        """
         counts: Counter = Counter()
         for triple in triples:
             for kind, key in index_keys(triple, space):
@@ -75,16 +78,8 @@ class StorageNode(QueryPeer, Node):
         return dict(counts)
 
     def key_counts(self, space: IdentifierSpace) -> Dict[Tuple[KeyKind, int], int]:
-        """Aggregate the six index keys over the local graph.
-
-        Returns (kind, ring key) → triple count; the counts become the
-        frequency numbers in the location tables (Table I).
-        """
-        counts: Counter = Counter()
-        for triple in self.graph:
-            for kind, key in index_keys(triple, space):
-                counts[(kind, key)] += 1
-        return dict(counts)
+        """The six-key counts over the whole local graph."""
+        return self.key_counts_for(self.graph, space)
 
     # ------------------------------------------------------------ local eval
 
@@ -122,20 +117,7 @@ class StorageNode(QueryPeer, Node):
         if digest is None and type(algebra) is BGP:
             # The plain sub-query: scan straight to (projected) rows.
             return evaluate_bgp(algebra, self.graph, keep), None
-        solutions = self.local_eval(algebra)
-        pruned = None
-        if digest is not None:
-            kept = digest.filter(solutions)
-            pruned = len(solutions) - len(kept)
-            solutions = kept
-        if keep is not None:
-            solutions = {mu.project(keep) for mu in solutions}
-        return solutions, pruned
-
-    def rpc_count(self, payload: Dict[str, Any], src: str) -> int:
-        """Local cardinality of a triple pattern (planner statistics)."""
-        pattern: TriplePattern = payload["pattern"]
-        return self.graph.count(pattern)
+        return shed(self.local_eval(algebra), digest, keep)
 
     def rpc_chain_step(self, payload: Dict[str, Any], src: str) -> None:
         """One step of in-network aggregation (Sect. IV-C optimization).
@@ -150,35 +132,18 @@ class StorageNode(QueryPeer, Node):
         """
         assert self.network is not None
         local, _pruned = self._eval_shippable(payload)
-        encode = payload.get("encode", False)
-        merged = as_solution_set(payload.get("acc", ()))
+        merged = as_solution_set(payload["acc"])
         merged.update(local)
-        route: List[str] = list(payload.get("route", ()))
+        data = encode_solutions(merged, payload.get("encode", False))
+        route = payload["route"]
         if route:
-            next_hop = route[0]
-            forward = {
-                "algebra": payload["algebra"],
-                "acc": encode_solutions(merged, encode),
-                "route": route[1:],
-                "final": payload["final"],
-                "corr": payload["corr"],
-                "notify": payload.get("notify"),
-            }
-            for key in ("digest", "project", "encode", "notify_corr"):
-                if key in payload:
-                    forward[key] = payload[key]
-            self.network.send(self.node_id, next_hop, "chain_step", forward)
+            self.network.send(self.node_id, route[0], "chain_step",
+                              self._chain_step_msg(payload, data, route[1:]))
+            return
+        delivery = self._deliver_msg(payload, payload["corr"], data)
+        if payload["final"] == self.node_id:
+            # This node *is* the destination site (the shared node the
+            # chain was routed to end at): deposit locally, no message.
+            self.rpc_deliver(delivery, self.node_id)
         else:
-            delivery = {
-                "corr": payload["corr"],
-                "data": encode_solutions(merged, encode),
-                "notify": payload.get("notify"),
-            }
-            if "notify_corr" in payload:
-                delivery["notify_corr"] = payload["notify_corr"]
-            if payload["final"] == self.node_id:
-                # This node *is* the destination site (the shared node the
-                # chain was routed to end at): deposit locally, no message.
-                self.rpc_deliver(delivery, self.node_id)
-            else:
-                self.network.send(self.node_id, payload["final"], "deliver", delivery)
+            self.network.send(self.node_id, payload["final"], "deliver", delivery)

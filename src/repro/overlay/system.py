@@ -38,6 +38,12 @@ from .storage_node import StorageNode
 __all__ = ["HybridSystem", "fig1_network", "FIG1_INDEX_IDS", "FIG1_STORAGE_IDS"]
 
 
+def _ordered(counts):
+    """Six-key *counts* items in publication order: ascending ring key,
+    key-kind name breaking ties."""
+    return sorted(counts.items(), key=lambda kv: (kv[0][1], kv[0][0].name))
+
+
 class HybridSystem:
     """A complete ad-hoc Semantic Web data sharing system instance."""
 
@@ -234,28 +240,39 @@ class HybridSystem:
 
     def publish_fast(self, storage: StorageNode) -> int:
         """Install the storage node's six-key index without messages."""
-        count = 0
-        for (kind, key), freq in sorted(storage.key_counts(self.space).items(),
-                                        key=lambda kv: (kv[0][1], kv[0][0].name)):
-            owner = self.ring.owner_of(key)
-            owner.table.add(key, storage.node_id, freq)
-            self.network.data_epochs.advance(key)
-            count += 1
-            for ref in owner.successor_list[: self.replication_factor - 1]:
-                if ref == owner.ref:
-                    continue
-                replica = self.index_nodes[ref.node_id]
-                replica.replicas.import_row(key, {storage.node_id: freq})
-        return count
+        return self._place(storage, storage.key_counts(self.space))
 
     def publish_protocol(self, storage: StorageNode) -> int:
         """Publish through real messages via the attached index node."""
+        return self._announce(storage, storage.key_counts(self.space))
+
+    def placements(self, counts):
+        """Walk six-key *counts* in ascending ring-key order (kind name
+        breaking ties), yielding ``(key, freq, owner, holders)``: the
+        index node owning the key and the successors that hold its
+        replica rows — the placement every publication path writes to."""
+        for (kind, key), freq in _ordered(counts):
+            owner = self.ring.owner_of(key)
+            holders = [self.index_nodes[ref.node_id]
+                       for ref in owner.successor_list[: self.replication_factor - 1]
+                       if ref != owner.ref]
+            yield key, freq, owner, holders
+
+    def _place(self, storage: StorageNode, counts) -> int:
+        """Install *counts* for *storage* directly, replicas included."""
+        for key, freq, owner, holders in self.placements(counts):
+            owner.table.add(key, storage.node_id, freq)
+            self.network.data_epochs.advance(key)
+            for holder in holders:
+                holder.replicas.import_row(key, {storage.node_id: freq})
+        return len(counts)
+
+    def _announce(self, storage: StorageNode, counts) -> int:
+        """Publish *counts* with real messages: one ``publish`` call to
+        the storage node's index node, which routes every key to its
+        owner (``IndexNode.rpc_publish``)."""
         assert storage.index_node_id is not None
-        entries = [
-            (key, freq)
-            for (kind, key), freq in sorted(storage.key_counts(self.space).items(),
-                                            key=lambda kv: (kv[0][1], kv[0][0].name))
-        ]
+        entries = [(key, freq) for (kind, key), freq in _ordered(counts)]
         for key, _freq in entries:
             self.network.data_epochs.advance(key)
 
@@ -264,14 +281,13 @@ class HybridSystem:
         deadline = max(60.0, 0.5 * len(entries))
 
         def proc():
-            result = yield self.network.call(
+            return (yield self.network.call(
                 storage.node_id,
                 storage.index_node_id,
                 "publish",
                 {"storage_id": storage.node_id, "entries": entries},
                 timeout=deadline,
-            )
-            return result
+            ))
 
         return self.sim.run_process(proc())
 
@@ -290,40 +306,8 @@ class HybridSystem:
         if not counts:
             return 0
         if protocol:
-            assert storage.index_node_id is not None
-            entries = [
-                (key, freq)
-                for (kind, key), freq in sorted(counts.items(),
-                                                key=lambda kv: (kv[0][1], kv[0][0].name))
-            ]
-            for key, _freq in entries:
-                self.network.data_epochs.advance(key)
-            deadline = max(60.0, 0.5 * len(entries))
-
-            def proc():
-                return (yield self.network.call(
-                    storage.node_id,
-                    storage.index_node_id,
-                    "publish",
-                    {"storage_id": storage.node_id, "entries": entries},
-                    timeout=deadline,
-                ))
-
-            return self.sim.run_process(proc())
-        count = 0
-        for (kind, key), freq in sorted(counts.items(),
-                                        key=lambda kv: (kv[0][1], kv[0][0].name)):
-            owner = self.ring.owner_of(key)
-            owner.table.add(key, storage.node_id, freq)
-            self.network.data_epochs.advance(key)
-            count += 1
-            for ref in owner.successor_list[: self.replication_factor - 1]:
-                if ref == owner.ref:
-                    continue
-                self.index_nodes[ref.node_id].replicas.import_row(
-                    key, {storage.node_id: freq}
-                )
-        return count
+            return self._announce(storage, counts)
+        return self._place(storage, counts)
 
     def unpublish_delta(self, storage: StorageNode, triples) -> int:
         """Withdraw index entries for triples the provider removed.
@@ -333,27 +317,15 @@ class HybridSystem:
         does not specify a wire protocol for unpublication.)
         """
         counts = storage.key_counts_for(triples, self.space)
-        removed = 0
-        for (kind, key), freq in sorted(counts.items(),
-                                        key=lambda kv: (kv[0][1], kv[0][0].name)):
-            owner = self.ring.owner_of(key)
+        for key, freq, owner, holders in self.placements(counts):
             owner.table.remove(key, storage.node_id, freq)
             # A replica row may still sit at the owner itself after a
-            # failover promotion; clear it before sweeping the successors.
+            # failover promotion; clear it before sweeping the holders.
             owner.replicas.remove(key, storage.node_id, freq)
             self.network.data_epochs.advance(key)
-            removed += 1
-            # Replicas live only on the owner's successor list — the same
-            # placement publish_delta writes to. Sweeping every index node
-            # here (the old behaviour) touched O(#nodes) replica tables
-            # per key for rows that could not exist off the successors.
-            for ref in owner.successor_list[: self.replication_factor - 1]:
-                if ref == owner.ref:
-                    continue
-                self.index_nodes[ref.node_id].replicas.remove(
-                    key, storage.node_id, freq
-                )
-        return removed
+            for holder in holders:
+                holder.replicas.remove(key, storage.node_id, freq)
+        return len(counts)
 
     # -------------------------------------------------------------- queries
 

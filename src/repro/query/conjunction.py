@@ -28,12 +28,12 @@ from ..net.wire import PRUNED_COUNTER_BYTES
 from ..sparql import ast
 from .failover import dispatch_primitive
 from .join_site import combine_handles, digest_embed_cost, fetch_digest
-from .physical import BGPWalk, ChainShip, HashJoin, note_lookup
+from .physical import BGPWalk, ChainShip, FilterOp, HashJoin, note_lookup
 from .plan import PatternInfo, ResultHandle, choose_shared_site, subquery_algebra
-from .primitive import exec_broadcast, exec_pattern_to_site
+from .primitive import exec_broadcast, exec_pattern_to_site, primitive_payload
 from .strategies import ConjunctionMode, JoinSitePolicy
 
-__all__ = ["exec_bgp", "exec_join"]
+__all__ = ["exec_bgp", "exec_join", "exec_filter", "walk_mode", "walk_site"]
 
 #: One conjunction step: the plan leaf and its located index row.
 Step = Tuple[ChainShip, PatternInfo]
@@ -128,8 +128,7 @@ def _exec_bgp(ctx, walk: BGPWalk):
             )
         return _apply_post_filter_done(ctx, handle, post_filter)
 
-    mode = (ConjunctionMode(walk.plan_mode) if walk.plan_mode is not None
-            else ctx.options.conjunction_mode)
+    mode = walk_mode(ctx, walk)
     walk.detail["mode"] = mode.value
     if mode is ConjunctionMode.BASIC:
         handle = yield from _exec_basic_mode(ctx, walk, indexed_steps)
@@ -170,23 +169,10 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
     for i, (leaf, info) in enumerate(steps):
         corr = ctx.new_corr()
         keep = ctx.keep_vars(pattern_vars[i])
-        payload = {
-            "algebra": subquery_algebra(info),
-            "key": info.key,
-            "strategy": "basic",
-            "corr": corr,
-            "deposit": True,
-            "storage_timeout": ctx.options.delivery_timeout,
-        }
-        if keep is not None:
-            payload["project"] = keep
-        if opts.dictionary_encoding:
-            payload["encode"] = True
-        if opts.partial_results:
-            payload["partial"] = True
-        cache_cfg = ctx.cache_cfg()
-        if cache_cfg is not None:
-            payload["cache"] = cache_cfg
+        payload = primitive_payload(ctx, info, subquery_algebra(info),
+                                    "basic", corr, keep)
+        payload["deposit"] = True
+        payload["storage_timeout"] = opts.delivery_timeout
         if (
             handle is not None
             and opts.semijoin
@@ -246,12 +232,7 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
 
 def _exec_optimized_mode(ctx, walk: BGPWalk, steps: List[Step]):
     """Overlap-aware parallel chains ending at a shared storage node."""
-    infos = [info for _leaf, info in steps]
-    site = walk.plan_site
-    if site is None:
-        site = choose_shared_site(infos)
-    if site is None:
-        site = _fallback_site(ctx, infos)
+    site = walk_site(ctx, walk, [info for _leaf, info in steps])
     ctx.report.merge_note(f"conjunction site {site}")
 
     processes = [
@@ -286,8 +267,23 @@ def _pattern_to_site_guarded(ctx, info: PatternInfo, site: str,
         return None
 
 
-def _fallback_site(ctx, infos: List[PatternInfo]) -> str:
-    """No shared provider: place assembly per the join-site policy."""
+def walk_mode(ctx, walk: BGPWalk) -> ConjunctionMode:
+    """The walk's conjunction mode: pinned by the cost planner, else the
+    executor's option."""
+    if walk.plan_mode is not None:
+        return ConjunctionMode(walk.plan_mode)
+    return ctx.options.conjunction_mode
+
+
+def walk_site(ctx, walk: BGPWalk, infos: List[PatternInfo]) -> str:
+    """Where an OPTIMIZED walk combines: the site the cost planner pinned,
+    else the patterns' best shared provider (:func:`choose_shared_site`),
+    else the join-site policy's choice."""
+    if walk.plan_site is not None:
+        return walk.plan_site
+    site = choose_shared_site(infos)
+    if site is not None:
+        return site
     policy = ctx.options.join_site_policy
     if policy is JoinSitePolicy.QUERY_SITE:
         return ctx.initiator
@@ -320,6 +316,24 @@ def _apply_post_filter(ctx, handle: ResultHandle,
     else:
         summary = yield ctx.call(handle.site, "filter_box", payload)
     return ResultHandle(handle.site, out, summary["count"], handle.vars)
+
+
+def exec_filter(ctx, node: FilterOp, at_home: bool = False):
+    """Generator: execute FilterOp(condition, operand) → ResultHandle.
+
+    Compile-time placement sends a condition covered by one pattern with
+    that pattern's sub-query and one covering a BGP along the walk as its
+    ``post_filter``; this is the residual case over an arbitrary
+    sub-plan: evaluate the operand, then filter where its result sits.
+    """
+    from .executor import exec_plan
+
+    span = ctx.tracer.span("filter")
+    try:
+        handle = yield from exec_plan(ctx, node.operand, at_home=at_home)
+        return (yield from _apply_post_filter(ctx, handle, node.condition))
+    finally:
+        span.close()
 
 
 def _apply_post_filter_done(ctx, handle, post_filter):

@@ -12,8 +12,7 @@ Two layers live here:
    initiator already has (the location-table row's provider frequencies
    and the link model) picking whichever of BASIC / FREQ-chain minimizes
    a weighted mixture of transmission and response time. This is the
-   model the ``adaptive`` primitive strategy has used per sub-query since
-   E11; :mod:`repro.query.adaptive` re-exports it for compatibility.
+   model the ``adaptive`` primitive strategy uses per sub-query (E11).
 
 2. The **whole-plan annotator** (:func:`annotate_plan`) — the
    ``--plan cost`` mode. It consults the two-level index once for every

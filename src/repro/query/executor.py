@@ -687,7 +687,7 @@ def exec_plan(ctx: ExecutionContext, node: PhysOp, at_home: bool = False):
     The recording is pure reads of existing counters: zero effect on the
     simulated metrics.
     """
-    from . import conjunction, filter as filter_mod, optional, primitive, union
+    from . import conjunction, optional, primitive, union
 
     before = ctx.system.stats.checkpoint()
     if isinstance(node, EmptyScan):
@@ -702,7 +702,7 @@ def exec_plan(ctx: ExecutionContext, node: PhysOp, at_home: bool = False):
     elif isinstance(node, BGPWalk):
         handle = yield from conjunction.exec_bgp(ctx, node)
     elif isinstance(node, FilterOp):
-        handle = yield from filter_mod.exec_filter(ctx, node, at_home=at_home)
+        handle = yield from conjunction.exec_filter(ctx, node, at_home=at_home)
     elif isinstance(node, HashJoin):
         handle = yield from conjunction.exec_join(ctx, node)
     elif isinstance(node, UnionOp):

@@ -28,7 +28,7 @@ from typing import Optional
 
 from ..net.sizes import HEADER_BYTES, size_of
 from ..net.transport import RpcTimeout
-from ..net.wire import JoinDigest, encode_solutions
+from ..net.wire import JoinDigest, encode_solutions, shed
 from ..sparql import ast
 from ..trace.tracer import PHASE_JOIN, PHASE_SHIP
 from .plan import ResultHandle, combine_vars
@@ -157,13 +157,10 @@ def ship_handle(ctx, handle: ResultHandle, site: str, live=None,
                            src=handle.site, dst=site, corr=handle.corr)
     try:
         if handle.site == ctx.initiator:
-            data = ctx.initiator_peer.mailbox.pop(handle.corr, set())
-            if digest is not None:
-                kept_rows = digest.filter(data)
-                ctx.report.rows_pruned += len(data) - len(kept_rows)
-                data = kept_rows
-            if keep is not None:
-                data = {mu.project(keep) for mu in data}
+            data, pruned = shed(ctx.initiator_peer.mailbox.pop(handle.corr, set()),
+                                digest, keep)
+            if pruned is not None:
+                ctx.report.rows_pruned += pruned
             corr = handle.corr
             yield ctx.call(site, "deliver", {
                 "corr": corr,

@@ -137,27 +137,11 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
         return (yield from _basic(ctx, info, algebra, site, corr,
                                   keep=keep, result_vars=result_vars))
 
+    payload = primitive_payload(ctx, info, algebra, strategy.wire_name, corr, keep)
+    payload.update(final=site, end_at=site, notify=ctx.initiator)
     tag = ctx.delivery_tag(corr)
-    payload = {
-        "algebra": algebra,
-        "key": info.key,
-        "strategy": strategy.wire_name,
-        "final": site,
-        "end_at": site,
-        "corr": corr,
-        "notify": ctx.initiator,
-    }
     if tag is not None:
         payload["notify_corr"] = tag
-    if keep is not None:
-        payload["project"] = keep
-    if encode:
-        payload["encode"] = True
-    if ctx.options.partial_results:
-        payload["partial"] = True
-    cache_cfg = ctx.cache_cfg()
-    if cache_cfg is not None:
-        payload["cache"] = cache_cfg
     ack, info, corr = yield from dispatch_primitive(ctx, info, payload, corr)
     if ack["mode"] == "direct":
         # Empty route: no providers left; materialize the empty result.
@@ -180,17 +164,15 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
     return ResultHandle(site, corr, count, result_vars)
 
 
-def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
-           keep=None, result_vars=None):
-    payload = {
-        "algebra": algebra,
-        "key": info.key,
-        "strategy": "basic",
-        "corr": corr,
-        # Bound the owner's per-provider wait so the whole fan-out always
-        # finishes inside our own call deadline below.
-        "storage_timeout": ctx.options.delivery_timeout,
-    }
+def primitive_payload(ctx, info: PatternInfo, algebra, strategy: str,
+                      corr: str, keep) -> dict:
+    """The keys every ``execute_primitive`` request carries: the
+    sub-query, its ring key, the scheme and the correlation id, plus the
+    shipping directives the options turn on — ``project`` (*keep*, when
+    not None), ``encode``, ``partial`` and the result-cache ``cache``
+    config. Each caller adds only its own path's keys."""
+    payload = {"algebra": algebra, "key": info.key, "strategy": strategy,
+               "corr": corr}
     if keep is not None:
         payload["project"] = keep
     if ctx.options.dictionary_encoding:
@@ -200,6 +182,15 @@ def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
     cache_cfg = ctx.cache_cfg()
     if cache_cfg is not None:
         payload["cache"] = cache_cfg
+    return payload
+
+
+def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
+           keep=None, result_vars=None):
+    payload = primitive_payload(ctx, info, algebra, "basic", corr, keep)
+    # Bound the owner's per-provider wait so the whole fan-out always
+    # finishes inside our own call deadline below.
+    payload["storage_timeout"] = ctx.options.delivery_timeout
     if site != ctx.initiator:
         payload["final"] = site
         payload["notify"] = ctx.initiator

@@ -39,7 +39,7 @@ class PrimitiveStrategy(enum.Enum):
     FREQ = "freq"
     #: Cost-based per-query choice between BASIC and FREQ using the
     #: location-table statistics and the executor's objective mixture —
-    #: the Sect. V future-work planner (see :mod:`repro.query.adaptive`).
+    #: the Sect. V future-work planner (see :func:`repro.query.cost.choose_strategy`).
     ADAPTIVE = "adaptive"
 
     @property

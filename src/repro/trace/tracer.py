@@ -91,9 +91,8 @@ _METHOD_PHASES: Dict[str, str] = {
     # Combining at the join site.
     "combine": PHASE_JOIN,
     "filter_box": PHASE_JOIN,
-    # Post-processing: final result transfer + cleanup.
+    # Post-processing: final result transfer.
     "fetch": PHASE_FINALIZE,
-    "discard": PHASE_FINALIZE,
 }
 
 #: Event kinds that correspond to a message on a link (and therefore

@@ -30,10 +30,6 @@ class TestStorageNode:
         rows = d2.rpc_evaluate({"algebra": BGP((KNOWS,))}, "test")
         assert len(rows) == d2.graph.count(KNOWS)
 
-    def test_rpc_count(self, paper_system):
-        d2 = paper_system.storage_nodes["D2"]
-        assert d2.rpc_count({"pattern": KNOWS}, "t") == d2.graph.count(KNOWS)
-
 
 class TestChainStep:
     def test_chain_unions_and_delivers(self, paper_system):

@@ -51,26 +51,44 @@ class TestConstruction:
 
 class TestPublication:
     def test_fast_and_protocol_publication_agree(self):
+        """Direct placement is the oracle for message-level publication:
+        both build the same primary rows, replica rows and data epochs,
+        at attach time and for a later delta."""
         triples = generate_foaf_triples(FoafConfig(num_people=25, seed=3))
         parts = partition_triples(triples, 3, seed=4)
+        delta = parts[0][-8:]
 
-        fast = build_system(num_index=5, parts=parts)
+        def build(replication_factor, protocol):
+            system = HybridSystem(space=IdentifierSpace(32),
+                                  replication_factor=replication_factor)
+            for i in range(5):
+                system.add_index_node(f"N{i}")
+            system.build_ring()
+            for i, part in enumerate(parts):
+                initial = part[:-8] if i == 0 else part
+                system.add_storage_node(f"D{i}", initial, publish=True,
+                                        protocol=protocol)
+            storage = system.storage_nodes["D0"]
+            storage.add_triples(delta)
+            assert system.publish_delta(storage, delta, protocol=protocol) > 0
+            system.sim.run()  # land the one-way replica copies
+            return system
 
-        protocol = HybridSystem(space=IdentifierSpace(32))
-        for i in range(5):
-            protocol.add_index_node(f"N{i}")
-        protocol.build_ring()
-        for i, part in enumerate(parts):
-            protocol.add_storage_node(f"D{i}", part, publish=True, protocol=True)
+        def index(system):
+            primary = {node_id: dict(node.table.export_range())
+                       for node_id, node in system.index_nodes.items()}
+            replicas = {node_id: dict(node.replicas.export_range())
+                        for node_id, node in system.index_nodes.items()}
+            keys = {key for rows in primary.values() for key in rows}
+            epochs = system.network.data_epochs
+            return primary, replicas, epochs.snapshot(keys), epochs.global_epoch
 
-        def rows(system):
-            out = {}
-            for node in system.index_nodes.values():
-                for key, cells in node.table.export_range():
-                    out[key] = cells
-            return out
-
-        assert rows(fast) == rows(protocol)
+        for replication_factor in (1, 2):
+            fast = index(build(replication_factor, protocol=False))
+            protocol = index(build(replication_factor, protocol=True))
+            assert fast == protocol
+            replicas = fast[1]
+            assert any(replicas.values()) == (replication_factor > 1)
 
     def test_protocol_publication_costs_messages(self):
         triples = generate_foaf_triples(FoafConfig(num_people=10, seed=3))
