@@ -2,7 +2,7 @@
 
 The engine re-ships the same hot sub-results for every query that asks
 for them: the only reuse mechanism below this package is the *per-query*
-lookup LRU in :mod:`repro.query.executor`. This package adds a per-site
+lookup memo in :mod:`repro.query.executor`. This package adds a per-site
 semantic result cache in the spirit of PHD-Store's workload-adaptive
 placement and Peng et al.'s reusable partial results:
 

@@ -9,7 +9,7 @@ the epochs of the keys it was computed from is provably current exactly
 when every stamp still matches the ledger.
 
 The ledger is deliberately dependency-free: the network transport owns
-one instance, and both the per-query lookup LRU and the cross-query
+one instance, and both the per-query lookup memo and the cross-query
 result cache validate against it. Readers compare integers only — a
 stale stamp produces a miss, never a wrong answer.
 """

@@ -30,8 +30,9 @@ __all__ = ["exec_cache_probe"]
 
 def exec_cache_probe(ctx, walk):
     """Generator: execute a CacheProbe operator → ResultHandle."""
-    from ..query.conjunction import _locate_leaves, exec_bgp, walk_mode, walk_site
+    from ..query.conjunction import empty_walk, exec_bgp, walk_mode, walk_site
     from ..query.plan import ResultHandle
+    from ..query.primitive import locate_leaves
     from ..query.strategies import ConjunctionMode
 
     cfg = ctx.cache_cfg()
@@ -40,10 +41,15 @@ def exec_cache_probe(ctx, walk):
 
     # Locate every leaf up front (the walk needs the rows anyway); pin
     # the results so the fallback walk never consults the index twice.
-    steps = yield from _locate_leaves(ctx, walk.children)
-    for leaf, info in steps:
+    infos = yield from locate_leaves(ctx, walk.children,
+                                     partial=ctx.options.partial_results)
+    for leaf, info in zip(walk.children, infos):
         leaf.lookup.info = info
-    infos = [info for _leaf, info in steps]
+    if any(info is None for info in infos):
+        # partial_results dropped a pattern (flagged while locating): the
+        # walk is the empty subset and there is nothing to probe.
+        walk.detail["cache"] = "bypass"
+        return empty_walk(ctx, walk)
 
     if (
         walk_mode(ctx, walk) is not ConjunctionMode.OPTIMIZED

@@ -4,7 +4,7 @@ from .idspace import IdentifierSpace
 from .hashing import hash_string, hash_term, hash_terms
 from .node import ChordNode, LookupResult, NodeRef
 from .ring import ChordRing
-from .lookup import LookupSample, lookup, lookup_avoiding, measure_lookups
+from .lookup import LookupSample, lookup, measure_lookups
 
 __all__ = [
     "IdentifierSpace",
@@ -16,7 +16,6 @@ __all__ = [
     "LookupResult",
     "ChordRing",
     "lookup",
-    "lookup_avoiding",
     "measure_lookups",
     "LookupSample",
 ]

@@ -16,7 +16,7 @@ from ..net.transport import Network
 from .node import LookupResult, NodeRef
 from .ring import ChordRing
 
-__all__ = ["lookup", "lookup_avoiding", "LookupSample", "measure_lookups"]
+__all__ = ["lookup", "LookupSample", "measure_lookups"]
 
 
 def lookup(network: Network, entry: NodeRef, key: int, initiator: str = "client") -> LookupResult:
@@ -29,31 +29,6 @@ def lookup(network: Network, entry: NodeRef, key: int, initiator: str = "client"
 
     def proc():
         result = yield network.call(initiator, entry.node_id, "find_successor", {"key": key})
-        # Capture completion time *inside* the process: after run() returns
-        # the clock has also drained unrelated RPC-timeout timers.
-        return result, network.sim.now
-
-    result, _completed_at = network.sim.run_process(proc())
-    return result
-
-
-def lookup_avoiding(
-    network: Network,
-    entry: NodeRef,
-    key: int,
-    initiator: str = "client",
-    avoid: Sequence[str] = (),
-) -> LookupResult:
-    """Like :func:`lookup`, but carries an ``avoid`` hint so the ring
-    answers with the dead owner's replica holder instead of the owner
-    itself (failover routing; Sect. III-D takeover)."""
-
-    payload = {"key": key}
-    if avoid:
-        payload["avoid"] = list(avoid)
-
-    def proc():
-        result = yield network.call(initiator, entry.node_id, "find_successor", payload)
         return result
 
     return network.sim.run_process(proc())

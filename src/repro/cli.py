@@ -91,7 +91,9 @@ __all__ = [
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    """Options shared by the default query mode and ``trace``."""
+    """Options shared by the default query mode and ``trace``; every
+    executor default is read from :class:`ExecutionOptions`."""
+    defaults = ExecutionOptions()
     parser.add_argument(
         "--data", action="append", default=[], metavar="FILE.nt",
         help="N-Triples file; each file becomes one storage node "
@@ -103,25 +105,26 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--strategy", choices=[s.value for s in PrimitiveStrategy],
-        default=PrimitiveStrategy.FREQ.value,
-        help="primitive-query strategy (Sect. IV-C; default freq)",
+        default=defaults.primitive_strategy.value,
+        help="primitive-query strategy (Sect. IV-C; default "
+             f"{defaults.primitive_strategy.value})",
     )
     parser.add_argument(
         "--conjunction", choices=[m.value for m in ConjunctionMode],
-        default=ConjunctionMode.OPTIMIZED.value,
+        default=defaults.conjunction_mode.value,
         help="conjunction processing mode (Sect. IV-D)",
     )
     parser.add_argument(
         "--join-site", choices=[p.value for p in JoinSitePolicy],
-        default=JoinSitePolicy.MOVE_SMALL.value,
+        default=defaults.join_site_policy.value,
         help="join-site selection policy (Sect. II)",
     )
     parser.add_argument(
-        "--time-weight", type=float, default=0.5,
+        "--time-weight", type=float, default=defaults.time_weight,
         help="adaptive objective mixture: 0=min bytes, 1=min time",
     )
     parser.add_argument(
-        "--plan", choices=["legacy", "cost"], default="legacy",
+        "--plan", choices=["legacy", "cost"], default=defaults.plan_mode,
         help="physical-plan mode: legacy follows the per-step strategy "
              "flags exactly; cost lets the frequency-driven planner pin "
              "join order, walk mode, chain strategies, and combine sites "
@@ -150,11 +153,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         help="dictionary-delta wire encoding for shipped solution sets",
     )
     parser.add_argument(
-        "--lookup-cache", type=int, default=128, metavar="N",
-        help="per-query LRU capacity for index lookups (0 disables; "
-             "default 128)",
-    )
-    parser.add_argument(
         "--replicas", type=int, default=1, metavar="R",
         help="location-table replication factor (Sect. III-D; default 1; "
              "failover needs R >= 2)",
@@ -165,9 +163,9 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
              "(default 0 = fail fast)",
     )
     parser.add_argument(
-        "--backoff", type=float, default=0.05, metavar="SECS",
+        "--backoff", type=float, default=defaults.backoff, metavar="SECS",
         help="base exponential backoff between retry attempts, with "
-             "seeded jitter (default 0.05)",
+             f"seeded jitter (default {defaults.backoff})",
     )
     parser.add_argument(
         "--failover", action="store_true",
@@ -212,9 +210,9 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
              "ledger (default off)",
     )
     parser.add_argument(
-        "--cache-bytes", type=int, default=262144, metavar="N",
+        "--cache-bytes", type=int, default=defaults.cache_bytes, metavar="N",
         help="per-node byte budget for cached solution data "
-             "(default 262144)",
+             f"(default {defaults.cache_bytes})",
     )
     parser.add_argument(
         "--state-dir", metavar="DIR", default=None,
@@ -764,7 +762,6 @@ def _build_options(args: argparse.Namespace) -> ExecutionOptions:
         semijoin=args.semijoin,
         projection_pushdown=args.projection_pushdown,
         dictionary_encoding=args.dict_encoding,
-        lookup_cache_size=args.lookup_cache,
         retries=args.retries,
         backoff=args.backoff,
         failover=args.failover,

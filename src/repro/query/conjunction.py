@@ -27,13 +27,19 @@ from ..net.transport import RpcTimeout
 from ..net.wire import PRUNED_COUNTER_BYTES
 from ..sparql import ast
 from .failover import dispatch_primitive
-from .join_site import combine_handles, digest_embed_cost, fetch_digest
-from .physical import BGPWalk, ChainShip, FilterOp, HashJoin, note_lookup
+from .join_site import (
+    combine_handles, digest_embed_cost, fetch_digest, least_loaded_site,
+)
+from .physical import BGPWalk, ChainShip, FilterOp, HashJoin, note_result
 from .plan import PatternInfo, ResultHandle, choose_shared_site, subquery_algebra
-from .primitive import exec_broadcast, exec_pattern_to_site, primitive_payload
+from .primitive import (
+    exec_broadcast, exec_pattern_to_site, locate_leaves, note_dropped,
+    primitive_payload,
+)
 from .strategies import ConjunctionMode, JoinSitePolicy
 
-__all__ = ["exec_bgp", "exec_join", "exec_filter", "walk_mode", "walk_site"]
+__all__ = ["exec_bgp", "empty_walk", "exec_join", "exec_filter", "walk_mode",
+           "walk_site"]
 
 #: One conjunction step: the plan leaf and its located index row.
 Step = Tuple[ChainShip, PatternInfo]
@@ -41,109 +47,59 @@ Step = Tuple[ChainShip, PatternInfo]
 
 def exec_bgp(ctx, walk: BGPWalk):
     """Generator: execute a conjunction walk operator → ResultHandle."""
+    mode = walk_mode(ctx, walk)
     span = ctx.tracer.span("conjunction", patterns=len(walk.children),
-                           mode=ctx.options.conjunction_mode.value)
+                           mode=mode.value)
     try:
-        return (yield from _exec_bgp(ctx, walk))
-    finally:
-        span.close()
+        infos = yield from locate_leaves(ctx, walk.children,
+                                         partial=ctx.options.partial_results)
+        if any(info is None for info in infos):
+            # partial_results: a pattern with no reachable index replica
+            # was dropped; its contribution is the empty set and the whole
+            # conjunction collapses to the (safe) empty subset.
+            return empty_walk(ctx, walk)
+        steps: List[Step] = list(zip(walk.children, infos))
+        broadcast_steps = [s for s in steps if s[1].owner is None]
+        indexed_steps = [s for s in steps if s[1].owner is not None]
+        if walk.plan_order is not None:
+            # The cost planner pinned the join order at plan time.
+            position = {id(leaf): i for i, leaf in enumerate(walk.plan_order)}
+            indexed_steps.sort(key=lambda s: position[id(s[0])])
+        elif ctx.options.reorder_joins:
+            # Smallest estimated cardinality first (frequency statistics).
+            indexed_steps.sort(key=lambda s: (s[1].total_frequency,
+                                              str(s[1].pattern)))
 
-
-def _locate_leaves(ctx, leaves: List[ChainShip]):
-    """Generator: the location-table row for every leaf, in parallel.
-
-    Leaves the cost planner already resolved (``lookup.info``) cost
-    nothing; in legacy mode every leaf is consulted here, exactly as the
-    pre-plan engine did.
-    """
-    pending = [leaf for leaf in leaves if leaf.lookup.info is None]
-    located = {}
-    if pending:
-        processes = [
-            ctx.sim.process(_locate_one(ctx, leaf)) for leaf in pending
-        ]
-        infos = yield ctx.sim.all_of(processes)
-        for leaf, info in zip(pending, infos):
-            if info is not None:
-                located[id(leaf)] = info
-                note_lookup(leaf.lookup, info)
-    return [(leaf, located.get(id(leaf), leaf.lookup.info))
-            for leaf in leaves]
-
-
-def _locate_one(ctx, leaf: ChainShip):
-    """Generator: one leaf's location-table row. Under
-    ``options.partial_results`` an index row whose owner *and* replicas
-    are all unreachable degrades to ``None`` (the pattern is dropped,
-    flagged) instead of failing the whole walk."""
-    try:
-        info = yield from ctx.locate(leaf.lookup.pattern,
-                                     leaf.lookup.condition)
-    except RpcTimeout:
-        if not ctx.options.partial_results:
-            raise
-        ctx.flag_partial(str(leaf.lookup.pattern), node=leaf)
-        return None
-    return info
-
-
-def _empty_walk(ctx, walk: BGPWalk, steps: List[Step]):
-    """The degraded (flagged) result of a conjunction walk with a dropped
-    pattern: join(x, ∅) = ∅, so the whole walk contributes the empty set
-    — a guaranteed subset of the true answer."""
-    walk.detail["incomplete"] = True
-    vars_ = frozenset()
-    for leaf, _info in steps:
-        vars_ |= frozenset(leaf.lookup.pattern.variables())
-    return ctx.local_deposit(ctx.new_corr(), set(), vars=vars_)
-
-
-def _exec_bgp(ctx, walk: BGPWalk):
-    steps: List[Step] = yield from _locate_leaves(ctx, walk.children)
-    post_filter = walk.post_filter
-    if any(info is None for _leaf, info in steps):
-        # partial_results: a pattern with no reachable index replica was
-        # dropped by _locate_one; its contribution is the empty set and
-        # the whole conjunction collapses to the (safe) empty subset.
-        return _empty_walk(ctx, walk, steps)
-
-    broadcast_steps = [s for s in steps if s[1].owner is None]
-    indexed_steps = [s for s in steps if s[1].owner is not None]
-    if walk.plan_order is not None:
-        # The cost planner pinned the join order at plan time.
-        position = {id(leaf): i for i, leaf in enumerate(walk.plan_order)}
-        indexed_steps.sort(key=lambda s: position[id(s[0])])
-    elif ctx.options.reorder_joins:
-        # Smallest estimated cardinality first (frequency statistics).
-        indexed_steps.sort(key=lambda s: (s[1].total_frequency,
-                                          str(s[1].pattern)))
-
-    if not indexed_steps:
-        # Degenerate: every pattern is fully unbound.
-        handle = None
+        handle: Optional[ResultHandle] = None
+        if indexed_steps:
+            walk.detail["mode"] = mode.value
+            run = (_exec_basic_mode if mode is ConjunctionMode.BASIC
+                   else _exec_optimized_mode)
+            handle = yield from run(ctx, walk, indexed_steps)
+            if handle is None:
+                # A pattern on the walk had no reachable replica (flagged
+                # by the mode helper): degrade to the empty subset.
+                return empty_walk(ctx, walk)
+        # Fully unbound patterns have no index key: broadcast, join last.
         for _leaf, info in broadcast_steps:
             h = yield from exec_broadcast(ctx, subquery_algebra(info))
             handle = h if handle is None else (
                 yield from combine_handles(ctx, "join", handle, h)
             )
-        return _apply_post_filter_done(ctx, handle, post_filter)
+        return (yield from _apply_post_filter(ctx, handle, walk.post_filter))
+    finally:
+        span.close()
 
-    mode = walk_mode(ctx, walk)
-    walk.detail["mode"] = mode.value
-    if mode is ConjunctionMode.BASIC:
-        handle = yield from _exec_basic_mode(ctx, walk, indexed_steps)
-    else:
-        handle = yield from _exec_optimized_mode(ctx, walk, indexed_steps)
-    if handle is None:
-        # A pattern on the walk had no reachable replica (flagged by the
-        # mode helper): degrade to the empty subset.
-        return _empty_walk(ctx, walk, steps)
 
-    for _leaf, info in broadcast_steps:
-        h = yield from exec_broadcast(ctx, subquery_algebra(info))
-        handle = yield from combine_handles(ctx, "join", handle, h)
-
-    return (yield from _apply_post_filter(ctx, handle, post_filter))
+def empty_walk(ctx, walk: BGPWalk):
+    """The degraded (flagged) result of a conjunction walk with a dropped
+    pattern: join(x, ∅) = ∅, so the whole walk contributes the empty set
+    — a guaranteed subset of the true answer."""
+    walk.detail["incomplete"] = True
+    vars_ = frozenset()
+    for leaf in walk.children:
+        vars_ |= frozenset(leaf.lookup.pattern.variables())
+    return ctx.local_deposit(ctx.new_corr(), set(), vars=vars_)
 
 
 def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
@@ -200,11 +156,7 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
                 raise
             ctx.flag_partial(str(info.pattern), node=leaf)
             return None
-        if ack.get("dropped"):
-            # Some providers of this pattern timed out of the owner's
-            # fan-out: the step's rows are a subset — flag, keep going.
-            ctx.flag_partial(
-                f"{ack['dropped']} providers of {info.pattern}")
+        note_dropped(ctx, ack, info)
         if "digest" in payload:
             pruned = ack.get("pruned", 0)
             ctx.report.rows_pruned += pruned
@@ -212,8 +164,7 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
             ctx.report.digest_bytes += size_of("pruned") + size_of(pruned) + 2
         hvars = frozenset(keep) if keep is not None else pattern_vars[i]
         mine = ResultHandle(info.owner, corr, ack["count"], hvars)
-        leaf.placement = mine.site
-        leaf.actual_rows = mine.count
+        note_result(leaf, mine)
         if handle is None:
             handle = mine
         else:
@@ -243,8 +194,7 @@ def _exec_optimized_mode(ctx, walk: BGPWalk, steps: List[Step]):
     if any(h is None for h in handles):
         return None  # a pattern dropped (flagged in the guard)
     for (leaf, _info), h in zip(steps, handles):
-        leaf.placement = h.site
-        leaf.actual_rows = h.count
+        note_result(leaf, h)
 
     # Pairwise joins at the site, smallest first to keep intermediates low.
     handles.sort(key=lambda h: (h.count, h.corr))
@@ -258,11 +208,11 @@ def _pattern_to_site_guarded(ctx, info: PatternInfo, site: str,
                              leaf: ChainShip):
     """Generator: :func:`exec_pattern_to_site`, degrading an unreachable
     pattern to ``None`` under ``options.partial_results``."""
-    if not ctx.options.partial_results:
-        return (yield from exec_pattern_to_site(ctx, info, site, leaf=leaf))
     try:
         return (yield from exec_pattern_to_site(ctx, info, site, leaf=leaf))
     except RpcTimeout:
+        if not ctx.options.partial_results:
+            raise
         ctx.flag_partial(str(info.pattern), node=leaf)
         return None
 
@@ -288,20 +238,11 @@ def walk_site(ctx, walk: BGPWalk, infos: List[PatternInfo]) -> str:
     if policy is JoinSitePolicy.QUERY_SITE:
         return ctx.initiator
     if policy is JoinSitePolicy.THIRD_SITE:
-        alive = [
-            s for s in sorted(ctx.system.storage_nodes)
-            if ctx.system.network.nodes[s].alive
-        ]
-        if alive:
-            return min(alive, key=lambda node: (ctx.load[node], node))
-        return ctx.initiator
+        return least_loaded_site(ctx)
     # MOVE_SMALL: bring the small sides to the largest pattern's biggest
     # provider, so the bulkiest data moves least.
     biggest = max(infos, key=lambda i: i.total_frequency)
-    if biggest.entries:
-        best = max(biggest.entries, key=lambda e: (e.frequency, e.storage_id))
-        return best.storage_id
-    return ctx.initiator
+    return biggest.heaviest_provider() or ctx.initiator
 
 
 def _apply_post_filter(ctx, handle: ResultHandle,
@@ -334,17 +275,6 @@ def exec_filter(ctx, node: FilterOp, at_home: bool = False):
         return (yield from _apply_post_filter(ctx, handle, node.condition))
     finally:
         span.close()
-
-
-def _apply_post_filter_done(ctx, handle, post_filter):
-    """Non-generator shim for the degenerate all-broadcast path."""
-    if post_filter is None:
-        return handle
-    data = ctx.initiator_peer.mailbox.pop(handle.corr, set())
-    from ..sparql.expr import filter_passes
-
-    filtered = {mu for mu in data if filter_passes(post_filter, mu)}
-    return ctx.local_deposit(ctx.new_corr(), filtered, vars=handle.vars)
 
 
 def exec_join(ctx, node: HashJoin):

@@ -57,9 +57,10 @@ from ..sparql.algebra import BGP
 from ..sparql.optimizer import reorder_bgp
 from .physical import (
     BGPWalk, CachedScan, CacheProbe, ChainShip, EmptyScan, FilterOp,
-    GraphScope, HashJoin, IndexLookup, LeftJoinOp, LocalBGPScan, PhysOp,
-    Ship, UnionOp, note_lookup, walk_plan,
+    GraphScope, HashJoin, LeftJoinOp, LocalBGPScan, PhysOp, Ship, UnionOp,
+    walk_plan,
 )
+from .primitive import locate_leaves
 from .strategies import PrimitiveStrategy
 
 __all__ = [
@@ -313,20 +314,12 @@ def annotate_plan(ctx, plan: PhysOp):
     combine edges get byte estimates that :func:`choose_combine_site`
     reads at execution time.
     """
-    lookups = [op for op in walk_plan(plan) if isinstance(op, IndexLookup)]
-    processes = [
-        ctx.sim.process(_locate_leaf(ctx, lookup)) for lookup in lookups
-    ]
-    if processes:
-        yield ctx.sim.all_of(processes)
-    ctx.report.merge_note(f"cost plan: {len(lookups)} statistics lookups")
+    leaves = [op for op in walk_plan(plan) if isinstance(op, ChainShip)]
+    infos = yield from locate_leaves(ctx, leaves)
+    for leaf, info in zip(leaves, infos):
+        leaf.lookup.info = info
+    ctx.report.merge_note(f"cost plan: {len(leaves)} statistics lookups")
     _estimate(ctx, plan)
-
-
-def _locate_leaf(ctx, lookup: IndexLookup):
-    info = yield from ctx.locate(lookup.pattern, lookup.condition)
-    lookup.info = info
-    note_lookup(lookup, info)
 
 
 def _pin_leaf_strategy(ctx, leaf: ChainShip) -> None:

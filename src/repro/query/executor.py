@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -50,7 +50,7 @@ from ..rdf.namespaces import COMMON_PREFIXES
 from .physical import (
     BGPWalk, CacheProbe, ChainShip, EmptyScan, FilterOp, GraphScope,
     HashJoin, LeftJoinOp, PhysOp, UnionOp, compile_query_plan,
-    execution_root, pattern_leaf, record_postprocess,
+    execution_root, note_result, pattern_leaf, record_postprocess,
 )
 from .plan import PatternInfo, ResultHandle, compute_live_vars
 from .strategies import ExecutionOptions
@@ -83,8 +83,8 @@ class ExecutionReport:
     #: Chain fall-backs after a delivery timeout (failure handling).
     retries: int = 0
     result_count: int = 0
-    #: Per-query lookup-cache effectiveness (the executor's LRU over
-    #: two-level index consultations; see ExecutionOptions.lookup_cache_size).
+    #: Per-query lookup-memo effectiveness (the executor's memo over
+    #: two-level index consultations; see ExecutionContext.locate).
     lookup_cache_hits: int = 0
     lookup_cache_misses: int = 0
     #: Cross-query result-cache effectiveness during this execution's
@@ -180,8 +180,9 @@ class ExecutionContext:
         #: unsound for this query form); set by the executor after plan
         #: analysis (:func:`repro.query.plan.compute_live_vars`).
         self.live_vars: Optional[FrozenSet] = None
-        #: Per-query LRU over (key kind, ring key) → (owner, entries).
-        self._lookup_cache: "OrderedDict" = OrderedDict()
+        #: Per-query memo over (key kind, ring key) → (owner, entries):
+        #: one row per distinct ring key the query touches.
+        self._lookup_cache: Dict[Tuple[Any, int], tuple] = {}
         self._lookup_epoch = system.network.membership_epoch
         node = system.network.node(initiator)
         if not isinstance(node, QueryPeer):
@@ -436,16 +437,18 @@ class ExecutionContext:
         Step 1: find the index node owning Hash(attributes) via the ring
         (free if the initiator's entry node already owns the key).
         Step 2: read that node's location-table row.
+
+        Rows are memoized per query, one per distinct ring key: parallel
+        askers of one key share a single consultation, and a membership
+        or data-epoch change voids the memoized row.
         """
         located = key_for_pattern(pattern, self.system.space)
         if located is None:
             return PatternInfo(pattern, None, None, None, (), 0, condition)
         kind, key = located
-        cache_size = self.options.lookup_cache_size
-        pending: Optional[Event] = None
-        while cache_size > 0:
+        while True:
             # Churn invalidation: any membership change since the last
-            # consultation voids every cached row (a departed node may
+            # consultation voids every memoized row (a departed node may
             # have owned any key; a joiner may have split any range).
             epoch = self.network.membership_epoch
             if epoch != self._lookup_epoch:
@@ -453,8 +456,6 @@ class ExecutionContext:
                 self._lookup_epoch = epoch
             cached = self._lookup_cache.get((kind, key))
             if cached is None:
-                pending = self.sim.event()
-                self._lookup_cache[(kind, key)] = ("pending", pending)
                 break
             if cached[0] == "pending":
                 # Another process of this query is resolving the same
@@ -463,7 +464,7 @@ class ExecutionContext:
                 try:
                     owner_id, entries, fill_epoch, fill_depoch = yield cached[1]
                 except RpcError:
-                    # The filler died (its sentinel is already evicted):
+                    # The filler died (its sentinel is already removed):
                     # resolve for ourselves instead of inheriting a loss
                     # that a retry or failover might still fix.
                     continue
@@ -480,13 +481,11 @@ class ExecutionContext:
             else:
                 owner_id, entries = cached[1], cached[2]
                 if cached[3] != self.network.data_epochs.get(key):
-                    # The cached row predates a delta on this key: evict
+                    # The memoized row predates a delta on this key: drop
                     # it and consult the index again (key-scoped, unlike
-                    # the membership epoch's whole-cache clear).
+                    # the membership epoch's whole-memo clear).
                     self._lookup_cache.pop((kind, key), None)
                     continue
-            if (kind, key) in self._lookup_cache:
-                self._lookup_cache.move_to_end((kind, key))
             self.report.lookup_cache_hits += 1
             cached_span = self.tracer.span(
                 "lookup", phase=PHASE_LOOKUP, pattern=str(pattern),
@@ -494,8 +493,10 @@ class ExecutionContext:
             cached_span.close(hops=0)
             return PatternInfo(pattern, kind, key, owner_id, entries,
                                0, condition)
+        pending = self.sim.event()
+        self._lookup_cache[(kind, key)] = ("pending", pending)
         # The data-epoch stamp is read *before* the consultation goes out:
-        # a delta racing the resolve then keeps the row out of the cache
+        # a delta racing the resolve then keeps the row out of the memo
         # instead of installing a silently stale one.
         data_epoch = self.network.data_epochs.get(key)
         span = self.tracer.span("lookup", phase=PHASE_LOOKUP, pattern=str(pattern))
@@ -504,29 +505,25 @@ class ExecutionContext:
             owner_id, entries, hops = yield from self._resolve(key)
             self.report.lookup_hops += hops
         except BaseException as exc:
-            if pending is not None:
-                if self._lookup_cache.get((kind, key)) == ("pending", pending):
-                    del self._lookup_cache[(kind, key)]
-                pending.fail(exc)
+            if self._lookup_cache.get((kind, key)) == ("pending", pending):
+                del self._lookup_cache[(kind, key)]
+            pending.fail(exc)
             raise
         finally:
             span.close(hops=hops)
-        if pending is not None:
-            self.report.lookup_cache_misses += 1
-            fill_epoch = self.network.membership_epoch
-            if (fill_epoch == self._lookup_epoch
-                    and data_epoch == self.network.data_epochs.get(key)):
-                self._lookup_cache[(kind, key)] = ("done", owner_id,
-                                                   tuple(entries), data_epoch)
-            elif self._lookup_cache.get((kind, key)) == ("pending", pending):
-                # Membership or data changed mid-flight: don't install a
-                # stale row.
-                del self._lookup_cache[(kind, key)]
-            # Waiters get the fill-time epochs so they can re-validate
-            # against the membership and data versions they wake under.
-            pending.succeed((owner_id, tuple(entries), fill_epoch, data_epoch))
-            while len(self._lookup_cache) > cache_size:
-                self._lookup_cache.popitem(last=False)
+        self.report.lookup_cache_misses += 1
+        fill_epoch = self.network.membership_epoch
+        if (fill_epoch == self._lookup_epoch
+                and data_epoch == self.network.data_epochs.get(key)):
+            self._lookup_cache[(kind, key)] = ("done", owner_id,
+                                               tuple(entries), data_epoch)
+        elif self._lookup_cache.get((kind, key)) == ("pending", pending):
+            # Membership or data changed mid-flight: don't install a
+            # stale row.
+            del self._lookup_cache[(kind, key)]
+        # Waiters get the fill-time epochs so they can re-validate
+        # against the membership and data versions they wake under.
+        pending.succeed((owner_id, tuple(entries), fill_epoch, data_epoch))
         return PatternInfo(pattern, kind, key, owner_id, tuple(entries), hops, condition)
 
     def ring_resolve(self, payload: Dict[str, Any]):
@@ -717,8 +714,7 @@ def exec_plan(ctx: ExecutionContext, node: PhysOp, at_home: bool = False):
     else:
         raise QueryFailed(
             f"cannot execute physical operator {type(node).__name__}")
-    node.placement = handle.site
-    node.actual_rows = handle.count
+    note_result(node, handle)
     node.actual_bytes = ctx.system.stats.delta(before).bytes
     return handle
 

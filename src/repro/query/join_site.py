@@ -31,11 +31,12 @@ from ..net.transport import RpcTimeout
 from ..net.wire import JoinDigest, encode_solutions, shed
 from ..sparql import ast
 from ..trace.tracer import PHASE_JOIN, PHASE_SHIP
+from .physical import may_prune
 from .plan import ResultHandle, combine_vars
 from .strategies import JoinSitePolicy
 
-__all__ = ["pick_join_site", "combine_handles", "ship_handle", "fetch_digest",
-           "digest_embed_cost"]
+__all__ = ["pick_join_site", "least_loaded_site", "combine_handles",
+           "ship_handle", "fetch_digest", "digest_embed_cost"]
 
 _PER_ITEM_OVERHEAD = 2
 #: Digest mode switch: at most this many distinct join keys ship as an
@@ -63,17 +64,19 @@ def pick_join_site(ctx, left: ResultHandle, right: ResultHandle) -> str:
             return left.site
         return right.site
     if policy is JoinSitePolicy.THIRD_SITE:
-        # Simulated QoS: the executor tracks how many combine operations
-        # each node has served and picks the least-loaded storage node
-        # (falling back to the operand sites when the system has none).
-        candidates = sorted(ctx.system.storage_nodes) or [left.site, right.site]
-        alive = [
-            c for c in candidates if ctx.system.network.nodes[c].alive
-        ]
-        if not alive:
-            return ctx.initiator
-        return min(alive, key=lambda node: (ctx.load[node], node))
+        return least_loaded_site(ctx)
     raise ValueError(f"unknown join-site policy {policy!r}")
+
+
+def least_loaded_site(ctx) -> str:
+    """Third-Site under simulated QoS: the live storage node that has
+    served the fewest combine operations (ties by node id), else the
+    initiator."""
+    alive = [s for s in sorted(ctx.system.storage_nodes)
+             if ctx.network.nodes[s].alive]
+    if not alive:
+        return ctx.initiator
+    return min(alive, key=lambda node: (ctx.load[node], node))
 
 
 def digest_embed_cost(digest: JoinDigest) -> int:
@@ -205,19 +208,6 @@ def ship_handle(ctx, handle: ResultHandle, site: str, live=None,
         span.close()
 
 
-def _digest_may_prune(op: str, role: str) -> bool:
-    """May the *role* operand of *op* be semijoin-pruned?
-
-    Join is symmetric: either side. LeftJoin keeps every unmatched left
-    row, so only the right operand may be filtered (a right row whose
-    join keys match no left row can neither extend a left row nor make
-    one incompatible). Union and minus ship everything.
-    """
-    if op == "join":
-        return True
-    return op == "leftjoin" and role == "right"
-
-
 def _record_edge(edge, before: ResultHandle, after: ResultHandle,
                  site: str, pruned: Optional[int] = None) -> None:
     """Annotate a plan Ship/SemijoinShip edge with what the transfer did
@@ -279,7 +269,7 @@ def combine_handles(
         digest = None
         if (
             use_semijoin
-            and _digest_may_prune(op, second_role)
+            and may_prune(op, second_role)
             and second.site != site
             and second.count >= opts.semijoin_min_rows
             and first.vars is not None

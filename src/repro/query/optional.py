@@ -11,7 +11,7 @@ operator order — chains of OPTIONALs evaluate left to right.
 from __future__ import annotations
 
 from ..net.transport import RpcTimeout
-from .join_site import combine_handles, pick_join_site
+from .join_site import combine_handles
 from .physical import LeftJoinOp
 
 __all__ = ["exec_leftjoin"]
@@ -42,11 +42,9 @@ def exec_leftjoin(ctx, node: LeftJoinOp):
             return ctx.local_deposit(ctx.new_corr(), set())
         # Move-small is the paper's stated choice for OPTIONAL; other policies
         # remain available for the join-site experiment (E3/E4).
-        site = pick_join_site(ctx, left, right)
-        handle = yield from combine_handles(
-            ctx, "leftjoin", left, right, condition=node.condition, site=site,
+        return (yield from combine_handles(
+            ctx, "leftjoin", left, right, condition=node.condition,
             edges=node.edges,
-        )
-        return handle
+        ))
     finally:
         span.close()

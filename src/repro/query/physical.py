@@ -63,7 +63,7 @@ __all__ = [
     "OrderBy", "Project", "Distinct", "Slice", "FormOp",
     "compile_local", "interpret_local",
     "compile_distributed", "compile_query_plan",
-    "pattern_leaf", "note_lookup",
+    "pattern_leaf", "note_lookup", "note_result", "may_prune",
     "walk_plan", "count_ops", "format_plan",
 ]
 
@@ -463,6 +463,12 @@ def note_lookup(lookup: IndexLookup, info) -> None:
         lookup.detail["key"] = info.key_kind.value
 
 
+def note_result(op: PhysOp, handle) -> None:
+    """Record where *op*'s result landed and how many rows it holds."""
+    op.placement = handle.site
+    op.actual_rows = handle.count
+
+
 def walk_plan(node: PhysOp) -> Iterator[PhysOp]:
     """Pre-order walk over every operator in the tree."""
     yield node
@@ -577,17 +583,21 @@ def _interpret_graph_scope(node: GraphScope, named_graphs, rec) -> SolutionSet:
 # -------------------------------------------------- distributed compilation
 
 
-def _may_prune(op: str, role: str) -> bool:
+def may_prune(op: str, role: str) -> bool:
     """May the *role* operand of *op* ship behind a semijoin digest?
-    Mirrors the combine layer's soundness rule (join: either side;
-    leftjoin: right only; union: neither)."""
+
+    Join is symmetric: either side. LeftJoin keeps every unmatched left
+    row, so only the right operand may be filtered (a right row whose
+    join keys match no left row can neither extend a left row nor make
+    one incompatible). Union and minus ship everything.
+    """
     if op == "join":
         return True
     return op == "leftjoin" and role == "right"
 
 
 def _edge(op: str, role: str, child: PhysOp, options) -> Ship:
-    if options.semijoin and _may_prune(op, role):
+    if options.semijoin and may_prune(op, role):
         return SemijoinShip(child)
     return Ship(child)
 

@@ -63,6 +63,13 @@ class PatternInfo:
                 return entry.frequency
         return 0
 
+    def heaviest_provider(self) -> Optional[str]:
+        """The provider holding the most matching triples (ties toward the
+        larger node id), or None when the row lists no provider."""
+        if not self.entries:
+            return None
+        return max(self.entries, key=lambda e: (e.frequency, e.storage_id)).storage_id
+
 
 @dataclass(frozen=True, slots=True)
 class ResultHandle:

@@ -34,7 +34,8 @@ from .physical import ChainShip, note_lookup
 from .plan import PatternInfo, ResultHandle, subquery_algebra
 from .strategies import PrimitiveStrategy
 
-__all__ = ["exec_primitive", "exec_pattern_to_site", "exec_broadcast", "discover_all_storage"]
+__all__ = ["exec_primitive", "locate_leaves", "exec_pattern_to_site", "exec_broadcast",
+           "discover_all_storage", "note_dropped"]
 
 
 def exec_primitive(ctx, leaf: ChainShip, at_home: bool = False):
@@ -61,10 +62,7 @@ def exec_primitive(ctx, leaf: ChainShip, at_home: bool = False):
             note_lookup(lookup, info)
         if info.owner is None:
             return (yield from exec_broadcast(ctx, subquery_algebra(info)))
-        site = ctx.initiator
-        if at_home and info.entries:
-            heaviest = max(info.entries, key=lambda e: (e.frequency, e.storage_id))
-            site = heaviest.storage_id
+        site = (at_home and info.heaviest_provider()) or ctx.initiator
         return (yield from exec_pattern_to_site(ctx, info, site, leaf=leaf))
     except RpcTimeout:
         # partial_results: a pattern whose owner and replicas are all
@@ -78,6 +76,40 @@ def exec_primitive(ctx, leaf: ChainShip, at_home: bool = False):
             vars=frozenset(lookup.pattern.variables()))
     finally:
         span.close()
+
+
+def locate_leaves(ctx, leaves: List[ChainShip], partial: bool = False):
+    """Generator: the location-table row of every leaf, in list order.
+
+    A leaf whose row is already known (``lookup.info``) costs nothing;
+    the others consult the index as parallel processes, in list order,
+    and their rows are noted on the plan. With *partial*, a leaf whose
+    owner and replicas are all unreachable is flagged and its row comes
+    back None instead of failing the caller.
+    """
+    pending = [leaf for leaf in leaves if leaf.lookup.info is None]
+    located = {}
+    if pending:
+        infos = yield ctx.sim.all_of([
+            ctx.sim.process(_locate_leaf(ctx, leaf, partial))
+            for leaf in pending
+        ])
+        for leaf, info in zip(pending, infos):
+            located[id(leaf)] = info
+            if info is not None:
+                note_lookup(leaf.lookup, info)
+    return [located.get(id(leaf), leaf.lookup.info) for leaf in leaves]
+
+
+def _locate_leaf(ctx, leaf: ChainShip, partial: bool):
+    try:
+        return (yield from ctx.locate(leaf.lookup.pattern,
+                                      leaf.lookup.condition))
+    except RpcTimeout:
+        if not partial:
+            raise
+        ctx.flag_partial(str(leaf.lookup.pattern), node=leaf)
+        return None
 
 
 def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
@@ -199,7 +231,7 @@ def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
             payload["notify_corr"] = tag
         ack, info, corr = yield from dispatch_primitive(
             ctx, info, payload, corr, timeout=ctx.options.delivery_timeout * 4)
-        _note_dropped(ctx, ack, info)
+        note_dropped(ctx, ack, info)
         if ack["mode"] == "direct":
             yield ctx.call(site, "deliver", {"corr": corr, "data": ack["data"]})
             return ResultHandle(site, corr, len(as_solution_set(ack["data"])),
@@ -208,12 +240,12 @@ def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
         return ResultHandle(site, corr, ack["count"], result_vars)
     response, info, corr = yield from dispatch_primitive(
         ctx, info, payload, corr, timeout=ctx.options.delivery_timeout * 4)
-    _note_dropped(ctx, response, info)
+    note_dropped(ctx, response, info)
     return ctx.local_deposit(corr, as_solution_set(response["data"]),
                              vars=result_vars)
 
 
-def _note_dropped(ctx, ack, info: PatternInfo) -> None:
+def note_dropped(ctx, ack, info: PatternInfo) -> None:
     """The gray-failure hint: the owner's fan-out silently timed some
     providers out (exact under crash-stop, a subset under message loss),
     and — because the payload opted in with ``partial`` — said so in the

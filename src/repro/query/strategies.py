@@ -121,9 +121,6 @@ class ExecutionOptions:
     #: Skip the digest round-trip when the candidate operand has fewer
     #: rows than this (the digest would cost more than it saves).
     semijoin_min_rows: int = 4
-    #: Per-query LRU cache of index lookups (0 disables). Invalidated on
-    #: membership churn; hit/miss counts land in the ExecutionReport.
-    lookup_cache_size: int = 128
 
     # --- fault tolerance (PR 6) ------------------------------------------
     # All default off/None: a no-fault run with the defaults is

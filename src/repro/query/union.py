@@ -14,12 +14,12 @@ run at their home sites and the smaller result moves (move-small).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..net.transport import RpcTimeout
 from .join_site import combine_handles
-from .physical import ChainShip, PhysOp, UnionOp, note_lookup
-from .plan import PatternInfo, choose_shared_site
+from .physical import ChainShip, PhysOp, UnionOp, note_result
+from .plan import choose_shared_site
 
 __all__ = ["exec_union"]
 
@@ -32,75 +32,48 @@ def _leaf(node: PhysOp) -> Optional[ChainShip]:
 
 def exec_union(ctx, node: UnionOp):
     """Generator: execute UnionOp(P1, P2) → ResultHandle."""
+    from .executor import exec_subtrees_parallel
+    from .primitive import exec_pattern_to_site, locate_leaves
+
     span = ctx.tracer.span("union")
     try:
-        return (yield from _exec_union(ctx, node))
-    finally:
-        span.close()
-
-
-def _exec_union(ctx, node: UnionOp):
-    from .executor import exec_subtrees_parallel
-    from .primitive import exec_pattern_to_site
-
-    left_leaf = _leaf(node.left)
-    right_leaf = _leaf(node.right)
-    if left_leaf is not None and right_leaf is not None:
-        # Plan the collection site from the location tables (Sect. IV-F's
-        # D3 example): overlap -> both chains end at the shared node.
-        try:
-            leaves = [left_leaf, right_leaf]
-            infos: List[PatternInfo] = yield from _locate_pair(ctx, leaves)
-            if all(info.owner is not None for info in infos):
-                site = choose_shared_site(infos)
+        leaves = [_leaf(node.left), _leaf(node.right)]
+        if None not in leaves:
+            # Plan the collection site from the location tables (Sect.
+            # IV-F's D3 example): overlap -> both chains end at the
+            # shared node.
+            try:
+                infos = yield from locate_leaves(ctx, leaves)
+                site = None
+                if all(info.owner is not None for info in infos):
+                    site = choose_shared_site(infos)
                 if site is not None:
                     ctx.report.merge_note(f"union site {site}")
-                    processes = [
+                    left, right = yield ctx.sim.all_of([
                         ctx.sim.process(
                             exec_pattern_to_site(ctx, info, site, leaf=leaf))
                         for leaf, info in zip(leaves, infos)
-                    ]
-                    left, right = yield ctx.sim.all_of(processes)
+                    ])
                     for leaf, h in zip(leaves, (left, right)):
-                        leaf.placement = h.site
-                        leaf.actual_rows = h.count
-                    handle = yield from combine_handles(
-                        ctx, "union", left, right, site=site, edges=node.edges
-                    )
-                    return handle
-        except RpcTimeout:
-            # partial_results: the shared-site shortcut hit a dead node;
-            # fall through to the general path, whose per-branch guards
-            # degrade an unreachable branch instead of failing (union is
-            # monotone, so surviving branches are a safe subset).
-            if not ctx.options.partial_results:
-                raise
-            ctx.report.merge_note("union shared-site path degraded")
+                        note_result(leaf, h)
+                    return (yield from combine_handles(
+                        ctx, "union", left, right, site=site, edges=node.edges))
+            except RpcTimeout:
+                # partial_results: the shared-site shortcut hit a dead
+                # node; fall through to the general path, whose
+                # per-branch guards degrade an unreachable branch instead
+                # of failing (union is monotone, so surviving branches
+                # are a safe subset).
+                if not ctx.options.partial_results:
+                    raise
+                ctx.report.merge_note("union shared-site path degraded")
 
-    left, right = yield from exec_subtrees_parallel(
-        ctx, [node.left, node.right])
-    if left.site == right.site:
-        handle = yield from combine_handles(ctx, "union", left, right,
-                                            site=left.site, edges=node.edges)
-        return handle
-    handle = yield from combine_handles(ctx, "union", left, right,
-                                        edges=node.edges)
-    return handle
-
-
-def _locate_pair(ctx, leaves: List[ChainShip]):
-    """Generator: rows for both union leaves — prefetched in cost mode,
-    a parallel consultation (exactly the legacy traffic) otherwise."""
-    pending = [leaf for leaf in leaves if leaf.lookup.info is None]
-    located = {}
-    if pending:
-        processes = [
-            ctx.sim.process(ctx.locate(leaf.lookup.pattern,
-                                       leaf.lookup.condition))
-            for leaf in pending
-        ]
-        infos = yield ctx.sim.all_of(processes)
-        for leaf, info in zip(pending, infos):
-            located[id(leaf)] = info
-            note_lookup(leaf.lookup, info)
-    return [located.get(id(leaf), leaf.lookup.info) for leaf in leaves]
+        left, right = yield from exec_subtrees_parallel(
+            ctx, [node.left, node.right])
+        # Branches that ended at one node union there; otherwise the
+        # join-site policy picks where.
+        site = left.site if left.site == right.site else None
+        return (yield from combine_handles(ctx, "union", left, right,
+                                           site=site, edges=node.edges))
+    finally:
+        span.close()

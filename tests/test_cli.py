@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_options, build_parser, build_trace_parser, main
+from repro.query import ExecutionOptions
 from repro.rdf import serialize_ntriples
 from repro.workloads import paper_example_partition
 
@@ -89,6 +90,12 @@ class TestCli:
     def test_no_data_errors(self):
         with pytest.raises(SystemExit, match="at least one"):
             main(["--query", "ASK { ?s ?p ?o . }"])
+
+    def test_bare_flags_build_default_options(self):
+        """Every executor default the CLI shows is ExecutionOptions'."""
+        for args in (build_parser().parse_args(["--query", "ASK {}"]),
+                     build_trace_parser().parse_args([])):
+            assert _build_options(args) == ExecutionOptions()
 
     def test_strategy_choices_enforced(self, data_files):
         with pytest.raises(SystemExit):

@@ -1,7 +1,6 @@
-"""Per-query LRU caching of two-level index consultations."""
+"""The per-query memo of two-level index consultations."""
 
 
-from repro.net.sizes import HEADER_BYTES
 from repro.query import DistributedExecutor
 from repro.query.executor import ExecutionContext, ExecutionReport
 from repro.rdf import Variable
@@ -37,22 +36,6 @@ class TestWithinQuery:
         assert report.lookup_cache_hits >= 1
         assert report.lookup_cache_misses >= 1
 
-    def test_disabled_cache_counts_nothing(self, paper_system):
-        executor = DistributedExecutor(paper_system, lookup_cache_size=0)
-        _, report = executor.execute(REPEAT_QUERY, initiator="D1")
-        assert report.lookup_cache_hits == 0
-        assert report.lookup_cache_misses == 0
-
-    def test_results_identical_with_and_without(self, paper_system):
-        on = DistributedExecutor(paper_system)
-        off = DistributedExecutor(paper_system, lookup_cache_size=0)
-        r_on, rep_on = on.execute(REPEAT_QUERY, initiator="D1")
-        r_off, rep_off = off.execute(REPEAT_QUERY, initiator="D1")
-        assert set(map(str, r_on.rows)) == set(map(str, r_off.rows))
-        # A hit saves at least one round trip's envelope bytes.
-        assert rep_on.bytes_total < rep_off.bytes_total
-        assert rep_off.bytes_total - rep_on.bytes_total >= 2 * HEADER_BYTES
-
     def test_cached_locate_returns_same_entries(self, paper_system):
         ctx = make_ctx(paper_system)
         pattern = TriplePattern(X, FOAF.knows, Y)
@@ -85,18 +68,8 @@ class TestInvalidation:
         assert ctx.report.lookup_cache_hits == 0
         assert ctx.report.lookup_cache_misses == 2
 
-    def test_lru_evicts_oldest(self, paper_system):
-        ctx = make_ctx(paper_system, lookup_cache_size=1)
-        knows = TriplePattern(X, FOAF.knows, Y)
-        name = TriplePattern(X, FOAF.name, Z)
-        locate(paper_system, ctx, knows)
-        locate(paper_system, ctx, name)   # evicts knows
-        locate(paper_system, ctx, knows)  # miss again
-        assert ctx.report.lookup_cache_hits == 0
-        assert ctx.report.lookup_cache_misses == 3
-
-    def test_capacity_two_keeps_both(self, paper_system):
-        ctx = make_ctx(paper_system, lookup_cache_size=2)
+    def test_memo_keeps_every_key(self, paper_system):
+        ctx = make_ctx(paper_system)
         knows = TriplePattern(X, FOAF.knows, Y)
         name = TriplePattern(X, FOAF.name, Z)
         locate(paper_system, ctx, knows)

@@ -116,3 +116,23 @@ class TestConjunctionUnderFailure:
                 union.update(iter(node.graph))
         oracle = evaluate_query(parse_query(query, COMMON_PREFIXES), union)
         assert result.rows == oracle.rows
+
+
+class TestPartialResults:
+    WALK = """SELECT ?x ?y ?z WHERE {
+        ?x foaf:knows ?z . ?x ns:knowsNothingAbout ?y . }"""
+
+    @pytest.mark.parametrize("result_cache", [False, True])
+    def test_walk_with_unreachable_index_row_is_flagged_empty(self, result_cache):
+        """A walk pattern whose index owner is dead (no replica) drops the
+        whole walk to a flagged empty subset, with or without the cache
+        probe in front of it."""
+        system = build_system()
+        _kind, key = key_for_pattern(TriplePattern(X, FOAF.knows, Y), system.space)
+        system.network.fail_node(system.ring.owner_of(key).node_id)
+        executor = DistributedExecutor(
+            system, partial_results=True, result_cache=result_cache)
+        result, report = executor.execute(self.WALK, initiator="D1")
+        assert result.rows == []
+        assert report.incomplete
+        assert "?x <http://xmlns.com/foaf/0.1/knows> ?z ." in report.dropped_patterns

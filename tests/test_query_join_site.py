@@ -1,11 +1,13 @@
 """Join-site selection tests: Move-Small / Query-Site / Third-Site
 behaviour and shipping mechanics."""
 
+import pytest
 
 from repro.query import DistributedExecutor, JoinSitePolicy, ResultHandle
 from repro.query.executor import ExecutionContext, ExecutionReport
 from repro.query.join_site import combine_handles, pick_join_site, ship_handle
-from repro.rdf import IRI, Variable
+from repro.rdf import COMMON_PREFIXES, IRI, Variable
+from repro.sparql import evaluate_query, parse_query
 from repro.sparql.solutions import SolutionMapping
 
 X, Y = Variable("x"), Variable("y")
@@ -166,3 +168,24 @@ class TestCombine:
 
         paper_system.sim.run_process(proc())
         assert ctx.load["D2"] == 1
+
+
+class TestWalkPostFilter:
+    """A walk over fully unbound patterns combines by broadcast; its
+    cross-pattern FILTER must run wherever that combine landed."""
+
+    QUERY = """SELECT ?s ?x WHERE { ?s ?p ?o . ?x ?y ?z .
+        FILTER(?s = ?x && ?p = ?y && ?o = ?z) }"""
+
+    @pytest.mark.parametrize("policy", list(JoinSitePolicy),
+                             ids=lambda p: p.value)
+    @pytest.mark.parametrize("initiator", ["D1", "D3"])
+    def test_all_unbound_walk_filters_at_combine_site(
+        self, paper_system, policy, initiator
+    ):
+        query = parse_query(self.QUERY, COMMON_PREFIXES)
+        oracle = evaluate_query(query, paper_system.union_graph())
+        executor = DistributedExecutor(paper_system, join_site_policy=policy)
+        result, _ = executor.execute(self.QUERY, initiator=initiator)
+        assert result.rows == oracle.rows
+        assert len(result.rows) > 0

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.query import DistributedExecutor
+from repro.query import ConjunctionMode, DistributedExecutor
+from repro.query.physical import BGPWalk, walk_plan
 from repro.rdf import serialize_ntriples
 from repro.trace import (
     NULL_TRACER,
@@ -128,6 +129,17 @@ class TestSpans:
         _, tracer, _, _ = traced_run(query=FIG5)
         names = {start.name for start, _ in tracer.spans()}
         assert "primitive" in names
+
+    def test_conjunction_span_reports_executed_mode(self):
+        """Under the cost planner the span carries the walk's pinned mode,
+        not the configured --conjunction flag."""
+        _, tracer, _, report = traced_run(
+            plan_mode="cost", conjunction_mode=ConjunctionMode.BASIC)
+        walks = [op for op in walk_plan(report.plan) if isinstance(op, BGPWalk)]
+        spans = [start for start, _ in tracer.spans()
+                 if start.name == "conjunction"]
+        assert [s.detail["mode"] for s in spans] == \
+               [w.detail["mode"] for w in walks] == ["optimized"]
 
     def test_span_closed_on_failure(self):
         system = build_system()
