@@ -339,7 +339,8 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> float:
         """Process events until the heap drains or *until* is reached.
 
-        Returns the final simulation time.
+        With *until* the clock ends at *until* whether or not an event
+        remains beyond it. Returns the final simulation time.
         """
         heap = self._heap
         queue = self._now_queue
@@ -365,12 +366,13 @@ class Simulator:
                 ):
                     entry = head
                     from_heap = True
-            if entry is None:
+            if entry is None or (until is not None and entry[0] > until):
+                # Drained or paused: either way the clock reads *until*
+                # (never earlier than it already reads).
+                if until is not None and until > self.now:
+                    self.now = until
                 return self.now
             time = entry[0]
-            if until is not None and time > until:
-                self.now = until
-                return self.now
             if from_heap:
                 heappop(heap)
             else:

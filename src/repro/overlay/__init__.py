@@ -5,7 +5,7 @@ from .keys import KeyKind, SHAPE_TO_KEY, index_keys, key_for_pattern, ring_key
 from .location_table import LocationEntry, LocationTable
 from .peer import QueryPeer
 from .storage_node import StorageNode
-from .index_node import IndexNode, PRIMITIVE_STRATEGIES
+from .index_node import IndexNode, PRIMITIVE_STRATEGIES, PublicationFailed
 from .system import FIG1_INDEX_IDS, FIG1_STORAGE_IDS, HybridSystem, fig1_network
 from .membership import (
     depart_index_node,
@@ -29,6 +29,7 @@ __all__ = [
     "StorageNode",
     "IndexNode",
     "PRIMITIVE_STRATEGIES",
+    "PublicationFailed",
     "HybridSystem",
     "fig1_network",
     "FIG1_INDEX_IDS",

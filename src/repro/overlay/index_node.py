@@ -10,17 +10,20 @@ failures (Sect. III-D).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from bisect import bisect_right
+from collections import Counter, deque
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 from ..cache.keys import canonical_rows, pattern_cache_key, rebind_rows
 from ..chord.idspace import IdentifierSpace
-from ..chord.node import ChordNode
+from ..chord.node import ChordNode, NodeRef
 from ..net.transport import RpcError
 from ..net.wire import FilteredResult, as_solution_set, encode_solutions, shed
 from .location_table import LocationEntry, LocationTable
 from .peer import QueryPeer
 
-__all__ = ["IndexNode", "PRIMITIVE_STRATEGIES"]
+__all__ = ["IndexNode", "IndexPut", "PublicationFailed", "PRIMITIVE_STRATEGIES"]
 
 #: Strategy names understood by rpc_execute_primitive (Sect. IV-C):
 #: * ``basic`` — parallel fan-out, union at the index node (assembly site)
@@ -28,6 +31,23 @@ __all__ = ["IndexNode", "PRIMITIVE_STRATEGIES"]
 #: * ``freq`` — chain ordered by increasing frequency; the node with the
 #:   most matching triples is last and returns directly to the initiator.
 PRIMITIVE_STRATEGIES = ("basic", "chained", "freq")
+
+#: Times one publication entry may bounce off an index node that does
+#: not own it (each bounce is followed by a fresh lookup) before the
+#: publication fails.
+MAX_BOUNCES = 3
+
+
+class PublicationFailed(RuntimeError):
+    """Index entries kept bouncing off the nodes their lookups named."""
+
+
+class IndexPut(NamedTuple):
+    """Reply of ``index_put``: the receiver's successor and the entries
+    it refused because it does not own their keys."""
+
+    successor: NodeRef
+    bounced: List[tuple]
 
 
 class IndexNode(QueryPeer, ChordNode):
@@ -59,16 +79,24 @@ class IndexNode(QueryPeer, ChordNode):
 
     # ------------------------------------------------- index write handlers
 
-    def rpc_index_put(self, payload: Dict[str, Any], src: str) -> int:
-        """Install location-table entries; replicate to successors.
+    def rpc_index_put(self, payload: Dict[str, Any], src: str) -> IndexPut:
+        """Install the location-table entries this node owns; replicate
+        them to successors.
 
         Payload: ``entries`` — list of (key, storage_id, frequency).
+        Entries outside this node's arc (a lookup or successor pointer
+        that raced a join) are not installed but returned as ``bounced``
+        for the publisher to re-resolve; the reply also names this
+        node's successor, the owner of the publisher's next arc.
         """
-        entries = payload["entries"]
-        for key, storage_id, freq in entries:
+        owned, bounced = [], []
+        for entry in payload["entries"]:
+            (owned if self.owns(entry[0]) else bounced).append(entry)
+        for key, storage_id, freq in owned:
             self.table.add(key, storage_id, freq)
-        self._replicate(entries)
-        return len(entries)
+        if owned:
+            self._replicate(owned)
+        return IndexPut(self.successor, bounced)
 
     def rpc_replica_put(self, payload: Dict[str, Any], src: str) -> None:
         for key, storage_id, freq in payload["entries"]:
@@ -94,36 +122,57 @@ class IndexNode(QueryPeer, ChordNode):
             )
 
     def rpc_publish(self, payload: Dict[str, Any], src: str):
-        """Publication entry point for an attached storage node.
+        """Publication entry point for an attached storage node — the
+        index-construction process of Sect. III-B.
 
-        Routes each key to its owning index node with real
-        ``find_successor`` lookups, then installs rows in per-owner
-        batches — the index-construction process of Sect. III-B.
+        Payload: ``storage_id`` and ``entries``, (key, frequency) pairs in
+        ascending ring-key order. The walk goes clockwise round the ring
+        from this node, arc by arc: an owner O takes every pending key up
+        to ``O.ident`` in one ``index_put``, whose reply names O's
+        successor, the owner of the next arc. The first hint is this
+        node's own successor and its own keys come last, installed
+        locally. A ``find_successor`` is sent only where the hint owns
+        none of the next keys (a gap in a sparse batch) or an owner
+        bounced entries outside its arc; an entry that bounces more than
+        ``MAX_BOUNCES`` times fails the publication with
+        :class:`PublicationFailed`, never silently.
         """
         storage_id = payload["storage_id"]
-        by_owner: Dict[str, List] = {}
-        pending = []
-        for key, freq in payload["entries"]:
-            if self.owns(key):
-                by_owner.setdefault(self.node_id, []).append((key, storage_id, freq))
-            else:
-                pending.append(
-                    (key, freq, self.call(self.node_id, "find_successor", {"key": key}))
-                )
-        if pending:
-            # Resolve all owner lookups in parallel (they are independent).
-            results = yield self.sim.all_of([event for _, _, event in pending])
-            for (key, freq, _), result in zip(pending, results):
-                by_owner.setdefault(result.ref.node_id, []).append(
-                    (key, storage_id, freq)
-                )
+        entries = payload["entries"]
+        cut = bisect_right(entries, self.ident, key=itemgetter(0))
+        todo = deque((key, storage_id, freq)
+                     for key, freq in entries[cut:] + entries[:cut])
+        within = self.space.between_right_closed
+        low, target = self.ident, self.successor
+        bounces: Counter = Counter()
         installed = 0
-        for owner in sorted(by_owner):
-            batch = by_owner[owner]
-            if owner == self.node_id:
-                installed += self.rpc_index_put({"entries": batch}, self.node_id)
+        while todo:
+            if target is None:
+                key = todo[0][0]
+                found = yield self.call(self.node_id, "find_successor", {"key": key})
+                low, target = key - 1, found.ref
+            run = []
+            while todo and within(todo[0][0], low, target.ident):
+                run.append(todo.popleft())
+            if not run:  # the hint owns none of the next keys
+                target = None
+                continue
+            if target == self.ref:
+                reply = self.rpc_index_put({"entries": run}, self.node_id)
             else:
-                installed += yield self.call(owner, "index_put", {"entries": batch})
+                reply = yield self.call(target.node_id, "index_put", {"entries": run})
+            installed += len(run) - len(reply.bounced)
+            if not reply.bounced:
+                low, target = target.ident, reply.successor
+                continue
+            keys = {key for key, _, _ in reply.bounced}
+            bounces.update(keys)
+            if max(bounces[key] for key in keys) > MAX_BOUNCES:
+                raise PublicationFailed(
+                    f"{len(reply.bounced)} entries of {storage_id} still "
+                    f"bounce at {target.node_id} after {MAX_BOUNCES} lookups")
+            todo.extendleft(reversed(reply.bounced))
+            target = None
         return installed
 
     # ------------------------------------------------------- index lookups

@@ -8,9 +8,11 @@ triples under the six keys of Sect. III-B.
 Publication modes:
 
 * ``publish_protocol`` — the faithful message-level process: the storage
-  node ships its key batch to its index node, which routes every key to
-  its owner with real ``find_successor`` lookups and installs the rows
-  with ``index_put``. Used by the experiments that *measure* publication.
+  node ships its key batch to its index node, which walks the sorted
+  keys round the ring arc by arc — one ``index_put`` per owning index
+  node, each reply naming the next owner, a ``find_successor`` only for
+  a gap or a bounced entry. Used by the experiments that *measure*
+  publication.
 * ``publish_fast`` — ground-truth placement without messages (identical
   resulting index). Used to set up large systems whose experiments only
   measure the query phase.
@@ -269,8 +271,8 @@ class HybridSystem:
 
     def _announce(self, storage: StorageNode, counts) -> int:
         """Publish *counts* with real messages: one ``publish`` call to
-        the storage node's index node, which routes every key to its
-        owner (``IndexNode.rpc_publish``)."""
+        the storage node's index node, which places every entry at its
+        owner arc by arc (``IndexNode.rpc_publish``)."""
         assert storage.index_node_id is not None
         entries = [(key, freq) for (kind, key), freq in _ordered(counts)]
         for key, _freq in entries:

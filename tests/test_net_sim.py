@@ -200,6 +200,24 @@ class TestEvents:
         sim.timeout(10)
         assert sim.run(until=4) == 4
 
+    def test_run_until_advances_an_idle_clock(self):
+        sim = Simulator()
+        assert sim.run(until=2.5) == 2.5 == sim.now
+        sim.timeout(1)
+        assert sim.run(until=7) == 7  # the heap drains at 3.5 first
+
+    def test_run_until_skips_tombstones(self):
+        sim = Simulator()
+        entry = sim._schedule_after(1.0, print)
+        entry[2] = None  # withdrawn: only a tombstone is left
+        assert sim.run(until=4) == 4
+
+    def test_run_until_never_rewinds(self):
+        sim = Simulator()
+        sim.run(until=5)
+        sim.timeout(10)
+        assert sim.run(until=3) == 5
+
     def test_deadlock_detection(self):
         sim = Simulator()
 
