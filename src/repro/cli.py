@@ -33,23 +33,21 @@ fixed concurrency or open-loop Poisson arrivals) through one simulation
 and prints throughput, latency percentiles, and admission statistics::
 
     python -m repro bench-load --data ./shared/*.nt \
-        --mode closed --concurrency 16 --num-queries 64 --contention
+        --mode closed --concurrency 16 --num-queries 64 --no-contention
 
-The ``chaos`` subcommand runs that workload under a seeded message-level
-fault plan (loss, duplication, delay spikes, directional partitions,
-node brownouts) with the gray-failure defenses switchable from the
-command line, and prints completion, latency, fault, and breaker
-counters — the same plans replay bit-identically for a fixed seed::
+Any fault rate or count (``--loss``, ``--duplicate``, ``--delay``,
+``--partitions``, ``--brownouts``) runs that workload under a seeded
+message-level fault plan, with the gray-failure defenses switchable from
+the command line, and adds the faults injected and the defense counters
+to the output — the same plan replays bit-identically for a fixed seed::
 
-    python -m repro chaos --data ./shared/*.nt --chaos-seed 7 \
+    python -m repro bench-load --data ./shared/*.nt --chaos-seed 7 \
         --loss 0.05 --brownouts 1 --breaker --partial-results
 
-The ``profile`` subcommand runs the same workload under :mod:`cProfile`
-and prints the hottest functions by cumulative time — where the engine
-spends *real* time, for performance work on the engine itself::
+Where the engine spends *real* time is a question for :mod:`cProfile`::
 
-    python -m repro profile --data ./shared/*.nt \
-        --concurrency 16 --num-queries 64 --top 25
+    python -m cProfile -s cumulative -m repro bench-load \
+        --data ./shared/*.nt --concurrency 16 --num-queries 64
 
 With ``--state-dir`` every node write-ahead logs its state under the
 given directory; the ``checkpoint`` subcommand snapshots and compacts
@@ -63,37 +61,70 @@ that state, and ``recover`` rebuilds the whole system from it::
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import pathlib
 import sys
-from typing import Optional, Sequence
+import typing
+from typing import Callable, Optional, Sequence, Tuple
 
 from .overlay.system import HybridSystem
 from .query.executor import DistributedExecutor
-from .query.strategies import (
-    ConjunctionMode,
-    ExecutionOptions,
-    JoinSitePolicy,
-    PrimitiveStrategy,
-)
+from .query.strategies import ExecutionOptions
 from .rdf.ntriples import parse_ntriples
 
 __all__ = [
     "main",
+    "parse_args",
     "build_parser",
     "build_trace_parser",
     "build_explain_parser",
     "build_bench_load_parser",
-    "build_chaos_parser",
-    "build_profile_parser",
     "build_checkpoint_parser",
     "build_recover_parser",
 ]
 
 
+def _add_execution_options(parser: argparse.ArgumentParser) -> None:
+    """One flag per :class:`ExecutionOptions` field, spelled and explained
+    by the field's metadata; the flag's dest is the field name."""
+    group = parser.add_argument_group("execution options")
+    hints = typing.get_type_hints(ExecutionOptions)
+    for f in dataclasses.fields(ExecutionOptions):
+        meta = dict(f.metadata)
+        help_text = meta.pop("help")
+        negated = "no-" if f.default is True else ""
+        flag = meta.pop("flag", f"--{negated}{f.name.replace('_', '-')}")
+        kind = hints[f.name]
+        if kind is bool:
+            group.add_argument(
+                flag, dest=f.name, help=help_text,
+                action="store_false" if f.default else "store_true",
+            )
+            continue
+        kind = next(t for t in typing.get_args(kind) or (kind,) if t is not type(None))
+        shown = f.default
+        if issubclass(kind, enum.Enum):
+            meta.update(choices=list(kind),
+                        metavar="{" + ",".join(m.value for m in kind) + "}")
+            shown = shown.value
+        if "const" in meta:
+            meta["nargs"] = "?"
+        group.add_argument(
+            flag, dest=f.name, type=kind, default=f.default,
+            help=f"{help_text} (default: {shown})", **meta,
+        )
+
+
+def _options(args: argparse.Namespace) -> ExecutionOptions:
+    return ExecutionOptions(
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(ExecutionOptions)}
+    )
+
+
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    """Options shared by the default query mode and ``trace``; every
-    executor default is read from :class:`ExecutionOptions`."""
-    defaults = ExecutionOptions()
+    """The system's shape plus every executor option; shared by every
+    command that runs queries."""
     parser.add_argument(
         "--data", action="append", default=[], metavar="FILE.nt",
         help="N-Triples file; each file becomes one storage node "
@@ -104,115 +135,13 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         help="number of ring index nodes (default 8)",
     )
     parser.add_argument(
-        "--strategy", choices=[s.value for s in PrimitiveStrategy],
-        default=defaults.primitive_strategy.value,
-        help="primitive-query strategy (Sect. IV-C; default "
-             f"{defaults.primitive_strategy.value})",
-    )
-    parser.add_argument(
-        "--conjunction", choices=[m.value for m in ConjunctionMode],
-        default=defaults.conjunction_mode.value,
-        help="conjunction processing mode (Sect. IV-D)",
-    )
-    parser.add_argument(
-        "--join-site", choices=[p.value for p in JoinSitePolicy],
-        default=defaults.join_site_policy.value,
-        help="join-site selection policy (Sect. II)",
-    )
-    parser.add_argument(
-        "--time-weight", type=float, default=defaults.time_weight,
-        help="adaptive objective mixture: 0=min bytes, 1=min time",
-    )
-    parser.add_argument(
-        "--plan", choices=["legacy", "cost"], default=defaults.plan_mode,
-        help="physical-plan mode: legacy follows the per-step strategy "
-             "flags exactly; cost lets the frequency-driven planner pin "
-             "join order, walk mode, chain strategies, and combine sites "
-             "at plan time",
-    )
-    parser.add_argument(
         "--initiator", default=None,
         help="node issuing the query (default: first storage node)",
-    )
-    parser.add_argument(
-        "--no-optimize", action="store_true",
-        help="disable algebraic optimization (filter pushing)",
-    )
-    parser.add_argument(
-        "--semijoin", action="store_true",
-        help="semijoin/Bloom pre-filtering: ship join-key digests so "
-             "non-joining rows never travel",
-    )
-    parser.add_argument(
-        "--projection-pushdown", action="store_true",
-        help="prune dead variables from intermediate results before "
-             "every ship (sound for DISTINCT/ASK/CONSTRUCT queries)",
-    )
-    parser.add_argument(
-        "--dict-encoding", action="store_true",
-        help="dictionary-delta wire encoding for shipped solution sets",
     )
     parser.add_argument(
         "--replicas", type=int, default=1, metavar="R",
         help="location-table replication factor (Sect. III-D; default 1; "
              "failover needs R >= 2)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="retry budget per RPC: N extra attempts after a timeout "
-             "(default 0 = fail fast)",
-    )
-    parser.add_argument(
-        "--backoff", type=float, default=defaults.backoff, metavar="SECS",
-        help="base exponential backoff between retry attempts, with "
-             f"seeded jitter (default {defaults.backoff})",
-    )
-    parser.add_argument(
-        "--failover", action="store_true",
-        help="re-route timed-out lookups and primitive dispatches to "
-             "replica holders via the successor list (needs --replicas>=2)",
-    )
-    parser.add_argument(
-        "--hedge", type=float, default=None, metavar="SECS", nargs="?",
-        const=0.0,
-        help="hedged index reads: duplicate a slow lookup to a replica "
-             "after SECS (bare --hedge = auto, the p95 of observed "
-             "lookup RTTs)",
-    )
-    parser.add_argument(
-        "--query-deadline", type=float, default=None, metavar="SECS",
-        help="end-to-end deadline per query, propagated with every "
-             "downstream call (default: none)",
-    )
-    parser.add_argument(
-        "--breaker", action="store_true",
-        help="per-peer health ledger + circuit breakers: open circuits "
-             "fail calls instantly and failover routes around them "
-             "before dialing (default off)",
-    )
-    parser.add_argument(
-        "--breaker-latency", type=float, default=None, metavar="SECS",
-        help="EWMA RTT above which a responding peer is treated as "
-             "browned out and its breaker tripped (gray-failure "
-             "detection; default: timeouts only)",
-    )
-    parser.add_argument(
-        "--partial-results", action="store_true",
-        help="degrade instead of fail: when every replica of a "
-             "sub-pattern is unreachable, return a flagged subset of the "
-             "answer rather than raising (default off)",
-    )
-    parser.add_argument(
-        "--result-cache", action="store_true",
-        help="cross-query per-site result cache: index nodes memoize "
-             "primitive results and combine sites memoize BGP "
-             "sub-results, invalidated delta-exactly by the data-epoch "
-             "ledger (default off)",
-    )
-    parser.add_argument(
-        "--cache-bytes", type=int, default=defaults.cache_bytes, metavar="N",
-        help="per-node byte budget for cached solution data "
-             f"(default {defaults.cache_bytes})",
     )
     parser.add_argument(
         "--state-dir", metavar="DIR", default=None,
@@ -228,6 +157,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "--snapshot-every", type=int, default=None, metavar="N",
         help="auto-checkpoint a node's state after N WAL records",
     )
+    _add_execution_options(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,12 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_trace_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro trace",
-        description="Execute one query with tracing enabled and render "
-                    "its message flow (Fig. 3) and per-phase costs.",
-    )
+def _one_query_parser(prog: str, description: str) -> argparse.ArgumentParser:
+    """A parser for a command that runs one query given positionally or
+    by ``--query-file``."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument(
         "query", nargs="?", default=None,
         help="SPARQL query text (or use --query-file)",
@@ -263,6 +191,15 @@ def build_trace_parser() -> argparse.ArgumentParser:
         "--query-file", metavar="FILE.rq", help="file containing the query"
     )
     _add_common_options(parser)
+    return parser
+
+
+def build_trace_parser() -> argparse.ArgumentParser:
+    parser = _one_query_parser(
+        "repro trace",
+        "Execute one query with tracing enabled and render its message "
+        "flow (Fig. 3) and per-phase costs.",
+    )
     parser.add_argument(
         "--jsonl", metavar="FILE.jsonl", default=None,
         help="also write the structured event trace to this JSONL file",
@@ -279,45 +216,29 @@ def build_trace_parser() -> argparse.ArgumentParser:
 
 
 def build_explain_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro explain",
-        description="Execute one query and print its annotated physical "
-                    "operator plan: per-operator placement, estimated vs "
-                    "actual rows, and estimated vs actual wire bytes.",
+    return _one_query_parser(
+        "repro explain",
+        "Execute one query and print its annotated physical operator "
+        "plan: per-operator placement, estimated vs actual rows, and "
+        "estimated vs actual wire bytes.",
     )
-    parser.add_argument(
-        "query", nargs="?", default=None,
-        help="SPARQL query text (or use --query-file)",
-    )
-    parser.add_argument(
-        "--query-file", metavar="FILE.rq", help="file containing the query"
-    )
-    _add_common_options(parser)
-    return parser
 
 
-def _explain_main(argv: Sequence[str]) -> int:
-    from .query.physical import format_plan
-
-    args = build_explain_parser().parse_args(argv)
-    if args.query is not None and args.query_file is not None:
-        raise SystemExit("error: give either a positional query or "
-                         "--query-file, not both")
-    system = _load_system(args)
-    executor = DistributedExecutor(system, _build_options(args))
-    _, report = executor.execute(_query_text(args), initiator=args.initiator)
-    print(format_plan(report.plan))
-    print(
-        f"# totals: {report.result_count} results, {report.messages} "
-        f"messages, {report.bytes_total} bytes, "
-        f"{report.response_time * 1000:.1f} ms simulated "
-        f"(plan={args.plan})"
-    )
-    return 0
+#: The fault flags whose non-zero value installs a fault plan.
+_FAULT_RATES = (
+    ("--loss", float, "P", "per-message drop probability on every link"),
+    ("--duplicate", float, "P", "per-message duplication probability"),
+    ("--delay", float, "P", "per-message delay-spike probability"),
+    ("--partitions", int, "N",
+     "asymmetric one-way link partitions between random node pairs"),
+    ("--brownouts", int, "N",
+     "random nodes browned out (compute and egress scaled) for the fault "
+     "window"),
+)
 
 
 def _add_workload_options(parser: argparse.ArgumentParser) -> None:
-    """Workload-shape options shared by ``bench-load`` and ``profile``."""
+    """Workload shape and fault plan of ``bench-load``."""
     parser.add_argument(
         "--mode", choices=["closed", "open"], default="closed",
         help="closed = fixed concurrency, open = Poisson arrivals "
@@ -359,14 +280,44 @@ def _add_workload_options(parser: argparse.ArgumentParser) -> None:
         help="replace the default Fig. 4-9 mix with these queries "
              "(repeatable)",
     )
+    faults = parser.add_argument_group(
+        "fault injection",
+        "a seeded message-level fault plan is installed only when a fault "
+        "rate or count is non-zero",
+    )
+    for flag, kind, metavar, help_text in _FAULT_RATES:
+        faults.add_argument(flag, type=kind, default=kind(0), metavar=metavar,
+                            help=f"{help_text} (default 0)")
+    faults.add_argument(
+        "--chaos-seed", type=int, default=0,
+        help="fault-plan seed (independent of the workload seed; "
+             "default 0)",
+    )
+    faults.add_argument(
+        "--delay-spike", type=float, default=0.05, metavar="SECS",
+        help="delay-spike magnitude before jitter (default 0.05)",
+    )
+    faults.add_argument(
+        "--brownout-factor", type=float, default=8.0, metavar="X",
+        help="service-time multiplier for browned-out nodes (default 8)",
+    )
+    faults.add_argument(
+        "--fault-start", type=float, default=0.0, metavar="SECS",
+        help="simulated time the fault window opens (default 0)",
+    )
+    faults.add_argument(
+        "--fault-window", type=float, default=60.0, metavar="SECS",
+        help="length of the fault window (default 60)",
+    )
 
 
 def build_bench_load_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro bench-load",
-        description="Drive a multi-query workload through one simulation "
-                    "and report throughput, tail latency, and admission "
-                    "statistics.",
+        description="Drive a multi-query workload through one simulation, "
+                    "optionally under a seeded fault plan, and report "
+                    "throughput, tail latency, admission statistics and "
+                    "the faults actually injected.",
     )
     _add_common_options(parser)
     _add_workload_options(parser)
@@ -374,151 +325,6 @@ def build_bench_load_parser() -> argparse.ArgumentParser:
         "--json", metavar="PATH", default=None,
         help="write the full workload report (summary plus per-job "
              "timeline) to this JSON file",
-    )
-    return parser
-
-
-def build_chaos_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro chaos",
-        description="Drive a bench-load workload under a seeded "
-                    "message-level fault plan (loss, duplication, delay "
-                    "spikes, partitions, node brownouts) and report "
-                    "completion rate, tail latency, and the faults "
-                    "actually injected.",
-    )
-    _add_common_options(parser)
-    _add_workload_options(parser)
-    parser.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="fault-plan seed (independent of the workload seed; "
-             "default 0)",
-    )
-    parser.add_argument(
-        "--loss", type=float, default=0.0, metavar="P",
-        help="per-message drop probability on every link (default 0)",
-    )
-    parser.add_argument(
-        "--duplicate", type=float, default=0.0, metavar="P",
-        help="per-message duplication probability (default 0)",
-    )
-    parser.add_argument(
-        "--delay", type=float, default=0.0, metavar="P",
-        help="per-message delay-spike probability (default 0)",
-    )
-    parser.add_argument(
-        "--delay-spike", type=float, default=0.05, metavar="SECS",
-        help="delay-spike magnitude before jitter (default 0.05)",
-    )
-    parser.add_argument(
-        "--partitions", type=int, default=0, metavar="N",
-        help="asymmetric one-way link partitions between random node "
-             "pairs (default 0)",
-    )
-    parser.add_argument(
-        "--brownouts", type=int, default=0, metavar="N",
-        help="random nodes browned out (compute and egress scaled) "
-             "for the fault window (default 0)",
-    )
-    parser.add_argument(
-        "--brownout-factor", type=float, default=8.0, metavar="X",
-        help="service-time multiplier for browned-out nodes (default 8)",
-    )
-    parser.add_argument(
-        "--fault-start", type=float, default=0.0, metavar="SECS",
-        help="simulated time the fault window opens (default 0)",
-    )
-    parser.add_argument(
-        "--fault-window", type=float, default=60.0, metavar="SECS",
-        help="length of the fault window (default 60)",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the full workload report to this JSON file",
-    )
-    return parser
-
-
-def _chaos_main(argv: Sequence[str]) -> int:
-    from dataclasses import replace
-
-    from .net.faults import chaos_plan
-    from .workloads.load import run_workload
-
-    args = build_chaos_parser().parse_args(argv)
-    system, config = _workload_setup(args)
-    plan = chaos_plan(
-        sorted(system.network.nodes),
-        seed=args.chaos_seed,
-        start=args.fault_start,
-        window=args.fault_window,
-        loss=args.loss,
-        duplicate=args.duplicate,
-        delay=args.delay,
-        delay_spike=args.delay_spike,
-        partitions=args.partitions,
-        brownouts=args.brownouts,
-        brownout_factor=args.brownout_factor,
-    )
-    config = replace(config, faults=plan)
-    report = run_workload(system, config, _build_options(args))
-
-    injected = ", ".join(
-        f"{kind}={n}" for kind, n in sorted(report.faults_injected.items())
-    ) or "none"
-    print(
-        f"# chaos seed={args.chaos_seed} rules={len(plan.rules)} "
-        f"injected: {injected}"
-    )
-    print(
-        f"# completed={report.completed} failed={report.failed} "
-        f"incomplete={report.incomplete} shed={report.shed}"
-    )
-    if report.latency is not None:
-        lat = report.latency
-        print(
-            f"# latency ms: p50={lat.p50 * 1000:.2f} "
-            f"p95={lat.p95 * 1000:.2f} p99={lat.p99 * 1000:.2f}"
-        )
-    defense = {k: v for k, v in sorted(report.failover.items()) if v}
-    if defense:
-        print("# defense: " + ", ".join(f"{k}={v}" for k, v in defense.items()))
-    failures = [j for j in report.jobs if j.error is not None and not j.shed]
-    for job in failures[:5]:
-        print(f"# failed job {job.job_id} ({job.label}): {job.error}")
-    if args.json:
-        import json
-
-        path = pathlib.Path(args.json)
-        payload = report.as_dict(include_jobs=True)
-        payload["fault_plan"] = plan.as_dict()
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        print(f"# wrote workload report to {path}")
-    return 0
-
-
-def build_profile_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro profile",
-        description="Run a bench-load workload under cProfile and print "
-                    "the hottest functions — where the engine spends real "
-                    "(wall-clock) time, as opposed to simulated time.",
-    )
-    _add_common_options(parser)
-    _add_workload_options(parser)
-    parser.add_argument(
-        "--top", type=int, default=25, metavar="N",
-        help="print the top N functions (default 25)",
-    )
-    parser.add_argument(
-        "--sort", default="cumulative",
-        choices=["cumulative", "tottime", "calls"],
-        help="pstats sort order (default cumulative)",
-    )
-    parser.add_argument(
-        "--stats-out", metavar="PATH", default=None,
-        help="also dump the raw pstats data to this file (inspect later "
-             "with pstats or snakeviz)",
     )
     return parser
 
@@ -555,10 +361,126 @@ def build_recover_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_system(args: argparse.Namespace) -> HybridSystem:
+    if not args.data:
+        raise SystemExit("error: at least one --data file is required")
+    index_ids = [f"N{i}" for i in range(args.index_nodes)]
+    owners = dict.fromkeys(index_ids, "an index node")
+    paths = [pathlib.Path(p) for p in args.data]
+    for path in paths:
+        if not path.exists():
+            raise SystemExit(f"error: no such data file: {path}")
+        if path.stem in owners:
+            raise SystemExit(
+                f"error: {owners[path.stem]} and {path} would both be "
+                f"node {path.stem!r}; rename one of them"
+            )
+        owners[path.stem] = str(path)
+    system = HybridSystem(
+        replication_factor=args.replicas,
+        state_dir=args.state_dir,
+        fsync=args.fsync,
+        snapshot_every=args.snapshot_every,
+    )
+    for node_id in index_ids:
+        system.add_index_node(node_id)
+    system.build_ring()
+    for path in paths:
+        triples = list(parse_ntriples(path.read_text(encoding="utf-8")))
+        system.add_storage_node(path.stem, triples)
+    return system
+
+
+def _query_text(args: argparse.Namespace) -> str:
+    if args.query is not None and args.query_file is not None:
+        raise SystemExit("error: give either a positional query or "
+                         "--query-file, not both")
+    if args.query is not None:
+        return args.query
+    if args.query_file is None:
+        raise SystemExit("error: a query (positional) or --query-file is required")
+    path = pathlib.Path(args.query_file)
+    if not path.exists():
+        raise SystemExit(f"error: no such query file: {path}")
+    return path.read_text(encoding="utf-8")
+
+
+def _query_main(args: argparse.Namespace) -> int:
+    system = _load_system(args)
+    executor = DistributedExecutor(system, _options(args))
+    result, report = executor.execute(_query_text(args), initiator=args.initiator)
+
+    if result.boolean is not None:
+        print("yes" if result.boolean else "no")
+    elif result.graph is not None:
+        from .rdf.ntriples import serialize_ntriples
+
+        sys.stdout.write(serialize_ntriples(sorted(result.graph, key=lambda t: t.n3())))
+    else:
+        header = "\t".join(f"?{v.name}" for v in result.variables)
+        print(header)
+        for mu in result.rows:
+            print("\t".join(
+                (mu.get(v).n3() if mu.get(v) is not None else "")
+                for v in result.variables
+            ))
+
+    if args.report:
+        print(
+            f"# {report.result_count} results, {report.messages} messages, "
+            f"{report.bytes_total} bytes, "
+            f"{report.response_time * 1000:.1f} ms simulated",
+            file=sys.stderr,
+        )
+        for note in report.notes:
+            print(f"# note: {note}", file=sys.stderr)
+    return 0
+
+
+def _trace_main(args: argparse.Namespace) -> int:
+    from .trace import Tracer, render_phases, render_sequence, write_jsonl
+
+    system = _load_system(args)
+    tracer = Tracer()
+    executor = DistributedExecutor(system, _options(args), tracer=tracer)
+    _, report = executor.execute(_query_text(args), initiator=args.initiator)
+
+    if not args.no_diagram:
+        sys.stdout.write(render_sequence(tracer, max_events=args.max_events))
+        print()
+    print(render_phases(report.phases))
+    print(
+        f"# {report.result_count} results, {report.messages} messages, "
+        f"{report.bytes_total} bytes, "
+        f"{report.response_time * 1000:.1f} ms simulated"
+    )
+    if args.jsonl:
+        path = write_jsonl(tracer, args.jsonl)
+        print(f"# wrote {len(tracer.events)} events to {path}")
+    return 0
+
+
+def _explain_main(args: argparse.Namespace) -> int:
+    from .query.physical import format_plan
+
+    system = _load_system(args)
+    executor = DistributedExecutor(system, _options(args))
+    _, report = executor.execute(_query_text(args), initiator=args.initiator)
+    print(format_plan(report.plan))
+    print(
+        f"# totals: {report.result_count} results, {report.messages} "
+        f"messages, {report.bytes_total} bytes, "
+        f"{report.response_time * 1000:.1f} ms simulated "
+        f"(plan={args.plan_mode})"
+    )
+    return 0
+
+
 def _workload_setup(args: argparse.Namespace):
-    """System + LoadConfig from parsed workload options (bench-load and
-    profile share this)."""
+    """System + LoadConfig from parsed workload options; the config
+    carries a fault plan only when some fault rate or count is set."""
     from .net.contention import ContentionModel
+    from .net.faults import chaos_plan
     from .workloads.load import LoadConfig
 
     system = _load_system(args)
@@ -570,6 +492,17 @@ def _workload_setup(args: argparse.Namespace):
         kwargs["queries"] = [(f"q{i}", q) for i, q in enumerate(args.query)]
     if args.initiator:
         kwargs["initiators"] = [args.initiator]
+    rates = {flag[2:]: getattr(args, flag[2:]) for flag, *_ in _FAULT_RATES}
+    if any(rates.values()):
+        kwargs["faults"] = chaos_plan(
+            sorted(system.network.nodes),
+            seed=args.chaos_seed,
+            start=args.fault_start,
+            window=args.fault_window,
+            delay_spike=args.delay_spike,
+            brownout_factor=args.brownout_factor,
+            **rates,
+        )
     config = LoadConfig(
         mode=args.mode,
         concurrency=args.concurrency,
@@ -583,12 +516,11 @@ def _workload_setup(args: argparse.Namespace):
     return system, config
 
 
-def _bench_load_main(argv: Sequence[str]) -> int:
+def _bench_load_main(args: argparse.Namespace) -> int:
     from .workloads.load import run_workload
 
-    args = build_bench_load_parser().parse_args(argv)
     system, config = _workload_setup(args)
-    report = run_workload(system, config, _build_options(args))
+    report = run_workload(system, config, _options(args))
 
     mix = ", ".join(f"{label}x{n}" for label, n in sorted(report.per_label().items()))
     print(f"# mode={config.mode} jobs={len(report.jobs)} mix: {mix}")
@@ -631,6 +563,17 @@ def _bench_load_main(argv: Sequence[str]) -> int:
                 f"waits={stats['waits']} "
                 f"wait={stats['total_wait'] * 1000:.2f} ms"
             )
+    if config.faults is not None:
+        injected = ", ".join(
+            f"{kind}={n}" for kind, n in sorted(report.faults_injected.items())
+        ) or "none"
+        print(
+            f"# chaos seed={args.chaos_seed} rules={len(config.faults.rules)} "
+            f"incomplete={report.incomplete} injected: {injected}"
+        )
+        defense = {k: v for k, v in sorted(report.failover.items()) if v}
+        if defense:
+            print("# defense: " + ", ".join(f"{k}={v}" for k, v in defense.items()))
     failures = [j for j in report.jobs if j.error is not None and not j.shed]
     for job in failures[:5]:
         print(f"# failed job {job.job_id} ({job.label}): {job.error}")
@@ -638,50 +581,17 @@ def _bench_load_main(argv: Sequence[str]) -> int:
         import json
 
         path = pathlib.Path(args.json)
-        path.write_text(
-            json.dumps(report.as_dict(include_jobs=True), indent=2) + "\n",
-            encoding="utf-8",
-        )
+        payload = report.as_dict(include_jobs=True)
+        if config.faults is not None:
+            payload["fault_plan"] = config.faults.as_dict()
+        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         print(f"# wrote workload report to {path}")
     return 0
 
 
-def _profile_main(argv: Sequence[str]) -> int:
-    import cProfile
-    import pstats
-
-    from .workloads.load import run_workload
-
-    args = build_profile_parser().parse_args(argv)
-    system, config = _workload_setup(args)
-    options = _build_options(args)
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    report = run_workload(system, config, options)
-    profiler.disable()
-
-    print(
-        f"# completed={report.completed} failed={report.failed} "
-        f"shed={report.shed}"
-    )
-    print(
-        f"# wall clock: {report.wall_clock_s * 1000:.1f} ms real, "
-        f"{report.queries_per_wall_second:.1f} q/s real "
-        f"({report.duration * 1000:.1f} ms simulated)"
-    )
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats(args.sort).print_stats(args.top)
-    if args.stats_out:
-        stats.dump_stats(args.stats_out)
-        print(f"# wrote raw pstats data to {args.stats_out}")
-    return 0
-
-
-def _checkpoint_main(argv: Sequence[str]) -> int:
+def _checkpoint_main(args: argparse.Namespace) -> int:
     from .storage import recover_system
 
-    args = build_checkpoint_parser().parse_args(argv)
     system, report = recover_system(args.state_dir)
     done = system.checkpoint()
     print(
@@ -693,10 +603,9 @@ def _checkpoint_main(argv: Sequence[str]) -> int:
     return 0
 
 
-def _recover_main(argv: Sequence[str]) -> int:
+def _recover_main(args: argparse.Namespace) -> int:
     from .storage import recover_system
 
-    args = build_recover_parser().parse_args(argv)
     system, report = recover_system(args.state_dir)
     print(
         f"# recovered {len(report['index'])} index nodes and "
@@ -719,137 +628,30 @@ def _recover_main(argv: Sequence[str]) -> int:
     return 0
 
 
-def _load_system(args: argparse.Namespace) -> HybridSystem:
-    if not args.data:
-        raise SystemExit("error: at least one --data file is required")
-    system = HybridSystem(
-        replication_factor=getattr(args, "replicas", 1),
-        state_dir=getattr(args, "state_dir", None),
-        fsync=getattr(args, "fsync", False),
-        snapshot_every=getattr(args, "snapshot_every", None),
-    )
-    for i in range(args.index_nodes):
-        system.add_index_node(f"N{i}")
-    system.build_ring()
-    for path_text in args.data:
-        path = pathlib.Path(path_text)
-        if not path.exists():
-            raise SystemExit(f"error: no such data file: {path}")
-        triples = list(parse_ntriples(path.read_text(encoding="utf-8")))
-        system.add_storage_node(path.stem, triples)
-    return system
+#: Subcommand -> (parser, runner); without one, argv is a single query.
+_COMMANDS = {
+    "trace": (build_trace_parser, _trace_main),
+    "explain": (build_explain_parser, _explain_main),
+    "bench-load": (build_bench_load_parser, _bench_load_main),
+    "checkpoint": (build_checkpoint_parser, _checkpoint_main),
+    "recover": (build_recover_parser, _recover_main),
+}
 
 
-def _query_text(args: argparse.Namespace) -> str:
-    if args.query is not None:
-        return args.query
-    if args.query_file is None:
-        raise SystemExit("error: a query (positional) or --query-file is required")
-    path = pathlib.Path(args.query_file)
-    if not path.exists():
-        raise SystemExit(f"error: no such query file: {path}")
-    return path.read_text(encoding="utf-8")
-
-
-def _build_options(args: argparse.Namespace) -> ExecutionOptions:
-    return ExecutionOptions(
-        primitive_strategy=PrimitiveStrategy(args.strategy),
-        conjunction_mode=ConjunctionMode(args.conjunction),
-        join_site_policy=JoinSitePolicy(args.join_site),
-        time_weight=args.time_weight,
-        plan_mode=args.plan,
-        optimize=not args.no_optimize,
-        semijoin=args.semijoin,
-        projection_pushdown=args.projection_pushdown,
-        dictionary_encoding=args.dict_encoding,
-        retries=args.retries,
-        backoff=args.backoff,
-        failover=args.failover,
-        hedge_delay=args.hedge,
-        query_deadline=args.query_deadline,
-        breaker=args.breaker,
-        breaker_latency=args.breaker_latency,
-        partial_results=args.partial_results,
-        result_cache=args.result_cache,
-        cache_bytes=args.cache_bytes,
-    )
-
-
-def _trace_main(argv: Sequence[str]) -> int:
-    from .trace import Tracer, render_phases, render_sequence, write_jsonl
-
-    args = build_trace_parser().parse_args(argv)
-    if args.query is not None and args.query_file is not None:
-        raise SystemExit("error: give either a positional query or "
-                         "--query-file, not both")
-    system = _load_system(args)
-    tracer = Tracer()
-    executor = DistributedExecutor(system, _build_options(args), tracer=tracer)
-    _, report = executor.execute(_query_text(args), initiator=args.initiator)
-
-    if not args.no_diagram:
-        sys.stdout.write(render_sequence(tracer, max_events=args.max_events))
-        print()
-    print(render_phases(report.phases))
-    print(
-        f"# {report.result_count} results, {report.messages} messages, "
-        f"{report.bytes_total} bytes, "
-        f"{report.response_time * 1000:.1f} ms simulated"
-    )
-    if args.jsonl:
-        path = write_jsonl(tracer, args.jsonl)
-        print(f"# wrote {len(tracer.events)} events to {path}")
-    return 0
+def parse_args(
+    argv: Sequence[str],
+) -> Tuple[Callable[[argparse.Namespace], int], argparse.Namespace]:
+    """Parse *argv* with its subcommand's parser, without running it."""
+    argv = list(argv)
+    if argv and argv[0] in _COMMANDS:
+        build, run = _COMMANDS[argv[0]]
+        return run, build().parse_args(argv[1:])
+    return _query_main, build_parser().parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    if argv and argv[0] == "trace":
-        return _trace_main(argv[1:])
-    if argv and argv[0] == "explain":
-        return _explain_main(argv[1:])
-    if argv and argv[0] == "bench-load":
-        return _bench_load_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        return _chaos_main(argv[1:])
-    if argv and argv[0] == "profile":
-        return _profile_main(argv[1:])
-    if argv and argv[0] == "checkpoint":
-        return _checkpoint_main(argv[1:])
-    if argv and argv[0] == "recover":
-        return _recover_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    system = _load_system(args)
-    executor = DistributedExecutor(system, _build_options(args))
-    result, report = executor.execute(_query_text(args), initiator=args.initiator)
-
-    if result.boolean is not None:
-        print("yes" if result.boolean else "no")
-    elif result.graph is not None:
-        from .rdf.ntriples import serialize_ntriples
-
-        sys.stdout.write(serialize_ntriples(sorted(result.graph, key=lambda t: t.n3())))
-    else:
-        header = "\t".join(f"?{v.name}" for v in result.variables)
-        print(header)
-        for mu in result.rows:
-            print("\t".join(
-                (mu.get(v).n3() if mu.get(v) is not None else "")
-                for v in result.variables
-            ))
-
-    if args.report:
-        print(
-            f"# {report.result_count} results, {report.messages} messages, "
-            f"{report.bytes_total} bytes, "
-            f"{report.response_time * 1000:.1f} ms simulated",
-            file=sys.stderr,
-        )
-        for note in report.notes:
-            print(f"# note: {note}", file=sys.stderr)
-    return 0
+    run, args = parse_args(sys.argv[1:] if argv is None else argv)
+    return run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

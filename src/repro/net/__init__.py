@@ -1,9 +1,5 @@
-"""Simulated network substrate (S7): DES kernel, transport, sizes, stats.
-
-The multi-process (real OS processes) transport lives in
-:mod:`repro.net.mp` and is imported explicitly by the examples that use
-it, to keep simulation imports light.
-"""
+"""Simulated network substrate (S7): DES kernel, transport, sizes, stats,
+contention, seeded fault plans and the per-peer health ledger."""
 
 from .contention import ContentionModel, ResourceQueue
 from .faults import FaultInjector, FaultPlan, FaultRule, chaos_plan

@@ -287,10 +287,6 @@ def discover_all_storage(ctx):
 def exec_broadcast(ctx, algebra):
     """Generator: evaluate a sub-query at *every* storage node (the
     union-of-all-providers dataset semantics for (?s, ?p, ?o))."""
-    if not ctx.options.allow_broadcast:
-        from .executor import QueryFailed
-
-        raise QueryFailed("broadcast disabled but pattern has no index key")
     span = ctx.tracer.span("broadcast")
     try:
         storages = yield from discover_all_storage(ctx)

@@ -9,7 +9,7 @@ benchmark harness sweeps them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..net.transport import RetryPolicy
@@ -72,55 +72,80 @@ class JoinSitePolicy(enum.Enum):
     THIRD_SITE = "third-site"
 
 
+_PLAN_MODES = ("legacy", "cost")
+
+
+def _option(default, help: str, **flag):
+    """An :class:`ExecutionOptions` field with its command-line flag:
+    *help* is the flag's help text, and *flag* may hold ``flag`` (a
+    spelling other than the field's kebab-case name), ``metavar``,
+    ``choices`` or ``const`` (the value of the bare flag)."""
+    return field(default=default, metadata={"help": help, **flag})
+
+
 @dataclass(frozen=True, slots=True)
 class ExecutionOptions:
     """Knobs of the distributed executor; defaults are the paper's
-    most-optimized configuration."""
+    most-optimized configuration.
 
-    primitive_strategy: PrimitiveStrategy = PrimitiveStrategy.FREQ
-    conjunction_mode: ConjunctionMode = ConjunctionMode.OPTIMIZED
-    join_site_policy: JoinSitePolicy = JoinSitePolicy.MOVE_SMALL
-    #: Run the algebraic optimizer (filter pushing etc., Sect. IV-G).
-    optimize: bool = True
-    #: Reorder BGP patterns by location-table frequency statistics.
-    reorder_joins: bool = True
-    #: Allow (?s, ?p, ?o) broadcasts over all storage nodes.
-    allow_broadcast: bool = True
-    #: Seconds to wait for a one-way delivery before declaring the chain
-    #: broken and falling back to the BASIC strategy.
-    delivery_timeout: float = 5.0
-    #: Objective mixture for the ADAPTIVE strategy: 0.0 = minimize total
-    #: transmission, 1.0 = minimize response time (Sect. V's conflicting
-    #: optimization criteria, scalarized).
-    time_weight: float = 0.5
-    #: Prior on cross-provider duplication for the adaptive cost model
-    #: (expected |union| / Σ|local results|; 1.0 = no duplication).
-    dedup_prior: float = 1.0
-    #: Physical-plan mode. ``legacy`` executes the compiled operator tree
-    #: exactly as the per-step strategy flags above dictate (bit-identical
-    #: to previous releases); ``cost`` lets the frequency-driven planner
-    #: (:mod:`repro.query.cost`) pre-fetch leaf statistics and pin join
-    #: order, walk mode, chain strategies, and combine sites at plan time.
-    plan_mode: str = "legacy"
+    Each field is declared once, with its flag: :mod:`repro.cli` builds
+    one ``--kebab-name`` per field (``--no-kebab-name`` for a boolean
+    that defaults on) unless the field's metadata spells it otherwise."""
+
+    primitive_strategy: PrimitiveStrategy = _option(
+        PrimitiveStrategy.FREQ, "primitive-query strategy (Sect. IV-C)",
+        flag="--strategy")
+    conjunction_mode: ConjunctionMode = _option(
+        ConjunctionMode.OPTIMIZED, "conjunction processing mode (Sect. IV-D)",
+        flag="--conjunction")
+    join_site_policy: JoinSitePolicy = _option(
+        JoinSitePolicy.MOVE_SMALL, "join-site selection policy (Sect. II)",
+        flag="--join-site")
+    optimize: bool = _option(
+        True, "disable algebraic optimization (filter pushing, Sect. IV-G)")
+    reorder_joins: bool = _option(
+        True, "keep BGP patterns in query order instead of reordering them "
+              "by location-table frequency statistics")
+    delivery_timeout: float = _option(
+        5.0, "seconds to wait for a one-way delivery before declaring the "
+             "chain broken and falling back to the basic strategy",
+        metavar="SECS")
+    #: Sect. V's conflicting optimization criteria, scalarized.
+    time_weight: float = _option(
+        0.5, "adaptive objective mixture: 0=min bytes, 1=min time")
+    dedup_prior: float = _option(
+        1.0, "adaptive cost model's prior on cross-provider duplication: "
+             "expected |union| / sum of local result sizes (1 = none)",
+        metavar="X")
+    #: ``legacy`` executes the compiled operator tree exactly as the
+    #: per-step strategy flags dictate; ``cost`` lets the planner
+    #: (:mod:`repro.query.cost`) pre-fetch leaf statistics first.
+    plan_mode: str = _option(
+        "legacy", "physical-plan mode: legacy follows the per-step strategy "
+                  "flags exactly; cost lets the frequency-driven planner pin "
+                  "join order, walk mode, chain strategies, and combine "
+                  "sites at plan time",
+        flag="--plan", choices=_PLAN_MODES)
 
     # --- transmission-minimizing shipping optimizations ------------------
     # Each technique is independently toggleable so benchmarks can
     # attribute savings; all default off, keeping the paper-faithful wire
     # behaviour byte-identical to previous releases.
 
-    #: Semijoin pre-filtering: before a join operand ships, the receiver
-    #: sends a digest of its join-key values (exact set or Bloom filter)
-    #: and the sender drops rows that cannot join.
-    semijoin: bool = False
-    #: Projection pushdown: prune variables that no downstream operator,
-    #: filter, or output needs before every ship.
-    projection_pushdown: bool = False
-    #: Dictionary-delta wire encoding (:class:`repro.net.wire.SolutionBatch`)
-    #: for every shipped solution set.
-    dictionary_encoding: bool = False
-    #: Skip the digest round-trip when the candidate operand has fewer
-    #: rows than this (the digest would cost more than it saves).
-    semijoin_min_rows: int = 4
+    semijoin: bool = _option(
+        False, "semijoin/Bloom pre-filtering: ship join-key digests so "
+               "non-joining rows never travel")
+    projection_pushdown: bool = _option(
+        False, "prune dead variables from intermediate results before "
+               "every ship (sound for DISTINCT/ASK/CONSTRUCT queries)")
+    #: The encoding is :class:`repro.net.wire.SolutionBatch`.
+    dictionary_encoding: bool = _option(
+        False, "dictionary-delta wire encoding for shipped solution sets",
+        flag="--dict-encoding")
+    semijoin_min_rows: int = _option(
+        4, "skip the semijoin digest round trip when the candidate operand "
+           "has fewer rows (the digest would cost more than it saves)",
+        metavar="N")
 
     # --- fault tolerance (PR 6) ------------------------------------------
     # All default off/None: a no-fault run with the defaults is
@@ -128,24 +153,29 @@ class ExecutionOptions:
     # messages). ``retries``/``failover`` only change behaviour when an
     # RPC actually times out.
 
-    #: Extra attempts per RPC after a timeout (0 = classic fail-fast).
-    retries: int = 0
-    #: Backoff before the first retry, in seconds.
-    backoff: float = 0.05
-    #: Cap on each attempt's RPC timeout (None = the call's own timeout).
+    retries: int = _option(
+        0, "retry budget per RPC: N extra attempts after a timeout "
+           "(0 = fail fast)", metavar="N")
+    backoff: float = _option(
+        0.05, "base exponential backoff between retry attempts, with "
+              "seeded jitter", metavar="SECS")
     #: Retrying is pointless unless this undercuts the query's patience.
-    per_attempt_timeout: Optional[float] = None
-    #: Re-route around dead index nodes: re-resolve a timed-out owner via
-    #: its successor list and read/dispatch at the promoted replica.
+    per_attempt_timeout: Optional[float] = _option(
+        None, "cap on each RPC attempt's timeout (None = the call's own "
+              "timeout)", metavar="SECS")
     #: Requires ``replication_factor >= 2`` to return correct answers.
-    failover: bool = False
-    #: Hedged duplicate lookups: None = off; 0.0 = auto (p95 of observed
-    #: lookup RTTs); > 0 = fixed delay in seconds before the hedge fires.
-    hedge_delay: Optional[float] = None
-    #: Wall-clock budget for the whole query, in simulated seconds; every
-    #: RPC (and retry schedule) is clamped to the remaining budget, which
-    #: travels with dispatched sub-queries. None = unbounded.
-    query_deadline: Optional[float] = None
+    failover: bool = _option(
+        False, "re-route timed-out lookups and primitive dispatches to "
+               "replica holders via the successor list (needs --replicas>=2)")
+    hedge_delay: Optional[float] = _option(
+        None, "hedged index reads: duplicate a slow lookup to a replica "
+              "after SECS (bare --hedge = auto, the p95 of observed lookup "
+              "RTTs)", flag="--hedge", metavar="SECS", const=0.0)
+    #: Every RPC (and retry schedule) is clamped to the remaining budget,
+    #: which travels with dispatched sub-queries.
+    query_deadline: Optional[float] = _option(
+        None, "end-to-end deadline per query in simulated seconds, "
+              "propagated with every downstream call", metavar="SECS")
 
     # --- chaos defense (PR 10) -------------------------------------------
     # Off by default: without ``breaker``/``partial_results`` no health
@@ -153,39 +183,43 @@ class ExecutionOptions:
     # zero — the golden grid is byte-identical.
 
     #: Per-peer health ledger (EWMA latency + consecutive failures) and
-    #: closed/open/half-open circuit breaker: open circuits short-circuit
-    #: call attempts instantly and failover dispatch routes around them
-    #: before dialing, so a browned-out owner stops burning the query
-    #: deadline one timeout at a time.
-    breaker: bool = False
-    #: EWMA round-trip latency (seconds) above which a *responding* peer
-    #: is treated as browned out and its breaker tripped (the gray-failure
-    #: trigger). None disables latency tripping.
-    breaker_latency: Optional[float] = None
-    #: Degrade instead of fail: when a sub-pattern's owner and replicas
-    #: are all unreachable, its contribution becomes the empty set (a
-    #: guaranteed *subset* of the true answer — never wrong or extra
-    #: rows) and the result is flagged incomplete on the report and the
-    #: physical plan, rather than the whole query raising.
-    partial_results: bool = False
+    #: closed/open/half-open circuit breaker, so a browned-out owner stops
+    #: burning the query deadline one timeout at a time.
+    breaker: bool = _option(
+        False, "per-peer health ledger + circuit breakers: open circuits "
+               "fail calls instantly and failover routes around them "
+               "before dialing")
+    breaker_latency: Optional[float] = _option(
+        None, "EWMA RTT above which a responding peer is treated as browned "
+              "out and its breaker tripped (gray-failure detection; None = "
+              "timeouts only)", metavar="SECS")
+    #: The degraded answer is a guaranteed *subset* of the true one (never
+    #: wrong or extra rows), flagged on the report and the physical plan.
+    partial_results: bool = _option(
+        False, "degrade instead of fail: when every replica of a "
+               "sub-pattern is unreachable, return a flagged subset of the "
+               "answer rather than raising")
 
     # --- cross-query result cache (PR 9) ---------------------------------
     # Off by default: a run without ``result_cache`` is byte-identical to
     # previous releases (no extra payload keys, no extra messages).
 
-    #: Enable the per-site semantic result cache (:mod:`repro.cache`):
-    #: index nodes memoize primitive-pattern results and combine sites
-    #: memoize whole BGP sub-results, invalidated delta-exactly via the
-    #: network's ``data_epochs`` ledger + ``membership_epoch``.
-    result_cache: bool = False
-    #: Per-node residency budget for cached solution data, in bytes.
-    cache_bytes: int = 262144
-    #: Admission gate: how many times a key must be asked for before its
-    #: result is materialized (1 = admit on first miss).
-    cache_admit_threshold: int = 2
+    #: See :mod:`repro.cache`; invalidation reads the network's
+    #: ``data_epochs`` ledger and ``membership_epoch``.
+    result_cache: bool = _option(
+        False, "cross-query per-site result cache: index nodes memoize "
+               "primitive results and combine sites memoize BGP "
+               "sub-results, invalidated delta-exactly by the data-epoch "
+               "ledger")
+    cache_bytes: int = _option(
+        262144, "per-node byte budget for cached solution data",
+        metavar="N")
+    cache_admit_threshold: int = _option(
+        2, "requests for a key before its result is cached (1 = admit on "
+           "the first miss)", metavar="N")
 
     def __post_init__(self) -> None:
-        if self.plan_mode not in ("legacy", "cost"):
+        if self.plan_mode not in _PLAN_MODES:
             raise ValueError(
                 f"plan_mode must be 'legacy' or 'cost', not {self.plan_mode!r}"
             )

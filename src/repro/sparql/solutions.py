@@ -182,8 +182,7 @@ class SolutionMapping:
         return self._schema is other._schema and self._values == other._values
 
     def __reduce__(self):
-        # Re-intern schemas (and terms) on unpickle, e.g. across the
-        # multiprocessing transport.
+        # Re-intern schemas (and terms) on unpickle.
         return (SolutionMapping, (self.as_dict(),))
 
     def project(self, variables: Iterable[Variable]) -> "SolutionMapping":

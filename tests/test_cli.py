@@ -1,11 +1,21 @@
 """CLI tests: N-Triples-file providers, query forms, options, errors."""
 
+import dataclasses
+import enum
 import json
+import pathlib
+import shlex
 
 import pytest
 
-from repro.cli import _build_options, build_parser, build_trace_parser, main
-from repro.query import ExecutionOptions
+from repro import cli
+from repro.cli import main, parse_args
+from repro.query import (
+    ConjunctionMode,
+    ExecutionOptions,
+    JoinSitePolicy,
+    PrimitiveStrategy,
+)
 from repro.rdf import serialize_ntriples
 from repro.workloads import paper_example_partition
 
@@ -24,6 +34,29 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: Parser and minimal argv of every command that runs queries.
+COMMANDS = {
+    "query": (cli.build_parser, ["--query", "ASK {}"]),
+    "trace": (cli.build_trace_parser, ["trace"]),
+    "explain": (cli.build_explain_parser, ["explain"]),
+    "bench-load": (cli.build_bench_load_parser, ["bench-load"]),
+}
+
+
+def _non_default(f, flag):
+    """A value other than the field's default, and the words that set it."""
+    if isinstance(f.default, bool):
+        return not f.default, [flag]
+    if isinstance(f.default, enum.Enum):
+        value = next(m for m in type(f.default) if m != f.default)
+        return value, [flag, value.value]
+    if "choices" in f.metadata:
+        value = next(c for c in f.metadata["choices"] if c != f.default)
+        return value, [flag, value]
+    value = (f.default or 0) + 3
+    return value, [flag, str(value)]
 
 
 PREFIXED = (
@@ -91,11 +124,60 @@ class TestCli:
         with pytest.raises(SystemExit, match="at least one"):
             main(["--query", "ASK { ?s ?p ?o . }"])
 
+    def test_duplicate_data_stems_error(self, data_files, tmp_path):
+        text = pathlib.Path(data_files[0]).read_text(encoding="utf-8")
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "x.nt")
+            paths[-1].write_text(text, encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["--data", str(paths[0]), "--data", str(paths[1]),
+                  "--query", "ASK { ?s ?p ?o . }"])
+        message = str(exc.value)
+        assert message.startswith("error:")
+        assert str(paths[0]) in message and str(paths[1]) in message
+
+    def test_data_stem_naming_an_index_node_errors(self, data_files, tmp_path):
+        path = tmp_path / "N0.nt"
+        path.write_text(pathlib.Path(data_files[0]).read_text(encoding="utf-8"),
+                        encoding="utf-8")
+        with pytest.raises(SystemExit, match="error: an index node and .*N0.nt"):
+            main(["--data", str(path), "--query", "ASK { ?s ?p ?o . }"])
+
     def test_bare_flags_build_default_options(self):
         """Every executor default the CLI shows is ExecutionOptions'."""
-        for args in (build_parser().parse_args(["--query", "ASK {}"]),
-                     build_trace_parser().parse_args([])):
-            assert _build_options(args) == ExecutionOptions()
+        for _, argv in COMMANDS.values():
+            _, args = parse_args(argv)
+            assert cli._options(args) == ExecutionOptions()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_each_option_has_exactly_one_flag(self, command):
+        """A non-default value of every field, given by its one flag, parses
+        to ExecutionOptions(field=value)."""
+        build, argv = COMMANDS[command]
+        parser = build()
+        for f in dataclasses.fields(ExecutionOptions):
+            actions = [a for a in parser._actions if a.dest == f.name]
+            assert len(actions) == 1 and len(actions[0].option_strings) == 1, f.name
+            flag = actions[0].option_strings[0]
+            value, words = _non_default(f, flag)
+            _, args = parse_args(argv + words)
+            assert cli._options(args) == ExecutionOptions(**{f.name: value}), flag
+
+    def test_kept_flag_spellings(self):
+        _, args = parse_args([
+            "--query", "ASK {}", "--strategy", "basic", "--conjunction",
+            "basic", "--join-site", "third-site", "--plan", "cost",
+            "--no-optimize", "--dict-encoding", "--hedge",
+        ])
+        assert cli._options(args) == ExecutionOptions(
+            primitive_strategy=PrimitiveStrategy.BASIC,
+            conjunction_mode=ConjunctionMode.BASIC,
+            join_site_policy=JoinSitePolicy.THIRD_SITE,
+            plan_mode="cost", optimize=False, dictionary_encoding=True,
+            hedge_delay=0.0,
+        )
 
     def test_strategy_choices_enforced(self, data_files):
         with pytest.raises(SystemExit):
@@ -179,16 +261,77 @@ class TestDurabilityCli:
         assert payload["wall_clock_s"] > 0.0
         assert payload["queries_per_wall_second"] > 0.0
 
-    def test_profile_prints_hot_functions(self, data_files, tmp_path, capsys):
-        stats_path = tmp_path / "profile.pstats"
+    def test_bench_load_fault_flags_install_a_plan(self, data_files, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
         code, out, _ = run_cli(
-            capsys, "profile",
+            capsys, "bench-load",
             *[arg for f in data_files for arg in ("--data", f)],
-            "--num-queries", "4", "--concurrency", "2",
-            "--top", "5", "--stats-out", str(stats_path),
+            "--replicas", "2", "--num-queries", "12", "--concurrency", "4",
+            "--loss", "0.05", "--retries", "2", "--failover",
+            "--json", str(out_path),
         )
         assert code == 0
-        assert "# wall clock:" in out
-        assert "cumulative" in out  # the pstats table header
-        assert "ncalls" in out
-        assert stats_path.exists() and stats_path.stat().st_size > 0
+        chaos = next(line for line in out.splitlines()
+                     if line.startswith("# chaos seed=0 rules=1"))
+        assert "loss=" in chaos.split("injected:")[1]
+        assert "# defense: " in out and "retries=" in out
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        assert [r["kind"] for r in payload["fault_plan"]["rules"]] == ["loss"]
+        assert payload["faults_injected"]["loss"] > 0
+
+    def test_bench_load_without_fault_flags_installs_nothing(self, data_files):
+        from repro.workloads.load import run_workload
+
+        _, args = parse_args([
+            "bench-load", *[arg for f in data_files for arg in ("--data", f)],
+            "--num-queries", "4",
+        ])
+        system, config = cli._workload_setup(args)
+        assert config.faults is None
+        report = run_workload(system, config, cli._options(args))
+        assert system.network.faults is None
+        assert report.faults_injected == {}
+
+
+def _documented_invocations():
+    """Every ``python ... -m repro ...`` command line in the CLI docstring
+    and the README, continuation lines joined, as (source, argv) pairs."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    sources = {"cli": cli.__doc__, "README": readme.read_text(encoding="utf-8")}
+    for source, text in sources.items():
+        lines = iter(text.splitlines())
+        for line in lines:
+            command = line.strip().removeprefix("$ ")
+            if not command.startswith("python") or "-m repro" not in command:
+                continue
+            while True:
+                if command.endswith("\\"):
+                    command = command[:-1] + next(lines)
+                    continue
+                try:
+                    words = shlex.split(command, comments=True)
+                except ValueError:  # a quoted argument continues
+                    command += "\n" + next(lines)
+                    continue
+                break
+            start = next(i for i in range(len(words) - 1)
+                         if words[i:i + 2] == ["-m", "repro"])
+            yield source, words[start + 2:]
+
+
+DOCUMENTED = list(_documented_invocations())
+
+
+def test_docs_show_every_command():
+    shown = {argv[0] if argv[0] in cli._COMMANDS else "query"
+             for _, argv in DOCUMENTED}
+    assert shown == {"query", *cli._COMMANDS}
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for _, argv in DOCUMENTED],
+    ids=[f"{source}:{' '.join(argv)[:40]}" for source, argv in DOCUMENTED],
+)
+def test_documented_invocation_parses(argv):
+    run, args = parse_args(argv)
+    assert callable(run) and args is not None

@@ -199,11 +199,6 @@ class TestErrors:
                 paper_system, ExecutionOptions(), optimize=False
             )
 
-    def test_broadcast_can_be_disabled(self, paper_system):
-        executor = DistributedExecutor(paper_system, allow_broadcast=False)
-        with pytest.raises(QueryFailed):
-            executor.execute("SELECT * WHERE { ?s ?p ?o . }", initiator="D1")
-
     def test_from_clause_rejected_distributedly(self, paper_system):
         """Sect. IV-A: the ad-hoc dataset is always the union of all
         providers; FROM cannot be honored and must fail loudly."""
