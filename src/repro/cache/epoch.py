@@ -1,63 +1,65 @@
-"""Key-scoped data-version ledger for delta-exact cache invalidation.
+"""The one freshness rule for state derived from location-table rows.
 
-Every live publication path (``publish_delta`` / ``unpublish_delta`` and
-the bulk publish that runs at attach time) advances the epoch of each
-ring key whose location-table row it touches. Any triple that can change
-the answer of a primitive pattern necessarily carries one of the six
-index keys of that pattern (Sect. IV-A), so a cached result stamped with
-the epochs of the keys it was computed from is provably current exactly
-when every stamp still matches the ledger.
+Two memos hold such state: the per-query lookup memo of
+:mod:`repro.query.executor` and the cross-query result cache of this
+package. Both follow one rule, in two halves:
 
-The ledger is deliberately dependency-free: the network transport owns
-one instance, and both the per-query lookup memo and the cross-query
-result cache validate against it. Readers compare integers only — a
-stale stamp produces a miss, never a wrong answer.
+* **a data epoch advances where a row is written** —
+  ``HybridSystem._place`` (fast placement), ``HybridSystem.unpublish_delta``
+  and ``IndexNode.rpc_index_put`` (every message-level install, the
+  publishing node's own included). Any triple that can change the answer
+  of a primitive pattern carries one of the six index keys of that
+  pattern (Sect. IV-A), so a write that matters advances a key the
+  value was computed from;
+* **a memo entry records one stamp, taken before its value is
+  computed, and is reused only while** :meth:`DataEpochLedger.current`
+  **holds**. The stamp also carries the membership epoch, which every
+  join, departure, crash and recovery advances: a membership change may
+  move the owner of any key.
+
+This module is the only reader of both counters. Readers compare
+integers only — a stale stamp produces a miss, never a wrong answer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, NamedTuple
 
-__all__ = ["DataEpochLedger"]
+__all__ = ["DataEpochLedger", "Stamp"]
 
-#: A ring key as the overlay uses it: ``(KeyKind, hashed identifier)``.
-RingKey = Tuple[object, int]
+
+class Stamp(NamedTuple):
+    """The versions a memoized value was computed under."""
+
+    #: Ring key (a bare hashed int) -> its data epoch.
+    epochs: Dict[int, int]
+    membership: int
 
 
 class DataEpochLedger:
-    """Monotonic per-ring-key version counters, plus a global counter.
+    """Monotonic per-ring-key data epochs plus the membership epoch."""
 
-    ``global_epoch`` advances on every key advance; it is the stamp used
-    for results whose key set is unknowable (the fully-unbound broadcast
-    pattern matches every triple, so any delta must invalidate it).
-    """
-
-    __slots__ = ("_epochs", "global_epoch")
+    __slots__ = ("_epochs", "membership")
 
     def __init__(self) -> None:
-        self._epochs: Dict[RingKey, int] = {}
-        self.global_epoch = 0
+        self._epochs: Dict[int, int] = {}
+        #: Advanced by the network on every membership change.
+        self.membership = 0
 
-    def advance(self, key: RingKey) -> int:
-        """Bump *key*'s epoch (a delta touched its row); returns it."""
+    def advance(self, key: int) -> int:
+        """Bump *key*'s epoch (a row write touched it); returns it."""
         epoch = self._epochs.get(key, 0) + 1
         self._epochs[key] = epoch
-        self.global_epoch += 1
         return epoch
 
-    def get(self, key: RingKey) -> int:
-        """Current epoch of *key* (0 if it never saw a delta)."""
-        return self._epochs.get(key, 0)
-
-    def snapshot(self, keys: Iterable[RingKey]) -> Dict[RingKey, int]:
-        """Stamps for *keys* as of now — what a cache entry records."""
+    def stamp(self, keys: Iterable[int]) -> Stamp:
+        """The versions of *keys* as of now — taken before computing."""
         get = self._epochs.get
-        return {key: get(key, 0) for key in keys}
+        return Stamp({key: get(key, 0) for key in keys}, self.membership)
 
-    def current(self, stamps: Dict[RingKey, int]) -> bool:
-        """Are all *stamps* still the live epochs? (False ⇒ miss.)"""
+    def current(self, stamp: Stamp) -> bool:
+        """Is *stamp* still the live version? (False ⇒ miss.)"""
+        if stamp.membership != self.membership:
+            return False
         get = self._epochs.get
-        return all(get(key, 0) == epoch for key, epoch in stamps.items())
-
-    def __len__(self) -> int:
-        return len(self._epochs)
+        return all(get(key, 0) == epoch for key, epoch in stamp.epochs.items())

@@ -8,13 +8,11 @@ while the long tail never pays the fill cost. Residency is bounded by a
 per-node byte budget with LFU-tie-broken-LRU eviction (frequencies
 survive eviction, so a re-heated key re-enters the cache quickly).
 
-Correctness is delegated entirely to epoch stamps: every entry records
-the ``data_epoch`` of each ring key it was computed from plus the
-network ``membership_epoch``, captured *before* its result was computed.
-A probe revalidates both against the live ledger; any delta or
-membership change since the stamps were taken turns the entry into a
-miss and drops it. Stale entries can cost a re-execution, never a wrong
-answer.
+Correctness is delegated entirely to the freshness rule of
+:mod:`repro.cache.epoch`: every entry records one stamp, taken *before*
+its result was computed, and a probe serves it only while the ledger
+says the stamp is current; otherwise the entry is dropped. Stale entries
+can cost a re-execution, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from ..net.sizes import size_of
+from .epoch import Stamp
 
 __all__ = ["CacheEntry", "ResultCache"]
 
@@ -36,15 +35,13 @@ DEFAULT_ADMIT_THRESHOLD = 2
 class CacheEntry:
     """One memoized sub-result plus everything needed to revalidate it."""
 
-    __slots__ = ("value", "vars", "stamps", "membership_epoch",
-                 "nbytes", "last_used")
+    __slots__ = ("value", "vars", "stamp", "nbytes", "last_used")
 
-    def __init__(self, value: Any, vars: Any, stamps: Dict[int, int],
-                 membership_epoch: int, nbytes: int, last_used: int) -> None:
+    def __init__(self, value: Any, vars: Any, stamp: Stamp,
+                 nbytes: int, last_used: int) -> None:
         self.value = value
         self.vars = vars
-        self.stamps = stamps
-        self.membership_epoch = membership_epoch
+        self.stamp = stamp
         self.nbytes = nbytes
         self.last_used = last_used
 
@@ -85,13 +82,12 @@ class ResultCache:
         self.frequencies[key] = freq
         entry = self.entries.get(key)
         if entry is not None:
-            if (entry.membership_epoch == self.network.membership_epoch
-                    and self.network.data_epochs.current(entry.stamps)):
+            if self.network.data_epochs.current(entry.stamp):
                 counters.hits += 1
                 self._clock += 1
                 entry.last_used = self._clock
                 return entry, False
-            # A delta or membership change outdated the stamps.
+            # A row write or membership change outdated the stamp.
             self._drop(key, entry)
             counters.stale_drops += 1
         counters.misses += 1
@@ -103,12 +99,13 @@ class ResultCache:
     # ----------------------------------------------------------- admission
 
     def admit(self, key: str, value: Any, vars: Any,
-              stamps: Dict[int, int], membership_epoch: int) -> bool:
-        """Materialize a result computed under *stamps*.
+              epochs: Dict[int, int], membership: int) -> bool:
+        """Materialize a result computed under the stamp of *epochs* and
+        *membership* (the two parts a ``cache_admit`` message carries).
 
-        The stamps must have been captured *before* the result was
-        computed: a delta that raced the computation then makes the
-        entry dead on arrival instead of silently wrong.
+        The stamp must have been taken *before* the result was computed:
+        a delta that raced the computation then makes the entry dead on
+        arrival instead of silently wrong.
         """
         nbytes = size_of(value)
         if nbytes > self.byte_cap:
@@ -126,9 +123,8 @@ class ResultCache:
             self._drop(key=victim, entry=self.entries[victim])
             counters.evictions += 1
         self._clock += 1
-        self.entries[key] = CacheEntry(
-            value, vars, dict(stamps), membership_epoch, nbytes, self._clock
-        )
+        self.entries[key] = CacheEntry(value, vars, Stamp(epochs, membership),
+                                       nbytes, self._clock)
         self.bytes_used += nbytes
         counters.admissions += 1
         counters.bytes_cached += nbytes

@@ -10,9 +10,9 @@ holds the walk's whole solution set:
   under a fresh correlation id, exactly where the walk would have left
   them; every chain, provider fan-out, and pairwise join is skipped.
 * **miss past the admission gate** — the walk runs normally (pinned to
-  the probed site), then its finished mailbox entry is admitted with
-  data-epoch stamps captured *before* the walk started, so a delta that
-  raced the computation invalidates the entry rather than corrupting it.
+  the probed site), then its finished mailbox entry is admitted with a
+  stamp taken *before* the walk started, so a delta that raced the
+  computation invalidates the entry rather than corrupting it.
 * **cold miss** — the walk runs; only the key's frequency is counted.
 
 The probe falls back to the plain walk whenever memoization is unsound
@@ -80,11 +80,9 @@ def exec_cache_probe(ctx, walk):
         return ResultHandle(site, corr, resp["count"], resp["vars"])
 
     admit = resp["admit"]
-    # Stamps cover every leaf's ring key and are read before the walk:
-    # any matching delta necessarily advances one of them.
-    stamps = {info.key: ctx.network.data_epochs.get(info.key)
-              for info in infos}
-    membership = ctx.network.membership_epoch
+    # The stamp covers every leaf's ring key and is taken before the
+    # walk: any matching delta necessarily advances one of them.
+    stamp = ctx.network.data_epochs.stamp(info.key for info in infos)
 
     handle = yield from exec_bgp(ctx, walk)
 
@@ -93,8 +91,8 @@ def exec_cache_probe(ctx, walk):
             "ckey": ckey,
             "corr": handle.corr,
             "vars": handle.vars,
-            "stamps": stamps,
-            "membership": membership,
+            "stamps": stamp.epochs,
+            "membership": stamp.membership,
             "cfg": cfg,
         }
         if site == ctx.initiator:

@@ -314,12 +314,9 @@ class Network:
         #: zeros unless a caller opts into retry, deadline, or failover.
         self.failover = FailoverCounters()
         self.nodes: Dict[str, Node] = {}
-        #: Bumped on every membership change (join/leave/crash/recovery);
-        #: cheap staleness check for caches of lookup results.
-        self.membership_epoch = 0
-        #: Per-ring-key data versions, advanced by every live publication
-        #: (publish/unpublish deltas and attach-time bulk publish); the
-        #: staleness oracle for cached lookup rows and cached results.
+        #: Per-ring-key data epochs, advanced where a location-table row
+        #: is written, plus the membership epoch: the freshness rule of
+        #: every memo of index-derived state (:mod:`repro.cache.epoch`).
         self.data_epochs = DataEpochLedger()
         #: Shared ledger of the cross-query result cache's work; stays
         #: all zeros unless an executor opts in via ``--result-cache``.
@@ -382,12 +379,17 @@ class Network:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         node.network = self
         self.nodes[node.node_id] = node
-        self.membership_epoch += 1
+        self.data_epochs.membership += 1
         return node
 
     def deregister(self, node_id: str) -> None:
         if self.nodes.pop(node_id, None) is not None:
-            self.membership_epoch += 1
+            self.data_epochs.membership += 1
+
+    @property
+    def membership_epoch(self) -> int:
+        """Bumped on every membership change (join/leave/crash/recovery)."""
+        return self.data_epochs.membership
 
     def node(self, node_id: str) -> Node:
         try:
@@ -398,11 +400,11 @@ class Network:
     def fail_node(self, node_id: str) -> None:
         """Crash a node: it stops answering but keeps its state (III-D)."""
         self.node(node_id).alive = False
-        self.membership_epoch += 1
+        self.data_epochs.membership += 1
 
     def recover_node(self, node_id: str) -> None:
         self.node(node_id).alive = True
-        self.membership_epoch += 1
+        self.data_epochs.membership += 1
 
     # ------------------------------------------------------------------ rpc
 

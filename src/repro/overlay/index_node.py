@@ -87,13 +87,17 @@ class IndexNode(QueryPeer, ChordNode):
         Entries outside this node's arc (a lookup or successor pointer
         that raced a join) are not installed but returned as ``bounced``
         for the publisher to re-resolve; the reply also names this
-        node's successor, the owner of the publisher's next arc.
+        node's successor, the owner of the publisher's next arc. Each
+        install advances its key's data epoch, here where the row is
+        written (:mod:`repro.cache.epoch`).
         """
         owned, bounced = [], []
         for entry in payload["entries"]:
             (owned if self.owns(entry[0]) else bounced).append(entry)
+        advance = self.network.data_epochs.advance
         for key, storage_id, freq in owned:
             self.table.add(key, storage_id, freq)
+            advance(key)
         if owned:
             self._replicate(owned)
         return IndexPut(self.successor, bounced)
@@ -390,17 +394,15 @@ class IndexNode(QueryPeer, ChordNode):
             return self._primitive_reply(payload, src, result, pruned)
         if not admit:
             return None
-        # Stamps are captured before the fan-out: a delta racing the
+        # The stamp is taken before the fan-out: a delta racing the
         # evaluation makes the admitted entry dead on arrival.
-        key = payload["key"]
-        stamps = {key: self.network.data_epochs.get(key)}
-        membership = self.network.membership_epoch
+        stamp = self.network.data_epochs.stamp((payload["key"],))
         span = tracer.span("cache", key=ckey, outcome="fill")
         bare = {k: v for k, v in payload.items()
                 if k not in ("digest", "project")}
         full, _, _dropped = yield from self._execute_basic(bare, entries)
         cache.admit(ckey, canonical_rows(full, variables), variables,
-                    stamps, membership)
+                    stamp.epochs, stamp.membership)
         result, pruned = shed(full, payload.get("digest"), payload.get("project"))
         span.close(rows=len(result))
         return self._primitive_reply(payload, src, result, pruned)

@@ -275,8 +275,6 @@ class HybridSystem:
         owner arc by arc (``IndexNode.rpc_publish``)."""
         assert storage.index_node_id is not None
         entries = [(key, freq) for (kind, key), freq in _ordered(counts)]
-        for key, _freq in entries:
-            self.network.data_epochs.advance(key)
 
         # Publication is a long-running batch: give it a generous deadline
         # that scales with the batch instead of the per-RPC default.

@@ -180,10 +180,9 @@ class ExecutionContext:
         #: unsound for this query form); set by the executor after plan
         #: analysis (:func:`repro.query.plan.compute_live_vars`).
         self.live_vars: Optional[FrozenSet] = None
-        #: Per-query memo over (key kind, ring key) → (owner, entries):
-        #: one row per distinct ring key the query touches.
+        #: Per-query memo over (key kind, ring key) → (stamp, done event,
+        #: (owner, entries) or None while in flight); see ``locate``.
         self._lookup_cache: Dict[Tuple[Any, int], tuple] = {}
-        self._lookup_epoch = system.network.membership_epoch
         node = system.network.node(initiator)
         if not isinstance(node, QueryPeer):
             raise QueryFailed(f"initiator {initiator!r} is not a query peer")
@@ -438,93 +437,55 @@ class ExecutionContext:
         (free if the initiator's entry node already owns the key).
         Step 2: read that node's location-table row.
 
-        Rows are memoized per query, one per distinct ring key: parallel
-        askers of one key share a single consultation, and a membership
-        or data-epoch change voids the memoized row.
+        Rows are memoized per query, one ``(stamp, done, row)`` entry per
+        distinct ring key. The stamp is taken before the consultation and
+        the entry is reused only while it is current
+        (:mod:`repro.cache.epoch`); ``row`` is None while the
+        consultation is in flight, and parallel askers of the key wait on
+        ``done`` instead of issuing a duplicate, then look again.
         """
         located = key_for_pattern(pattern, self.system.space)
         if located is None:
             return PatternInfo(pattern, None, None, None, (), 0, condition)
         kind, key = located
-        while True:
-            # Churn invalidation: any membership change since the last
-            # consultation voids every memoized row (a departed node may
-            # have owned any key; a joiner may have split any range).
-            epoch = self.network.membership_epoch
-            if epoch != self._lookup_epoch:
-                self._lookup_cache.clear()
-                self._lookup_epoch = epoch
-            cached = self._lookup_cache.get((kind, key))
-            if cached is None:
-                break
-            if cached[0] == "pending":
-                # Another process of this query is resolving the same
-                # key right now (patterns locate in parallel): wait
-                # for it instead of issuing a duplicate consultation.
-                try:
-                    owner_id, entries, fill_epoch, fill_depoch = yield cached[1]
-                except RpcError:
-                    # The filler died (its sentinel is already removed):
-                    # resolve for ourselves instead of inheriting a loss
-                    # that a retry or failover might still fix.
-                    continue
-                if fill_epoch != self.network.membership_epoch:
-                    # Membership moved while we slept: the row we were
-                    # handed was resolved under the old view; re-resolve
-                    # rather than consume a possibly-stale owner.
-                    continue
-                if fill_depoch != self.network.data_epochs.get(key):
-                    # A publish/unpublish delta touched this key between
-                    # the fill and this waiter waking: the row's entries
-                    # or frequencies may have changed. Re-consult.
-                    continue
-            else:
-                owner_id, entries = cached[1], cached[2]
-                if cached[3] != self.network.data_epochs.get(key):
-                    # The memoized row predates a delta on this key: drop
-                    # it and consult the index again (key-scoped, unlike
-                    # the membership epoch's whole-memo clear).
-                    self._lookup_cache.pop((kind, key), None)
-                    continue
-            self.report.lookup_cache_hits += 1
-            cached_span = self.tracer.span(
-                "lookup", phase=PHASE_LOOKUP, pattern=str(pattern),
-                cached=True)
-            cached_span.close(hops=0)
-            return PatternInfo(pattern, kind, key, owner_id, entries,
-                               0, condition)
-        pending = self.sim.event()
-        self._lookup_cache[(kind, key)] = ("pending", pending)
-        # The data-epoch stamp is read *before* the consultation goes out:
-        # a delta racing the resolve then keeps the row out of the memo
-        # instead of installing a silently stale one.
-        data_epoch = self.network.data_epochs.get(key)
+        ledger = self.network.data_epochs
+        memo = self._lookup_cache
+        entry = memo.get(located)
+        while entry is not None and ledger.current(entry[0]):
+            if entry[2] is not None:
+                self.report.lookup_cache_hits += 1
+                self.tracer.span("lookup", phase=PHASE_LOOKUP,
+                                 pattern=str(pattern), cached=True).close(hops=0)
+                owner_id, entries = entry[2]
+                return PatternInfo(pattern, kind, key, owner_id, entries,
+                                   0, condition)
+            try:
+                yield entry[1]
+            except RpcError:
+                # The filler died and removed its entry: resolve for
+                # ourselves rather than inherit a loss a retry may fix.
+                pass
+            entry = memo.get(located)
+        stamp, done = ledger.stamp((key,)), self.sim.event()
+        entry = memo[located] = (stamp, done, None)
         span = self.tracer.span("lookup", phase=PHASE_LOOKUP, pattern=str(pattern))
         hops = 0
         try:
             owner_id, entries, hops = yield from self._resolve(key)
             self.report.lookup_hops += hops
         except BaseException as exc:
-            if self._lookup_cache.get((kind, key)) == ("pending", pending):
-                del self._lookup_cache[(kind, key)]
-            pending.fail(exc)
+            if memo.get(located) is entry:
+                del memo[located]
+            done.fail(exc)
             raise
         finally:
             span.close(hops=hops)
         self.report.lookup_cache_misses += 1
-        fill_epoch = self.network.membership_epoch
-        if (fill_epoch == self._lookup_epoch
-                and data_epoch == self.network.data_epochs.get(key)):
-            self._lookup_cache[(kind, key)] = ("done", owner_id,
-                                               tuple(entries), data_epoch)
-        elif self._lookup_cache.get((kind, key)) == ("pending", pending):
-            # Membership or data changed mid-flight: don't install a
-            # stale row.
-            del self._lookup_cache[(kind, key)]
-        # Waiters get the fill-time epochs so they can re-validate
-        # against the membership and data versions they wake under.
-        pending.succeed((owner_id, tuple(entries), fill_epoch, data_epoch))
-        return PatternInfo(pattern, kind, key, owner_id, tuple(entries), hops, condition)
+        entries = tuple(entries)
+        if memo.get(located) is entry:
+            memo[located] = (stamp, done, (owner_id, entries))
+        done.succeed()
+        return PatternInfo(pattern, kind, key, owner_id, entries, hops, condition)
 
     def ring_resolve(self, payload: Dict[str, Any]):
         """Generator: a ``find_successor`` through the ring entry point,

@@ -204,8 +204,8 @@ class ExecutionOptions:
     # Off by default: a run without ``result_cache`` is byte-identical to
     # previous releases (no extra payload keys, no extra messages).
 
-    #: See :mod:`repro.cache`; invalidation reads the network's
-    #: ``data_epochs`` ledger and ``membership_epoch``.
+    #: See :mod:`repro.cache`; entries are validated by the freshness
+    #: rule of :mod:`repro.cache.epoch`.
     result_cache: bool = _option(
         False, "cross-query per-site result cache: index nodes memoize "
                "primitive results and combine sites memoize BGP "

@@ -48,11 +48,6 @@ class Namespace:
     def __contains__(self, iri: IRI) -> bool:
         return isinstance(iri, IRI) and iri.value.startswith(self._base)
 
-    def local_name(self, iri: IRI) -> str:
-        if iri not in self:
-            raise ValueError(f"{iri} is not in namespace {self._base}")
-        return iri.value[len(self._base):]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Namespace({self._base!r})"
 

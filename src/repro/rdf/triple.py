@@ -128,8 +128,3 @@ class TriplePattern:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.n3()
-
-
-def pattern_of(triple: Triple) -> TriplePattern:
-    """View a concrete triple as a (fully bound) pattern."""
-    return TriplePattern(triple.s, triple.p, triple.o)

@@ -230,16 +230,6 @@ class SolutionModifiers:
     offset: int = 0
     limit: Optional[int] = None
 
-    @property
-    def is_trivial(self) -> bool:
-        return (
-            not self.order
-            and not self.distinct
-            and not self.reduced
-            and self.offset == 0
-            and self.limit is None
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Query:

@@ -316,10 +316,6 @@ class Tracer:
     def bytes_total(self) -> int:
         return sum(self.phase_bytes.values())
 
-    @property
-    def message_count(self) -> int:
-        return sum(self.phase_messages.values())
-
     def checkpoint(self) -> Tuple[Counter, Counter, Counter]:
         """Snapshot of the phase counters; pass to :meth:`phase_breakdown`
         to scope a breakdown to one query on a reused tracer."""

@@ -7,9 +7,9 @@ replication:
   pushed to the new owner's *own* successors at once, so a second
   failure doesn't silently lose it;
 * coalesced-lookup coherence — a waiter on another process's in-flight
-  index consultation re-validates the membership epoch on wake and
-  re-resolves (instead of consuming a stale owner), and a failed filler
-  never strands its sentinel;
+  index consultation looks at the memo again on wake and re-resolves
+  when the entry's stamp is no longer current (instead of consuming a
+  stale owner), and a failed filler never strands its entry;
 * graceful-departure sweep — handing a location table to the heir also
   drops the stale third-party replica copies and re-replicates from the
   heir, so no future takeover can promote outdated rows.
@@ -119,64 +119,74 @@ class TestCoalescedLookups:
         assert ctx.report.lookup_cache_misses == 1
         assert ctx.report.lookup_cache_hits == 1
 
+    def _in_flight(self, ctx, system):
+        """Plant the memo entry of a consultation in flight for the knows
+        key, stamped now, and start a waiter that must block on it."""
+        located = key_for_pattern(KNOWS_PATTERN, system.space)
+        stamp = system.network.data_epochs.stamp((located[1],))
+        done = system.sim.event()
+        ctx._lookup_cache[located] = (stamp, done, None)
+        waiter = system.sim.process(ctx.locate(KNOWS_PATTERN))
+        return located, stamp, done, waiter
+
+    def _fill_bogus(self, ctx, located, stamp, done, waiter):
+        """What the filler does when its consultation returns: install
+        its row — here a bogus owner — under its stamp, wake waiters."""
+        assert not waiter.triggered, "the waiter must block on the entry"
+        ctx._lookup_cache[located] = (stamp, done, ("N-bogus", ()))
+        done.succeed()
+
     def test_waiter_revalidates_epoch_on_wake(self):
-        """A waiter handed a result minted under an older membership view
-        must re-resolve instead of consuming the stale owner."""
+        """A waiter woken by a consultation that raced a membership
+        change must re-resolve instead of consuming the stale owner."""
         system = build_system(replication_factor=2)
         ctx = self._context(system)
-        sim = system.sim
-        located = key_for_pattern(KNOWS_PATTERN, system.space)
-        pending = sim.event()
-        ctx._lookup_cache[located] = ("pending", pending)
-        waiter = sim.process(ctx.locate(KNOWS_PATTERN))
+        located, stamp, done, waiter = self._in_flight(ctx, system)
 
-        def fill_stale(_e):
-            # What a filler that raced a membership change does: evict the
-            # sentinel, hand waiters a row stamped with the *fill-time*
-            # epochs — here one behind the live membership view, with a
-            # bogus owner.
-            ctx._lookup_cache.pop(located, None)
-            pending.succeed(
-                ("N-bogus", (), system.network.membership_epoch - 1,
-                 system.network.data_epochs.get(located[1])))
+        def churn_then_fill(_e):
+            system.network.fail_node("D4")
+            system.network.recover_node("D4")
+            self._fill_bogus(ctx, located, stamp, done, waiter)
 
-        sim.timeout(0.0).callbacks.append(fill_stale)
-        sim.run()
-        info = waiter.value
-        # The bogus coalesced owner was rejected; the waiter resolved for
-        # itself under the live view.
-        assert info.owner == knows_owner(system)
+        system.sim.timeout(0.0).callbacks.append(churn_then_fill)
+        system.sim.run()
+        # The bogus row was rejected; the waiter resolved for itself
+        # under the live view and its row replaced the stale entry.
+        assert waiter.value.owner == knows_owner(system)
         assert ctx.report.lookup_cache_misses == 1
         assert ctx.report.lookup_cache_hits == 0
+        assert ctx._lookup_cache[located][2][0] == knows_owner(system)
 
     def test_waiter_revalidates_data_epoch_on_wake(self):
         """PR 9 satellite: a delta published while a consultation was in
         flight must not let coalesced waiters consume the pre-delta row —
-        the fill is stamped with the data epoch read at fill time, and a
-        waiter whose stamp no longer matches re-resolves."""
+        the entry's stamp predates the delta, so a waiter re-resolves."""
         system = build_system(replication_factor=2)
         ctx = self._context(system)
-        sim = system.sim
-        located = key_for_pattern(KNOWS_PATTERN, system.space)
-        pending = sim.event()
-        ctx._lookup_cache[located] = ("pending", pending)
-        waiter = sim.process(ctx.locate(KNOWS_PATTERN))
+        located, stamp, done, waiter = self._in_flight(ctx, system)
 
-        def fill_then_delta(_e):
-            # The filler completes under the pre-delta ledger, then a
-            # delta lands before the waiter is scheduled.
-            ctx._lookup_cache.pop(located, None)
-            pending.succeed(
-                ("N-bogus", (), system.network.membership_epoch,
-                 system.network.data_epochs.get(located[1])))
+        def delta_then_fill(_e):
             system.network.data_epochs.advance(located[1])
+            self._fill_bogus(ctx, located, stamp, done, waiter)
 
-        sim.timeout(0.0).callbacks.append(fill_then_delta)
-        sim.run()
-        info = waiter.value
-        assert info.owner == knows_owner(system)
+        system.sim.timeout(0.0).callbacks.append(delta_then_fill)
+        system.sim.run()
+        assert waiter.value.owner == knows_owner(system)
         assert ctx.report.lookup_cache_misses == 1
         assert ctx.report.lookup_cache_hits == 0
+
+    def test_waiter_consumes_a_current_fill(self):
+        """The control for the two races above: with no change between
+        stamp and wake, the waiter takes the filler's row as a hit."""
+        system = build_system(replication_factor=2)
+        ctx = self._context(system)
+        located, stamp, done, waiter = self._in_flight(ctx, system)
+        system.sim.timeout(0.0).callbacks.append(
+            lambda _e: self._fill_bogus(ctx, located, stamp, done, waiter))
+        system.sim.run()
+        assert waiter.value.owner == "N-bogus"
+        assert ctx.report.lookup_cache_misses == 0
+        assert ctx.report.lookup_cache_hits == 1
 
     def test_done_entry_dropped_after_delta(self):
         """A cached done consultation goes stale the moment the key's
@@ -188,18 +198,47 @@ class TestCoalescedLookups:
         p1 = sim.process(ctx.locate(KNOWS_PATTERN))
         sim.run()
         located = key_for_pattern(KNOWS_PATTERN, system.space)
+        first_stamp = ctx._lookup_cache[located][0]
         system.network.data_epochs.advance(located[1])
         p2 = sim.process(ctx.locate(KNOWS_PATTERN))
         sim.run()
         assert p2.value.owner == p1.value.owner == knows_owner(system)
         assert ctx.report.lookup_cache_misses == 2
         assert ctx.report.lookup_cache_hits == 0
-        # The stale entry was evicted and replaced by the re-consultation.
-        assert ctx._lookup_cache[located][0] == "done"
+        # The stale entry was replaced by the re-consultation's, done and
+        # stamped under the advanced epoch.
+        stamp, done, row = ctx._lookup_cache[located]
+        assert done.triggered and row[0] == knows_owner(system)
+        assert stamp != first_stamp
+        assert system.network.data_epochs.current(stamp)
+
+    def test_row_consulted_across_a_crash_is_not_reused(self):
+        """A consultation in flight when a node crashes is stamped with
+        the old membership: a sibling locate that runs after the crash
+        must not make its row current again, so the next locate of the
+        key is a miss."""
+        system = build_system(replication_factor=2)
+        ctx = self._context(system)
+        sim = system.sim
+        name = TriplePattern(X, FOAF.name, Y)
+        first = sim.process(ctx.locate(KNOWS_PATTERN))
+
+        def crash_and_locate(_e):
+            assert not first.triggered, "knows must still be in flight"
+            system.network.fail_node("D4")
+            sim.process(ctx.locate(name))
+
+        sim.timeout(0.001).callbacks.append(crash_and_locate)
+        sim.run()
+        third = sim.process(ctx.locate(KNOWS_PATTERN))
+        sim.run()
+        assert third.value.owner == first.value.owner == knows_owner(system)
+        assert ctx.report.lookup_cache_hits == 0
+        assert ctx.report.lookup_cache_misses == 3
 
     def test_failed_filler_does_not_strand_waiters(self):
         """The filler's lookup dies; the waiter re-resolves on its own
-        and the pending sentinel is evicted, not left to dangle."""
+        and the in-flight entry is evicted, not left to dangle."""
         system = build_system(replication_factor=1)
         victim = knows_owner(system)
         ctx = self._context(system)
@@ -208,11 +247,16 @@ class TestCoalescedLookups:
             lambda _e: system.network.fail_node(victim))
         p1 = sim.process(ctx.locate(KNOWS_PATTERN))
         p2 = sim.process(ctx.locate(KNOWS_PATTERN))
+        ended = {}
+        p1.callbacks.append(lambda _e: ended.setdefault("filler", sim.now))
+        p2.callbacks.append(lambda _e: ended.setdefault("waiter", sim.now))
         sim.run()
         # rf=1, no failover: both consultations fail — but each fails on
-        # its OWN attempt (the waiter retried rather than inheriting).
+        # its OWN attempt (the waiter retried rather than inheriting, so
+        # it fails a whole consultation later).
         assert isinstance(p1.failure, RpcError)
         assert isinstance(p2.failure, RpcError)
+        assert ended["waiter"] > ended["filler"]
         key = key_for_pattern(KNOWS_PATTERN, system.space)
         assert ctx._lookup_cache.get(key) is None
 

@@ -130,8 +130,7 @@ class TestPublication:
             replicas = {node_id: dict(node.replicas.export_range())
                         for node_id, node in system.index_nodes.items()}
             keys = {key for rows in primary.values() for key in rows}
-            epochs = system.network.data_epochs
-            return primary, replicas, epochs.snapshot(keys), epochs.global_epoch
+            return primary, replicas, system.network.data_epochs.stamp(keys).epochs
 
         fast = index(build(protocol=False))
         assert fast == index(build(protocol=True))

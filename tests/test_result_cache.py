@@ -6,7 +6,7 @@ admission/eviction/invalidation contracts hold independently of the
 overlay wiring (which tests/test_cache_coherence.py covers end to end).
 """
 
-from repro.cache import DataEpochLedger, ResultCache
+from repro.cache import DataEpochLedger, ResultCache, Stamp
 from repro.cache.keys import (
     bgp_cache_key,
     canonical_rows,
@@ -14,22 +14,21 @@ from repro.cache.keys import (
     rebind_rows,
 )
 from repro.metrics import CacheCounters
-from repro.overlay import KeyKind
 from repro.rdf import FOAF, IRI, TriplePattern, Variable
 from repro.sparql.solutions import SolutionMapping
 
 X, Y, A, B = Variable("x"), Variable("y"), Variable("a"), Variable("b")
-K1 = (KeyKind.P, 101)
-K2 = (KeyKind.P, 202)
+#: Ring keys, as the ledger sees them: bare hashed ints.
+K1 = 101
+K2 = 202
 
 
 class StubNetwork:
-    """The three attributes ResultCache reads off the real Network."""
+    """The two attributes ResultCache reads off the real Network."""
 
     def __init__(self):
         self.cache = CacheCounters()
         self.data_epochs = DataEpochLedger()
-        self.membership_epoch = 0
 
 
 def make_cache(byte_cap=4096, admit_threshold=2):
@@ -47,23 +46,29 @@ def rows(*indices):
 
 
 class TestDataEpochLedger:
-    def test_advance_and_get(self):
+    def test_advance_and_stamp(self):
         ledger = DataEpochLedger()
-        assert ledger.get(K1) == 0
+        assert ledger.stamp([K1]) == Stamp({K1: 0}, 0)
         assert ledger.advance(K1) == 1
         assert ledger.advance(K1) == 2
-        assert ledger.get(K1) == 2
-        assert ledger.get(K2) == 0
-        assert ledger.global_epoch == 2
+        assert ledger.stamp([K1, K2]) == Stamp({K1: 2, K2: 0}, 0)
 
-    def test_snapshot_and_current(self):
+    def test_stamp_and_current(self):
         ledger = DataEpochLedger()
         ledger.advance(K1)
-        stamps = ledger.snapshot([K1, K2])
-        assert stamps == {K1: 1, K2: 0}
-        assert ledger.current(stamps)
+        stamp = ledger.stamp([K1, K2])
+        assert stamp.epochs == {K1: 1, K2: 0}
+        assert ledger.current(stamp)
         ledger.advance(K2)
-        assert not ledger.current(stamps)
+        assert not ledger.current(stamp)
+
+    def test_membership_change_outdates_every_stamp(self):
+        ledger = DataEpochLedger()
+        keyless, keyed = ledger.stamp(()), ledger.stamp([K1])
+        ledger.membership += 1
+        assert not ledger.current(keyless)
+        assert not ledger.current(keyed)
+        assert ledger.current(ledger.stamp([K1]))
 
 
 class TestAdmissionGate:
@@ -151,8 +156,8 @@ class TestInvalidation:
     def test_stale_data_epoch_drops_entry(self):
         cache, network = make_cache(admit_threshold=1)
         cache.probe("k")
-        stamps = network.data_epochs.snapshot([K1])
-        cache.admit("k", rows(0), (X, Y), stamps, 0)
+        stamp = network.data_epochs.stamp([K1])
+        cache.admit("k", rows(0), (X, Y), stamp.epochs, stamp.membership)
         network.data_epochs.advance(K1)
         entry, admit = cache.probe("k")
         assert entry is None and admit
@@ -163,8 +168,9 @@ class TestInvalidation:
     def test_membership_epoch_invalidates(self):
         cache, network = make_cache(admit_threshold=1)
         cache.probe("k")
-        cache.admit("k", rows(0), (X, Y), {}, network.membership_epoch)
-        network.membership_epoch += 1
+        stamp = network.data_epochs.stamp(())
+        cache.admit("k", rows(0), (X, Y), stamp.epochs, stamp.membership)
+        network.data_epochs.membership += 1
         entry, _ = cache.probe("k")
         assert entry is None
         assert network.cache.stale_drops == 1
@@ -174,17 +180,17 @@ class TestInvalidation:
         mid-computation must turn the admitted entry into a miss."""
         cache, network = make_cache(admit_threshold=1)
         cache.probe("k")
-        stamps = network.data_epochs.snapshot([K1])
+        stamp = network.data_epochs.stamp([K1])
         network.data_epochs.advance(K1)  # the race
-        cache.admit("k", rows(0), (X, Y), stamps, 0)
+        cache.admit("k", rows(0), (X, Y), stamp.epochs, stamp.membership)
         entry, _ = cache.probe("k")
         assert entry is None
 
     def test_unrelated_key_delta_leaves_entry_alone(self):
         cache, network = make_cache(admit_threshold=1)
         cache.probe("k")
-        stamps = network.data_epochs.snapshot([K1])
-        cache.admit("k", rows(0), (X, Y), stamps, 0)
+        stamp = network.data_epochs.stamp([K1])
+        cache.admit("k", rows(0), (X, Y), stamp.epochs, stamp.membership)
         network.data_epochs.advance(K2)
         entry, _ = cache.probe("k")
         assert entry is not None
