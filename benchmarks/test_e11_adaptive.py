@@ -21,7 +21,7 @@ from test_e1_primitive_strategies import QUERY, skewed_parts
 def measure(parts, strategy, time_weight):
     system = build_system(num_index=10, parts=parts)
     executor = DistributedExecutor(system, ExecutionOptions(
-        primitive_strategy=strategy, time_weight=time_weight, dedup_prior=0.85,
+        primitive_strategy=strategy, time_weight=time_weight,
     ))
     result, report = executor.execute(QUERY, initiator="D0")
     return {"rows": len(result.rows), "bytes": report.bytes_total,
@@ -64,8 +64,9 @@ def test_e11_adaptive_tracks_the_frontier(benchmark):
         assert basic["rows"] == freq["rows"] == ad_bytes["rows"] == ad_time["rows"]
 
         # Under the bytes objective, adaptive is within 5% of the better
-        # fixed strategy (the analytic model uses a dedup prior, not the
-        # true duplication, so exact optimality is not guaranteed).
+        # fixed strategy (the analytic model assumes no cross-provider
+        # duplication, the data has some, so exact optimality is not
+        # guaranteed).
         best_bytes = min(basic["bytes"], freq["bytes"])
         worst_bytes = max(basic["bytes"], freq["bytes"])
         assert ad_bytes["bytes"] <= best_bytes * 1.05 or \

@@ -8,7 +8,9 @@ objectives"? This example runs our answer (`PrimitiveStrategy.ADAPTIVE`):
 the same broad query on networks of 2..16 providers, with the objective
 knob swept from pure-bytes to pure-time. Watch the planner switch between
 the frequency-ordered chain and the parallel fan-out exactly where the
-measured frontier crosses.
+measured frontier crosses. `time_weight` is the planner's only knob: its
+cost model takes each pattern's union as the sum of the providers' local
+result sizes, i.e. it assumes no cross-provider duplication.
 
 Run:  python examples/adaptive_planner.py
 """
@@ -59,7 +61,6 @@ def main() -> None:
             executor = DistributedExecutor(system, ExecutionOptions(
                 primitive_strategy=PrimitiveStrategy.ADAPTIVE,
                 time_weight=time_weight,
-                dedup_prior=0.9,
             ))
             result, report = executor.execute(QUERY, initiator="D0")
             choice = next(

@@ -108,8 +108,6 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
             meta.update(choices=list(kind),
                         metavar="{" + ",".join(m.value for m in kind) + "}")
             shown = shown.value
-        if "const" in meta:
-            meta["nargs"] = "?"
         group.add_argument(
             flag, dest=f.name, type=kind, default=f.default,
             help=f"{help_text} (default: {shown})", **meta,

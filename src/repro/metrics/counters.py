@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from statistics import mean, median
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -43,8 +43,8 @@ def _nearest_rank(data: Sequence[float], q: float) -> float:
 
 @functools.cache
 def _counter_names(cls: type) -> Tuple[str, ...]:
-    """The ledger dataclass's counters: its fields with an int default."""
-    return tuple(f.name for f in fields(cls) if isinstance(f.default, int))
+    """The ledger dataclass's counters: every field is one."""
+    return tuple(f.name for f in fields(cls))
 
 
 class _Ledger:
@@ -112,10 +112,6 @@ class FailoverCounters(_Ledger):
     dispatch_failovers: int = 0
     #: Ring re-entries after the initiator's entry index node died.
     entry_failovers: int = 0
-    #: Hedged duplicate lookups launched after the latency threshold.
-    hedges_launched: int = 0
-    #: Hedged lookups where the duplicate answered first.
-    hedges_won: int = 0
     #: Promoted replica rows re-replicated to the new owner's successors.
     promotions_rereplicated: int = 0
     #: Stale third-party replica rows swept on graceful departure.
@@ -140,10 +136,6 @@ class FailoverCounters(_Ledger):
     #: Queries that returned a flagged-incomplete answer instead of
     #: failing outright.
     partial_results: int = 0
-    #: Observed ``index_lookup`` round-trip times (only collected while
-    #: hedging is enabled; feeds the auto hedge-delay percentile). Not a
-    #: counter: left out of ``as_dict``/``checkpoint``/``delta``.
-    lookup_rtts: List[float] = field(default_factory=list)
 
 
 @dataclass

@@ -210,19 +210,6 @@ class IndexNode(QueryPeer, ChordNode):
     def rpc_index_lookup(self, payload: Dict[str, Any], src: str) -> List[LocationEntry]:
         return self.locate(payload["key"])
 
-    def rpc_replica_lookup(self, payload: Dict[str, Any], src: str) -> List[LocationEntry]:
-        """Non-promoting row read, for hedged duplicate lookups: serve the
-        primary row if we hold one, else the replica copy *as is* — the
-        real owner may be merely slow, not dead, and a promotion here
-        would fork the row's ownership."""
-        key = payload["key"]
-        entries = self.table.lookup(key)
-        if entries:
-            return entries
-        row = self.replicas.row_dict(key)
-        return [LocationEntry(storage_id, freq)
-                for storage_id, freq in sorted(row.items())]
-
     def rpc_replica_drop(self, payload: Dict[str, Any], src: str) -> int:
         """Drop the replica rows we hold for *keys* (graceful-departure
         sweep: the primary moved to an heir, so copies replicated by the

@@ -137,19 +137,19 @@ class QueryPeer:
     def result_cache_for(self, cfg: Dict[str, int]):
         """The node's result cache, created on first cached request.
 
-        *cfg* rides in the request payload (``{"bytes": .., "admit": ..}``
-        from the initiator's ExecutionOptions) so every node serves the
-        budget the querying side asked for without any global setup step.
+        *cfg* rides in the request payload (``{"admit": ..}`` from the
+        initiator's ExecutionOptions) so every node applies the admission
+        gate the querying side asked for without any global setup step;
+        the byte budget is the fixed ``DEFAULT_CACHE_BYTES``.
         """
         from ..cache.result_cache import ResultCache
 
         cache = self.__dict__.get("_qp_result_cache")
         if cache is None:
             cache = self.__dict__["_qp_result_cache"] = ResultCache(
-                self.network, cfg["bytes"], cfg["admit"]
+                self.network, admit_threshold=cfg["admit"]
             )
         else:
-            cache.byte_cap = cfg["bytes"]
             cache.admit_threshold = cfg["admit"]
         return cache
 

@@ -26,6 +26,7 @@ from ..net.sizes import size_of
 from ..net.transport import RpcTimeout
 from ..net.wire import PRUNED_COUNTER_BYTES
 from ..sparql import ast
+from . import join_site
 from .failover import dispatch_primitive
 from .join_site import (
     combine_handles, digest_embed_cost, fetch_digest, least_loaded_site,
@@ -132,7 +133,7 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
         if (
             handle is not None
             and opts.semijoin
-            and handle.count >= opts.semijoin_min_rows
+            and handle.count >= join_site.SEMIJOIN_MIN_ROWS
             and handle.vars
         ):
             shared = handle.vars & pattern_vars[i]
@@ -187,12 +188,12 @@ def _exec_optimized_mode(ctx, walk: BGPWalk, steps: List[Step]):
     ctx.report.merge_note(f"conjunction site {site}")
 
     processes = [
-        ctx.sim.process(_pattern_to_site_guarded(ctx, info, site, leaf))
+        ctx.sim.process(_pattern_to_site_or_drop(ctx, info, site, leaf))
         for leaf, info in steps
     ]
     handles: List[ResultHandle] = yield ctx.sim.all_of(processes)
     if any(h is None for h in handles):
-        return None  # a pattern dropped (flagged in the guard)
+        return None  # a pattern dropped (flagged where it dropped)
     for (leaf, _info), h in zip(steps, handles):
         note_result(leaf, h)
 
@@ -204,7 +205,7 @@ def _exec_optimized_mode(ctx, walk: BGPWalk, steps: List[Step]):
     return handle
 
 
-def _pattern_to_site_guarded(ctx, info: PatternInfo, site: str,
+def _pattern_to_site_or_drop(ctx, info: PatternInfo, site: str,
                              leaf: ChainShip):
     """Generator: :func:`exec_pattern_to_site`, degrading an unreachable
     pattern to ``None`` under ``options.partial_results``."""

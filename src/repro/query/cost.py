@@ -36,9 +36,9 @@ transfers included):
 * FREQ:   bytes ≈ Σ_k prefix_k + U         (ascending chain: hop k ships
           time  ≈ (n+1)L + that/B           the union of the k smallest)
 
-U, the deduplicated union, is unknowable a priori; it is estimated as
-``dedup_ratio x Σ s_i`` with a configurable prior (1.0 = no duplication,
-the conservative default).
+U, the deduplicated union, is unknowable a priori; the model takes
+U = Σ s_i, i.e. it assumes no cross-provider duplication (the
+conservative estimate: duplication only ever shrinks what ships).
 
 The mixture knob ``time_weight`` ∈ [0, 1]: 0 minimizes transmission, 1
 minimizes response time; intermediate values scalarize the bi-objective
@@ -110,9 +110,6 @@ class CostModel:
 
     link: LinkModel
     bytes_per_solution: float = BYTES_PER_SOLUTION
-    #: Expected |union| / Σ|locals| — 1.0 means no cross-provider
-    #: duplication; lower values model shared/replicated data.
-    dedup_ratio: float = 1.0
 
     def _sizes(self, entries: Sequence[LocationEntry]) -> List[float]:
         return sorted(e.frequency * self.bytes_per_solution for e in entries)
@@ -121,27 +118,26 @@ class CostModel:
         sizes = self._sizes(entries)
         if not sizes:
             return [StrategyCosts(PrimitiveStrategy.BASIC, 0.0, 0.0)]
-        total = sum(sizes)
-        union = self.dedup_ratio * total
+        # U = Σ s_i: no cross-provider duplication is assumed.
+        union = sum(sizes)
         latency = self.link.latency
         bandwidth = self.link.bandwidth
 
         # BASIC: parallel fan-out (request+reply per provider, replies in
         # parallel so the slowest dominates), then assembly -> initiator.
-        basic_bytes = total + union
+        basic_bytes = 2 * union
         basic_time = 4 * latency + (max(sizes) + union) / bandwidth
 
         # FREQ: ascending chain; hop k ships the union of the k smallest
-        # local results (dedup applied progressively), the final node
-        # sends the full union straight to the initiator.
-        raw_prefix = 0.0
+        # local results, the final node sends the full union straight to
+        # the initiator.
+        prefix = 0.0
         chain_bytes = 0.0
         chain_time = (len(sizes) + 1) * latency
         for size in sizes[:-1]:
-            raw_prefix += size
-            shipped = min(union, self.dedup_ratio * raw_prefix)
-            chain_bytes += shipped
-            chain_time += shipped / bandwidth
+            prefix += size
+            chain_bytes += prefix
+            chain_time += prefix / bandwidth
         chain_bytes += union
         chain_time += union / bandwidth
 
@@ -155,7 +151,6 @@ def choose_strategy(
     entries: Sequence[LocationEntry],
     link: LinkModel,
     time_weight: float,
-    dedup_ratio: float = 1.0,
     wire_scale: float = 1.0,
 ) -> Tuple[PrimitiveStrategy, List[StrategyCosts]]:
     """Pick the strategy minimizing the scalarized objective.
@@ -173,8 +168,7 @@ def choose_strategy(
         raise ValueError("time_weight must lie in [0, 1]")
     if wire_scale <= 0.0:
         raise ValueError("wire_scale must be positive")
-    model = CostModel(link=link, dedup_ratio=dedup_ratio,
-                      bytes_per_solution=BYTES_PER_SOLUTION * wire_scale)
+    model = CostModel(link=link, bytes_per_solution=BYTES_PER_SOLUTION * wire_scale)
     costs = model.predict(entries)
     if len(costs) == 1:
         return costs[0].strategy, costs
@@ -335,7 +329,7 @@ def _pin_leaf_strategy(ctx, leaf: ChainShip) -> None:
         return
     strategy, _costs = choose_strategy(
         info.entries, ctx.network.link,
-        ctx.options.time_weight, ctx.options.dedup_prior,
+        ctx.options.time_weight,
     )
     leaf.plan_strategy = strategy
 

@@ -22,7 +22,6 @@ optimization study trades against each other.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
@@ -414,8 +413,7 @@ class ExecutionContext:
         None when the cache is off (keeping payloads byte-identical)."""
         if not self.options.result_cache:
             return None
-        return {"bytes": self.options.cache_bytes,
-                "admit": self.options.cache_admit_threshold}
+        return {"admit": self.options.cache_admit_threshold}
 
     def keep_vars(self, pattern_vars) -> Optional[List]:
         """Projection keep-list for a pattern's provider-side results, or
@@ -518,7 +516,7 @@ class ExecutionContext:
         if owner_id == self.initiator and owner_id in self.system.index_nodes:
             return owner_id, self.system.index_nodes[owner_id].locate(key), hops
         try:
-            entries = yield from self._read_row(owner_id, key)
+            entries = yield self.call(owner_id, "index_lookup", {"key": key})
             return owner_id, entries, hops
         except RpcTimeout:
             if not self.options.failover:
@@ -548,68 +546,6 @@ class ExecutionContext:
         if result.ref.node_id == dead:
             raise RpcTimeout(f"{dead}: no replica holder for key {key}")
         return result.ref.node_id, result.hops
-
-    def _read_row(self, owner_id: str, key: int):
-        """Generator: read the owner's location-table row; with hedging
-        enabled, race a duplicate (non-promoting) replica read once the
-        primary is slower than the hedge threshold."""
-        if self.options.hedge_delay is None:
-            entries = yield self.call(owner_id, "index_lookup", {"key": key})
-            return entries
-        from .failover import guarded
-
-        start = self.sim.now
-        delay = self.options.hedge_delay or self._auto_hedge_delay()
-        primary = guarded(self.sim,
-                          self.call(owner_id, "index_lookup", {"key": key}))
-        timer = self.sim.timeout(delay)
-        index, value = yield self.sim.any_of([primary, timer])
-        if index == 0:
-            timer.cancel()
-            ok, payload = value
-            if not ok:
-                raise payload
-            self.network.failover.lookup_rtts.append(self.sim.now - start)
-            return payload
-        # Primary slower than the threshold: hedge against the replica
-        # holder. The duplicate must not promote the replica row — the
-        # primary may be merely slow, not dead — so it reads via
-        # ``replica_lookup``.
-        self.network.failover.hedges_launched += 1
-        hedge = guarded(self.sim,
-                        self.sim.process(self._hedge_read(owner_id, key)))
-        index, (ok, payload) = yield self.sim.any_of([primary, hedge])
-        if not ok:
-            # The first finisher failed; fall back to the survivor.
-            other = hedge if index == 0 else primary
-            _i, (ok, payload) = yield self.sim.any_of([other])
-            if not ok:
-                raise payload
-            won = other is hedge
-        else:
-            won = index == 1
-        if won:
-            self.network.failover.hedges_won += 1
-        self.network.failover.lookup_rtts.append(self.sim.now - start)
-        return payload
-
-    def _hedge_read(self, owner_id: str, key: int):
-        """Generator: the hedged duplicate — resolve the replica holder
-        and read its copy of the row without promoting it."""
-        alt, _hops = yield from self.replica_of(key, owner_id)
-        entries = yield self.call(alt, "replica_lookup", {"key": key})
-        return tuple(entries)
-
-    def _auto_hedge_delay(self) -> float:
-        """p95 of observed lookup RTTs, floored at four link latencies
-        (the cold-start default before enough samples accumulate)."""
-        rtts = self.network.failover.lookup_rtts
-        floor = 4 * self.network.link.latency
-        if len(rtts) < 8:
-            return floor
-        data = sorted(rtts[-256:])
-        p95 = data[min(len(data) - 1, math.ceil(0.95 * len(data)) - 1)]
-        return max(p95, floor)
 
     # ------------------------------------------------------------ finishing
 

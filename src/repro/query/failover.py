@@ -1,14 +1,17 @@
 """Failover in the distributed query path (PR 6).
 
 Sect. III-D replicates each index node's location table across its
-successor list so the system "can eventually recover" from failure. These
-helpers make in-flight queries exploit that replication *now*: when an
-RPC to a key's owner times out, the key's replica holder is re-resolved
-(:meth:`ExecutionContext.replica_of`) and the timed-out step is
-re-dispatched there instead of abandoning the query.
+successor list so the system "can eventually recover" from failure.
+:func:`dispatch_primitive` makes in-flight queries exploit that
+replication *now*: when a dispatch to a key's owner times out, the key's
+replica holder is re-resolved (:meth:`ExecutionContext.replica_of`) and
+the timed-out step is re-dispatched there instead of abandoning the
+query. Index lookups fail over the same way in
+:meth:`ExecutionContext._resolve`. The paper's two steps, a timeout
+that detects the dead owner and a successor-list replica that recovers
+from it, are the whole mechanism.
 
-Everything here is gated on ``ExecutionOptions.failover``; the default
-configuration never reaches this module.
+Without ``ExecutionOptions.failover`` the dispatch is one plain call.
 """
 
 from __future__ import annotations
@@ -19,26 +22,7 @@ from typing import Optional
 from ..net.transport import RpcTimeout
 from ..trace.tracer import PHASE_LOOKUP
 
-__all__ = ["guarded", "dispatch_primitive"]
-
-
-def guarded(sim, event):
-    """Wrap *event* so it always succeeds with ``(ok, value_or_failure)``.
-
-    ``AnyOf`` fails fast when any child fails; racing a fallible RPC
-    against a timer or a sibling therefore needs this adapter — the race
-    sees a clean success either way and the loser stays inert.
-    """
-    out = sim.event()
-
-    def settle(e):
-        if e.failure is None:
-            out.succeed((True, e.value))
-        else:
-            out.succeed((False, e.failure))
-
-    event.callbacks.append(settle)
-    return out
+__all__ = ["dispatch_primitive"]
 
 
 def dispatch_primitive(ctx, info, payload: dict, corr: str,

@@ -44,6 +44,10 @@ _PER_ITEM_OVERHEAD = 2
 SEMIJOIN_EXACT_THRESHOLD = 64
 #: Bloom digest density (bits per key).
 SEMIJOIN_BLOOM_BITS = 10
+#: Skip the semijoin digest round trip when the operand it would prune
+#: has fewer rows: below this the digest costs more than it saves. Read
+#: at call time, here and in :mod:`repro.query.conjunction`.
+SEMIJOIN_MIN_ROWS = 4
 
 
 def pick_join_site(ctx, left: ResultHandle, right: ResultHandle) -> str:
@@ -271,7 +275,7 @@ def combine_handles(
             use_semijoin
             and may_prune(op, second_role)
             and second.site != site
-            and second.count >= opts.semijoin_min_rows
+            and second.count >= SEMIJOIN_MIN_ROWS
             and first.vars is not None
             and second.vars is not None
         ):

@@ -157,7 +157,6 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
             info.entries,
             ctx.network.link,
             ctx.options.time_weight,
-            ctx.options.dedup_prior,
             wire_scale=wire_scale,
         )
         ctx.report.merge_note(f"adaptive -> {strategy.value} ({corr})")

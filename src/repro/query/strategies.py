@@ -78,8 +78,8 @@ _PLAN_MODES = ("legacy", "cost")
 def _option(default, help: str, **flag):
     """An :class:`ExecutionOptions` field with its command-line flag:
     *help* is the flag's help text, and *flag* may hold ``flag`` (a
-    spelling other than the field's kebab-case name), ``metavar``,
-    ``choices`` or ``const`` (the value of the bare flag)."""
+    spelling other than the field's kebab-case name), ``metavar`` or
+    ``choices``."""
     return field(default=default, metadata={"help": help, **flag})
 
 
@@ -113,10 +113,6 @@ class ExecutionOptions:
     #: Sect. V's conflicting optimization criteria, scalarized.
     time_weight: float = _option(
         0.5, "adaptive objective mixture: 0=min bytes, 1=min time")
-    dedup_prior: float = _option(
-        1.0, "adaptive cost model's prior on cross-provider duplication: "
-             "expected |union| / sum of local result sizes (1 = none)",
-        metavar="X")
     #: ``legacy`` executes the compiled operator tree exactly as the
     #: per-step strategy flags dictate; ``cost`` lets the planner
     #: (:mod:`repro.query.cost`) pre-fetch leaf statistics first.
@@ -142,10 +138,6 @@ class ExecutionOptions:
     dictionary_encoding: bool = _option(
         False, "dictionary-delta wire encoding for shipped solution sets",
         flag="--dict-encoding")
-    semijoin_min_rows: int = _option(
-        4, "skip the semijoin digest round trip when the candidate operand "
-           "has fewer rows (the digest would cost more than it saves)",
-        metavar="N")
 
     # --- fault tolerance (PR 6) ------------------------------------------
     # All default off/None: a no-fault run with the defaults is
@@ -167,10 +159,6 @@ class ExecutionOptions:
     failover: bool = _option(
         False, "re-route timed-out lookups and primitive dispatches to "
                "replica holders via the successor list (needs --replicas>=2)")
-    hedge_delay: Optional[float] = _option(
-        None, "hedged index reads: duplicate a slow lookup to a replica "
-              "after SECS (bare --hedge = auto, the p95 of observed lookup "
-              "RTTs)", flag="--hedge", metavar="SECS", const=0.0)
     #: Every RPC (and retry schedule) is clamped to the remaining budget,
     #: which travels with dispatched sub-queries.
     query_deadline: Optional[float] = _option(
@@ -211,9 +199,6 @@ class ExecutionOptions:
                "primitive results and combine sites memoize BGP "
                "sub-results, invalidated delta-exactly by the data-epoch "
                "ledger")
-    cache_bytes: int = _option(
-        262144, "per-node byte budget for cached solution data",
-        metavar="N")
     cache_admit_threshold: int = _option(
         2, "requests for a key before its result is cached (1 = admit on "
            "the first miss)", metavar="N")

@@ -3,7 +3,7 @@
 The paper's churn story (Sect. III-C/D) assumes a departed or crashed
 node can come back and the system converges — but convergence is only
 possible if the node's state survives the crash. This package is that
-durability layer: a CRC-guarded line-record write-ahead log built on the
+durability layer: a CRC-checked line-record write-ahead log built on the
 N-Triples codec, periodic snapshots with log compaction, durable
 wrappers for the RDF graph and the location table that replay
 snapshot+log on open, a system-level membership journal, and whole-system

@@ -4,7 +4,7 @@ A snapshot materializes a component's full state (an N-Triples graph
 dump, a location-table dump) as of one WAL LSN, so recovery replays only
 the log suffix past it. Files are written to a temporary name and
 atomically renamed into place — a crash mid-snapshot leaves the previous
-snapshot intact — and the body is CRC-guarded like WAL records, so a
+snapshot intact — and the body is CRC-checked like WAL records, so a
 damaged snapshot is detected and an older intact one is used instead.
 
 Layout: ``<dir>/<name>-<lsn:016x>.snap`` with a one-line header::

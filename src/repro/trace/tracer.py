@@ -69,7 +69,6 @@ _METHOD_PHASES: Dict[str, str] = {
     "publish": PHASE_LOOKUP,
     "index_put": PHASE_LOOKUP,
     "replica_put": PHASE_LOOKUP,
-    "replica_lookup": PHASE_LOOKUP,
     "replica_drop": PHASE_LOOKUP,
     "rereplicate": PHASE_LOOKUP,
     "index_remove_storage": PHASE_LOOKUP,

@@ -169,15 +169,29 @@ class TestCli:
         _, args = parse_args([
             "--query", "ASK {}", "--strategy", "basic", "--conjunction",
             "basic", "--join-site", "third-site", "--plan", "cost",
-            "--no-optimize", "--dict-encoding", "--hedge",
+            "--no-optimize", "--dict-encoding",
         ])
         assert cli._options(args) == ExecutionOptions(
             primitive_strategy=PrimitiveStrategy.BASIC,
             conjunction_mode=ConjunctionMode.BASIC,
             join_site_policy=JoinSitePolicy.THIRD_SITE,
             plan_mode="cost", optimize=False, dictionary_encoding=True,
-            hedge_delay=0.0,
         )
+
+    @pytest.mark.parametrize("words", [
+        ["--hedge"],
+        ["--cache-bytes", "1"],
+        ["--semijoin-min-rows", "1"],
+        ["--dedup-prior", "0.9"],
+    ])
+    def test_removed_flags_are_usage_errors(self, words, capsys):
+        """Hedged reads are gone and the cache budget, the semijoin
+        threshold and the duplication prior are constants: their flags
+        are unknown arguments, not silently ignored."""
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["--query", "ASK {}", *words])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_strategy_choices_enforced(self, data_files):
         with pytest.raises(SystemExit):

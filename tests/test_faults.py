@@ -4,9 +4,9 @@ Covers the deterministic :class:`FaultInjector` (seeded per-link fates,
 window independence, brownout scaling), the :class:`HealthLedger`
 breaker state machine, the transport's open-circuit short-circuit, the
 duplicate-absorbing corr lifecycle across the release sweep boundary,
-hedged index reads against a slow-not-dead owner, the one place a dead
-owner's replica holder is re-resolved, and the all-zero
-guard: with every chaos feature off, none of the new machinery runs.
+the one place a dead owner's replica holder is re-resolved, and the
+all-zero guard: with every chaos feature off, none of the new machinery
+runs.
 """
 
 from __future__ import annotations
@@ -292,68 +292,6 @@ class TestDuplicateStorm:
 
 
 # --------------------------------------------------------------------------
-# Satellite 3: hedged index reads against a slow-not-dead owner
-
-
-HEDGE_QUERY = PAPER_FIG_QUERIES["fig5"]
-HEDGE_OPTIONS = ExecutionOptions(failover=True, retries=1, hedge_delay=0.02)
-
-
-def slow_owner_system():
-    """``(system, owner, oracle)``: an rf=2 system whose index node serving
-    fig5's single lookup from D2 is browned out, every message to or from
-    it dragging an extra half second — slow, not dead."""
-    # Find that node when nothing is injected (the topology is
-    # deterministic).
-    probe = build_system(replication_factor=2)
-    served = []
-    for node_id, node in probe.index_nodes.items():
-        original = node.rpc_index_lookup
-
-        def spy(payload, src, _orig=original, _id=node_id):
-            served.append(_id)
-            return _orig(payload, src)
-
-        node.rpc_index_lookup = spy
-    result, _ = DistributedExecutor(probe).execute(HEDGE_QUERY, initiator="D2")
-    oracle, (owner,) = _rows(result), served
-
-    system = build_system(replication_factor=2)
-    plan = FaultPlan(
-        rules=(
-            FaultRule("delay", dst=owner, probability=1.0, delay=0.5),
-            FaultRule("delay", src=owner, probability=1.0, delay=0.5),
-            FaultRule("brownout", node=owner, factor=8.0),
-        ),
-        seed=1,
-    )
-    system.network.install_faults(plan)
-    return system, owner, oracle
-
-
-class TestHedgeUnderChaos:
-    def test_hedge_wins_against_slow_owner_and_counts_once(self):
-        system, _owner, oracle = slow_owner_system()
-        result, _ = DistributedExecutor(system, HEDGE_OPTIONS).execute(
-            HEDGE_QUERY, initiator="D2")
-        counters = system.network.failover
-        assert _rows(result) == oracle
-        assert counters.hedges_launched == 1
-        assert counters.hedges_won == 1
-        # One logical lookup in the ledger despite two physical reads:
-        # the loser's reply is discarded, not double-counted.
-        assert len(counters.lookup_rtts) == 1
-        assert counters.lookup_rtts[0] < 0.5  # the hedge's RTT, not the owner's
-
-    def test_hedge_not_launched_when_owner_is_fast(self):
-        system = build_system(replication_factor=2)
-        options = ExecutionOptions(failover=True, hedge_delay=5.0)
-        result, _ = DistributedExecutor(system, options).execute(
-            PAPER_FIG_QUERIES["fig5"], initiator="D2")
-        assert system.network.failover.hedges_launched == 0
-
-
-# --------------------------------------------------------------------------
 # Re-resolving a dead owner's replica has one home
 
 
@@ -373,8 +311,8 @@ def avoid_hints(system, initiator):
 
 
 class TestReplicaOf:
-    """Lookup failover, dispatch failover and the hedged read all find the
-    replica holder through ``ExecutionContext.replica_of``."""
+    """Lookup failover and dispatch failover both find the replica holder
+    through ``ExecutionContext.replica_of``."""
 
     @pytest.mark.parametrize("crash_at, counter", [
         (0.001, "lookup_failovers"),  # dies before its row is read
@@ -393,15 +331,6 @@ class TestReplicaOf:
         assert getattr(system.network.failover, counter) == 1
         _kind, key = key_for_pattern(KNOWS_PATTERN, system.space)
         assert seen == [{"key": key, "avoid": [victim]}]
-
-    def test_hedge_hint_shape(self):
-        system, owner, _oracle = slow_owner_system()
-        seen = avoid_hints(system, "D2")
-        DistributedExecutor(system, HEDGE_OPTIONS).execute(
-            HEDGE_QUERY, initiator="D2")
-        assert system.network.failover.hedges_launched == 1
-        assert len(seen) == 1
-        assert seen == [{"key": seen[0]["key"], "avoid": [owner]}]
 
     def test_avoid_payload_built_only_in_replica_of(self):
         package = Path(repro.query.__file__).parent
@@ -440,7 +369,6 @@ class TestChaosOffGuard:
         counters = network.failover.as_dict()
         for name in CHAOS_COUNTERS:
             assert counters[name] == 0, name
-        assert network.failover.lookup_rtts == []
 
     def test_fault_features_on_but_no_faults_stays_exact(self):
         """Breakers + partial results enabled against a healthy fabric:

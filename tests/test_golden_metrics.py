@@ -24,7 +24,7 @@ The grid is fault-free, so it never reaches the transport's drop,
 duplicate, delay-spike and brownout branches. One more cell pins those:
 the Fig. 4-9 mix under a seeded chaos plan with the whole defense stack
 on, down to a hash of every traced message (``chaos_fig4_9.json``). A
-second chaos cell adds the contention model and auto-hedged reads
+second chaos cell adds the contention model, every job started at once
 (``chaos_contention_fig4_9.json``), pinning the brownout-scaled queue
 service times and the reply path's compute admissions as well.
 """
@@ -34,8 +34,8 @@ import itertools
 import json
 import os
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -47,6 +47,7 @@ from repro.query import (
     ExecutionOptions,
     JoinSitePolicy,
     PrimitiveStrategy,
+    join_site,
 )
 from repro.query.executor import QueryFailed
 from repro.rdf.namespaces import COMMON_PREFIXES
@@ -120,12 +121,15 @@ def answer_fingerprint(result) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+@patch.object(join_site, "SEMIJOIN_MIN_ROWS", 1)
 def capture():
     """Run every pinned configuration in a fixed order on a fresh system.
 
     A fresh system + fixed order makes the capture self-consistent: any
     state the engine carries across queries (e.g. lookup caches) evolves
-    identically at regen time and at check time.
+    identically at regen time and at check time. The semijoin threshold
+    is lowered to one row so the digest path engages even on this tiny
+    data.
     """
     system = build_system()
     out = {}
@@ -136,7 +140,6 @@ def capture():
                     primitive_strategy=strategy,
                     conjunction_mode=mode,
                     join_site_policy=policy,
-                    semijoin_min_rows=1,
                     **techniques,
                 )
                 executor = DistributedExecutor(system, options)
@@ -252,8 +255,7 @@ def test_chaos_cell_matches_golden():
 
 
 def test_contention_chaos_cell_matches_golden():
-    got = capture_chaos(replace(CHAOS_OPTIONS, hedge_delay=0.0),
-                        contention=True)
+    got = capture_chaos(CHAOS_OPTIONS, contention=True)
     assert got == _check_golden(CONTENTION_GOLDEN_PATH, got)
 
 

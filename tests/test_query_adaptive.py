@@ -37,13 +37,6 @@ class TestCostModel:
         costs = {c.strategy: c for c in CostModel(LINK).predict(entries(*[50] * 16))}
         assert costs[PrimitiveStrategy.BASIC].time <= costs[PrimitiveStrategy.FREQ].time
 
-    def test_dedup_prior_lowers_chain_cost(self):
-        dup = CostModel(LINK, dedup_ratio=0.3).predict(entries(40, 40, 40))
-        nodup = CostModel(LINK, dedup_ratio=1.0).predict(entries(40, 40, 40))
-        chain_dup = next(c for c in dup if c.strategy is PrimitiveStrategy.FREQ)
-        chain_nodup = next(c for c in nodup if c.strategy is PrimitiveStrategy.FREQ)
-        assert chain_dup.bytes < chain_nodup.bytes
-
     def test_empty_row(self):
         strategy, costs = choose_strategy([], LINK, time_weight=0.5)
         assert strategy is PrimitiveStrategy.BASIC
@@ -94,7 +87,7 @@ class TestAdaptiveExecution:
         for strategy in (PrimitiveStrategy.BASIC, PrimitiveStrategy.FREQ,
                          PrimitiveStrategy.ADAPTIVE):
             executor = DistributedExecutor(system, ExecutionOptions(
-                primitive_strategy=strategy, time_weight=0.0, dedup_prior=0.85,
+                primitive_strategy=strategy, time_weight=0.0,
             ))
             _, report = executor.execute(query, initiator="D0")
             measured[strategy] = report.bytes_total

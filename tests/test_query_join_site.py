@@ -3,7 +3,14 @@ behaviour and shipping mechanics."""
 
 import pytest
 
-from repro.query import DistributedExecutor, JoinSitePolicy, ResultHandle
+from repro.query import (
+    ConjunctionMode,
+    DistributedExecutor,
+    ExecutionOptions,
+    JoinSitePolicy,
+    ResultHandle,
+    join_site,
+)
 from repro.query.executor import ExecutionContext, ExecutionReport
 from repro.query.join_site import combine_handles, pick_join_site, ship_handle
 from repro.rdf import COMMON_PREFIXES, IRI, Variable
@@ -20,10 +27,10 @@ def make_ctx(system, initiator="D1", **options):
     )
 
 
-def deposit(system, site, corr, mappings):
+def deposit(system, site, corr, mappings, vars=None):
     node = system.network.node(site)
     node.mailbox[corr] = set(mappings)
-    return ResultHandle(site, corr, len(node.mailbox[corr]))
+    return ResultHandle(site, corr, len(node.mailbox[corr]), vars)
 
 
 def mus(n, var=X):
@@ -189,3 +196,41 @@ class TestWalkPostFilter:
         result, _ = executor.execute(self.QUERY, initiator=initiator)
         assert result.rows == oracle.rows
         assert len(result.rows) > 0
+
+
+class TestSemijoinMinRows:
+    """An operand with fewer than ``SEMIJOIN_MIN_ROWS`` rows skips the
+    digest round trip; at the threshold the digest is fetched."""
+
+    @pytest.mark.parametrize("above, fetched", [(1, False), (0, True)])
+    def test_basic_walk(self, paper_system, monkeypatch, above, fetched):
+        # Unreordered, the walk's first operand is every knows row.
+        first = "SELECT * WHERE { ?x foaf:knows ?z . }"
+        query = "SELECT ?x ?z ?n WHERE { ?x foaf:knows ?z . ?x foaf:name ?n . }"
+        union = paper_system.union_graph()
+        n = len(evaluate_query(parse_query(first, COMMON_PREFIXES), union).rows)
+        monkeypatch.setattr(join_site, "SEMIJOIN_MIN_ROWS", n + above)
+        executor = DistributedExecutor(paper_system, ExecutionOptions(
+            semijoin=True, conjunction_mode=ConjunctionMode.BASIC,
+            reorder_joins=False))
+        result, report = executor.execute(query, initiator="D1")
+        oracle = evaluate_query(parse_query(query, COMMON_PREFIXES), union)
+        assert sorted(map(repr, result.rows)) == sorted(map(repr, oracle.rows))
+        assert (report.digest_bytes > 0) is fetched
+
+    @pytest.mark.parametrize("above, fetched", [(1, False), (0, True)])
+    def test_combine_handles_join(self, paper_system, monkeypatch, above,
+                                  fetched):
+        n = 6
+        monkeypatch.setattr(join_site, "SEMIJOIN_MIN_ROWS", n + above)
+        ctx = make_ctx(paper_system, semijoin=True)
+        anchor = deposit(paper_system, "D2", "l", mus(1), frozenset({X}))
+        other = deposit(paper_system, "D3", "r", mus(n), frozenset({X}))
+
+        def proc():
+            return (yield from combine_handles(ctx, "join", anchor, other,
+                                               site="D2"))
+
+        out = paper_system.sim.run_process(proc())
+        assert out.site == "D2" and out.count == 1
+        assert (ctx.report.digest_bytes > 0) is fetched

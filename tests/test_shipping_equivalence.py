@@ -16,6 +16,7 @@ from repro.query import (
     ExecutionOptions,
     JoinSitePolicy,
     PrimitiveStrategy,
+    join_site,
 )
 
 from helpers import build_system
@@ -77,12 +78,17 @@ def run(system, text, strategy, mode, policy, **techniques):
         primitive_strategy=strategy,
         conjunction_mode=mode,
         join_site_policy=policy,
-        semijoin_min_rows=1,  # engage the digest path even on tiny data
         **techniques,
     )
     executor = DistributedExecutor(system, options)
     result, _report = executor.execute(text, initiator="D1")
     return canon(result)
+
+
+@pytest.fixture(autouse=True)
+def digest_even_tiny_operands(monkeypatch):
+    """Engage the semijoin digest path even on this tiny data."""
+    monkeypatch.setattr(join_site, "SEMIJOIN_MIN_ROWS", 1)
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +145,7 @@ def test_order_by_row_order_is_preserved(system):
     """The one order-sensitive figure query keeps its row order under the
     full optimization stack."""
     def rows(**techniques):
-        options = ExecutionOptions(semijoin_min_rows=1, **techniques)
+        options = ExecutionOptions(**techniques)
         executor = DistributedExecutor(system, options)
         result, _ = executor.execute(FIGURE_QUERIES["fig4"], initiator="D1")
         return [tuple(sorted((v.name, t.n3()) for v, t in mu.items()))
