@@ -149,7 +149,7 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
                         + len(info.entries) * PRUNED_COUNTER_BYTES
                     )
         try:
-            ack, info, corr = yield from dispatch_primitive(
+            ack, info, corr, _tag = yield from dispatch_primitive(
                 ctx, info, payload, corr,
                 timeout=ctx.options.delivery_timeout * 4)
         except RpcTimeout:

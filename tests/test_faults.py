@@ -24,7 +24,7 @@ from repro.net.health import CLOSED, HALF_OPEN, OPEN, HealthLedger
 from repro.net.sim import Simulator
 from repro.net.transport import RpcTimeout
 from repro.overlay import key_for_pattern
-from repro.query import DistributedExecutor, ExecutionOptions
+from repro.query import DistributedExecutor, ExecutionOptions, PrimitiveStrategy
 from repro.query.executor import ExecutionContext
 from repro.rdf import FOAF, TriplePattern, Variable
 from repro.workloads import PAPER_FIG_QUERIES
@@ -338,6 +338,45 @@ class TestReplicaOf:
                  for path in sorted(package.glob("*.py"))}
         assert {name: n for name, n in sites.items() if n} == {"executor.py": 1}
         assert '"avoid"' in inspect.getsource(ExecutionContext.replica_of)
+
+
+class TestDispatchFailoverTag:
+    """A dispatch failover re-mints the delivery tag with the corr."""
+
+    def test_late_delivery_of_the_first_owner_is_not_the_replicas(self):
+        """Only the owner's ``execute_primitive`` reply is lost; its
+        chain still delivers, under the first corr and tag.
+        The initiator times out, tombstones that corr and re-dispatches
+        to the replica holder. Had the replica's step kept the first
+        tag, the first delivery's notification would satisfy the wait
+        for the replica's and the answer would be read from an empty
+        mailbox: zero rows, and nothing flagged."""
+        expected = _oracle(KNOWS_QUERY)
+        system = build_system(replication_factor=2)
+        system.network.install_faults(FaultPlan(rules=()))
+        owner = knows_owner(system)
+        initiator = next(sid for sid, node in sorted(system.storage_nodes.items())
+                         if node.index_node_id != owner)
+        network = system.network
+        respond = network._respond
+        dropped = []
+
+        def lose_owner_reply(call, target, value, exc):
+            if (call is not None and call.method == "execute_primitive"
+                    and call.dst == owner and not dropped):
+                dropped.append(call.src)
+                return
+            respond(call, target, value, exc)
+
+        network._respond = lose_owner_reply
+        options = ExecutionOptions(primitive_strategy=PrimitiveStrategy.CHAINED,
+                                   failover=True)
+        executor = DistributedExecutor(system, options)
+        result, report = executor.execute(KNOWS_QUERY, initiator=initiator)
+        assert dropped == [initiator]
+        assert network.failover.dispatch_failovers == 1
+        assert not report.incomplete
+        assert _rows(result) == expected
 
 
 # --------------------------------------------------------------------------
