@@ -207,8 +207,16 @@ class IndexNode(QueryPeer, ChordNode):
             return entries
         return []
 
-    def rpc_index_lookup(self, payload: Dict[str, Any], src: str) -> List[LocationEntry]:
-        return self.locate(payload["key"])
+    def rpc_index_lookup(self, payload: Dict[str, Any],
+                         src: str) -> Optional[List[LocationEntry]]:
+        """Row for ``key``. A ``routed`` read (sent from a learned arc)
+        is answered only if this node ``owns()`` the key, else bounced
+        with None; an unrouted one always, as a replica holder taking
+        over still has the dead owner as predecessor."""
+        key = payload["key"]
+        if payload.get("routed") and not self.owns(key):
+            return None
+        return self.locate(key)
 
     def rpc_replica_drop(self, payload: Dict[str, Any], src: str) -> int:
         """Drop the replica rows we hold for *keys* (graceful-departure

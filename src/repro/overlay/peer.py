@@ -12,20 +12,35 @@ selection). This mixin gives every overlay node:
   initiator as the final answer;
 * orchestration plumbing: an initiator can ``expect()`` a notification
   that some site received its inputs, which is how the executor sequences
-  multi-site plans without global knowledge.
+  multi-site plans without global knowledge;
+* a **route table** of owner arcs, so a repeat lookup skips the ring.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set
+from bisect import bisect_left, insort
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..net.sim import Event
 from ..net.wire import JoinDigest, as_solution_set, encode_solutions, shed
 from ..sparql import ast
 from ..sparql.expr import filter_passes
-from ..sparql.solutions import SolutionMapping, combine_sets
+from ..sparql.solutions import combine_sets
 
-__all__ = ["QueryPeer"]
+__all__ = ["QueryPeer", "RouteTable", "ROUTE_CAP"]
+
+ROUTE_CAP = 1024  # owner arcs per peer; the oldest learned goes first
+
+
+def _lazy(name: str, factory, doc: Optional[str] = None) -> property:
+    """A property holding per-node state in ``__dict__[name]``, created
+    by *factory* on first touch (so the mixin needs no ``__init__``)."""
+    def get(self):
+        state = self.__dict__.get(name)
+        if state is None:
+            state = self.__dict__[name] = factory()
+        return state
+    return property(get, doc=doc)
 
 
 def _combine(op: str, left, right, condition: Optional[ast.Expression]):
@@ -34,6 +49,50 @@ def _combine(op: str, left, right, condition: Optional[ast.Expression]):
         def passes(mu):
             return filter_passes(condition, mu)
     return combine_sets(op, left, right, passes)
+
+
+class RouteTable:
+    """Owner arcs learned from ring lookups. A lookup of key k naming
+    owner O proves that no node lies in [k, O.ident), so O owns
+    (k-1, O.ident]; one arc per owner, widened downward by later keys.
+    A hint, never an authority: the owner checks every routed read
+    (``IndexNode.rpc_index_lookup``), and the caller forgets an arc that
+    bounced or whose owner did not answer."""
+
+    def __init__(self, space) -> None:
+        self.space = space
+        self._idents: List[int] = []  # owner idents in ring order
+        #: ident -> (low, owner ref): the arc (low, ident], oldest first.
+        self._arcs: Dict[int, Tuple[int, Any]] = {}
+
+    def __len__(self) -> int:
+        return len(self._arcs)
+
+    def get(self, key: int):
+        """The remembered owner of *key*, or None."""
+        if not self._idents:
+            return None
+        i = bisect_left(self._idents, key) % len(self._idents)
+        low, ref = self._arcs[self._idents[i]]
+        return ref if self.space.between_right_closed(key, low, ref.ident) else None
+
+    def learn(self, key: int, ref) -> None:
+        """Record that a ring lookup of *key* named owner *ref*."""
+        low = self.space.normalize(key - 1)
+        old = self._arcs.pop(ref.ident, None)
+        if old is None:
+            insort(self._idents, ref.ident)
+            if len(self._arcs) >= ROUTE_CAP:
+                self.forget(next(iter(self._arcs.values()))[1])
+        elif old[1] == ref and self.space.between_right_closed(key, old[0], ref.ident):
+            low = old[0]
+        self._arcs[ref.ident] = (low, ref)
+
+    def forget(self, ref) -> None:
+        """Drop *ref*'s arc (it bounced a routed read or did not answer)."""
+        if self._arcs.get(ref.ident, (None, None))[1] == ref:
+            del self._arcs[ref.ident]
+            del self._idents[bisect_left(self._idents, ref.ident)]
 
 
 class QueryPeer:
@@ -50,68 +109,36 @@ class QueryPeer:
     network: Any
     sim: Any
 
-    @property
-    def mailbox(self) -> Dict[str, Set[SolutionMapping]]:
-        box = self.__dict__.get("_qp_mailbox")
-        if box is None:
-            box = self.__dict__["_qp_mailbox"] = {}
-        return box
-
-    @property
-    def _expected(self) -> Dict[str, Event]:
-        pending = self.__dict__.get("_qp_expected")
-        if pending is None:
-            pending = self.__dict__["_qp_expected"] = {}
-        return pending
-
-    @property
-    def _delivered_early(self) -> Dict[str, int]:
-        early = self.__dict__.get("_qp_delivered_early")
-        if early is None:
-            early = self.__dict__["_qp_delivered_early"] = {}
-        return early
-
-    @property
-    def _dead_corrs(self) -> Set[str]:
-        """Correlation ids abandoned after a delivery timeout: a late
-        ``deliver``/``delivered`` for one of these is dropped on arrival
-        instead of parking in the mailbox with no one ever fetching it.
+    #: corr -> Set[SolutionMapping]: named intermediate results.
+    mailbox = _lazy("_qp_mailbox", dict)
+    #: corr -> Event awaiting that corr's ``delivered`` notification.
+    _expected = _lazy("_qp_expected", dict)
+    #: corr -> count of a notification that beat its ``expect()``.
+    _delivered_early = _lazy("_qp_delivered_early", dict)
+    _dead_corrs = _lazy("_qp_dead_corrs", set, """Correlation ids
+        abandoned after a delivery timeout: a late ``deliver``/``delivered``
+        for one of these is dropped on arrival instead of parking in the
+        mailbox with no one ever fetching it.
 
         Tombstones persist until :meth:`purge_corrs` sweeps them (they
         are *not* consumed by the first late arrival): under message
         duplication or a retried send, several late copies can trail in,
         and a tombstone that vanished after copy one would let copy two
-        land in a recycled correlation slot of a later query.
-        """
-        dead = self.__dict__.get("_qp_dead_corrs")
-        if dead is None:
-            dead = self.__dict__["_qp_dead_corrs"] = set()
-        return dead
+        land in a recycled correlation slot of a later query.""")
 
     # --------------------------------------------------- idempotent receivers
 
-    @property
-    def _inflight(self) -> Dict[str, Event]:
-        """Corr-keyed idempotency ledger for ``execute_primitive``: the
-        first delivery installs an event that settles with the reply; a
-        duplicate delivery (message duplication, or a retry whose
-        original was merely slow) awaits that event instead of
-        re-executing. Populated only while a fault plan is installed."""
-        inflight = self.__dict__.get("_qp_inflight")
-        if inflight is None:
-            inflight = self.__dict__["_qp_inflight"] = {}
-        return inflight
-
-    @property
-    def _replied(self) -> Dict[str, Dict[str, Any]]:
-        """Corr-keyed memo of replies to side-effecting requests
-        (``cache_admit``): a duplicate delivery returns the recorded
-        reply rather than re-running the admission (which would
-        double-count cache bytes). Populated only under a fault plan."""
-        replied = self.__dict__.get("_qp_replied")
-        if replied is None:
-            replied = self.__dict__["_qp_replied"] = {}
-        return replied
+    _inflight = _lazy("_qp_inflight", dict, """Corr-keyed idempotency
+        ledger for ``execute_primitive``: the first delivery installs an
+        event that settles with the reply; a duplicate delivery (message
+        duplication, or a retry whose original was merely slow) awaits
+        that event instead of re-executing. Populated only while a fault
+        plan is installed.""")
+    _replied = _lazy("_qp_replied", dict, """Corr-keyed memo of replies to
+        side-effecting requests (``cache_admit``): a duplicate delivery
+        returns the recorded reply rather than re-running the admission
+        (which would double-count cache bytes). Populated only under a
+        fault plan.""")
 
     @property
     def _chaos_keep(self) -> bool:
@@ -207,14 +234,16 @@ class QueryPeer:
         )
         return {"admitted": admitted}
 
+    def routes(self, space) -> RouteTable:
+        """Owner arcs this peer learned as an initiator (cross-query)."""
+        table = self.__dict__.get("_qp_routes")
+        if table is None:
+            table = self.__dict__["_qp_routes"] = RouteTable(space)
+        return table
+
     # ------------------------------------------------------- query namespaces
 
-    @property
-    def _query_slots(self) -> Set[int]:
-        slots = self.__dict__.get("_qp_query_slots")
-        if slots is None:
-            slots = self.__dict__["_qp_query_slots"] = set()
-        return slots
+    _query_slots = _lazy("_qp_query_slots", set)
 
     def acquire_query_slot(self) -> int:
         """Reserve the smallest free correlation-id namespace slot.

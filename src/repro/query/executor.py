@@ -288,11 +288,12 @@ class ExecutionContext:
             node.detail["dropped"] = True
             node.actual_rows = 0
 
-    def delivery_tag(self, corr: str) -> Optional[str]:
-        """A fresh notification key for one delivery-wait epoch of *corr*.
+    def delivery_tag(self, payload: Dict[str, Any]) -> Optional[str]:
+        """Stamp *payload* with ``notify_corr``, a fresh notification key
+        for one delivery-wait epoch of its mailbox corr, and return it.
 
-        ``None`` without a fault plan: the mailbox corr itself doubles as
-        the notification key, byte-identical to previous releases. Under
+        ``None`` (and *payload* untouched) without a fault plan: the
+        mailbox corr itself doubles as the notification key. Under
         chaos the same mailbox corr can be waited on more than once (a
         chain completes into it, then a ship lands in it), and message
         duplication means a trailing copy of the *first* epoch's
@@ -302,7 +303,8 @@ class ExecutionContext:
         """
         if self.network.faults is None:
             return None
-        return self.new_corr()
+        tag = payload["notify_corr"] = self.new_corr()
+        return tag
 
     def wait_delivery(self, corr: str, site: Optional[str] = None,
                       notify_corr: Optional[str] = None):
@@ -326,8 +328,7 @@ class ExecutionContext:
         if index == 1:
             self.abandon(corr, site=site)
             if notify_corr is not None:
-                self.initiator_peer.abandon_corr(notify_corr)
-                self._abandoned.add(notify_corr)
+                self.abandon(notify_corr)
             if (self.deadline_at is not None
                     and self.sim.now >= self.deadline_at):
                 self.network.failover.deadline_exhausted += 1
@@ -467,9 +468,9 @@ class ExecutionContext:
         stamp, done = ledger.stamp((key,)), self.sim.event()
         entry = memo[located] = (stamp, done, None)
         span = self.tracer.span("lookup", phase=PHASE_LOOKUP, pattern=str(pattern))
-        hops = 0
+        hops, route = 0, {}
         try:
-            owner_id, entries, hops = yield from self._resolve(key)
+            owner_id, entries, hops = yield from self._resolve(key, route)
             self.report.lookup_hops += hops
         except BaseException as exc:
             if memo.get(located) is entry:
@@ -477,7 +478,7 @@ class ExecutionContext:
             done.fail(exc)
             raise
         finally:
-            span.close(hops=hops)
+            span.close(hops=hops, **route)
         self.report.lookup_cache_misses += 1
         entries = tuple(entries)
         if memo.get(located) is entry:
@@ -490,8 +491,7 @@ class ExecutionContext:
         failing over to a fresh entry when the current one is dead
         (``options.failover`` and a storage-node initiator only)."""
         try:
-            result = yield self.call(self.entry_index, "find_successor",
-                                     payload)
+            return (yield self.call(self.entry_index, "find_successor", payload))
         except RpcTimeout:
             storage = self.system.storage_nodes.get(self.initiator)
             if not self.options.failover or storage is None:
@@ -499,28 +499,51 @@ class ExecutionContext:
             # The ring entry point died mid-query: re-enter elsewhere,
             # like a storage node re-joining the system.
             self.entry_index = self._reattach(storage)
-            result = yield self.call(self.entry_index, "find_successor",
-                                     payload)
-        return result
+        return (yield self.call(self.entry_index, "find_successor", payload))
 
-    def _resolve(self, key: int):
+    def _resolve(self, key: int, route: Dict[str, Any]):
         """Generator: resolve *key* → ``(owner_id, entries, hops)`` via
         the two-level index, failing over to the promoted replica row
-        when the owner is dead (``options.failover``)."""
+        when the owner is dead (``options.failover``).
+
+        A learned owner arc (:class:`~repro.overlay.peer.RouteTable`)
+        skips the ring, at 0 hops; a bounce or failed call forgets it
+        and takes the ring path, which learns the arc once the owner it
+        named answered. *route* gets the span's ``routed``/``fallback``.
+        """
         entry_node = self.system.index_nodes[self.entry_index]
         if self.initiator == self.entry_index and entry_node.owns(key):
             return self.entry_index, entry_node.locate(key), 0
+        routes = self.initiator_peer.routes(self.system.space)
+        ref = routes.get(key)
+        if ref is not None:
+            try:
+                entries = yield self.call(ref.node_id, "index_lookup",
+                                          {"key": key, "routed": True})
+                reason = "bounce"
+            except RpcError as exc:
+                entries, reason = None, type(exc).__name__
+            if entries is not None:
+                route["routed"] = True
+                return ref.node_id, entries, 0
+            routes.forget(ref)
+            route["fallback"] = reason
         result = yield from self.ring_resolve({"key": key})
         owner_id = result.ref.node_id
         hops = result.hops
         if owner_id == self.initiator and owner_id in self.system.index_nodes:
             return owner_id, self.system.index_nodes[owner_id].locate(key), hops
-        try:
-            entries = yield self.call(owner_id, "index_lookup", {"key": key})
-            return owner_id, entries, hops
-        except RpcTimeout:
-            if not self.options.failover:
-                raise
+        # With failover on, an owner the routed read just timed out on is
+        # not read twice: that would cost a second timeout.
+        timed_out = route.get("fallback") == "RpcTimeout" and ref.node_id == owner_id
+        if not (timed_out and self.options.failover):
+            try:
+                entries = yield self.call(owner_id, "index_lookup", {"key": key})
+                routes.learn(key, result.ref)
+                return owner_id, entries, hops
+            except RpcTimeout:
+                if not self.options.failover:
+                    raise
         # The replica holder's IndexNode.locate promotes its replica row
         # on read.
         span = self.tracer.span("failover", phase=PHASE_LOOKUP, dead=owner_id,

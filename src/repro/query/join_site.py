@@ -190,9 +190,7 @@ def ship_handle(ctx, handle: ResultHandle, site: str, live=None,
         corr = handle.corr
         for attempt in range(attempts):
             payload["dst_corr"] = corr
-            tag = ctx.delivery_tag(handle.corr)
-            if tag is not None:
-                payload["notify_corr"] = tag
+            tag = ctx.delivery_tag(payload)
             ack = yield ctx.call(handle.site, "ship", payload)
             if isinstance(ack, dict):
                 count = ack["count"]
