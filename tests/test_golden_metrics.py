@@ -10,7 +10,10 @@ combination, with the shipping optimizations both fully off and fully on,
 against a checked-in golden file. Beyond the figure queries this also pins
 pure OPTIONAL / UNION / FILTER forms (optcond / unionfilter / optchain),
 so every algebra operator — not just conjunctions — is guarded through
-the physical-plan layer.
+the physical-plan layer. The cost planner (``plan_mode="cost"``) gets two
+cells per query, shipping optimizations off and on, and ``repro
+explain``'s plan table is pinned for every query in both plan modes
+(``explain_fig4_9.json``).
 
 The golden file was captured from the pre-optimization engine (commit
 42c5621; the optcond/unionfilter/optchain rows from the pre-plan-layer
@@ -50,6 +53,7 @@ from repro.query import (
     join_site,
 )
 from repro.query.executor import QueryFailed
+from repro.query.physical import format_plan
 from repro.rdf.namespaces import COMMON_PREFIXES
 from repro.sparql import parse_query
 from repro.trace import Tracer
@@ -61,6 +65,7 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "metrics_fig4_9.json"
 CHAOS_GOLDEN_PATH = Path(__file__).parent / "golden" / "chaos_fig4_9.json"
 CONTENTION_GOLDEN_PATH = (Path(__file__).parent / "golden"
                           / "chaos_contention_fig4_9.json")
+EXPLAIN_GOLDEN_PATH = Path(__file__).parent / "golden" / "explain_fig4_9.json"
 
 QUERIES = {
     "fig4": """SELECT ?x ?y ?z WHERE {
@@ -143,18 +148,31 @@ def capture():
                     **techniques,
                 )
                 executor = DistributedExecutor(system, options)
-                result, report = executor.execute(text, initiator="D1")
                 key = "|".join((name, strategy.value, mode.value,
                                 policy.value, tech_name))
-                out[key] = {
-                    "response_time": report.response_time,
-                    "bytes_total": report.bytes_total,
-                    "messages": report.messages,
-                    "lookup_hops": report.lookup_hops,
-                    "result_count": report.result_count,
-                    "answers": answer_fingerprint(result),
-                }
+                out[key] = _cell(executor.execute(text, initiator="D1"))
+    # The cost planner's cells run on a second fresh system, after the
+    # legacy grid, so adding them left every legacy cell as it was.
+    system = build_system()
+    for name, text in QUERIES.items():
+        for tech_name, techniques in TECHNIQUES:
+            executor = DistributedExecutor(
+                system, ExecutionOptions(plan_mode="cost", **techniques))
+            out[f"{name}|cost|{tech_name}"] = _cell(
+                executor.execute(text, initiator="D1"))
     return out
+
+
+def _cell(outcome) -> dict:
+    result, report = outcome
+    return {
+        "response_time": report.response_time,
+        "bytes_total": report.bytes_total,
+        "messages": report.messages,
+        "lookup_hops": report.lookup_hops,
+        "result_count": report.result_count,
+        "answers": answer_fingerprint(result),
+    }
 
 
 CHAOS_OPTIONS = ExecutionOptions(retries=2, failover=True, breaker=True,
@@ -273,6 +291,25 @@ def test_simulated_metrics_match_golden():
         f"{len(drifted)} configurations drifted from golden "
         f"(golden, got): {dict(itertools.islice(drifted.items(), 5))}"
     )
+
+
+def capture_explain():
+    """``repro explain``'s plan table for every grid query in both plan
+    modes at default options, one fresh system per mode, as lines."""
+    out = {}
+    for plan_mode in ("legacy", "cost"):
+        system = build_system()
+        executor = DistributedExecutor(
+            system, ExecutionOptions(plan_mode=plan_mode))
+        for name, text in QUERIES.items():
+            _result, report = executor.execute(text, initiator="D1")
+            out[f"{name}|{plan_mode}"] = format_plan(report.plan).splitlines()
+    return out
+
+
+def test_explain_output_matches_golden():
+    got = capture_explain()
+    assert got == _check_golden(EXPLAIN_GOLDEN_PATH, got)
 
 
 def test_cache_off_leaves_cache_layer_untouched():
