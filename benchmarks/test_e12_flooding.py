@@ -38,7 +38,7 @@ def make_data(seed=91):
 
 
 def run_comparison():
-    from repro.query import ExecutionOptions, PrimitiveStrategy
+    from repro.query import ExecutionOptions
 
     triples, parts = make_data()
     rows = []
@@ -60,10 +60,10 @@ def run_comparison():
     for profile, (pattern, algebra, query_text) in profiles.items():
         full = {match_pattern(pattern, t) for t in Graph(triples).triples(pattern)}
 
-        # (a) the paper's system, with the Sect. V adaptive planner.
+        # (a) the paper's system, with the Sect. V cost planner.
         hybrid = build_system(num_index=12, parts=parts)
         executor = DistributedExecutor(hybrid, ExecutionOptions(
-            primitive_strategy=PrimitiveStrategy.ADAPTIVE, time_weight=0.0,
+            plan_mode="cost", time_weight=0.0,
         ))
         hybrid.stats.reset()
         result, report = executor.execute(query_text, initiator="D0")

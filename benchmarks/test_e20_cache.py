@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import json
 import pathlib
+from unittest.mock import patch
 
+from repro.cache import result_cache
 from repro.metrics import render_table
 from repro.query import ExecutionOptions
 from repro.workloads import LoadConfig, paper_example_partition, run_workload
@@ -49,9 +51,12 @@ WORKLOAD = dict(
     initiators=["D1"],
 )
 
-CACHE_ON = dict(result_cache=True, cache_admit_threshold=1)
+CACHE_ON = dict(result_cache=True)
 
 
+#: Admit on the first miss: the short run should not spend its head on
+#: the admission gate.
+@patch.object(result_cache, "DEFAULT_ADMIT_THRESHOLD", 1)
 def _run(mutation_rate, cached):
     system = build_system(num_index=8, parts=paper_example_partition())
     config = LoadConfig(mutation_rate=mutation_rate, **WORKLOAD)

@@ -104,7 +104,7 @@ def test_e8_index_node_churn(benchmark):
 
 def run_storage_churn():
     system = fresh_system()
-    executor = DistributedExecutor(system, ExecutionOptions(delivery_timeout=1.0))
+    executor = DistributedExecutor(system, ExecutionOptions())
     timeline = []
 
     baseline, report0 = executor.execute(QUERY, initiator="D0")

@@ -41,7 +41,7 @@ def build(replication_factor: int) -> HybridSystem:
 
 
 def ask(system, label):
-    executor = DistributedExecutor(system, ExecutionOptions(delivery_timeout=1.0))
+    executor = DistributedExecutor(system, ExecutionOptions())
     result, report = executor.execute(QUERY, initiator="D0")
     retries = f", {report.retries} chain retries" if report.retries else ""
     print(f"  {label}: {len(result.rows)} rows "

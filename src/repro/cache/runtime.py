@@ -35,8 +35,7 @@ def exec_cache_probe(ctx, walk):
     from ..query.primitive import locate_leaves
     from ..query.strategies import ConjunctionMode
 
-    cfg = ctx.cache_cfg()
-    if cfg is None:
+    if not ctx.options.result_cache:
         return (yield from exec_bgp(ctx, walk))
 
     # Locate every leaf up front (the walk needs the rows anyway); pin
@@ -68,7 +67,7 @@ def exec_cache_probe(ctx, walk):
         [leaf.lookup.pattern for leaf in walk.children], ctx.live_vars)
     corr = ctx.new_corr()
     span = ctx.tracer.span("cache", key=ckey, site=site)
-    payload = {"ckey": ckey, "corr": corr, "cfg": cfg}
+    payload = {"ckey": ckey, "corr": corr}
     if site == ctx.initiator:
         resp = ctx.initiator_peer.rpc_cache_probe(payload, ctx.initiator)
     else:
@@ -93,7 +92,6 @@ def exec_cache_probe(ctx, walk):
             "vars": handle.vars,
             "stamps": stamp.epochs,
             "membership": stamp.membership,
-            "cfg": cfg,
         }
         if site == ctx.initiator:
             ctx.initiator_peer.rpc_cache_admit(admit_payload, ctx.initiator)

@@ -639,12 +639,22 @@ _COMMANDS = {
 def parse_args(
     argv: Sequence[str],
 ) -> Tuple[Callable[[argparse.Namespace], int], argparse.Namespace]:
-    """Parse *argv* with its subcommand's parser, without running it."""
+    """Parse *argv* with its subcommand's parser, without running it.
+
+    Execution options that fail :class:`ExecutionOptions`' range checks
+    are usage errors (exit 2), like any other bad argument."""
     argv = list(argv)
+    build, run = build_parser, _query_main
     if argv and argv[0] in _COMMANDS:
-        build, run = _COMMANDS[argv[0]]
-        return run, build().parse_args(argv[1:])
-    return _query_main, build_parser().parse_args(argv)
+        build, run = _COMMANDS[argv.pop(0)]
+    parser = build()
+    args = parser.parse_args(argv)
+    if hasattr(args, "plan_mode"):
+        try:
+            _options(args)
+        except ValueError as exc:
+            parser.error(str(exc))
+    return run, args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -42,7 +42,6 @@ __all__ = [
     "FilteredResult",
     "BATCH_HEADER_BYTES",
     "DIGEST_HEADER_BYTES",
-    "DICT_WIRE_SCALE",
     "PRUNED_COUNTER_BYTES",
     "as_solution_set",
     "encode_solutions",
@@ -56,11 +55,6 @@ BATCH_HEADER_BYTES = 6
 
 #: Fixed digest envelope: mode flag, variable count, key/bit count.
 DIGEST_HEADER_BYTES = 8
-
-#: Prior used by the adaptive planner for how much of a typical FOAF
-#: solution batch survives dictionary encoding (measured on the E1/E2
-#: workloads; only relative costs matter for the strategy choice).
-DICT_WIRE_SCALE = 0.6
 
 #: A digest-filtered reply carries how many rows the sender dropped, so
 #: the initiator's report can attribute the semijoin's effect. One fixed

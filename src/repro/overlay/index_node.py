@@ -308,10 +308,8 @@ class IndexNode(QueryPeer, ChordNode):
     def _execute_primitive(self, payload: Dict[str, Any], src: str):
         strategy = payload.get("strategy", "basic")
         entries = self.locate(payload["key"])
-        cache_cfg = payload.get("cache")
-        if cache_cfg is not None:
-            served = yield from self._execute_cached(
-                payload, src, entries, cache_cfg)
+        if payload.get("cache"):
+            served = yield from self._execute_cached(payload, src, entries)
             if served is not None:
                 return served
         if strategy == "basic":
@@ -358,7 +356,7 @@ class IndexNode(QueryPeer, ChordNode):
         return ack
 
     def _execute_cached(self, payload: Dict[str, Any], src: str,
-                        entries: List[LocationEntry], cfg: Dict[str, int]):
+                        entries: List[LocationEntry]):
         """Generator: serve a primitive through the result cache (S13).
 
         Returns the finished ack on a hit or an admission fill, or None
@@ -378,7 +376,7 @@ class IndexNode(QueryPeer, ChordNode):
         if patterns is None or len(patterns) != 1:
             return None
         ckey, variables = pattern_cache_key(patterns[0])
-        cache = self.result_cache_for(cfg)
+        cache = self.result_cache_for()
         entry, admit = cache.probe(ckey)
         tracer = self.sim.tracer
         if entry is not None:
@@ -405,7 +403,7 @@ class IndexNode(QueryPeer, ChordNode):
     def _execute_basic(self, payload: Dict[str, Any], entries: List[LocationEntry]):
         """Parallel fan-out to every target storage node; union here.
 
-        ``storage_timeout`` (from the initiator's options) bounds how long
+        ``storage_timeout`` (the initiator's delivery timeout) bounds how long
         we wait for each provider before declaring it failed.
         """
         assert self.network is not None

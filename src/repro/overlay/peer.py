@@ -161,23 +161,18 @@ class QueryPeer:
         mailbox)."""
         return self.__dict__.get("_qp_result_cache")
 
-    def result_cache_for(self, cfg: Dict[str, int]):
-        """The node's result cache, created on first cached request.
-
-        *cfg* rides in the request payload (``{"admit": ..}`` from the
-        initiator's ExecutionOptions) so every node applies the admission
-        gate the querying side asked for without any global setup step;
-        the byte budget is the fixed ``DEFAULT_CACHE_BYTES``.
-        """
-        from ..cache.result_cache import ResultCache
+    def result_cache_for(self):
+        """The node's result cache, created on first cached request with
+        the fixed ``DEFAULT_CACHE_BYTES`` budget and the admission gate
+        ``DEFAULT_ADMIT_THRESHOLD``, read from the module at that call."""
+        from ..cache import result_cache
 
         cache = self.__dict__.get("_qp_result_cache")
         if cache is None:
-            cache = self.__dict__["_qp_result_cache"] = ResultCache(
-                self.network, admit_threshold=cfg["admit"]
+            cache = self.__dict__["_qp_result_cache"] = result_cache.ResultCache(
+                self.network,
+                admit_threshold=result_cache.DEFAULT_ADMIT_THRESHOLD,
             )
-        else:
-            cache.admit_threshold = cfg["admit"]
         return cache
 
     def rpc_cache_probe(self, payload: Dict[str, Any], src: str) -> Dict[str, Any]:
@@ -189,7 +184,7 @@ class QueryPeer:
         The miss reply also says whether the key has cleared the
         admission gate, steering the initiator's fill decision.
         """
-        cache = self.result_cache_for(payload["cfg"])
+        cache = self.result_cache_for()
         entry, admit = cache.probe(payload["ckey"])
         if entry is None:
             return {"hit": False, "admit": admit}
@@ -224,7 +219,7 @@ class QueryPeer:
         if data is None:
             # The result never landed here (failover moved the walk).
             return {"admitted": False}
-        cache = self.result_cache_for(payload["cfg"])
+        cache = self.result_cache_for()
         admitted = cache.admit(
             payload["ckey"],
             frozenset(data),

@@ -37,7 +37,7 @@ from .primitive import (
     exec_broadcast, exec_pattern_to_site, locate_leaves, note_dropped,
     primitive_payload,
 )
-from .strategies import ConjunctionMode, JoinSitePolicy
+from .strategies import DELIVERY_TIMEOUT, ConjunctionMode, JoinSitePolicy
 
 __all__ = ["exec_bgp", "empty_walk", "exec_join", "exec_filter", "walk_mode",
            "walk_site"]
@@ -129,7 +129,7 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
         payload = primitive_payload(ctx, info, subquery_algebra(info),
                                     "basic", corr, keep)
         payload["deposit"] = True
-        payload["storage_timeout"] = opts.delivery_timeout
+        payload["storage_timeout"] = DELIVERY_TIMEOUT
         if (
             handle is not None
             and opts.semijoin
@@ -151,7 +151,7 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
         try:
             ack, info, corr, _tag = yield from dispatch_primitive(
                 ctx, info, payload, corr,
-                timeout=ctx.options.delivery_timeout * 4)
+                timeout=DELIVERY_TIMEOUT * 4)
         except RpcTimeout:
             if not opts.partial_results:
                 raise

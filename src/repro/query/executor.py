@@ -52,7 +52,7 @@ from .physical import (
     execution_root, note_result, pattern_leaf, record_postprocess,
 )
 from .plan import PatternInfo, ResultHandle, compute_live_vars
-from .strategies import ExecutionOptions
+from .strategies import DELIVERY_TIMEOUT, ExecutionOptions
 
 __all__ = ["DistributedExecutor", "ExecutionReport", "ExecutionContext",
            "QueryFailed", "QueryDeadlineExceeded"]
@@ -319,7 +319,7 @@ class ExecutionContext:
         :meth:`delivery_tag`) keys the wait on this epoch's notification
         instead of the shared mailbox corr.
         """
-        wait = self.options.delivery_timeout
+        wait = DELIVERY_TIMEOUT
         if self.deadline_at is not None:
             wait = min(wait, max(self.deadline_at - self.sim.now, 0.0))
         expected = self.initiator_peer.expect(notify_corr or corr)
@@ -352,7 +352,7 @@ class ExecutionContext:
         multi-query systems accumulate no mailbox/expectation state.
 
         Correlation ids abandoned after a delivery timeout keep their
-        dead-letter tombstones for one more ``delivery_timeout``: a late
+        dead-letter tombstones for one more ``DELIVERY_TIMEOUT``: a late
         one-way message may still be in flight, and the tombstone is what
         drops it on arrival.  A delayed sweep removes the tombstones —
         and only then frees the initiator's namespace slot, so a recycled
@@ -396,7 +396,7 @@ class ExecutionContext:
                     node.purge_corrs(late)
                 free()
 
-            self.sim.timeout(self.options.delivery_timeout).callbacks.append(sweep)
+            self.sim.timeout(DELIVERY_TIMEOUT).callbacks.append(sweep)
             self._abandoned = set()
         else:
             free()
@@ -408,13 +408,6 @@ class ExecutionContext:
         self.initiator_peer.mailbox[corr] = set(solutions)
         return ResultHandle(self.initiator, corr,
                             len(self.initiator_peer.mailbox[corr]), vars)
-
-    def cache_cfg(self) -> Optional[Dict[str, int]]:
-        """Result-cache config to ride with dispatched sub-queries, or
-        None when the cache is off (keeping payloads byte-identical)."""
-        if not self.options.result_cache:
-            return None
-        return {"admit": self.options.cache_admit_threshold}
 
     def keep_vars(self, pattern_vars) -> Optional[List]:
         """Projection keep-list for a pattern's provider-side results, or

@@ -27,12 +27,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..net.transport import RpcTimeout
-from ..net.wire import DICT_WIRE_SCALE, as_solution_set
+from ..net.wire import as_solution_set
 from ..sparql.solutions import union as omega_union
 from .failover import dispatch_primitive
 from .physical import ChainShip, note_lookup
 from .plan import PatternInfo, ResultHandle, subquery_algebra
-from .strategies import PrimitiveStrategy
+from .strategies import DELIVERY_TIMEOUT, PrimitiveStrategy
 
 __all__ = ["exec_primitive", "locate_leaves", "exec_pattern_to_site", "exec_broadcast",
            "discover_all_storage", "note_dropped"]
@@ -117,9 +117,10 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
     """Generator: evaluate one located pattern, delivering the union of
     provider matches into *site*'s mailbox. Returns a ResultHandle.
 
-    Applies the executor's primitive strategy; falls back to BASIC when a
-    chain breaks (delivery timeout), which also triggers the stale-entry
-    cleanup of Sect. III-D at the owner index node.
+    Applies the leaf's cost-planned scheme, else the executor's primitive
+    strategy; falls back to BASIC when a chain breaks (delivery timeout),
+    which also triggers the stale-entry cleanup of Sect. III-D at the
+    owner index node.
     """
     from .executor import DeliveryTimeout  # local import: avoid cycle
 
@@ -136,32 +137,9 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
 
     algebra = subquery_algebra(info)
     strategy = ctx.options.primitive_strategy
-    encode = ctx.options.dictionary_encoding
-
-    if leaf is not None and leaf.plan_strategy is not None:
-        # The cost planner pinned this leaf's scheme at plan time.
-        strategy = leaf.plan_strategy
-    elif strategy is PrimitiveStrategy.ADAPTIVE:
-        # Sect. V future work: pick per sub-query from the frequency
-        # statistics, under the executor's objective mixture. The wire
-        # scale folds the active shipping optimizations into the model's
-        # per-solution byte prior, so the choice sees the real costs.
-        from .cost import choose_strategy
-
-        wire_scale = 1.0
-        if encode:
-            wire_scale *= DICT_WIRE_SCALE
-        if keep is not None and pattern_vars:
-            wire_scale *= max(len(keep), 1) / len(pattern_vars)
-        strategy, _costs = choose_strategy(
-            info.entries,
-            ctx.network.link,
-            ctx.options.time_weight,
-            wire_scale=wire_scale,
-        )
-        ctx.report.merge_note(f"adaptive -> {strategy.value} ({corr})")
-
     if leaf is not None:
+        # The cost planner pins each leaf's scheme at plan time.
+        strategy = leaf.plan_strategy or strategy
         leaf.detail["strategy"] = strategy.wire_name
 
     if strategy is PrimitiveStrategy.BASIC:
@@ -200,7 +178,7 @@ def primitive_payload(ctx, info: PatternInfo, algebra, strategy: str,
     sub-query, its ring key, the scheme and the correlation id, plus the
     shipping directives the options turn on — ``project`` (*keep*, when
     not None), ``encode``, ``partial`` and the result-cache ``cache``
-    config. Each caller adds only its own path's keys."""
+    flag. Each caller adds only its own path's keys."""
     payload = {"algebra": algebra, "key": info.key, "strategy": strategy,
                "corr": corr}
     if keep is not None:
@@ -209,9 +187,8 @@ def primitive_payload(ctx, info: PatternInfo, algebra, strategy: str,
         payload["encode"] = True
     if ctx.options.partial_results:
         payload["partial"] = True
-    cache_cfg = ctx.cache_cfg()
-    if cache_cfg is not None:
-        payload["cache"] = cache_cfg
+    if ctx.options.result_cache:
+        payload["cache"] = True
     return payload
 
 
@@ -220,13 +197,13 @@ def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
     payload = primitive_payload(ctx, info, algebra, "basic", corr, keep)
     # Bound the owner's per-provider wait so the whole fan-out always
     # finishes inside our own call deadline below.
-    payload["storage_timeout"] = ctx.options.delivery_timeout
+    payload["storage_timeout"] = DELIVERY_TIMEOUT
     if site != ctx.initiator:
         payload["final"] = site
         payload["notify"] = ctx.initiator
         tag = ctx.delivery_tag(payload)
         ack, info, corr, tag = yield from dispatch_primitive(
-            ctx, info, payload, corr, timeout=ctx.options.delivery_timeout * 4)
+            ctx, info, payload, corr, timeout=DELIVERY_TIMEOUT * 4)
         note_dropped(ctx, ack, info)
         if ack["mode"] == "direct":
             yield ctx.call(site, "deliver", {"corr": corr, "data": ack["data"]})
@@ -235,7 +212,7 @@ def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
         yield from ctx.wait_delivery(corr, site=site, notify_corr=tag)
         return ResultHandle(site, corr, ack["count"], result_vars)
     response, info, corr, _tag = yield from dispatch_primitive(
-        ctx, info, payload, corr, timeout=ctx.options.delivery_timeout * 4)
+        ctx, info, payload, corr, timeout=DELIVERY_TIMEOUT * 4)
     note_dropped(ctx, response, info)
     return ctx.local_deposit(corr, as_solution_set(response["data"]),
                              vars=result_vars)

@@ -19,7 +19,14 @@ __all__ = [
     "ConjunctionMode",
     "JoinSitePolicy",
     "ExecutionOptions",
+    "DELIVERY_TIMEOUT",
 ]
+
+#: Seconds to wait for a one-way delivery before declaring a chain broken
+#: and falling back to the basic strategy; the owner's per-provider wait
+#: (``storage_timeout``) and the dispatch deadline (four times this) are
+#: derived from it.
+DELIVERY_TIMEOUT = 5.0
 
 
 class PrimitiveStrategy(enum.Enum):
@@ -37,10 +44,6 @@ class PrimitiveStrategy(enum.Enum):
     #: frequency information", so the largest contributor is last and its
     #: (biggest) local result set never transits an extra hop.
     FREQ = "freq"
-    #: Cost-based per-query choice between BASIC and FREQ using the
-    #: location-table statistics and the executor's objective mixture —
-    #: the Sect. V future-work planner (see :func:`repro.query.cost.choose_strategy`).
-    ADAPTIVE = "adaptive"
 
     @property
     def wire_name(self) -> str:
@@ -106,16 +109,14 @@ class ExecutionOptions:
     reorder_joins: bool = _option(
         True, "keep BGP patterns in query order instead of reordering them "
               "by location-table frequency statistics")
-    delivery_timeout: float = _option(
-        5.0, "seconds to wait for a one-way delivery before declaring the "
-             "chain broken and falling back to the basic strategy",
-        metavar="SECS")
     #: Sect. V's conflicting optimization criteria, scalarized.
     time_weight: float = _option(
-        0.5, "adaptive objective mixture: 0=min bytes, 1=min time")
+        0.5, "cost-planner objective mixture for each leaf's BASIC/FREQ "
+             "choice: 0=min bytes, 1=min time")
     #: ``legacy`` executes the compiled operator tree exactly as the
-    #: per-step strategy flags dictate; ``cost`` lets the planner
-    #: (:mod:`repro.query.cost`) pre-fetch leaf statistics first.
+    #: per-step strategy flags dictate; ``cost`` (the Sect. V planner,
+    #: :mod:`repro.query.cost`) pre-fetches leaf statistics and pins the
+    #: plan's choices first.
     plan_mode: str = _option(
         "legacy", "physical-plan mode: legacy follows the per-step strategy "
                   "flags exactly; cost lets the frequency-driven planner pin "
@@ -193,21 +194,31 @@ class ExecutionOptions:
     # previous releases (no extra payload keys, no extra messages).
 
     #: See :mod:`repro.cache`; entries are validated by the freshness
-    #: rule of :mod:`repro.cache.epoch`.
+    #: rule of :mod:`repro.cache.epoch`, and a key is admitted once it has
+    #: been requested ``result_cache.DEFAULT_ADMIT_THRESHOLD`` times.
     result_cache: bool = _option(
         False, "cross-query per-site result cache: index nodes memoize "
                "primitive results and combine sites memoize BGP "
                "sub-results, invalidated delta-exactly by the data-epoch "
                "ledger")
-    cache_admit_threshold: int = _option(
-        2, "requests for a key before its result is cached (1 = admit on "
-           "the first miss)", metavar="N")
 
     def __post_init__(self) -> None:
         if self.plan_mode not in _PLAN_MODES:
             raise ValueError(
                 f"plan_mode must be 'legacy' or 'cost', not {self.plan_mode!r}"
             )
+        if not 0.0 <= self.time_weight <= 1.0:
+            raise ValueError(
+                f"time_weight must lie in [0, 1], not {self.time_weight}")
+        for name in ("retries", "backoff"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, not {getattr(self, name)}")
+        for name in ("per_attempt_timeout", "query_deadline",
+                     "breaker_latency"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be > 0 when set, not {value}")
 
     def retry_policy(self) -> Optional[RetryPolicy]:
         """The transport-level policy these options describe (None when

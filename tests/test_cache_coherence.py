@@ -14,8 +14,11 @@ query in flight, so the cache fills while the install is on the wire.
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cache import result_cache
 from repro.query import DistributedExecutor, ExecutionOptions
 from repro.rdf import COMMON_PREFIXES, FOAF, IRI, Literal, Triple
 from repro.sparql import evaluate_query, parse_query
@@ -29,7 +32,10 @@ QUERIES = [
     "SELECT ?y WHERE { <http://example.org/people/person0> foaf:knows ?y . }",
 ]
 
-CACHED = ExecutionOptions(result_cache=True, cache_admit_threshold=1)
+CACHED = ExecutionOptions(result_cache=True)
+#: Admit on the first miss, so the short scripts below actually serve
+#: cached answers.
+admit_on_first_miss = patch.object(result_cache, "DEFAULT_ADMIT_THRESHOLD", 1)
 PLAIN = ExecutionOptions()
 
 #: An op is ``(kind, parameter, protocol)``: 0 = query (parameter picks
@@ -78,6 +84,7 @@ def fresh_system(data_seed):
     return build_system(parts=parts)
 
 
+@admit_on_first_miss
 @settings(
     max_examples=20,
     deadline=None,
@@ -135,6 +142,7 @@ SMITH_NAME = ("SELECT ?n WHERE { <http://example.org/people/smith> "
               "foaf:name ?n }")
 
 
+@admit_on_first_miss
 def test_protocol_delta_does_not_leave_a_stale_cached_answer():
     """A result cached while a protocol-mode delta is on the wire is
     stamped before the install advances the key's epoch, so it is stale

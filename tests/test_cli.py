@@ -55,9 +55,27 @@ def _non_default(f, flag):
     if "choices" in f.metadata:
         value = next(c for c in f.metadata["choices"] if c != f.default)
         return value, [flag, value]
-    value = (f.default or 0) + 3
+    if isinstance(f.default, int):
+        value = f.default + 3
+    else:
+        # A float every range check accepts: half the default, or 0.5.
+        value = (f.default or 1.0) / 2
     return value, [flag, str(value)]
 
+
+#: Option values outside their ranges, and the error each must give.
+OUT_OF_RANGE = [
+    (["--time-weight", "1.5"], "time_weight must lie in [0, 1]"),
+    (["--time-weight", "-0.1"], "time_weight must lie in [0, 1]"),
+    (["--retries", "-1"], "retries must be >= 0"),
+    (["--backoff", "-0.1"], "backoff must be >= 0"),
+    (["--per-attempt-timeout", "-1"], "per_attempt_timeout must be > 0"),
+    (["--per-attempt-timeout", "0"], "per_attempt_timeout must be > 0"),
+    (["--query-deadline", "-5"], "query_deadline must be > 0"),
+    (["--query-deadline", "0"], "query_deadline must be > 0"),
+    (["--breaker-latency", "-1"], "breaker_latency must be > 0"),
+    (["--breaker-latency", "0"], "breaker_latency must be > 0"),
+]
 
 PREFIXED = (
     "PREFIX foaf: <http://xmlns.com/foaf/0.1/> "
@@ -101,7 +119,7 @@ class TestCli:
             capsys,
             *[arg for f in data_files for arg in ("--data", f)],
             "--query", PREFIXED + "SELECT ?x WHERE { ?x foaf:knows ns:me . }",
-            "--report", "--strategy", "adaptive",
+            "--report", "--plan", "cost",
         )
         assert code == 0
         assert "messages" in err and "bytes" in err
@@ -183,15 +201,37 @@ class TestCli:
         ["--cache-bytes", "1"],
         ["--semijoin-min-rows", "1"],
         ["--dedup-prior", "0.9"],
+        ["--delivery-timeout", "1"],
+        ["--cache-admit-threshold", "1"],
     ])
     def test_removed_flags_are_usage_errors(self, words, capsys):
         """Hedged reads are gone and the cache budget, the semijoin
-        threshold and the duplication prior are constants: their flags
-        are unknown arguments, not silently ignored."""
+        threshold, the duplication prior, the delivery timeout and the
+        cache admission gate are constants: their flags are unknown
+        arguments, not silently ignored."""
         with pytest.raises(SystemExit) as exc:
             parse_args(["--query", "ASK {}", *words])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_adaptive_strategy_is_a_usage_error(self, capsys):
+        """The Sect. V planner is ``--plan cost``; the run-time ADAPTIVE
+        strategy is gone."""
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["--query", "ASK {}", "--strategy", "adaptive"])
+        assert exc.value.code == 2
+        assert "invalid PrimitiveStrategy value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("words,message", OUT_OF_RANGE,
+                             ids=[" ".join(words) for words, _ in OUT_OF_RANGE])
+    def test_out_of_range_options_are_usage_errors(self, words, message,
+                                                   capsys):
+        """A value outside an option's range fails while parsing, before
+        any system is built, instead of mid-query with a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["--query", "ASK {}", *words])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_strategy_choices_enforced(self, data_files):
         with pytest.raises(SystemExit):

@@ -18,6 +18,7 @@ import pytest
 
 from repro.net import Network, Node
 from repro.query import DistributedExecutor, ExecutionOptions, PrimitiveStrategy
+from repro.query.strategies import DELIVERY_TIMEOUT
 from repro.overlay.peer import ROUTE_CAP, QueryPeer
 from repro.workloads import PAPER_FIG_QUERIES
 
@@ -164,23 +165,21 @@ class TestDeadCorrelations:
         parking in a mailbox forever; the query succeeds and leaves every
         peer clean."""
         system = build_system()
-        # Delay every one-way `deliver` by 100 ms — far past the 50 ms
-        # delivery timeout — while chain_step and RPC traffic run at
-        # normal speed, so the chain *completes* but completes late.
+        # Delay every one-way `deliver` by 6 s — past the 5 s delivery
+        # timeout — while chain_step and RPC traffic run at normal speed,
+        # so the chain *completes* but completes late.
         real_send = system.network.send
 
         def slow_send(src, dst, method, payload=None):
             if method == "deliver":
-                system.sim.timeout(0.1).callbacks.append(
+                system.sim.timeout(DELIVERY_TIMEOUT + 1.0).callbacks.append(
                     lambda _e: real_send(src, dst, method, payload))
             else:
                 real_send(src, dst, method, payload)
 
         system.network.send = slow_send
         options = ExecutionOptions(
-            primitive_strategy=PrimitiveStrategy.CHAINED,
-            delivery_timeout=0.05,
-        )
+            primitive_strategy=PrimitiveStrategy.CHAINED)
         query = "SELECT ?x ?y WHERE { ?x foaf:knows ?y . }"
         # Initiate from an index node: it holds no data, so the chain's
         # last hop is a real message (interceptable above).

@@ -39,7 +39,7 @@ class TestChainBreakage:
         system = spread_system()
         executor = DistributedExecutor(
             system,
-            ExecutionOptions(primitive_strategy=strategy, delivery_timeout=1.0),
+            ExecutionOptions(primitive_strategy=strategy),
         )
         fail_storage_node(system, "D2")
         result, report = executor.execute(QUERY, initiator="D0")
@@ -51,9 +51,7 @@ class TestChainBreakage:
         system = spread_system()
         executor = DistributedExecutor(
             system,
-            ExecutionOptions(
-                primitive_strategy=PrimitiveStrategy.CHAINED, delivery_timeout=1.0
-            ),
+            ExecutionOptions(primitive_strategy=PrimitiveStrategy.CHAINED),
         )
         fail_storage_node(system, "D2")
         executor.execute(QUERY, initiator="D0")
@@ -66,9 +64,7 @@ class TestChainBreakage:
         system = spread_system()
         executor = DistributedExecutor(
             system,
-            ExecutionOptions(
-                primitive_strategy=PrimitiveStrategy.CHAINED, delivery_timeout=1.0
-            ),
+            ExecutionOptions(primitive_strategy=PrimitiveStrategy.CHAINED),
         )
         fail_storage_node(system, "D2")
         executor.execute(QUERY, initiator="D0")
@@ -102,7 +98,7 @@ class TestConjunctionUnderFailure:
     def test_conjunction_with_dead_provider(self):
         system = spread_system()
         executor = DistributedExecutor(
-            system, ExecutionOptions(delivery_timeout=1.0)
+            system, ExecutionOptions()
         )
         fail_storage_node(system, "D3")
         query = """SELECT * WHERE {

@@ -3,7 +3,9 @@
 under *any* subset of {semijoin, projection pushdown, dictionary
 encoding}, must return bit-identical results on the paper's Fig. 4-9
 queries (plus DISTINCT/ASK forms, where projection pushdown actually
-engages)."""
+engages). Besides the fixed strategies, the ``adaptive`` column runs the
+Sect. V cost planner (``plan_mode="cost"``), which picks each leaf's
+strategy itself."""
 
 import itertools
 from collections import Counter
@@ -52,8 +54,13 @@ EXTRA_QUERIES = {
 
 ALL_QUERIES = {**FIGURE_QUERIES, **EXTRA_QUERIES}
 
-COMBOS = list(itertools.product(PrimitiveStrategy, ConjunctionMode,
-                                JoinSitePolicy))
+#: Strategy column label -> the options that select it.
+STRATEGIES = {
+    **{s.value: dict(primitive_strategy=s) for s in PrimitiveStrategy},
+    "adaptive": dict(plan_mode="cost"),
+}
+
+COMBOS = list(itertools.product(STRATEGIES, ConjunctionMode, JoinSitePolicy))
 
 SUBSETS = [
     dict(semijoin=sj, projection_pushdown=pp, dictionary_encoding=de)
@@ -75,9 +82,9 @@ def canon(result):
 
 def run(system, text, strategy, mode, policy, **techniques):
     options = ExecutionOptions(
-        primitive_strategy=strategy,
         conjunction_mode=mode,
         join_site_policy=policy,
+        **STRATEGIES[strategy],
         **techniques,
     )
     executor = DistributedExecutor(system, options)
@@ -99,14 +106,14 @@ def system():
 @pytest.fixture(scope="module")
 def baselines(system):
     return {
-        name: run(system, text, PrimitiveStrategy.BASIC,
+        name: run(system, text, "basic",
                   ConjunctionMode.BASIC, JoinSitePolicy.MOVE_SMALL)
         for name, text in ALL_QUERIES.items()
     }
 
 
 @pytest.mark.parametrize("strategy,mode,policy", COMBOS,
-                         ids=[f"{s.value}-{m.value}-{p.value}"
+                         ids=[f"{s}-{m.value}-{p.value}"
                               for s, m, p in COMBOS])
 def test_every_combo_every_subset_core_shapes(system, baselines,
                                               strategy, mode, policy):
@@ -120,7 +127,7 @@ def test_every_combo_every_subset_core_shapes(system, baselines,
 
 
 @pytest.mark.parametrize("strategy,mode,policy", COMBOS,
-                         ids=[f"{s.value}-{m.value}-{p.value}"
+                         ids=[f"{s}-{m.value}-{p.value}"
                               for s, m, p in COMBOS])
 def test_every_combo_all_techniques_remaining_queries(system, baselines,
                                                       strategy, mode, policy):
@@ -135,7 +142,7 @@ def test_every_combo_all_techniques_remaining_queries(system, baselines,
 def test_every_subset_every_query_default_combo(system, baselines):
     for name, text in ALL_QUERIES.items():
         for techniques in SUBSETS:
-            got = run(system, text, PrimitiveStrategy.FREQ,
+            got = run(system, text, "freq",
                       ConjunctionMode.OPTIMIZED, JoinSitePolicy.MOVE_SMALL,
                       **techniques)
             assert got == baselines[name], (name, techniques)
