@@ -69,6 +69,11 @@ class TestCorrectnessAgainstOracle:
             paper_system, QUERIES["primitive_sPo"], primitive_strategy=strategy
         )
 
+    def test_cost_planner_strategy(self, paper_system):
+        assert_matches_oracle(
+            paper_system, QUERIES["primitive_sPo"], plan_mode="cost"
+        )
+
     @pytest.mark.parametrize("mode", ConjunctionMode)
     def test_conjunction_modes(self, paper_system, mode):
         assert_matches_oracle(
@@ -112,13 +117,18 @@ class TestRandomizedWorkloads:
         wl = QueryWorkload(list(foaf_system.union_graph()), seed=13)
         queries = [wl.primitive(shape) for shape in PatternShape]
         queries += [wl.conjunction(2), wl.optional(), wl.union(), wl.filtered()]
-        combos = itertools.product(PrimitiveStrategy, ConjunctionMode)
-        for strategy, mode in combos:
+        combos = [
+            dict(primitive_strategy=strategy, conjunction_mode=mode)
+            for strategy, mode in itertools.product(PrimitiveStrategy,
+                                                    ConjunctionMode)
+        ]
+        # The cost planner pins every leaf's strategy and every walk's
+        # mode itself, so it runs once, not per fixed setting.
+        combos.append(dict(plan_mode="cost"))
+        for options in combos:
             for q in queries:
-                assert_matches_oracle(
-                    foaf_system, q, initiator="D0",
-                    primitive_strategy=strategy, conjunction_mode=mode,
-                )
+                assert_matches_oracle(foaf_system, q, initiator="D0",
+                                      **options)
 
 
 class TestReports:
