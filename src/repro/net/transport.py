@@ -41,13 +41,16 @@ from .sizes import HEADER_BYTES, size_of
 from .stats import NetworkStats
 
 #: Per-method message constants, worked out once per method name.
-_Method = namedtuple("_Method", "attr reply error header_bytes")
+#: ``stateless`` callees (ring lookups) keep no per-flow state, so they
+#: stay out of ``Network.flow_peers``.
+_Method = namedtuple("_Method", "attr reply error header_bytes stateless")
+_STATELESS = frozenset({"find_successor"})
 
 
 @functools.cache
 def _method(method: str) -> _Method:
     return _Method("rpc_" + method, method + ".reply", method + ".error",
-                   HEADER_BYTES + size_of(method))
+                   HEADER_BYTES + size_of(method), method in _STATELESS)
 
 
 __all__ = [
@@ -341,9 +344,10 @@ class Network:
         #: per-peer circuit breaker.
         self.health: Optional[HealthLedger] = None
         #: Live flow (query) id → the nodes its messages were addressed
-        #: to: the only places that can hold the query's correlation
-        #: state. The executor opens the entry with the query and pops it
-        #: on release; other flows are not tracked.
+        #: to, except stateless ring-lookup callees: the only places that
+        #: can hold the query's correlation state. The executor opens the
+        #: entry with the query and pops it on release; other flows are
+        #: not tracked.
         self.flow_peers: Dict[str, Set[str]] = {}
 
     def install_faults(self, plan: Optional[FaultPlan]) -> Optional[FaultInjector]:
@@ -474,10 +478,10 @@ class Network:
         result = Event(sim)
         if flow is None:
             flow = self._sniff_flow(payload)
-        peers = self.flow_peers.get(flow)
-        if peers is not None:
-            peers.add(dst)
         call = _Call(self, result, src, dst, method, flow)
+        peers = self.flow_peers.get(flow)
+        if peers is not None and not call.consts.stateless:
+            peers.add(dst)
         if health is not None:
             call.health = health
             call.started = sim.now

@@ -13,7 +13,8 @@ selection). This mixin gives every overlay node:
 * orchestration plumbing: an initiator can ``expect()`` a notification
   that some site received its inputs, which is how the executor sequences
   multi-site plans without global knowledge;
-* a **route table** of owner arcs, so a repeat lookup skips the ring.
+* a **route table** of owner arcs, so a repeat lookup skips the ring
+  and any other lookup starts its ring walk near the key.
 """
 
 from __future__ import annotations
@@ -75,6 +76,13 @@ class RouteTable:
         i = bisect_left(self._idents, key) % len(self._idents)
         low, ref = self._arcs[self._idents[i]]
         return ref if self.space.between_right_closed(key, low, ref.ident) else None
+
+    def preceding(self, key: int):
+        """The learned owner closest before *key* (wrapping across zero),
+        or None: an index node near *key* to start a ring walk at."""
+        if not self._idents:
+            return None
+        return self._arcs[self._idents[bisect_left(self._idents, key) - 1]][1]
 
     def learn(self, key: int, ref) -> None:
         """Record that a ring lookup of *key* named owner *ref*."""

@@ -502,7 +502,10 @@ class ExecutionContext:
         A learned owner arc (:class:`~repro.overlay.peer.RouteTable`)
         skips the ring, at 0 hops; a bounce or failed call forgets it
         and takes the ring path, which learns the arc once the owner it
-        named answered. *route* gets the span's ``routed``/``fallback``.
+        named answered. The ring walk starts at the learned owner closest
+        before *key*; if that start fails it is forgotten and the walk
+        enters at the entry node. *route* gets the span's
+        ``routed``/``fallback``/``start``.
         """
         entry_node = self.system.index_nodes[self.entry_index]
         if self.initiator == self.entry_index and entry_node.owns(key):
@@ -521,7 +524,17 @@ class ExecutionContext:
                 return ref.node_id, entries, 0
             routes.forget(ref)
             route["fallback"] = reason
-        result = yield from self.ring_resolve({"key": key})
+        result = None
+        start = routes.preceding(key)
+        if start is not None:
+            try:
+                result = yield self.call(start.node_id, "find_successor",
+                                         {"key": key})
+                route["start"] = start.node_id
+            except RpcError:
+                routes.forget(start)
+        if result is None:
+            result = yield from self.ring_resolve({"key": key})
         owner_id = result.ref.node_id
         hops = result.hops
         if owner_id == self.initiator and owner_id in self.system.index_nodes:

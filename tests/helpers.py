@@ -36,3 +36,12 @@ def build_system(
         for i, triples in enumerate(parts):
             system.add_storage_node(f"D{i}", triples)
     return system
+
+
+def oracle_rows(system, query_text: str):
+    """*query_text*'s rows over the union of the storage nodes' graphs."""
+    from repro.rdf import COMMON_PREFIXES
+    from repro.sparql import evaluate_query, parse_query
+
+    query = parse_query(query_text, COMMON_PREFIXES)
+    return evaluate_query(query, system.union_graph()).rows

@@ -22,7 +22,7 @@ from repro.query.strategies import DELIVERY_TIMEOUT
 from repro.overlay.peer import ROUTE_CAP, QueryPeer
 from repro.workloads import PAPER_FIG_QUERIES
 
-from helpers import build_system
+from helpers import build_system, oracle_rows
 
 
 class EchoNode(Node):
@@ -186,7 +186,7 @@ class TestDeadCorrelations:
         result, report = DistributedExecutor(system, options).execute(
             query, initiator="N0")
         assert report.retries >= 1  # the chain did time out
-        assert result.rows == _oracle_rows(system, query)
+        assert result.rows == oracle_rows(system, query)
         assert peer_state(system) == CLEAN
         assert live_heap(system.sim) == []
 
@@ -247,7 +247,7 @@ class TestReleaseVisitsTouchedPeersOnly:
         for query in TestReleaseVisitsTouchedPeersOnly.QUERIES:
             before = len(calls)
             result, _ = executor.execute(query, initiator="D1")
-            assert result.rows == _oracle_rows(system, query)
+            assert result.rows == oracle_rows(system, query)
             system.sim.run()  # let any delayed sweep fire
             per_query.append(calls[before:])
         # Nothing may be left anywhere — not only where release() looked.
@@ -274,7 +274,7 @@ class TestReleaseVisitsTouchedPeersOnly:
         monkeypatch.undo()
         large = self._peers_purged_per_query(monkeypatch, 512, options)
         assert [len(c) for c in small] == [len(c) for c in large]
-        # Initiator, its entry node, one owner per pattern, the providers.
+        # Initiator, one owner per pattern, the providers.
         assert max(len(c) for c in large) <= 4 + 1 + 2 + 1
 
     def test_same_peers_under_a_fault_plan(self, monkeypatch):
@@ -324,11 +324,3 @@ class TestNoCyclicGarbage:
                 gc.enable()
         assert failover.retries and failover.breaker_short_circuits
         assert large <= small, (small, large)
-
-
-def _oracle_rows(system, query_text):
-    from repro.rdf import COMMON_PREFIXES
-    from repro.sparql import evaluate_query, parse_query
-
-    query = parse_query(query_text, COMMON_PREFIXES)
-    return evaluate_query(query, system.union_graph()).rows

@@ -4,7 +4,9 @@ A query peer remembers, per index node a ring lookup named, the arc of
 keys that node owns (:class:`~repro.overlay.peer.RouteTable`). A later
 lookup inside a remembered arc reads the owner's location-table row
 directly, at 0 hops; the owner answers only for keys it owns, and a
-bounce or a failed call sends the lookup back to the ring.
+bounce or a failed call sends the lookup back to the ring. A lookup
+outside every remembered arc starts its ring walk at the learned owner
+closest before the key instead of at the entry node.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.rdf import FOAF, TriplePattern, Variable
 from repro.trace import Tracer
 from repro.workloads import PAPER_FIG_QUERIES
 
-from helpers import build_system
+from helpers import build_system, oracle_rows
 from test_churn_under_load import KNOWS_QUERY, knows_owner
 
 KNOWS_PATTERN = TriplePattern(Variable("x"), FOAF.knows, Variable("y"))
@@ -49,15 +51,15 @@ def traced_run(system, query, options=None, initiator="D1"):
     return result, report, lookup_spans(tracer)
 
 
-def dead_owner_reads(system, dead):
-    """Record the payload of every ``index_lookup`` sent to *dead*."""
+def spy_calls(system, method):
+    """Record ``(src, dst, payload)`` of every *method* call from now on."""
     seen = []
     call = system.network.call
 
-    def spy(src, dst, method, payload=None, *args, **kwargs):
-        if dst == dead and method == "index_lookup":
-            seen.append(payload)
-        return call(src, dst, method, payload, *args, **kwargs)
+    def spy(src, dst, name, payload=None, *args, **kwargs):
+        if name == method:
+            seen.append((src, dst, payload))
+        return call(src, dst, name, payload, *args, **kwargs)
 
     system.network.call = spy
     return seen
@@ -112,6 +114,20 @@ class TestRouteTable:
         assert table.get(45) is None and table.get(95) == b
         table.forget(a)  # forgetting twice is harmless
         assert len(table) == 1
+
+    def test_preceding_is_the_closest_owner_before_the_key(self):
+        table = RouteTable(self.SPACE)
+        assert table.preceding(7) is None
+        a, b = self.ref(50), self.ref(100)
+        table.learn(40, a)
+        table.learn(90, b)
+        assert table.preceding(101) == b and table.preceding(51) == a
+        # Across zero: nothing lies before 10, so the last owner does.
+        assert table.preceding(10) == b and table.preceding(255) == b
+        table.forget(b)
+        assert table.preceding(101) == a and table.preceding(10) == a
+        table.forget(a)
+        assert table.preceding(101) is None
 
     def test_stays_within_its_cap_dropping_the_oldest(self):
         space = IdentifierSpace(32)
@@ -184,7 +200,7 @@ class TestRoutedReads:
         expected = warm(system)
         dead = knows_owner(system)
         system.network.fail_node(dead)
-        reads = dead_owner_reads(system, dead)
+        reads = spy_calls(system, "index_lookup")
         options = ExecutionOptions(failover=True)
         result, report, spans = traced_run(system, KNOWS_QUERY, options)
         assert _rows(result) == expected
@@ -192,7 +208,8 @@ class TestRoutedReads:
         assert system.network.failover.lookup_failovers == 1
         # The unstabilized ring still names the dead owner: the routed
         # read was its one timeout, failover went to the replica holder.
-        assert reads == [{"key": knows_key(system), "routed": True}]
+        assert [payload for _src, dst, payload in reads if dst == dead] == \
+            [{"key": knows_key(system), "routed": True}]
         # A failover answer is never learned.
         routes = system.storage_nodes["D1"].routes(system.space)
         assert routes.get(knows_key(system)) is None
@@ -202,11 +219,63 @@ class TestRoutedReads:
         warm(system)
         dead = knows_owner(system)
         system.network.fail_node(dead)
-        reads = dead_owner_reads(system, dead)
+        reads = spy_calls(system, "index_lookup")
         with pytest.raises(QueryFailed):
             DistributedExecutor(system).execute(KNOWS_QUERY, initiator="D1")
-        assert reads == [{"key": knows_key(system), "routed": True},
-                         {"key": knows_key(system)}]
+        assert [payload for _src, dst, payload in reads if dst == dead] == \
+            [{"key": knows_key(system), "routed": True}, {"key": knows_key(system)}]
+
+
+def ring_state(system):
+    return {node_id: (list(node.fingers), list(node.successor_list),
+                      node.predecessor)
+            for node_id, node in system.index_nodes.items()}
+
+
+class TestLearnedStarts:
+    """On a 64-node ring D1 enters at N10 and learns N37 from the knows
+    lookup; the keys below lie outside N37's arc."""
+
+    NOTHING_QUERY = "SELECT ?x ?y WHERE { ?x ns:knowsNothingAbout ?y . }"
+    NICK_QUERY = "SELECT ?x ?y WHERE { ?x foaf:nick ?y . }"
+
+    def test_cold_peer_walks_from_the_entry(self):
+        system = build_system(num_index=64)
+        result, report, spans = traced_run(system, self.NOTHING_QUERY)
+        assert (report.lookup_hops, report.messages,
+                report.bytes_total) == (4, 16, 1779)
+        assert "start" not in spans[0]
+        assert result.rows == oracle_rows(system, self.NOTHING_QUERY)
+
+    def test_miss_starts_at_the_nearest_learned_owner(self):
+        system = build_system(num_index=64)
+        warm(system)
+        learned = knows_owner(system)
+        walks = spy_calls(system, "find_successor")
+        result, report, spans = traced_run(system, self.NOTHING_QUERY)
+        assert [dst for src, dst, _ in walks if src == "D1"] == [learned]
+        assert spans[0]["start"] == learned and "routed" not in spans[0]
+        _result, fresh, _spans = traced_run(build_system(num_index=64),
+                                            self.NOTHING_QUERY)
+        assert report.lookup_hops == 1 < fresh.lookup_hops == 4
+        assert result.rows == oracle_rows(system, self.NOTHING_QUERY)
+
+    def test_dead_start_is_forgotten_and_the_entry_walks(self):
+        system = build_system(num_index=64)
+        warm(system)
+        dead = knows_owner(system)
+        system.network.fail_node(dead)
+        before = ring_state(system)
+        walks = spy_calls(system, "find_successor")
+        result, report, spans = traced_run(system, self.NICK_QUERY)
+        assert result.rows == oracle_rows(system, self.NICK_QUERY)
+        entry = system.storage_nodes["D1"].index_node_id
+        assert [dst for src, dst, _ in walks if src == "D1"] == [dead, entry]
+        assert "start" not in spans[0] and report.lookup_hops == 2
+        routes = system.storage_nodes["D1"].routes(system.space)
+        assert routes.get(knows_key(system)) is None and len(routes) == 1
+        # A failed start is a hint gone stale, never evidence to evict.
+        assert ring_state(system) == before
 
 
 @pytest.mark.parametrize("name", sorted(PAPER_FIG_QUERIES))
