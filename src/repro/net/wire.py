@@ -29,7 +29,8 @@ ship (digest filter, then projection).
 from __future__ import annotations
 
 from itertools import chain
-from typing import FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..chord.hashing import hash_terms_seeded
 from ..rdf.terms import RDFTerm, Variable
@@ -198,6 +199,9 @@ class JoinDigest:
         values = tuple(mu.get(v) for v in self.variables)
         if any(t is None for t in values):
             return True
+        return self._admits(values)
+
+    def _admits(self, values: Tuple[RDFTerm, ...]) -> bool:
         if self.mode == "exact":
             return values in self.keys
         for seed in range(self.nhashes):
@@ -206,7 +210,27 @@ class JoinDigest:
         return True
 
     def filter(self, solutions: Iterable[SolutionMapping]) -> Set[SolutionMapping]:
-        return {mu for mu in solutions if self.allows(mu)}
+        """The rows :meth:`allows` admits. Rows of one schema hold the
+        digest variables at the same slots, so slots are found once per
+        schema, not once per row."""
+        if not self.prunable:
+            return set(solutions)
+        groups: Dict[object, List[SolutionMapping]] = {}
+        for mu in solutions:
+            groups.setdefault(mu._schema, []).append(mu)
+        kept: Set[SolutionMapping] = set()
+        admits = self._admits
+        for schema, rows in groups.items():
+            slots = [schema.index.get(v) for v in self.variables]
+            if None in slots:
+                kept.update(rows)  # a missing variable joins anything
+            elif len(slots) == 1:
+                (i,) = slots
+                kept.update([mu for mu in rows if admits((mu._values[i],))])
+            else:
+                pick = itemgetter(*slots)
+                kept.update([mu for mu in rows if admits(pick(mu._values))])
+        return kept
 
     # ---------------------------------------------------------------- misc
 

@@ -348,7 +348,8 @@ class IndexNode(QueryPeer, ChordNode):
             ack = {"mode": "shipped", "count": len(result)}
         else:
             ack = {"mode": "direct", "data": encode_solutions(result, encode)}
-        # A digest (hence *pruned*) only rides with deposited steps.
+        # *pruned* is set only when a digest rode with the request: a
+        # basic walk's deposited step or a later leg of a probe-first walk.
         if pruned is not None:
             ack["pruned"] = pruned
         if dropped and payload.get("partial"):

@@ -114,9 +114,11 @@ class StorageNode(QueryPeer, Node):
         algebra = payload["algebra"]
         keep = payload.get("project")
         digest = payload.get("digest")
-        if digest is None and type(algebra) is BGP:
+        if type(algebra) is BGP:
             # The plain sub-query: scan straight to (projected) rows.
-            return evaluate_bgp(algebra, self.graph, keep), None
+            if digest is None:
+                return evaluate_bgp(algebra, self.graph, keep), None
+            return shed(evaluate_bgp(algebra, self.graph), digest, keep)
         return shed(self.local_eval(algebra), digest, keep)
 
     def rpc_chain_step(self, payload: Dict[str, Any], src: str) -> None:

@@ -22,20 +22,16 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..net.sizes import size_of
 from ..net.transport import RpcTimeout
-from ..net.wire import PRUNED_COUNTER_BYTES
 from ..sparql import ast
 from . import join_site
 from .failover import dispatch_primitive
-from .join_site import (
-    combine_handles, digest_embed_cost, fetch_digest, least_loaded_site,
-)
+from .join_site import combine_handles, fetch_digest, least_loaded_site
 from .physical import BGPWalk, ChainShip, FilterOp, HashJoin, note_result
 from .plan import PatternInfo, ResultHandle, choose_shared_site, subquery_algebra
 from .primitive import (
-    exec_broadcast, exec_pattern_to_site, locate_leaves, note_dropped,
-    primitive_payload,
+    charge_digest, exec_broadcast, exec_pattern_to_site, locate_leaves,
+    note_dropped, primitive_payload,
 )
 from .strategies import DELIVERY_TIMEOUT, ConjunctionMode, JoinSitePolicy
 
@@ -89,7 +85,9 @@ def exec_bgp(ctx, walk: BGPWalk):
             )
         return (yield from _apply_post_filter(ctx, handle, walk.post_filter))
     finally:
-        span.close()
+        span.close(**{key: walk.detail[key]
+                      for key in ("probe", "digest", "digest_bytes")
+                      if key in walk.detail})
 
 
 def empty_walk(ctx, walk: BGPWalk):
@@ -133,7 +131,9 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
         if (
             handle is not None
             and opts.semijoin
-            and handle.count >= join_site.SEMIJOIN_MIN_ROWS
+            # Gate on the rows the digest would prune, not the side that
+            # builds it: a 1-row accumulated side prunes the most.
+            and info.total_frequency >= join_site.SEMIJOIN_MIN_ROWS
             and handle.vars
         ):
             shared = handle.vars & pattern_vars[i]
@@ -141,13 +141,6 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
                 digest = yield from fetch_digest(ctx, handle, shared)
                 if digest is not None:
                     payload["digest"] = digest
-                    # The digest rides in the execute_primitive call and
-                    # in each of the owner's storage fan-out sub-queries;
-                    # each provider reply grows by the pruned counter.
-                    ctx.report.digest_bytes += (
-                        (1 + len(info.entries)) * digest_embed_cost(digest)
-                        + len(info.entries) * PRUNED_COUNTER_BYTES
-                    )
         try:
             ack, info, corr, _tag = yield from dispatch_primitive(
                 ctx, info, payload, corr,
@@ -158,11 +151,7 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
             ctx.flag_partial(str(info.pattern), node=leaf)
             return None
         note_dropped(ctx, ack, info)
-        if "digest" in payload:
-            pruned = ack.get("pruned", 0)
-            ctx.report.rows_pruned += pruned
-            # The ack itself grew by its pruned entry.
-            ctx.report.digest_bytes += size_of("pruned") + size_of(pruned) + 2
+        charge_digest(ctx, payload, ack, len(info.entries), leaf)
         hvars = frozenset(keep) if keep is not None else pattern_vars[i]
         mine = ResultHandle(info.owner, corr, ack["count"], hvars)
         note_result(leaf, mine)
@@ -183,19 +172,53 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
 
 
 def _exec_optimized_mode(ctx, walk: BGPWalk, steps: List[Step]):
-    """Overlap-aware parallel chains ending at a shared storage node."""
+    """Overlap-aware parallel chains ending at a shared storage node.
+
+    A probe-first walk (``walk.plan_probe``, set by the cost planner)
+    first lands its most selective chain alone, then sends that chain's
+    join-key digest with every other chain, so providers shed the rows
+    that cannot join before they travel. The digest never drops a
+    joinable row, so the answer is the same.
+    """
     site = walk_site(ctx, walk, [info for _leaf, info in steps])
     ctx.report.merge_note(f"conjunction site {site}")
 
+    handles: List[ResultHandle] = []
+    probe_vars: frozenset = frozenset()
+    digests = {}  # shared variables -> the probe's digest over them
+    if walk.plan_probe:
+        (leaf, info), steps = steps[0], steps[1:]
+        probe = yield from _pattern_to_site_or_drop(ctx, info, site, leaf)
+        if probe is None:
+            return None  # the probe dropped (flagged where it dropped)
+        note_result(leaf, probe)
+        walk.detail["probe"] = str(info.pattern)
+        if probe.count == 0:
+            # join(∅, Ω) = ∅: no other chain needs to run.
+            vars_ = probe.vars.union(*(s[1].pattern.variables() for s in steps))
+            return ResultHandle(site, probe.corr, 0, vars_)
+        handles.append(probe)
+        probe_vars = probe.vars
+        for _leaf, info in steps:
+            shared = probe_vars & frozenset(info.pattern.variables())
+            if shared and shared not in digests:
+                digests[shared] = yield from fetch_digest(ctx, probe, shared)
+        sent = [d for d in digests.values() if d is not None]
+        walk.detail["digest"] = "/".join(sorted({d.mode for d in sent}))
+        walk.detail["digest_bytes"] = sum(d.wire_size() for d in sent)
+
     processes = [
-        ctx.sim.process(_pattern_to_site_or_drop(ctx, info, site, leaf))
+        ctx.sim.process(_pattern_to_site_or_drop(
+            ctx, info, site, leaf,
+            digests.get(probe_vars & frozenset(info.pattern.variables()))))
         for leaf, info in steps
     ]
-    handles: List[ResultHandle] = yield ctx.sim.all_of(processes)
-    if any(h is None for h in handles):
+    chained: List[ResultHandle] = yield ctx.sim.all_of(processes)
+    if any(h is None for h in chained):
         return None  # a pattern dropped (flagged where it dropped)
-    for (leaf, _info), h in zip(steps, handles):
+    for (leaf, _info), h in zip(steps, chained):
         note_result(leaf, h)
+    handles.extend(chained)
 
     # Pairwise joins at the site, smallest first to keep intermediates low.
     handles.sort(key=lambda h: (h.count, h.corr))
@@ -206,11 +229,12 @@ def _exec_optimized_mode(ctx, walk: BGPWalk, steps: List[Step]):
 
 
 def _pattern_to_site_or_drop(ctx, info: PatternInfo, site: str,
-                             leaf: ChainShip):
+                             leaf: ChainShip, digest=None):
     """Generator: :func:`exec_pattern_to_site`, degrading an unreachable
     pattern to ``None`` under ``options.partial_results``."""
     try:
-        return (yield from exec_pattern_to_site(ctx, info, site, leaf=leaf))
+        return (yield from exec_pattern_to_site(ctx, info, site, leaf=leaf,
+                                                digest=digest))
     except RpcTimeout:
         if not ctx.options.partial_results:
             raise

@@ -51,7 +51,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..net.sizes import HEADER_BYTES, size_of
 from ..net.transport import LinkModel
+from ..net.wire import DIGEST_HEADER_BYTES, PRUNED_COUNTER_BYTES
 from ..overlay.location_table import LocationEntry
 from ..sparql.algebra import BGP
 from ..sparql.optimizer import reorder_bgp
@@ -60,6 +62,7 @@ from .physical import (
     GraphScope, HashJoin, LeftJoinOp, LocalBGPScan, PhysOp, Ship, UnionOp,
     chain_leaves,
 )
+from .join_site import SEMIJOIN_EXACT_THRESHOLD, digest_request
 from .primitive import locate_leaves
 from .strategies import PrimitiveStrategy
 
@@ -81,13 +84,17 @@ BYTES_PER_SOLUTION = 90
 FILTER_SELECTIVITY = 1.0 / 3.0
 
 
+#: Wire-size prior for one bound RDF term.
+TERM_BYTES = 30.0
+
+
 def est_row_bytes(n_vars: int) -> float:
     """Wire-size prior for a solution row with *n_vars* bindings.
 
     Calibrated so the 2-variable FOAF mean lands on
     :data:`BYTES_PER_SOLUTION` (30-byte envelope + ~30 bytes/binding).
     """
-    return 30.0 + 30.0 * max(n_vars, 1)
+    return 30.0 + TERM_BYTES * max(n_vars, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,6 +287,62 @@ def _walk_mode(ordered: List[ChainShip],
     return mode, result_rows
 
 
+def _digest_bytes(keys: float, variables) -> float:
+    """:meth:`~repro.net.wire.JoinDigest.wire_size` of an exact digest
+    of *keys* key tuples over *variables*, each term at the prior."""
+    return (DIGEST_HEADER_BYTES
+            + sum(size_of(v) + 2 for v in variables)
+            + keys * (TERM_BYTES * len(variables) + 2))
+
+
+def _probe_pays(ordered: List[ChainShip], link: LinkModel) -> bool:
+    """Should a shared-site walk land its first leaf alone, then send
+    that leaf's join-key digest with every other chain?
+
+    A Pareto rule: only when probe-first beats all-parallel on bytes
+    *and* on time, and the first leaf fits an exact digest (a Bloom
+    check costs seven hashes per shed row).
+
+    * bytes saved: each later leaf sharing a variable with the probe
+      shrinks to :func:`estimate_join_rows` of the two;
+    * bytes added: one digest round trip per distinct shared-variable
+      set, an embed in every message the digest rides in (the call and
+      one per provider) and a pruned counter per provider reply;
+    * time: the probe chain plus the digest round trips, now serial,
+      against the transfer time the largest chain saves.
+    """
+    probe, rest = ordered[0], ordered[1:]
+    info = probe.lookup.info
+    rows = float(info.total_frequency)
+    if info.owner is None or rows > SEMIJOIN_EXACT_THRESHOLD:
+        return False
+    probe_vars = _leaf_vars(probe)
+    saved = added = largest = 0.0
+    delay = {c.strategy: c.time for c in CostModel(link).predict(info.entries)}
+    serial = delay.get(probe.plan_strategy, min(delay.values()))
+    fetched = set()
+    for leaf in rest:
+        shared = probe_vars & _leaf_vars(leaf)
+        if not shared:
+            continue
+        later = float(leaf.lookup.info.total_frequency)
+        saving = ((later - estimate_join_rows(rows, later, True))
+                  * est_row_bytes(len(_leaf_vars(leaf))))
+        saved += saving
+        largest = max(largest, saving)
+        digest = _digest_bytes(rows, shared)
+        providers = len(leaf.lookup.info.entries)
+        added += ((1 + providers) * (size_of("digest") + digest + 2)
+                  + providers * PRUNED_COUNTER_BYTES)
+        if shared not in fetched:
+            fetched.add(shared)
+            round_trip = (2 * HEADER_BYTES + size_of("digest") + digest
+                          + size_of(digest_request("", shared)))
+            added += round_trip
+            serial += 2 * link.latency + round_trip / link.bandwidth
+    return saved > added and largest / link.bandwidth > serial
+
+
 # ----------------------------------------------------------- the annotator
 
 
@@ -349,6 +412,8 @@ def _estimate(ctx, node: PhysOp) -> float:
         mode, rows = _walk_mode(ordered, row_bytes)
         node.plan_order = ordered
         node.plan_mode = mode
+        node.plan_probe = (mode == "optimized"
+                           and _probe_pays(ordered, ctx.network.link))
         node.est_rows = rows
         node.est_bytes = rows * row_bytes
         if node.post_filter is not None:

@@ -36,7 +36,7 @@ from .plan import ResultHandle, combine_vars
 from .strategies import JoinSitePolicy
 
 __all__ = ["pick_join_site", "least_loaded_site", "combine_handles",
-           "ship_handle", "fetch_digest", "digest_embed_cost"]
+           "ship_handle", "fetch_digest", "digest_request", "digest_embed_cost"]
 
 _PER_ITEM_OVERHEAD = 2
 #: Digest mode switch: at most this many distinct join keys ship as an
@@ -88,6 +88,16 @@ def digest_embed_cost(digest: JoinDigest) -> int:
     return size_of("digest") + size_of(digest) + _PER_ITEM_OVERHEAD
 
 
+def digest_request(corr: str, shared_vars) -> dict:
+    """The ``digest`` RPC payload for mailbox *corr* over *shared_vars*."""
+    return {
+        "corr": corr,
+        "vars": sorted(shared_vars, key=lambda v: v.name),
+        "exact_threshold": SEMIJOIN_EXACT_THRESHOLD,
+        "bloom_bits": SEMIJOIN_BLOOM_BITS,
+    }
+
+
 def fetch_digest(ctx, handle: ResultHandle, shared_vars):
     """Generator: fetch a semijoin digest over *handle*'s join-key values.
 
@@ -97,12 +107,7 @@ def fetch_digest(ctx, handle: ResultHandle, shared_vars):
     ``report.digest_bytes``; a local build at the initiator is free, like
     every other local mailbox operation.
     """
-    payload = {
-        "corr": handle.corr,
-        "vars": sorted(shared_vars, key=lambda v: v.name),
-        "exact_threshold": SEMIJOIN_EXACT_THRESHOLD,
-        "bloom_bits": SEMIJOIN_BLOOM_BITS,
-    }
+    payload = digest_request(handle.corr, shared_vars)
     span = ctx.tracer.span("digest", phase=PHASE_SHIP,
                            site=handle.site, corr=handle.corr)
     try:

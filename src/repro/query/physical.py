@@ -162,7 +162,11 @@ class ChainShip(PhysOp):
         strategy = self.detail.get("strategy")
         if strategy is None and self.plan_strategy is not None:
             strategy = self.plan_strategy.value
-        return f"[{strategy}]" if strategy else ""
+        text = f"[{strategy}]" if strategy else ""
+        pruned = self.detail.get("pruned")
+        if pruned is not None:
+            text = (text + f" pruned={pruned}").strip()
+        return text
 
 
 class BGPWalk(PhysOp):
@@ -174,13 +178,16 @@ class BGPWalk(PhysOp):
     chain to one shared site. The ``plan_*`` fields pin decisions
     before the walk runs (None = decide at runtime from the live
     options, the legacy behaviour): the cost planner
-    (:func:`repro.query.cost.annotate_plan`) writes ``plan_mode`` and
-    ``plan_order``; the result-cache probe
+    (:func:`repro.query.cost.annotate_plan`) writes ``plan_mode``,
+    ``plan_order`` and ``plan_probe`` (land the first leaf alone, then
+    send its join-key digest with every other chain); the result-cache
+    probe
     (:func:`repro.cache.runtime.exec_cache_probe`) writes ``plan_site``,
     so a fill lands where the next probe looks.
     """
 
-    __slots__ = ("post_filter", "plan_mode", "plan_site", "plan_order")
+    __slots__ = ("post_filter", "plan_mode", "plan_site", "plan_order",
+                 "plan_probe")
     kind = "BGPWalk"
 
     def __init__(self, leaves: Sequence[ChainShip],
@@ -190,10 +197,13 @@ class BGPWalk(PhysOp):
         self.plan_mode: Optional[str] = None
         self.plan_site: Optional[str] = None
         self.plan_order: Optional[List[ChainShip]] = None
+        self.plan_probe = False
 
     def describe(self) -> str:
         mode = self.detail.get("mode") or self.plan_mode
         text = f"[{mode}]" if mode else ""
+        if self.plan_probe:
+            text += " probe-first"
         if self.post_filter is not None:
             text += " +filter"
         return text

@@ -26,16 +26,18 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ..net.sizes import size_of
 from ..net.transport import RpcTimeout
-from ..net.wire import as_solution_set
+from ..net.wire import PRUNED_COUNTER_BYTES, JoinDigest, as_solution_set
 from ..sparql.solutions import union as omega_union
 from .failover import dispatch_primitive
+from .join_site import digest_embed_cost
 from .physical import ChainShip, note_lookup
 from .plan import PatternInfo, ResultHandle, subquery_algebra
 from .strategies import DELIVERY_TIMEOUT, PrimitiveStrategy
 
 __all__ = ["exec_primitive", "locate_leaves", "exec_pattern_to_site", "exec_broadcast",
-           "discover_all_storage", "note_dropped"]
+           "discover_all_storage", "note_dropped", "charge_digest"]
 
 
 def exec_primitive(ctx, leaf: ChainShip, at_home: bool = False):
@@ -113,14 +115,16 @@ def _locate_leaf(ctx, leaf: ChainShip, partial: bool):
 
 
 def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
-                         leaf: Optional[ChainShip] = None):
+                         leaf: Optional[ChainShip] = None,
+                         digest: Optional[JoinDigest] = None):
     """Generator: evaluate one located pattern, delivering the union of
     provider matches into *site*'s mailbox. Returns a ResultHandle.
 
     Applies the leaf's cost-planned scheme, else the executor's primitive
     strategy; falls back to BASIC when a chain breaks (delivery timeout),
     which also triggers the stale-entry cleanup of Sect. III-D at the
-    owner index node.
+    owner index node. A *digest* rides with the sub-query to every
+    provider, which sheds the rows that cannot join before they travel.
     """
     from .executor import DeliveryTimeout  # local import: avoid cycle
 
@@ -143,14 +147,20 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
         leaf.detail["strategy"] = strategy.wire_name
 
     if strategy is PrimitiveStrategy.BASIC:
-        return (yield from _basic(ctx, info, algebra, site, corr,
-                                  keep=keep, result_vars=result_vars))
+        return (yield from _basic(ctx, info, algebra, site, corr, keep=keep,
+                                  result_vars=result_vars, digest=digest,
+                                  leaf=leaf))
 
     payload = primitive_payload(ctx, info, algebra, strategy.wire_name, corr, keep)
     payload.update(final=site, end_at=site, notify=ctx.initiator)
+    if digest is not None:
+        payload["digest"] = digest
     tag = ctx.delivery_tag(payload)
     ack, info, corr, tag = yield from dispatch_primitive(ctx, info, payload,
                                                          corr)
+    # The digest rode in one chain_step per hop; chain steps report no
+    # pruned counts.
+    charge_digest(ctx, payload, ack, len(ack.get("route", ())), leaf)
     if ack["mode"] == "direct":
         # Empty route: no providers left; materialize the empty result.
         ctx.unexpect(tag or corr)
@@ -167,8 +177,9 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
         ctx.report.retries += 1
         ctx.report.merge_note(f"chain fallback for {corr}")
         corr = ctx.new_corr()
-        return (yield from _basic(ctx, info, algebra, site, corr,
-                                  keep=keep, result_vars=result_vars))
+        return (yield from _basic(ctx, info, algebra, site, corr, keep=keep,
+                                  result_vars=result_vars, digest=digest,
+                                  leaf=leaf))
     return ResultHandle(site, corr, count, result_vars)
 
 
@@ -193,11 +204,13 @@ def primitive_payload(ctx, info: PatternInfo, algebra, strategy: str,
 
 
 def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
-           keep=None, result_vars=None):
+           keep=None, result_vars=None, digest=None, leaf=None):
     payload = primitive_payload(ctx, info, algebra, "basic", corr, keep)
     # Bound the owner's per-provider wait so the whole fan-out always
     # finishes inside our own call deadline below.
     payload["storage_timeout"] = DELIVERY_TIMEOUT
+    if digest is not None:
+        payload["digest"] = digest
     if site != ctx.initiator:
         payload["final"] = site
         payload["notify"] = ctx.initiator
@@ -205,6 +218,7 @@ def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
         ack, info, corr, tag = yield from dispatch_primitive(
             ctx, info, payload, corr, timeout=DELIVERY_TIMEOUT * 4)
         note_dropped(ctx, ack, info)
+        charge_digest(ctx, payload, ack, len(info.entries), leaf)
         if ack["mode"] == "direct":
             yield ctx.call(site, "deliver", {"corr": corr, "data": ack["data"]})
             return ResultHandle(site, corr, len(as_solution_set(ack["data"])),
@@ -214,8 +228,33 @@ def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
     response, info, corr, _tag = yield from dispatch_primitive(
         ctx, info, payload, corr, timeout=DELIVERY_TIMEOUT * 4)
     note_dropped(ctx, response, info)
+    charge_digest(ctx, payload, response, len(info.entries), leaf)
     return ctx.local_deposit(corr, as_solution_set(response["data"]),
                              vars=result_vars)
+
+
+def charge_digest(ctx, payload, ack, embeds: int,
+                  leaf: Optional[ChainShip] = None) -> None:
+    """Charge the digest of an ``execute_primitive`` *payload*, if one
+    rode in it, to ``report.digest_bytes`` and credit the rows it pruned.
+
+    The digest rides in the call itself and in *embeds* provider
+    messages (the owner's fan-out sub-queries or the chain steps). A
+    fan-out's provider replies each carry the pruned counter, and the
+    ack carries their sum; it is also noted on *leaf* for explain.
+    """
+    digest = payload.get("digest")
+    if digest is None:
+        return
+    ctx.report.digest_bytes += (1 + embeds) * digest_embed_cost(digest)
+    pruned = ack.get("pruned")
+    if pruned is None:
+        return
+    ctx.report.rows_pruned += pruned
+    ctx.report.digest_bytes += (embeds * PRUNED_COUNTER_BYTES
+                                + size_of("pruned") + size_of(pruned) + 2)
+    if leaf is not None:
+        leaf.detail["pruned"] = pruned
 
 
 def note_dropped(ctx, ack, info: PatternInfo) -> None:

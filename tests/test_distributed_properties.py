@@ -10,6 +10,7 @@
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.net import LinkModel
 from repro.query import (
     ConjunctionMode,
     DistributedExecutor,
@@ -18,7 +19,7 @@ from repro.query import (
     PrimitiveStrategy,
 )
 from repro.query.physical import chain_leaves
-from repro.rdf import COMMON_PREFIXES, PatternShape
+from repro.rdf import COMMON_PREFIXES, BlankNode, PatternShape
 from repro.sparql import evaluate_query, parse_query
 from repro.trace import Tracer
 from repro.workloads import (
@@ -31,13 +32,21 @@ from repro.workloads import (
 from helpers import build_system
 
 
-def make_system(data_seed, num_providers, overlap, num_index=8):
+#: A link slow enough (10 kB/s) that transfer time dominates latency on
+#: 30-person data, so the cost planner's probe-first rule fires.
+SLOW_LINK = LinkModel(latency=0.010, bandwidth=10_000.0)
+
+
+def make_system(data_seed, num_providers, overlap, num_index=8, link=None):
     triples = generate_foaf_triples(
         FoafConfig(num_people=30, seed=data_seed)
     )
     parts = partition_triples(triples, num_providers, overlap=overlap,
                               seed=data_seed + 1)
-    return build_system(num_index=num_index, parts=parts), triples
+    system = build_system(num_index=num_index, parts=parts)
+    if link is not None:
+        system.network.link = link
+    return system, triples
 
 
 @settings(
@@ -52,14 +61,16 @@ def make_system(data_seed, num_providers, overlap, num_index=8):
     shape=st.sampled_from(list(PatternShape)),
     planner=st.sampled_from(
         [dict(primitive_strategy=s) for s in PrimitiveStrategy]
-        + [dict(plan_mode="cost")]
+        + [dict(plan_mode="cost"), dict(plan_mode="cost", link=SLOW_LINK)]
     ),
     query_seed=st.integers(0, 1_000),
 )
 def test_property_primitive_queries_match_oracle(
     data_seed, num_providers, overlap, shape, planner, query_seed
 ):
-    system, triples = make_system(data_seed, num_providers, overlap)
+    planner = dict(planner)
+    system, triples = make_system(data_seed, num_providers, overlap,
+                                  link=planner.pop("link", None))
     text = QueryWorkload(triples, seed=query_seed).primitive(shape)
     query = parse_query(text, COMMON_PREFIXES)
     oracle = evaluate_query(query, system.union_graph())
@@ -97,6 +108,38 @@ def test_property_compound_queries_match_oracle(
     executor = DistributedExecutor(system, ExecutionOptions(
         conjunction_mode=mode, join_site_policy=policy,
     ))
+    result, _ = executor.execute(text, initiator="D0")
+    assert result.rows == oracle.rows
+
+
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    data_seed=st.integers(0, 10_000),
+    anchor=st.integers(0, 10_000),
+    third=st.booleans(),
+    semijoin=st.booleans(),
+)
+def test_property_probe_first_walks_match_oracle(
+    data_seed, anchor, third, semijoin
+):
+    """The cost planner under a slow link on walks led by a grounded,
+    selective pattern: probe-first fires on this small data, and its
+    digests never drop a joinable row."""
+    system, triples = make_system(data_seed, num_providers=4, overlap=0.3,
+                                  link=SLOW_LINK)
+    grounded = [t for t in triples if not isinstance(t.o, BlankNode)]
+    t = grounded[anchor % len(grounded)]
+    text = (f"SELECT * WHERE {{ ?x {t.p.n3()} {t.o.n3()} . "
+            "?x foaf:knows ?y . "
+            + ("?y foaf:name ?n . " if third else "") + "}")
+    oracle = evaluate_query(parse_query(text, COMMON_PREFIXES),
+                            system.union_graph())
+    executor = DistributedExecutor(system, ExecutionOptions(
+        plan_mode="cost", semijoin=semijoin))
     result, _ = executor.execute(text, initiator="D0")
     assert result.rows == oracle.rows
 

@@ -258,6 +258,27 @@ class TestJoinDigest:
         digest = JoinDigest.build(key_rows(5), [X])
         assert size_of(digest) == digest.wire_size()
 
+    @pytest.mark.parametrize("keys,threshold", [
+        ([X], 64), ([X], 8), ([X, Y], 64), ([X, Y], 8)])
+    def test_filter_keeps_exactly_the_rows_allows_admits(self, keys,
+                                                         threshold):
+        """``filter`` finds the key slots once per schema; it must keep
+        what the per-row :meth:`allows` keeps, in both modes and over
+        rows of mixed schemas (some missing a key variable)."""
+        resident = {SolutionMapping({X: IRI(f"http://k.example/{i}"),
+                                     Y: Literal(str(i % 3))})
+                    for i in range(20)}
+        digest = JoinDigest.build(resident, keys, exact_threshold=threshold)
+        candidates = {
+            SolutionMapping({X: IRI(f"http://k.example/{i}"),
+                             Y: Literal(str(i % 4)), Z: LONG})
+            for i in range(40)
+        } | {SolutionMapping({X: IRI(f"http://k.example/{i}")})
+             for i in range(15, 30)} | {SolutionMapping({Z: LONG})}
+        kept = digest.filter(candidates)
+        assert kept == {mu for mu in candidates if digest.allows(mu)}
+        assert 0 < len(kept) < len(candidates)
+
 
 class TestSeededHashing:
     def test_deterministic(self):

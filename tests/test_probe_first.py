@@ -1,0 +1,195 @@
+"""Probe-first shared-site walks and the basic walk's digest gate.
+
+The cost planner marks an OPTIMIZED walk ``plan_probe`` when its
+estimates say landing the most selective chain first, and sending that
+chain's join-key digest with every other chain, wins on bytes *and*
+time. Providers then shed rows that cannot join before they travel.
+The digest never drops a joinable row, so every answer here is checked
+against the local oracle.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro.overlay import LocationEntry, key_for_pattern
+from repro.overlay.index_node import IndexNode
+from repro.query import ConjunctionMode, DistributedExecutor, ExecutionOptions
+from repro.query import cost
+from repro.query.physical import BGPWalk, PhysOp
+from repro.rdf import FOAF, Literal, TriplePattern, Variable
+from repro.workloads import (
+    FoafConfig, generate_foaf_triples, paper_example_dataset,
+    partition_triples,
+)
+
+from helpers import build_system, oracle_rows
+
+SMITH = """SELECT ?x ?y WHERE {
+    ?x foaf:name "Smith" . ?x foaf:knows ?y . }"""
+NOBODY = """SELECT ?x ?y WHERE {
+    ?x foaf:name "Nobody At All" . ?x foaf:knows ?y . }"""
+FIG8 = """SELECT ?x ?y ?z WHERE {
+    { ?x foaf:name "Smith" . ?x foaf:knows ?y . }
+    UNION
+    { ?x foaf:mbox <mailto:abc@example.org> . ?x foaf:knows ?z . } }"""
+
+
+def foaf_ring(num_people: int):
+    """The paper's example graph grafted onto a FOAF population over
+    eight providers and sixteen index nodes (the ``fig_mix`` layout)."""
+    triples = paper_example_dataset() + generate_foaf_triples(
+        FoafConfig(num_people=num_people, seed=1))
+    parts = partition_triples(triples, 8, overlap=0.2, seed=1)
+    return build_system(num_index=16, parts=parts)
+
+
+def walks(plan: PhysOp):
+    if isinstance(plan, BGPWalk):
+        yield plan
+    for child in plan.children:
+        yield from walks(child)
+
+
+def run(system, query, **options):
+    executor = DistributedExecutor(system, ExecutionOptions(**options))
+    result, report = executor.execute(query, initiator="D1")
+    return result, report, list(walks(report.plan))
+
+
+class TestBasicWalkDigestGate:
+    def test_one_row_accumulated_side_sends_a_digest(self):
+        """The gate reads the rows the digest would prune (the step's
+        pattern), not the one accumulated row that builds it."""
+        system = foaf_ring(150)
+        result, report, (walk,) = run(
+            system, SMITH, conjunction_mode=ConjunctionMode.BASIC,
+            semijoin=True)
+        first, second = walk.children
+        assert first.actual_rows == 1
+        assert second.lookup.est_rows >= 4  # the index row's frequency
+        assert report.digest_bytes > 0
+        assert report.rows_pruned > 0
+        assert result.rows == oracle_rows(system, SMITH)
+
+
+class TestProbePays:
+    def test_false_on_the_paper_example(self):
+        system = build_system()
+        for query in (SMITH, FIG8):
+            _result, _report, found = run(system, query, plan_mode="cost")
+            assert found
+            for walk in found:
+                assert walk.plan_mode == "optimized"
+                assert not cost._probe_pays(walk.plan_order,
+                                            system.network.link)
+                assert not walk.plan_probe
+
+    def test_true_at_fig_mix_scale(self):
+        system = foaf_ring(400)
+        _result, _report, (walk,) = run(system, SMITH, plan_mode="cost")
+        assert walk.plan_probe
+        assert cost._probe_pays(walk.plan_order, system.network.link)
+        assert "probe-first" in walk.describe()
+
+    def test_false_when_the_probe_exceeds_an_exact_digest(self):
+        system = foaf_ring(400)
+        _result, _report, (walk,) = run(system, SMITH, plan_mode="cost")
+        probe = walk.plan_order[0]
+        info = probe.lookup.info
+        cap = cost.SEMIJOIN_EXACT_THRESHOLD
+        for rows, pays in ((cap, True), (cap + 1, False)):
+            probe.lookup.info = replace(
+                info, entries=(LocationEntry(info.entries[0].storage_id, rows),))
+            assert cost._probe_pays(walk.plan_order,
+                                    system.network.link) is pays
+
+
+class TestProbeFirstWalk:
+    def test_fewer_bytes_than_the_same_plan_all_parallel(self, monkeypatch):
+        probed_rows, probed, (walk,) = run(foaf_ring(150), SMITH,
+                                           plan_mode="cost")
+        assert walk.plan_probe
+        pruned = walk.plan_order[1].detail["pruned"]
+        assert pruned > 0 and probed.rows_pruned == pruned
+        assert probed.digest_bytes > 0
+        assert f"pruned={pruned}" in walk.plan_order[1].describe()
+
+        monkeypatch.setattr(cost, "_probe_pays", lambda ordered, link: False)
+        system = foaf_ring(150)
+        plain_rows, plain, (walk,) = run(system, SMITH, plan_mode="cost")
+        assert not walk.plan_probe
+        oracle = oracle_rows(system, SMITH)
+        assert probed_rows.rows == plain_rows.rows == oracle
+        assert probed.bytes_total < plain.bytes_total
+
+    def test_empty_probe_dispatches_no_other_chain(self, monkeypatch):
+        calls = []
+        real = IndexNode.rpc_execute_primitive
+
+        def spy(self, payload, src):
+            calls.append(payload["algebra"])
+            return real(self, payload, src)
+
+        monkeypatch.setattr(IndexNode, "rpc_execute_primitive", spy)
+        system = foaf_ring(150)
+        result, report, (walk,) = run(system, NOBODY, plan_mode="cost")
+        assert walk.plan_probe
+        assert result.rows == oracle_rows(system, NOBODY) == []
+        assert calls == []
+        # The spy sees the dispatches of a walk whose probe matches.
+        run(system, SMITH, plan_mode="cost")
+        assert len(calls) == 2
+
+    def test_cache_fill_then_hit(self):
+        system = foaf_ring(150)
+        oracle = oracle_rows(system, SMITH)
+        verdicts = []
+        for _ in range(4):
+            result, _report, (walk,) = run(system, SMITH, plan_mode="cost",
+                                           result_cache=True)
+            assert result.rows == oracle
+            assert walk.plan_probe
+            verdicts.append(walk.detail.get("cache"))
+        assert "fill" in verdicts
+        assert verdicts.index("hit") > verdicts.index("fill")
+
+    def test_dead_probe_owner_is_a_flagged_empty_subset(self, monkeypatch):
+        system = foaf_ring(150)
+        _kind, key = key_for_pattern(
+            TriplePattern(Variable("x"), FOAF.name, Literal("Smith")),
+            system.space)
+        owner = system.ring.owner_of(key).node_id
+        real = cost.annotate_plan
+
+        def plan_then_crash(ctx, plan):
+            # The owner dies after the planner read its row.
+            yield from real(ctx, plan)
+            system.network.fail_node(owner)
+
+        monkeypatch.setattr(cost, "annotate_plan", plan_then_crash)
+        result, report, (walk,) = run(system, SMITH, plan_mode="cost",
+                                      partial_results=True)
+        assert walk.plan_probe
+        assert result.rows == []
+        assert report.incomplete
+        assert walk.detail["incomplete"]
+        assert report.dropped_patterns == [
+            '?x <http://xmlns.com/foaf/0.1/name> "Smith" .']
+
+
+@pytest.mark.parametrize("query", [SMITH, FIG8])
+def test_probe_first_span_records_probe_and_digest(query):
+    from repro.trace import Tracer
+
+    system = foaf_ring(400)
+    tracer = Tracer()
+    executor = DistributedExecutor(system, ExecutionOptions(plan_mode="cost"),
+                                   tracer=tracer)
+    executor.execute(query, initiator="D1")
+    ends = [e.detail for e in tracer.events
+            if e.name == "conjunction" and e.kind == "span_end"]
+    assert ends and all(d["digest"] == "exact" for d in ends)
+    assert all(d["probe"].startswith("?x <http://xmlns.com/foaf/0.1/")
+               for d in ends)
+    assert all(d["digest_bytes"] > 0 for d in ends)
