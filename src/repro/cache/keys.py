@@ -22,6 +22,7 @@ from typing import Iterable, Optional, Tuple
 
 from ..rdf.terms import Variable
 from ..rdf.triple import TriplePattern
+from ..sparql.solutions import compile_extractor
 
 __all__ = ["pattern_cache_key", "bgp_cache_key", "rebind_rows", "canonical_rows"]
 
@@ -66,12 +67,9 @@ def canonical_rows(solutions, variables: Tuple[Variable, ...]):
 
 def rebind_rows(rows, variables: Tuple[Variable, ...]):
     """Canonical term tuples → solution mappings over *variables* (the
-    requesting pattern's own canonical variable order)."""
-    from ..sparql.solutions import SolutionMapping
-
-    return {
-        SolutionMapping(dict(zip(variables, row))) for row in rows
-    }
+    requesting pattern's own canonical variable order): one schema plan,
+    then one pass over the rows."""
+    return set(compile_extractor(variables)(rows))
 
 
 def bgp_cache_key(

@@ -90,11 +90,14 @@ def _size_bgp(payload: BGP) -> int:
 
 
 def _size_mapping(payload: SolutionMapping) -> int:
+    """Read each variable's and term's cached size; the type rule runs
+    only on a term's first sight (a size is never 0)."""
     n = payload._size
     if n is None:
-        n = _CONTAINER_OVERHEAD
-        for v, t in payload.items():
-            n += size_of(v) + size_of(t) + _PER_ITEM_OVERHEAD
+        values = payload._values
+        n = _CONTAINER_OVERHEAD + _PER_ITEM_OVERHEAD * len(values)
+        for v, t in zip(payload._schema.vars, values):
+            n += (v._size or _size_variable(v)) + (t._size or size_of(t))
         payload._size = n
     return n
 

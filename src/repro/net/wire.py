@@ -34,7 +34,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from ..chord.hashing import hash_terms_seeded
 from ..rdf.terms import RDFTerm, Variable
-from ..sparql.solutions import SolutionMapping, canonical_key as mapping_sort_key
+from ..sparql.solutions import (
+    SolutionMapping, canonical_key as mapping_sort_key, project,
+)
 from .sizes import _CONTAINER_OVERHEAD, _PER_ITEM_OVERHEAD, size_of
 
 __all__ = [
@@ -284,7 +286,7 @@ def shed(rows, digest: Optional[JoinDigest], keep):
         pruned = len(rows) - len(kept)
         rows = kept
     if keep is not None:
-        rows = {mu.project(keep) for mu in rows}
+        rows = set(project(rows, keep))
     return rows, pruned
 
 

@@ -10,14 +10,19 @@ Terms are immutable, hashable value objects so they can be used freely as
 dictionary keys in graph indexes, solution mappings, and the distributed
 location tables.
 
-Every term class is **interned**: constructing the same term twice yields
-the same object, so equality is an identity check, the hash is computed
-once per distinct term, and the ``n3()`` serialization is cached on the
-instance. Term construction, hashing, and comparison sit on the hot path
-of graph indexing, solution-mapping joins, and wire encoding — the E15
-load harness executes them millions of times per run. Pickling routes
-through the constructor (``__reduce__``), so unpickled terms re-intern
-and the identity invariant survives snapshot/WAL round-trips.
+**Identity contract.** Every term class is *interned*: constructing the
+same term twice yields the same object, on every path — the constructor,
+``copy``/``deepcopy`` and pickling (``__reduce__`` routes through the
+constructor, so snapshot and WAL round-trips re-intern). Value-equal
+therefore means identical, and the classes define no ``__eq__`` or
+``__hash__``: the inherited identity versions are exact and run in C,
+which matters because graph indexing, joins and wire sizing probe
+dicts and sets with terms millions of times per run. The ``n3()`` text
+and the wire size are cached on the instance.
+
+The price is that a term's hash is its address, so iteration order over
+a set or dict of terms is process history, not a function of the data.
+No sort, tie-break or digest may depend on it; order by ``n3()``.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ class IRI(_Interned):
     entries on the Chord ring; no resolution ever happens.
     """
 
-    __slots__ = ("value", "_hash", "_n3", "_size")
+    __slots__ = ("value", "_n3", "_size")
 
     _intern: Dict[str, "IRI"] = {}
 
@@ -94,19 +99,10 @@ class IRI(_Interned):
             raise ValueError(f"IRI contains forbidden character: {value!r}")
         self = object.__new__(cls)
         _set(self, "value", value)
-        _set(self, "_hash", hash(("IRI", value)))
         _set(self, "_n3", None)
         _set(self, "_size", None)
         cls._intern[value] = self
         return self
-
-    def __eq__(self, other: object) -> bool:
-        # Interned: value-equal implies identical.
-        return self is other or (NotImplemented
-                                 if not isinstance(other, IRI) else False)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return (IRI, (self.value,))
@@ -130,7 +126,7 @@ class Literal(_Interned):
     both (RDF 1.0 abstract syntax, which the paper builds on).
     """
 
-    __slots__ = ("lexical", "language", "datatype", "_hash", "_n3", "_size")
+    __slots__ = ("lexical", "language", "datatype", "_n3", "_size")
 
     _intern: Dict[Tuple[str, Optional[str], Optional[IRI]], "Literal"] = {}
 
@@ -152,18 +148,10 @@ class Literal(_Interned):
         _set(self, "lexical", lexical)
         _set(self, "language", language)
         _set(self, "datatype", datatype)
-        _set(self, "_hash", hash(("Literal", key)))
         _set(self, "_n3", None)
         _set(self, "_size", None)
         cls._intern[key] = self
         return self
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (NotImplemented
-                                 if not isinstance(other, Literal) else False)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return (Literal, (self.lexical, self.language, self.datatype))
@@ -226,7 +214,7 @@ class BlankNode(_Interned):
     provider so that the union dataset semantics of the paper stay sound.
     """
 
-    __slots__ = ("label", "_hash", "_n3", "_size")
+    __slots__ = ("label", "_n3", "_size")
 
     _intern: Dict[str, "BlankNode"] = {}
 
@@ -238,18 +226,10 @@ class BlankNode(_Interned):
             raise ValueError("blank node label must be non-empty")
         self = object.__new__(cls)
         _set(self, "label", label)
-        _set(self, "_hash", hash(("BlankNode", label)))
         _set(self, "_n3", None)
         _set(self, "_size", None)
         cls._intern[label] = self
         return self
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (NotImplemented
-                                 if not isinstance(other, BlankNode) else False)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return (BlankNode, (self.label,))
@@ -272,7 +252,7 @@ class Variable(_Interned):
     never in data triples. ``Graph.add`` enforces that.
     """
 
-    __slots__ = ("name", "_hash", "_n3", "_size")
+    __slots__ = ("name", "_n3", "_size")
 
     _intern: Dict[str, "Variable"] = {}
 
@@ -286,18 +266,10 @@ class Variable(_Interned):
             raise ValueError("variable name must not include the ? / $ sigil")
         self = object.__new__(cls)
         _set(self, "name", name)
-        _set(self, "_hash", hash(("Variable", name)))
         _set(self, "_n3", None)
         _set(self, "_size", None)
         cls._intern[name] = self
         return self
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (NotImplemented
-                                 if not isinstance(other, Variable) else False)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return (Variable, (self.name,))

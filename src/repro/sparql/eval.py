@@ -25,7 +25,7 @@ from .solutions import (
     SolutionSet,
     canonical_key,
     compile_extractor,
-    merge,
+    project,
 )
 
 __all__ = [
@@ -63,30 +63,28 @@ def evaluate_bgp(
         # only on µ's schema.
         plans: Dict[object, tuple] = {}
         for mu in solutions:
-            plan = plans.get(mu._schema)
+            schema = mu._schema
+            plan = plans.get(schema)
             if plan is None:
-                index = mu._schema.index
-                slots = [index.get(term, -1) for term in terms]
+                slots = [schema.index.get(term, -1) for term in terms]
                 # graph.scan already enforces concrete positions and
                 # repeated-variable equality; extraction is all that remains.
                 extract = compile_extractor(
                     [term if i < 0 else None for term, i in zip(terms, slots)],
-                    fused)
-                plan = plans[mu._schema] = (*slots, extract)
+                    fused, schema)
+                plan = plans[schema] = (*slots, extract)
             si, pi, oi, extract = plan
             values = mu._values
-            rows = scan(ps if si < 0 else values[si],
-                        pp if pi < 0 else values[pi],
-                        po if oi < 0 else values[oi])
-            if mu is EMPTY_MAPPING:
-                next_solutions.extend(map(extract, rows))
-            else:
-                next_solutions.extend([merge(mu, extract(t)) for t in rows])
+            next_solutions.extend(extract(
+                scan(ps if si < 0 else values[si],
+                     pp if pi < 0 else values[pi],
+                     po if oi < 0 else values[oi]),
+                values))
         if not next_solutions:
             return set()
         solutions = next_solutions
     if keep is not None and fused is None:
-        return {mu.project(keep) for mu in solutions}
+        return set(project(solutions, keep))
     return set(solutions)
 
 
@@ -172,16 +170,11 @@ def apply_modifiers(
         rows.sort(key=canonical_key)
 
     if projection:
-        rows = [mu.project(projection) for mu in rows]
+        rows = project(rows, projection)
 
     if modifiers.distinct or modifiers.reduced:
-        seen: Set[SolutionMapping] = set()
-        deduped: List[SolutionMapping] = []
-        for mu in rows:
-            if mu not in seen:
-                seen.add(mu)
-                deduped.append(mu)
-        rows = deduped
+        # Mappings are interned: an order-keeping dedupe by identity.
+        rows = list(dict.fromkeys(rows))
 
     if modifiers.offset:
         rows = rows[modifiers.offset:]

@@ -20,14 +20,28 @@ Representation: a mapping is a *schema* (an interned tuple of variables in
 name order) plus a parallel tuple of term values. Schemas are shared
 across every mapping with the same domain, so the hot operations —
 compatibility, merge, projection, join-key extraction — compile down to
-cached index plans over small tuples instead of per-row dict work. RDF
-terms are interned (:mod:`repro.rdf.terms`), which makes every value
-comparison inside those kernels a pointer check.
+cached ``itemgetter`` plans per schema or schema pair. The kernels run
+as batch passes: rows are grouped by schema, keys and output values are
+picked by those getters, and output rows are looked up in the schema's
+intern table through ``map``, so per-row work is C calls, not Python
+frames.
+
+**Identity contract.** Mappings are interned like terms
+(:mod:`repro.rdf.terms`): every construction path — the public
+``SolutionMapping(bindings)``, the fast ``_make`` (the schema's intern
+table, which the kernels map over whole batches), pickling and
+``copy``/``deepcopy`` — returns the one instance for its schema and
+values. Equal means identical, so the class defines no ``__eq__`` or
+``__hash__`` and set and dict probes hash the address in C. Iteration
+order over a set of rows is therefore process history: output order
+comes from :func:`canonical_key`, and no sort, tie-break or digest may
+depend on iteration order.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import compress
+from operator import attrgetter, itemgetter, not_
 from typing import (
     Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
     Set, Tuple,
@@ -49,8 +63,32 @@ __all__ = [
     "left_outer_join",
     "conditional_left_outer_join",
     "combine_sets",
+    "project",
     "match_pattern",
 ]
+
+_schema_of = attrgetter("_schema")
+_values_of = attrgetter("_values")
+_var_name = attrgetter("name")
+
+
+def _name_key(pair):
+    return pair[0].name
+
+
+class _Rows(dict):
+    """A schema's intern table: values tuple → its one mapping."""
+
+    __slots__ = ("schema",)
+
+    def __missing__(self, values: Tuple[RDFTerm, ...]) -> "SolutionMapping":
+        mu = object.__new__(SolutionMapping)
+        mu._schema = self.schema
+        mu._values = values
+        mu._size = None  # wire-size cache (repro.net.sizes)
+        mu._skey = None  # canonical sort-key cache (canonical_key)
+        self[values] = mu
+        return mu
 
 
 class _Schema:
@@ -58,11 +96,12 @@ class _Schema:
 
     Two mappings with equal domains share one schema object, so schema
     comparison inside the kernels is an identity check and every derived
-    plan (merge / projection / compatibility) can be cached per schema
-    pair instead of recomputed per row.
+    plan (pair / projection) can be cached per schema instead of
+    recomputed per row. ``make`` maps a values tuple to its interned
+    mapping in one C call.
     """
 
-    __slots__ = ("vars", "domain", "index", "hash")
+    __slots__ = ("vars", "domain", "index", "make")
 
     _cache: Dict[Tuple[Variable, ...], "_Schema"] = {}
 
@@ -74,76 +113,56 @@ class _Schema:
             schema.vars = vars_tuple
             schema.domain = frozenset(vars_tuple)
             schema.index = {v: i for i, v in enumerate(vars_tuple)}
-            schema.hash = hash(vars_tuple)
+            rows = _Rows()
+            rows.schema = schema
+            schema.make = rows.__getitem__
             cls._cache[vars_tuple] = schema
         return schema
 
 
 _EMPTY_SCHEMA = _Schema.of(())
 
-#: (left schema, right schema) → (output schema, ((take_left, index), ...)).
-_MERGE_PLANS: Dict[Tuple[_Schema, _Schema], Tuple[_Schema, Tuple[Tuple[bool, int], ...]]] = {}
+#: (schema A, schema B) → (output schema, key getter over A's values,
+#: key getter over B's values, output getter over ``a + b``). The key
+#: getters are None when the schemas share no variable.
+_PAIR_PLANS: Dict[Tuple[_Schema, _Schema], tuple] = {}
 
-#: (schema, kept domain) → (output schema, value indices).
-_PROJECT_PLANS: Dict[Tuple[_Schema, FrozenSet[Variable]], Tuple[_Schema, Tuple[int, ...]]] = {}
-
-#: (schema A, schema B) → index pairs of the variables they share.
-_COMPAT_PLANS: Dict[Tuple[_Schema, _Schema], Tuple[Tuple[int, int], ...]] = {}
-
-#: (row schema, shared-variable schema) → (key sub-schema, value indices).
-_KEY_PLANS: Dict[Tuple[_Schema, _Schema], Tuple[_Schema, Tuple[int, ...]]] = {}
+#: (schema, kept domain) → (output schema, value getter).
+_PROJECT_PLANS: Dict[Tuple[_Schema, FrozenSet[Variable]], tuple] = {}
 
 
-def _name_key(pair):
-    return pair[0].name
+def _getter(idxs) -> Callable[[tuple], tuple]:
+    """values → ``tuple(values[i] for i in idxs)`` as one C call
+    (``itemgetter`` returns a bare item for one index, a slice does not)."""
+    if len(idxs) == 1:
+        return itemgetter(slice(idxs[0], idxs[0] + 1))
+    return itemgetter(*idxs) if idxs else itemgetter(slice(0, 0))
 
 
 class SolutionMapping:
     """An immutable partial function µ : V → U.
 
-    Hashable so that solution *sets* deduplicate naturally, as required by
-    the set semantics of the paper.
+    Interned, so that solution *sets* deduplicate by identity, as the set
+    semantics of the paper requires.
     """
 
-    __slots__ = ("_schema", "_values", "_hash", "_size", "_skey")
+    __slots__ = ("_schema", "_values", "_size", "_skey")
 
-    def __init__(self, bindings: Optional[Mapping[Variable, RDFTerm]] = None) -> None:
-        if bindings:
-            for var in bindings:
-                if not isinstance(var, Variable):
-                    raise TypeError(f"mapping keys must be Variables, got {var!r}")
-            pairs = sorted(bindings.items(), key=_name_key)
-            schema = _Schema.of(tuple([v for v, _ in pairs]))
-            values: Tuple[RDFTerm, ...] = tuple([t for _, t in pairs])
-        else:
-            schema = _EMPTY_SCHEMA
-            values = ()
-        self._schema = schema
-        self._values = values
-        self._hash = schema.hash ^ hash(values)
-        self._size = None  # wire-size cache (repro.net.sizes)
-        self._skey = None  # canonical sort-key cache (canonical_key)
+    def __new__(cls, bindings: Optional[Mapping[Variable, RDFTerm]] = None
+                ) -> "SolutionMapping":
+        if not bindings:
+            return _EMPTY_SCHEMA.make(())
+        for var in bindings:
+            if not isinstance(var, Variable):
+                raise TypeError(f"mapping keys must be Variables, got {var!r}")
+        pairs = sorted(bindings.items(), key=_name_key)
+        return _Schema.of(tuple([v for v, _ in pairs])).make(
+            tuple([t for _, t in pairs]))
 
-    #: (schema, values) → canonical instance. Mappings are immutable, so
-    #: the kernels intern them: the same row scanned or merged twice is
-    #: one object, and its wire-size / sort-key caches survive re-shipping
-    #: along aggregation chains.
-    _intern: Dict[Tuple["_Schema", Tuple[RDFTerm, ...]], "SolutionMapping"] = {}
-
-    @classmethod
-    def _make(cls, schema: _Schema, values: Tuple[RDFTerm, ...]) -> "SolutionMapping":
+    @staticmethod
+    def _make(schema: _Schema, values: Tuple[RDFTerm, ...]) -> "SolutionMapping":
         """Internal fast constructor: *values* must align with *schema*."""
-        key = (schema, values)
-        self = cls._intern.get(key)
-        if self is None:
-            self = object.__new__(cls)
-            self._schema = schema
-            self._values = values
-            self._hash = schema.hash ^ hash(values)
-            self._size = None
-            self._skey = None
-            cls._intern[key] = self
-        return self
+        return schema.make(values)
 
     # ------------------------------------------------------------- access
 
@@ -173,29 +192,13 @@ class SolutionMapping:
     def __len__(self) -> int:
         return len(self._values)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SolutionMapping):
-            return NotImplemented
-        return self._schema is other._schema and self._values == other._values
-
     def __reduce__(self):
-        # Re-intern schemas (and terms) on unpickle.
+        # Re-intern schemas (and terms) on unpickle and on copy.
         return (SolutionMapping, (self.as_dict(),))
 
     def project(self, variables: Iterable[Variable]) -> "SolutionMapping":
-        schema = self._schema
-        keep = variables if isinstance(variables, frozenset) else frozenset(variables)
-        plan = _PROJECT_PLANS.get((schema, keep))
-        if plan is None:
-            idxs = tuple([i for i, v in enumerate(schema.vars) if v in keep])
-            out_schema = _Schema.of(tuple([schema.vars[i] for i in idxs]))
-            plan = _PROJECT_PLANS[(schema, keep)] = (out_schema, idxs)
-        out_schema, idxs = plan
-        values = self._values
-        return SolutionMapping._make(out_schema, tuple([values[i] for i in idxs]))
+        out, pick = _project_plan(self._schema, variables)
+        return out.make(pick(self._values))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"?{v.name}={t.n3()}" for v, t in self.items())
@@ -203,7 +206,6 @@ class SolutionMapping:
 
 
 EMPTY_MAPPING = SolutionMapping()
-SolutionMapping._intern[(_EMPTY_SCHEMA, ())] = EMPTY_MAPPING
 
 #: A set of solution mappings Ω.
 SolutionSet = Set[SolutionMapping]
@@ -220,157 +222,123 @@ def canonical_key(mu: SolutionMapping):
     return key
 
 
-def _compat_plan(s1: _Schema, s2: _Schema) -> Tuple[Tuple[int, int], ...]:
-    plan = _COMPAT_PLANS.get((s1, s2))
+def _pair_plan(sa: _Schema, sb: _Schema):
+    """How rows of *sa* and *sb* combine: see :data:`_PAIR_PLANS`."""
+    plan = _PAIR_PLANS.get((sa, sb))
     if plan is None:
-        index2 = s2.index
-        plan = tuple(
-            (i, index2[v]) for i, v in enumerate(s1.vars) if v in index2
-        )
-        _COMPAT_PLANS[(s1, s2)] = plan
+        index_b = sb.index
+        shared = [v for v in sa.vars if v in index_b]
+        key_a = itemgetter(*[sa.index[v] for v in shared]) if shared else None
+        key_b = itemgetter(*[index_b[v] for v in shared]) if shared else None
+        # Slots into ``a + b``; the values of a shared variable agree.
+        width = len(sa.vars)
+        slots = dict(sa.index)
+        for v, j in index_b.items():
+            slots.setdefault(v, width + j)
+        out_vars = tuple(sorted(slots, key=_var_name))
+        plan = _PAIR_PLANS[(sa, sb)] = (
+            _Schema.of(out_vars), key_a, key_b,
+            _getter([slots[v] for v in out_vars]))
+    return plan
+
+
+def _project_plan(schema: _Schema, variables: Iterable[Variable]):
+    keep = variables if isinstance(variables, frozenset) else frozenset(variables)
+    plan = _PROJECT_PLANS.get((schema, keep))
+    if plan is None:
+        idxs = [i for i, v in enumerate(schema.vars) if v in keep]
+        plan = _PROJECT_PLANS[(schema, keep)] = (
+            _Schema.of(tuple([schema.vars[i] for i in idxs])), _getter(idxs))
     return plan
 
 
 def compatible(mu1: SolutionMapping, mu2: SolutionMapping) -> bool:
     """µ1 ~ µ2: every shared variable is bound to the same term."""
-    s1 = mu1._schema
-    s2 = mu2._schema
-    if s1 is s2:
-        return mu1._values == mu2._values
-    v1 = mu1._values
-    v2 = mu2._values
-    for i, j in _compat_plan(s1, s2):
-        # Terms are interned: equality is identity.
-        if v1[i] is not v2[j]:
-            return False
-    return True
-
-
-def _merge_plan(s1: _Schema, s2: _Schema):
-    plan = _MERGE_PLANS.get((s1, s2))
-    if plan is None:
-        merged: Dict[Variable, Tuple[bool, int]] = {
-            v: (True, i) for i, v in enumerate(s1.vars)
-        }
-        # Right side wins on shared variables (callers guarantee
-        # compatibility, so the values agree anyway).
-        for j, v in enumerate(s2.vars):
-            merged[v] = (False, j)
-        ordered = sorted(merged, key=lambda v: v.name)
-        out_schema = _Schema.of(tuple(ordered))
-        ops = tuple(merged[v] for v in ordered)
-        plan = _MERGE_PLANS[(s1, s2)] = (out_schema, ops)
-    return plan
+    _, key1, key2, _ = _pair_plan(mu1._schema, mu2._schema)
+    return key1 is None or key1(mu1._values) == key2(mu2._values)
 
 
 def merge(mu1: SolutionMapping, mu2: SolutionMapping) -> SolutionMapping:
     """µ1 ∪ µ2 for compatible mappings (caller must ensure compatibility)."""
-    s1 = mu1._schema
-    s2 = mu2._schema
-    if s2 is _EMPTY_SCHEMA:
-        return mu1
-    if s1 is _EMPTY_SCHEMA or s1 is s2:
-        return mu2
-    out_schema, ops = _merge_plan(s1, s2)
-    v1 = mu1._values
-    v2 = mu2._values
-    return SolutionMapping._make(
-        out_schema, tuple([v1[i] if left else v2[i] for left, i in ops])
-    )
+    out, _, _, pick = _pair_plan(mu1._schema, mu2._schema)
+    return out.make(pick(mu1._values + mu2._values))
 
 
-def _key_plan(schema: _Schema, shared_schema: _Schema):
-    """How *schema* projects onto the join key: the sub-schema of shared
-    variables it actually binds, plus the value indices to extract."""
-    plan = _KEY_PLANS.get((schema, shared_schema))
-    if plan is None:
-        index = schema.index
-        bound = [v for v in shared_schema.vars if v in index]
-        sub = _Schema.of(tuple(bound))
-        idxs = tuple(index[v] for v in bound)
-        plan = _KEY_PLANS[(schema, shared_schema)] = (sub, idxs)
-    return plan
+def _groups(omega: Iterable[SolutionMapping]) -> Dict[_Schema, List[tuple]]:
+    """Ω as {schema: [values, ...]}: usually one schema, found in C."""
+    rows = omega if isinstance(omega, (list, set, frozenset)) else list(omega)
+    schemas = set(map(_schema_of, rows))
+    if len(schemas) == 1:
+        return {schemas.pop(): list(map(_values_of, rows))}
+    groups: Dict[_Schema, List[tuple]] = {schema: [] for schema in schemas}
+    for mu in rows:
+        groups[mu._schema].append(mu._values)
+    return groups
+
+
+def _buckets(rows: List[tuple], key) -> Dict[object, List[tuple]]:
+    index: Dict[object, List[tuple]] = {}
+    for k, row in zip(map(key, rows), rows):
+        bucket = index.get(k)
+        if bucket is None:
+            index[k] = [row]
+        else:
+            bucket.append(row)
+    return index
+
+
+def _probe_unique(sa: _Schema, rows_a: List[tuple], sb: _Schema,
+                  rows_b: List[tuple]) -> Optional[Iterator[SolutionMapping]]:
+    """The pair's joined rows if *rows_a*'s keys are unique, else None:
+    one dict over *rows_a*, probed by every row of *rows_b*, all in C."""
+    out, key_a, key_b, pick = _pair_plan(sa, sb)
+    unique = dict(zip(map(key_a, rows_a), rows_a))
+    if len(unique) < len(rows_a):
+        return None
+    # Keyed rows bind at least one variable, so a hit is never a falsy ().
+    found = list(map(unique.get, map(key_b, rows_b)))
+    return map(out.make, map(pick, map(tuple.__add__, compress(found, found),
+                                       compress(rows_b, found))))
+
+
+def _join_pair(sa: _Schema, rows_a: List[tuple], sb: _Schema,
+               rows_b: List[tuple]) -> Iterator[SolutionMapping]:
+    """Ω_a ⋈ Ω_b for one schema pair. Two rows are compatible exactly
+    when they agree on the variables the schemas share, so this is a hash
+    join on that key — or, sharing nothing, the cross product. A side
+    with unique keys is probed in C; else the smaller side is bucketed."""
+    if len(rows_b) < len(rows_a):
+        sa, rows_a, sb, rows_b = sb, rows_b, sa, rows_a
+    out, key_a, key_b, pick = _pair_plan(sa, sb)
+    if key_a is None:
+        merged = [a + b for a in rows_a for b in rows_b]
+    else:
+        joined = (_probe_unique(sa, rows_a, sb, rows_b)
+                  or _probe_unique(sb, rows_b, sa, rows_a))
+        if joined is not None:
+            return joined
+        index = _buckets(rows_a, key_a)
+        merged = []
+        append = merged.append
+        for b, bucket in zip(rows_b, map(index.get, map(key_b, rows_b))):
+            if bucket is not None:
+                for a in bucket:
+                    append(a + b)
+    return map(out.make, map(pick, merged))
 
 
 def join(omega1: Iterable[SolutionMapping], omega2: Iterable[SolutionMapping]) -> SolutionSet:
-    """Ω1 ⋈ Ω2 with a hash-join on the shared variables.
+    """Ω1 ⋈ Ω2, one hash join per pair of schemas (:func:`_join_pair`).
 
-    Falls back to a nested-loop cross product when the inputs share no
-    variables (every pair is then compatible by definition). Rows that
-    leave some shared variable unbound (partial µ) are grouped by their
-    key sub-schema and probed with cached compatibility plans.
+    Rows that leave some variable of the other side unbound (partial µ,
+    as OPTIONAL produces) simply form their own schema, whose pairs key
+    on fewer variables.
     """
-    left = list(omega1)
-    right = list(omega2)
-    if not left or not right:
-        return set()
-
-    dom1: Set[Variable] = set()
-    for schema in {mu._schema for mu in left}:
-        dom1 |= schema.domain
-    dom2: Set[Variable] = set()
-    for schema in {mu._schema for mu in right}:
-        dom2 |= schema.domain
-    shared = dom1 & dom2
-    if not shared:
-        return {merge(m1, m2) for m1 in left for m2 in right}
-
-    # Hash the smaller side on its projection onto the shared variables.
-    if len(right) < len(left):
-        left, right = right, left
-    shared_schema = _Schema.of(tuple(sorted(shared, key=lambda v: v.name)))
-
-    # Buckets grouped by key sub-schema: in the common case every row
-    # binds every shared variable and there is exactly one group.
-    groups: Dict[_Schema, Dict[Tuple[RDFTerm, ...], List[SolutionMapping]]] = {}
-    for mu in left:
-        sub, idxs = _key_plan(mu._schema, shared_schema)
-        values = mu._values
-        key = tuple([values[i] for i in idxs])
-        group = groups.get(sub)
-        if group is None:
-            group = groups[sub] = {}
-        bucket = group.get(key)
-        if bucket is None:
-            group[key] = [mu]
-        else:
-            bucket.append(mu)
-
-    full_group = groups.get(shared_schema)
-    has_partial = len(groups) > (1 if full_group is not None else 0)
-
     out: SolutionSet = set()
-    add = out.add
-    for mu2 in right:
-        sub2, idxs2 = _key_plan(mu2._schema, shared_schema)
-        values2 = mu2._values
-        key2 = tuple([values2[i] for i in idxs2])
-        if sub2 is shared_schema:
-            if full_group is not None:
-                bucket = full_group.get(key2)
-                if bucket is not None:
-                    for mu1 in bucket:
-                        add(merge(mu1, mu2))
-            if has_partial:
-                # Also any bucket with a *smaller* domain whose bound key
-                # values agree with this row's.
-                for sub, group in groups.items():
-                    if sub is shared_schema:
-                        continue
-                    plan = _compat_plan(sub, sub2)
-                    for key, mus in group.items():
-                        if all(key[i] is key2[j] for i, j in plan):
-                            for mu1 in mus:
-                                add(merge(mu1, mu2))
-        else:
-            # Partial probe row: every bucket with compatible bound shared
-            # variables may join.
-            for sub, group in groups.items():
-                plan = _compat_plan(sub, sub2)
-                for key, mus in group.items():
-                    if all(key[i] is key2[j] for i, j in plan):
-                        for mu1 in mus:
-                            add(merge(mu1, mu2))
+    right = _groups(omega2)
+    for sa, rows_a in _groups(omega1).items():
+        for sb, rows_b in right.items():
+            out.update(_join_pair(sa, rows_a, sb, rows_b))
     return out
 
 
@@ -382,30 +350,22 @@ def union(omega1: Iterable[SolutionMapping], omega2: Iterable[SolutionMapping]) 
 def minus(omega1: Iterable[SolutionMapping], omega2: Iterable[SolutionMapping]) -> SolutionSet:
     """Ω1 − Ω2: mappings of Ω1 compatible with *no* mapping of Ω2.
 
-    Hashed per schema pair, like :func:`join`: two rows are compatible
-    exactly when they agree on the variables their schemas share, so each
-    right-hand schema contributes one key set and every left row one
-    probe into it. A pair sharing no variable is compatible outright.
+    Hashed per schema pair, like :func:`join`: each right-hand schema
+    contributes one key set and every left row one probe into it. A pair
+    sharing no variable is compatible outright.
     """
-    right: Dict[_Schema, List[Tuple[RDFTerm, ...]]] = {}
-    for nu in omega2:
-        right.setdefault(nu._schema, []).append(nu._values)
-    left: Dict[_Schema, List[SolutionMapping]] = {}
-    for mu in omega1:
-        left.setdefault(mu._schema, []).append(mu)
+    right = _groups(omega2)
     out: SolutionSet = set()
-    for s1, survivors in left.items():
-        for s2, rows in right.items():
-            plan = _compat_plan(s1, s2)
-            if not plan:
-                survivors = []
+    for sa, rows in _groups(omega1).items():
+        for sb, rows_b in right.items():
+            _, key_a, key_b, _ = _pair_plan(sa, sb)
+            if key_a is None:
+                rows = []
                 break
-            taken = {tuple([values[j] for _, j in plan]) for values in rows}
-            survivors = [
-                mu for mu in survivors
-                if tuple([mu._values[i] for i, _ in plan]) not in taken
-            ]
-        out.update(survivors)
+            taken = set(map(key_b, rows_b))
+            rows = list(compress(rows, map(not_, map(taken.__contains__,
+                                                     map(key_a, rows)))))
+        out.update(map(sa.make, rows))
     return out
 
 
@@ -431,16 +391,20 @@ def conditional_left_outer_join(
     expression evaluator; callers wrap their condition with
     :func:`repro.sparql.expr.filter_passes`.
     """
+    right = _groups(omega2)
     out: SolutionSet = set()
-    right = list(omega2)
-    for mu in omega1:
-        extended = False
-        for nu in join([mu], right):
-            if passes(nu):
-                out.add(nu)
-                extended = True
-        if not extended:
-            out.add(mu)
+    for sa, rows_a in _groups(omega1).items():
+        extended = set()
+        for sb, rows_b in right.items():
+            schema, key_a, key_b, pick = _pair_plan(sa, sb)
+            index = None if key_a is None else _buckets(rows_b, key_b)
+            for a in rows_a:
+                for b in rows_b if index is None else index.get(key_a(a), ()):
+                    nu = schema.make(pick(a + b))
+                    if passes(nu):
+                        out.add(nu)
+                        extended.add(a)
+        out.update(map(sa.make, [a for a in rows_a if a not in extended]))
     return out
 
 
@@ -474,33 +438,45 @@ def combine_sets(
     return out
 
 
-def compile_extractor(terms, keep: Optional[Iterable[Variable]] = None):
-    """A row builder for term tuples already known to match a pattern.
+def project(rows: Iterable[SolutionMapping],
+            variables: Iterable[Variable]) -> List[SolutionMapping]:
+    """Each mapping of the collection *rows* restricted to *variables*,
+    in order: one C pass when the rows share a schema, as they usually
+    do, else one plan lookup per row."""
+    variables = frozenset(variables)
+    schemas = set(map(_schema_of, rows))
+    if len(schemas) != 1:
+        return [mu.project(variables) for mu in rows]
+    out, pick = _project_plan(schemas.pop(), variables)
+    return list(map(out.make, map(pick, map(_values_of, rows))))
+
+
+def compile_extractor(terms, keep: Optional[Iterable[Variable]] = None,
+                      base: _Schema = _EMPTY_SCHEMA):
+    """A batch row builder for term tuples already known to match a pattern.
 
     *terms* is the pattern's (s, p, o) with anything but a variable —
     a constant, or None for a position bound upstream — skipped.
     :meth:`repro.rdf.graph.Graph.scan` verifies concrete positions and
-    repeated-variable consistency during the index walk, so per-match
-    work reduces to picking the variable positions out of the tuple;
-    *keep* (projection pushdown) picks only those variables. The schema
-    and position plan are computed once; the returned callable builds
-    each mapping with the fast constructor.
+    repeated-variable consistency during the index walk, so the work per
+    scan reduces to picking the variable positions out of each tuple;
+    *keep* (projection pushdown) picks only those variables. The returned
+    ``extract(rows, prefix=())`` maps a whole scan to mappings in one
+    pass; with *base*, the schema of an upstream mapping µ whose values
+    are *prefix*, each row becomes µ ∪ the row's bindings.
     """
-    seen: Dict[Variable, int] = {}
+    width = len(base.vars)
+    slots = dict(base.index)
     for i, term in enumerate(terms):
-        if (type(term) is Variable and term not in seen
+        if (type(term) is Variable and term not in slots
                 and (keep is None or term in keep)):
-            seen[term] = i
-    if not seen:
-        return lambda row: EMPTY_MAPPING
-    pairs = sorted(seen.items(), key=_name_key)
-    schema = _Schema.of(tuple([v for v, _ in pairs]))
-    make = SolutionMapping._make
-    if len(pairs) == 1:
-        only = pairs[0][1]
-        return lambda row: make(schema, (row[only],))
-    pick = itemgetter(*[i for _, i in pairs])
-    return lambda row: make(schema, pick(row))
+            slots[term] = width + i
+    out_vars = tuple(sorted(slots, key=_var_name))
+    make = _Schema.of(out_vars).make
+    pick = _getter([slots[v] for v in out_vars])
+    if not width:
+        return lambda rows, prefix=(): map(make, map(pick, rows))
+    return lambda rows, prefix: map(make, map(pick, map(prefix.__add__, rows)))
 
 
 def match_pattern(pattern: TriplePattern, triple: Triple) -> Optional[SolutionMapping]:
@@ -519,10 +495,4 @@ def match_pattern(pattern: TriplePattern, triple: Triple) -> Optional[SolutionMa
                 return None
         elif pat is not val:
             return None
-    if not bindings:
-        return EMPTY_MAPPING
-    pairs = sorted(bindings.items(), key=_name_key)
-    return SolutionMapping._make(
-        _Schema.of(tuple([v for v, _ in pairs])),
-        tuple([t for _, t in pairs]),
-    )
+    return SolutionMapping(bindings)
