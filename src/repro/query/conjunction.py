@@ -10,7 +10,11 @@ Two processing modes, as in the paper:
   sets: pick a shared storage node, run every pattern's chain in parallel
   with that node as the final stop, join everything there, and have it
   return the ultimate mappings directly to the initiator (the paper's
-  S1 = {D1,D3,D4}, S2 = {D1,D2} example, joined at D1).
+  S1 = {D1,D3,D4}, S2 = {D1,D2} example, joined at D1). Under the cost
+  planner the shared site only pays off for a non-BASIC chain that lists
+  it among its providers, whose rows then stay resident there; otherwise
+  the walk combines at the initiator, where its result is consumed
+  (:func:`walk_site` reads the pin).
 
 Join *order* uses the location tables' frequency totals as cardinality
 estimates — AND is associative and commutative (Sect. IV-D), so the

@@ -57,6 +57,7 @@ from ..net.wire import DIGEST_HEADER_BYTES, PRUNED_COUNTER_BYTES
 from ..overlay.location_table import LocationEntry
 from ..sparql.algebra import BGP
 from ..sparql.optimizer import reorder_bgp
+from .conjunction import walk_site
 from .physical import (
     BGPWalk, CachedScan, CacheProbe, ChainShip, EmptyScan, FilterOp,
     GraphScope, HashJoin, LeftJoinOp, LocalBGPScan, PhysOp, Ship, UnionOp,
@@ -343,6 +344,32 @@ def _probe_pays(ordered: List[ChainShip], link: LinkModel) -> bool:
     return saved > added and largest / link.bandwidth > serial
 
 
+def _landing_site(ctx, walk: BGPWalk) -> Optional[str]:
+    """The initiator, when no chain of an OPTIMIZED walk would end
+    resident at its shared site (:func:`~repro.query.conjunction.walk_site`);
+    else None, which leaves the walk on that site.
+
+    A non-BASIC chain that lists the shared site among its providers
+    ends there, so that provider's rows never travel. A BASIC chain's
+    rows cross provider -> owner -> site wherever the site is, and the
+    probe chain of a probe-first walk is capped at an exact digest, so
+    neither is worth a site of its own: the walk combines where its
+    result is consumed, and makes no return trip. The rule reads only
+    pinned strategies and provider lists, never an estimate.
+    """
+    infos = [leaf.lookup.info for leaf in walk.plan_order
+             if leaf.lookup.info.owner is not None]
+    if not infos:
+        return None
+    site = walk_site(ctx, walk, infos)
+    chains = walk.plan_order[1:] if walk.plan_probe else walk.plan_order
+    for leaf in chains:
+        if leaf.plan_strategy is not PrimitiveStrategy.BASIC and any(
+                entry.storage_id == site for entry in leaf.lookup.info.entries):
+            return None
+    return ctx.initiator
+
+
 # ----------------------------------------------------------- the annotator
 
 
@@ -352,16 +379,23 @@ def annotate_plan(ctx, plan: PhysOp):
     Phase 1 — **statistics**: locate every :class:`IndexLookup` leaf in
     parallel through the two-level index. These are real lookups, charged
     to the query's byte/message ledger; their results are pinned on the
-    leaves so execution never has to re-locate.
+    leaves so execution never has to re-locate. Under
+    ``partial_results`` a leaf whose owner and replicas are all
+    unreachable keeps no row and is estimated at 0 rows; execution looks
+    again and flags the loss where the legacy path does, so the leaf is
+    named once and a left join above it sees the drop happen below it.
 
     Phase 2 — **pure estimation & decisions**: bottom-up cardinality and
     wire-cost estimates over the tree; conjunction walks get a
-    frequency-driven join order, a mode, and per-leaf chain strategies;
+    frequency-driven join order, a mode, per-leaf chain strategies and,
+    where no chain ends resident at a shared site, the initiator as
+    their site (:func:`_landing_site`);
     combine edges get byte estimates that :func:`choose_combine_site`
     reads at execution time.
     """
     leaves = chain_leaves(plan)
-    infos = yield from locate_leaves(ctx, leaves)
+    infos = yield from locate_leaves(
+        ctx, leaves, partial=ctx.options.partial_results, flag=False)
     for leaf, info in zip(leaves, infos):
         leaf.lookup.info = info
     ctx.report.merge_note(f"cost plan: {len(leaves)} statistics lookups")
@@ -394,6 +428,9 @@ def _estimate(ctx, node: PhysOp) -> float:
 
     if isinstance(node, ChainShip):
         info = node.lookup.info
+        if info is None:  # dropped under partial_results
+            node.est_rows, node.est_bytes = 0.0, 0.0
+            return 0.0
         rows = float(info.total_frequency)
         _pin_leaf_strategy(ctx, node)
         node.est_rows = rows
@@ -408,12 +445,20 @@ def _estimate(ctx, node: PhysOp) -> float:
     if isinstance(node, BGPWalk):
         for leaf in node.children:
             _estimate(ctx, leaf)
+        if any(leaf.lookup.info is None for leaf in node.children):
+            # A dropped leaf empties the walk: nothing to decide.
+            node.est_rows, node.est_bytes = 0.0, 0.0
+            return 0.0
         ordered = order_walk_leaves(node)
         mode, rows = _walk_mode(ordered, row_bytes)
         node.plan_order = ordered
         node.plan_mode = mode
         node.plan_probe = (mode == "optimized"
                            and _probe_pays(ordered, ctx.network.link))
+        if mode == "optimized" and not isinstance(node, CacheProbe):
+            # A CacheProbe keeps walk_site's initiator-independent site,
+            # so that every initiator finds the same cache fill.
+            node.plan_site = _landing_site(ctx, node)
         node.est_rows = rows
         node.est_bytes = rows * row_bytes
         if node.post_filter is not None:

@@ -180,7 +180,8 @@ class BGPWalk(PhysOp):
     options, the legacy behaviour): the cost planner
     (:func:`repro.query.cost.annotate_plan`) writes ``plan_mode``,
     ``plan_order`` and ``plan_probe`` (land the first leaf alone, then
-    send its join-key digest with every other chain); the result-cache
+    send its join-key digest with every other chain), and ``plan_site``
+    when the walk should combine at the initiator; the result-cache
     probe
     (:func:`repro.cache.runtime.exec_cache_probe`) writes ``plan_site``,
     so a fill lands where the next probe looks.

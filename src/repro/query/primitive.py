@@ -53,7 +53,10 @@ def exec_primitive(ctx, leaf: ChainShip, at_home: bool = False):
     its *home site* — the provider holding the most matching triples — so
     that a downstream join/union/left-join's site selection has a real
     decision to make (otherwise everything would already sit at the query
-    site and every policy would degenerate to Query-Site).
+    site and every policy would degenerate to Query-Site). A leaf the
+    cost planner pinned to BASIC has no home: its owner index node
+    assembles the rows, so they cross the network whichever site they
+    land at, and they land at the initiator, where they are consumed.
     """
     lookup = leaf.lookup
     span = ctx.tracer.span("primitive", pattern=str(lookup.pattern))
@@ -64,6 +67,7 @@ def exec_primitive(ctx, leaf: ChainShip, at_home: bool = False):
             note_lookup(lookup, info)
         if info.owner is None:
             return (yield from exec_broadcast(ctx, subquery_algebra(info)))
+        at_home = at_home and leaf.plan_strategy is not PrimitiveStrategy.BASIC
         site = (at_home and info.heaviest_provider()) or ctx.initiator
         return (yield from exec_pattern_to_site(ctx, info, site, leaf=leaf))
     except RpcTimeout:
@@ -80,20 +84,22 @@ def exec_primitive(ctx, leaf: ChainShip, at_home: bool = False):
         span.close()
 
 
-def locate_leaves(ctx, leaves: List[ChainShip], partial: bool = False):
+def locate_leaves(ctx, leaves: List[ChainShip], partial: bool = False,
+                  flag: bool = True):
     """Generator: the location-table row of every leaf, in list order.
 
     A leaf whose row is already known (``lookup.info``) costs nothing;
     the others consult the index as parallel processes, in list order,
     and their rows are noted on the plan. With *partial*, a leaf whose
-    owner and replicas are all unreachable is flagged and its row comes
-    back None instead of failing the caller.
+    owner and replicas are all unreachable comes back None instead of
+    failing the caller, and is flagged unless *flag* is False (the cost
+    planner's statistics round leaves the flag to execution).
     """
     pending = [leaf for leaf in leaves if leaf.lookup.info is None]
     located = {}
     if pending:
         infos = yield ctx.sim.all_of([
-            ctx.sim.process(_locate_leaf(ctx, leaf, partial))
+            ctx.sim.process(_locate_leaf(ctx, leaf, partial, flag))
             for leaf in pending
         ])
         for leaf, info in zip(pending, infos):
@@ -103,14 +109,15 @@ def locate_leaves(ctx, leaves: List[ChainShip], partial: bool = False):
     return [located.get(id(leaf), leaf.lookup.info) for leaf in leaves]
 
 
-def _locate_leaf(ctx, leaf: ChainShip, partial: bool):
+def _locate_leaf(ctx, leaf: ChainShip, partial: bool, flag: bool):
     try:
         return (yield from ctx.locate(leaf.lookup.pattern,
                                       leaf.lookup.condition))
     except RpcTimeout:
         if not partial:
             raise
-        ctx.flag_partial(str(leaf.lookup.pattern), node=leaf)
+        if flag:
+            ctx.flag_partial(str(leaf.lookup.pattern), node=leaf)
         return None
 
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from repro.chord import IdentifierSpace
 from repro.overlay import HybridSystem
-from repro.workloads import paper_example_partition
+from repro.workloads import (
+    FoafConfig, generate_foaf_triples, paper_example_dataset,
+    paper_example_partition, partition_triples,
+)
 
 
 def build_system(
@@ -36,6 +39,15 @@ def build_system(
         for i, triples in enumerate(parts):
             system.add_storage_node(f"D{i}", triples)
     return system
+
+
+def foaf_ring(num_people: int) -> HybridSystem:
+    """The paper's example graph grafted onto a FOAF population over
+    eight providers and sixteen index nodes (the ``fig_mix`` layout)."""
+    triples = paper_example_dataset() + generate_foaf_triples(
+        FoafConfig(num_people=num_people, seed=1))
+    parts = partition_triples(triples, 8, overlap=0.2, seed=1)
+    return build_system(num_index=16, parts=parts)
 
 
 def oracle_rows(system, query_text: str):

@@ -30,6 +30,12 @@ on, down to a hash of every traced message (``chaos_fig4_9.json``). A
 second chaos cell adds the contention model, every job started at once
 (``chaos_contention_fig4_9.json``), pinning the brownout-scaled queue
 service times and the reply path's compute admissions as well.
+
+The paper example pins FREQ on every cost-planned leaf, so one more
+cell runs the cost planner at ``fig_mix`` scale: Fig. 4-9 on
+``foaf_ring(400)`` from D1, no contention (``cost_fig_mix_scale.json``).
+There most leaves pin BASIC, and a change of placement, walk mode or
+probe shows here, not only in the benchmark.
 """
 
 import hashlib
@@ -59,13 +65,15 @@ from repro.sparql import parse_query
 from repro.trace import Tracer
 from repro.workloads import PAPER_FIG_QUERIES
 
-from helpers import build_system
+from helpers import build_system, foaf_ring
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "metrics_fig4_9.json"
 CHAOS_GOLDEN_PATH = Path(__file__).parent / "golden" / "chaos_fig4_9.json"
 CONTENTION_GOLDEN_PATH = (Path(__file__).parent / "golden"
                           / "chaos_contention_fig4_9.json")
 EXPLAIN_GOLDEN_PATH = Path(__file__).parent / "golden" / "explain_fig4_9.json"
+FIG_MIX_GOLDEN_PATH = (Path(__file__).parent / "golden"
+                       / "cost_fig_mix_scale.json")
 
 QUERIES = {
     "fig4": """SELECT ?x ?y ?z WHERE {
@@ -116,12 +124,15 @@ TECHNIQUES = [
 ]
 
 
-def answer_fingerprint(result) -> str:
+def answer_fingerprint(result, ordered: bool = True) -> str:
     """Exact digest of the answer — row order included (it is part of the
-    simulated output for ordered queries and deterministic otherwise)."""
+    simulated output for ordered queries and deterministic otherwise),
+    unless not *ordered*: then the digest is of the row multiset."""
     if result.boolean is not None:
         return f"ask:{result.boolean}"
     rows = [[(v.name, t.n3()) for v, t in mu.items()] for mu in result.rows]
+    if not ordered:
+        rows.sort()
     blob = json.dumps(rows, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -170,7 +181,18 @@ def capture_cost_cells():
     return out
 
 
-def _cell(outcome) -> dict:
+def capture_fig_mix_scale():
+    """The cost planner's cells at ``fig_mix`` scale, one fresh system,
+    the queries in figure order. Fig. 4's ORDER BY ties many rows at
+    this scale, and tied rows keep their set iteration order, which is
+    process history, so these cells digest the row multiset."""
+    executor = DistributedExecutor(foaf_ring(400),
+                                   ExecutionOptions(plan_mode="cost"))
+    return {name: _cell(executor.execute(text, initiator="D1"), ordered=False)
+            for name, text in PAPER_FIG_QUERIES.items()}
+
+
+def _cell(outcome, ordered: bool = True) -> dict:
     result, report = outcome
     return {
         "response_time": report.response_time,
@@ -178,7 +200,7 @@ def _cell(outcome) -> dict:
         "messages": report.messages,
         "lookup_hops": report.lookup_hops,
         "result_count": report.result_count,
-        "answers": answer_fingerprint(result),
+        "answers": answer_fingerprint(result, ordered),
     }
 
 
@@ -298,6 +320,11 @@ def test_simulated_metrics_match_golden():
         f"{len(drifted)} configurations drifted from golden "
         f"(golden, got): {dict(itertools.islice(drifted.items(), 5))}"
     )
+
+
+def test_fig_mix_scale_cost_cells_match_golden():
+    got = capture_fig_mix_scale()
+    assert got == _check_golden(FIG_MIX_GOLDEN_PATH, got)
 
 
 def capture_explain():

@@ -16,14 +16,11 @@ from repro.overlay import LocationEntry, key_for_pattern
 from repro.overlay.index_node import IndexNode
 from repro.query import ConjunctionMode, DistributedExecutor, ExecutionOptions
 from repro.query import cost
-from repro.query.physical import BGPWalk, PhysOp
+from repro.query.executor import QueryFailed
+from repro.query.physical import BGPWalk, ChainShip, PhysOp
 from repro.rdf import FOAF, Literal, TriplePattern, Variable
-from repro.workloads import (
-    FoafConfig, generate_foaf_triples, paper_example_dataset,
-    partition_triples,
-)
 
-from helpers import build_system, oracle_rows
+from helpers import build_system, foaf_ring, oracle_rows
 
 SMITH = """SELECT ?x ?y WHERE {
     ?x foaf:name "Smith" . ?x foaf:knows ?y . }"""
@@ -33,15 +30,6 @@ FIG8 = """SELECT ?x ?y ?z WHERE {
     { ?x foaf:name "Smith" . ?x foaf:knows ?y . }
     UNION
     { ?x foaf:mbox <mailto:abc@example.org> . ?x foaf:knows ?z . } }"""
-
-
-def foaf_ring(num_people: int):
-    """The paper's example graph grafted onto a FOAF population over
-    eight providers and sixteen index nodes (the ``fig_mix`` layout)."""
-    triples = paper_example_dataset() + generate_foaf_triples(
-        FoafConfig(num_people=num_people, seed=1))
-    parts = partition_triples(triples, 8, overlap=0.2, seed=1)
-    return build_system(num_index=16, parts=parts)
 
 
 def walks(plan: PhysOp):
@@ -176,6 +164,73 @@ class TestProbeFirstWalk:
         assert walk.detail["incomplete"]
         assert report.dropped_patterns == [
             '?x <http://xmlns.com/foaf/0.1/name> "Smith" .']
+
+
+SMITH_NAME = '?x <http://xmlns.com/foaf/0.1/name> "Smith" .'
+STANDALONE = 'SELECT ?x WHERE { ?x foaf:name "Smith" . }'
+OPTIONAL_SMITH = """SELECT ?x ?y WHERE {
+    ?x foaf:knows ?y . OPTIONAL { ?x foaf:name "Smith" . } }"""
+
+
+def decisions(plan: PhysOp) -> list:
+    """Every planner decision and estimate on *plan*, in tree order."""
+    out = [(plan.kind, plan.est_rows, plan.est_bytes)]
+    if isinstance(plan, ChainShip):
+        out.append(plan.plan_strategy)
+    if isinstance(plan, BGPWalk):
+        out.append((plan.plan_mode, plan.plan_probe, plan.plan_site,
+                    [str(leaf.lookup.pattern) for leaf in plan.plan_order]))
+    for child in plan.children:
+        out.extend(decisions(child))
+    return out
+
+
+class TestDeadOwnerAtPlanTime:
+    """The statistics round honours ``partial_results``: a leaf whose
+    owner is dead before the query is estimated at 0 rows, and execution
+    flags it where the legacy path does, once."""
+
+    @staticmethod
+    def dead_smith_owner(system):
+        _kind, key = key_for_pattern(
+            TriplePattern(Variable("x"), FOAF.name, Literal("Smith")),
+            system.space)
+        system.network.fail_node(system.ring.owner_of(key).node_id)
+
+    @pytest.mark.parametrize("query, dropped", [
+        (SMITH, [SMITH_NAME]),
+        (STANDALONE, [SMITH_NAME]),
+        # A left join never returns unextended rows over a dropped
+        # optional side: the only safe subset is the empty one.
+        (OPTIONAL_SMITH, [SMITH_NAME, "optional"]),
+    ])
+    def test_flagged_empty_subset(self, query, dropped):
+        for plan_mode in ("legacy", "cost"):
+            system = foaf_ring(150)
+            self.dead_smith_owner(system)
+            result, report, found = run(system, query, plan_mode=plan_mode,
+                                        partial_results=True)
+            assert result.rows == []
+            assert report.incomplete
+            assert report.dropped_patterns == dropped
+            if query == SMITH:
+                assert found[0].detail["incomplete"]
+            if plan_mode == "cost" and query != OPTIONAL_SMITH:
+                assert report.plan.children[0].est_rows == 0
+
+    @pytest.mark.parametrize("query", [SMITH, STANDALONE])
+    def test_without_partial_results_the_query_fails(self, query):
+        system = foaf_ring(150)
+        self.dead_smith_owner(system)
+        with pytest.raises(QueryFailed):
+            run(system, query, plan_mode="cost")
+
+    @pytest.mark.parametrize("query", [SMITH, FIG8, STANDALONE])
+    def test_healthy_plan_is_unchanged(self, query):
+        plans = [run(foaf_ring(150), query, plan_mode="cost",
+                     partial_results=partial)[1].plan
+                 for partial in (False, True)]
+        assert decisions(plans[0]) == decisions(plans[1])
 
 
 @pytest.mark.parametrize("query", [SMITH, FIG8])
