@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Tuple
 
 from ..rdf.terms import Variable
 from ..rdf.triple import TriplePattern
-from ..sparql.solutions import compile_extractor
+from ..sparql.solutions import compile_extractor, value_tuples
 
 __all__ = ["pattern_cache_key", "bgp_cache_key", "rebind_rows", "canonical_rows"]
 
@@ -52,17 +52,15 @@ def pattern_cache_key(
 
 
 def canonical_rows(solutions, variables: Tuple[Variable, ...]):
-    """Solution mappings → sorted tuple of canonical term tuples.
+    """Solution mappings → tuple of canonical term tuples.
 
     *variables* is the canonical order from :func:`pattern_cache_key`;
     every stored row lists its terms in exactly that order, so the rows
-    are variable-name-free and reusable across renamings.
+    are variable-name-free and reusable across renamings. The rows come
+    in arrival order, unsorted: nothing reads it, because
+    :func:`rebind_rows` returns a set and the entry's byte count is a sum.
     """
-    rows = sorted(
-        (tuple(mu[var] for var in variables) for mu in solutions),
-        key=lambda row: tuple(term.n3() for term in row),
-    )
-    return tuple(rows)
+    return tuple(value_tuples(solutions, variables))
 
 
 def rebind_rows(rows, variables: Tuple[Variable, ...]):

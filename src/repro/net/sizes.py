@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+from itertools import chain
+from operator import attrgetter
 from typing import Any
 
 from ..rdf.terms import IRI, BlankNode, Literal, Variable
@@ -38,6 +40,13 @@ _CONTAINER_OVERHEAD = 8
 _PER_ITEM_OVERHEAD = 2
 
 _set = object.__setattr__
+#: The types that cache their size in a ``_size`` slot (None until sized).
+_SIZED = frozenset({IRI, Literal, BlankNode, Variable, SolutionMapping})
+_cached_size = attrgetter("_size")
+_ROWS = {tuple}
+#: Sequences at least this long try the C sum (short control payloads
+#: would pay more for the type checks than the sum saves).
+_BULK = 8
 
 
 def _size_iri(payload: IRI) -> int:
@@ -110,10 +119,26 @@ def _size_dict(payload: dict) -> int:
 
 
 def _size_sequence(payload) -> int:
-    """Container overhead plus every item. Solution sets are what ships
-    in bulk, so rows take a fast path straight to their cached size: one
-    O(n) pass in any iteration order, the same sum a sorted list gets."""
-    n = _CONTAINER_OVERHEAD + _PER_ITEM_OVERHEAD * len(payload)
+    """Container overhead plus every item. A bulk sequence whose items
+    (or, for the result cache's term-tuple rows, whose rows' terms) all
+    have their size cached in ``_size`` is summed in one C pass; an
+    uncached size (``None``: TypeError) or an item without the slot
+    (AttributeError) falls back to the exact per-item rule, as does
+    every short sequence. Any iteration order gives the same sum."""
+    count = len(payload)
+    n = _CONTAINER_OVERHEAD + _PER_ITEM_OVERHEAD * count
+    if count >= _BULK:
+        first = next(iter(payload))
+        try:
+            if type(first) in _SIZED:
+                return n + sum(map(_cached_size, payload))
+            if (type(first) is tuple and first and type(first[0]) in _SIZED
+                    and set(map(type, payload)) == _ROWS):
+                return (n + _CONTAINER_OVERHEAD * count
+                        + _PER_ITEM_OVERHEAD * sum(map(len, payload))
+                        + sum(map(_cached_size, chain.from_iterable(payload))))
+        except (AttributeError, TypeError):
+            pass
     for item in payload:
         if type(item) is SolutionMapping:
             size = item._size

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..net.sim import Event
 from ..net.wire import JoinDigest, as_solution_set, encode_solutions, shed
 from ..sparql import ast
-from ..sparql.expr import filter_passes
+from ..sparql.expr import filter_rows, row_predicate
 from ..sparql.solutions import combine_sets
 
 __all__ = ["QueryPeer", "RouteTable", "ROUTE_CAP"]
@@ -42,14 +42,6 @@ def _lazy(name: str, factory, doc: Optional[str] = None) -> property:
             state = self.__dict__[name] = factory()
         return state
     return property(get, doc=doc)
-
-
-def _combine(op: str, left, right, condition: Optional[ast.Expression]):
-    passes = None
-    if condition is not None:
-        def passes(mu):
-            return filter_passes(condition, mu)
-    return combine_sets(op, left, right, passes)
 
 
 class RouteTable:
@@ -480,7 +472,9 @@ class QueryPeer:
         """
         left = self.mailbox.get(payload["left"], set())
         right = self.mailbox.get(payload["right"], set())
-        out = _combine(payload["op"], left, right, payload.get("condition"))
+        condition = payload.get("condition")
+        out = combine_sets(payload["op"], left, right,
+                           None if condition is None else row_predicate(condition))
         if not self._chaos_keep:
             self.mailbox.pop(payload["left"], None)
             self.mailbox.pop(payload["right"], None)
@@ -492,6 +486,6 @@ class QueryPeer:
         corr = payload["corr"]
         condition: ast.Expression = payload["condition"]
         box = self.mailbox.get(corr, set())
-        out = {mu for mu in box if filter_passes(condition, mu)}
+        out = filter_rows(condition, box)
         self.mailbox[payload["out"]] = out
         return {"count": len(out)}

@@ -43,7 +43,7 @@ from ..sparql.algebra import (
     Algebra, BGP, Filter, GraphNode, Join, LeftJoin, Union,
 )
 from ..sparql.errors import SparqlError
-from ..sparql.expr import filter_passes
+from ..sparql.expr import filter_rows, row_predicate
 from ..sparql.solutions import (
     SolutionMapping,
     SolutionSet,
@@ -570,13 +570,10 @@ def _interpret_local(node, graph, named_graphs, evaluate_bgp) -> SolutionSet:
         if node.condition is None:
             out = left_outer_join(left, right)
         else:
-            condition = node.condition
             out = conditional_left_outer_join(
-                left, right, lambda nu: filter_passes(condition, nu)
-            )
+                left, right, row_predicate(node.condition))
     elif isinstance(node, FilterOp):
-        out = {mu for mu in rec(node.operand)
-               if filter_passes(node.condition, mu)}
+        out = filter_rows(node.condition, rec(node.operand))
     elif isinstance(node, GraphScope):
         out = _interpret_graph_scope(node, named_graphs, rec)
     else:

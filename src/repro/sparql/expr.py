@@ -5,13 +5,19 @@ standard semantics: evaluation may raise a *type error*
 (:class:`~repro.sparql.errors.SparqlEvalError`), in which case the
 enclosing FILTER removes the solution; logical ``&&`` / ``||`` / ``!`` use
 three-valued logic over {true, false, error}.
+
+An expression is compiled once per row schema into closures over the
+value tuple (DESIGN.md, "FILTERs are compiled"), and every entry point
+runs that one form: a verdict is a pure function of the bound values
+and the schema.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
-from typing import Optional, Union
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 from ..rdf.terms import (
     IRI,
@@ -27,16 +33,51 @@ from ..rdf.terms import (
 )
 from . import ast
 from .errors import SparqlEvalError
-from .solutions import SolutionMapping
+from .solutions import SolutionMapping, SolutionSet, _groups
 
-__all__ = ["evaluate_expression", "effective_boolean_value", "filter_passes", "order_key"]
+__all__ = ["evaluate_expression", "effective_boolean_value", "filter_passes",
+           "filter_rows", "row_predicate", "order_key"]
 
 #: Values produced by expression evaluation: an RDF term, or a plain
 #: Python bool/int/float produced by operators and built-ins.
 Value = Union[RDFTerm, bool, int, float, str]
 
+#: A compiled (sub-)expression: one row's value tuple → its value.
+_Fn = Callable[[tuple], Value]
+
 _TRUE = Literal("true", datatype=IRI(XSD_BOOLEAN))
 _FALSE = Literal("false", datatype=IRI(XSD_BOOLEAN))
+
+
+class _Compiled(dict):
+    """One expression's compiled form: row schema → (value function,
+    FILTER predicate), each over that schema's value tuples."""
+
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: ast.Expression) -> None:
+        super().__init__()
+        self.expr = expr
+
+    def __missing__(self, schema):
+        fn, is_bool = _compile(self.expr, schema.index)
+        plan = self[schema] = (fn, _predicate(_truth(fn, is_bool)))
+        return plan
+
+
+#: Value-equal expressions → their one compiled form; cleared when full
+#: (recompiling is cheap, and distinct FILTERs are few).
+_COMPILED: Dict[ast.Expression, _Compiled] = {}
+_MAX_COMPILED = 4096
+
+
+def _compiled(expr: ast.Expression) -> _Compiled:
+    compiled = _COMPILED.get(expr)
+    if compiled is None:
+        if len(_COMPILED) >= _MAX_COMPILED:
+            _COMPILED.clear()
+        compiled = _COMPILED[expr] = _Compiled(expr)
+    return compiled
 
 
 def evaluate_expression(expr: ast.Expression, mu: SolutionMapping) -> Value:
@@ -45,31 +86,29 @@ def evaluate_expression(expr: ast.Expression, mu: SolutionMapping) -> Value:
     Raises :class:`SparqlEvalError` on unbound variables (outside BOUND)
     and on type errors, per the SPARQL semantics.
     """
-    if isinstance(expr, ast.TermExpr):
-        return _eval_term(expr.term, mu)
-    if isinstance(expr, ast.OrExpr):
-        return _eval_or(expr, mu)
-    if isinstance(expr, ast.AndExpr):
-        return _eval_and(expr, mu)
-    if isinstance(expr, ast.NotExpr):
-        return not effective_boolean_value(evaluate_expression(expr.operand, mu))
-    if isinstance(expr, ast.NegExpr):
-        return -_numeric(evaluate_expression(expr.operand, mu))
-    if isinstance(expr, ast.CompareExpr):
-        return _eval_compare(expr, mu)
-    if isinstance(expr, ast.ArithExpr):
-        return _eval_arith(expr, mu)
-    if isinstance(expr, ast.FunctionCall):
-        return _eval_call(expr, mu)
-    raise SparqlEvalError(f"unknown expression node {type(expr).__name__}")
+    return _compiled(expr)[mu._schema][0](mu._values)
 
 
 def filter_passes(expr: ast.Expression, mu: SolutionMapping) -> bool:
     """True when µ satisfies R; a type error counts as *not satisfied*."""
-    try:
-        return effective_boolean_value(evaluate_expression(expr, mu))
-    except SparqlEvalError:
-        return False
+    return row_predicate(expr)(mu)
+
+
+def row_predicate(expr: ast.Expression) -> Callable[[SolutionMapping], bool]:
+    """:func:`filter_passes` for *expr*, looked up once: for callers
+    that test rows one at a time (the conditional left join)."""
+    compiled = _compiled(expr)
+    return lambda mu: compiled[mu._schema][1](mu._values)
+
+
+def filter_rows(expr: ast.Expression, rows: Iterable[SolutionMapping]) -> SolutionSet:
+    """{µ ∈ *rows* | µ satisfies *expr*}: per row schema, one pass of
+    that schema's predicate over the value tuples."""
+    compiled = _compiled(expr)
+    out: SolutionSet = set()
+    for schema, values in _groups(rows).items():
+        out.update(map(schema.make, filter(compiled[schema][1], values)))
+    return out
 
 
 # --------------------------------------------------------------------- EBV
@@ -97,110 +136,56 @@ def effective_boolean_value(value: Value) -> bool:
     raise SparqlEvalError(f"no effective boolean value for {value!r}")
 
 
+def _truth(fn: _Fn, is_bool: bool) -> Callable[[tuple], bool]:
+    if is_bool:
+        return fn  # type: ignore[return-value]
+    return lambda values: effective_boolean_value(fn(values))
+
+
+def _predicate(truth: Callable[[tuple], bool]) -> Callable[[tuple], bool]:
+    def passes(values: tuple) -> bool:
+        try:
+            return truth(values)
+        except SparqlEvalError:
+            return False
+    return passes
+
+
 # ----------------------------------------------------------------- helpers
 
 
-def _eval_term(term: Union[Variable, IRI, Literal], mu: SolutionMapping) -> Value:
-    if isinstance(term, Variable):
-        bound = mu.get(term)
-        if bound is None:
-            raise SparqlEvalError(f"unbound variable ?{term.name}")
-        return bound
-    return term
-
-
-def _eval_or(expr: ast.OrExpr, mu: SolutionMapping) -> bool:
-    """Three-valued OR: true if either side is true, even if the other errs."""
-    left_err: Optional[SparqlEvalError] = None
-    try:
-        if effective_boolean_value(evaluate_expression(expr.left, mu)):
-            return True
-    except SparqlEvalError as exc:
-        left_err = exc
-    try:
-        if effective_boolean_value(evaluate_expression(expr.right, mu)):
-            return True
-    except SparqlEvalError:
-        raise
-    if left_err is not None:
-        raise left_err
-    return False
-
-
-def _eval_and(expr: ast.AndExpr, mu: SolutionMapping) -> bool:
-    """Three-valued AND: false if either side is false, even if other errs."""
-    left_err: Optional[SparqlEvalError] = None
-    try:
-        if not effective_boolean_value(evaluate_expression(expr.left, mu)):
-            return False
-    except SparqlEvalError as exc:
-        left_err = exc
-    try:
-        if not effective_boolean_value(evaluate_expression(expr.right, mu)):
-            return False
-    except SparqlEvalError:
-        raise
-    if left_err is not None:
-        raise left_err
-    return True
-
-
-def _numeric(value: Value) -> Union[int, float]:
-    if isinstance(value, bool):
-        raise SparqlEvalError("boolean is not numeric")
-    if isinstance(value, (int, float)):
+def _as_number(value: Value) -> Union[int, float, None]:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return value
     if isinstance(value, Literal) and value.is_numeric:
         try:
             return value.to_python()  # type: ignore[return-value]
-        except ValueError as exc:
-            raise SparqlEvalError(f"invalid numeric literal {value!r}") from exc
-    raise SparqlEvalError(f"not a numeric value: {value!r}")
+        except ValueError:
+            pass
+    return None
+
+
+def _numeric(value: Value) -> Union[int, float]:
+    number = _as_number(value)
+    if number is None:
+        raise SparqlEvalError(f"not a numeric value: {value!r}")
+    return number
+
+
+def _as_str(value: Value) -> Optional[str]:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, Literal) and (
+            value.datatype is None or value.datatype.value == XSD_STRING):
+        return value.lexical
+    return None
 
 
 def _string(value: Value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, Literal):
-        dt = value.datatype.value if value.datatype else None
-        if dt is None or dt == XSD_STRING:
-            return value.lexical
-    raise SparqlEvalError(f"not a plain string value: {value!r}")
-
-
-def _eval_compare(expr: ast.CompareExpr, mu: SolutionMapping) -> bool:
-    left = evaluate_expression(expr.left, mu)
-    right = evaluate_expression(expr.right, mu)
-    op = expr.op
-
-    # Try numeric comparison first.
-    try:
-        ln, rn = _numeric(left), _numeric(right)
-    except SparqlEvalError:
-        pass
-    else:
-        return _apply_order_op(op, ln, rn)
-
-    # Boolean comparison.
-    lb, rb = _as_bool(left), _as_bool(right)
-    if lb is not None and rb is not None:
-        return _apply_order_op(op, lb, rb)
-
-    # String comparison (plain / xsd:string literals).
-    try:
-        ls, rs = _string(left), _string(right)
-    except SparqlEvalError:
-        pass
-    else:
-        return _apply_order_op(op, ls, rs)
-
-    # Fall back to RDF term equality for = and !=.
-    lt, rt = _as_term(left), _as_term(right)
-    if op == "=":
-        return lt == rt
-    if op == "!=":
-        return lt != rt
-    raise SparqlEvalError(f"cannot order {left!r} and {right!r}")
+    text = _as_str(value)
+    if text is None:
+        raise SparqlEvalError(f"not a plain string value: {value!r}")
+    return text
 
 
 def _as_bool(value: Value) -> Optional[bool]:
@@ -223,107 +208,198 @@ def _as_term(value: Value) -> RDFTerm:
     return Literal(str(value))
 
 
-def _apply_order_op(op: str, left, right) -> bool:
+def _compare(op: str, order, left: Value, right: Value) -> bool:
+    """Numeric, then boolean, then plain-string order; else RDF term
+    equality for = and !=."""
+    ln, rn = _as_number(left), _as_number(right)
+    if ln is not None and rn is not None:
+        return order(ln, rn)
+    lb, rb = _as_bool(left), _as_bool(right)
+    if lb is not None and rb is not None:
+        return order(lb, rb)
+    ls, rs = _as_str(left), _as_str(right)
+    if ls is not None and rs is not None:
+        return order(ls, rs)
     if op == "=":
-        return left == right
+        return _as_term(left) == _as_term(right)
     if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise SparqlEvalError(f"unknown comparison operator {op!r}")
+        return _as_term(left) != _as_term(right)
+    raise SparqlEvalError(f"cannot order {left!r} and {right!r}")
 
 
-def _eval_arith(expr: ast.ArithExpr, mu: SolutionMapping) -> Union[int, float]:
-    left = _numeric(evaluate_expression(expr.left, mu))
-    right = _numeric(evaluate_expression(expr.right, mu))
-    op = expr.op
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise SparqlEvalError("division by zero")
-        # xsd:integer / xsd:integer is xsd:decimal in SPARQL.
-        return left / right
-    raise SparqlEvalError(f"unknown arithmetic operator {op!r}")
+def _divide(left, right):
+    if right == 0:
+        raise SparqlEvalError("division by zero")
+    # xsd:integer / xsd:integer is xsd:decimal in SPARQL.
+    return left / right
 
 
-def _eval_call(expr: ast.FunctionCall, mu: SolutionMapping) -> Value:
-    name = expr.name
-    if name == "BOUND":
-        arg = expr.args[0]
-        if not (isinstance(arg, ast.TermExpr) and isinstance(arg.term, Variable)):
-            raise SparqlEvalError("BOUND requires a variable argument")
-        return arg.term in mu
-    if name == "REGEX":
-        text = _string(evaluate_expression(expr.args[0], mu))
-        pattern = _string(evaluate_expression(expr.args[1], mu))
-        flags = 0
-        if len(expr.args) == 3:
-            flag_str = _string(evaluate_expression(expr.args[2], mu))
-            if "i" in flag_str:
-                flags |= re.IGNORECASE
-            if "s" in flag_str:
-                flags |= re.DOTALL
-            if "m" in flag_str:
-                flags |= re.MULTILINE
-            if "x" in flag_str:
-                flags |= re.VERBOSE
-        try:
-            return re.search(pattern, text, flags) is not None
-        except re.error as exc:
-            raise SparqlEvalError(f"invalid regex {pattern!r}: {exc}") from exc
+def _unknown_operator(left, right):
+    raise SparqlEvalError("unknown operator")
 
-    value = evaluate_expression(expr.args[0], mu)
-    if name in ("ISIRI", "ISURI"):
-        return isinstance(value, IRI)
-    if name == "ISBLANK":
-        return isinstance(value, BlankNode)
-    if name == "ISLITERAL":
-        return isinstance(value, Literal)
-    if name == "STR":
-        if isinstance(value, IRI):
-            return value.value
-        if isinstance(value, Literal):
-            return value.lexical
-        if isinstance(value, (bool, int, float, str)):
-            return _as_term(value).lexical  # type: ignore[union-attr]
-        raise SparqlEvalError(f"STR not defined for {value!r}")
-    if name == "LANG":
-        if isinstance(value, Literal):
-            return value.language or ""
-        raise SparqlEvalError("LANG requires a literal")
-    if name == "DATATYPE":
-        if isinstance(value, Literal):
-            if value.language is not None:
-                raise SparqlEvalError("DATATYPE of a language-tagged literal")
-            return value.datatype or IRI(XSD_STRING)
+
+_ORDER_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+              "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+_REGEX_FLAGS = {"i": re.IGNORECASE, "s": re.DOTALL, "m": re.MULTILINE, "x": re.VERBOSE}
+
+
+def _regex_compile(pattern: Value, flags: Value = ""):
+    bits = 0
+    for letter in _string(flags):
+        bits |= _REGEX_FLAGS.get(letter, 0)
+    pattern = _string(pattern)
+    try:
+        return re.compile(pattern, bits)
+    except re.error as exc:
+        raise SparqlEvalError(f"invalid regex {pattern!r}: {exc}") from exc
+
+
+def _str(value: Value) -> str:
+    if isinstance(value, IRI):
+        return value.value
+    if isinstance(value, Literal):
+        return value.lexical
+    if isinstance(value, (bool, int, float, str)):
+        return _as_term(value).lexical  # type: ignore[union-attr]
+    raise SparqlEvalError(f"STR not defined for {value!r}")
+
+
+def _lang(value: Value) -> str:
+    term = _as_term(value)
+    if isinstance(term, Literal):
+        return term.language or ""
+    raise SparqlEvalError("LANG requires a literal")
+
+
+def _datatype(value: Value) -> IRI:
+    term = _as_term(value)
+    if not isinstance(term, Literal):
         raise SparqlEvalError("DATATYPE requires a literal")
-    if name == "LANGMATCHES":
-        tag = _string(value) if not isinstance(value, str) else value
-        rng = _string(evaluate_expression(expr.args[1], mu))
-        if rng == "*":
-            return bool(tag)
-        return tag.lower() == rng.lower() or tag.lower().startswith(rng.lower() + "-")
-    if name == "SAMETERM":
-        other = evaluate_expression(expr.args[1], mu)
-        return _as_term(value) == _as_term(other)
-    raise SparqlEvalError(f"unknown built-in {name}")
+    if term.language is not None:
+        raise SparqlEvalError("DATATYPE of a language-tagged literal")
+    return term.datatype or IRI(XSD_STRING)
+
+
+def _langmatches(tag: Value, rng: Value) -> bool:
+    tag, rng = _string(tag).lower(), _string(rng).lower()
+    if rng == "*":
+        return bool(tag)
+    return tag == rng or tag.startswith(rng + "-")
+
+
+#: Built-ins over their evaluated arguments: name → (function, returns a
+#: bool). A value made by an operator coerces through :func:`_as_term`,
+#: so it is a literal (``isLiteral(?o + 1)`` holds).
+_BUILTINS = {
+    "ISIRI": (lambda value: isinstance(_as_term(value), IRI), True),
+    "ISURI": (lambda value: isinstance(_as_term(value), IRI), True),
+    "ISBLANK": (lambda value: isinstance(_as_term(value), BlankNode), True),
+    "ISLITERAL": (lambda value: isinstance(_as_term(value), Literal), True),
+    "STR": (_str, False),
+    "LANG": (_lang, False),
+    "DATATYPE": (_datatype, False),
+    "LANGMATCHES": (_langmatches, True),
+    "SAMETERM": (lambda left, right: _as_term(left) == _as_term(right), True),
+    "REGEX": (lambda text, *rest: _regex_compile(*rest).search(_string(text)) is not None,
+              True),
+}
+
+
+# ---------------------------------------------------------------- compiler
+
+
+def _fail(message: str) -> _Fn:
+    def fail(values: tuple) -> Value:
+        raise SparqlEvalError(message)
+    return fail
+
+
+def _logical(left, right, decisive: bool) -> _Fn:
+    """Three-valued OR (*decisive* True) or AND (False): *decisive* if
+    either side is, even if the other errs; else the right side's error,
+    then the left side's."""
+    def logical(values: tuple) -> bool:
+        try:
+            if left(values) == decisive:
+                return decisive
+            err = None
+        except SparqlEvalError as exc:
+            err = exc
+        if right(values) == decisive:
+            return decisive
+        if err is not None:
+            raise err
+        return not decisive
+    return logical
+
+
+def _compile(expr: ast.Expression, index) -> Tuple[_Fn, bool]:
+    """*expr* over value tuples whose variable → slot map is *index*: the
+    value function, and whether it always returns a bool."""
+    if isinstance(expr, ast.TermExpr):
+        term = expr.term
+        if not isinstance(term, Variable):
+            return (lambda values: term), False
+        if term not in index:
+            return _fail(f"unbound variable ?{term.name}"), False
+        return operator.itemgetter(index[term]), False
+    if isinstance(expr, (ast.OrExpr, ast.AndExpr)):
+        return _logical(_truth(*_compile(expr.left, index)),
+                        _truth(*_compile(expr.right, index)),
+                        isinstance(expr, ast.OrExpr)), True
+    if isinstance(expr, ast.NotExpr):
+        operand = _truth(*_compile(expr.operand, index))
+        return (lambda values: not operand(values)), True
+    if isinstance(expr, ast.NegExpr):
+        negated, _ = _compile(expr.operand, index)
+        return (lambda values: -_numeric(negated(values))), False
+    if isinstance(expr, ast.CompareExpr):
+        op, order = expr.op, _ORDER_OPS.get(expr.op, _unknown_operator)
+        left, right = _compile(expr.left, index)[0], _compile(expr.right, index)[0]
+        return (lambda values: _compare(op, order, left(values), right(values))), True
+    if isinstance(expr, ast.ArithExpr):
+        apply = _ARITH_OPS.get(expr.op, _unknown_operator)
+        left, right = _compile(expr.left, index)[0], _compile(expr.right, index)[0]
+        return (lambda values: apply(_numeric(left(values)), _numeric(right(values)))), False
+    if isinstance(expr, ast.FunctionCall):
+        return _compile_call(expr, index)
+    return _fail(f"unknown expression node {type(expr).__name__}"), False
+
+
+def _compile_call(expr: ast.FunctionCall, index) -> Tuple[_Fn, bool]:
+    name, args = expr.name, expr.args
+    if name == "BOUND":
+        arg = args[0]
+        if not (isinstance(arg, ast.TermExpr) and isinstance(arg.term, Variable)):
+            return _fail("BOUND requires a variable argument"), True
+        bound = arg.term in index
+        return (lambda values: bound), True
+    fns = [_compile(arg, index)[0] for arg in args]
+    if name == "REGEX" and all(isinstance(arg, ast.TermExpr)
+                               and not isinstance(arg.term, Variable) for arg in args[1:]):
+        try:  # constant pattern and flags: compiled once
+            search = _regex_compile(*[arg.term for arg in args[1:]]).search
+        except SparqlEvalError as exc:
+            return _fail(str(exc)), True
+        text = fns[0]
+
+        def regex(values: tuple) -> bool:
+            value = text(values)
+            if type(value) is Literal and value.datatype is None:  # plain: the usual case
+                return search(value.lexical) is not None
+            return search(_string(value)) is not None
+        return regex, True
+    function, is_bool = _BUILTINS.get(name, (None, False))
+    if function is None:
+        return _fail(f"unknown built-in {name}"), False
+    if len(fns) == 1:
+        (only,) = fns
+        return (lambda values: function(only(values))), is_bool
+    return (lambda values: function(*[fn(values) for fn in fns])), is_bool
 
 
 # ------------------------------------------------------------ ORDER BY key
-
-
-_TYPE_RANK = {BlankNode: 0, IRI: 1}
 
 
 def order_key(expr: ast.Expression, mu: SolutionMapping):

@@ -64,6 +64,7 @@ __all__ = [
     "conditional_left_outer_join",
     "combine_sets",
     "project",
+    "value_tuples",
     "match_pattern",
 ]
 
@@ -129,6 +130,9 @@ _PAIR_PLANS: Dict[Tuple[_Schema, _Schema], tuple] = {}
 
 #: (schema, kept domain) → (output schema, value getter).
 _PROJECT_PLANS: Dict[Tuple[_Schema, FrozenSet[Variable]], tuple] = {}
+
+#: (schema, variables in a caller's order) → value getter.
+_PICK_PLANS: Dict[Tuple[_Schema, Tuple[Variable, ...]], Callable] = {}
 
 
 def _getter(idxs) -> Callable[[tuple], tuple]:
@@ -388,8 +392,8 @@ def conditional_left_outer_join(
     an embedded condition, paper footnote 16).
 
     *passes* is a plain predicate so this module stays independent of the
-    expression evaluator; callers wrap their condition with
-    :func:`repro.sparql.expr.filter_passes`.
+    expression evaluator; callers compile their condition with
+    :func:`repro.sparql.expr.row_predicate`.
     """
     right = _groups(omega2)
     out: SolutionSet = set()
@@ -449,6 +453,18 @@ def project(rows: Iterable[SolutionMapping],
         return [mu.project(variables) for mu in rows]
     out, pick = _project_plan(schemas.pop(), variables)
     return list(map(out.make, map(pick, map(_values_of, rows))))
+
+
+def value_tuples(rows: Iterable[SolutionMapping],
+                 variables: Tuple[Variable, ...]) -> List[tuple]:
+    """Each mapping's values for *variables*, in that order: one cached
+    getter per schema, mapped over the schema's rows in C."""
+    out: List[tuple] = []
+    for schema, values in _groups(rows).items():
+        pick = _PICK_PLANS.get((schema, variables)) or _PICK_PLANS.setdefault(
+            (schema, variables), _getter([schema.index[v] for v in variables]))
+        out.extend(map(pick, values))
+    return out
 
 
 def compile_extractor(terms, keep: Optional[Iterable[Variable]] = None,

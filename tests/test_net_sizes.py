@@ -152,3 +152,46 @@ def test_size_matches_the_structural_rule(payload):
     expected = reference_size(payload)
     assert size_of(payload) == expected
     assert size_of(payload) == expected  # again, from the cached parts
+
+
+# Sequences as they ship and as the result cache stores them: solution
+# rows, term-tuple rows and loose items mixed, with each term's or
+# row's cached size either present or reset, and lengths on both sides
+# of the bulk threshold, so ``_size_sequence`` takes its C sum, its
+# row-tuple sum and its per-item rule alike.
+_row_terms = st.sampled_from((
+    IRI("http://x/a"), IRI("http://x/bb"), Literal("v"),
+    Literal("w", language="en"), Literal("7", datatype=IRI(XSD_INTEGER)),
+    BlankNode("n1"),
+))
+_row_vars = st.sampled_from((Variable("x"), Variable("y"), Variable("z")))
+_mappings = st.dictionaries(_row_vars, _row_terms, max_size=3).map(SolutionMapping)
+_term_rows = st.lists(_row_terms, max_size=3).map(tuple)
+_items = st.one_of(_mappings, _term_rows, _row_terms, st.integers(), _text, st.none())
+_bulk = st.one_of(  # mostly one kind of item, as solution sets and cache rows are
+    st.lists(st.tuples(_mappings, st.booleans()), max_size=24),
+    st.lists(st.tuples(_term_rows, st.booleans()), max_size=24),
+    st.lists(st.tuples(_items, st.booleans()), max_size=24),
+)
+
+
+def _uncache(item) -> None:
+    """Forget the cached size of *item* (and of a term row's terms)."""
+    for obj in item if type(item) is tuple else (item,):
+        if hasattr(obj, "_size"):
+            object.__setattr__(obj, "_size", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bulk, st.sampled_from((list, tuple, set, frozenset)))
+def test_sequence_sum_matches_the_per_item_rule(drawn, container):
+    items = [item for item, _ in drawn]
+    for item in items:
+        size_of(item)  # cache every size first ...
+    for item, forget in drawn:
+        if forget:
+            _uncache(item)  # ... then drop some of them again
+    payload = container(items)
+    expected = reference_size(payload)
+    assert size_of(payload) == expected
+    assert size_of(payload) == expected  # again, every size cached now

@@ -6,6 +6,8 @@ admission/eviction/invalidation contracts hold independently of the
 overlay wiring (which tests/test_cache_coherence.py covers end to end).
 """
 
+import random
+
 from repro.cache import DataEpochLedger, ResultCache, Stamp
 from repro.cache.keys import (
     bgp_cache_key,
@@ -14,7 +16,8 @@ from repro.cache.keys import (
     rebind_rows,
 )
 from repro.metrics import CacheCounters
-from repro.rdf import FOAF, IRI, TriplePattern, Variable
+from repro.net.sizes import size_of
+from repro.rdf import FOAF, IRI, Literal, TriplePattern, Variable
 from repro.sparql.solutions import SolutionMapping
 
 X, Y, A, B = Variable("x"), Variable("y"), Variable("a"), Variable("b")
@@ -38,6 +41,17 @@ def make_cache(byte_cap=4096, admit_threshold=2):
 
 def person(i):
     return IRI(f"http://example.org/people/p{i}")
+
+
+def n3_row(row):
+    return tuple(term.n3() for term in row)
+
+
+def sorted_rows(solutions, variables):
+    """The rows in an order fixed by the data: every row's terms in
+    canonical variable order, the rows sorted by N3."""
+    return tuple(sorted((tuple(mu[v] for v in variables) for mu in solutions),
+                        key=n3_row))
 
 
 def rows(*indices):
@@ -115,7 +129,6 @@ class TestByteBudget:
         assert cache.bytes_used == 0
 
     def test_lfu_then_lru_eviction(self):
-        from repro.net.sizes import size_of
         value = rows(0)
         cache, network = make_cache(admit_threshold=1)
         nbytes = size_of(value)
@@ -137,7 +150,6 @@ class TestByteBudget:
     def test_lru_breaks_frequency_ties(self):
         value = rows(0)
         cache, _ = make_cache(admit_threshold=1)
-        from repro.net.sizes import size_of
         cache.byte_cap = 2 * size_of(value)
         cache.probe("first")
         cache.admit("first", value, (X, Y), {}, 0)
@@ -218,6 +230,33 @@ class TestKeys:
             SolutionMapping({A: person(0), B: person(1)}),
             SolutionMapping({A: person(2), B: person(3)}),
         }
+
+    def test_rebind_round_trips_in_any_order(self):
+        solutions = [SolutionMapping({X: person(i), Y: person(i + 1)})
+                     for i in range(12)]
+        expected = {SolutionMapping({A: person(i), B: person(i + 1)})
+                    for i in range(12)}
+        for seed in range(5):
+            shuffled = list(solutions)
+            random.Random(seed).shuffle(shuffled)
+            stored = canonical_rows(shuffled, (X, Y))
+            assert tuple(sorted(stored, key=n3_row)) == sorted_rows(solutions, (X, Y))
+            assert rebind_rows(stored, (A, B)) == expected
+            assert rebind_rows(random.Random(seed).sample(stored, len(stored)),
+                               (A, B)) == expected
+
+    def test_admitted_bytes_equal_the_sorted_form(self):
+        """The stored rows come in arrival order; an entry charges the
+        bytes of the same rows in sorted order."""
+        solutions = {SolutionMapping({X: person(i), Y: Literal(f"n{i}", language="en")})
+                     for i in range(20)}
+        solutions.add(SolutionMapping({X: person(99), Y: person(98)}))
+        cache, network = make_cache(byte_cap=1 << 20, admit_threshold=1)
+        cache.probe("k")
+        assert cache.admit("k", canonical_rows(solutions, (X, Y)), (X, Y), {}, 0)
+        expected = size_of(sorted_rows(solutions, (X, Y)))
+        assert cache.entries["k"].nbytes == expected
+        assert cache.bytes_used == expected
 
     def test_bgp_key_order_insensitive(self):
         p1 = TriplePattern(X, FOAF.knows, Y)

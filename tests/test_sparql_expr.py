@@ -168,3 +168,32 @@ class TestOrderKey:
         from repro.sparql import ast
         term_expr = ast.TermExpr(N)
         assert order_key(term_expr, sm(n=INT(2))) < order_key(term_expr, sm(n=INT(10)))
+
+
+class TestOperatorValuesAreLiterals:
+    """A value made by ``+``, ``>`` or ``STR()`` is a literal: each of
+    these FILTERs keeps the one row of ``<a> <p> "5"^^xsd:integer``."""
+
+    @pytest.mark.parametrize("condition", [
+        "isLiteral(?o + 1)",
+        "isLiteral(?o > 1)",
+        "DATATYPE(?o + 1) = xsd:integer",
+        'LANG(STR(?o)) = ""',
+    ])
+    def test_filter_keeps_the_row(self, condition):
+        from repro.rdf import Graph, Triple
+        from repro.sparql import evaluate_query
+
+        graph = Graph([Triple(IRI("http://a"), IRI("http://p"), INT(5))])
+        query = parse_query(
+            "PREFIX xsd: <http://www.w3.org/2001/XMLSchema#> "
+            f"SELECT ?o WHERE {{ ?s ?p ?o . FILTER({condition}) }}")
+        assert len(evaluate_query(query, graph).rows) == 1
+
+    def test_operator_values_are_typed(self):
+        assert evaluate_expression(expr_of("DATATYPE(?n + 1)"), sm(n=INT(5))) \
+            == IRI(XSD_INTEGER)
+        assert evaluate_expression(expr_of("DATATYPE(?n > 1)"), sm(n=INT(5))) \
+            == IRI(XSD_BOOLEAN)
+        assert not filter_passes(expr_of("isIRI(?n + 1)"), sm(n=INT(5)))
+        assert not filter_passes(expr_of("isBlank(STR(?n))"), sm(n=INT(5)))
