@@ -28,14 +28,14 @@ ship (digest filter, then projection).
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from ..chord.hashing import hash_terms_seeded
 from ..rdf.terms import RDFTerm, Variable
 from ..sparql.solutions import (
-    SolutionMapping, canonical_key as mapping_sort_key, project,
+    SolutionMapping, _getter, _groups, canonical_key as mapping_sort_key, project,
 )
 from .sizes import _CONTAINER_OVERHEAD, _PER_ITEM_OVERHEAD, size_of
 
@@ -214,24 +214,24 @@ class JoinDigest:
     def filter(self, solutions: Iterable[SolutionMapping]) -> Set[SolutionMapping]:
         """The rows :meth:`allows` admits. Rows of one schema hold the
         digest variables at the same slots, so slots are found once per
-        schema, not once per row."""
+        schema, and each schema's rows are tested in one C pass."""
         if not self.prunable:
             return set(solutions)
-        groups: Dict[object, List[SolutionMapping]] = {}
-        for mu in solutions:
-            groups.setdefault(mu._schema, []).append(mu)
         kept: Set[SolutionMapping] = set()
-        admits = self._admits
-        for schema, rows in groups.items():
+        for schema, values in _groups(solutions).items():
             slots = [schema.index.get(v) for v in self.variables]
             if None in slots:
-                kept.update(rows)  # a missing variable joins anything
+                kept.update(map(schema.make, values))  # a missing variable joins anything
+                continue
+            if self.mode == "bloom":
+                admits, pick = self._admits, _getter(slots)
             elif len(slots) == 1:
-                (i,) = slots
-                kept.update([mu for mu in rows if admits((mu._values[i],))])
-            else:
+                # Probe the bare terms: no 1-tuple is built per row.
+                admits = frozenset([key[0] for key in self.keys]).__contains__
                 pick = itemgetter(*slots)
-                kept.update([mu for mu in rows if admits(pick(mu._values))])
+            else:
+                admits, pick = self.keys.__contains__, itemgetter(*slots)
+            kept.update(map(schema.make, compress(values, map(admits, map(pick, values)))))
         return kept
 
     # ---------------------------------------------------------------- misc

@@ -11,7 +11,7 @@ join-site flexibility.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from ..chord.idspace import IdentifierSpace
 from ..net.transport import Node
@@ -24,6 +24,10 @@ from .keys import KeyKind, index_keys
 from .peer import QueryPeer
 
 __all__ = ["StorageNode"]
+
+#: Memoized sub-query answers one node keeps; the memo is cleared when
+#: full. A memory bound, not a tuning knob (DESIGN.md §6).
+_MAX_ANSWERS = 256
 
 
 class StorageNode(QueryPeer, Node):
@@ -48,6 +52,10 @@ class StorageNode(QueryPeer, Node):
         #: The ring node this storage node is attached to (Sect. III-A:
         #: "attach to one of the nodes on the ring").
         self.index_node_id: Optional[str] = None
+        #: (algebra, keep) → frozen answer, valid while the graph object
+        #: and its version are the ones in ``_answers_at``.
+        self._answers: Dict[tuple, FrozenSet] = {}
+        self._answers_at: Tuple[Optional[Graph], int] = (None, -1)
 
     # ------------------------------------------------------------- data mgmt
 
@@ -114,12 +122,33 @@ class StorageNode(QueryPeer, Node):
         algebra = payload["algebra"]
         keep = payload.get("project")
         digest = payload.get("digest")
-        if type(algebra) is BGP:
-            # The plain sub-query: scan straight to (projected) rows.
-            if digest is None:
-                return evaluate_bgp(algebra, self.graph, keep), None
-            return shed(evaluate_bgp(algebra, self.graph), digest, keep)
-        return shed(self.local_eval(algebra), digest, keep)
+        if digest is None:
+            return self._answer(algebra, keep), None
+        return shed(self._answer(algebra, None), digest, keep)
+
+    def _answer(self, algebra: Algebra, keep) -> FrozenSet:
+        """⟦algebra⟧ over the local graph, projected onto *keep* (None:
+        no projection). The answer is a pure function of the sub-query
+        and the graph, so it is memoized for as long as the graph object
+        and its version stand; callers share the frozen result."""
+        graph = self.graph
+        answers = self._answers
+        at_graph, at_version = self._answers_at
+        if at_graph is not graph or at_version != graph.version:
+            answers.clear()
+            self._answers_at = (graph, graph.version)
+        key = (algebra, None if keep is None else frozenset(keep))
+        rows = answers.get(key)
+        if rows is None:
+            if len(answers) >= _MAX_ANSWERS:
+                answers.clear()
+            if type(algebra) is BGP:
+                # The plain sub-query: scan straight to (projected) rows.
+                rows = evaluate_bgp(algebra, graph, keep)
+            else:
+                rows = shed(self.local_eval(algebra), None, keep)[0]
+            rows = answers[key] = frozenset(rows)
+        return rows
 
     def rpc_chain_step(self, payload: Dict[str, Any], src: str) -> None:
         """One step of in-network aggregation (Sect. IV-C optimization).

@@ -35,10 +35,12 @@ class Graph:
     """A set of RDF triples with pattern-match access paths.
 
     The graph behaves as a set: duplicate adds are idempotent and size is
-    the number of distinct triples.
+    the number of distinct triples. ``version`` counts the changes to that
+    set: it moves on every effective add or discard and on nothing else,
+    so an answer computed at one version holds while the version stands.
     """
 
-    __slots__ = ("_spo", "_pos", "_osp", "_size")
+    __slots__ = ("_spo", "_pos", "_osp", "_size", "version")
 
     def __init__(self, triples: Optional[Iterable[Triple]] = None) -> None:
         # Plain nested dicts, not defaultdicts: membership probes must
@@ -48,6 +50,7 @@ class Graph:
         self._pos: Dict[RDFTerm, Dict[RDFTerm, Set[RDFTerm]]] = {}
         self._osp: Dict[RDFTerm, Dict[RDFTerm, Set[RDFTerm]]] = {}
         self._size = 0
+        self.version = 0
         if triples is not None:
             for t in triples:
                 self.add(t)
@@ -73,6 +76,7 @@ class Graph:
         self._insert(self._pos, p, o, s)
         self._insert(self._osp, o, s, p)
         self._size += 1
+        self.version += 1
         return True
 
     @staticmethod
@@ -103,6 +107,7 @@ class Graph:
         self._prune(self._pos, p, o)
         self._prune(self._osp, o, s)
         self._size -= 1
+        self.version += 1
         return True
 
     @staticmethod

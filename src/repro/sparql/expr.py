@@ -361,7 +361,13 @@ def _compile(expr: ast.Expression, index) -> Tuple[_Fn, bool]:
     if isinstance(expr, ast.ArithExpr):
         apply = _ARITH_OPS.get(expr.op, _unknown_operator)
         left, right = _compile(expr.left, index)[0], _compile(expr.right, index)[0]
-        return (lambda values: apply(_numeric(left(values)), _numeric(right(values)))), False
+
+        def arith(values: tuple) -> Value:
+            try:
+                return apply(_numeric(left(values)), _numeric(right(values)))
+            except OverflowError as exc:  # an integer beyond float range
+                raise SparqlEvalError(f"numeric overflow: {exc}") from None
+        return arith, False
     if isinstance(expr, ast.FunctionCall):
         return _compile_call(expr, index)
     return _fail(f"unknown expression node {type(expr).__name__}"), False
@@ -406,8 +412,9 @@ def order_key(expr: ast.Expression, mu: SolutionMapping):
     """A total-order sort key for ORDER BY.
 
     SPARQL orders: unbound < blank nodes < IRIs < literals; within
-    literals, numerics by value then others by lexical form. Type errors
-    sort first (like unbound).
+    literals, numerics by exact value (an integer beyond float range
+    included) then others by lexical form. Type errors sort first (like
+    unbound).
     """
     try:
         value = evaluate_expression(expr, mu)
@@ -416,7 +423,7 @@ def order_key(expr: ast.Expression, mu: SolutionMapping):
     if isinstance(value, bool):
         value = _TRUE if value else _FALSE
     if isinstance(value, (int, float)):
-        return (4, 0, float(value), "")
+        return (4, 0, value, "")
     if isinstance(value, str):
         return (4, 1, 0.0, value)
     if isinstance(value, BlankNode):
@@ -426,7 +433,7 @@ def order_key(expr: ast.Expression, mu: SolutionMapping):
     if isinstance(value, Literal):
         if value.is_numeric:
             try:
-                return (4, 0, float(value.to_python()), "")
+                return (4, 0, value.to_python(), "")
             except (ValueError, TypeError):
                 return (4, 1, 0.0, value.lexical)
         return (4, 1, 0.0, value.lexical)

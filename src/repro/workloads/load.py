@@ -353,10 +353,10 @@ def run_workload(
     sim = system.sim
     executor = DistributedExecutor(system, options)
     jobs = build_jobs(config)
-    parsed = {
-        job.job_id: parse_query(job.query_text, COMMON_PREFIXES)
-        for job in jobs if job.kind == "query"
-    }
+    # Keyed by text: repeats share one frozen AST, and the executor keeps
+    # no state keyed by the query object.
+    texts = dict.fromkeys(job.query_text for job in jobs if job.kind == "query")
+    parsed = {text: parse_query(text, COMMON_PREFIXES) for text in texts}
     done_events = {job.job_id: sim.event() for job in jobs}
 
     state = {"in_flight": 0, "peak": 0, "shed": 0, "deferred": 0,
@@ -391,7 +391,7 @@ def run_workload(
                 apply_mutation(job)
             else:
                 result, report = yield from executor.execute_process(
-                    parsed[job.job_id], job.initiator
+                    parsed[job.query_text], job.initiator
                 )
                 job.result, job.report = result, report
         except QueryFailed as exc:

@@ -249,7 +249,13 @@ def _apply_order_op(op: str, left, right) -> bool:
 def _eval_arith(expr: ast.ArithExpr, mu: SolutionMapping) -> Union[int, float]:
     left = _numeric(evaluate_expression(expr.left, mu))
     right = _numeric(evaluate_expression(expr.right, mu))
-    op = expr.op
+    try:
+        return _apply_arith(expr.op, left, right)
+    except OverflowError as exc:  # an integer beyond float range
+        raise SparqlEvalError(f"numeric overflow: {exc}") from None
+
+
+def _apply_arith(op: str, left, right) -> Union[int, float]:
     if op == "+":
         return left + right
     if op == "-":
@@ -339,8 +345,9 @@ def order_key(expr: ast.Expression, mu: SolutionMapping):
     """A total-order sort key for ORDER BY.
 
     SPARQL orders: unbound < blank nodes < IRIs < literals; within
-    literals, numerics by value then others by lexical form. Type errors
-    sort first (like unbound).
+    literals, numerics by exact value (an integer beyond float range
+    included) then others by lexical form. Type errors sort first (like
+    unbound).
     """
     try:
         value = evaluate_expression(expr, mu)
@@ -349,7 +356,7 @@ def order_key(expr: ast.Expression, mu: SolutionMapping):
     if isinstance(value, bool):
         value = _TRUE if value else _FALSE
     if isinstance(value, (int, float)):
-        return (4, 0, float(value), "")
+        return (4, 0, value, "")
     if isinstance(value, str):
         return (4, 1, 0.0, value)
     if isinstance(value, BlankNode):
@@ -359,7 +366,7 @@ def order_key(expr: ast.Expression, mu: SolutionMapping):
     if isinstance(value, Literal):
         if value.is_numeric:
             try:
-                return (4, 0, float(value.to_python()), "")
+                return (4, 0, value.to_python(), "")
             except (ValueError, TypeError):
                 return (4, 1, 0.0, value.lexical)
         return (4, 1, 0.0, value.lexical)

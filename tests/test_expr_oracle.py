@@ -38,6 +38,7 @@ TERMS = (
     Literal("1e3", datatype=IRI(XSD_DOUBLE)),
     Literal("nan", datatype=IRI(XSD_DOUBLE)),
     Literal("abc", datatype=IRI(XSD_INTEGER)),  # invalid lexical form
+    Literal("1" + "0" * 400, datatype=IRI(XSD_INTEGER)),  # beyond float range
     Literal("true", datatype=IRI(XSD_BOOLEAN)),
     Literal("false", datatype=IRI(XSD_BOOLEAN)),
     Literal("1", datatype=IRI(XSD_BOOLEAN)),

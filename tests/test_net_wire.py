@@ -279,6 +279,18 @@ class TestJoinDigest:
         assert kept == {mu for mu in candidates if digest.allows(mu)}
         assert 0 < len(kept) < len(candidates)
 
+    @pytest.mark.parametrize("container", [set, frozenset, list, iter])
+    @pytest.mark.parametrize("keys", [[X], [X, Y]])
+    def test_filter_one_schema_in_any_container(self, container, keys):
+        """Rows of one schema, in whatever container, keep exactly what
+        :meth:`allows` admits, for a one-slot key and a two-slot key."""
+        resident = key_rows(10)
+        digest = JoinDigest.build(resident, keys)
+        assert digest.mode == "exact" and digest.prunable
+        candidates = key_rows(30)
+        kept = digest.filter(container(candidates))
+        assert kept == {mu for mu in candidates if digest.allows(mu)} == resident
+
 
 class TestSeededHashing:
     def test_deterministic(self):

@@ -3,7 +3,7 @@ three-valued logic)."""
 
 import pytest
 
-from repro.rdf import IRI, BlankNode, Literal, Variable, XSD_BOOLEAN, XSD_INTEGER
+from repro.rdf import IRI, BlankNode, Literal, Variable, XSD_BOOLEAN, XSD_DOUBLE, XSD_INTEGER
 from repro.sparql import SparqlEvalError, parse_query
 from repro.sparql.expr import (
     effective_boolean_value,
@@ -197,3 +197,37 @@ class TestOperatorValuesAreLiterals:
             == IRI(XSD_BOOLEAN)
         assert not filter_passes(expr_of("isIRI(?n + 1)"), sm(n=INT(5)))
         assert not filter_passes(expr_of("isBlank(STR(?n))"), sm(n=INT(5)))
+
+
+class TestIntegersBeyondFloatRange:
+    """An ``xsd:integer`` too large for a float: arithmetic that would
+    leave float range is a type error (the FILTER drops the row), and
+    ORDER BY orders it by its exact value; neither aborts the query."""
+
+    HUGE = INT(10 ** 400)
+
+    def run(self, where, extra=(), modifiers=""):
+        from repro.rdf import Graph, Triple
+        from repro.sparql import evaluate_query
+
+        graph = Graph([Triple(IRI("http://a"), IRI("http://p"), self.HUGE), *extra])
+        query = parse_query(f"SELECT ?o WHERE {{ ?s ?p ?o . {where} }} {modifiers}")
+        return evaluate_query(query, graph).rows
+
+    @pytest.mark.parametrize("condition", ["?o / 3 > 1", "?o * 1.5 > 1"])
+    def test_overflowing_filter_drops_the_row(self, condition):
+        assert self.run(f"FILTER({condition})") == []
+
+    def test_overflow_is_a_type_error(self):
+        with pytest.raises(SparqlEvalError):
+            evaluate_expression(expr_of("(?n / 3)"), sm(n=self.HUGE))
+        assert filter_passes(expr_of("(?n + 1 > ?n)"), sm(n=self.HUGE))
+
+    def test_order_by_exact_value(self):
+        from repro.rdf import Triple
+
+        below = INT(10 ** 400 - 1)
+        extra = [Triple(IRI("http://b"), IRI("http://p"), below),
+                 Triple(IRI("http://c"), IRI("http://p"), Literal("1e300", datatype=IRI(XSD_DOUBLE)))]
+        rows = self.run("", extra, "ORDER BY ?o")
+        assert [mu[Variable("o")] for mu in rows] == [extra[1].o, below, self.HUGE]
