@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from itertools import chain, compress
 from operator import itemgetter
-from typing import FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from ..chord.hashing import hash_terms_seeded
 from ..rdf.terms import RDFTerm, Variable
@@ -48,6 +48,7 @@ __all__ = [
     "PRUNED_COUNTER_BYTES",
     "as_solution_set",
     "encode_solutions",
+    "shipped_rows",
     "mapping_sort_key",
     "shed",
 ]
@@ -63,6 +64,13 @@ DIGEST_HEADER_BYTES = 8
 #: the initiator's report can attribute the semijoin's effect. One fixed
 #: counter, part of the documented digest overhead bound.
 PRUNED_COUNTER_BYTES = 4
+
+
+#: The intern table of :meth:`SolutionBatch.encode`, by row set. Mappings
+#: hash by address, so an equal key holds the very same rows and a kept
+#: batch is never stale. Cleared when full: a memory bound (DESIGN.md §4).
+_BATCHES: Dict[FrozenSet[SolutionMapping], "SolutionBatch"] = {}
+_MAX_BATCHES = 256
 
 
 def _index_width(count: int) -> int:
@@ -81,8 +89,10 @@ class SolutionBatch:
     leaves the process, so no table is ever built: ``encode`` derives the
     exact size of that format from the distinct term and variable sets,
     the row and pair counts and the cached per-term sizes, and hands the
-    rows over by reference. A batch is immutable once sent; ``decode``
-    gives each receiver its own set.
+    rows over by reference. A batch is an immutable value, interned by
+    its row set like terms and mappings (:data:`_BATCHES`), so rows that
+    ship again are sized once. Receivers merge ``rows`` into their own
+    container; ``decode`` hands a fresh set to a caller that mutates.
     """
 
     __slots__ = ("rows", "mode", "_wire")
@@ -96,6 +106,11 @@ class SolutionBatch:
     @classmethod
     def encode(cls, solutions: Iterable[SolutionMapping]) -> "SolutionBatch":
         rows = frozenset(solutions)
+        batch = _BATCHES.get(rows)
+        if batch is not None:
+            return batch
+        if len(_BATCHES) >= _MAX_BATCHES:
+            _BATCHES.clear()
         naive = size_of(rows)
         values = [mu._values for mu in rows]
         terms = set(chain.from_iterable(values))
@@ -112,7 +127,9 @@ class SolutionBatch:
             * (_index_width(len(variables)) + _index_width(len(terms)))
         )
         mode = "dict" if dict_size <= naive else "plain"
-        return cls(rows, mode, BATCH_HEADER_BYTES + min(dict_size, naive))
+        batch = _BATCHES[rows] = cls(
+            rows, mode, BATCH_HEADER_BYTES + min(dict_size, naive))
+        return batch
 
     def decode(self) -> Set[SolutionMapping]:
         return set(self.rows)
@@ -299,8 +316,18 @@ def encode_solutions(solutions: Iterable[SolutionMapping], encode: bool):
     return frozenset(solutions)
 
 
+def shipped_rows(data):
+    """The rows of whatever arrived on the wire, by reference: a batch's
+    frozen rows, else the shipped container itself. Read-only — a
+    receiver merges them into a container of its own."""
+    if isinstance(data, SolutionBatch):
+        return data.rows
+    return data
+
+
 def as_solution_set(data) -> Set[SolutionMapping]:
-    """Decode whatever arrived on the wire back into a solution set."""
+    """Decode whatever arrived on the wire into a fresh solution set, for
+    a caller that mutates it or keeps it as a mailbox."""
     if isinstance(data, SolutionBatch):
         return data.decode()
     return set(data)

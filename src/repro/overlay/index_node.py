@@ -19,7 +19,7 @@ from ..cache.keys import canonical_rows, pattern_cache_key, rebind_rows
 from ..chord.idspace import IdentifierSpace
 from ..chord.node import ChordNode, NodeRef
 from ..net.transport import RpcError
-from ..net.wire import FilteredResult, as_solution_set, encode_solutions, shed
+from ..net.wire import FilteredResult, encode_solutions, shed, shipped_rows
 from .location_table import LocationEntry, LocationTable
 from .peer import QueryPeer
 
@@ -473,7 +473,7 @@ class IndexNode(QueryPeer, ChordNode):
             if isinstance(batch, FilteredResult):
                 pruned = (pruned or 0) + batch.pruned
                 batch = batch.data
-            solutions |= as_solution_set(batch)
+            solutions |= shipped_rows(batch)
         return solutions, pruned, dropped
 
     def _route(

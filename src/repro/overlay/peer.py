@@ -23,7 +23,7 @@ from bisect import bisect_left, insort
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..net.sim import Event
-from ..net.wire import JoinDigest, as_solution_set, encode_solutions, shed
+from ..net.wire import JoinDigest, encode_solutions, shed, shipped_rows
 from ..sparql import ast
 from ..sparql.expr import filter_rows, row_predicate
 from ..sparql.solutions import combine_sets
@@ -397,7 +397,7 @@ class QueryPeer:
             return
         data = payload.get("data", ())
         box = self.mailbox.setdefault(corr, set())
-        box.update(as_solution_set(data))
+        box.update(shipped_rows(data))
         notify = payload.get("notify")
         # Under a fault plan the sender stamps each wait epoch with a
         # fresh notification key: a duplicated copy of an *earlier*

@@ -15,7 +15,7 @@ from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from ..chord.idspace import IdentifierSpace
 from ..net.transport import Node
-from ..net.wire import FilteredResult, as_solution_set, encode_solutions, shed
+from ..net.wire import FilteredResult, encode_solutions, shed, shipped_rows
 from ..rdf.graph import Graph
 from ..rdf.triple import Triple
 from ..sparql.algebra import BGP, Algebra
@@ -163,8 +163,7 @@ class StorageNode(QueryPeer, Node):
         """
         assert self.network is not None
         local, _pruned = self._eval_shippable(payload)
-        merged = as_solution_set(payload["acc"])
-        merged.update(local)
+        merged = local.union(shipped_rows(payload["acc"]))
         data = encode_solutions(merged, payload.get("encode", False))
         route = payload["route"]
         if route:

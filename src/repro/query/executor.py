@@ -28,7 +28,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..net.sim import Event
 from ..net.transport import RpcError, RpcTimeout
-from ..net.wire import as_solution_set
+from ..net.wire import as_solution_set, shipped_rows
 from ..trace.tracer import (
     NULL_TRACER, PHASE_FINALIZE, PHASE_LOOKUP, PhaseStats, Tracer,
 )
@@ -404,8 +404,9 @@ class ExecutionContext:
         return removed
 
     def local_deposit(self, corr: str, solutions, vars=None) -> ResultHandle:
-        """Materialize solutions at the initiator without any message."""
-        self.initiator_peer.mailbox[corr] = set(solutions)
+        """Materialize solutions (rows or wire data) at the initiator, in
+        a mailbox set of their own, without any message."""
+        self.initiator_peer.mailbox[corr] = as_solution_set(solutions)
         return ResultHandle(self.initiator, corr,
                             len(self.initiator_peer.mailbox[corr]), vars)
 
@@ -590,7 +591,7 @@ class ExecutionContext:
             if self.options.dictionary_encoding:
                 payload["encode"] = True
             data = yield self.call(handle.site, "fetch", payload)
-            return as_solution_set(data)
+            return shipped_rows(data)
         finally:
             span.close()
 

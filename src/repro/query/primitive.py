@@ -28,7 +28,7 @@ from typing import List, Optional
 
 from ..net.sizes import size_of
 from ..net.transport import RpcTimeout
-from ..net.wire import PRUNED_COUNTER_BYTES, JoinDigest, as_solution_set
+from ..net.wire import PRUNED_COUNTER_BYTES, JoinDigest
 from ..sparql.solutions import union as omega_union
 from .failover import dispatch_primitive
 from .join_site import digest_embed_cost
@@ -171,11 +171,10 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
     if ack["mode"] == "direct":
         # Empty route: no providers left; materialize the empty result.
         ctx.unexpect(tag or corr)
-        data = as_solution_set(ack["data"])
         if site == ctx.initiator:
-            return ctx.local_deposit(corr, data, vars=result_vars)
+            return ctx.local_deposit(corr, ack["data"], vars=result_vars)
         yield ctx.call(site, "deliver", {"corr": corr, "data": ack["data"]})
-        return ResultHandle(site, corr, len(data), result_vars)
+        return ResultHandle(site, corr, len(ack["data"]), result_vars)
     try:
         count = yield from ctx.wait_delivery(corr, site=site, notify_corr=tag)
     except DeliveryTimeout:
@@ -228,16 +227,14 @@ def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
         charge_digest(ctx, payload, ack, len(info.entries), leaf)
         if ack["mode"] == "direct":
             yield ctx.call(site, "deliver", {"corr": corr, "data": ack["data"]})
-            return ResultHandle(site, corr, len(as_solution_set(ack["data"])),
-                                result_vars)
+            return ResultHandle(site, corr, len(ack["data"]), result_vars)
         yield from ctx.wait_delivery(corr, site=site, notify_corr=tag)
         return ResultHandle(site, corr, ack["count"], result_vars)
     response, info, corr, _tag = yield from dispatch_primitive(
         ctx, info, payload, corr, timeout=DELIVERY_TIMEOUT * 4)
     note_dropped(ctx, response, info)
     charge_digest(ctx, payload, response, len(info.entries), leaf)
-    return ctx.local_deposit(corr, as_solution_set(response["data"]),
-                             vars=result_vars)
+    return ctx.local_deposit(corr, response["data"], vars=result_vars)
 
 
 def charge_digest(ctx, payload, ack, embeds: int,

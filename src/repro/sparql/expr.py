@@ -202,7 +202,11 @@ def _as_term(value: Value) -> RDFTerm:
     if isinstance(value, bool):
         return _TRUE if value else _FALSE
     if isinstance(value, int):
-        return Literal(str(value), datatype=IRI(XSD_INTEGER))
+        try:
+            lexical = str(value)
+        except ValueError:  # more digits than Python will write out
+            raise SparqlEvalError("integer too long for a lexical form") from None
+        return Literal(lexical, datatype=IRI(XSD_INTEGER))
     if isinstance(value, float):
         return Literal(repr(value), datatype=IRI(XSD_DOUBLE))
     return Literal(str(value))

@@ -215,14 +215,22 @@ EMPTY_MAPPING = SolutionMapping()
 SolutionSet = Set[SolutionMapping]
 
 
-def canonical_key(mu: SolutionMapping):
+def canonical_key(mu: SolutionMapping) -> str:
     """Canonical, deterministic ordering of solution mappings — for
     output that must not depend on set iteration order. Cached on the
     mapping: the same rows are ordered again by every query they answer.
+
+    The key is the tuple ``((name, n3), ...)`` flattened into one string,
+    which sorts faster: each part has ``\\x00`` escaped as ``\\x00\\x01``
+    and the parts are joined with ``\\x00\\x00``, which sorts below any
+    escaped character, so the string order is the tuple order for any
+    content, ``\\x00`` included.
     """
     key = mu._skey
     if key is None:
-        key = mu._skey = tuple((v.name, t.n3()) for v, t in mu.items())
+        key = mu._skey = "\x00\x00".join([
+            part.replace("\x00", "\x00\x01")
+            for v, t in mu.items() for part in (v.name, t.n3())])
     return key
 
 

@@ -1,0 +1,165 @@
+"""Shipped row sets are values.
+
+``SolutionBatch.encode`` interns batches by their row set, and receivers
+merge a shipped set by reference into a container of their own. Pinned
+here:
+
+* an interned batch is priced exactly like the table-building encoder
+  (``tests/reference_wire.py``), on a miss and on a hit;
+* equal row sets, however built, share one batch, and the table is
+  bounded;
+* ``decode`` and ``as_solution_set`` still hand out fresh mutable sets;
+* the chain step's one union equals the copy-then-update it replaced;
+* under duplicated deliveries every mailbox is a set of its own.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.net import wire
+from repro.net.faults import FaultPlan, FaultRule
+from repro.net.wire import SolutionBatch, as_solution_set, shipped_rows
+from repro.overlay.peer import QueryPeer
+from repro.query import DistributedExecutor, ExecutionOptions, PrimitiveStrategy
+from repro.rdf import FOAF, IRI, Literal, TriplePattern, Variable
+from repro.sparql.algebra import BGP
+from repro.sparql.solutions import SolutionMapping
+from repro.workloads import PAPER_FIG_QUERIES
+
+from helpers import build_system, oracle_rows
+from reference_wire import ReferenceBatch
+
+X, Y, Z = Variable("x"), Variable("y"), Variable("z")
+
+_terms = st.one_of(
+    st.sampled_from([IRI("http://e/shared-and-rather-long#term"),
+                     IRI("http://e/1"), Literal("1"),
+                     Literal("one", language="en")]),
+    st.builds(lambda i: IRI(f"http://wide.example/{i}"), st.integers(0, 500)),
+)
+_row_lists = st.lists(
+    st.dictionaries(st.sampled_from([X, Y, Z]), _terms, max_size=3).map(
+        SolutionMapping),
+    max_size=40)
+
+
+@pytest.fixture(autouse=True)
+def empty_table():
+    wire._BATCHES.clear()
+    yield
+    wire._BATCHES.clear()
+
+
+def rows_of(n, tag="r"):
+    return {SolutionMapping({X: IRI(f"http://e/{tag}{i}"), Y: Literal(tag)})
+            for i in range(n)}
+
+
+class TestInterning:
+    @settings(max_examples=150, deadline=None)
+    @given(_row_lists)
+    def test_miss_and_hit_price_like_the_reference(self, rows):
+        reference = ReferenceBatch.encode(rows)
+        for batch in (SolutionBatch.encode(rows), SolutionBatch.encode(rows)):
+            assert batch.mode == reference.mode
+            assert batch.wire_size() == reference.wire_size()
+            assert batch.rows == frozenset(rows)
+
+    def test_equal_sets_built_in_any_order_share_one_batch(self):
+        rows = sorted(rows_of(30), key=lambda mu: mu[X].value)
+        batch = SolutionBatch.encode(rows)
+        assert SolutionBatch.encode(reversed(rows)) is batch
+        assert SolutionBatch.encode(set(rows[::2]) | set(rows[1::2])) is batch
+        assert SolutionBatch.encode(rows[1:]) is not batch
+
+    def test_the_bound_clears_the_table(self):
+        first = SolutionBatch.encode(rows_of(3, "t0-"))
+        for i in range(1, wire._MAX_BATCHES):
+            SolutionBatch.encode(rows_of(3, f"t{i}-"))
+        assert len(wire._BATCHES) == wire._MAX_BATCHES
+        assert SolutionBatch.encode(rows_of(3, "t0-")) is first
+        SolutionBatch.encode(rows_of(3, "one-more"))
+        assert len(wire._BATCHES) == 1
+        again = SolutionBatch.encode(rows_of(3, "t0-"))
+        assert again is not first
+        assert (again.mode, again.wire_size()) == (first.mode, first.wire_size())
+
+
+class TestFreshSets:
+    def test_decode_returns_an_independent_mutable_set(self):
+        batch = SolutionBatch.encode(rows_of(5))
+        first, second = batch.decode(), batch.decode()
+        assert type(first) is set and first is not second
+        first.clear()
+        assert second == set(batch.rows) and len(batch) == 5
+        assert SolutionBatch.encode(rows_of(5)) is batch
+
+    @pytest.mark.parametrize("encode", [True, False], ids=["batch", "plain"])
+    def test_as_solution_set_copies_shipped_rows(self, encode):
+        data = wire.encode_solutions(rows_of(4), encode)
+        rows = as_solution_set(data)
+        assert type(rows) is set and rows is not shipped_rows(data)
+        rows.add(SolutionMapping({Z: LONG_TERM}))
+        assert len(shipped_rows(data)) == 4
+
+    def test_shipped_rows_is_by_reference(self):
+        batch = SolutionBatch.encode(rows_of(4))
+        assert shipped_rows(batch) is batch.rows
+        plain = frozenset(rows_of(4))
+        assert shipped_rows(plain) is plain
+
+
+LONG_TERM = IRI("http://e/added-by-a-receiver")
+NICK = TriplePattern(X, FOAF.nick, Y)
+
+
+class TestChainStepMerge:
+    @pytest.mark.parametrize("encode", [True, False], ids=["batch", "plain"])
+    def test_one_union_equals_copy_then_update(self, paper_system, encode):
+        d2 = paper_system.storage_nodes["D2"]
+        d4 = paper_system.storage_nodes["D4"]
+        algebra = BGP((NICK,))
+        acc = wire.encode_solutions(
+            d4.local_eval(algebra) | rows_of(3, "acc"), encode)
+        acc_rows = frozenset(shipped_rows(acc))
+        d2.rpc_chain_step({"algebra": algebra, "acc": acc, "route": [],
+                           "final": "D2", "corr": "merge", "notify": None,
+                           "encode": encode}, "test")
+        old = as_solution_set(acc)
+        old.update(d2.local_eval(algebra))
+        assert d2.mailbox["merge"] == old
+        assert shipped_rows(acc) == acc_rows  # the accumulator is untouched
+
+
+class TestMailboxesUnderDuplication:
+    """A duplicated ``deliver`` carries the same shipped rows twice; each
+    mailbox must stay its own mutable set."""
+
+    @pytest.mark.parametrize("strategy", [PrimitiveStrategy.BASIC,
+                                          PrimitiveStrategy.CHAINED],
+                             ids=["basic", "chained"])
+    def test_no_two_mailboxes_share_a_set(self, monkeypatch, strategy):
+        system = build_system()
+        shipped = []
+        real = QueryPeer.rpc_deliver
+
+        def checked(self, payload, src):
+            real(self, payload, src)
+            shipped.append(shipped_rows(payload.get("data", ())))
+            boxes = [box for node in system.network.nodes.values()
+                     for box in node.__dict__.get("_qp_mailbox", {}).values()]
+            assert all(type(box) is set for box in boxes)
+            assert len({id(box) for box in boxes}) == len(boxes)
+            assert not {id(box) for box in boxes} & {id(rows) for rows in shipped}
+
+        monkeypatch.setattr(QueryPeer, "rpc_deliver", checked)
+        system.network.install_faults(FaultPlan(
+            rules=(FaultRule("duplicate", probability=1.0, delay=0.2,
+                             jitter=0.5),), seed=3))
+        executor = DistributedExecutor(system, ExecutionOptions(
+            primitive_strategy=strategy, dictionary_encoding=True))
+        for name in ("fig4", "fig9"):
+            query = PAPER_FIG_QUERIES[name]
+            result, _ = executor.execute(query, initiator="D1")
+            assert result.rows == oracle_rows(system, query)
+        assert shipped

@@ -205,18 +205,29 @@ class TestIntegersBeyondFloatRange:
     ORDER BY orders it by its exact value; neither aborts the query."""
 
     HUGE = INT(10 ** 400)
+    #: Its square has more digits than Python writes out as a string.
+    LONG = INT(int("7" * 2200))
 
-    def run(self, where, extra=(), modifiers=""):
+    def run(self, where, extra=(), modifiers="", value=HUGE):
         from repro.rdf import Graph, Triple
         from repro.sparql import evaluate_query
 
-        graph = Graph([Triple(IRI("http://a"), IRI("http://p"), self.HUGE), *extra])
+        graph = Graph([Triple(IRI("http://a"), IRI("http://p"), value), *extra])
         query = parse_query(f"SELECT ?o WHERE {{ ?s ?p ?o . {where} }} {modifiers}")
         return evaluate_query(query, graph).rows
 
     @pytest.mark.parametrize("condition", ["?o / 3 > 1", "?o * 1.5 > 1"])
     def test_overflowing_filter_drops_the_row(self, condition):
         assert self.run(f"FILTER({condition})") == []
+
+    @pytest.mark.parametrize("condition, kept", [
+        ('STR(?o * ?o) != ""', False),
+        ("isLiteral(?o * ?o)", False),
+        ("?o * ?o > 1", True),
+    ])
+    def test_too_long_to_write_is_a_type_error(self, condition, kept):
+        rows = self.run(f"FILTER({condition})", value=self.LONG)
+        assert len(rows) == (1 if kept else 0)
 
     def test_overflow_is_a_type_error(self):
         with pytest.raises(SparqlEvalError):

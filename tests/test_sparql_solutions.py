@@ -4,7 +4,7 @@ the algebraic laws the paper's optimizations rely on (Sect. IV-B/IV-D)."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rdf import IRI, Literal, Triple, TriplePattern, Variable
+from repro.rdf import BlankNode, IRI, Literal, Triple, TriplePattern, Variable
 from repro.sparql import (
     EMPTY_MAPPING,
     SolutionMapping,
@@ -16,6 +16,7 @@ from repro.sparql import (
     minus,
     union,
 )
+from repro.sparql.solutions import canonical_key
 
 X, Y, Z, W = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 A, B, C = IRI("http://x/a"), IRI("http://x/b"), IRI("http://x/c")
@@ -227,3 +228,38 @@ def test_minus_partial_domains():
     assert minus(left, {mu(x=C, y=B)}) == {mu(x=A, y=B), mu(x=B)}
     assert minus(left, {mu(w=A)}) == set()
     assert minus(left, {EMPTY_MAPPING}) == set()
+
+
+# ---------------------------------------------------------------------------
+# The canonical sort key is one flat string; its order must be the order
+# of the nested ``((name, n3), ...)`` tuple it replaced, for any content.
+# IRIs, blank-node labels and variable names may all carry ``\x00``.
+# ---------------------------------------------------------------------------
+
+_nul_text = st.text(alphabet="a\x00\x01b", max_size=4)
+_nul_terms = st.one_of(
+    st.builds(lambda s: IRI(f"h{s}"), _nul_text),
+    st.builds(lambda s: BlankNode(f"b{s}"), _nul_text),
+    st.builds(Literal, _nul_text),
+    st.builds(lambda s: Literal(s, language="en"), _nul_text),
+    st.sampled_from([A, B, C]),
+)
+_nul_rows = st.lists(
+    st.dictionaries(st.builds(lambda s: Variable(f"v{s}"), _nul_text),
+                    _nul_terms, max_size=3).map(SolutionMapping),
+    max_size=25)
+
+
+def _tuple_key(m):
+    return tuple((v.name, t.n3()) for v, t in m.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nul_rows)
+def test_flat_sort_key_orders_like_the_tuple(rows):
+    assert (sorted(rows, key=canonical_key)
+            == sorted(rows, key=_tuple_key))
+    for a in rows:
+        for b in rows:
+            assert ((canonical_key(a) < canonical_key(b))
+                    == (_tuple_key(a) < _tuple_key(b)))
