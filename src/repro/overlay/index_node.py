@@ -207,16 +207,19 @@ class IndexNode(QueryPeer, ChordNode):
             return entries
         return []
 
+    def _bounces(self, payload: Dict[str, Any]) -> bool:
+        """A ``routed`` request (sent from a learned arc) is answered only
+        if this node ``owns()`` its key, else bounced with None and
+        nothing done; an unrouted one always, as a replica holder taking
+        over still has the dead owner as predecessor."""
+        return bool(payload.get("routed")) and not self.owns(payload["key"])
+
     def rpc_index_lookup(self, payload: Dict[str, Any],
                          src: str) -> Optional[List[LocationEntry]]:
-        """Row for ``key``. A ``routed`` read (sent from a learned arc)
-        is answered only if this node ``owns()`` the key, else bounced
-        with None; an unrouted one always, as a replica holder taking
-        over still has the dead owner as predecessor."""
-        key = payload["key"]
-        if payload.get("routed") and not self.owns(key):
+        """Row for ``key``, or None for a bounced routed read."""
+        if self._bounces(payload):
             return None
-        return self.locate(key)
+        return self.locate(payload["key"])
 
     def rpc_replica_drop(self, payload: Dict[str, Any], src: str) -> int:
         """Drop the replica rows we hold for *keys* (graceful-departure
@@ -251,7 +254,10 @@ class IndexNode(QueryPeer, ChordNode):
 
         Payload: ``algebra`` (the sub-query — a BGP of one pattern,
         possibly wrapped in a pushed-down Filter), ``key`` (ring key of
-        the pattern), ``strategy``, plus delivery directives:
+        the pattern), ``strategy`` (one of :data:`PRIMITIVE_STRATEGIES`,
+        or ``cost``: pick basic or freq from this row under the payload's
+        ``time_weight``, and return the row in the ack as ``row``), plus
+        delivery directives:
 
         * ``deposit`` — assemble here and keep the result in this node's
           mailbox under ``corr`` (the basic conjunction scheme of IV-D,
@@ -270,7 +276,14 @@ class IndexNode(QueryPeer, ChordNode):
         never a second execution, never a second chain kickoff. A corr
         the initiator already tombstoned is acknowledged emptily without
         executing at all.
+
+        A ``routed`` request bounces like a routed ``index_lookup``. One
+        asking for the ``arc`` gets this node's predecessor ident as
+        ``pred`` in the ack, so the initiator learns the owner's whole arc
+        (pred, self]; every other ack is unchanged.
         """
+        if self._bounces(payload):
+            return None
         if self._chaos_keep:
             corr = payload.get("corr")
             if corr is not None:
@@ -306,12 +319,29 @@ class IndexNode(QueryPeer, ChordNode):
         return reply
 
     def _execute_primitive(self, payload: Dict[str, Any], src: str):
-        strategy = payload.get("strategy", "basic")
         entries = self.locate(payload["key"])
+        ack = yield from self._primitive_ack(payload, src, entries)
+        if payload.get("strategy") == "cost":
+            # The row the scheme was picked from: the planner's statistics.
+            ack["row"] = entries
+        if payload.get("arc") and self.predecessor is not None:
+            ack["pred"] = self.predecessor.ident
+        return ack
+
+    def _primitive_ack(self, payload: Dict[str, Any], src: str,
+                       entries: List[LocationEntry]):
+        strategy = payload.get("strategy", "basic")
         if payload.get("cache"):
             served = yield from self._execute_cached(payload, src, entries)
             if served is not None:
                 return served
+        if strategy == "cost":
+            # A lone leaf of a cost plan: this row is the planner's
+            # statistics, so the scheme is picked here (Sect. V).
+            from ..query.cost import choose_strategy  # deferred: query imports overlay
+
+            strategy = choose_strategy(entries, self.network.link,
+                                       payload["time_weight"])[0].wire_name
         if strategy == "basic":
             result, pruned, dropped = yield from self._execute_basic(
                 payload, entries)

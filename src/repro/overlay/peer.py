@@ -48,9 +48,10 @@ class RouteTable:
     """Owner arcs learned from ring lookups. A lookup of key k naming
     owner O proves that no node lies in [k, O.ident), so O owns
     (k-1, O.ident]; one arc per owner, widened downward by later keys.
-    A hint, never an authority: the owner checks every routed read
-    (``IndexNode.rpc_index_lookup``), and the caller forgets an arc that
-    bounced or whose owner did not answer."""
+    An owner that names its predecessor P in its reply makes the arc
+    exact: (P.ident, O.ident]. A hint, never an authority: the owner
+    checks every routed request (``IndexNode._bounces``), and the caller
+    forgets an arc that bounced or whose owner did not answer."""
 
     def __init__(self, space) -> None:
         self.space = space
@@ -76,15 +77,17 @@ class RouteTable:
             return None
         return self._arcs[self._idents[bisect_left(self._idents, key) - 1]][1]
 
-    def learn(self, key: int, ref) -> None:
-        """Record that a ring lookup of *key* named owner *ref*."""
-        low = self.space.normalize(key - 1)
+    def learn(self, key: int, ref, pred: Optional[int] = None) -> None:
+        """Record that a ring lookup of *key* named owner *ref*, whose
+        reply named its predecessor ident *pred* (None: not asked)."""
+        low = self.space.normalize(key - 1) if pred is None else pred
         old = self._arcs.pop(ref.ident, None)
         if old is None:
             insort(self._idents, ref.ident)
             if len(self._arcs) >= ROUTE_CAP:
                 self.forget(next(iter(self._arcs.values()))[1])
-        elif old[1] == ref and self.space.between_right_closed(key, old[0], ref.ident):
+        elif (pred is None and old[1] == ref
+              and self.space.between_right_closed(key, old[0], ref.ident)):
             low = old[0]
         self._arcs[ref.ident] = (low, ref)
 

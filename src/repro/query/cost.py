@@ -12,7 +12,8 @@ Two layers live here:
    initiator already has (the location-table row's provider frequencies
    and the link model) picking whichever of BASIC / FREQ-chain minimizes
    a weighted mixture of transmission and response time. The annotator
-   below runs it once per leaf to pin that leaf's scheme (E11).
+   below runs it once per leaf to pin that leaf's scheme (E11); for a
+   plan that is one leaf, the key's owner runs it on its own row.
 
 2. The **whole-plan annotator** (:func:`annotate_plan`) — the
    ``--plan cost`` mode. It consults the two-level index once for every
@@ -61,7 +62,7 @@ from .conjunction import walk_site
 from .physical import (
     BGPWalk, CachedScan, CacheProbe, ChainShip, EmptyScan, FilterOp,
     GraphScope, HashJoin, LeftJoinOp, LocalBGPScan, PhysOp, Ship, UnionOp,
-    chain_leaves,
+    chain_leaves, note_lookup,
 )
 from .join_site import SEMIJOIN_EXACT_THRESHOLD, digest_request
 from .primitive import locate_leaves
@@ -70,7 +71,7 @@ from .strategies import PrimitiveStrategy
 __all__ = [
     "CostModel", "StrategyCosts", "choose_strategy", "BYTES_PER_SOLUTION",
     "est_row_bytes", "estimate_join_rows", "FILTER_SELECTIVITY",
-    "annotate_plan", "choose_combine_site",
+    "annotate_leaf", "annotate_plan", "choose_combine_site",
 ]
 
 #: Prior estimate of the wire size of one solution mapping. Only relative
@@ -392,7 +393,15 @@ def annotate_plan(ctx, plan: PhysOp):
     their site (:func:`_landing_site`);
     combine edges get byte estimates that :func:`choose_combine_site`
     reads at execution time.
+
+    A plan that is one leaf has nothing to decide but its scheme, so it
+    pays no statistics round: the leaf stays unpinned and its sub-query
+    goes to the key's owner, which picks the scheme from its own row
+    (:func:`choose_strategy` on the ``cost`` wire strategy).
     """
+    if isinstance(plan, ChainShip):
+        ctx.report.merge_note("cost plan: the owner picks the scheme")
+        return
     leaves = chain_leaves(plan)
     infos = yield from locate_leaves(
         ctx, leaves, partial=ctx.options.partial_results, flag=False)
@@ -400,6 +409,16 @@ def annotate_plan(ctx, plan: PhysOp):
         leaf.lookup.info = info
     ctx.report.merge_note(f"cost plan: {len(leaves)} statistics lookups")
     _estimate(ctx, plan)
+
+
+def annotate_leaf(ctx, leaf: ChainShip, info) -> None:
+    """Annotate a lone leaf from *info*, the row its owner picked the
+    scheme from and returned with its ack: the row, estimate and pinned
+    scheme that the statistics round and estimation pass give a leaf of
+    a larger plan, so ``repro explain`` shows the same."""
+    leaf.lookup.info = info
+    note_lookup(leaf.lookup, info)
+    _estimate(ctx, leaf)
 
 
 def _pin_leaf_strategy(ctx, leaf: ChainShip) -> None:

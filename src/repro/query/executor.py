@@ -27,12 +27,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..net.sim import Event
-from ..net.transport import RpcError, RpcTimeout
+from ..net.transport import NodeUnknown, RpcError, RpcTimeout
 from ..net.wire import as_solution_set, shipped_rows
 from ..trace.tracer import (
     NULL_TRACER, PHASE_FINALIZE, PHASE_LOOKUP, PhaseStats, Tracer,
 )
-from ..overlay.keys import key_for_pattern
 from ..overlay.peer import QueryPeer
 from ..overlay.system import HybridSystem
 from ..rdf.graph import Graph
@@ -51,7 +50,8 @@ from .physical import (
     HashJoin, LeftJoinOp, PhysOp, UnionOp, compile_query_plan,
     execution_root, note_result, pattern_leaf, record_postprocess,
 )
-from .plan import PatternInfo, ResultHandle, compute_live_vars
+from .failover import owner_or_replica
+from .plan import PatternInfo, ResultHandle, compute_live_vars, unread_info
 from .strategies import DELIVERY_TIMEOUT, ExecutionOptions
 
 __all__ = ["DistributedExecutor", "ExecutionReport", "ExecutionContext",
@@ -122,6 +122,36 @@ class ExecutionReport:
     def phase_bytes(self, phase: str) -> int:
         stats = self.phases.get(phase)
         return stats.bytes if stats is not None else 0
+
+
+class _RowRead:
+    """The location-table read of *key* that :meth:`ExecutionContext.locate`
+    puts to the key's owner: ``index_lookup``, or a local read when the
+    initiator is that index node."""
+
+    def __init__(self, ctx: "ExecutionContext", key: int) -> None:
+        self.ctx, self.key = ctx, key
+
+    def send(self, node_id: str, routed: bool = False, arc: bool = False):
+        """Generator → ``(entries, None)``; a routed read bounced by a
+        node that does not own the key gives ``(None, None)``. A row
+        read never asks for its owner's arc."""
+        ctx = self.ctx
+        if node_id == ctx.initiator:
+            return ctx.system.index_nodes[node_id].locate(self.key), None
+        payload = {"key": self.key, "routed": True} if routed else {"key": self.key}
+        return (yield ctx.call(node_id, "index_lookup", payload)), None
+
+    def condemns(self, node_id: str) -> bool:
+        """A row read dials even an open-circuit owner: the transport
+        short-circuits it, or lets it through as the half-open probe."""
+        return False
+
+    def give_up(self, dead: str) -> None:
+        """A row read leaves nothing behind at a dead owner."""
+
+    def failed_over(self, dead: str, alt: str) -> None:
+        self.ctx.network.failover.lookup_failovers += 1
 
 
 class ExecutionContext:
@@ -437,10 +467,10 @@ class ExecutionContext:
         consultation is in flight, and parallel askers of the key wait on
         ``done`` instead of issuing a duplicate, then look again.
         """
-        located = key_for_pattern(pattern, self.system.space)
-        if located is None:
-            return PatternInfo(pattern, None, None, None, (), 0, condition)
-        kind, key = located
+        info = unread_info(pattern, condition, self.system.space)
+        if info.key is None:
+            return info
+        located = kind, key = info.key_kind, info.key
         ledger = self.network.data_epochs
         memo = self._lookup_cache
         entry = memo.get(located)
@@ -461,19 +491,14 @@ class ExecutionContext:
             entry = memo.get(located)
         stamp, done = ledger.stamp((key,)), self.sim.event()
         entry = memo[located] = (stamp, done, None)
-        span = self.tracer.span("lookup", phase=PHASE_LOOKUP, pattern=str(pattern))
-        hops, route = 0, {}
         try:
-            owner_id, entries, hops = yield from self._resolve(key, route)
-            self.report.lookup_hops += hops
+            owner_id, entries, hops = yield from self.consult(pattern, key,
+                                                          _RowRead(self, key))
         except BaseException as exc:
             if memo.get(located) is entry:
                 del memo[located]
             done.fail(exc)
             raise
-        finally:
-            span.close(hops=hops, **route)
-        self.report.lookup_cache_misses += 1
         entries = tuple(entries)
         if memo.get(located) is entry:
             memo[located] = (stamp, done, (owner_id, entries))
@@ -495,34 +520,53 @@ class ExecutionContext:
             self.entry_index = self._reattach(storage)
         return (yield self.call(self.entry_index, "find_successor", payload))
 
-    def _resolve(self, key: int, route: Dict[str, Any]):
-        """Generator: resolve *key* → ``(owner_id, entries, hops)`` via
-        the two-level index, failing over to the promoted replica row
-        when the owner is dead (``options.failover``).
+    def consult(self, pattern: TriplePattern, key: int, request):
+        """Generator: :meth:`owner_call` under a ``lookup`` span, its
+        hops charged to the report → ``(node_id, reply, hops)``."""
+        span = self.tracer.span("lookup", phase=PHASE_LOOKUP, pattern=str(pattern))
+        hops, route = 0, {}
+        try:
+            node_id, reply, hops = yield from self.owner_call(key, route, request)
+        finally:
+            span.close(hops=hops, **route)
+        self.report.lookup_hops += hops
+        self.report.lookup_cache_misses += 1
+        return node_id, reply, hops
 
-        A learned owner arc (:class:`~repro.overlay.peer.RouteTable`)
-        skips the ring, at 0 hops; a bounce or failed call forgets it
-        and takes the ring path, which learns the arc once the owner it
-        named answered. The ring walk starts at the learned owner closest
-        before *key*; if that start fails it is forgotten and the walk
-        enters at the entry node. *route* gets the span's
-        ``routed``/``fallback``/``start``.
+    def owner_call(self, key: int, route: Dict[str, Any], request):
+        """Generator: put *request* (a row read or a
+        :class:`~repro.query.failover.PrimitiveCall`, whose ``send``
+        returns ``(reply, pred)``) to *key*'s owner → ``(node_id, reply,
+        hops)``.
+
+        The owner is the entry node when the initiator is the index node
+        owning *key*; else a learned owner arc
+        (:class:`~repro.overlay.peer.RouteTable`), sent ``routed`` at 0
+        hops. A bounce (None) or failed call forgets the arc and takes
+        the ring, whose walk starts at the learned owner closest before
+        *key* (forgotten if it fails, then the entry node). The owner the
+        ring names is asked for its arc and learned as ``(pred, owner]``
+        (``(key-1, owner]`` without *pred*); a dead one is left to
+        :func:`~repro.query.failover.owner_or_replica`. *route* gets the
+        span's ``routed``/``fallback``/``start``.
         """
         entry_node = self.system.index_nodes[self.entry_index]
         if self.initiator == self.entry_index and entry_node.owns(key):
-            return self.entry_index, entry_node.locate(key), 0
+            reply, _pred = yield from request.send(self.entry_index)
+            return self.entry_index, reply, 0
         routes = self.initiator_peer.routes(self.system.space)
         ref = routes.get(key)
         if ref is not None:
             try:
-                entries = yield self.call(ref.node_id, "index_lookup",
-                                          {"key": key, "routed": True})
+                reply, _pred = yield from request.send(ref.node_id, routed=True)
                 reason = "bounce"
-            except RpcError as exc:
-                entries, reason = None, type(exc).__name__
-            if entries is not None:
+            except (RpcTimeout, NodeUnknown) as exc:
+                # A failure to reach the owner, not one the owner raised
+                # (a RemoteError, such as a spent deadline, propagates).
+                reply, reason = None, type(exc).__name__
+            if reply is not None:
                 route["routed"] = True
-                return ref.node_id, entries, 0
+                return ref.node_id, reply, 0
             routes.forget(ref)
             route["fallback"] = reason
         result = None
@@ -536,32 +580,16 @@ class ExecutionContext:
                 routes.forget(start)
         if result is None:
             result = yield from self.ring_resolve({"key": key})
-        owner_id = result.ref.node_id
-        hops = result.hops
-        if owner_id == self.initiator and owner_id in self.system.index_nodes:
-            return owner_id, self.system.index_nodes[owner_id].locate(key), hops
-        # With failover on, an owner the routed read just timed out on is
-        # not read twice: that would cost a second timeout.
-        timed_out = route.get("fallback") == "RpcTimeout" and ref.node_id == owner_id
-        if not (timed_out and self.options.failover):
-            try:
-                entries = yield self.call(owner_id, "index_lookup", {"key": key})
-                routes.learn(key, result.ref)
-                return owner_id, entries, hops
-            except RpcTimeout:
-                if not self.options.failover:
-                    raise
-        # The replica holder's IndexNode.locate promotes its replica row
-        # on read.
-        span = self.tracer.span("failover", phase=PHASE_LOOKUP, dead=owner_id,
-                                key=key)
-        try:
-            alt_id, alt_hops = yield from self.replica_of(key, owner_id)
-        finally:
-            span.close()
-        entries = yield self.call(alt_id, "index_lookup", {"key": key})
-        self.network.failover.lookup_failovers += 1
-        return alt_id, entries, hops + alt_hops
+        owner = result.ref
+        local = owner.node_id == self.initiator
+        # An owner the routed request just timed out on is not dialed twice.
+        timed_out = (route.get("fallback") == "RpcTimeout"
+                     and ref.node_id == owner.node_id)
+        node_id, reply, pred, alt_hops = yield from owner_or_replica(
+            self, key, owner.node_id, request, skip=timed_out, arc=not local)
+        if node_id == owner.node_id and not local:
+            routes.learn(key, owner, pred)
+        return node_id, reply, result.hops + alt_hops
 
     def replica_of(self, key: int, dead: str):
         """Generator: *key*'s replica holder once its owner *dead* failed

@@ -2,16 +2,16 @@
 
 Sect. III-D replicates each index node's location table across its
 successor list so the system "can eventually recover" from failure.
-:func:`dispatch_primitive` makes in-flight queries exploit that
-replication *now*: when a dispatch to a key's owner times out, the key's
+:func:`owner_or_replica` makes in-flight queries exploit that
+replication *now*: when a request to a key's owner times out, the key's
 replica holder is re-resolved (:meth:`ExecutionContext.replica_of`) and
-the timed-out step is re-dispatched there instead of abandoning the
-query. Index lookups fail over the same way in
-:meth:`ExecutionContext._resolve`. The paper's two steps, a timeout
-that detects the dead owner and a successor-list replica that recovers
-from it, are the whole mechanism.
+the request is put there instead of abandoning the query. Row reads
+(:meth:`ExecutionContext.locate`) and sub-query dispatches
+(:func:`dispatch_primitive`) fail over by this one rule. The paper's two
+steps, a timeout that detects the dead owner and a successor-list
+replica that recovers from it, are the whole mechanism.
 
-Without ``ExecutionOptions.failover`` the dispatch is one plain call.
+Without ``ExecutionOptions.failover`` a request is one plain call.
 """
 
 from __future__ import annotations
@@ -22,57 +22,121 @@ from typing import Optional
 from ..net.transport import RpcTimeout
 from ..trace.tracer import PHASE_LOOKUP
 
-__all__ = ["dispatch_primitive"]
+__all__ = ["PrimitiveCall", "dispatch_primitive", "owner_or_replica"]
+
+
+def owner_or_replica(ctx, key: int, owner_id: str, request,
+                     skip: bool = False, arc: bool = False):
+    """Generator: put *request* to *owner_id*, or to *key*'s replica
+    holder when the owner times out → ``(node_id, reply, pred, hops)``.
+
+    *skip* says the owner is already condemned (a timeout a moment ago),
+    as does an open circuit for a request that routes around one
+    (``request.condemns``): it is not dialed, because that would cost a
+    timeout for nothing. The replica holder gets the request once, never
+    ``routed`` and never asking for an arc (*arc* asks the owner), so no
+    arc is ever learned from a failover answer (*pred* is None, *hops*
+    the re-resolution's). Without ``options.failover`` the owner is
+    dialed whatever *skip* says, and its timeout raised.
+    """
+    failover = ctx.options.failover
+    if not (failover and (skip or request.condemns(owner_id))):
+        try:
+            reply, pred = yield from request.send(owner_id, arc=arc)
+            return owner_id, reply, pred, 0
+        except RpcTimeout:
+            if not failover:
+                raise
+    span = ctx.tracer.span("failover", phase=PHASE_LOOKUP, dead=owner_id,
+                           key=key)
+    try:
+        request.give_up(owner_id)
+        # The replica holder's IndexNode.locate promotes its replica row
+        # on read.
+        alt_id, hops = yield from ctx.replica_of(key, owner_id)
+        reply, _pred = yield from request.send(alt_id)
+    finally:
+        span.close()
+    request.failed_over(owner_id, alt_id)
+    return alt_id, reply, None, hops
+
+
+class PrimitiveCall:
+    """One ``execute_primitive`` request and the correlation ids its
+    answer arrives under: *corr*, and *tag*, the ``notify_corr``
+    delivery tag (None without a fault plan)."""
+
+    def __init__(self, ctx, payload: dict, timeout: Optional[float] = None) -> None:
+        if ctx.deadline_at is not None:
+            payload = dict(payload, deadline=ctx.deadline_at)
+        self.ctx, self.payload, self.timeout = ctx, payload, timeout
+        self.corr, self.tag = payload["corr"], payload.get("notify_corr")
+
+    def send(self, node_id: str, routed: bool = False, arc: bool = False):
+        """Generator → ``(ack, pred)``. A ``routed`` request is bounced
+        (ack None) by a node that does not own the key; *pred* is the
+        predecessor ident that an owner asked for its ``arc`` names in
+        its ack."""
+        payload = self.payload
+        if routed:
+            payload = dict(payload, routed=True)
+        elif arc:
+            payload = dict(payload, arc=True)
+        ack = yield self.ctx.call(node_id, "execute_primitive", payload,
+                                  timeout=self.timeout)
+        return ack, (ack.get("pred") if ack is not None else None)
+
+    def condemns(self, node_id: str) -> bool:
+        """With a health ledger installed (``options.breaker``) an owner
+        whose circuit is open is routed around *before* being dialed: no
+        timeout is burned from the query deadline on a peer recent
+        history already condemned."""
+        health = self.ctx.network.health
+        return health is not None and health.open_now(node_id)
+
+    def give_up(self, dead: str) -> None:
+        """The dead owner may have started the fan-out before dying: its
+        ids are tombstoned here and at the final site, and the replica's
+        step runs under fresh ones, so no late delivery or ``delivered``
+        of the first owner can pass for the replica's."""
+        ctx = self.ctx
+        ctx.abandon(self.corr, site=self.payload.get("final"))
+        if self.tag is not None:
+            ctx.abandon(self.tag)
+        self.corr = ctx.new_corr()
+        self.payload = dict(self.payload, corr=self.corr)
+        if self.tag is not None:
+            self.tag = ctx.delivery_tag(self.payload)
+
+    def failed_over(self, dead: str, alt: str) -> None:
+        self.ctx.network.failover.dispatch_failovers += 1
+        self.ctx.report.merge_note(f"dispatch failover {dead} -> {alt}")
 
 
 def dispatch_primitive(ctx, info, payload: dict, corr: str,
                        timeout: Optional[float] = None):
-    """Generator: dispatch ``execute_primitive`` to *info.owner*, failing
-    over to the replica holder if the owner times out.
+    """Generator: dispatch ``execute_primitive`` for *info*'s key,
+    failing over to the replica holder if the owner times out.
 
     Returns ``(ack, info, corr, tag)`` — *info* updated to the node that
-    actually served the step, *corr* re-minted on failover so a late
-    reply from a half-dead owner can never collide with the replica's
-    answer (the original id is tombstoned here and at the final site),
-    and *tag* the ``notify_corr`` delivery tag, re-minted with *corr* so
-    the first owner's late ``delivered`` cannot end the replica's wait.
-    Without ``options.failover`` this is exactly one plain call.
+    actually served the step, and the :class:`PrimitiveCall`'s *corr* and
+    *tag*, re-minted on failover. Without ``options.failover`` this is
+    exactly one plain call to a located owner.
 
-    With a health ledger installed (``options.breaker``) an owner whose
-    circuit is currently open is routed around *before* being dialed:
-    the step goes straight to the replica holder, with no timeout burned
-    from the query deadline on a peer recent history already condemned.
+    An unread *info* (no row, no owner yet) is resolved and dispatched
+    in one step by :meth:`ExecutionContext.consult`: the owner reads its
+    own row, so no ``index_lookup`` round trip precedes the dispatch.
+    Either way an owner whose circuit is open is routed around
+    (:meth:`PrimitiveCall.condemns`).
     """
-    if ctx.deadline_at is not None:
-        payload = dict(payload, deadline=ctx.deadline_at)
-    tag = payload.get("notify_corr")
-    failover = ctx.options.failover and info.key is not None
-    health = ctx.network.health
-    if not (failover and health is not None and health.open_now(info.owner)):
-        try:
-            ack = yield ctx.call(info.owner, "execute_primitive", payload,
-                                 timeout=timeout)
-            return ack, info, corr, tag
-        except RpcTimeout:
-            if not failover:
-                raise
-    dead = info.owner
-    span = ctx.tracer.span("failover", phase=PHASE_LOOKUP, dead=dead,
-                           key=info.key, corr=corr)
-    try:
-        # The dead owner may have started the fan-out before dying: a
-        # late delivery under the old id must be dropped on arrival.
-        ctx.abandon(corr, site=payload.get("final"))
-        if tag is not None:
-            ctx.abandon(tag)
-        owner_id, _hops = yield from ctx.replica_of(info.key, dead)
-        corr = ctx.new_corr()
-        payload = dict(payload, corr=corr)
-        if tag is not None:
-            tag = ctx.delivery_tag(payload)
-        ack = yield ctx.call(owner_id, "execute_primitive", payload, timeout=timeout)
-    finally:
-        span.close()
-    ctx.network.failover.dispatch_failovers += 1
-    ctx.report.merge_note(f"dispatch failover {dead} -> {owner_id}")
-    return ack, replace(info, owner=owner_id), corr, tag
+    request = PrimitiveCall(ctx, payload, timeout)
+    if info.owner is None:
+        owner_id, ack, hops = yield from ctx.consult(info.pattern, info.key,
+                                                     request)
+        info = replace(info, owner=owner_id, lookup_hops=hops)
+    else:
+        owner_id, ack, _pred, _hops = yield from owner_or_replica(
+            ctx, info.key, info.owner, request)
+        if owner_id != info.owner:
+            info = replace(info, owner=owner_id)
+    return ack, info, request.corr, request.tag

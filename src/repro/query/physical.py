@@ -63,7 +63,7 @@ __all__ = [
     "OrderBy", "Project", "Distinct", "Slice", "FormOp",
     "compile_local", "interpret_local",
     "compile_distributed", "compile_query_plan",
-    "pattern_leaf", "note_lookup", "note_result", "may_prune",
+    "pattern_leaf", "note_lookup", "note_owner", "note_result", "may_prune",
     "walk_plan", "chain_leaves", "count_ops", "format_plan",
 ]
 
@@ -474,8 +474,14 @@ def note_lookup(lookup: IndexLookup, info) -> None:
     """Record what the index said about a leaf (display annotations only;
     never feeds back into execution decisions)."""
     lookup.est_rows = info.total_frequency
-    lookup.placement = info.owner
     lookup.detail["providers"] = len(info.entries)
+    note_owner(lookup, info)
+
+
+def note_owner(lookup: IndexLookup, info) -> None:
+    """Record the index node that served a leaf and its key kind: all a
+    leaf shows whose owner read the row itself."""
+    lookup.placement = info.owner
     if info.key_kind is not None:
         lookup.detail["key"] = info.key_kind.value
 

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
-from ..overlay.keys import KeyKind
+from ..overlay.keys import KeyKind, key_for_pattern
 from ..overlay.location_table import LocationEntry
 from ..rdf.terms import Variable
 from ..rdf.triple import TriplePattern
@@ -24,6 +24,7 @@ __all__ = [
     "PatternInfo",
     "ResultHandle",
     "subquery_algebra",
+    "unread_info",
     "choose_shared_site",
     "combine_vars",
     "compute_live_vars",
@@ -38,10 +39,12 @@ class PatternInfo:
     #: The index key serving the pattern; None for (?s, ?p, ?o).
     key_kind: Optional[KeyKind]
     key: Optional[int]
-    #: Index node owning the key (None for the broadcast case).
+    #: Index node owning the key (None for the broadcast case, and while
+    #: an unread pattern's owner is not yet resolved).
     owner: Optional[str]
-    #: The location-table row.
-    entries: Tuple[LocationEntry, ...]
+    #: The location-table row; None when it was not read, because the
+    #: owner reads it itself when the sub-query reaches it.
+    entries: Optional[Tuple[LocationEntry, ...]]
     #: DHT hops spent locating the owner.
     lookup_hops: int = 0
     #: FILTER condition pushed into this pattern's sub-query, if any.
@@ -112,6 +115,16 @@ def combine_vars(
     if op in ("leftjoin", "minus"):
         return left
     return None
+
+
+def unread_info(pattern: TriplePattern, condition: Optional[ast.Expression],
+                space) -> PatternInfo:
+    """*pattern*'s ring key with its row not read (``entries`` None), or
+    the broadcast info of (?s, ?p, ?o), which has no key and no row."""
+    located = key_for_pattern(pattern, space)
+    if located is None:
+        return PatternInfo(pattern, None, None, None, (), 0, condition)
+    return PatternInfo(pattern, located[0], located[1], None, None, 0, condition)
 
 
 def subquery_algebra(info: PatternInfo) -> Algebra:

@@ -24,6 +24,7 @@ storage node.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional
 
 from ..net.sizes import size_of
@@ -32,8 +33,8 @@ from ..net.wire import PRUNED_COUNTER_BYTES, JoinDigest
 from ..sparql.solutions import union as omega_union
 from .failover import dispatch_primitive
 from .join_site import digest_embed_cost
-from .physical import ChainShip, note_lookup
-from .plan import PatternInfo, ResultHandle, subquery_algebra
+from .physical import ChainShip, note_lookup, note_owner
+from .plan import PatternInfo, ResultHandle, subquery_algebra, unread_info
 from .strategies import DELIVERY_TIMEOUT, PrimitiveStrategy
 
 __all__ = ["exec_primitive", "locate_leaves", "exec_pattern_to_site", "exec_broadcast",
@@ -46,7 +47,7 @@ def exec_primitive(ctx, leaf: ChainShip, at_home: bool = False):
     The leaf's :class:`~repro.query.physical.IndexLookup` carries the
     pattern and any pushed-down condition; when the cost planner already
     fetched its location-table row (``lookup.info``), the consultation is
-    skipped — otherwise the index is consulted here, exactly as before.
+    skipped.
 
     ``at_home=False`` materializes at the initiator (the right choice for
     a top-level primitive query). ``at_home=True`` leaves the result at
@@ -57,17 +58,24 @@ def exec_primitive(ctx, leaf: ChainShip, at_home: bool = False):
     cost planner pinned to BASIC has no home: its owner index node
     assembles the rows, so they cross the network whichever site they
     land at, and they land at the initiator, where they are consumed.
+
+    Only a home site is picked from the row, so a leaf landing at the
+    initiator does not read it: the sub-query goes straight to the key's
+    owner, which reads its own row (Sect. IV-C), one round trip fewer
+    (:func:`~repro.query.failover.dispatch_primitive`).
     """
     lookup = leaf.lookup
     span = ctx.tracer.span("primitive", pattern=str(lookup.pattern))
     try:
         info = lookup.info
-        if info is None:
+        at_home = at_home and leaf.plan_strategy is not PrimitiveStrategy.BASIC
+        if info is None and at_home:
             info = yield from ctx.locate(lookup.pattern, lookup.condition)
             note_lookup(lookup, info)
-        if info.owner is None:
+        elif info is None:
+            info = unread_info(lookup.pattern, lookup.condition, ctx.system.space)
+        if info.key is None:
             return (yield from exec_broadcast(ctx, subquery_algebra(info)))
-        at_home = at_home and leaf.plan_strategy is not PrimitiveStrategy.BASIC
         site = (at_home and info.heaviest_provider()) or ctx.initiator
         return (yield from exec_pattern_to_site(ctx, info, site, leaf=leaf))
     except RpcTimeout:
@@ -132,6 +140,9 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
     which also triggers the stale-entry cleanup of Sect. III-D at the
     owner index node. A *digest* rides with the sub-query to every
     provider, which sheds the rows that cannot join before they travel.
+    An unread *info* (no row) resolves its owner with the dispatch; a
+    lone leaf of a cost plan, left unpinned, lets that owner pick the
+    scheme from its row (the ``cost`` wire strategy).
     """
     from .executor import DeliveryTimeout  # local import: avoid cycle
 
@@ -139,7 +150,7 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
     pattern_vars = frozenset(info.pattern.variables())
     keep = ctx.keep_vars(pattern_vars)
     result_vars = frozenset(keep) if keep is not None else pattern_vars
-    if not info.entries:
+    if info.entries is not None and not info.entries:  # read, and empty
         if site == ctx.initiator:
             return ctx.local_deposit(corr, set(), vars=result_vars)
         # Install an empty box remotely so downstream combines find it.
@@ -148,28 +159,44 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
 
     algebra = subquery_algebra(info)
     strategy = ctx.options.primitive_strategy
-    if leaf is not None:
-        # The cost planner pins each leaf's scheme at plan time.
-        strategy = leaf.plan_strategy or strategy
+    if leaf is not None and leaf.plan_strategy is not None:
+        strategy = leaf.plan_strategy  # pinned by the cost planner
+    elif leaf is not None and ctx.options.plan_mode == "cost":
+        strategy = None  # unpinned: the owner picks
+    if leaf is not None and strategy is not None:
         leaf.detail["strategy"] = strategy.wire_name
-
     if strategy is PrimitiveStrategy.BASIC:
         return (yield from _basic(ctx, info, algebra, site, corr, keep=keep,
                                   result_vars=result_vars, digest=digest,
                                   leaf=leaf))
 
-    payload = primitive_payload(ctx, info, algebra, strategy.wire_name, corr, keep)
+    timeout = None
+    wire = strategy.wire_name if strategy is not None else "cost"
+    payload = primitive_payload(ctx, info, algebra, wire, corr, keep)
     payload.update(final=site, end_at=site, notify=ctx.initiator)
+    if strategy is None:
+        # The owner may fan out, which is bounded as _basic bounds it.
+        payload.update(time_weight=ctx.options.time_weight,
+                       storage_timeout=DELIVERY_TIMEOUT)
+        timeout = DELIVERY_TIMEOUT * 4
     if digest is not None:
         payload["digest"] = digest
     tag = ctx.delivery_tag(payload)
-    ack, info, corr, tag = yield from dispatch_primitive(ctx, info, payload,
-                                                         corr)
+    ack, info, corr, tag = yield from _dispatch(ctx, info, payload, corr,
+                                                leaf, timeout)
+    if strategy is None:
+        from .cost import annotate_leaf  # local import: cost imports us
+
+        info = replace(info, entries=tuple(ack["row"]))
+        annotate_leaf(ctx, leaf, info)
+        leaf.detail["strategy"] = leaf.plan_strategy.wire_name
     # The digest rode in one chain_step per hop; chain steps report no
     # pruned counts.
     charge_digest(ctx, payload, ack, len(ack.get("route", ())), leaf)
     if ack["mode"] == "direct":
-        # Empty route: no providers left; materialize the empty result.
+        # Empty route (no providers left), or the owner's fan-out:
+        # materialize its rows.
+        note_dropped(ctx, ack, info)
         ctx.unexpect(tag or corr)
         if site == ctx.initiator:
             return ctx.local_deposit(corr, ack["data"], vars=result_vars)
@@ -209,6 +236,19 @@ def primitive_payload(ctx, info: PatternInfo, algebra, strategy: str,
     return payload
 
 
+def _dispatch(ctx, info: PatternInfo, payload: dict, corr: str,
+              leaf: Optional[ChainShip], timeout: Optional[float] = None):
+    """Generator: :func:`dispatch_primitive`. An unread *info* comes back
+    resolved to the owner that read its own row, which is noted on
+    *leaf*'s lookup; a read one was noted when it was read."""
+    unread = info.entries is None
+    ack, info, corr, tag = yield from dispatch_primitive(ctx, info, payload,
+                                                         corr, timeout)
+    if unread and leaf is not None:
+        note_owner(leaf.lookup, info)
+    return ack, info, corr, tag
+
+
 def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
            keep=None, result_vars=None, digest=None, leaf=None):
     payload = primitive_payload(ctx, info, algebra, "basic", corr, keep)
@@ -221,19 +261,21 @@ def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
         payload["final"] = site
         payload["notify"] = ctx.initiator
         tag = ctx.delivery_tag(payload)
-        ack, info, corr, tag = yield from dispatch_primitive(
-            ctx, info, payload, corr, timeout=DELIVERY_TIMEOUT * 4)
+        ack, info, corr, tag = yield from _dispatch(
+            ctx, info, payload, corr, leaf, timeout=DELIVERY_TIMEOUT * 4)
         note_dropped(ctx, ack, info)
-        charge_digest(ctx, payload, ack, len(info.entries), leaf)
+        if digest is not None:  # only a leg of a walk, which read its row
+            charge_digest(ctx, payload, ack, len(info.entries), leaf)
         if ack["mode"] == "direct":
             yield ctx.call(site, "deliver", {"corr": corr, "data": ack["data"]})
             return ResultHandle(site, corr, len(ack["data"]), result_vars)
         yield from ctx.wait_delivery(corr, site=site, notify_corr=tag)
         return ResultHandle(site, corr, ack["count"], result_vars)
-    response, info, corr, _tag = yield from dispatch_primitive(
-        ctx, info, payload, corr, timeout=DELIVERY_TIMEOUT * 4)
+    response, info, corr, _tag = yield from _dispatch(
+        ctx, info, payload, corr, leaf, timeout=DELIVERY_TIMEOUT * 4)
     note_dropped(ctx, response, info)
-    charge_digest(ctx, payload, response, len(info.entries), leaf)
+    if digest is not None:  # only a leg of a walk, which read its row
+        charge_digest(ctx, payload, response, len(info.entries), leaf)
     return ctx.local_deposit(corr, response["data"], vars=result_vars)
 
 

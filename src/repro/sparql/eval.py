@@ -158,16 +158,15 @@ def apply_modifiers(
     """The paper's Post-Processing stage: Order, Projection, Distinct /
     Reduced, Offset, Limit — applied in the spec's order at the query
     initiator."""
-    rows = list(solutions)
-
+    # Canonical term order first, so that the stable ORDER BY sorts leave
+    # tied rows in it: set iteration order follows object addresses, and
+    # an answer cut by LIMIT/OFFSET must not depend on process history.
+    rows = sorted(solutions, key=canonical_key)
     for condition in reversed(modifiers.order):
         rows.sort(
             key=lambda mu: order_key(condition.expression, mu),
             reverse=condition.descending,
         )
-    if not modifiers.order:
-        # Deterministic output for unordered queries: canonical term order.
-        rows.sort(key=canonical_key)
 
     if projection:
         rows = project(rows, projection)

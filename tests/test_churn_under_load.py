@@ -18,6 +18,10 @@ from test_lifecycle_leaks import CLEAN, live_heap, peer_state
 
 X, Y = Variable("x"), Variable("y")
 KNOWS_QUERY = "SELECT ?x ?y WHERE { ?x foaf:knows ?y . }"
+#: Two leaves on the knows key: a walk, which reads the row
+#: (``index_lookup``) to plan, once for both leaves; KNOWS_QUERY sends its
+#: sub-query to the owner, which reads the row itself.
+KNOWS_WALK = "SELECT ?x ?y ?z WHERE { ?x foaf:knows ?y . ?y foaf:knows ?z . }"
 NAME_QUERY = 'SELECT ?x WHERE { ?x foaf:name "Smith" . }'
 
 

@@ -25,7 +25,7 @@ from repro.query.executor import ExecutionContext, ExecutionReport
 from repro.rdf import FOAF, TriplePattern, Variable
 
 from helpers import build_system
-from test_churn_under_load import KNOWS_QUERY, fail_at, knows_owner
+from test_churn_under_load import KNOWS_QUERY, KNOWS_WALK, fail_at, knows_owner
 from test_lifecycle_leaks import CLEAN, live_heap, peer_state
 
 X, Y = Variable("x"), Variable("y")
@@ -34,9 +34,9 @@ KNOWS_PATTERN = TriplePattern(X, FOAF.knows, Y)
 FAILOVER = ExecutionOptions(failover=True, retries=1, backoff=0.02)
 
 
-def baseline_rows(initiator="D1"):
+def baseline_rows(initiator="D1", query=KNOWS_QUERY):
     result, _ = DistributedExecutor(build_system()).execute(
-        KNOWS_QUERY, initiator=initiator)
+        query, initiator=initiator)
     return result.rows
 
 
@@ -44,7 +44,16 @@ class TestPromotionReReplication:
     """Satellite 1: a promoted replica row regains its replica count."""
 
     def test_double_failure_still_answers(self):
-        expected = baseline_rows()
+        # The heir's row is read by an ``index_lookup`` here (a walk reads
+        # its row to plan), and by the heir itself, which serves the
+        # sub-query sent straight to it, below.
+        self.check_double_failure(KNOWS_WALK)
+
+    def test_double_failure_still_answers_when_the_owner_reads(self):
+        self.check_double_failure(KNOWS_QUERY)
+
+    def check_double_failure(self, query):
+        expected = baseline_rows(query=query)
         system = build_system(replication_factor=2)
         victim = knows_owner(system)
 
@@ -56,7 +65,7 @@ class TestPromotionReReplication:
             if node.alive and system.index_nodes[node.index_node_id].alive
         )
         result, _ = DistributedExecutor(system).execute(
-            KNOWS_QUERY, initiator=initiator)
+            query, initiator=initiator)
         assert result.rows == expected
         assert system.network.failover.promotions_rereplicated >= 1
 
@@ -71,7 +80,7 @@ class TestPromotionReReplication:
             if node.alive and system.index_nodes[node.index_node_id].alive
         )
         result, _ = DistributedExecutor(system).execute(
-            KNOWS_QUERY, initiator=initiator)
+            query, initiator=initiator)
         assert result.rows == expected
         assert system.network.failover.promotions_rereplicated >= 2
 

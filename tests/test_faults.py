@@ -314,6 +314,10 @@ class TestReplicaOf:
     """Lookup failover and dispatch failover both find the replica holder
     through ``ExecutionContext.replica_of``."""
 
+    OPTIONS = ExecutionOptions(failover=True, retries=1, backoff=0.02)
+    #: Reads the knows row and the name row; only the first is the victim's.
+    NAMED_WALK = "SELECT ?x ?y ?n WHERE { ?x foaf:knows ?y . ?y foaf:name ?n . }"
+
     @pytest.mark.parametrize("crash_at, counter", [
         (0.001, "lookup_failovers"),  # dies before its row is read
         (0.05, "dispatch_failovers"),  # dies after the read, before dispatch
@@ -325,10 +329,25 @@ class TestReplicaOf:
                          if node.index_node_id != victim)
         seen = avoid_hints(system, initiator)
         fail_at(system, victim, crash_at)
-        options = ExecutionOptions(failover=True, retries=1, backoff=0.02)
-        DistributedExecutor(system, options).execute(KNOWS_QUERY,
-                                                     initiator=initiator)
+        # A walk reads the row before it dispatches its leaves.
+        DistributedExecutor(system, self.OPTIONS).execute(self.NAMED_WALK,
+                                                          initiator=initiator)
         assert getattr(system.network.failover, counter) == 1
+        _kind, key = key_for_pattern(KNOWS_PATTERN, system.space)
+        assert seen == [{"key": key, "avoid": [victim]}]
+
+    def test_failover_hint_shape_when_the_owner_reads(self):
+        """The owner dies before its sub-query, sent unread, reaches it."""
+        system = build_system(replication_factor=2)
+        victim = knows_owner(system)
+        initiator = next(sid for sid, node in sorted(system.storage_nodes.items())
+                         if node.index_node_id != victim)
+        seen = avoid_hints(system, initiator)
+        fail_at(system, victim, 0.001)
+        DistributedExecutor(system, self.OPTIONS).execute(KNOWS_QUERY,
+                                                          initiator=initiator)
+        assert system.network.failover.dispatch_failovers == 1
+        assert system.network.failover.lookup_failovers == 0
         _kind, key = key_for_pattern(KNOWS_PATTERN, system.space)
         assert seen == [{"key": key, "avoid": [victim]}]
 

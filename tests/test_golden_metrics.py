@@ -124,15 +124,12 @@ TECHNIQUES = [
 ]
 
 
-def answer_fingerprint(result, ordered: bool = True) -> str:
+def answer_fingerprint(result) -> str:
     """Exact digest of the answer — row order included (it is part of the
-    simulated output for ordered queries and deterministic otherwise),
-    unless not *ordered*: then the digest is of the row multiset."""
+    simulated output for ordered queries and canonical otherwise)."""
     if result.boolean is not None:
         return f"ask:{result.boolean}"
     rows = [[(v.name, t.n3()) for v, t in mu.items()] for mu in result.rows]
-    if not ordered:
-        rows.sort()
     blob = json.dumps(rows, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -184,15 +181,14 @@ def capture_cost_cells():
 def capture_fig_mix_scale():
     """The cost planner's cells at ``fig_mix`` scale, one fresh system,
     the queries in figure order. Fig. 4's ORDER BY ties many rows at
-    this scale, and tied rows keep their set iteration order, which is
-    process history, so these cells digest the row multiset."""
+    this scale; tied rows come out in canonical term order."""
     executor = DistributedExecutor(foaf_ring(400),
                                    ExecutionOptions(plan_mode="cost"))
-    return {name: _cell(executor.execute(text, initiator="D1"), ordered=False)
+    return {name: _cell(executor.execute(text, initiator="D1"))
             for name, text in PAPER_FIG_QUERIES.items()}
 
 
-def _cell(outcome, ordered: bool = True) -> dict:
+def _cell(outcome) -> dict:
     result, report = outcome
     return {
         "response_time": report.response_time,
@@ -200,7 +196,7 @@ def _cell(outcome, ordered: bool = True) -> dict:
         "messages": report.messages,
         "lookup_hops": report.lookup_hops,
         "result_count": report.result_count,
-        "answers": answer_fingerprint(result, ordered),
+        "answers": answer_fingerprint(result),
     }
 
 

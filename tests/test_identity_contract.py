@@ -12,7 +12,10 @@ Hashing by address makes iteration order over terms and rows a matter of
 process history. The last test checks that no simulated number depends
 on it: a fresh interpreter interns the golden dataset's terms in a
 shuffled order, with filler allocations in between, then replays the
-cost planner's golden cells and must reproduce them exactly.
+cost planner's golden cells and must reproduce them exactly. No answer
+depends on it either: ORDER BY queries whose LIMIT or OFFSET cuts
+through tied rows return the same sequence in that interpreter as here,
+from the engine and from the oracle alike.
 """
 
 import copy
@@ -27,12 +30,16 @@ import sys
 import pytest
 
 from repro.cache.keys import canonical_rows, rebind_rows
+from repro.query import DistributedExecutor
+from repro.rdf.namespaces import COMMON_PREFIXES
 from repro.rdf.terms import (
     IRI, XSD_INTEGER, XSD_STRING, BlankNode, Literal, Variable,
 )
+from repro.sparql import evaluate_query, parse_query
 from repro.sparql.solutions import EMPTY_MAPPING, SolutionMapping, join
 from repro.workloads import paper_example_partition
 
+from helpers import build_system
 from test_golden_metrics import GOLDEN_PATH, QUERIES
 
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -123,9 +130,38 @@ for kind, *args in descriptors:
         {"IRI": IRI, "BlankNode": BlankNode, "Variable": Variable}[kind](*args)
 
 import test_golden_metrics
+import test_identity_contract
 
-print(json.dumps(test_golden_metrics.capture_cost_cells()))
+print(json.dumps({"cells": test_golden_metrics.capture_cost_cells(),
+                  "ordered": test_identity_contract.tied_order_answers()}))
 """
+
+#: ORDER BY keys that tie in pairs on the paper example, cut inside a
+#: tie by LIMIT or OFFSET: which tied rows survive the cut is fixed by
+#: the query and the data alone.
+TIED_ORDER_QUERIES = (
+    "SELECT ?x ?y WHERE { ?x foaf:knows ?y . } ORDER BY ?y LIMIT 1",
+    "SELECT ?x WHERE { ?x foaf:knows ?y . } ORDER BY DESC(?y) OFFSET 1 LIMIT 2",
+    "SELECT ?n WHERE { ?x foaf:name ?n . ?x foaf:knows ?y . } "
+    "ORDER BY ?y OFFSET 4 LIMIT 3",
+)
+
+
+def tied_order_answers():
+    """Per tied-ORDER BY query, its row sequence from the engine and from
+    the oracle, each row as ``[name, n3]`` pairs."""
+    system = build_system()
+    union = system.union_graph()
+
+    def sequence(result):
+        return [[[v.name, t.n3()] for v, t in mu.items()] for mu in result.rows]
+
+    out = {}
+    for text in TIED_ORDER_QUERIES:
+        result, _ = DistributedExecutor(system).execute(text, initiator="D1")
+        oracle = evaluate_query(parse_query(text, COMMON_PREFIXES), union)
+        out[text] = [sequence(result), sequence(oracle)]
+    return out
 
 
 def _descriptor(term):
@@ -159,7 +195,11 @@ def test_shuffled_interning_order_reproduces_golden(seed):
         [sys.executable, "-c", SHUFFLED_RUN],
         input=json.dumps({"seed": seed, "terms": _golden_terms()}),
         capture_output=True, text=True, env=env, timeout=300, check=True)
-    got = json.loads(proc.stdout)
+    out = json.loads(proc.stdout)
+    got = out["cells"]
     golden = json.loads(GOLDEN_PATH.read_text())
     assert set(got) == {key for key in golden if "|cost|" in key}
     assert got == {key: golden[key] for key in got}
+    here = tied_order_answers()
+    assert all(engine == oracle for engine, oracle in here.values())
+    assert out["ordered"] == here

@@ -7,6 +7,12 @@ directly, at 0 hops; the owner answers only for keys it owns, and a
 bounce or a failed call sends the lookup back to the ring. A lookup
 outside every remembered arc starts its ring walk at the learned owner
 closest before the key instead of at the entry node.
+
+The queries here are walks over one key: a walk plans from its leaves'
+rows, so it reads the row (``index_lookup``) and both leaves share that
+read. A single-pattern query sends its sub-query to the owner instead
+of reading the row first; the same rules for that path are checked in
+``test_owner_dispatch.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from repro.trace import Tracer
 from repro.workloads import PAPER_FIG_QUERIES
 
 from helpers import build_system, oracle_rows
-from test_churn_under_load import KNOWS_QUERY, knows_owner
+from test_churn_under_load import KNOWS_WALK, knows_owner
 
 KNOWS_PATTERN = TriplePattern(Variable("x"), FOAF.knows, Variable("y"))
 
@@ -65,10 +71,10 @@ def spy_calls(system, method):
     return seen
 
 
-def warm(system, initiator="D1"):
-    """Run the knows query once, so *initiator* learns the knows arc."""
-    result, _ = DistributedExecutor(system).execute(KNOWS_QUERY,
-                                                    initiator=initiator)
+def warm(system, initiator="D1", query=KNOWS_WALK):
+    """Run *query* (on the knows key) once, so *initiator* learns the
+    knows arc."""
+    result, _ = DistributedExecutor(system).execute(query, initiator=initiator)
     return _rows(result)
 
 
@@ -94,6 +100,17 @@ class TestRouteTable:
         assert table.get(59) is None
         assert all(table.get(k) == owner for k in range(60, 101))
         assert table.get(101) is None
+        assert len(table) == 1
+
+    def test_a_named_predecessor_makes_the_arc_exact(self):
+        table = RouteTable(self.SPACE)
+        owner = self.ref(100)
+        table.learn(90, owner)
+        table.learn(95, owner, pred=40)  # the owner named its predecessor
+        assert [k for k in range(256) if table.get(k) == owner] == \
+            list(range(41, 101))
+        table.learn(90, owner, pred=70)  # a later reply: the ring moved
+        assert table.get(70) is None and table.get(71) == owner
         assert len(table) == 1
 
     def test_arc_across_zero(self):
@@ -144,20 +161,24 @@ class TestRouteTable:
 class TestRoutedReads:
     def test_warm_lookup_skips_the_ring(self):
         system = build_system()
-        first, cold, spans = traced_run(system, KNOWS_QUERY)
-        assert cold.lookup_hops == 2 and cold.messages == 12
-        assert spans == [{"span": spans[0]["span"],
-                          "duration": spans[0]["duration"], "hops": 2}]
-        second, hot, spans = traced_run(system, KNOWS_QUERY)
-        assert hot.lookup_hops == 0 and hot.messages == 6
+        reads = spy_calls(system, "index_lookup")
+        first, cold, spans = traced_run(system, KNOWS_WALK)
+        assert cold.lookup_hops == 2 and cold.messages == 20
+        assert spans[0] == {"span": spans[0]["span"],
+                            "duration": spans[0]["duration"], "hops": 2}
+        second, hot, spans = traced_run(system, KNOWS_WALK)
+        assert hot.lookup_hops == 0 and hot.messages == 14
         assert spans[0]["routed"] is True
         assert _rows(second) == _rows(first)
+        owner, key = knows_owner(system), knows_key(system)
+        assert reads == [("D1", owner, {"key": key}),
+                         ("D1", owner, {"key": key, "routed": True})]
 
     def test_routes_are_per_initiator(self):
         system = build_system()
         warm(system, "D1")
         assert "_qp_routes" not in system.storage_nodes["D2"].__dict__
-        _result, _report, spans = traced_run(system, KNOWS_QUERY,
+        _result, _report, spans = traced_run(system, KNOWS_WALK,
                                              initiator="D2")
         assert "routed" not in spans[0]
 
@@ -177,7 +198,7 @@ class TestRoutedReads:
         key = knows_key(system)
         joined = join_index_node(system, "N8", ident=key)
         assert knows_owner(system) == joined.node_id
-        result, report, spans = traced_run(system, KNOWS_QUERY)
+        result, report, spans = traced_run(system, KNOWS_WALK)
         assert _rows(result) == expected
         assert spans[0]["fallback"] == "bounce"
         assert report.lookup_hops > 0
@@ -189,7 +210,7 @@ class TestRoutedReads:
         expected = warm(system)
         departed = knows_owner(system)
         depart_index_node(system, departed)
-        result, _report, spans = traced_run(system, KNOWS_QUERY)
+        result, _report, spans = traced_run(system, KNOWS_WALK)
         assert _rows(result) == expected
         assert spans[0]["fallback"] == "NodeUnknown"
         routes = system.storage_nodes["D1"].routes(system.space)
@@ -202,7 +223,7 @@ class TestRoutedReads:
         system.network.fail_node(dead)
         reads = spy_calls(system, "index_lookup")
         options = ExecutionOptions(failover=True)
-        result, report, spans = traced_run(system, KNOWS_QUERY, options)
+        result, report, spans = traced_run(system, KNOWS_WALK, options)
         assert _rows(result) == expected
         assert spans[0]["fallback"] == "RpcTimeout"
         assert system.network.failover.lookup_failovers == 1
@@ -221,9 +242,12 @@ class TestRoutedReads:
         system.network.fail_node(dead)
         reads = spy_calls(system, "index_lookup")
         with pytest.raises(QueryFailed):
-            DistributedExecutor(system).execute(KNOWS_QUERY, initiator="D1")
+            DistributedExecutor(system).execute(KNOWS_WALK, initiator="D1")
+        # The second leaf, which waited on the first's failed read, then
+        # walks the ring itself.
         assert [payload for _src, dst, payload in reads if dst == dead] == \
-            [{"key": knows_key(system), "routed": True}, {"key": knows_key(system)}]
+            [{"key": knows_key(system), "routed": True}, {"key": knows_key(system)},
+             {"key": knows_key(system)}]
 
 
 def ring_state(system):
@@ -236,14 +260,15 @@ class TestLearnedStarts:
     """On a 64-node ring D1 enters at N10 and learns N37 from the knows
     lookup; the keys below lie outside N37's arc."""
 
-    NOTHING_QUERY = "SELECT ?x ?y WHERE { ?x ns:knowsNothingAbout ?y . }"
-    NICK_QUERY = "SELECT ?x ?y WHERE { ?x foaf:nick ?y . }"
+    NOTHING_QUERY = ("SELECT ?x ?y ?z WHERE "
+                     "{ ?x ns:knowsNothingAbout ?y . ?y ns:knowsNothingAbout ?z . }")
+    NICK_QUERY = "SELECT ?x ?y ?z WHERE { ?x foaf:nick ?y . ?z foaf:nick ?y . }"
 
     def test_cold_peer_walks_from_the_entry(self):
         system = build_system(num_index=64)
         result, report, spans = traced_run(system, self.NOTHING_QUERY)
         assert (report.lookup_hops, report.messages,
-                report.bytes_total) == (4, 16, 1779)
+                report.bytes_total) == (4, 24, 2548)
         assert "start" not in spans[0]
         assert result.rows == oracle_rows(system, self.NOTHING_QUERY)
 
