@@ -25,7 +25,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..chord.hashing import hash_term
 from ..chord.idspace import IdentifierSpace
-from ..chord.node import ChordNode
+from ..chord.node import ChordNode, walk
 from ..chord.ring import ChordRing
 from ..net.transport import Network
 from ..overlay.peer import QueryPeer
@@ -173,7 +173,7 @@ class RDFPeersSystem:
                     key = _attr_key(tag, term, self.space)
                     by_key.setdefault(key, []).append(triple)
             for key in sorted(by_key):
-                result = yield entry.call(entry.node_id, "find_successor", {"key": key})
+                result = yield from walk(entry.call, entry.ref, key)
                 stored += yield entry.call(
                     result.ref.node_id,
                     "store_triples",
@@ -206,7 +206,7 @@ class RDFPeersSystem:
         key = _attr_key(tag, term, self.space)
 
         def proc():
-            result = yield entry.call(entry.node_id, "find_successor", {"key": key})
+            result = yield from walk(entry.call, entry.ref, key)
             matches = yield entry.call(
                 result.ref.node_id, "match_pattern", {"key": key, "pattern": pattern}
             )
@@ -226,7 +226,7 @@ class RDFPeersSystem:
             for pattern in patterns:
                 tag, term = self._route_attr(pattern)
                 key = _attr_key(tag, term, self.space)
-                result = yield entry.call(entry.node_id, "find_successor", {"key": key})
+                result = yield from walk(entry.call, entry.ref, key)
                 owner = result.ref.node_id
                 if candidates is None:
                     candidates = yield entry.call(
@@ -267,7 +267,7 @@ class RDFPeersSystem:
         def proc():
             stored = 0
             for key in sorted(by_key):
-                result = yield entry.call(entry.node_id, "find_successor", {"key": key})
+                result = yield from walk(entry.call, entry.ref, key)
                 stored += yield entry.call(
                     result.ref.node_id,
                     "store_numeric",
@@ -318,9 +318,7 @@ class RDFPeersSystem:
                 # past 2^m - 1, in which case the wrapping node owns the
                 # remainder of the arc.
                 start_key, end_key = self.locality.arc(rng)
-                result = yield entry.call(
-                    entry.node_id, "find_successor", {"key": start_key}
-                )
+                result = yield from walk(entry.call, entry.ref, start_key)
                 current = result.ref
                 while True:
                     yield from visit(current)

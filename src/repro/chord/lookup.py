@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from statistics import mean
 from typing import List, Optional, Sequence
 
 from ..net.transport import Network
-from .node import LookupResult, NodeRef
+from .node import LookupResult, NodeRef, walk
 from .ring import ChordRing
 
 __all__ = ["lookup", "LookupSample", "measure_lookups"]
@@ -22,16 +23,12 @@ __all__ = ["lookup", "LookupSample", "measure_lookups"]
 def lookup(network: Network, entry: NodeRef, key: int, initiator: str = "client") -> LookupResult:
     """Resolve *key* starting at *entry*; runs the simulation to completion.
 
-    Returns the :class:`LookupResult` (owner + hop count). The entry
-    message from the initiator is not counted as a hop, matching the
-    convention of the Chord paper (hops = forwarding steps on the ring).
+    Returns the :class:`LookupResult` (owner + hop count). The probe of
+    the entry node is not counted as a hop, matching the convention of
+    the Chord paper (hops = forwarding steps on the ring).
     """
-
-    def proc():
-        result = yield network.call(initiator, entry.node_id, "find_successor", {"key": key})
-        return result
-
-    return network.sim.run_process(proc())
+    return network.sim.run_process(
+        walk(partial(network.call, initiator), entry, key))
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +60,7 @@ def measure_lookups(
     if not refs:
         raise LookupError("cannot measure lookups on an empty ring")
     network = ring.network
+    call = partial(network.call, "client")
     hops: List[int] = []
     latencies: List[float] = []
     for _ in range(num_lookups):
@@ -71,7 +69,7 @@ def measure_lookups(
 
         def proc(entry=entry, key=key):
             start = network.sim.now
-            result = yield network.call("client", entry.node_id, "find_successor", {"key": key})
+            result = yield from walk(call, entry, key)
             return result, network.sim.now - start
 
         result, elapsed = network.sim.run_process(proc())

@@ -1,9 +1,23 @@
-"""A Chord ring participant.
+"""A Chord ring participant and the iterative lookup.
 
 Implements the Chord protocol of Stoica et al. [5] as used by the paper's
 index nodes (Sect. III): finger tables for O(log N) lookup, a successor
 list for fault tolerance, the stabilize/notify repair protocol, and
 key-range transfer on join/leave (Sect. III-C/D).
+
+The lookup is iterative and driven by its originator, in the Kademlia
+shape (SNIPPETS.md snippet 3): :func:`walk` probes one node at a time
+with ``find_successor``, and each probe is a single step at the probed
+node (:meth:`ChordNode.rpc_find_successor`) that names the key's owner
+or the next hop, or says that every hop it knows is avoided, and never
+calls on. The originator thus owns the
+walk's one timeout per probe, hears from every hop, and can keep each
+probed node as a start for later walks. A probe that times out is not
+evidence against anyone's routing tables: the node joins the walk's
+``avoid`` set, the last responder is asked again, and nothing is
+evicted. Hops and messages equal those of a recursive walk from the same
+start: ``hops = probes - 1`` and a probe costs a request and a reply,
+like a forward and its reply.
 
 The class is transport-level: lookups are real simulated RPCs, so hop
 counts and lookup latencies measured in experiments are the message-level
@@ -13,13 +27,13 @@ truth, not formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Collection, Dict, List, Optional
 
 from ..net.sim import Event
-from ..net.transport import Node, RpcError
+from ..net.transport import Node, NodeUnknown, RpcError, RpcTimeout
 from .idspace import IdentifierSpace
 
-__all__ = ["NodeRef", "ChordNode", "LookupResult"]
+__all__ = ["NodeRef", "ChordNode", "LookupResult", "LookupStep", "walk"]
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -35,10 +49,32 @@ class NodeRef:
 
 @dataclass(frozen=True, slots=True)
 class LookupResult:
-    """Outcome of find_successor: the owner and the route length."""
+    """Outcome of a :func:`walk`: the owner and the route length.
+
+    *via* is the final responder, the owner's predecessor as the ring
+    sees it, so the owner's arc is (via, ref]; None when the answer names
+    no arc (:attr:`LookupStep.FINAL`).
+    """
 
     ref: NodeRef
     hops: int
+    via: Optional[NodeRef] = None
+
+
+@dataclass(frozen=True, slots=True)
+class LookupStep:
+    """One probe's reply. *flag* says what *ref* is: ``NEXT``, the next
+    hop; ``OWNER``, the key's owner and the responder's successor, so the
+    owner's arc is (responder, ref]; ``FINAL``, an answer that names no
+    arc — a backup standing in for an avoided owner; ``DEAD_END``, the
+    responder itself, which knows no hop toward the key that is not
+    avoided. The 4-byte field that carried a recursive walk's hop count
+    carries the flag, since the originator counts its own hops."""
+
+    NEXT, OWNER, FINAL, DEAD_END = 0, 1, 2, 3
+
+    ref: NodeRef
+    flag: int
 
     def wire_size(self) -> int:
         return self.ref.wire_size() + 4
@@ -94,16 +130,16 @@ class ChordNode(Node):
             return True
         return self.space.between_right_closed(key, self.predecessor.ident, self.ident)
 
-    def closest_preceding(self, key: int) -> NodeRef:
+    def closest_preceding(self, key: int, avoid: Collection[str] = ()) -> NodeRef:
         """Best known strictly-preceding hop toward *key* (fingers, then
-        successor list)."""
+        successor list), skipping the node ids in *avoid*."""
+        between = self.space.between_open
         for finger in reversed(self.fingers):
-            if finger is not None and self.space.between_open(
-                finger.ident, self.ident, key
-            ):
+            if (finger is not None and between(finger.ident, self.ident, key)
+                    and finger.node_id not in avoid):
                 return finger
         for ref in reversed(self.successor_list):
-            if self.space.between_open(ref.ident, self.ident, key):
+            if between(ref.ident, self.ident, key) and ref.node_id not in avoid:
                 return ref
         return self.ref
 
@@ -118,60 +154,32 @@ class ChordNode(Node):
     def rpc_get_successor_list(self, payload: Any, src: str) -> List[NodeRef]:
         return list(self.successor_list)
 
-    def rpc_find_successor(self, payload: Dict[str, int], src: str):
-        """Recursive find_successor carrying a hop counter.
+    def rpc_find_successor(self, payload: Dict[str, Any], src: str) -> LookupStep:
+        """One step of an iterative lookup: the owner of ``key`` if it
+        lies in (self, successor], else the closest preceding hop.
 
-        Generator handler: forwarding hops are real messages, so the
-        experiment's hop counts come straight from the message log.
-
-        An optional ``avoid`` list in the payload names nodes the caller
-        has observed dead: instead of returning one of them as the owner,
-        we answer with the first other entry of our successor list — in
-        Chord's successor-list replication (Sect. III-D) that is exactly
-        the replica holder about to take over the dead owner's keys.
+        An optional ``avoid`` list names nodes the originator has seen
+        time out. They are skipped as next hops, and our successor is the
+        first member of our successor list not avoided: instead of
+        returning an avoided owner we answer with that member — in Chord's
+        successor-list replication (Sect. III-D) exactly the replica
+        holder about to take over the dead owner's keys.
         """
         key = payload["key"]
-        hops = payload.get("hops", 0)
         avoid = payload.get("avoid") or ()
-        if self.space.between_right_closed(key, self.ident, self.successor.ident):
-            owner = self.successor
-            if owner.node_id in avoid:
-                for backup in self.successor_list[1:]:
-                    if backup.node_id not in avoid:
-                        return LookupResult(backup, hops)
-            return LookupResult(owner, hops)
-        nxt = self.closest_preceding(key)
-        if nxt == self.ref:
-            return LookupResult(self.ref, hops)
-        forward = {"key": key, "hops": hops + 1}
+        owner = self.successor
         if avoid:
-            forward["avoid"] = list(avoid)
-        try:
-            result = yield self.call(nxt.node_id, "find_successor", forward)
-            return result
-        except RpcError:
-            # The chosen hop is dead: drop it from our tables and route via
-            # the successor list instead (Chord's fault-tolerant lookup).
-            # With a fault injector installed the timeout is ambiguous
-            # (message loss, not death): evicting a live node would shift
-            # perceived key ownership and silently empty index rows, so
-            # the routing tables are left alone and only this lookup
-            # reroutes.
-            evict = self.network is None or self.network.faults is None
-            if evict:
-                self._evict(nxt)
-            for backup in list(self.successor_list):
-                if backup == nxt:
-                    continue
-                try:
-                    result = yield self.call(
-                        backup.node_id, "find_successor", dict(forward)
-                    )
-                    return result
-                except RpcError:
-                    if evict:
-                        self._evict(backup)
-            raise
+            owner = next((ref for ref in self.successor_list
+                          if ref.node_id not in avoid), owner)
+        if self.space.between_right_closed(key, self.ident, owner.ident):
+            exact = owner == self.successor and owner.node_id not in avoid
+            return LookupStep(owner, LookupStep.OWNER if exact else LookupStep.FINAL)
+        nxt = self.closest_preceding(key, avoid)
+        if nxt == self.ref:
+            # Every hop we know past ourselves is avoided: we are not the
+            # owner, and must not be named as one.
+            return LookupStep(nxt, LookupStep.DEAD_END)
+        return LookupStep(nxt, LookupStep.NEXT)
 
     def rpc_notify(self, candidate: NodeRef, src: str) -> bool:
         """Chord notify: *candidate* believes it is our predecessor."""
@@ -213,18 +221,11 @@ class ChordNode(Node):
 
     # ------------------------------------------------------- ring protocols
 
-    def find_successor(self, key: int) -> Event:
-        """Client-side lookup entry point (returns an Event of LookupResult)."""
-        assert self.network is not None
-        return self.network.call(self.node_id, self.node_id, "find_successor", {"key": key})
-
     def join(self, bootstrap: NodeRef):
         """Generator process: join the ring known to *bootstrap* and pull
         our key range from our new successor."""
         self.predecessor = None
-        result: LookupResult = yield self.call(
-            bootstrap.node_id, "find_successor", {"key": self.ident}
-        )
+        result = yield from walk(self.call, bootstrap, self.ident)
         self.set_successor(result.ref)
         # Take over (successor.predecessor, self] — approximated by asking
         # for (our id's predecessor range]; the successor computes the cut.
@@ -271,9 +272,7 @@ class ChordNode(Node):
             self._next_finger_to_fix = (self._next_finger_to_fix + 1) % self.space.bits
         start = self.space.finger_start(self.ident, index)
         try:
-            result: LookupResult = yield self.call(
-                self.node_id, "find_successor", {"key": start}
-            )
+            result = yield from walk(self.call, self.ref, start)
             self.fingers[index] = result.ref
         except RpcError:
             self.fingers[index] = None
@@ -296,10 +295,64 @@ class ChordNode(Node):
             self.successor_list = [self.ref]
         self.fingers[0] = self.successor
 
-    def _evict(self, dead: NodeRef) -> None:
-        self.fingers = [None if f == dead else f for f in self.fingers]
-        self.successor_list = [r for r in self.successor_list if r != dead]
-        if not self.successor_list:
-            self.successor_list = [self.ref]
-        if self.predecessor == dead:
-            self.predecessor = None
+
+def walk(call: Callable[..., Event], start: NodeRef, key: int,
+         avoid: Collection[str] = (), known=None):
+    """Generator: the iterative lookup of *key* from *start* → a
+    :class:`LookupResult`.
+
+    *call* is the originator's ``call(dst, method, payload)``. Each probe
+    is one ``find_successor`` to one node; a reply names the next hop or
+    the owner (:class:`LookupStep`). *known*, the originator's
+    :class:`~repro.overlay.peer.RouteTable` if given, notes every node
+    that answered and forgets every node that did not.
+
+    A probe that fails to reach its node (:class:`RpcTimeout`,
+    :class:`NodeUnknown`) puts the node in the walk's ``avoid`` set and
+    asks the last responder again, now told to skip it; with no responder
+    left the failure is raised. A responder that answers ``DEAD_END``
+    (everything it knows past itself is avoided) is avoided and stepped
+    back from the same way; with none left the walk raises
+    :class:`RpcTimeout`, as the key is unreachable. Each reply names a
+    node strictly closer to *key* than its responder, so no node is
+    probed twice except a responder asked again after such a failure or
+    dead end: a walk probes at most ring-size distinct nodes. ``hops``
+    counts the distinct responders after the first, as a recursive walk
+    counts its forwards.
+    """
+    avoid = set(avoid)
+    path: List[NodeRef] = []  # responders still believed alive, in order
+    answered = set()
+    target = start
+    while True:
+        payload: Dict[str, Any] = {"key": key}
+        if avoid:
+            payload["avoid"] = sorted(avoid)
+        try:
+            step: LookupStep = yield call(target.node_id, "find_successor", payload)
+        except (RpcTimeout, NodeUnknown):
+            avoid.add(target.node_id)
+            if known is not None:
+                known.forget(target)
+            if path and path[-1] == target:
+                path.pop()  # it died since it answered
+            if not path:
+                raise
+            target = path[-1]
+            continue
+        if target.node_id not in answered:
+            answered.add(target.node_id)
+            path.append(target)
+            if known is not None:
+                known.note(target)
+        if step.flag == LookupStep.DEAD_END:
+            avoid.add(target.node_id)
+            path.pop()
+            if not path:
+                raise RpcTimeout(f"{target.node_id}: no hop left toward key {key}")
+            target = path[-1]
+            continue
+        if step.flag != LookupStep.NEXT:
+            via = target if step.flag == LookupStep.OWNER else None
+            return LookupResult(step.ref, len(answered) - 1, via)
+        target = step.ref

@@ -17,7 +17,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 from ..cache.keys import canonical_rows, pattern_cache_key, rebind_rows
 from ..chord.idspace import IdentifierSpace
-from ..chord.node import ChordNode, NodeRef
+from ..chord.node import ChordNode, NodeRef, walk
 from ..net.transport import RpcError
 from ..net.wire import FilteredResult, encode_solutions, shed, shipped_rows
 from .location_table import LocationEntry, LocationTable
@@ -153,7 +153,7 @@ class IndexNode(QueryPeer, ChordNode):
         while todo:
             if target is None:
                 key = todo[0][0]
-                found = yield self.call(self.node_id, "find_successor", {"key": key})
+                found = yield from walk(self.call, self.ref, key)
                 low, target = key - 1, found.ref
             run = []
             while todo and within(todo[0][0], low, target.ident):
@@ -277,10 +277,7 @@ class IndexNode(QueryPeer, ChordNode):
         the initiator already tombstoned is acknowledged emptily without
         executing at all.
 
-        A ``routed`` request bounces like a routed ``index_lookup``. One
-        asking for the ``arc`` gets this node's predecessor ident as
-        ``pred`` in the ack, so the initiator learns the owner's whole arc
-        (pred, self]; every other ack is unchanged.
+        A ``routed`` request bounces like a routed ``index_lookup``.
         """
         if self._bounces(payload):
             return None
@@ -324,8 +321,6 @@ class IndexNode(QueryPeer, ChordNode):
         if payload.get("strategy") == "cost":
             # The row the scheme was picked from: the planner's statistics.
             ack["row"] = entries
-        if payload.get("arc") and self.predecessor is not None:
-            ack["pred"] = self.predecessor.ident
         return ack
 
     def _primitive_ack(self, payload: Dict[str, Any], src: str,

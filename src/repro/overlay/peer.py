@@ -13,14 +13,15 @@ selection). This mixin gives every overlay node:
 * orchestration plumbing: an initiator can ``expect()`` a notification
   that some site received its inputs, which is how the executor sequences
   multi-site plans without global knowledge;
-* a **route table** of owner arcs, so a repeat lookup skips the ring
-  and any other lookup starts its ring walk near the key.
+* a **route table** of index nodes its ring walks probed and of owner
+  arcs, so a repeat lookup skips the ring and any other lookup starts
+  its ring walk near the key.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..net.sim import Event
 from ..net.wire import JoinDigest, encode_solutions, shed, shipped_rows
@@ -30,7 +31,7 @@ from ..sparql.solutions import combine_sets
 
 __all__ = ["QueryPeer", "RouteTable", "ROUTE_CAP"]
 
-ROUTE_CAP = 1024  # owner arcs per peer; the oldest learned goes first
+ROUTE_CAP = 1024  # known index nodes per peer; the oldest learned goes first
 
 
 def _lazy(name: str, factory, doc: Optional[str] = None) -> property:
@@ -45,56 +46,65 @@ def _lazy(name: str, factory, doc: Optional[str] = None) -> property:
 
 
 class RouteTable:
-    """Owner arcs learned from ring lookups. A lookup of key k naming
-    owner O proves that no node lies in [k, O.ident), so O owns
-    (k-1, O.ident]; one arc per owner, widened downward by later keys.
-    An owner that names its predecessor P in its reply makes the arc
-    exact: (P.ident, O.ident]. A hint, never an authority: the owner
-    checks every routed request (``IndexNode._bounces``), and the caller
-    forgets an arc that bounced or whose owner did not answer."""
+    """Index nodes learned from ring lookups, one entry per node keyed by
+    its ident. Every node that answered a probe of a walk
+    (:func:`~repro.chord.node.walk`) is a *bare* entry: a live node to
+    start later walks at. The owner a walk named holds its exact arc
+    (via, owner] once it answered, *via* being the walk's final
+    responder: the owner's predecessor as the ring sees it. Only an arc
+    answers :meth:`get`. A hint, never an authority: the owner checks
+    every routed request (``IndexNode._bounces``), and the caller forgets
+    an arc that bounced or whose owner did not answer."""
 
     def __init__(self, space) -> None:
         self.space = space
-        self._idents: List[int] = []  # owner idents in ring order
-        #: ident -> (low, owner ref): the arc (low, ident], oldest first.
-        self._arcs: Dict[int, Tuple[int, Any]] = {}
+        self._idents: List[int] = []  # known idents in ring order
+        #: ident -> ref, oldest learned first.
+        self._refs: Dict[int, Any] = {}
+        #: ident -> low, for the owners among them: the arc (low, ident].
+        self._lows: Dict[int, int] = {}
 
     def __len__(self) -> int:
-        return len(self._arcs)
+        return len(self._refs)
 
     def get(self, key: int):
         """The remembered owner of *key*, or None."""
         if not self._idents:
             return None
-        i = bisect_left(self._idents, key) % len(self._idents)
-        low, ref = self._arcs[self._idents[i]]
-        return ref if self.space.between_right_closed(key, low, ref.ident) else None
+        ident = self._idents[bisect_left(self._idents, key) % len(self._idents)]
+        low = self._lows.get(ident)
+        if low is None or not self.space.between_right_closed(key, low, ident):
+            return None
+        return self._refs[ident]
 
     def preceding(self, key: int):
-        """The learned owner closest before *key* (wrapping across zero),
-        or None: an index node near *key* to start a ring walk at."""
+        """The known node closest before *key* (wrapping across zero), or
+        None: an index node near *key* to start a ring walk at."""
         if not self._idents:
             return None
-        return self._arcs[self._idents[bisect_left(self._idents, key) - 1]][1]
+        return self._refs[self._idents[bisect_left(self._idents, key) - 1]]
 
-    def learn(self, key: int, ref, pred: Optional[int] = None) -> None:
-        """Record that a ring lookup of *key* named owner *ref*, whose
-        reply named its predecessor ident *pred* (None: not asked)."""
-        low = self.space.normalize(key - 1) if pred is None else pred
-        old = self._arcs.pop(ref.ident, None)
-        if old is None:
-            insort(self._idents, ref.ident)
-            if len(self._arcs) >= ROUTE_CAP:
-                self.forget(next(iter(self._arcs.values()))[1])
-        elif (pred is None and old[1] == ref
-              and self.space.between_right_closed(key, old[0], ref.ident)):
-            low = old[0]
-        self._arcs[ref.ident] = (low, ref)
+    def learn(self, ref, low: int) -> None:
+        """Record that *ref* owns the arc (low, ref.ident]."""
+        self.forget(ref)  # learned again: now the newest entry
+        self.note(ref)
+        self._lows[ref.ident] = low
+
+    def note(self, ref) -> None:
+        """Record that *ref* answered a probe (an arc already held stays)."""
+        if ref.ident in self._refs:
+            return
+        if len(self._refs) >= ROUTE_CAP:
+            self.forget(next(iter(self._refs.values())))
+        insort(self._idents, ref.ident)
+        self._refs[ref.ident] = ref
 
     def forget(self, ref) -> None:
-        """Drop *ref*'s arc (it bounced a routed read or did not answer)."""
-        if self._arcs.get(ref.ident, (None, None))[1] == ref:
-            del self._arcs[ref.ident]
+        """Drop *ref*'s entry (it bounced a routed request or did not
+        answer)."""
+        if self._refs.get(ref.ident) == ref:
+            del self._refs[ref.ident]
+            self._lows.pop(ref.ident, None)
             del self._idents[bisect_left(self._idents, ref.ident)]
 
 
@@ -233,7 +243,8 @@ class QueryPeer:
         return {"admitted": admitted}
 
     def routes(self, space) -> RouteTable:
-        """Owner arcs this peer learned as an initiator (cross-query)."""
+        """Index nodes and owner arcs this peer learned as an initiator
+        (cross-query)."""
         table = self.__dict__.get("_qp_routes")
         if table is None:
             table = self.__dict__["_qp_routes"] = RouteTable(space)

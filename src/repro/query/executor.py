@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..chord.node import walk
 from ..net.sim import Event
 from ..net.transport import NodeUnknown, RpcError, RpcTimeout
 from ..net.wire import as_solution_set, shipped_rows
@@ -132,15 +133,14 @@ class _RowRead:
     def __init__(self, ctx: "ExecutionContext", key: int) -> None:
         self.ctx, self.key = ctx, key
 
-    def send(self, node_id: str, routed: bool = False, arc: bool = False):
-        """Generator → ``(entries, None)``; a routed read bounced by a
-        node that does not own the key gives ``(None, None)``. A row
-        read never asks for its owner's arc."""
+    def send(self, node_id: str, routed: bool = False):
+        """Generator → the row; a routed read bounced by a node that does
+        not own the key gives None."""
         ctx = self.ctx
         if node_id == ctx.initiator:
-            return ctx.system.index_nodes[node_id].locate(self.key), None
+            return ctx.system.index_nodes[node_id].locate(self.key)
         payload = {"key": self.key, "routed": True} if routed else {"key": self.key}
-        return (yield ctx.call(node_id, "index_lookup", payload)), None
+        return (yield ctx.call(node_id, "index_lookup", payload))
 
     def condemns(self, node_id: str) -> bool:
         """A row read dials even an open-circuit owner: the transport
@@ -283,14 +283,24 @@ class ExecutionContext:
         return corr
 
     def call(self, dst: str, method: str, payload: Any = None,
-             timeout: Optional[float] = None) -> Event:
+             timeout: Optional[float] = None, retry: bool = True) -> Event:
         if self.deadline_at is not None and self.sim.now >= self.deadline_at:
             self.network.failover.deadline_exhausted += 1
             raise QueryDeadlineExceeded(
                 f"query deadline exceeded before calling {dst}.{method}")
         return self.network.call(self.initiator, dst, method, payload, timeout,
-                                 flow=self.query_id, retry=self._retry,
+                                 flow=self.query_id,
+                                 retry=self._retry if retry else None,
                                  deadline=self.deadline_at)
+
+    def probe(self, dst: str, method: str, payload: Any = None) -> Event:
+        """:meth:`call` in one attempt: a ring walk's probe. The walk's
+        own retry is to avoid the silent node and ask the last responder
+        again, as a recursive forward routed round a dead hop. The probe
+        is still one attempt of the query's retry policy, capped at its
+        ``per_attempt_timeout``, and the query deadline still bounds it."""
+        timeout = self._retry.per_attempt_timeout if self._retry else None
+        return self.call(dst, method, payload, timeout, retry=False)
 
     def abandon(self, corr: str, site: Optional[str] = None) -> None:
         """Tombstone *corr* at the initiator (and at *site*, the intended
@@ -505,12 +515,16 @@ class ExecutionContext:
         done.succeed()
         return PatternInfo(pattern, kind, key, owner_id, entries, hops, condition)
 
-    def ring_resolve(self, payload: Dict[str, Any]):
-        """Generator: a ``find_successor`` through the ring entry point,
-        failing over to a fresh entry when the current one is dead
-        (``options.failover`` and a storage-node initiator only)."""
+    def ring_resolve(self, key: int, avoid=()):
+        """Generator: the ring walk (:func:`~repro.chord.node.walk`) for
+        *key* from the ring entry point, failing over to a fresh entry
+        when the current one is dead (``options.failover`` and a
+        storage-node initiator only)."""
+        nodes = self.system.index_nodes
+        routes = self.initiator_peer.routes(self.system.space)
         try:
-            return (yield self.call(self.entry_index, "find_successor", payload))
+            return (yield from walk(self.probe, nodes[self.entry_index].ref,
+                                    key, avoid, routes))
         except RpcTimeout:
             storage = self.system.storage_nodes.get(self.initiator)
             if not self.options.failover or storage is None:
@@ -518,7 +532,8 @@ class ExecutionContext:
             # The ring entry point died mid-query: re-enter elsewhere,
             # like a storage node re-joining the system.
             self.entry_index = self._reattach(storage)
-        return (yield self.call(self.entry_index, "find_successor", payload))
+        return (yield from walk(self.probe, nodes[self.entry_index].ref,
+                                key, avoid, routes))
 
     def consult(self, pattern: TriplePattern, key: int, request):
         """Generator: :meth:`owner_call` under a ``lookup`` span, its
@@ -535,30 +550,30 @@ class ExecutionContext:
 
     def owner_call(self, key: int, route: Dict[str, Any], request):
         """Generator: put *request* (a row read or a
-        :class:`~repro.query.failover.PrimitiveCall`, whose ``send``
-        returns ``(reply, pred)``) to *key*'s owner → ``(node_id, reply,
-        hops)``.
+        :class:`~repro.query.failover.PrimitiveCall`) to *key*'s owner →
+        ``(node_id, reply, hops)``.
 
         The owner is the entry node when the initiator is the index node
         owning *key*; else a learned owner arc
         (:class:`~repro.overlay.peer.RouteTable`), sent ``routed`` at 0
         hops. A bounce (None) or failed call forgets the arc and takes
-        the ring, whose walk starts at the learned owner closest before
-        *key* (forgotten if it fails, then the entry node). The owner the
-        ring names is asked for its arc and learned as ``(pred, owner]``
-        (``(key-1, owner]`` without *pred*); a dead one is left to
+        the ring, whose walk starts at the known node closest before
+        *key* (the entry node, told to avoid that start, if it fails to
+        answer). The walk keeps every node that answered it as a start;
+        the owner it named, once it answered, is learned with its exact
+        arc (responder, owner]. A dead owner is left to
         :func:`~repro.query.failover.owner_or_replica`. *route* gets the
         span's ``routed``/``fallback``/``start``.
         """
         entry_node = self.system.index_nodes[self.entry_index]
         if self.initiator == self.entry_index and entry_node.owns(key):
-            reply, _pred = yield from request.send(self.entry_index)
+            reply = yield from request.send(self.entry_index)
             return self.entry_index, reply, 0
         routes = self.initiator_peer.routes(self.system.space)
         ref = routes.get(key)
         if ref is not None:
             try:
-                reply, _pred = yield from request.send(ref.node_id, routed=True)
+                reply = yield from request.send(ref.node_id, routed=True)
                 reason = "bounce"
             except (RpcTimeout, NodeUnknown) as exc:
                 # A failure to reach the owner, not one the owner raised
@@ -569,26 +584,25 @@ class ExecutionContext:
                 return ref.node_id, reply, 0
             routes.forget(ref)
             route["fallback"] = reason
-        result = None
+        result, avoid = None, ()
         start = routes.preceding(key)
         if start is not None:
             try:
-                result = yield self.call(start.node_id, "find_successor",
-                                         {"key": key})
+                result = yield from walk(self.probe, start, key, (), routes)
                 route["start"] = start.node_id
-            except RpcError:
-                routes.forget(start)
+            except (RpcTimeout, NodeUnknown):
+                avoid = (start.node_id,)  # forgotten by the walk
         if result is None:
-            result = yield from self.ring_resolve({"key": key})
+            result = yield from self.ring_resolve(key, avoid)
         owner = result.ref
         local = owner.node_id == self.initiator
         # An owner the routed request just timed out on is not dialed twice.
         timed_out = (route.get("fallback") == "RpcTimeout"
                      and ref.node_id == owner.node_id)
-        node_id, reply, pred, alt_hops = yield from owner_or_replica(
-            self, key, owner.node_id, request, skip=timed_out, arc=not local)
-        if node_id == owner.node_id and not local:
-            routes.learn(key, owner, pred)
+        node_id, reply, alt_hops = yield from owner_or_replica(
+            self, key, owner.node_id, request, skip=timed_out)
+        if node_id == owner.node_id and not local and result.via is not None:
+            routes.learn(owner, result.via.ident)
         return node_id, reply, result.hops + alt_hops
 
     def replica_of(self, key: int, dead: str):
@@ -600,7 +614,7 @@ class ExecutionContext:
         (Sect. III-D) is the node taking over the dead owner's keys.
         Raises :class:`RpcTimeout` when the ring knows no alternative.
         """
-        result = yield from self.ring_resolve({"key": key, "avoid": [dead]})
+        result = yield from self.ring_resolve(key, (dead,))
         if result.ref.node_id == dead:
             raise RpcTimeout(f"{dead}: no replica holder for key {key}")
         return result.ref.node_id, result.hops

@@ -26,24 +26,23 @@ __all__ = ["PrimitiveCall", "dispatch_primitive", "owner_or_replica"]
 
 
 def owner_or_replica(ctx, key: int, owner_id: str, request,
-                     skip: bool = False, arc: bool = False):
+                     skip: bool = False):
     """Generator: put *request* to *owner_id*, or to *key*'s replica
-    holder when the owner times out → ``(node_id, reply, pred, hops)``.
+    holder when the owner times out → ``(node_id, reply, hops)``.
 
     *skip* says the owner is already condemned (a timeout a moment ago),
     as does an open circuit for a request that routes around one
     (``request.condemns``): it is not dialed, because that would cost a
     timeout for nothing. The replica holder gets the request once, never
-    ``routed`` and never asking for an arc (*arc* asks the owner), so no
-    arc is ever learned from a failover answer (*pred* is None, *hops*
-    the re-resolution's). Without ``options.failover`` the owner is
+    ``routed`` (*hops* are the re-resolution's), and the caller learns no
+    arc from its answer. Without ``options.failover`` the owner is
     dialed whatever *skip* says, and its timeout raised.
     """
     failover = ctx.options.failover
     if not (failover and (skip or request.condemns(owner_id))):
         try:
-            reply, pred = yield from request.send(owner_id, arc=arc)
-            return owner_id, reply, pred, 0
+            reply = yield from request.send(owner_id)
+            return owner_id, reply, 0
         except RpcTimeout:
             if not failover:
                 raise
@@ -54,11 +53,11 @@ def owner_or_replica(ctx, key: int, owner_id: str, request,
         # The replica holder's IndexNode.locate promotes its replica row
         # on read.
         alt_id, hops = yield from ctx.replica_of(key, owner_id)
-        reply, _pred = yield from request.send(alt_id)
+        reply = yield from request.send(alt_id)
     finally:
         span.close()
     request.failed_over(owner_id, alt_id)
-    return alt_id, reply, None, hops
+    return alt_id, reply, hops
 
 
 class PrimitiveCall:
@@ -72,19 +71,12 @@ class PrimitiveCall:
         self.ctx, self.payload, self.timeout = ctx, payload, timeout
         self.corr, self.tag = payload["corr"], payload.get("notify_corr")
 
-    def send(self, node_id: str, routed: bool = False, arc: bool = False):
-        """Generator → ``(ack, pred)``. A ``routed`` request is bounced
-        (ack None) by a node that does not own the key; *pred* is the
-        predecessor ident that an owner asked for its ``arc`` names in
-        its ack."""
-        payload = self.payload
-        if routed:
-            payload = dict(payload, routed=True)
-        elif arc:
-            payload = dict(payload, arc=True)
-        ack = yield self.ctx.call(node_id, "execute_primitive", payload,
-                                  timeout=self.timeout)
-        return ack, (ack.get("pred") if ack is not None else None)
+    def send(self, node_id: str, routed: bool = False):
+        """Generator → the ack. A ``routed`` request is bounced (ack
+        None) by a node that does not own the key."""
+        payload = dict(self.payload, routed=True) if routed else self.payload
+        return (yield self.ctx.call(node_id, "execute_primitive", payload,
+                                    timeout=self.timeout))
 
     def condemns(self, node_id: str) -> bool:
         """With a health ledger installed (``options.breaker``) an owner
@@ -135,7 +127,7 @@ def dispatch_primitive(ctx, info, payload: dict, corr: str,
                                                      request)
         info = replace(info, owner=owner_id, lookup_hops=hops)
     else:
-        owner_id, ack, _pred, _hops = yield from owner_or_replica(
+        owner_id, ack, _hops = yield from owner_or_replica(
             ctx, info.key, info.owner, request)
         if owner_id != info.owner:
             info = replace(info, owner=owner_id)

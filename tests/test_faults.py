@@ -18,6 +18,7 @@ import pytest
 
 import repro.query
 
+from repro.chord.node import walk
 from repro.metrics import FailoverCounters
 from repro.net.faults import FaultInjector, FaultPlan, FaultRule, chaos_plan
 from repro.net.health import CLOSED, HALF_OPEN, OPEN, HealthLedger
@@ -352,11 +353,16 @@ class TestReplicaOf:
         assert seen == [{"key": key, "avoid": [victim]}]
 
     def test_avoid_payload_built_only_in_replica_of(self):
+        """The walk builds every ``avoid`` payload; the query layer hands
+        it a dead owner to avoid only in ``replica_of``."""
         package = Path(repro.query.__file__).parent
-        sites = {path.name: path.read_text().count('"avoid"')
-                 for path in sorted(package.glob("*.py"))}
-        assert {name: n for name, n in sites.items() if n} == {"executor.py": 1}
-        assert '"avoid"' in inspect.getsource(ExecutionContext.replica_of)
+        sources = [path.read_text() for path in sorted(package.glob("*.py"))]
+        assert not any('"avoid"' in text for text in sources)
+        assert inspect.getsource(walk).count('"avoid"') == 1
+        with_dead = [line.strip() for text in sources for line in text.splitlines()
+                     if "ring_resolve(key, (dead" in line]
+        assert with_dead == ["result = yield from self.ring_resolve(key, (dead,))"]
+        assert with_dead[0] in inspect.getsource(ExecutionContext.replica_of)
 
 
 class TestDispatchFailoverTag:

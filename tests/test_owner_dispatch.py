@@ -3,9 +3,9 @@
 A primitive leaf whose rows land at the initiator needs no location-table
 row to plan, so the initiator resolves only the key's owner and sends it
 ``execute_primitive``; the owner reads the row when the sub-query
-arrives. The owner the ring names is asked for its arc and names its
-predecessor in its ack, so the initiator learns the owner's whole arc
-(pred, owner], not just (key-1, owner]. Routing and failover follow the
+arrives. The ring walk's final responder is the owner's predecessor as
+the ring sees it, so once the owner answers the initiator learns the
+owner's whole arc (responder, owner]. Routing and failover follow the
 row read's rules (``test_route_table.py``): a routed request to a
 learned arc bounces off a node that does not own the key, a bounce or
 failed call forgets the arc and takes the ring, a dead owner is never
@@ -45,7 +45,6 @@ DISPATCH = ExecutionOptions()
 #: arc (pred, owner], outside (knows-1, owner].
 ANNA_QUERY = "SELECT ?p ?o WHERE { <http://example.org/people/anna> ?p ?o . }"
 NOTHING_QUERY = "SELECT ?x ?y WHERE { ?x ns:knowsNothingAbout ?y . }"
-NICK_QUERY = "SELECT ?x ?y WHERE { ?x foaf:nick ?y . }"
 
 
 def spy_rpcs(system):
@@ -78,8 +77,9 @@ class TestHealthyPath:
         calls = spy_rpcs(system)
         result, report, spans = traced_run(system, KNOWS_QUERY, DISPATCH)
         assert _rows(result) == _rows_of_oracle(system, KNOWS_QUERY)
+        # D1 probes the entry and each of the two hops itself.
         assert Counter(m for src, _dst, m, _p in calls if src == "D1") == \
-            {"find_successor": 1, "execute_primitive": 1}
+            {"find_successor": 3, "execute_primitive": 1}
         assert not any(m == "index_lookup" for _s, _d, m, _p in calls)
         assert (report.lookup_hops, report.messages) == (2, 10)
         assert spans == [{"span": spans[0]["span"],
@@ -124,8 +124,9 @@ class TestHealthyPath:
         calls = spy_rpcs(system)
         result, report, _spans = traced_run(system, query, DISPATCH)
         assert result.rows == [] == oracle_rows(system, query)
-        assert [m for src, _d, m, _p in calls if src == "D1"] == \
-            ["find_successor", "execute_primitive"]
+        sent = [m for src, _d, m, _p in calls if src == "D1"]
+        assert sent == ["find_successor"] * (report.lookup_hops + 1) + \
+            ["execute_primitive"]
 
     def test_routes_are_per_initiator(self):
         system = build_system()
@@ -158,10 +159,14 @@ class TestRerouting:
         key = knows_key(system)
         joined = join_index_node(system, "N8", ident=key)
         assert knows_owner(system) == joined.node_id
+        walks = spy_calls(system, "find_successor")
         result, report, spans = traced_run(system, KNOWS_QUERY, DISPATCH)
         assert _rows(result) == expected == _rows_of_oracle(system, KNOWS_QUERY)
         assert spans[0]["fallback"] == "bounce"
-        assert report.lookup_hops > 0
+        # The bounce takes the ring: one probe of the old arc's final
+        # responder, whose successor is now the newcomer.
+        assert [dst for src, dst, _p in walks if src == "D1"] == [spans[0]["start"]]
+        assert report.lookup_hops == 0
         assert routes_of(system).get(key).node_id == joined.node_id
 
     def test_departed_owner_is_unknown_then_the_ring_answers(self):
@@ -192,7 +197,7 @@ class TestRerouting:
         assert to_dead[0].get("routed") is (True if warmed else None)
         assert spans[0].get("fallback") == ("RpcTimeout" if warmed else None)
         (to_replica,) = [payload for _src, dst, payload in sent if dst != dead]
-        assert "routed" not in to_replica and "arc" not in to_replica
+        assert "routed" not in to_replica
         # A failover answer is never learned.
         assert routes_of(system).get(knows_key(system)) is None
 
@@ -246,8 +251,8 @@ class TestRerouting:
         sent = spy_calls(system, "execute_primitive")
         with pytest.raises(QueryFailed):
             DistributedExecutor(system).execute(KNOWS_QUERY, initiator="D1")
-        assert [(p.get("routed"), p.get("arc")) for _s, dst, p in sent
-                if dst == dead] == [(True, None), (None, True)]
+        assert [p.get("routed") for _s, dst, p in sent if dst == dead] == \
+            [True, None]
 
 
 class TestLoneCostLeaf:
@@ -263,9 +268,10 @@ class TestLoneCostLeaf:
             KNOWS_QUERY, initiator="D1")
         assert _rows(result) == _rows_of_oracle(system, KNOWS_QUERY)
         sent = [(m, p) for src, _d, m, p in calls if src == "D1"]
-        assert [m for m, _p in sent] == ["find_successor", "execute_primitive"]
-        assert sent[1][1]["strategy"] == "cost"
-        assert sent[1][1]["time_weight"] == 0.3
+        assert [m for m, _p in sent] == \
+            ["find_successor"] * (report.lookup_hops + 1) + ["execute_primitive"]
+        assert sent[-1][1]["strategy"] == "cost"
+        assert sent[-1][1]["time_weight"] == 0.3
         owner = system.index_nodes[knows_owner(system)]
         row = owner.locate(knows_key(system))
         picked, _costs = choose_strategy(row, system.network.link, 0.3)
@@ -295,13 +301,14 @@ class TestLoneCostLeaf:
 
 class TestLearnedStarts:
     """On a 64-node ring D1 enters at N10 and learns N37's arc from the
-    knows query; the keys below lie outside it."""
+    knows query; the keys below lie outside it, and N37 is the known node
+    closest before the ns:knowsNothingAbout key."""
 
     def test_cold_peer_walks_from_the_entry(self):
         system = build_system(num_index=64)
         result, report, spans = traced_run(system, NOTHING_QUERY, DISPATCH)
         assert (report.lookup_hops, report.messages,
-                report.bytes_total) == (4, 14, 1654)
+                report.bytes_total) == (4, 14, 1578)
         assert "start" not in spans[0]
         assert result.rows == oracle_rows(system, NOTHING_QUERY)
 
@@ -311,7 +318,8 @@ class TestLearnedStarts:
         learned = knows_owner(system)
         walks = spy_calls(system, "find_successor")
         result, report, spans = traced_run(system, NOTHING_QUERY, DISPATCH)
-        assert [dst for src, dst, _ in walks if src == "D1"] == [learned]
+        probes = [dst for src, dst, _ in walks if src == "D1"]
+        assert probes[0] == learned and len(probes) == 2
         assert spans[0]["start"] == learned and "routed" not in spans[0]
         assert report.lookup_hops == 1
         assert result.rows == oracle_rows(system, NOTHING_QUERY)
@@ -323,13 +331,18 @@ class TestLearnedStarts:
         system.network.fail_node(dead)
         before = ring_state(system)
         walks = spy_calls(system, "find_successor")
-        result, report, spans = traced_run(system, NICK_QUERY, DISPATCH)
-        assert result.rows == oracle_rows(system, NICK_QUERY)
+        result, report, spans = traced_run(system, NOTHING_QUERY, DISPATCH)
+        assert result.rows == oracle_rows(system, NOTHING_QUERY)
         entry = system.storage_nodes["D1"].index_node_id
-        assert [dst for src, dst, _ in walks if src == "D1"] == [dead, entry]
-        assert "start" not in spans[0] and report.lookup_hops == 2
+        probes = [(dst, p.get("avoid")) for src, dst, p in walks if src == "D1"]
+        assert probes[:2] == [(dead, None), (entry, [dead])]
+        assert [dst for dst, _avoid in probes].count(dead) == 1
+        assert "start" not in spans[0]
+        assert report.lookup_hops == len(probes) - 2
         routes = routes_of(system)
-        assert routes.get(knows_key(system)) is None and len(routes) == 1
+        assert routes.get(knows_key(system)) is None
+        dead_ref = system.index_nodes[dead].ref
+        assert routes.preceding(dead_ref.ident + 1) != dead_ref  # not even a start
         assert ring_state(system) == before
 
 

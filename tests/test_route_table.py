@@ -1,12 +1,13 @@
 """Owner arcs learned from ring lookups: repeat lookups skip the Chord walk.
 
-A query peer remembers, per index node a ring lookup named, the arc of
-keys that node owns (:class:`~repro.overlay.peer.RouteTable`). A later
-lookup inside a remembered arc reads the owner's location-table row
-directly, at 0 hops; the owner answers only for keys it owns, and a
-bounce or a failed call sends the lookup back to the ring. A lookup
-outside every remembered arc starts its ring walk at the learned owner
-closest before the key instead of at the entry node.
+A query peer remembers every index node its ring walks probed, and, per
+owner a walk named, the arc of keys that node owns
+(:class:`~repro.overlay.peer.RouteTable`). A later lookup inside a
+remembered arc reads the owner's location-table row directly, at 0
+hops; the owner answers only for keys it owns, and a bounce or a failed
+call sends the lookup back to the ring. A lookup outside every
+remembered arc starts its ring walk at the known node closest before
+the key instead of at the entry node.
 
 The queries here are walks over one key: a walk plans from its leaves'
 rows, so it reads the row (``index_lookup``) and both leaves share that
@@ -87,37 +88,27 @@ class TestRouteTable:
     def test_learned_arc_ends_at_the_owner(self):
         table = RouteTable(self.SPACE)
         owner = self.ref(100)
-        table.learn(90, owner)
+        table.learn(owner, 89)
         assert [k for k in range(256) if table.get(k) == owner] == \
             list(range(90, 101))
 
-    def test_a_later_key_widens_the_arc_downward(self):
-        table = RouteTable(self.SPACE)
-        owner = self.ref(100)
-        table.learn(90, owner)
-        table.learn(60, owner)
-        table.learn(95, owner)  # inside: the arc keeps its low end
-        assert table.get(59) is None
-        assert all(table.get(k) == owner for k in range(60, 101))
-        assert table.get(101) is None
-        assert len(table) == 1
-
     def test_a_named_predecessor_makes_the_arc_exact(self):
+        """The walk's final responder is the owner's predecessor as the
+        ring sees it; a later walk that names another one replaces it."""
         table = RouteTable(self.SPACE)
         owner = self.ref(100)
-        table.learn(90, owner)
-        table.learn(95, owner, pred=40)  # the owner named its predecessor
+        table.learn(owner, 40)
         assert [k for k in range(256) if table.get(k) == owner] == \
             list(range(41, 101))
-        table.learn(90, owner, pred=70)  # a later reply: the ring moved
+        table.learn(owner, 70)  # a later walk: the ring moved
         assert table.get(70) is None and table.get(71) == owner
         assert len(table) == 1
 
     def test_arc_across_zero(self):
         table = RouteTable(self.SPACE)
         first, last = self.ref(10), self.ref(200)
-        table.learn(250, first)
-        table.learn(150, last)
+        table.learn(first, 249)
+        table.learn(last, 149)
         assert table.get(255) == first and table.get(3) == first
         assert table.get(249) is None
         assert table.get(201) is None and table.get(200) == last
@@ -125,8 +116,8 @@ class TestRouteTable:
     def test_forget_drops_only_that_owner(self):
         table = RouteTable(self.SPACE)
         a, b = self.ref(50), self.ref(100)
-        table.learn(40, a)
-        table.learn(90, b)
+        table.learn(a, 39)
+        table.learn(b, 89)
         table.forget(a)
         assert table.get(45) is None and table.get(95) == b
         table.forget(a)  # forgetting twice is harmless
@@ -136,8 +127,8 @@ class TestRouteTable:
         table = RouteTable(self.SPACE)
         assert table.preceding(7) is None
         a, b = self.ref(50), self.ref(100)
-        table.learn(40, a)
-        table.learn(90, b)
+        table.learn(a, 39)
+        table.learn(b, 89)
         assert table.preceding(101) == b and table.preceding(51) == a
         # Across zero: nothing lies before 10, so the last owner does.
         assert table.preceding(10) == b and table.preceding(255) == b
@@ -146,16 +137,34 @@ class TestRouteTable:
         table.forget(a)
         assert table.preceding(101) is None
 
+    def test_a_bare_node_is_a_start_but_never_an_owner(self):
+        table = RouteTable(self.SPACE)
+        owner, bare = self.ref(100), self.ref(60)
+        table.note(bare)
+        assert all(table.get(k) is None for k in range(256))
+        assert table.preceding(61) == bare and table.preceding(10) == bare
+        table.learn(owner, 60)
+        assert table.get(60) is None and table.get(61) == owner
+        assert table.preceding(100) == bare and table.preceding(101) == owner
+        table.note(owner)  # probed later: the arc stays
+        assert table.get(61) == owner
+        table.learn(bare, 20)  # a bare node named as an owner gains its arc
+        assert table.get(21) == bare and len(table) == 2
+
     def test_stays_within_its_cap_dropping_the_oldest(self):
         space = IdentifierSpace(32)
         table = RouteTable(space)
         refs = [NodeRef(1000 * (i + 1), f"N{i}") for i in range(ROUTE_CAP + 10)]
-        for ref in refs:
-            table.learn(ref.ident, ref)
+        for i, ref in enumerate(refs):
+            if i % 2:
+                table.note(ref)
+            else:
+                table.learn(ref, ref.ident - 1)
             assert len(table) <= ROUTE_CAP
         assert len(table) == ROUTE_CAP
-        assert all(table.get(ref.ident) is None for ref in refs[:10])
-        assert all(table.get(ref.ident) == ref for ref in refs[10:])
+        assert all(table.preceding(ref.ident + 1) != ref for ref in refs[:10])
+        assert all(table.preceding(ref.ident + 1) == ref for ref in refs[10:])
+        assert all(table.get(ref.ident) == ref for ref in refs[10::2])
 
 
 class TestRoutedReads:
@@ -198,10 +207,14 @@ class TestRoutedReads:
         key = knows_key(system)
         joined = join_index_node(system, "N8", ident=key)
         assert knows_owner(system) == joined.node_id
+        walks = spy_calls(system, "find_successor")
         result, report, spans = traced_run(system, KNOWS_WALK)
         assert _rows(result) == expected
         assert spans[0]["fallback"] == "bounce"
-        assert report.lookup_hops > 0
+        # The bounce takes the ring: one probe of the old arc's final
+        # responder, whose successor is now the newcomer.
+        assert [dst for src, dst, _p in walks if src == "D1"] == [spans[0]["start"]]
+        assert report.lookup_hops == 0
         routes = system.storage_nodes["D1"].routes(system.space)
         assert routes.get(key).node_id == joined.node_id
 
@@ -257,20 +270,38 @@ def ring_state(system):
 
 
 class TestLearnedStarts:
-    """On a 64-node ring D1 enters at N10 and learns N37 from the knows
-    lookup; the keys below lie outside N37's arc."""
+    """On a 64-node ring D1 enters at N10; the knows lookup probes N10,
+    N11, N48 and N49 and names N37, whose arc (N49, N37] D1 learns. The
+    keys below lie outside it, and N37 is the known node closest before
+    the ns:knowsNothingAbout key."""
 
     NOTHING_QUERY = ("SELECT ?x ?y ?z WHERE "
                      "{ ?x ns:knowsNothingAbout ?y . ?y ns:knowsNothingAbout ?z . }")
-    NICK_QUERY = "SELECT ?x ?y ?z WHERE { ?x foaf:nick ?y . ?z foaf:nick ?y . }"
 
     def test_cold_peer_walks_from_the_entry(self):
         system = build_system(num_index=64)
+        walks = spy_calls(system, "find_successor")
         result, report, spans = traced_run(system, self.NOTHING_QUERY)
         assert (report.lookup_hops, report.messages,
-                report.bytes_total) == (4, 24, 2548)
+                report.bytes_total) == (4, 24, 2492)
+        # The originator sends every probe: the entry, then one per hop.
+        assert [src for src, _dst, _p in walks] == ["D1"] * 5
+        assert walks[0][1] == system.storage_nodes["D1"].index_node_id
         assert "start" not in spans[0]
         assert result.rows == oracle_rows(system, self.NOTHING_QUERY)
+
+    def test_warm_peer_knows_every_probed_node(self):
+        system = build_system(num_index=64)
+        walks = spy_calls(system, "find_successor")
+        warm(system)
+        routes = system.storage_nodes["D1"].routes(system.space)
+        probed = [system.index_nodes[dst].ref for _src, dst, _p in walks]
+        assert len(routes) == len(probed) + 1  # and the owner
+        assert all(routes.preceding(ref.ident + 1) == ref for ref in probed)
+        # Only the owner answers get(): its arc ends at the last probe.
+        owner = system.index_nodes[knows_owner(system)]
+        assert routes.get(probed[-1].ident) is None
+        assert routes.get(probed[-1].ident + 1) == owner.ref
 
     def test_miss_starts_at_the_nearest_learned_owner(self):
         system = build_system(num_index=64)
@@ -278,7 +309,8 @@ class TestLearnedStarts:
         learned = knows_owner(system)
         walks = spy_calls(system, "find_successor")
         result, report, spans = traced_run(system, self.NOTHING_QUERY)
-        assert [dst for src, dst, _ in walks if src == "D1"] == [learned]
+        probes = [dst for src, dst, _ in walks if src == "D1"]
+        assert probes[0] == learned and len(probes) == report.lookup_hops + 1
         assert spans[0]["start"] == learned and "routed" not in spans[0]
         _result, fresh, _spans = traced_run(build_system(num_index=64),
                                             self.NOTHING_QUERY)
@@ -292,13 +324,20 @@ class TestLearnedStarts:
         system.network.fail_node(dead)
         before = ring_state(system)
         walks = spy_calls(system, "find_successor")
-        result, report, spans = traced_run(system, self.NICK_QUERY)
-        assert result.rows == oracle_rows(system, self.NICK_QUERY)
+        result, report, spans = traced_run(system, self.NOTHING_QUERY)
+        assert result.rows == oracle_rows(system, self.NOTHING_QUERY)
         entry = system.storage_nodes["D1"].index_node_id
-        assert [dst for src, dst, _ in walks if src == "D1"] == [dead, entry]
-        assert "start" not in spans[0] and report.lookup_hops == 2
+        probes = [(dst, p.get("avoid")) for src, dst, p in walks if src == "D1"]
+        # One timeout on the dead start; the entry's walk is told to
+        # avoid it, so it is never probed again.
+        assert probes[:2] == [(dead, None), (entry, [dead])]
+        assert [dst for dst, _avoid in probes].count(dead) == 1
+        assert "start" not in spans[0]
+        assert report.lookup_hops == len(probes) - 2
         routes = system.storage_nodes["D1"].routes(system.space)
-        assert routes.get(knows_key(system)) is None and len(routes) == 1
+        assert routes.get(knows_key(system)) is None
+        dead_ref = system.index_nodes[dead].ref
+        assert routes.preceding(dead_ref.ident + 1) != dead_ref  # not even a start
         # A failed start is a hint gone stale, never evidence to evict.
         assert ring_state(system) == before
 
