@@ -18,8 +18,10 @@ index for the same query on the same data.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import replace
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..net.protocol import Flood, FloodAnswer
 from ..net.transport import Network
 from ..overlay.storage_node import StorageNode
 from ..rdf.triple import Triple
@@ -37,39 +39,28 @@ class FloodingNode(StorageNode):
         self.neighbors: List[str] = []
         self._seen_queries: Set[str] = set()
 
-    def rpc_flood(self, payload: Dict[str, Any], src: str) -> None:
+    def rpc_flood(self, payload: Flood, src: str) -> None:
         """One-way flood step: evaluate locally, answer the initiator,
         forward to neighbors while TTL remains."""
         assert self.network is not None
-        qid = payload["qid"]
+        qid = payload.qid
         if qid in self._seen_queries:
             return
         self._seen_queries.add(qid)
 
-        matches = self.local_eval(payload["algebra"])
+        matches = self.local_eval(payload.algebra)
         if matches:
             self.network.send(
-                self.node_id,
-                payload["initiator"],
-                "deliver",
-                {
-                    "corr": qid,
-                    "data": sorted(matches, key=canonical_key),
-                    "notify": None,
-                },
-            )
-        ttl = payload["ttl"] - 1
+                self.node_id, payload.initiator, "deliver",
+                FloodAnswer(corr=qid, data=sorted(matches, key=canonical_key),
+                            notify=None, flow=qid))
+        ttl = payload.ttl - 1
         if ttl <= 0:
             return
+        forward = replace(payload, ttl=ttl)
         for neighbor in self.neighbors:
-            if neighbor == src:
-                continue
-            self.network.send(
-                self.node_id,
-                neighbor,
-                "flood",
-                {**payload, "ttl": ttl},
-            )
+            if neighbor != src:
+                self.network.send(self.node_id, neighbor, "flood", forward)
 
 
 class FloodingSystem:
@@ -138,14 +129,8 @@ class FloodingSystem:
         def proc():
             # Seed the flood at the initiator itself.
             initiator.rpc_flood(
-                {
-                    "qid": qid,
-                    "algebra": algebra,
-                    "ttl": ttl,
-                    "initiator": initiator_id,
-                },
-                initiator_id,
-            )
+                Flood(qid=qid, algebra=algebra, ttl=ttl, initiator=initiator_id),
+                initiator_id)
             yield self.sim.timeout(settle_time)
             collected = initiator.mailbox.pop(qid, set())
             return sorted(collected, key=canonical_key)

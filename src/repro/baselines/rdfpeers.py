@@ -21,12 +21,13 @@ query-side numbers show both systems enjoy O(log N) routing.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..chord.hashing import hash_term
 from ..chord.idspace import IdentifierSpace
 from ..chord.node import ChordNode, walk
 from ..chord.ring import ChordRing
+from ..net.protocol import MatchPattern, MatchWithCandidates, RangeScan, StoreTriples
 from ..net.transport import Network
 from ..overlay.peer import QueryPeer
 from ..rdf.graph import Graph
@@ -57,17 +58,14 @@ class RDFPeersNode(QueryPeer, ChordNode):
 
     # ---------------------------------------------------------- store side
 
-    def rpc_store_triples(self, payload: Dict[str, Any], src: str) -> int:
-        key = payload["key"]
-        bucket = self.store.setdefault(key, Graph())
-        added = bucket.update(payload["triples"])
-        return added
+    def rpc_store_triples(self, payload: StoreTriples, src: str) -> int:
+        bucket = self.store.setdefault(payload.key, Graph())
+        return bucket.update(payload.triples)
 
-    def rpc_match_pattern(self, payload: Dict[str, Any], src: str) -> List[SolutionMapping]:
+    def rpc_match_pattern(self, payload: MatchPattern, src: str) -> List[SolutionMapping]:
         """Match a pattern against the bucket of one key."""
-        key = payload["key"]
-        pattern: TriplePattern = payload["pattern"]
-        bucket = self.store.get(key)
+        pattern: TriplePattern = payload.pattern
+        bucket = self.store.get(payload.key)
         if bucket is None:
             return []
         out: Set[SolutionMapping] = set()
@@ -77,12 +75,11 @@ class RDFPeersNode(QueryPeer, ChordNode):
                 out.add(mu)
         return sorted(out, key=canonical_key)
 
-    def rpc_match_with_candidates(self, payload: Dict[str, Any], src: str) -> List[SolutionMapping]:
+    def rpc_match_with_candidates(self, payload: MatchWithCandidates,
+                                  src: str) -> List[SolutionMapping]:
         """One step of the conjunctive algorithm: join incoming candidate
         mappings with this node's matches for the pattern."""
-        matches = self.rpc_match_pattern(payload, src)
-        candidates: Sequence[SolutionMapping] = payload.get("candidates", ())
-        joined = omega_join(candidates, matches)
+        joined = omega_join(payload.candidates, self.rpc_match_pattern(payload, src))
         return sorted(joined, key=canonical_key)
 
     def triples_stored(self) -> int:
@@ -95,22 +92,22 @@ class RDFPeersNode(QueryPeer, ChordNode):
         box = self.__dict__.setdefault("_numeric_store", {})
         return box
 
-    def rpc_store_numeric(self, payload: Dict[str, Any], src: str) -> int:
+    def rpc_store_numeric(self, payload: StoreTriples, src: str) -> int:
         """Store triples under the locality-preserving key of their
         numeric object (Sect. II: range support)."""
-        bucket = self.numeric_store.setdefault(payload["key"], [])
+        bucket = self.numeric_store.setdefault(payload.key, [])
         added = 0
-        for triple in payload["triples"]:
+        for triple in payload.triples:
             if triple not in bucket:
                 bucket.append(triple)
                 added += 1
         return added
 
-    def rpc_range_scan(self, payload: Dict[str, Any], src: str) -> List[Triple]:
+    def rpc_range_scan(self, payload: RangeScan, src: str) -> List[Triple]:
         """Local matches for predicate + ranges among the numeric buckets
         this node stores."""
-        predicate: IRI = payload["predicate"]
-        ranges: List[NumericRange] = payload["ranges"]
+        predicate: IRI = payload.predicate
+        ranges: List[NumericRange] = payload.ranges
         out: List[Triple] = []
         for bucket in self.numeric_store.values():
             for triple in bucket:
@@ -177,7 +174,7 @@ class RDFPeersSystem:
                 stored += yield entry.call(
                     result.ref.node_id,
                     "store_triples",
-                    {"key": key, "triples": by_key[key]},
+                    StoreTriples(key=key, triples=by_key[key]),
                     timeout=60.0,
                 )
             return stored
@@ -208,8 +205,8 @@ class RDFPeersSystem:
         def proc():
             result = yield from walk(entry.call, entry.ref, key)
             matches = yield entry.call(
-                result.ref.node_id, "match_pattern", {"key": key, "pattern": pattern}
-            )
+                result.ref.node_id, "match_pattern",
+                MatchPattern(key=key, pattern=pattern))
             return matches
 
         return self.sim.run_process(proc())
@@ -230,14 +227,12 @@ class RDFPeersSystem:
                 owner = result.ref.node_id
                 if candidates is None:
                     candidates = yield entry.call(
-                        owner, "match_pattern", {"key": key, "pattern": pattern}
-                    )
+                        owner, "match_pattern", MatchPattern(key=key, pattern=pattern))
                 else:
                     candidates = yield entry.call(
-                        owner,
-                        "match_with_candidates",
-                        {"key": key, "pattern": pattern, "candidates": candidates},
-                    )
+                        owner, "match_with_candidates",
+                        MatchWithCandidates(key=key, pattern=pattern,
+                                            candidates=candidates))
                 if not candidates:
                     return []
             return candidates or []
@@ -271,7 +266,7 @@ class RDFPeersSystem:
                 stored += yield entry.call(
                     result.ref.node_id,
                     "store_numeric",
-                    {"key": key, "triples": by_key[key]},
+                    StoreTriples(key=key, triples=by_key[key]),
                     timeout=60.0,
                 )
             return stored
@@ -307,7 +302,7 @@ class RDFPeersSystem:
                 found = yield entry.call(
                     ref.node_id,
                     "range_scan",
-                    {"predicate": predicate, "ranges": list(ordered)},
+                    RangeScan(predicate=predicate, ranges=list(ordered)),
                 )
                 matches.extend(found)
 

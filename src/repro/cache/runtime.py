@@ -23,6 +23,7 @@ walks index node to index node and has no stable combine site).
 
 from __future__ import annotations
 
+from ..net.protocol import CacheAdmit, CacheProbe
 from .keys import bgp_cache_key
 
 __all__ = ["exec_cache_probe"]
@@ -67,7 +68,7 @@ def exec_cache_probe(ctx, walk):
         [leaf.lookup.pattern for leaf in walk.children], ctx.live_vars)
     corr = ctx.new_corr()
     span = ctx.tracer.span("cache", key=ckey, site=site)
-    payload = {"ckey": ckey, "corr": corr}
+    payload = CacheProbe(ckey=ckey, corr=corr)
     if site == ctx.initiator:
         resp = ctx.initiator_peer.rpc_cache_probe(payload, ctx.initiator)
     else:
@@ -86,13 +87,9 @@ def exec_cache_probe(ctx, walk):
     handle = yield from exec_bgp(ctx, walk)
 
     if admit and handle.site == site:
-        admit_payload = {
-            "ckey": ckey,
-            "corr": handle.corr,
-            "vars": handle.vars,
-            "stamps": stamp.epochs,
-            "membership": stamp.membership,
-        }
+        admit_payload = CacheAdmit(ckey=ckey, corr=handle.corr, vars=handle.vars,
+                                   stamps=stamp.epochs,
+                                   membership=stamp.membership)
         if site == ctx.initiator:
             ctx.initiator_peer.rpc_cache_admit(admit_payload, ctx.initiator)
         else:

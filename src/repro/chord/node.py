@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Collection, Dict, List, Optional
 
+from ..net.protocol import FindSuccessor, KeyRange
 from ..net.sim import Event
 from ..net.transport import Node, NodeUnknown, RpcError, RpcTimeout
 from .idspace import IdentifierSpace
@@ -154,7 +155,7 @@ class ChordNode(Node):
     def rpc_get_successor_list(self, payload: Any, src: str) -> List[NodeRef]:
         return list(self.successor_list)
 
-    def rpc_find_successor(self, payload: Dict[str, Any], src: str) -> LookupStep:
+    def rpc_find_successor(self, payload: FindSuccessor, src: str) -> LookupStep:
         """One step of an iterative lookup: the owner of ``key`` if it
         lies in (self, successor], else the closest preceding hop.
 
@@ -165,8 +166,8 @@ class ChordNode(Node):
         successor-list replication (Sect. III-D) exactly the replica
         holder about to take over the dead owner's keys.
         """
-        key = payload["key"]
-        avoid = payload.get("avoid") or ()
+        key = payload.key
+        avoid = payload.avoid or ()
         owner = self.successor
         if avoid:
             owner = next((ref for ref in self.successor_list
@@ -190,10 +191,10 @@ class ChordNode(Node):
             return True
         return False
 
-    def rpc_export_keys(self, payload: Dict[str, int], src: str) -> Dict[int, Any]:
+    def rpc_export_keys(self, payload: KeyRange, src: str) -> Dict[int, Any]:
         """Hand over the keys in (lo, hi] to a joining predecessor
         (Sect. III-C: 'transfer of a portion of the location table')."""
-        lo, hi = payload["lo"], payload["hi"]
+        lo, hi = payload.lo, payload.hi
         exported = {
             key: value
             for key, value in self.export_keys()
@@ -234,7 +235,7 @@ class ChordNode(Node):
         # keeps (self, successor] and we take the complement (successor, self].
         lo = pred.ident if pred is not None else result.ref.ident
         imported = yield self.call(
-            result.ref.node_id, "export_keys", {"lo": lo, "hi": self.ident}
+            result.ref.node_id, "export_keys", KeyRange(lo=lo, hi=self.ident)
         )
         self.import_keys(imported)
         yield from self.stabilize()
@@ -325,9 +326,7 @@ def walk(call: Callable[..., Event], start: NodeRef, key: int,
     answered = set()
     target = start
     while True:
-        payload: Dict[str, Any] = {"key": key}
-        if avoid:
-            payload["avoid"] = sorted(avoid)
+        payload = FindSuccessor(key=key, avoid=sorted(avoid) if avoid else None)
         try:
             step: LookupStep = yield call(target.node_id, "find_successor", payload)
         except (RpcTimeout, NodeUnknown):

@@ -118,6 +118,31 @@ def _size_dict(payload: dict) -> int:
     return n
 
 
+def record_rule(cls: type, sent: tuple, optional: tuple):
+    """Install and return the rule of a request record type
+    (:mod:`repro.net.protocol`): what :func:`_size_dict` charges for the
+    dict of its wire fields — every *sent* field, None included, and
+    each *optional* one that is not None, field names included."""
+    fixed = _CONTAINER_OVERHEAD + sum(_PER_ITEM_OVERHEAD + len(n) for n in sent)
+    costs = tuple(_PER_ITEM_OVERHEAD + len(n) for n in optional)
+    count = len(sent)
+    values = attrgetter(*sent, *optional, "flow")  # a tuple, however few
+    rule_of = _DISPATCH.get
+
+    def size(record) -> int:
+        fields = values(record)
+        n = fixed
+        for value in fields[:count]:
+            n += (rule_of(type(value)) or size_of)(value)
+        for cost, value in zip(costs, fields[count:]):  # flow is never zipped
+            if value is not None:
+                n += cost + (rule_of(type(value)) or size_of)(value)
+        return n
+
+    _DISPATCH[cls] = size
+    return size
+
+
 def _size_sequence(payload) -> int:
     """Container overhead plus every item. A bulk sequence whose items
     (or, for the result cache's term-tuple rows, whose rows' terms) all

@@ -6,8 +6,9 @@ id — and exchanges messages whose cost is ``latency + bytes/bandwidth``.
 All traffic is charged to :class:`~repro.net.stats.NetworkStats`, giving
 the exact transmission totals the optimization study compares.
 
-The RPC layer dispatches a message of kind ``m`` to the destination
-node's ``rpc_m`` method. A handler may return a value directly or be a
+The RPC layer dispatches a message of method ``m``, declared in
+:data:`~repro.net.protocol.PROTOCOL`, to the destination node's
+``rpc_m`` method. A handler may return a value directly or be a
 generator that performs further RPCs (that is how sub-query shipping
 chains through storage nodes). Failed nodes silently drop traffic; callers
 observe an :class:`RpcTimeout`, which is precisely the failure-detection
@@ -23,34 +24,20 @@ counting (DESIGN.md §4).
 
 from __future__ import annotations
 
-import functools
 import random
-from collections import namedtuple
 from types import GeneratorType
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set
 
 from ..cache.epoch import DataEpochLedger
 from ..metrics.counters import CacheCounters, FailoverCounters
-from ..trace.tracer import phase_for_method
 from .contention import ContentionModel
 from .faults import FaultInjector, FaultPlan
 from .health import HealthLedger
+from .protocol import Method, method as declared
 from .sim import Event, SimError, Simulator
 from .sizes import HEADER_BYTES, size_of
 from .stats import NetworkStats
-
-#: Per-method message constants, worked out once per method name.
-#: ``stateless`` callees (ring lookups) keep no per-flow state, so they
-#: stay out of ``Network.flow_peers``.
-_Method = namedtuple("_Method", "attr reply error header_bytes stateless")
-_STATELESS = frozenset({"find_successor"})
-
-
-@functools.cache
-def _method(method: str) -> _Method:
-    return _Method("rpc_" + method, method + ".reply", method + ".error",
-                   HEADER_BYTES + size_of(method), method in _STATELESS)
 
 
 __all__ = [
@@ -166,13 +153,9 @@ class Node:
     # Convenience for handler code -------------------------------------------
 
     def call(self, dst: str, method: str, payload: Any = None,
-             timeout: Optional[float] = None,
-             flow: Optional[str] = None,
-             retry: Optional["RetryPolicy"] = None,
-             deadline: Optional[float] = None) -> Event:
+             timeout: Optional[float] = None) -> Event:
         assert self.network is not None
-        return self.network.call(self.node_id, dst, method, payload, timeout,
-                                 flow=flow, retry=retry, deadline=deadline)
+        return self.network.call(self.node_id, dst, method, payload, timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "up" if self.alive else "down"
@@ -184,17 +167,16 @@ class _Call:
     needs. Settled, its deadline entry is tombstoned or spent, so the
     call dies with the last heap entry that names it."""
 
-    __slots__ = ("network", "result", "src", "dst", "method", "consts", "flow",
+    __slots__ = ("network", "result", "src", "dst", "spec", "flow",
                  "timer", "done", "target", "health", "started")
 
     def __init__(self, network: "Network", result: Event, src: str, dst: str,
-                 method: str, flow: Optional[str]) -> None:
+                 spec: Method, flow: Optional[str]) -> None:
         self.network = network
         self.result = result
         self.src = src
         self.dst = dst
-        self.method = method
-        self.consts = _method(method)
+        self.spec = spec
         self.flow = flow
         self.done = False
 
@@ -209,7 +191,7 @@ class _Call:
         """Callback of a generator handler's process: answer the caller."""
         if event.failure is not None:
             self.network._respond(self, self.target, None, RemoteError(
-                f"{self.dst}.{self.method}: {event.failure}"))
+                f"{self.dst}.{self.spec.name}: {event.failure}"))
         else:
             self.network._respond(self, self.target, event.value, None)
 
@@ -218,17 +200,17 @@ class _Retrying:
     """The retry loop of one :meth:`Network.call` (see there). Attempts
     reach it only through their callbacks, so no cycle outlives it."""
 
-    __slots__ = ("network", "outer", "src", "dst", "method", "payload",
+    __slots__ = ("network", "outer", "src", "dst", "spec", "payload",
                  "timeout", "flow", "retry", "deadline", "attempt", "clamped")
 
-    def __init__(self, network: "Network", src: str, dst: str, method: str,
+    def __init__(self, network: "Network", src: str, dst: str, spec: Method,
                  payload: Any, timeout: float, flow: Optional[str],
                  retry: Optional[RetryPolicy], deadline: Optional[float]) -> None:
         self.network = network
         self.outer = network.sim.event()
         self.src = src
         self.dst = dst
-        self.method = method
+        self.spec = spec
         self.payload = payload
         self.timeout = timeout
         self.flow = flow
@@ -250,13 +232,13 @@ class _Retrying:
             if remaining <= 0:
                 network.failover.deadline_exhausted += 1
                 self.outer.fail(RpcTimeout(
-                    f"{self.src} -> {self.dst}.{self.method}: "
+                    f"{self.src} -> {self.dst}.{self.spec.name}: "
                     "query deadline exhausted"))
                 return
             if remaining < per:
                 per = remaining
                 self.clamped = True
-        inner = network._call_once(self.src, self.dst, self.method,
+        inner = network._call_once(self.src, self.dst, self.spec,
                                    self.payload, per, self.flow)
         inner.callbacks.append(self.settle)
 
@@ -279,7 +261,7 @@ class _Retrying:
         )
         if not exhausted and not deadline_hit:
             delay = retry.backoff_before(
-                self.attempt + 1, key=f"{self.src}>{self.dst}.{self.method}")
+                self.attempt + 1, key=f"{self.src}>{self.dst}.{self.spec.name}")
             if self.deadline is not None and network.sim.now + delay >= self.deadline:
                 deadline_hit = True
         if exhausted or deadline_hit:
@@ -291,8 +273,8 @@ class _Retrying:
         tracer = network.sim.tracer
         if tracer.enabled:
             tracer.record(
-                "rpc_retry", src=self.src, dst=self.dst, name=self.method,
-                phase=phase_for_method(self.method),
+                "rpc_retry", src=self.src, dst=self.dst, name=self.spec.name,
+                phase=self.spec.phase,
                 detail={"attempt": self.attempt + 1, "backoff": delay},
             )
         network.sim._schedule_after(delay, self.launch)
@@ -362,20 +344,6 @@ class Network:
             )
         return self.faults
 
-    @staticmethod
-    def _sniff_flow(payload: Any) -> Optional[str]:
-        """Derive a flow id from a payload's correlation id, if any.
-
-        Correlation ids are minted as ``<query-id>#<seq>``, so the prefix
-        identifies the owning query — the flow every message of that
-        query contends as.
-        """
-        if isinstance(payload, dict):
-            corr = payload.get("corr")
-            if isinstance(corr, str):
-                return corr.rsplit("#", 1)[0]
-        return None
-
     # ----------------------------------------------------------- membership
 
     def register(self, node: Node) -> Node:
@@ -429,22 +397,22 @@ class Network:
         The event succeeds with the handler's return value, or fails with
         :class:`RpcTimeout` / :class:`RemoteError`. Both the request and
         the response are charged to the traffic stats. *flow* names the
-        query this message belongs to for the contention model (sniffed
-        from the payload's correlation id when omitted); the reply
-        inherits the request's flow.
+        query this message belongs to for the contention model (the
+        request record's ``flow`` when omitted); the reply inherits it.
+        An undeclared *method* raises ValueError before anything is sent,
+        a negative *timeout* :class:`SimError`.
 
         *retry* re-issues the call on :class:`RpcTimeout` per the
         :class:`RetryPolicy`. *deadline* is an absolute simulation time
         that bounds the whole call including retries: each attempt's
         timeout is clamped to the remaining budget, and no retry is
-        launched past it. With both omitted (the default) the call takes
-        the classic single-attempt path, byte-identical to before.
-        A negative *timeout* raises :class:`SimError`.
+        launched past it.
         """
+        spec = declared(method)
         if retry is None and deadline is None:
-            return self._call_once(src, dst, method, payload, timeout, flow)
+            return self._call_once(src, dst, spec, payload, timeout, flow)
         retrying = _Retrying(
-            self, src, dst, method, payload,
+            self, src, dst, spec, payload,
             timeout if timeout is not None else self.default_timeout,
             flow, retry, deadline)
         retrying.launch()
@@ -454,7 +422,7 @@ class Network:
         self,
         src: str,
         dst: str,
-        method: str,
+        spec: Method,
         payload: Any = None,
         timeout: Optional[float] = None,
         flow: Optional[str] = None,
@@ -473,14 +441,13 @@ class Network:
             result = sim.event()
             sim._schedule_now(
                 result.fail,
-                RpcTimeout(f"{src} -> {dst}.{method}: circuit open"))
+                RpcTimeout(f"{src} -> {dst}.{spec.name}: circuit open"))
             return result
         result = Event(sim)
-        if flow is None:
-            flow = self._sniff_flow(payload)
-        call = _Call(self, result, src, dst, method, flow)
+        nbytes, flow = self._frame(spec, payload, flow)
+        call = _Call(self, result, src, dst, spec, flow)
         peers = self.flow_peers.get(flow)
-        if peers is not None and not call.consts.stateless:
+        if peers is not None and not spec.stateless:
             peers.add(dst)
         if health is not None:
             call.health = health
@@ -494,34 +461,48 @@ class Network:
             # Unknown address: fail fast (a real stack would ICMP-reject).
             sim._schedule_now(self._settle, call, None, NodeUnknown(dst))
         else:
-            self._transmit(src, dst, method,
-                           call.consts.header_bytes + size_of(payload), flow,
+            self._transmit(src, dst, spec.name, nbytes, spec.phase, flow,
                            None, "rpc_request", self._deliver,
-                           (src, dst, method, payload, call))
+                           (src, dst, spec, payload, call))
         return result
+
+    @staticmethod
+    def _frame(spec: Method, payload: Any, flow: Optional[str]):
+        """A request's bytes and flow. A record of the method's declared
+        type is sized by its rule and carries the flow: one the caller
+        names is stamped on it (relaying handlers copy it forward), else
+        the record's own is the message's."""
+        if type(payload) is spec.request:
+            if flow is None:
+                flow = payload.flow
+            else:
+                payload.flow = flow
+            return spec.header_bytes + spec.size(payload), flow
+        return spec.header_bytes + size_of(payload), flow
 
     def send(self, src: str, dst: str, method: str, payload: Any = None,
              flow: Optional[str] = None) -> None:
         """One-way (unacknowledged) message — used for sub-query shipping
         along storage-node chains, where the paper's optimized strategies
         deliberately avoid response traffic. Dropped silently when the
-        destination is unknown or dead, like a datagram."""
-        nbytes = _method(method).header_bytes + size_of(payload)
+        destination is unknown or dead, like a datagram. An undeclared
+        *method* raises ValueError, as for :meth:`call`."""
+        spec = declared(method)
         if dst not in self.nodes:
             return
-        if flow is None:
-            flow = self._sniff_flow(payload)
+        nbytes, flow = self._frame(spec, payload, flow)
         peers = self.flow_peers.get(flow)
         if peers is not None:
             peers.add(dst)
-        self._transmit(src, dst, method, nbytes, flow, None, "oneway",
-                       self._deliver, (src, dst, method, payload, None))
+        self._transmit(src, dst, method, nbytes, spec.phase, flow, None,
+                       "oneway", self._deliver, (src, dst, spec, payload, None))
 
     def _transmit(self, src: str, dst: str, kind: str, nbytes: int,
-                  flow: Optional[str], compute: Optional[float],
+                  phase: str, flow: Optional[str], compute: Optional[float],
                   trace_kind: str, fn, args: tuple, detail=None) -> None:
         """The wire model, once for every message kind: price *nbytes*
-        from *src* to *dst*, charge and trace it, then schedule
+        from *src* to *dst*, charge and trace it (to the workflow *phase*
+        of its method), then schedule
         ``fn(*args)`` at its arrival — unless the fault plan drops it, and
         a second time first if the plan duplicates it.
 
@@ -561,7 +542,7 @@ class Network:
         self.stats.record(src, dst, kind, nbytes)
         tracer = sim.tracer
         if tracer.enabled:
-            tracer.message(trace_kind, src, dst, kind, nbytes, delay,
+            tracer.message(trace_kind, src, dst, kind, nbytes, phase, delay,
                            detail=detail)
         if fate is not None:
             if fate.drop:
@@ -595,29 +576,30 @@ class Network:
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.record("rpc_timeout", src=call.src, dst=call.dst,
-                          name=call.method, phase=phase_for_method(call.method),
+                          name=call.spec.name, phase=call.spec.phase,
                           detail={"deadline": deadline})
         call.result.fail(
-            RpcTimeout(f"{call.src} -> {call.dst}.{call.method} timed out"))
+            RpcTimeout(f"{call.src} -> {call.dst}.{call.spec.name} timed out"))
 
-    def _deliver(self, src: str, dst: str, method: str, payload: Any,
+    def _deliver(self, src: str, dst: str, spec: Method, payload: Any,
                  call: Optional[_Call]) -> None:
-        """Run ``rpc_<method>`` at *dst*. A request (*call* given) is
-        answered with the handler's value or a :class:`RemoteError`; a
-        one-way message's failures vanish, like UDP."""
+        """Run the declared handler of *spec* at *dst*. A request (*call*
+        given) is answered with the handler's value or a
+        :class:`RemoteError`; a one-way message's failures vanish, like
+        UDP."""
         target = self.nodes.get(dst)
         if target is None or not target.alive:
             return  # dropped; a waiting caller's timer will fire
-        handler = getattr(target, _method(method).attr, None)
+        handler = getattr(target, spec.attr, None)
         if handler is None:
             self._respond(call, target, None, RemoteError(
-                f"{dst} has no handler rpc_{method}"))
+                f"{dst} has no handler {spec.attr}"))
             return
         try:
             outcome = handler(payload, src)
         except Exception as exc:  # noqa: BLE001 - remote fault becomes RemoteError
             self._respond(call, target, None,
-                          RemoteError(f"{dst}.{method}: {exc}"))
+                          RemoteError(f"{dst}.{spec.name}: {exc}"))
             return
         if type(outcome) is GeneratorType:
             process = self.sim.process(outcome)
@@ -634,13 +616,15 @@ class Network:
         if call is None or not target.alive:
             return  # a responder that crashed mid-handler sends nothing
         if exc is None:
-            self._transmit(call.dst, call.src, call.consts.reply,
-                           HEADER_BYTES + size_of(value), call.flow,
+            spec = call.spec
+            self._transmit(call.dst, call.src, spec.reply,
+                           HEADER_BYTES + size_of(value), spec.phase, call.flow,
                            target.compute_delay, "rpc_reply",
                            self._settle, (call, value, None))
         else:
             text = str(exc)
-            self._transmit(call.dst, call.src, call.consts.error,
-                           HEADER_BYTES + size_of(text), call.flow, None,
+            self._transmit(call.dst, call.src, call.spec.error,
+                           HEADER_BYTES + size_of(text), call.spec.phase,
+                           call.flow, None,
                            "rpc_error", self._settle, (call, None, exc),
                            detail={"error": text})

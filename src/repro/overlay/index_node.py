@@ -12,12 +12,17 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter, deque
+from dataclasses import replace
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 from ..cache.keys import canonical_rows, pattern_cache_key, rebind_rows
 from ..chord.idspace import IdentifierSpace
 from ..chord.node import ChordNode, NodeRef, walk
+from ..net.protocol import (
+    Evaluate, ExecutePrimitive, IndexEntries, IndexLookup, Publish, RingKeys,
+    StorageRef,
+)
 from ..net.transport import RpcError
 from ..net.wire import FilteredResult, encode_solutions, shed, shipped_rows
 from .location_table import LocationEntry, LocationTable
@@ -79,11 +84,11 @@ class IndexNode(QueryPeer, ChordNode):
 
     # ------------------------------------------------- index write handlers
 
-    def rpc_index_put(self, payload: Dict[str, Any], src: str) -> IndexPut:
+    def rpc_index_put(self, payload: IndexEntries, src: str) -> IndexPut:
         """Install the location-table entries this node owns; replicate
         them to successors.
 
-        Payload: ``entries`` — list of (key, storage_id, frequency).
+        ``entries``: a list of (key, storage_id, frequency).
         Entries outside this node's arc (a lookup or successor pointer
         that raced a join) are not installed but returned as ``bounced``
         for the publisher to re-resolve; the reply also names this
@@ -92,7 +97,7 @@ class IndexNode(QueryPeer, ChordNode):
         written (:mod:`repro.cache.epoch`).
         """
         owned, bounced = [], []
-        for entry in payload["entries"]:
+        for entry in payload.entries:
             (owned if self.owns(entry[0]) else bounced).append(entry)
         advance = self.network.data_epochs.advance
         for key, storage_id, freq in owned:
@@ -102,13 +107,13 @@ class IndexNode(QueryPeer, ChordNode):
             self._replicate(owned)
         return IndexPut(self.successor, bounced)
 
-    def rpc_replica_put(self, payload: Dict[str, Any], src: str) -> None:
-        for key, storage_id, freq in payload["entries"]:
+    def rpc_replica_put(self, payload: IndexEntries, src: str) -> None:
+        for key, storage_id, freq in payload.entries:
             self.replicas.import_row(key, {storage_id: freq})
 
-    def rpc_index_remove_storage(self, payload: Dict[str, Any], src: str) -> int:
+    def rpc_index_remove_storage(self, payload: StorageRef, src: str) -> int:
         """Remove all entries of a departed/failed storage node (III-D)."""
-        storage_id = payload["storage_id"]
+        storage_id = payload.storage_id
         touched = self.table.remove_storage_node(storage_id)
         self.replicas.remove_storage_node(storage_id)
         if storage_id in self.attached_storage:
@@ -118,18 +123,16 @@ class IndexNode(QueryPeer, ChordNode):
     def _replicate(self, entries) -> None:
         if self.replication_factor <= 1 or self.network is None:
             return
+        put = IndexEntries(entries=entries)
         for ref in self.successor_list[: self.replication_factor - 1]:
-            if ref == self.ref:
-                continue
-            self.network.send(
-                self.node_id, ref.node_id, "replica_put", {"entries": entries}
-            )
+            if ref != self.ref:
+                self.network.send(self.node_id, ref.node_id, "replica_put", put)
 
-    def rpc_publish(self, payload: Dict[str, Any], src: str):
+    def rpc_publish(self, payload: Publish, src: str):
         """Publication entry point for an attached storage node — the
         index-construction process of Sect. III-B.
 
-        Payload: ``storage_id`` and ``entries``, (key, frequency) pairs in
+        ``entries`` are the storage node's (key, frequency) pairs in
         ascending ring-key order. The walk goes clockwise round the ring
         from this node, arc by arc: an owner O takes every pending key up
         to ``O.ident`` in one ``index_put``, whose reply names O's
@@ -141,8 +144,8 @@ class IndexNode(QueryPeer, ChordNode):
         ``MAX_BOUNCES`` times fails the publication with
         :class:`PublicationFailed`, never silently.
         """
-        storage_id = payload["storage_id"]
-        entries = payload["entries"]
+        storage_id = payload.storage_id
+        entries = payload.entries
         cut = bisect_right(entries, self.ident, key=itemgetter(0))
         todo = deque((key, storage_id, freq)
                      for key, freq in entries[cut:] + entries[:cut])
@@ -161,10 +164,11 @@ class IndexNode(QueryPeer, ChordNode):
             if not run:  # the hint owns none of the next keys
                 target = None
                 continue
+            put = IndexEntries(entries=run)
             if target == self.ref:
-                reply = self.rpc_index_put({"entries": run}, self.node_id)
+                reply = self.rpc_index_put(put, self.node_id)
             else:
-                reply = yield self.call(target.node_id, "index_put", {"entries": run})
+                reply = yield self.call(target.node_id, "index_put", put)
             installed += len(run) - len(reply.bounced)
             if not reply.bounced:
                 low, target = target.ident, reply.successor
@@ -207,27 +211,27 @@ class IndexNode(QueryPeer, ChordNode):
             return entries
         return []
 
-    def _bounces(self, payload: Dict[str, Any]) -> bool:
+    def _bounces(self, payload) -> bool:
         """A ``routed`` request (sent from a learned arc) is answered only
         if this node ``owns()`` its key, else bounced with None and
         nothing done; an unrouted one always, as a replica holder taking
         over still has the dead owner as predecessor."""
-        return bool(payload.get("routed")) and not self.owns(payload["key"])
+        return bool(payload.routed) and not self.owns(payload.key)
 
-    def rpc_index_lookup(self, payload: Dict[str, Any],
+    def rpc_index_lookup(self, payload: IndexLookup,
                          src: str) -> Optional[List[LocationEntry]]:
         """Row for ``key``, or None for a bounced routed read."""
         if self._bounces(payload):
             return None
-        return self.locate(payload["key"])
+        return self.locate(payload.key)
 
-    def rpc_replica_drop(self, payload: Dict[str, Any], src: str) -> int:
+    def rpc_replica_drop(self, payload: RingKeys, src: str) -> int:
         """Drop the replica rows we hold for *keys* (graceful-departure
         sweep: the primary moved to an heir, so copies replicated by the
         old owner are stale and a later takeover could promote outdated
         frequencies)."""
         dropped = 0
-        for key in payload["keys"]:
+        for key in payload.keys:
             if self.replicas.row_dict(key):
                 self.replicas.drop_row(key)
                 dropped += 1
@@ -235,12 +239,12 @@ class IndexNode(QueryPeer, ChordNode):
             self.network.failover.replica_rows_swept += dropped
         return dropped
 
-    def rpc_rereplicate(self, payload: Dict[str, Any], src: str) -> int:
+    def rpc_rereplicate(self, payload: RingKeys, src: str) -> int:
         """Replicate the primary rows for *keys* to our successors — run
         by an heir after inheriting a departed predecessor's table, so the
         moved rows regain their full replica count."""
         entries = []
-        for key in payload["keys"]:
+        for key in payload.keys:
             for e in self.table.lookup(key):
                 entries.append((key, e.storage_id, e.frequency))
         if entries:
@@ -249,15 +253,13 @@ class IndexNode(QueryPeer, ChordNode):
 
     # ----------------------------------------- primitive query orchestration
 
-    def rpc_execute_primitive(self, payload: Dict[str, Any], src: str):
-        """Resolve a single-triple-pattern sub-query (Sect. IV-C).
-
-        Payload: ``algebra`` (the sub-query — a BGP of one pattern,
-        possibly wrapped in a pushed-down Filter), ``key`` (ring key of
-        the pattern), ``strategy`` (one of :data:`PRIMITIVE_STRATEGIES`,
-        or ``cost``: pick basic or freq from this row under the payload's
-        ``time_weight``, and return the row in the ack as ``row``), plus
-        delivery directives:
+    def rpc_execute_primitive(self, payload: ExecutePrimitive, src: str):
+        """Resolve a single-triple-pattern sub-query (Sect. IV-C): the
+        ``algebra`` (a BGP of one pattern, possibly wrapped in a
+        pushed-down Filter) under ``strategy`` (one of
+        :data:`PRIMITIVE_STRATEGIES`, or ``cost``: pick basic or freq from
+        the row under ``time_weight``, and return the row in the ack as
+        ``row``), with delivery directives:
 
         * ``deposit`` — assemble here and keep the result in this node's
           mailbox under ``corr`` (the basic conjunction scheme of IV-D,
@@ -269,32 +271,25 @@ class IndexNode(QueryPeer, ChordNode):
         * neither — *basic* replies with the data directly (the reply to
           the caller is the N7→N1 transfer of the paper's basic scheme).
 
-        Under a fault plan the request is idempotent per corr: the first
-        delivery executes and settles an inflight event with its ack; a
-        duplicate (message duplication, or a retry whose original was
-        merely slow) awaits that event and returns the equivalent ack —
-        never a second execution, never a second chain kickoff. A corr
-        the initiator already tombstoned is acknowledged emptily without
-        executing at all.
-
-        A ``routed`` request bounces like a routed ``index_lookup``.
+        The request is idempotent per corr (:data:`~repro.net.protocol.ONCE`,
+        the ``_inflight`` ledger): never a second execution, never a second
+        chain kickoff. A corr the initiator already tombstoned is
+        acknowledged emptily without executing at all. A ``routed``
+        request bounces like a routed ``index_lookup``.
         """
         if self._bounces(payload):
             return None
-        if self._chaos_keep:
-            corr = payload.get("corr")
-            if corr is not None:
-                if corr in self._dead_corrs:
-                    self.network.failover.duplicates_dropped += 1
-                    return {"mode": "direct", "data": []}
-                inflight = self._inflight
-                done = inflight.get(corr)
-                if done is not None:
-                    self.network.failover.duplicates_dropped += 1
-                    return self._await_primitive(done)
-                done = inflight[corr] = self.sim.event()
-                return self._execute_primitive_once(payload, src, done)
-        return self._execute_primitive(payload, src)
+        corr = payload.corr
+        if corr in self._dead_corrs:
+            self.network.failover.duplicates_dropped += 1
+            return {"mode": "direct", "data": []}
+        inflight = self._inflight
+        done = inflight.get(corr)
+        if done is not None:
+            self.network.failover.duplicates_dropped += 1
+            return self._await_primitive(done)
+        done = inflight[corr] = self.sim.event()
+        return self._execute_primitive(payload, src, done)
 
     def _await_primitive(self, done):
         """Generator: a duplicate request rides the first execution's
@@ -302,31 +297,27 @@ class IndexNode(QueryPeer, ChordNode):
         reply = yield done
         return reply
 
-    def _execute_primitive_once(self, payload: Dict[str, Any], src: str, done):
+    def _execute_primitive(self, payload: ExecutePrimitive, src: str, done):
         """Generator: run the primitive and settle the inflight event so
         any duplicate deliveries observe this execution's outcome."""
         try:
-            reply = yield from self._execute_primitive(payload, src)
+            entries = self.locate(payload.key)
+            ack = yield from self._primitive_ack(payload, src, entries)
         except BaseException as exc:
             if not done.triggered:
                 done.fail(exc)
             raise
-        if not done.triggered:
-            done.succeed(reply)
-        return reply
-
-    def _execute_primitive(self, payload: Dict[str, Any], src: str):
-        entries = self.locate(payload["key"])
-        ack = yield from self._primitive_ack(payload, src, entries)
-        if payload.get("strategy") == "cost":
+        if payload.strategy == "cost":
             # The row the scheme was picked from: the planner's statistics.
             ack["row"] = entries
+        if not done.triggered:
+            done.succeed(ack)
         return ack
 
-    def _primitive_ack(self, payload: Dict[str, Any], src: str,
+    def _primitive_ack(self, payload: ExecutePrimitive, src: str,
                        entries: List[LocationEntry]):
-        strategy = payload.get("strategy", "basic")
-        if payload.get("cache"):
+        strategy = payload.strategy
+        if payload.cache:
             served = yield from self._execute_cached(payload, src, entries)
             if served is not None:
                 return served
@@ -336,34 +327,33 @@ class IndexNode(QueryPeer, ChordNode):
             from ..query.cost import choose_strategy  # deferred: query imports overlay
 
             strategy = choose_strategy(entries, self.network.link,
-                                       payload["time_weight"])[0].wire_name
+                                       payload.time_weight)[0].wire_name
         if strategy == "basic":
             result, pruned, dropped = yield from self._execute_basic(
                 payload, entries)
             return self._primitive_reply(payload, src, result, pruned,
                                          dropped)
         if strategy in ("chained", "freq"):
-            route = self._route(entries, strategy, end_at=payload.get("end_at"))
+            route = self._route(entries, strategy, end_at=payload.end_at)
             if not route:
                 return {"mode": "direct", "data": []}
             self._kickoff_chain(payload, route)
             return {"mode": "chained", "route": route}
         raise ValueError(f"unknown primitive strategy {strategy!r}")
 
-    def _primitive_reply(self, payload: Dict[str, Any], src: str,
+    def _primitive_reply(self, payload: ExecutePrimitive, src: str,
                          result, pruned, dropped: int = 0):
-        """Deliver a basic-scheme result per the payload's directives
+        """Deliver a basic-scheme result per the request's directives
         (deposit here / ship to ``final`` / reply directly).
 
         ``dropped`` — providers that vanished during the fan-out — rides
         back in the ack only when the initiator asked for it via the
-        ``partial`` payload flag, keeping the wire byte-identical for
-        every other configuration.
+        request's ``partial`` flag.
         """
-        corr = payload["corr"]
-        final = payload.get("final")
-        encode = payload.get("encode", False)
-        if payload.get("deposit"):
+        corr = payload.corr
+        final = payload.final
+        encode = payload.encode
+        if payload.deposit:
             self.mailbox[corr] = set(result)
             ack = {"mode": "deposited", "count": len(result)}
         elif final is not None and final != src:
@@ -377,11 +367,11 @@ class IndexNode(QueryPeer, ChordNode):
         # basic walk's deposited step or a later leg of a probe-first walk.
         if pruned is not None:
             ack["pruned"] = pruned
-        if dropped and payload.get("partial"):
+        if dropped and payload.partial:
             ack["dropped"] = dropped
         return ack
 
-    def _execute_cached(self, payload: Dict[str, Any], src: str,
+    def _execute_cached(self, payload: ExecutePrimitive, src: str,
                         entries: List[LocationEntry]):
         """Generator: serve a primitive through the result cache (S13).
 
@@ -397,7 +387,7 @@ class IndexNode(QueryPeer, ChordNode):
         forces an undecorated basic fan-out — chains deliver past this
         node, so only the fan-out lets the owner see the rows it admits.
         """
-        algebra = payload["algebra"]
+        algebra = payload.algebra
         patterns = getattr(algebra, "patterns", None)
         if patterns is None or len(patterns) != 1:
             return None
@@ -408,38 +398,37 @@ class IndexNode(QueryPeer, ChordNode):
         if entry is not None:
             span = tracer.span("cache", key=ckey, outcome="hit")
             result, pruned = shed(rebind_rows(entry.value, variables),
-                                  payload.get("digest"), payload.get("project"))
+                                  payload.digest, payload.project)
             span.close(rows=len(result))
             return self._primitive_reply(payload, src, result, pruned)
         if not admit:
             return None
         # The stamp is taken before the fan-out: a delta racing the
         # evaluation makes the admitted entry dead on arrival.
-        stamp = self.network.data_epochs.stamp((payload["key"],))
+        stamp = self.network.data_epochs.stamp((payload.key,))
         span = tracer.span("cache", key=ckey, outcome="fill")
-        bare = {k: v for k, v in payload.items()
-                if k not in ("digest", "project")}
+        bare = replace(payload, digest=None, project=None)
         full, _, _dropped = yield from self._execute_basic(bare, entries)
         cache.admit(ckey, canonical_rows(full, variables), variables,
                     stamp.epochs, stamp.membership)
-        result, pruned = shed(full, payload.get("digest"), payload.get("project"))
+        result, pruned = shed(full, payload.digest, payload.project)
         span.close(rows=len(result))
         return self._primitive_reply(payload, src, result, pruned)
 
-    def _execute_basic(self, payload: Dict[str, Any], entries: List[LocationEntry]):
+    def _execute_basic(self, payload: ExecutePrimitive, entries: List[LocationEntry]):
         """Parallel fan-out to every target storage node; union here.
 
         ``storage_timeout`` (the initiator's delivery timeout) bounds how long
         we wait for each provider before declaring it failed.
         """
         assert self.network is not None
-        per_node_timeout = payload.get("storage_timeout")
+        per_node_timeout = payload.storage_timeout
         # Deadline propagation: the initiator's remaining budget rides in
-        # the payload; clamp the per-provider wait to it. A timeout under
+        # the request; clamp the per-provider wait to it. A timeout under
         # a clamped wait may just mean the budget is tight — not that the
         # provider died — so stale-entry cleanup is suppressed then.
         blame_timeouts = True
-        deadline = payload.get("deadline")
+        deadline = payload.deadline
         if deadline is not None:
             remaining = deadline - self.sim.now
             if remaining <= 0:
@@ -447,30 +436,15 @@ class IndexNode(QueryPeer, ChordNode):
             if per_node_timeout is None or remaining < per_node_timeout:
                 per_node_timeout = remaining
                 blame_timeouts = False
-        sub_query: Dict[str, Any] = {"algebra": payload["algebra"]}
-        for key in ("digest", "project", "encode"):
-            if key in payload:
-                sub_query[key] = payload[key]
-        # The evaluate sub-queries carry no correlation id, so the owning
-        # query's flow (for the contention model) is derived from the
-        # orchestrating payload and threaded out-of-band — the wire
-        # payload stays unchanged.
-        flow = self.network._sniff_flow(payload)
-        calls = [
-            (
-                entry.storage_id,
-                self.call(
-                    entry.storage_id,
-                    "evaluate",
-                    sub_query,
-                    timeout=per_node_timeout,
-                    flow=flow,
-                ),
-            )
-            for entry in entries
-        ]
+        # The sub-queries contend as the query's flow, copied forward.
+        sub_query = Evaluate(algebra=payload.algebra, digest=payload.digest,
+                             project=payload.project, encode=payload.encode,
+                             flow=payload.flow)
+        calls = [(entry.storage_id, self.call(entry.storage_id, "evaluate",
+                                              sub_query, timeout=per_node_timeout))
+                 for entry in entries]
         solutions: set = set()
-        pruned = 0 if "digest" in payload else None
+        pruned = 0 if payload.digest is not None else None
         dropped = 0
         for storage_id, event in calls:
             try:
@@ -480,16 +454,12 @@ class IndexNode(QueryPeer, ChordNode):
                     raise ValueError(
                         "query deadline exceeded during storage fan-out")
                 # No acknowledgement within the timeout: the storage node
-                # is gone — drop its stale entries (Sect. III-D). Under
-                # crash-stop that keeps the answer exact (a dead
-                # provider's data left the dataset); under message loss
-                # the provider may be alive and its rows merely missing,
-                # so the drop count rides back to initiators that asked
-                # for partial-result accounting.  With a fault injector
-                # installed a timeout is exactly that ambiguous signal —
-                # deleting a live provider's row would silently shrink
-                # every later query's answer — so the destructive cleanup
-                # is suppressed and only the drop count is kept.
+                # is gone — drop its stale entries (Sect. III-D), which
+                # keeps a crash-stop answer exact. Under a fault plan a
+                # timeout is ambiguous (the provider may be alive and its
+                # reply lost): deleting its row would shrink every later
+                # answer, so only the drop count is kept, which rides
+                # back to initiators that asked for partial results.
                 if self.network.faults is None:
                     self.table.remove_storage_node(storage_id)
                     self.replicas.remove_storage_node(storage_id)
@@ -521,7 +491,7 @@ class IndexNode(QueryPeer, ChordNode):
             route.append(end_at)
         return route
 
-    def _kickoff_chain(self, payload: Dict[str, Any], route: List[str]) -> None:
+    def _kickoff_chain(self, payload: ExecutePrimitive, route: List[str]) -> None:
         assert self.network is not None
         self.network.send(self.node_id, route[0], "chain_step",
                           self._chain_step_msg(payload, [], route[1:]))

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..chord.hashing import hash_string
+from ..net.protocol import RingKeys, StorageRef
 from ..trace import NULL_TRACER
 from .index_node import IndexNode
 from .storage_node import StorageNode
@@ -88,8 +89,8 @@ def depart_index_node(system: HybridSystem, node_id: str, stabilize_rounds: int 
                     if ref != node.ref
                 ]
                 for third_party in swept:
-                    yield node.call(third_party, "replica_drop", {"keys": keys})
-                yield node.call(successor.node_id, "rereplicate", {"keys": keys})
+                    yield node.call(third_party, "replica_drop", RingKeys(keys=keys))
+                yield node.call(successor.node_id, "rereplicate", RingKeys(keys=keys))
             return count
 
         system.sim.run_process(handover())
@@ -128,7 +129,7 @@ def depart_storage_node(system: HybridSystem, node_id: str) -> None:
             if not index_node.alive:
                 continue
             removed += yield system.network.call(
-                node_id, index_id, "index_remove_storage", {"storage_id": node_id}
+                node_id, index_id, "index_remove_storage", StorageRef(storage_id=node_id)
             )
         return removed
 

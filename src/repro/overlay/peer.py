@@ -23,9 +23,12 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Any, Dict, List, Optional
 
+from ..net.protocol import (
+    CacheAdmit, CacheProbe, ChainStep, Combine, Deliver, Delivered, Digest,
+    Fetch, FilterBox, Ship,
+)
 from ..net.sim import Event
 from ..net.wire import JoinDigest, encode_solutions, shed, shipped_rows
-from ..sparql import ast
 from ..sparql.expr import filter_rows, row_predicate
 from ..sparql.solutions import combine_sets
 
@@ -140,30 +143,19 @@ class QueryPeer:
         land in a recycled correlation slot of a later query.""")
 
     # --------------------------------------------------- idempotent receivers
+    # A repeated request (message duplication, or a retry whose original
+    # was merely slow) is answered as the first was. No mailbox operation
+    # consumes its inputs, so a repeated fetch, ship or combine re-reads
+    # the same entries; :meth:`purge_corrs` reclaims them at release.
 
-    _inflight = _lazy("_qp_inflight", dict, """Corr-keyed idempotency
-        ledger for ``execute_primitive``: the first delivery installs an
-        event that settles with the reply; a duplicate delivery (message
-        duplication, or a retry whose original was merely slow) awaits
-        that event instead of re-executing. Populated only while a fault
-        plan is installed.""")
-    _replied = _lazy("_qp_replied", dict, """Corr-keyed memo of replies to
-        side-effecting requests (``cache_admit``): a duplicate delivery
-        returns the recorded reply rather than re-running the admission
-        (which would double-count cache bytes). Populated only under a
-        fault plan.""")
-
-    @property
-    def _chaos_keep(self) -> bool:
-        """True while a fault plan is installed: destructive mailbox
-        discards (fetch/ship/combine consuming their inputs) are
-        suppressed so that a duplicated or retried request re-reads the
-        same inputs and recomputes the same answer — set-union data
-        semantics make every mailbox operation idempotent once nothing
-        is consumed. :meth:`purge_corrs` reclaims the memory at query
-        end, exactly as for abandoned entries."""
-        network = self.network
-        return network is not None and network.faults is not None
+    _inflight = _lazy("_qp_inflight", dict, """Corr-keyed ledger of
+        ``execute_primitive`` (:data:`~repro.net.protocol.ONCE`): the first
+        delivery installs an event that settles with the reply, and a
+        repeat awaits it instead of re-executing.""")
+    _replied = _lazy("_qp_replied", dict, """Corr-keyed memo of
+        ``cache_admit`` replies (:data:`~repro.net.protocol.MEMO`): a repeat
+        gets the recorded reply instead of admitting (and charging cache
+        bytes) twice.""")
 
     # ------------------------------------------------------ result cache (S13)
 
@@ -188,7 +180,7 @@ class QueryPeer:
             )
         return cache
 
-    def rpc_cache_probe(self, payload: Dict[str, Any], src: str) -> Dict[str, Any]:
+    def rpc_cache_probe(self, payload: CacheProbe, src: str) -> Dict[str, Any]:
         """Consult the result cache for a whole BGP sub-result.
 
         On a hit the cached solutions are installed into this node's
@@ -198,48 +190,37 @@ class QueryPeer:
         admission gate, steering the initiator's fill decision.
         """
         cache = self.result_cache_for()
-        entry, admit = cache.probe(payload["ckey"])
+        entry, admit = cache.probe(payload.ckey)
         if entry is None:
             return {"hit": False, "admit": admit}
         data = set(entry.value)
-        self.mailbox[payload["corr"]] = data
+        self.mailbox[payload.corr] = data
         return {"hit": True, "count": len(data), "vars": entry.vars}
 
-    def rpc_cache_admit(self, payload: Dict[str, Any], src: str) -> Dict[str, Any]:
+    def rpc_cache_admit(self, payload: CacheAdmit, src: str) -> Dict[str, Any]:
         """Materialize a finished mailbox entry into the result cache.
 
         ``stamps``/``membership`` were captured by the initiator *before*
         the walk computed the entry, so a delta that raced the walk makes
-        the entry dead on arrival rather than silently stale. Under a
-        fault plan the reply is memoized per corr: a duplicated or
-        retried admit returns the recorded verdict instead of admitting
-        (and charging cache bytes) twice.
+        the entry dead on arrival rather than silently stale. The reply
+        is memoized per corr (``_replied``).
         """
-        if self._chaos_keep:
-            corr = payload["corr"]
-            memo = self._replied.setdefault(corr, {})
-            reply = memo.get("cache_admit")
-            if reply is not None:
-                self.network.failover.duplicates_dropped += 1
-                return reply
-            reply = self._cache_admit(payload, src)
-            memo["cache_admit"] = reply
+        memo = self._replied.setdefault(payload.corr, {})
+        reply = memo.get("cache_admit")
+        if reply is not None:
+            self.network.failover.duplicates_dropped += 1
             return reply
-        return self._cache_admit(payload, src)
+        reply = memo["cache_admit"] = self._cache_admit(payload)
+        return reply
 
-    def _cache_admit(self, payload: Dict[str, Any], src: str) -> Dict[str, Any]:
-        data = self.mailbox.get(payload["corr"])
+    def _cache_admit(self, payload: CacheAdmit) -> Dict[str, Any]:
+        data = self.mailbox.get(payload.corr)
         if data is None:
             # The result never landed here (failover moved the walk).
             return {"admitted": False}
         cache = self.result_cache_for()
-        admitted = cache.admit(
-            payload["ckey"],
-            frozenset(data),
-            payload.get("vars"),
-            payload["stamps"],
-            payload["membership"],
-        )
+        admitted = cache.admit(payload.ckey, frozenset(data), payload.vars,
+                               payload.stamps, payload.membership)
         return {"admitted": admitted}
 
     def routes(self, space) -> RouteTable:
@@ -293,22 +274,20 @@ class QueryPeer:
         entries removed."""
         removed = 0
         state = self.__dict__
-        box = state.get("_qp_mailbox")
+        ledgers = [ledger for ledger in map(state.get, (
+            "_qp_mailbox", "_qp_delivered_early", "_qp_replied")) if ledger]
         expected = state.get("_qp_expected")
-        early = state.get("_qp_delivered_early")
         dead = state.get("_qp_dead_corrs")
         inflight = state.get("_qp_inflight")
-        replied = state.get("_qp_replied")
         for corr in corrs:
-            if box and box.pop(corr, None) is not None:
-                removed += 1
+            for ledger in ledgers:
+                if ledger.pop(corr, None) is not None:
+                    removed += 1
             if expected:
                 event = expected.pop(corr, None)
                 if event is not None:
                     event.cancel()
                     removed += 1
-            if early and early.pop(corr, None) is not None:
-                removed += 1
             if dead and corr in dead:
                 dead.discard(corr)
                 removed += 1
@@ -320,8 +299,6 @@ class QueryPeer:
                         # execution with a benign empty ack.
                         event.succeed({"mode": "direct", "data": []})
                     removed += 1
-            if replied and replied.pop(corr, None) is not None:
-                removed += 1
         return removed
 
     # ----------------------------------------------------- orchestrator side
@@ -347,15 +324,15 @@ class QueryPeer:
         self._expected[corr] = event
         return event
 
-    def rpc_delivered(self, payload: Dict[str, Any], src: str) -> None:
-        corr = payload["corr"]
+    def rpc_delivered(self, payload: Delivered, src: str) -> None:
+        corr = payload.corr
         if corr in self._dead_corrs:
             # Late notification for an abandoned delivery (the waiter
             # already timed out and fell back): swallow it. The tombstone
             # stays — further copies may trail in — until purge_corrs
             # sweeps it.
             return
-        count = payload.get("count", 0)
+        count = payload.count
         event = self._expected.pop(corr, None)
         if event is not None and not event.triggered:
             event.succeed(count)
@@ -365,43 +342,36 @@ class QueryPeer:
     # ------------------------------------------------------------ messages
 
     @staticmethod
-    def _chain_step_msg(payload: Dict[str, Any], acc, route) -> Dict[str, Any]:
+    def _chain_step_msg(payload, acc, route) -> ChainStep:
         """The ``chain_step`` message carrying a chained primitive's
         sub-query, its shipping directives and the rows accumulated so
         far (*acc*) to the next node of the chain; *route* is what is
-        left of the chain after that node."""
-        step = {
-            "algebra": payload["algebra"],
-            "acc": acc,
-            "route": route,
-            "final": payload["final"],
-            "corr": payload["corr"],
-            "notify": payload.get("notify"),
-        }
-        for key in ("digest", "project", "encode", "notify_corr"):
-            if key in payload:
-                step[key] = payload[key]
-        return step
+        left of the chain after that node. *payload* is the
+        ``execute_primitive`` or ``chain_step`` request relayed."""
+        return ChainStep(
+            algebra=payload.algebra, acc=acc, route=route,
+            final=payload.final, corr=payload.corr, notify=payload.notify,
+            digest=payload.digest, project=payload.project,
+            encode=payload.encode, notify_corr=payload.notify_corr,
+            flow=payload.flow)
 
     @staticmethod
-    def _deliver_msg(payload: Dict[str, Any], corr: str, data) -> Dict[str, Any]:
+    def _deliver_msg(payload, corr: str, data) -> Deliver:
         """The one-way ``deliver`` message landing *data* in mailbox
         *corr*, with the notification directives of the request
         (*payload*) that caused it."""
-        delivery = {"corr": corr, "data": data, "notify": payload.get("notify")}
-        if "notify_corr" in payload:
-            delivery["notify_corr"] = payload["notify_corr"]
-        return delivery
+        return Deliver(corr=corr, data=data, notify=payload.notify,
+                       notify_corr=payload.notify_corr, flow=payload.flow)
 
     # ------------------------------------------------------------- mailbox
 
-    def rpc_deliver(self, payload: Dict[str, Any], src: str) -> None:
+    def rpc_deliver(self, payload: Deliver, src: str) -> None:
         """Receive a batch of solutions (one-way data shipping).
 
         Multiple deliveries to the same corr id accumulate by set union —
         that is what the in-network aggregation chains rely on.
         """
-        corr = payload["corr"]
+        corr = payload.corr
         if corr in self._dead_corrs:
             # The orchestrator gave up on this correlation id (delivery
             # timeout → fallback already re-executed): drop the payload
@@ -409,97 +379,69 @@ class QueryPeer:
             # notification that could re-latch upstream state. The
             # tombstone persists for any further late copies.
             return
-        data = payload.get("data", ())
         box = self.mailbox.setdefault(corr, set())
-        box.update(shipped_rows(data))
-        notify = payload.get("notify")
+        box.update(shipped_rows(payload.data))
+        notify = payload.notify
+        if notify is None:
+            return
         # Under a fault plan the sender stamps each wait epoch with a
         # fresh notification key: a duplicated copy of an *earlier*
         # notification for this mailbox corr then cannot satisfy a later
         # wait (e.g. a chain-completion dup forging a ship's arrival).
-        notify_corr = payload.get("notify_corr", corr)
+        note = Delivered(corr=payload.notify_corr or corr, count=len(box),
+                         flow=payload.flow)
         if notify == self.node_id:
             # The initiator is the final site: resolve locally, no message.
-            self.rpc_delivered({"corr": notify_corr, "count": len(box)},
-                               self.node_id)
-        elif notify is not None:
-            assert self.network is not None
-            self.network.send(
-                self.node_id, notify, "delivered",
-                {"corr": notify_corr, "count": len(box)}
-            )
+            self.rpc_delivered(note, self.node_id)
+        else:
+            self.network.send(self.node_id, notify, "delivered", note)
 
-    def rpc_fetch(self, payload: Dict[str, Any], src: str):
-        """Return (and optionally drop) a mailbox entry — the final result
-        transfer to the query initiator, charged as reply traffic."""
-        corr = payload["corr"]
-        data = self.mailbox.get(corr, set())
-        if not self._chaos_keep:
-            self.mailbox.pop(corr, None)
-        return encode_solutions(data, payload.get("encode", False))
+    def rpc_fetch(self, payload: Fetch, src: str):
+        """Return a mailbox entry — the final result transfer to the
+        query initiator, charged as reply traffic."""
+        return encode_solutions(self.mailbox.get(payload.corr, set()), payload.encode)
 
-    def rpc_ship(self, payload: Dict[str, Any], src: str):
-        """Forward a mailbox entry to another site's mailbox (one-way).
-
-        Shipping optimizations ride in optional payload keys: ``digest``
-        (a :class:`~repro.net.wire.JoinDigest` — rows it rejects are
-        dropped before transfer), ``project`` (variables to keep), and
-        ``encode`` (dictionary-delta wire format). With a digest present
-        the reply is a dict carrying the exact pruned-row count;
-        otherwise it stays the bare count, byte-identical to before.
+    def rpc_ship(self, payload: Ship, src: str):
+        """Forward a mailbox entry to another site's mailbox (one-way),
+        shed by the ``digest`` (a :class:`~repro.net.wire.JoinDigest`)
+        and ``project`` fields and encoded per ``encode``. The reply is
+        the shipped count, with the pruned-row count when a digest rode.
         """
-        corr = payload["corr"]
-        data = self.mailbox.get(corr, set())
-        if not self._chaos_keep:
-            self.mailbox.pop(corr, None)
-        data, pruned = shed(data, payload.get("digest"), payload.get("project"))
+        data, pruned = shed(self.mailbox.get(payload.corr, set()),
+                            payload.digest, payload.project)
         assert self.network is not None
-        self.network.send(self.node_id, payload["dst"], "deliver", self._deliver_msg(
-            payload, payload["dst_corr"],
-            encode_solutions(data, payload.get("encode", False))))
+        self.network.send(self.node_id, payload.dst, "deliver", self._deliver_msg(
+            payload, payload.dst_corr,
+            encode_solutions(data, payload.encode)))
         if pruned is not None:
             return {"count": len(data), "pruned": pruned}
         return len(data)
 
-    def rpc_digest(self, payload: Dict[str, Any], src: str) -> JoinDigest:
-        """Build a semijoin digest over a mailbox entry's join-key values.
-
-        Payload: ``corr``, ``vars`` (the prospective join variables),
-        ``exact_threshold``, ``bloom_bits``. The reply's wire size is the
-        digest's real cost — the price of the pre-filtering bet.
+    def rpc_digest(self, payload: Digest, src: str) -> JoinDigest:
+        """Build a semijoin digest over a mailbox entry's join-key values
+        (``vars``, the prospective join variables). The reply's wire size
+        is the digest's real cost — the price of the pre-filtering bet.
         """
-        data = self.mailbox.get(payload["corr"], set())
-        return JoinDigest.build(
-            data,
-            payload["vars"],
-            exact_threshold=payload["exact_threshold"],
-            bloom_bits=payload["bloom_bits"],
-        )
+        return JoinDigest.build(self.mailbox.get(payload.corr, set()), payload.vars,
+                                exact_threshold=payload.exact_threshold,
+                                bloom_bits=payload.bloom_bits)
 
     # ------------------------------------------------------------- operators
 
-    def rpc_combine(self, payload: Dict[str, Any], src: str) -> Dict[str, int]:
-        """Combine two mailbox entries at this site.
-
-        Payload: op, left, right, out, condition (optional). Returns the
-        result cardinality (a small control reply; the data stays here).
+    def rpc_combine(self, payload: Combine, src: str) -> Dict[str, int]:
+        """Combine two mailbox entries at this site into ``out``. Returns
+        the result cardinality (a small control reply; the data stays
+        here).
         """
-        left = self.mailbox.get(payload["left"], set())
-        right = self.mailbox.get(payload["right"], set())
-        condition = payload.get("condition")
-        out = combine_sets(payload["op"], left, right,
+        condition = payload.condition
+        out = combine_sets(payload.op, self.mailbox.get(payload.left, set()),
+                           self.mailbox.get(payload.right, set()),
                            None if condition is None else row_predicate(condition))
-        if not self._chaos_keep:
-            self.mailbox.pop(payload["left"], None)
-            self.mailbox.pop(payload["right"], None)
-        self.mailbox[payload["out"]] = out
+        self.mailbox[payload.out] = out
         return {"count": len(out)}
 
-    def rpc_filter_box(self, payload: Dict[str, Any], src: str) -> Dict[str, int]:
-        """Apply a FILTER condition to a mailbox entry in place."""
-        corr = payload["corr"]
-        condition: ast.Expression = payload["condition"]
-        box = self.mailbox.get(corr, set())
-        out = filter_rows(condition, box)
-        self.mailbox[payload["out"]] = out
+    def rpc_filter_box(self, payload: FilterBox, src: str) -> Dict[str, int]:
+        """Apply a FILTER condition to a mailbox entry into ``out``."""
+        out = filter_rows(payload.condition, self.mailbox.get(payload.corr, set()))
+        self.mailbox[payload.out] = out
         return {"count": len(out)}

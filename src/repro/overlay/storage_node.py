@@ -11,9 +11,10 @@ join-site flexibility.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from ..chord.idspace import IdentifierSpace
+from ..net.protocol import ChainStep, Evaluate
 from ..net.transport import Node
 from ..net.wire import FilteredResult, encode_solutions, shed, shipped_rows
 from ..rdf.graph import Graph
@@ -97,34 +98,30 @@ class StorageNode(QueryPeer, Node):
 
     # ---------------------------------------------------------- RPC handlers
 
-    def rpc_evaluate(self, payload: Dict[str, Any], src: str):
+    def rpc_evaluate(self, payload: Evaluate, src: str):
         """Evaluate a sub-query and reply with the local solutions
-        (the BASIC strategy's storage-node step).
-
-        Optional shipping directives: ``digest`` drops rows that cannot
-        join the accumulated result before they ever leave this node
-        (the reply then reports the dropped count), ``project`` prunes
-        dead variables, ``encode`` switches the reply to the
-        dictionary-delta wire format.
+        (the BASIC strategy's storage-node step). A ``digest`` drops rows
+        that cannot join before they leave this node (the reply then
+        reports the dropped count), ``project`` prunes dead variables and
+        ``encode`` picks the dictionary-delta wire format.
         """
         solutions, pruned = self._eval_shippable(payload)
-        encoded = encode_solutions(solutions, payload.get("encode", False))
+        encoded = encode_solutions(solutions, payload.encode)
         if pruned is not None:
             return FilteredResult(encoded, pruned)
         return encoded
 
-    def _eval_shippable(self, payload: Dict[str, Any]):
-        """Local evaluation with the pre-ship reductions applied.
+    def _eval_shippable(self, payload):
+        """Local evaluation of an ``evaluate`` or ``chain_step`` request
+        with the pre-ship reductions applied.
 
         Returns (solutions, pruned) — *pruned* is None when no digest was
         supplied, else the number of rows it dropped.
         """
-        algebra = payload["algebra"]
-        keep = payload.get("project")
-        digest = payload.get("digest")
-        if digest is None:
-            return self._answer(algebra, keep), None
-        return shed(self._answer(algebra, None), digest, keep)
+        if payload.digest is None:
+            return self._answer(payload.algebra, payload.project), None
+        return shed(self._answer(payload.algebra, None), payload.digest,
+                    payload.project)
 
     def _answer(self, algebra: Algebra, keep) -> FrozenSet:
         """⟦algebra⟧ over the local graph, projected onto *keep* (None:
@@ -150,7 +147,7 @@ class StorageNode(QueryPeer, Node):
             rows = answers[key] = frozenset(rows)
         return rows
 
-    def rpc_chain_step(self, payload: Dict[str, Any], src: str) -> None:
+    def rpc_chain_step(self, payload: ChainStep, src: str) -> None:
         """One step of in-network aggregation (Sect. IV-C optimization).
 
         Evaluate the sub-query locally, merge with the accumulated
@@ -163,17 +160,17 @@ class StorageNode(QueryPeer, Node):
         """
         assert self.network is not None
         local, _pruned = self._eval_shippable(payload)
-        merged = local.union(shipped_rows(payload["acc"]))
-        data = encode_solutions(merged, payload.get("encode", False))
-        route = payload["route"]
+        merged = local.union(shipped_rows(payload.acc))
+        data = encode_solutions(merged, payload.encode)
+        route = payload.route
         if route:
             self.network.send(self.node_id, route[0], "chain_step",
                               self._chain_step_msg(payload, data, route[1:]))
             return
-        delivery = self._deliver_msg(payload, payload["corr"], data)
-        if payload["final"] == self.node_id:
+        delivery = self._deliver_msg(payload, payload.corr, data)
+        if payload.final == self.node_id:
             # This node *is* the destination site (the shared node the
             # chain was routed to end at): deposit locally, no message.
             self.rpc_deliver(delivery, self.node_id)
         else:
-            self.network.send(self.node_id, payload["final"], "deliver", delivery)
+            self.network.send(self.node_id, payload.final, "deliver", delivery)

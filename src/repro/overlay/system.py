@@ -32,6 +32,7 @@ from ..chord.hashing import hash_string
 from ..chord.idspace import IdentifierSpace
 from ..chord.ring import ChordRing
 from ..metrics.counters import DurabilityCounters
+from ..net.protocol import Publish
 from ..net.transport import LinkModel, Network
 from ..rdf.triple import Triple
 from .index_node import IndexNode
@@ -285,7 +286,7 @@ class HybridSystem:
                 storage.node_id,
                 storage.index_node_id,
                 "publish",
-                {"storage_id": storage.node_id, "entries": entries},
+                Publish(storage_id=storage.node_id, entries=entries),
                 timeout=deadline,
             ))
 

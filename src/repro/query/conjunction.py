@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from ..net.protocol import FilterBox
 from ..net.transport import RpcTimeout
 from ..sparql import ast
 from . import join_site
@@ -129,9 +130,8 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
         corr = ctx.new_corr()
         keep = ctx.keep_vars(pattern_vars[i])
         payload = primitive_payload(ctx, info, subquery_algebra(info),
-                                    "basic", corr, keep)
-        payload["deposit"] = True
-        payload["storage_timeout"] = DELIVERY_TIMEOUT
+                                    "basic", corr, keep, deposit=True,
+                                    storage_timeout=DELIVERY_TIMEOUT)
         if (
             handle is not None
             and opts.semijoin
@@ -142,9 +142,7 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
         ):
             shared = handle.vars & pattern_vars[i]
             if shared:
-                digest = yield from fetch_digest(ctx, handle, shared)
-                if digest is not None:
-                    payload["digest"] = digest
+                payload.digest = yield from fetch_digest(ctx, handle, shared)
         try:
             ack, info, corr, _tag = yield from dispatch_primitive(
                 ctx, info, payload, corr,
@@ -280,7 +278,7 @@ def _apply_post_filter(ctx, handle: ResultHandle,
     if post_filter is None:
         return handle
     out = ctx.new_corr()
-    payload = {"corr": handle.corr, "out": out, "condition": post_filter}
+    payload = FilterBox(corr=handle.corr, out=out, condition=post_filter)
     if handle.site == ctx.initiator:
         summary = ctx.initiator_peer.rpc_filter_box(payload, ctx.initiator)
     else:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..chord.node import walk
+from ..net.protocol import Fetch, IndexLookup
 from ..net.sim import Event
 from ..net.transport import NodeUnknown, RpcError, RpcTimeout
 from ..net.wire import as_solution_set, shipped_rows
@@ -139,8 +140,8 @@ class _RowRead:
         ctx = self.ctx
         if node_id == ctx.initiator:
             return ctx.system.index_nodes[node_id].locate(self.key)
-        payload = {"key": self.key, "routed": True} if routed else {"key": self.key}
-        return (yield ctx.call(node_id, "index_lookup", payload))
+        return (yield ctx.call(node_id, "index_lookup",
+                               IndexLookup(key=self.key, routed=routed or None)))
 
     def condemns(self, node_id: str) -> bool:
         """A row read dials even an open-circuit owner: the transport
@@ -328,7 +329,7 @@ class ExecutionContext:
             node.detail["dropped"] = True
             node.actual_rows = 0
 
-    def delivery_tag(self, payload: Dict[str, Any]) -> Optional[str]:
+    def delivery_tag(self, payload) -> Optional[str]:
         """Stamp *payload* with ``notify_corr``, a fresh notification key
         for one delivery-wait epoch of its mailbox corr, and return it.
 
@@ -343,7 +344,7 @@ class ExecutionContext:
         """
         if self.network.faults is None:
             return None
-        tag = payload["notify_corr"] = self.new_corr()
+        tag = payload.notify_corr = self.new_corr()
         return tag
 
     def wait_delivery(self, corr: str, site: Optional[str] = None,
@@ -629,10 +630,9 @@ class ExecutionContext:
             if handle.site == self.initiator:
                 data = self.initiator_peer.mailbox.pop(handle.corr, set())
                 return data
-            payload: Dict[str, Any] = {"corr": handle.corr}
-            if self.options.dictionary_encoding:
-                payload["encode"] = True
-            data = yield self.call(handle.site, "fetch", payload)
+            data = yield self.call(handle.site, "fetch", Fetch(
+                corr=handle.corr,
+                encode=self.options.dictionary_encoding or None))
             return shipped_rows(data)
         finally:
             span.close()

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
+from ..net.protocol import ExecutePrimitive
 from ..net.transport import RpcTimeout
 from ..trace.tracer import PHASE_LOOKUP
 
@@ -65,16 +66,21 @@ class PrimitiveCall:
     answer arrives under: *corr*, and *tag*, the ``notify_corr``
     delivery tag (None without a fault plan)."""
 
-    def __init__(self, ctx, payload: dict, timeout: Optional[float] = None) -> None:
+    def __init__(self, ctx, payload: ExecutePrimitive,
+                 timeout: Optional[float] = None) -> None:
         if ctx.deadline_at is not None:
-            payload = dict(payload, deadline=ctx.deadline_at)
+            payload.deadline = ctx.deadline_at
         self.ctx, self.payload, self.timeout = ctx, payload, timeout
-        self.corr, self.tag = payload["corr"], payload.get("notify_corr")
+        self.corr, self.tag = payload.corr, payload.notify_corr
 
     def send(self, node_id: str, routed: bool = False):
         """Generator → the ack. A ``routed`` request is bounced (ack
         None) by a node that does not own the key."""
-        payload = dict(self.payload, routed=True) if routed else self.payload
+        payload = self.payload
+        if routed:  # only ever the first send
+            payload.routed = True
+        elif payload.routed:  # the routed one may still be in flight
+            payload = self.payload = replace(payload, routed=None)
         return (yield self.ctx.call(node_id, "execute_primitive", payload,
                                     timeout=self.timeout))
 
@@ -92,11 +98,11 @@ class PrimitiveCall:
         step runs under fresh ones, so no late delivery or ``delivered``
         of the first owner can pass for the replica's."""
         ctx = self.ctx
-        ctx.abandon(self.corr, site=self.payload.get("final"))
+        ctx.abandon(self.corr, site=self.payload.final)
         if self.tag is not None:
             ctx.abandon(self.tag)
         self.corr = ctx.new_corr()
-        self.payload = dict(self.payload, corr=self.corr)
+        self.payload = replace(self.payload, corr=self.corr)
         if self.tag is not None:
             self.tag = ctx.delivery_tag(self.payload)
 
@@ -105,7 +111,7 @@ class PrimitiveCall:
         self.ctx.report.merge_note(f"dispatch failover {dead} -> {alt}")
 
 
-def dispatch_primitive(ctx, info, payload: dict, corr: str,
+def dispatch_primitive(ctx, info, payload: ExecutePrimitive, corr: str,
                        timeout: Optional[float] = None):
     """Generator: dispatch ``execute_primitive`` for *info*'s key,
     failing over to the replica holder if the owner times out.

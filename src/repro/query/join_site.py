@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..net.protocol import Combine, Deliver, Digest, Ship
 from ..net.sizes import HEADER_BYTES, size_of
 from ..net.transport import RpcTimeout
 from ..net.wire import JoinDigest, encode_solutions, shed
@@ -88,14 +89,11 @@ def digest_embed_cost(digest: JoinDigest) -> int:
     return size_of("digest") + size_of(digest) + _PER_ITEM_OVERHEAD
 
 
-def digest_request(corr: str, shared_vars) -> dict:
-    """The ``digest`` RPC payload for mailbox *corr* over *shared_vars*."""
-    return {
-        "corr": corr,
-        "vars": sorted(shared_vars, key=lambda v: v.name),
-        "exact_threshold": SEMIJOIN_EXACT_THRESHOLD,
-        "bloom_bits": SEMIJOIN_BLOOM_BITS,
-    }
+def digest_request(corr: str, shared_vars) -> Digest:
+    """The ``digest`` request for mailbox *corr* over *shared_vars*."""
+    return Digest(corr=corr, vars=sorted(shared_vars, key=lambda v: v.name),
+                  exact_threshold=SEMIJOIN_EXACT_THRESHOLD,
+                  bloom_bits=SEMIJOIN_BLOOM_BITS)
 
 
 def fetch_digest(ctx, handle: ResultHandle, shared_vars):
@@ -174,27 +172,22 @@ def ship_handle(ctx, handle: ResultHandle, site: str, live=None,
             if pruned is not None:
                 ctx.report.rows_pruned += pruned
             corr = handle.corr
-            yield ctx.call(site, "deliver", {
-                "corr": corr,
-                "data": encode_solutions(data, opts.dictionary_encoding),
-            })
+            yield ctx.call(site, "deliver", Deliver(
+                corr=corr,
+                data=encode_solutions(data, opts.dictionary_encoding)))
             return ResultHandle(site, corr, len(data), shipped_vars)
-        payload = {"corr": handle.corr, "dst": site, "dst_corr": handle.corr,
-                   "notify": ctx.initiator}
-        if keep is not None:
-            payload["project"] = keep
+        payload = Ship(corr=handle.corr, dst=site, dst_corr=handle.corr,
+                       notify=ctx.initiator, project=keep, digest=digest,
+                       encode=opts.dictionary_encoding or None)
         if digest is not None:
-            payload["digest"] = digest
             ctx.report.digest_bytes += digest_embed_cost(digest)
-        if opts.dictionary_encoding:
-            payload["encode"] = True
-        # Under a fault plan the holder keeps its mailbox copy, so a
+        # The holder keeps its mailbox copy, so under a fault plan a
         # transfer whose one-way deliver vanished can be re-shipped into
         # a fresh landing corr (the timed-out one is tombstoned).
         attempts = 1 if ctx.network.faults is None else 2
         corr = handle.corr
         for attempt in range(attempts):
-            payload["dst_corr"] = corr
+            payload.dst_corr = corr
             tag = ctx.delivery_tag(payload)
             ack = yield ctx.call(handle.site, "ship", payload)
             if isinstance(ack, dict):
@@ -295,13 +288,8 @@ def combine_handles(
                        else (second, first))
         out_corr = ctx.new_corr()
         ctx.load[site] += 1
-        payload = {
-            "op": op,
-            "left": left.corr,
-            "right": right.corr,
-            "out": out_corr,
-            "condition": condition,
-        }
+        payload = Combine(op=op, left=left.corr, right=right.corr,
+                          out=out_corr, condition=condition)
         if site == ctx.initiator:
             summary = ctx.initiator_peer.rpc_combine(payload, ctx.initiator)
         else:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Optional
 
+from ..net.protocol import Deliver, Evaluate, ExecutePrimitive
 from ..net.sizes import size_of
 from ..net.transport import RpcTimeout
 from ..net.wire import PRUNED_COUNTER_BYTES, JoinDigest
@@ -154,7 +155,7 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
         if site == ctx.initiator:
             return ctx.local_deposit(corr, set(), vars=result_vars)
         # Install an empty box remotely so downstream combines find it.
-        yield ctx.call(site, "deliver", {"corr": corr, "data": []})
+        yield ctx.call(site, "deliver", Deliver(corr=corr, data=[]))
         return ResultHandle(site, corr, 0, result_vars)
 
     algebra = subquery_algebra(info)
@@ -172,15 +173,14 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
 
     timeout = None
     wire = strategy.wire_name if strategy is not None else "cost"
-    payload = primitive_payload(ctx, info, algebra, wire, corr, keep)
-    payload.update(final=site, end_at=site, notify=ctx.initiator)
+    payload = primitive_payload(ctx, info, algebra, wire, corr, keep,
+                                final=site, end_at=site, notify=ctx.initiator,
+                                digest=digest)
     if strategy is None:
         # The owner may fan out, which is bounded as _basic bounds it.
-        payload.update(time_weight=ctx.options.time_weight,
-                       storage_timeout=DELIVERY_TIMEOUT)
+        payload.time_weight = ctx.options.time_weight
+        payload.storage_timeout = DELIVERY_TIMEOUT
         timeout = DELIVERY_TIMEOUT * 4
-    if digest is not None:
-        payload["digest"] = digest
     tag = ctx.delivery_tag(payload)
     ack, info, corr, tag = yield from _dispatch(ctx, info, payload, corr,
                                                 leaf, timeout)
@@ -200,7 +200,7 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
         ctx.unexpect(tag or corr)
         if site == ctx.initiator:
             return ctx.local_deposit(corr, ack["data"], vars=result_vars)
-        yield ctx.call(site, "deliver", {"corr": corr, "data": ack["data"]})
+        yield ctx.call(site, "deliver", Deliver(corr=corr, data=ack["data"]))
         return ResultHandle(site, corr, len(ack["data"]), result_vars)
     try:
         count = yield from ctx.wait_delivery(corr, site=site, notify_corr=tag)
@@ -217,26 +217,21 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
 
 
 def primitive_payload(ctx, info: PatternInfo, algebra, strategy: str,
-                      corr: str, keep) -> dict:
-    """The keys every ``execute_primitive`` request carries: the
+                      corr: str, keep, **path) -> ExecutePrimitive:
+    """The fields every ``execute_primitive`` request carries: the
     sub-query, its ring key, the scheme and the correlation id, plus the
-    shipping directives the options turn on — ``project`` (*keep*, when
-    not None), ``encode``, ``partial`` and the result-cache ``cache``
-    flag. Each caller adds only its own path's keys."""
-    payload = {"algebra": algebra, "key": info.key, "strategy": strategy,
-               "corr": corr}
-    if keep is not None:
-        payload["project"] = keep
-    if ctx.options.dictionary_encoding:
-        payload["encode"] = True
-    if ctx.options.partial_results:
-        payload["partial"] = True
-    if ctx.options.result_cache:
-        payload["cache"] = True
-    return payload
+    shipping directives the options turn on — ``project`` (*keep*),
+    ``encode``, ``partial`` and the result-cache ``cache`` flag — and
+    the caller's own *path* fields."""
+    opts = ctx.options
+    return ExecutePrimitive(
+        algebra=algebra, key=info.key, strategy=strategy, corr=corr,
+        project=keep, encode=opts.dictionary_encoding or None,
+        partial=opts.partial_results or None, cache=opts.result_cache or None,
+        **path)
 
 
-def _dispatch(ctx, info: PatternInfo, payload: dict, corr: str,
+def _dispatch(ctx, info: PatternInfo, payload: ExecutePrimitive, corr: str,
               leaf: Optional[ChainShip], timeout: Optional[float] = None):
     """Generator: :func:`dispatch_primitive`. An unread *info* comes back
     resolved to the owner that read its own row, which is noted on
@@ -251,15 +246,13 @@ def _dispatch(ctx, info: PatternInfo, payload: dict, corr: str,
 
 def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
            keep=None, result_vars=None, digest=None, leaf=None):
-    payload = primitive_payload(ctx, info, algebra, "basic", corr, keep)
     # Bound the owner's per-provider wait so the whole fan-out always
     # finishes inside our own call deadline below.
-    payload["storage_timeout"] = DELIVERY_TIMEOUT
-    if digest is not None:
-        payload["digest"] = digest
+    payload = primitive_payload(ctx, info, algebra, "basic", corr, keep,
+                                storage_timeout=DELIVERY_TIMEOUT, digest=digest)
     if site != ctx.initiator:
-        payload["final"] = site
-        payload["notify"] = ctx.initiator
+        payload.final = site
+        payload.notify = ctx.initiator
         tag = ctx.delivery_tag(payload)
         ack, info, corr, tag = yield from _dispatch(
             ctx, info, payload, corr, leaf, timeout=DELIVERY_TIMEOUT * 4)
@@ -267,7 +260,7 @@ def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
         if digest is not None:  # only a leg of a walk, which read its row
             charge_digest(ctx, payload, ack, len(info.entries), leaf)
         if ack["mode"] == "direct":
-            yield ctx.call(site, "deliver", {"corr": corr, "data": ack["data"]})
+            yield ctx.call(site, "deliver", Deliver(corr=corr, data=ack["data"]))
             return ResultHandle(site, corr, len(ack["data"]), result_vars)
         yield from ctx.wait_delivery(corr, site=site, notify_corr=tag)
         return ResultHandle(site, corr, ack["count"], result_vars)
@@ -289,7 +282,7 @@ def charge_digest(ctx, payload, ack, embeds: int,
     fan-out's provider replies each carry the pruned counter, and the
     ack carries their sum; it is also noted on *leaf* for explain.
     """
-    digest = payload.get("digest")
+    digest = payload.digest
     if digest is None:
         return
     ctx.report.digest_bytes += (1 + embeds) * digest_embed_cost(digest)
@@ -351,7 +344,7 @@ def exec_broadcast(ctx, algebra):
         ctx.report.merge_note(f"broadcast to {len(storages)} storage nodes")
         corr = ctx.new_corr()
         events = [
-            ctx.call(storage_id, "evaluate", {"algebra": algebra})
+            ctx.call(storage_id, "evaluate", Evaluate(algebra=algebra))
             for storage_id in sorted(set(storages))
         ]
         solutions = set()

@@ -126,8 +126,7 @@ class ExecutionOptions:
 
     # --- transmission-minimizing shipping optimizations ------------------
     # Each technique is independently toggleable so benchmarks can
-    # attribute savings; all default off, keeping the paper-faithful wire
-    # behaviour byte-identical to previous releases.
+    # attribute savings; all default off (the paper-faithful wire).
 
     semijoin: bool = _option(
         False, "semijoin/Bloom pre-filtering: ship join-key digests so "
@@ -141,10 +140,8 @@ class ExecutionOptions:
         flag="--dict-encoding")
 
     # --- fault tolerance (PR 6) ------------------------------------------
-    # All default off/None: a no-fault run with the defaults is
-    # byte-identical to previous releases (no extra payload keys, no extra
-    # messages). ``retries``/``failover`` only change behaviour when an
-    # RPC actually times out.
+    # All default off/None. ``retries``/``failover`` only change
+    # behaviour when an RPC actually times out.
 
     retries: int = _option(
         0, "retry budget per RPC: N extra attempts after a timeout "
@@ -168,8 +165,7 @@ class ExecutionOptions:
 
     # --- chaos defense (PR 10) -------------------------------------------
     # Off by default: without ``breaker``/``partial_results`` no health
-    # ledger exists, no payload key changes, and every new counter stays
-    # zero — the golden grid is byte-identical.
+    # ledger exists and no request field changes.
 
     #: Per-peer health ledger (EWMA latency + consecutive failures) and
     #: closed/open/half-open circuit breaker, so a browned-out owner stops
@@ -190,9 +186,6 @@ class ExecutionOptions:
                "answer rather than raising")
 
     # --- cross-query result cache (PR 9) ---------------------------------
-    # Off by default: a run without ``result_cache`` is byte-identical to
-    # previous releases (no extra payload keys, no extra messages).
-
     #: See :mod:`repro.cache`; entries are validated by the freshness
     #: rule of :mod:`repro.cache.epoch`, and a key is admitted once it has
     #: been requested ``result_cache.DEFAULT_ADMIT_THRESHOLD`` times.

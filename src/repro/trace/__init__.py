@@ -20,7 +20,6 @@ from .tracer import (
     Span,
     TraceEvent,
     Tracer,
-    phase_for_method,
 )
 from .export import to_jsonl, write_jsonl
 from .render import render_phases, render_sequence, render_spans
@@ -38,7 +37,6 @@ __all__ = [
     "PHASE_JOIN",
     "PHASE_FINALIZE",
     "MESSAGE_KINDS",
-    "phase_for_method",
     "to_jsonl",
     "write_jsonl",
     "render_sequence",

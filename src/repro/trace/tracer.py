@@ -20,7 +20,8 @@ Design constraints, both load-bearing for the experiments:
 
 Every message event is attributed to one of the four workflow **phases**
 (:data:`PHASE_LOOKUP`, :data:`PHASE_SHIP`, :data:`PHASE_JOIN`,
-:data:`PHASE_FINALIZE`) by its RPC method name, so per-phase byte totals
+:data:`PHASE_FINALIZE`) by its RPC method's declared phase
+(:data:`~repro.net.protocol.PROTOCOL`), so per-phase byte totals
 partition the query's traffic exactly: they sum to
 ``ExecutionReport.bytes_total``.
 """
@@ -44,7 +45,6 @@ __all__ = [
     "PHASE_JOIN",
     "PHASE_FINALIZE",
     "PHASES",
-    "phase_for_method",
     "MESSAGE_KINDS",
 ]
 
@@ -57,52 +57,9 @@ PHASE_FINALIZE = "finalize"  #: bringing the final result to the initiator
 
 PHASES: Tuple[str, ...] = (PHASE_LOOKUP, PHASE_SHIP, PHASE_JOIN, PHASE_FINALIZE)
 
-#: RPC method name → workflow phase. Reply/error suffixes (``.reply``,
-#: ``.error``) are stripped before lookup; unknown methods count as
-#: shipping (the catch-all for data movement).
-_METHOD_PHASES: Dict[str, str] = {
-    # Two-level index consultation (Fig. 2 steps 1-2) and maintenance.
-    "find_successor": PHASE_LOOKUP,
-    "index_lookup": PHASE_LOOKUP,
-    "get_attached": PHASE_LOOKUP,
-    "get_successor_list": PHASE_LOOKUP,
-    "publish": PHASE_LOOKUP,
-    "index_put": PHASE_LOOKUP,
-    "replica_put": PHASE_LOOKUP,
-    "replica_drop": PHASE_LOOKUP,
-    "rereplicate": PHASE_LOOKUP,
-    "index_remove_storage": PHASE_LOOKUP,
-    # Key transfer during membership changes (join / restart-rejoin).
-    "export_keys": PHASE_LOOKUP,
-    "import_keys": PHASE_LOOKUP,
-    # Sub-query shipping and site-to-site intermediate results.
-    "execute_primitive": PHASE_SHIP,
-    "chain_step": PHASE_SHIP,
-    "evaluate": PHASE_SHIP,
-    "deliver": PHASE_SHIP,
-    "delivered": PHASE_SHIP,
-    "ship": PHASE_SHIP,
-    "digest": PHASE_SHIP,
-    # Cross-query result cache (PR 9): a probe stands in for the shipping
-    # it short-circuits; an admit copies a finished sub-result in place.
-    "cache_probe": PHASE_SHIP,
-    "cache_admit": PHASE_SHIP,
-    # Combining at the join site.
-    "combine": PHASE_JOIN,
-    "filter_box": PHASE_JOIN,
-    # Post-processing: final result transfer.
-    "fetch": PHASE_FINALIZE,
-}
-
 #: Event kinds that correspond to a message on a link (and therefore
 #: carry bytes charged to :class:`~repro.net.stats.NetworkStats`).
 MESSAGE_KINDS = frozenset({"rpc_request", "rpc_reply", "rpc_error", "oneway"})
-
-
-def phase_for_method(method: str) -> str:
-    """Workflow phase for an RPC method name (``x.reply`` → phase of x)."""
-    base = method.split(".", 1)[0]
-    return _METHOD_PHASES.get(base, PHASE_SHIP)
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,16 +242,17 @@ class Tracer:
         dst: str,
         method: str,
         nbytes: int,
+        phase: str,
         delay: float = 0.0,
         detail: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Record one message on a link, attributing its cost to a phase.
+        """Record one message on a link, attributing its cost to *phase*,
+        its method's declared phase.
 
         Called from the transport next to every
         :meth:`~repro.net.stats.NetworkStats.record`, so traced bytes and
         the stats ledger agree exactly.
         """
-        phase = phase_for_method(method)
         self.record(kind, src=src, dst=dst, name=method, nbytes=nbytes,
                     phase=phase, detail=detail)
         self.phase_bytes[phase] += nbytes

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 from repro.chord import IdentifierSpace
+from repro.net.protocol import PROTOCOL, Method
 from repro.overlay import HybridSystem
 from repro.workloads import (
     FoafConfig, generate_foaf_triples, paper_example_dataset,
     paper_example_partition, partition_triples,
 )
+
+
+def declare(monkeypatch, *names: str) -> None:
+    """Declare the test-only methods *names* (plain shipping-phase
+    methods without a request record) for the rest of the test."""
+    for name in names:
+        monkeypatch.setitem(PROTOCOL, name, Method(name))
 
 
 def build_system(

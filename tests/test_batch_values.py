@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net import wire
 from repro.net.faults import FaultPlan, FaultRule
+from repro.net.protocol import ChainStep
 from repro.net.wire import SolutionBatch, as_solution_set, shipped_rows
 from repro.overlay.peer import QueryPeer
 from repro.query import DistributedExecutor, ExecutionOptions, PrimitiveStrategy
@@ -122,9 +123,9 @@ class TestChainStepMerge:
         acc = wire.encode_solutions(
             d4.local_eval(algebra) | rows_of(3, "acc"), encode)
         acc_rows = frozenset(shipped_rows(acc))
-        d2.rpc_chain_step({"algebra": algebra, "acc": acc, "route": [],
-                           "final": "D2", "corr": "merge", "notify": None,
-                           "encode": encode}, "test")
+        d2.rpc_chain_step(ChainStep(algebra=algebra, acc=acc, route=[],
+                                    final="D2", corr="merge", notify=None,
+                                    encode=encode), "test")
         old = as_solution_set(acc)
         old.update(d2.local_eval(algebra))
         assert d2.mailbox["merge"] == old
@@ -145,7 +146,7 @@ class TestMailboxesUnderDuplication:
 
         def checked(self, payload, src):
             real(self, payload, src)
-            shipped.append(shipped_rows(payload.get("data", ())))
+            shipped.append(shipped_rows(payload.data))
             boxes = [box for node in system.network.nodes.values()
                      for box in node.__dict__.get("_qp_mailbox", {}).values()]
             assert all(type(box) is set for box in boxes)

@@ -22,6 +22,7 @@ from repro.chord.node import walk
 from repro.metrics import FailoverCounters
 from repro.net.faults import FaultInjector, FaultPlan, FaultRule, chaos_plan
 from repro.net.health import CLOSED, HALF_OPEN, OPEN, HealthLedger
+from repro.net.protocol import FindSuccessor, IndexLookup
 from repro.net.sim import Simulator
 from repro.net.transport import RpcTimeout
 from repro.overlay import key_for_pattern
@@ -225,7 +226,7 @@ class TestBreakerStateMachine:
 
         def proc():
             try:
-                yield net.call("D1", "N0", "index_lookup", {"key": 1})
+                yield net.call("D1", "N0", "index_lookup", IndexLookup(key=1))
             except RpcTimeout as exc:
                 seen["exc"] = exc
 
@@ -303,7 +304,7 @@ def avoid_hints(system, initiator):
     call = system.network.call
 
     def spy(src, dst, method, payload=None, *args, **kwargs):
-        if src == initiator and method == "find_successor" and "avoid" in payload:
+        if src == initiator and method == "find_successor" and payload.avoid:
             seen.append(payload)
         return call(src, dst, method, payload, *args, **kwargs)
 
@@ -335,7 +336,7 @@ class TestReplicaOf:
                                                           initiator=initiator)
         assert getattr(system.network.failover, counter) == 1
         _kind, key = key_for_pattern(KNOWS_PATTERN, system.space)
-        assert seen == [{"key": key, "avoid": [victim]}]
+        assert seen == [FindSuccessor(key=key, avoid=[victim])]
 
     def test_failover_hint_shape_when_the_owner_reads(self):
         """The owner dies before its sub-query, sent unread, reaches it."""
@@ -350,15 +351,15 @@ class TestReplicaOf:
         assert system.network.failover.dispatch_failovers == 1
         assert system.network.failover.lookup_failovers == 0
         _kind, key = key_for_pattern(KNOWS_PATTERN, system.space)
-        assert seen == [{"key": key, "avoid": [victim]}]
+        assert seen == [FindSuccessor(key=key, avoid=[victim])]
 
     def test_avoid_payload_built_only_in_replica_of(self):
         """The walk builds every ``avoid`` payload; the query layer hands
         it a dead owner to avoid only in ``replica_of``."""
         package = Path(repro.query.__file__).parent
         sources = [path.read_text() for path in sorted(package.glob("*.py"))]
-        assert not any('"avoid"' in text for text in sources)
-        assert inspect.getsource(walk).count('"avoid"') == 1
+        assert not any("FindSuccessor" in text for text in sources)
+        assert inspect.getsource(walk).count("FindSuccessor(key=key, avoid=") == 1
         with_dead = [line.strip() for text in sources for line in text.splitlines()
                      if "ring_resolve(key, (dead" in line]
         assert with_dead == ["result = yield from self.ring_resolve(key, (dead,))"]
@@ -387,7 +388,7 @@ class TestDispatchFailoverTag:
         dropped = []
 
         def lose_owner_reply(call, target, value, exc):
-            if (call is not None and call.method == "execute_primitive"
+            if (call is not None and call.spec.name == "execute_primitive"
                     and call.dst == owner and not dropped):
                 dropped.append(call.src)
                 return

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.chord import ChordNode, ChordRing, IdentifierSpace, lookup
 from repro.chord.node import LookupStep, walk
 from repro.net import Network
+from repro.net.protocol import FindSuccessor
 from repro.net.transport import RpcTimeout
 from repro.overlay.peer import RouteTable
 
@@ -51,7 +52,7 @@ def run_walk(ring, start, key, avoid=(), known=None):
 
     def call(dst, method, payload):
         event = network.call("client", dst, method, payload)
-        record = [dst, payload.get("avoid"), None]
+        record = [dst, payload.avoid, None]
         probes.append(record)
         event.callbacks.append(lambda e: record.__setitem__(
             2, "ok" if e.failure is None else type(e.failure).__name__))
@@ -198,8 +199,8 @@ def test_probe_reply_is_one_step_and_no_larger_than_the_old_reply():
     assert not inspect.isgeneratorfunction(ChordNode.rpc_find_successor)
     ring = build_ring([1000 * (i + 1) for i in range(16)])
     node = ring.nodes["N0"]
-    near = node.rpc_find_successor({"key": 1500}, "client")
-    far = node.rpc_find_successor({"key": 15500}, "client")
+    near = node.rpc_find_successor(FindSuccessor(key=1500), "client")
+    far = node.rpc_find_successor(FindSuccessor(key=15500), "client")
     assert near == LookupStep(node.successor, LookupStep.OWNER)
     assert far.flag == LookupStep.NEXT and far.ref == node.closest_preceding(15500)
     assert near.wire_size() == near.ref.wire_size() + 4
@@ -237,7 +238,8 @@ def test_a_blinded_responder_answers_dead_end_and_the_walk_steps_back():
     ring = build_ring([1000 * (i + 1) for i in range(16)])
     node = ring.nodes["N0"]
     avoid = [f"N{i}" for i in range(1, 15)]
-    step = node.rpc_find_successor({"key": 15500, "avoid": avoid}, "client")
+    step = node.rpc_find_successor(FindSuccessor(key=15500, avoid=avoid),
+                                   "client")
     assert step == LookupStep(node.ref, LookupStep.DEAD_END)
     result, probes = run_walk(ring, node.ref, 15500, avoid)
     assert isinstance(result, RpcTimeout)

@@ -17,12 +17,13 @@ import gc
 import pytest
 
 from repro.net import Network, Node
+from repro.net.protocol import Deliver, Delivered
 from repro.query import DistributedExecutor, ExecutionOptions, PrimitiveStrategy
 from repro.query.strategies import DELIVERY_TIMEOUT
 from repro.overlay.peer import ROUTE_CAP, QueryPeer
 from repro.workloads import PAPER_FIG_QUERIES
 
-from helpers import build_system, oracle_rows
+from helpers import build_system, declare, oracle_rows
 
 
 class EchoNode(Node):
@@ -84,9 +85,10 @@ class TestTimerCancellation:
         long_timer.cancel()
         assert sim.run() == pytest.approx(0.5)
 
-    def test_rpc_reply_cancels_deadline_timer(self):
+    def test_rpc_reply_cancels_deadline_timer(self, monkeypatch):
         """A successful call leaves no live deadline timer behind: the
         post-call clock is the reply time, not the (huge) deadline."""
+        declare(monkeypatch, "echo")
         net = Network(default_timeout=10_000.0)
         net.register(EchoNode("a"))
 
@@ -97,7 +99,8 @@ class TestTimerCancellation:
         assert net.sim.now < 1.0
         assert live_heap(net.sim) == []
 
-    def test_fail_fast_cancels_deadline_timer(self):
+    def test_fail_fast_cancels_deadline_timer(self, monkeypatch):
+        declare(monkeypatch, "echo")
         net = Network(default_timeout=10_000.0)
         net.register(EchoNode("a"))
 
@@ -133,12 +136,12 @@ class TestDeadCorrelations:
         system = build_system()
         peer = system.storage_nodes["D1"]
         peer.abandon_corr("c1")
-        peer.rpc_deliver({"corr": "c1", "data": [1, 2, 3]}, "D2")
+        peer.rpc_deliver(Deliver(corr="c1", data=[1, 2, 3]), "D2")
         assert "c1" not in peer.mailbox
         # The tombstone survives the first late arrival: a duplicated or
         # retried send can trail in more copies, and each must be
         # dropped. purge_corrs (the executor's sweep) removes it.
-        peer.rpc_deliver({"corr": "c1", "data": [4, 5]}, "D2")
+        peer.rpc_deliver(Deliver(corr="c1", data=[4, 5]), "D2")
         assert "c1" not in peer.mailbox
         assert "c1" in peer._dead_corrs
         assert peer.purge_corrs(["c1"]) == 1
@@ -149,11 +152,11 @@ class TestDeadCorrelations:
         peer = system.storage_nodes["D1"]
         event = peer.expect("c2")
         peer.abandon_corr("c2")
-        peer.rpc_delivered({"corr": "c2", "count": 7}, "D2")
+        peer.rpc_delivered(Delivered(corr="c2", count=7), "D2")
         assert not event.triggered or event.cancelled
         assert "c2" not in peer._delivered_early
         # A second late copy is dropped by the same tombstone.
-        peer.rpc_delivered({"corr": "c2", "count": 7}, "D2")
+        peer.rpc_delivered(Delivered(corr="c2", count=7), "D2")
         assert "c2" not in peer._delivered_early
         assert "c2" in peer._dead_corrs
         assert peer.purge_corrs(["c2"]) == 1
@@ -289,6 +292,71 @@ class TestReleaseVisitsTouchedPeersOnly:
             monkeypatch, 64, ExecutionOptions(), faults=plan)
         # Quarantine changes when corrs are purged, not where.
         assert [set(c) for c in chaotic] == [set(c) for c in healthy]
+
+
+class TestReceiverStateAfterRelease:
+    """Receivers apply their declared delivery semantics (the per-corr
+    ``execute_primitive`` ledger, the ``cache_admit`` reply memo, mailbox
+    entries that no operation consumes) whether or not a fault plan is
+    installed, and a query's release reclaims all of it. An empty plan
+    changes only the sender side: delivery tags and the quarantine
+    before corrs are purged."""
+
+    QUERIES = [PAPER_FIG_QUERIES[name] for name in sorted(PAPER_FIG_QUERIES)]
+
+    def _run(self, monkeypatch, faults):
+        from repro.query.executor import ExecutionContext
+
+        system = build_system()
+        system.network.install_faults(faults)
+        before_release = []
+        release = ExecutionContext.release
+
+        def snapshot(ctx):
+            before_release.append(receiver_state(system))
+            return release(ctx)
+
+        monkeypatch.setattr(ExecutionContext, "release", snapshot)
+        executor = DistributedExecutor(system, ExecutionOptions(
+            result_cache=True,
+            primitive_strategy=PrimitiveStrategy.CHAINED))
+        answers = []
+        for query in self.QUERIES * 3:  # the third round admits to the cache
+            result, _ = executor.execute(query, initiator="D1")
+            assert result.rows == oracle_rows(system, query)
+            answers.append(sorted(map(repr, result.rows)))
+        system.sim.run()  # let a quarantine's delayed sweep fire
+        monkeypatch.undo()
+        return (answers, before_release, receiver_state(system),
+                system.stats.per_kind_messages, system.network.failover)
+
+    def test_no_plan_and_empty_plan_leave_no_receiver_state(self, monkeypatch):
+        from repro.net.faults import FaultPlan
+
+        plain = self._run(monkeypatch, None)
+        empty = self._run(monkeypatch, FaultPlan(rules=()))
+        for answers, before, after, _messages, failover in (plain, empty):
+            assert answers == plain[0]
+            # Both ledgers were in use while the queries ran ...
+            assert sum(s["inflight"] for s in before) > 0
+            assert sum(s["replied"] for s in before) > 0
+            # ... and nothing is left once they are released.
+            assert after == {"mailbox": 0, "inflight": 0, "replied": 0}
+            assert failover.duplicates_dropped == 0
+        # The receivers held the same state, query by query, and the
+        # same messages crossed the wire.
+        assert empty[1] == plain[1]
+        assert empty[3] == plain[3]
+
+
+def receiver_state(system):
+    """Receiver-side ledger sizes summed over every query peer."""
+    state = {"mailbox": 0, "inflight": 0, "replied": 0}
+    for node in system.network.nodes.values():
+        if isinstance(node, QueryPeer):
+            for key in state:
+                state[key] += len(node.__dict__.get(f"_qp_{key}") or ())
+    return state
 
 
 class TestNoCyclicGarbage:

@@ -16,6 +16,14 @@ from repro.net import (
 )
 from repro.trace import Tracer
 
+from helpers import declare
+
+
+@pytest.fixture(autouse=True)
+def test_methods(monkeypatch):
+    """The methods the test nodes below serve."""
+    declare(monkeypatch, "echo", "boom", "relay", "note", "die", "slow")
+
 
 class EchoNode(Node):
     def rpc_echo(self, payload, src):
@@ -67,8 +75,9 @@ class TestRpc:
 
     def test_missing_handler_is_remote_error(self, net):
         def proc():
-            with pytest.raises(RemoteError, match="no handler"):
-                yield net.call("client", "a", "nonexistent")
+            # A declared method the destination does not serve.
+            with pytest.raises(RemoteError, match="no handler rpc_ping"):
+                yield net.call("client", "a", "ping")
             return True
 
         assert run(net, proc())
@@ -176,7 +185,7 @@ class TestRpc:
             with pytest.raises(RpcTimeout):
                 # The dead node drops the request entirely — not even a
                 # RemoteError for the handler it doesn't have.
-                yield net.call("client", "a", "nonexistent")
+                yield net.call("client", "a", "ping")
             return True
 
         assert run(net, proc())

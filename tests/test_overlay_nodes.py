@@ -2,6 +2,10 @@
 chains, primitive orchestration, mailbox peers."""
 
 
+from repro.net.protocol import (
+    ChainStep, Combine, Deliver, Delivered, Evaluate, ExecutePrimitive, Fetch,
+    FilterBox,
+)
 from repro.overlay import KeyKind, key_for_pattern
 from repro.rdf import FOAF, IRI, Literal, TriplePattern, Variable
 from repro.sparql.algebra import BGP
@@ -27,7 +31,7 @@ class TestStorageNode:
 
     def test_rpc_evaluate_local_only(self, paper_system):
         d2 = paper_system.storage_nodes["D2"]  # knows-triples live here
-        rows = d2.rpc_evaluate({"algebra": BGP((KNOWS,))}, "test")
+        rows = d2.rpc_evaluate(Evaluate(algebra=BGP((KNOWS,))), "test")
         assert len(rows) == d2.graph.count(KNOWS)
 
 
@@ -38,11 +42,9 @@ class TestChainStep:
         d4 = paper_system.storage_nodes["D4"]
         # D4 holds the duplicated nick triple; D2 also holds it: dedup check.
         nick_pattern = TriplePattern(X, FOAF.nick, Y)
-        net.send("test", "D2", "chain_step", {
-            "algebra": BGP((nick_pattern,)),
-            "acc": [], "route": ["D4"], "final": "D1", "corr": "c1",
-            "notify": None,
-        })
+        net.send("test", "D2", "chain_step", ChainStep(
+            algebra=BGP((nick_pattern,)), acc=[], route=["D4"], final="D1",
+            corr="c1", notify=None))
         net.sim.run()
         d1 = paper_system.storage_nodes["D1"]
         merged = d1.mailbox["c1"]
@@ -53,10 +55,9 @@ class TestChainStep:
     def test_chain_final_at_self_needs_no_message(self, paper_system):
         net = paper_system.network
         before = net.stats.messages
-        net.send("test", "D2", "chain_step", {
-            "algebra": BGP((KNOWS,)), "acc": [], "route": [],
-            "final": "D2", "corr": "self", "notify": None,
-        })
+        net.send("test", "D2", "chain_step", ChainStep(
+            algebra=BGP((KNOWS,)), acc=[], route=[], final="D2", corr="self",
+            notify=None))
         net.sim.run()
         assert "self" in paper_system.storage_nodes["D2"].mailbox
         assert net.stats.messages == before + 1  # only the kickoff
@@ -78,8 +79,8 @@ class TestIndexNode:
         def proc():
             response = yield paper_system.network.call(
                 "D1", owner.node_id, "execute_primitive",
-                {"algebra": BGP((KNOWS,)), "key": key, "strategy": "basic",
-                 "corr": "q"},
+                ExecutePrimitive(algebra=BGP((KNOWS,)), key=key,
+                                 strategy="basic", corr="q"),
             )
             return response
 
@@ -97,8 +98,8 @@ class TestIndexNode:
         def proc():
             return (yield paper_system.network.call(
                 "D1", owner.node_id, "execute_primitive",
-                {"algebra": BGP((KNOWS,)), "key": key, "strategy": "basic",
-                 "corr": "dep", "deposit": True},
+                ExecutePrimitive(algebra=BGP((KNOWS,)), key=key,
+                                 strategy="basic", corr="dep", deposit=True),
             ))
 
         response = paper_system.sim.run_process(proc())
@@ -115,8 +116,8 @@ class TestIndexNode:
         def proc():
             return (yield paper_system.network.call(
                 "D1", owner.node_id, "execute_primitive",
-                {"algebra": BGP((KNOWS,)), "key": key, "strategy": "basic",
-                 "corr": "q2"}, timeout=30.0,
+                ExecutePrimitive(algebra=BGP((KNOWS,)), key=key,
+                                 strategy="basic", corr="q2"), timeout=30.0,
             ))
 
         response = paper_system.sim.run_process(proc())
@@ -144,8 +145,8 @@ class TestQueryPeerMailbox:
         d1 = paper_system.storage_nodes["D1"]
         mu = SolutionMapping({X: IRI("http://x/a")})
         nu = SolutionMapping({X: IRI("http://x/b")})
-        d1.rpc_deliver({"corr": "m", "data": [mu]}, "t")
-        d1.rpc_deliver({"corr": "m", "data": [mu, nu]}, "t")
+        d1.rpc_deliver(Deliver(corr="m", data=[mu]), "t")
+        d1.rpc_deliver(Deliver(corr="m", data=[mu, nu]), "t")
         assert d1.mailbox["m"] == {mu, nu}
 
     def test_combine_join(self, paper_system):
@@ -155,21 +156,25 @@ class TestQueryPeerMailbox:
         d1.mailbox["l"] = {a}
         d1.mailbox["r"] = {ay, SolutionMapping({X: IRI("http://x/b")})}
         summary = d1.rpc_combine(
-            {"op": "join", "left": "l", "right": "r", "out": "o"}, "t")
+            Combine(op="join", left="l", right="r", out="o", condition=None), "t")
         assert summary == {"count": 1}
         assert d1.mailbox["o"] == {ay}
-        assert "l" not in d1.mailbox and "r" not in d1.mailbox  # inputs freed
+        # Inputs stay for a repeat of the request; release purges them.
+        assert "l" in d1.mailbox and "r" in d1.mailbox
+        assert d1.purge_corrs(["l", "r", "o"]) == 3
 
-    def test_fetch_discards_by_default(self, paper_system):
+    def test_fetch_leaves_the_entry_for_release(self, paper_system):
         d1 = paper_system.storage_nodes["D1"]
         mu = SolutionMapping({X: IRI("http://x/a")})
         d1.mailbox["f"] = {mu}
-        assert set(d1.rpc_fetch({"corr": "f"}, "t")) == {mu}
-        assert "f" not in d1.mailbox
+        assert set(d1.rpc_fetch(Fetch(corr="f"), "t")) == {mu}
+        # A repeated fetch reads the same answer until release purges it.
+        assert set(d1.rpc_fetch(Fetch(corr="f"), "t")) == {mu}
+        assert d1.purge_corrs(["f"]) == 1 and "f" not in d1.mailbox
 
     def test_expect_latches_early_notification(self, paper_system):
         d1 = paper_system.storage_nodes["D1"]
-        d1.rpc_delivered({"corr": "early", "count": 3}, "t")
+        d1.rpc_delivered(Delivered(corr="early", count=3), "t")
         event = d1.expect("early")
         assert event.triggered and event.value == 3
 
@@ -186,5 +191,5 @@ class TestQueryPeerMailbox:
             SolutionMapping({n_var: Literal("Bob")}),
         }
         summary = d1.rpc_filter_box(
-            {"corr": "in", "out": "out", "condition": condition}, "t")
+            FilterBox(corr="in", out="out", condition=condition), "t")
         assert summary == {"count": 1}

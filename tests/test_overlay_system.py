@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.chord import IdentifierSpace, NodeRef
 from repro.net import RpcError
+from repro.net.protocol import IndexEntries, Publish
 from repro.overlay import (
     FIG1_INDEX_IDS,
     HybridSystem,
@@ -51,7 +52,7 @@ def publish_batch(system, publisher, storage_id, entries):
     def proc():
         return (yield system.network.call(
             storage_id, publisher, "publish",
-            {"storage_id": storage_id, "entries": entries}, timeout=60.0))
+            Publish(storage_id=storage_id, entries=entries), timeout=60.0))
 
     return system.sim.run_process(proc())
 
@@ -172,7 +173,7 @@ class TestArcWalk:
         system = small_ring([10, 60, 130, 200], replication_factor=2)
         node = system.index_nodes["N60"]  # owns (10, 60]
         entries = [(5, "D0", 1), (11, "D0", 2), (60, "D0", 3), (61, "D0", 1)]
-        reply = node.rpc_index_put({"entries": entries}, "N10")
+        reply = node.rpc_index_put(IndexEntries(entries=entries), "N10")
         system.sim.run()
         assert reply.bounced == [(5, "D0", 1), (61, "D0", 1)]
         assert reply.successor == system.index_nodes["N130"].ref
@@ -188,7 +189,7 @@ class TestArcWalk:
         system.index_nodes["N200"].predecessor = NodeRef(190, "N190")
         with pytest.raises(PublicationFailed, match="bounce at N200 after 3"):
             system.sim.run_process(system.index_nodes["N10"].rpc_publish(
-                {"storage_id": "D0", "entries": [(150, 1), (195, 1)]}, "D0"))
+                Publish(storage_id="D0", entries=[(150, 1), (195, 1)]), "D0"))
         with pytest.raises(RpcError, match="bounce"):
             publish_batch(system, "N10", "D0", [(150, 1)])
 

@@ -15,10 +15,12 @@ dialed twice, and no arc is learned from a failover answer.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.net.protocol import ExecutePrimitive
 from repro.overlay import key_for_pattern
 from repro.overlay.membership import depart_index_node, join_index_node
 from repro.query import DistributedExecutor, ExecutionOptions, PrimitiveStrategy
@@ -103,7 +105,7 @@ class TestHealthyPath:
         assert _rows(result) == expected
         sent = [(dst, m) for src, dst, m, _p in calls if src == "D1"]
         assert sent == [(knows_owner(system), "execute_primitive")]
-        assert [p.get("routed") for src, _d, _m, p in calls if src == "D1"] == [True]
+        assert [p.routed for src, _d, _m, p in calls if src == "D1"] == [True]
         assert (report.lookup_hops, report.messages) == (0, 4)
         assert spans[0]["routed"] is True
 
@@ -142,14 +144,15 @@ class TestHealthyPath:
         other = next(node for node in system.index_nodes.values()
                      if not node.owns(key))
         owner = system.index_nodes[knows_owner(system)]
-        routed = {"key": key, "routed": True, "corr": "t#0"}
+        unrouted = ExecutePrimitive(algebra=None, key=key, strategy="basic",
+                                    corr="t#0")
+        routed = replace(unrouted, routed=True)
         assert other.rpc_execute_primitive(routed, "D1") is None
         # Answered (an execution, not yet run) by the owner, and unrouted
         # by any node: a replica holder taking over still has the dead
         # owner as its predecessor.
         assert owner.rpc_execute_primitive(routed, "D1") is not None
-        assert other.rpc_execute_primitive({"key": key, "corr": "t#0"},
-                                           "D1") is not None
+        assert other.rpc_execute_primitive(unrouted, "D1") is not None
 
 
 class TestRerouting:
@@ -194,10 +197,10 @@ class TestRerouting:
         assert system.network.failover.dispatch_failovers == 1
         to_dead = [payload for _src, dst, payload in sent if dst == dead]
         assert len(to_dead) == 1
-        assert to_dead[0].get("routed") is (True if warmed else None)
+        assert to_dead[0].routed is (True if warmed else None)
         assert spans[0].get("fallback") == ("RpcTimeout" if warmed else None)
         (to_replica,) = [payload for _src, dst, payload in sent if dst != dead]
-        assert "routed" not in to_replica
+        assert to_replica.routed is None
         # A failover answer is never learned.
         assert routes_of(system).get(knows_key(system)) is None
 
@@ -215,7 +218,7 @@ class TestRerouting:
         sent = spy_calls(system, "execute_primitive")
         with pytest.raises(QueryFailed):
             DistributedExecutor(system).execute(KNOWS_QUERY, initiator="D1")
-        assert [(dst, p.get("routed")) for _s, dst, p in sent] == \
+        assert [(dst, p.routed) for _s, dst, p in sent] == \
             [(owner.node_id, True)]
         assert routes_of(system).get(knows_key(system)) == owner.ref
 
@@ -251,7 +254,7 @@ class TestRerouting:
         sent = spy_calls(system, "execute_primitive")
         with pytest.raises(QueryFailed):
             DistributedExecutor(system).execute(KNOWS_QUERY, initiator="D1")
-        assert [p.get("routed") for _s, dst, p in sent if dst == dead] == \
+        assert [p.routed for _s, dst, p in sent if dst == dead] == \
             [True, None]
 
 
@@ -270,8 +273,8 @@ class TestLoneCostLeaf:
         sent = [(m, p) for src, _d, m, p in calls if src == "D1"]
         assert [m for m, _p in sent] == \
             ["find_successor"] * (report.lookup_hops + 1) + ["execute_primitive"]
-        assert sent[-1][1]["strategy"] == "cost"
-        assert sent[-1][1]["time_weight"] == 0.3
+        assert sent[-1][1].strategy == "cost"
+        assert sent[-1][1].time_weight == 0.3
         owner = system.index_nodes[knows_owner(system)]
         row = owner.locate(knows_key(system))
         picked, _costs = choose_strategy(row, system.network.link, 0.3)
@@ -334,7 +337,7 @@ class TestLearnedStarts:
         result, report, spans = traced_run(system, NOTHING_QUERY, DISPATCH)
         assert result.rows == oracle_rows(system, NOTHING_QUERY)
         entry = system.storage_nodes["D1"].index_node_id
-        probes = [(dst, p.get("avoid")) for src, dst, p in walks if src == "D1"]
+        probes = [(dst, p.avoid) for src, dst, p in walks if src == "D1"]
         assert probes[:2] == [(dead, None), (entry, [dead])]
         assert [dst for dst, _avoid in probes].count(dead) == 1
         assert "start" not in spans[0]

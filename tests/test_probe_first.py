@@ -116,7 +116,7 @@ class TestProbeFirstWalk:
         real = IndexNode.rpc_execute_primitive
 
         def spy(self, payload, src):
-            calls.append(payload["algebra"])
+            calls.append(payload.algebra)
             return real(self, payload, src)
 
         monkeypatch.setattr(IndexNode, "rpc_execute_primitive", spy)

@@ -13,6 +13,7 @@ evaluation over the graph as it is.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.net.protocol import Evaluate
 from repro.net.wire import JoinDigest, shed
 from repro.overlay import storage_node as storage_module
 from repro.overlay.storage_node import StorageNode
@@ -51,12 +52,8 @@ def fresh(algebra, graph, keep=None):
 
 
 def ask(node, algebra, keep=None, digest=None):
-    payload = {"algebra": algebra}
-    if keep is not None:
-        payload["project"] = keep
-    if digest is not None:
-        payload["digest"] = digest
-    return node._eval_shippable(payload)
+    return node._eval_shippable(
+        Evaluate(algebra=algebra, project=keep, digest=digest))
 
 
 @pytest.fixture

@@ -105,7 +105,8 @@ class TestShipping:
 
         shipped = paper_system.sim.run_process(proc())
         assert shipped.site == "D4" and shipped.count == 4
-        assert "c" not in paper_system.storage_nodes["D2"].mailbox
+        # The holder keeps its copy for a repeated ship until release.
+        assert len(paper_system.storage_nodes["D2"].mailbox["c"]) == 4
         assert len(paper_system.storage_nodes["D4"].mailbox["c"]) == 4
 
 

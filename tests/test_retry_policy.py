@@ -15,7 +15,7 @@ from repro.query import (
     DistributedExecutor, ExecutionOptions, QueryDeadlineExceeded, QueryFailed,
 )
 
-from helpers import build_system
+from helpers import build_system, declare
 
 KNOWS_QUERY = "SELECT ?x ?y WHERE { ?x foaf:knows ?y . }"
 
@@ -61,6 +61,11 @@ class _Echo(Node):
 
     def rpc_boom(self, payload, src):
         raise RuntimeError("handler exploded")
+
+
+@pytest.fixture(autouse=True)
+def boom_method(monkeypatch):
+    declare(monkeypatch, "boom")
 
 
 def _net():

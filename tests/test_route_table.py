@@ -22,6 +22,7 @@ import pytest
 
 from repro.chord import IdentifierSpace
 from repro.chord.node import NodeRef
+from repro.net.protocol import IndexLookup
 from repro.overlay import key_for_pattern
 from repro.overlay.membership import depart_index_node, join_index_node
 from repro.overlay.peer import ROUTE_CAP, RouteTable
@@ -180,8 +181,8 @@ class TestRoutedReads:
         assert spans[0]["routed"] is True
         assert _rows(second) == _rows(first)
         owner, key = knows_owner(system), knows_key(system)
-        assert reads == [("D1", owner, {"key": key}),
-                         ("D1", owner, {"key": key, "routed": True})]
+        assert reads == [("D1", owner, IndexLookup(key=key)),
+                         ("D1", owner, IndexLookup(key=key, routed=True))]
 
     def test_routes_are_per_initiator(self):
         system = build_system()
@@ -197,9 +198,10 @@ class TestRoutedReads:
         owner = system.index_nodes[knows_owner(system)]
         other = next(node for node in system.index_nodes.values()
                      if not node.owns(key))
-        assert owner.rpc_index_lookup({"key": key, "routed": True}, "D1")
-        assert other.rpc_index_lookup({"key": key, "routed": True}, "D1") is None
-        assert other.rpc_index_lookup({"key": key}, "D1") == []
+        routed = IndexLookup(key=key, routed=True)
+        assert owner.rpc_index_lookup(routed, "D1")
+        assert other.rpc_index_lookup(routed, "D1") is None
+        assert other.rpc_index_lookup(IndexLookup(key=key), "D1") == []
 
     def test_join_inside_a_learned_arc_bounces(self):
         system = build_system()
@@ -243,7 +245,7 @@ class TestRoutedReads:
         # The unstabilized ring still names the dead owner: the routed
         # read was its one timeout, failover went to the replica holder.
         assert [payload for _src, dst, payload in reads if dst == dead] == \
-            [{"key": knows_key(system), "routed": True}]
+            [IndexLookup(key=knows_key(system), routed=True)]
         # A failover answer is never learned.
         routes = system.storage_nodes["D1"].routes(system.space)
         assert routes.get(knows_key(system)) is None
@@ -259,8 +261,8 @@ class TestRoutedReads:
         # The second leaf, which waited on the first's failed read, then
         # walks the ring itself.
         assert [payload for _src, dst, payload in reads if dst == dead] == \
-            [{"key": knows_key(system), "routed": True}, {"key": knows_key(system)},
-             {"key": knows_key(system)}]
+            [IndexLookup(key=knows_key(system), routed=True),
+             IndexLookup(key=knows_key(system)), IndexLookup(key=knows_key(system))]
 
 
 def ring_state(system):
@@ -327,7 +329,7 @@ class TestLearnedStarts:
         result, report, spans = traced_run(system, self.NOTHING_QUERY)
         assert result.rows == oracle_rows(system, self.NOTHING_QUERY)
         entry = system.storage_nodes["D1"].index_node_id
-        probes = [(dst, p.get("avoid")) for src, dst, p in walks if src == "D1"]
+        probes = [(dst, p.avoid) for src, dst, p in walks if src == "D1"]
         # One timeout on the dead start; the entry's walk is told to
         # avoid it, so it is never probed again.
         assert probes[:2] == [(dead, None), (entry, [dead])]

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.net.protocol import PROTOCOL
 from repro.query import ConjunctionMode, DistributedExecutor
 from repro.query.physical import BGPWalk, walk_plan
 from repro.rdf import serialize_ntriples
@@ -17,7 +18,6 @@ from repro.trace import (
     PHASE_LOOKUP,
     PHASE_SHIP,
     Tracer,
-    phase_for_method,
     render_phases,
     render_sequence,
     render_spans,
@@ -70,13 +70,16 @@ class TestPhaseAccounting:
         assert sum(p.bytes for p in second.phases.values()) == second.bytes_total
         assert tracer.bytes_total == first.bytes_total + second.bytes_total
 
-    def test_phase_for_method_strips_reply_suffix(self):
-        assert phase_for_method("find_successor") == PHASE_LOOKUP
-        assert phase_for_method("find_successor.reply") == PHASE_LOOKUP
-        assert phase_for_method("combine.error") == PHASE_JOIN
-        assert phase_for_method("fetch") == PHASE_FINALIZE
-        # Unknown methods land in the data-movement catch-all.
-        assert phase_for_method("mystery_method") == PHASE_SHIP
+    def test_replies_charged_to_their_methods_phase(self):
+        """A reply or error message counts toward its method's declared
+        phase (the whole table is pinned in test_protocol.py)."""
+        _, tracer, _, _ = traced_run()
+        seen = set()
+        for event in tracer.message_events():
+            method = event.name.split(".", 1)[0]
+            assert event.phase == PROTOCOL[method].phase, event
+            seen.add(event.name)
+        assert {"combine.reply", "fetch.reply", "execute_primitive.reply"} <= seen
 
     def test_site_bytes_sum_to_total(self):
         _, tracer, _, report = traced_run()
