@@ -11,7 +11,7 @@ combinations can collide structurally.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from ..rdf.terms import RDFTerm
 from .idspace import IdentifierSpace
@@ -52,17 +52,20 @@ def hash_terms(terms: Iterable[Union[RDFTerm, str]], space: IdentifierSpace) -> 
 
 
 def hash_terms_seeded(
-    terms: Iterable[Union[RDFTerm, str]], seed: int, modulus: int
+    terms: Iterable[Union[RDFTerm, str]], seed: int,
+    modulus: Optional[int] = None,
 ) -> int:
     """Seeded variant of :func:`hash_terms` over an arbitrary modulus.
 
     The family of independent hash functions the Bloom-filter digests
     need (one per *seed*), built from the same canonical prefix-free
-    term encoding as the index keys.
+    term encoding as the index keys. Without *modulus*, the whole 160-bit
+    value, which a caller may keep and reduce by any modulus later.
     """
     hasher = hashlib.sha1(seed.to_bytes(4, "big"))
     for term in terms:
         data = _canonical_bytes(term)
         hasher.update(len(data).to_bytes(4, "big"))
         hasher.update(data)
-    return int.from_bytes(hasher.digest(), "big") % modulus
+    value = int.from_bytes(hasher.digest(), "big")
+    return value if modulus is None else value % modulus

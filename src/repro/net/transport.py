@@ -331,6 +331,10 @@ class Network:
         #: entry with the query and pops it on release; other flows are
         #: not tracked.
         self.flow_peers: Dict[str, Set[str]] = {}
+        #: Live flow (query) id → the query's report, opened and closed
+        #: with its ``flow_peers`` entry: a chain step, which sends no
+        #: reply, credits the rows its digest shed here.
+        self.flow_reports: Dict[str, Any] = {}
 
     def install_faults(self, plan: Optional[FaultPlan]) -> Optional[FaultInjector]:
         """Attach (or, with ``None``, detach) a chaos plan. When a

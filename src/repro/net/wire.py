@@ -45,6 +45,7 @@ __all__ = [
     "FilteredResult",
     "BATCH_HEADER_BYTES",
     "DIGEST_HEADER_BYTES",
+    "bloom_size",
     "PRUNED_COUNTER_BYTES",
     "as_solution_set",
     "encode_solutions",
@@ -71,6 +72,40 @@ PRUNED_COUNTER_BYTES = 4
 #: batch is never stale. Cleared when full: a memory bound (DESIGN.md §4).
 _BATCHES: Dict[FrozenSet[SolutionMapping], "SolutionBatch"] = {}
 _MAX_BATCHES = 256
+
+#: The intern table of :meth:`JoinDigest.build`, by (row set, variables,
+#: exact threshold, bits per key): equal inputs give the very same
+#: digest, so a provider's memo keyed by the digest's identity
+#: (``StorageNode._answer``) sheds a repeated sub-query once. Nothing
+#: mutates a digest. Cleared when full, like :data:`_BATCHES`.
+_DIGESTS: Dict[tuple, "JoinDigest"] = {}
+_MAX_DIGESTS = 256
+
+#: Bloom key tuple -> its seeded SHA-1 values before any modulus
+#: (:func:`~repro.chord.hashing.hash_terms_seeded`), one per seed. A
+#: digest of any size reduces them by its own bit count, so every bit
+#: position is the one a fresh hash gives. Cleared when full.
+_HASHES: Dict[Tuple[RDFTerm, ...], Tuple[int, ...]] = {}
+_MAX_HASHES = 4096
+
+
+def bloom_size(keys: float, bits_per_key: int) -> int:
+    """The bit count of a Bloom digest over *keys* keys: *bits_per_key*
+    per key, at least 64, rounded up to whole bytes."""
+    nbits = max(64, keys * bits_per_key)
+    return int(-(-nbits // 8)) * 8
+
+
+def _seeded_hashes(key: Tuple[RDFTerm, ...], nhashes: int) -> Tuple[int, ...]:
+    """The raw hashes of *key* for seeds 0 to *nhashes* - 1, memoized
+    (:data:`_HASHES`); a digest reduces each by its bit count."""
+    hashes = _HASHES.get(key)
+    if hashes is None or len(hashes) != nhashes:
+        if len(_HASHES) >= _MAX_HASHES:
+            _HASHES.clear()
+        hashes = _HASHES[key] = tuple(
+            [hash_terms_seeded(key, seed) for seed in range(nhashes)])
+    return hashes
 
 
 def _index_width(count: int) -> int:
@@ -154,7 +189,8 @@ class JoinDigest:
     everything. Likewise a sender row missing a digest variable is always
     admitted. Exact mode stores the projected key tuples themselves;
     Bloom mode stores a bit array with ``nhashes`` seeded positions per
-    key (no false negatives, bounded false positives).
+    key (no false negatives, bounded false positives). A digest is an
+    immutable value, interned by what it was built from (:data:`_DIGESTS`).
     """
 
     __slots__ = ("variables", "mode", "keys", "nbits", "nhashes", "bits", "prunable")
@@ -188,10 +224,23 @@ class JoinDigest:
         bloom_bits: int = 10,
     ) -> "JoinDigest":
         ordered_vars = tuple(sorted(set(variables), key=lambda v: v.name))
+        rows = frozenset(solutions)
+        memo = (rows, ordered_vars, exact_threshold, bloom_bits)
+        digest = _DIGESTS.get(memo)
+        if digest is None:
+            if len(_DIGESTS) >= _MAX_DIGESTS:
+                _DIGESTS.clear()
+            digest = _DIGESTS[memo] = cls._build(rows, ordered_vars,
+                                                 exact_threshold, bloom_bits)
+        return digest
+
+    @classmethod
+    def _build(cls, rows, ordered_vars, exact_threshold: int,
+               bloom_bits: int) -> "JoinDigest":
         if not ordered_vars:
             return cls(ordered_vars, "exact", frozenset(), 0, 0, 0, False)
         keys: Set[Tuple[RDFTerm, ...]] = set()
-        for mu in solutions:
+        for mu in rows:
             values = tuple(mu.get(v) for v in ordered_vars)
             if any(t is None for t in values):
                 # A resident row that does not bind every digest variable
@@ -200,13 +249,12 @@ class JoinDigest:
             keys.add(values)
         if len(keys) <= exact_threshold:
             return cls(ordered_vars, "exact", frozenset(keys), 0, 0, 0, True)
-        nbits = max(64, len(keys) * bloom_bits)
-        nbits = ((nbits + 7) // 8) * 8
+        nbits = bloom_size(len(keys), bloom_bits)
         nhashes = max(1, min(8, round(0.693 * bloom_bits)))
         bits = 0
         for key in keys:
-            for seed in range(nhashes):
-                bits |= 1 << hash_terms_seeded(key, seed, nbits)
+            for value in _seeded_hashes(key, nhashes):
+                bits |= 1 << value % nbits
         return cls(ordered_vars, "bloom", frozenset(), nbits, nhashes, bits, True)
 
     # ------------------------------------------------------------ filtering
@@ -223,8 +271,9 @@ class JoinDigest:
     def _admits(self, values: Tuple[RDFTerm, ...]) -> bool:
         if self.mode == "exact":
             return values in self.keys
-        for seed in range(self.nhashes):
-            if not (self.bits >> hash_terms_seeded(values, seed, self.nbits)) & 1:
+        bits, nbits = self.bits, self.nbits
+        for value in _seeded_hashes(values, self.nhashes):
+            if not (bits >> value % nbits) & 1:
                 return False
         return True
 

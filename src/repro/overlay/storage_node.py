@@ -53,9 +53,10 @@ class StorageNode(QueryPeer, Node):
         #: The ring node this storage node is attached to (Sect. III-A:
         #: "attach to one of the nodes on the ring").
         self.index_node_id: Optional[str] = None
-        #: (algebra, keep) → frozen answer, valid while the graph object
-        #: and its version are the ones in ``_answers_at``.
-        self._answers: Dict[tuple, FrozenSet] = {}
+        #: (algebra, keep, digest) → (frozen answer, rows the digest
+        #: shed), valid while the graph object and its version are the
+        #: ones in ``_answers_at``.
+        self._answers: Dict[tuple, Tuple[FrozenSet, Optional[int]]] = {}
         self._answers_at: Tuple[Optional[Graph], int] = (None, -1)
 
     # ------------------------------------------------------------- data mgmt
@@ -118,34 +119,40 @@ class StorageNode(QueryPeer, Node):
         Returns (solutions, pruned) — *pruned* is None when no digest was
         supplied, else the number of rows it dropped.
         """
-        if payload.digest is None:
-            return self._answer(payload.algebra, payload.project), None
-        return shed(self._answer(payload.algebra, None), payload.digest,
-                    payload.project)
+        return self._answer(payload.algebra, payload.project, payload.digest)
 
-    def _answer(self, algebra: Algebra, keep) -> FrozenSet:
-        """⟦algebra⟧ over the local graph, projected onto *keep* (None:
-        no projection). The answer is a pure function of the sub-query
-        and the graph, so it is memoized for as long as the graph object
-        and its version stand; callers share the frozen result."""
+    def _answer(self, algebra: Algebra, keep,
+                digest=None) -> Tuple[FrozenSet, Optional[int]]:
+        """⟦algebra⟧ over the local graph, shed by *digest* and projected
+        onto *keep* (:func:`~repro.net.wire.shed`; None: no such step) →
+        (frozen rows, rows the digest dropped or None).
+
+        The answer is a pure function of the sub-query, the digest and
+        the graph, so it is memoized for as long as the graph object and
+        its version stand; callers share the frozen result. Digests are
+        interned values, so the key holds one by identity, and a
+        sub-query repeated with the same digest is shed once.
+        """
         graph = self.graph
         answers = self._answers
         at_graph, at_version = self._answers_at
         if at_graph is not graph or at_version != graph.version:
             answers.clear()
             self._answers_at = (graph, graph.version)
-        key = (algebra, None if keep is None else frozenset(keep))
-        rows = answers.get(key)
-        if rows is None:
+        key = (algebra, None if keep is None else frozenset(keep), digest)
+        answer = answers.get(key)
+        if answer is None:
+            if digest is not None:
+                rows, pruned = shed(self._answer(algebra, None)[0], digest, keep)
+            elif type(algebra) is BGP:
+                # The plain sub-query: scan straight to (projected) rows.
+                rows, pruned = evaluate_bgp(algebra, graph, keep), None
+            else:
+                rows, pruned = shed(self.local_eval(algebra), None, keep)
             if len(answers) >= _MAX_ANSWERS:
                 answers.clear()
-            if type(algebra) is BGP:
-                # The plain sub-query: scan straight to (projected) rows.
-                rows = evaluate_bgp(algebra, graph, keep)
-            else:
-                rows = shed(self.local_eval(algebra), None, keep)[0]
-            rows = answers[key] = frozenset(rows)
-        return rows
+            answer = answers[key] = (frozenset(rows), pruned)
+        return answer
 
     def rpc_chain_step(self, payload: ChainStep, src: str) -> None:
         """One step of in-network aggregation (Sect. IV-C optimization).
@@ -159,7 +166,13 @@ class StorageNode(QueryPeer, Node):
         results never back-track, which is the whole point of the chain.
         """
         assert self.network is not None
-        local, _pruned = self._eval_shippable(payload)
+        local, pruned = self._eval_shippable(payload)
+        if pruned:
+            # A chain step sends no reply to carry a pruned counter: the
+            # rows shed here are credited to the query's report by flow.
+            report = self.network.flow_reports.get(payload.flow)
+            if report is not None:
+                report.rows_pruned += pruned
         merged = local.union(shipped_rows(payload.acc))
         data = encode_solutions(merged, payload.encode)
         route = payload.route

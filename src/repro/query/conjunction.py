@@ -176,14 +176,22 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
 def _exec_optimized_mode(ctx, walk: BGPWalk, steps: List[Step]):
     """Overlap-aware parallel chains ending at a shared storage node.
 
-    A probe-first walk (``walk.plan_probe``, set by the cost planner)
-    first lands its most selective chain alone, then sends that chain's
-    join-key digest with every other chain, so providers shed the rows
-    that cannot join before they travel. The digest never drops a
-    joinable row, so the answer is the same.
+    A probe-first walk first lands its first chain alone, then sends
+    that chain's join-key digest with every other chain, so providers
+    shed the rows that cannot join before they travel. The digest never
+    drops a joinable row, so the answer is the same. One rule decides
+    (:func:`~repro.query.cost._probe_pays`): the cost planner pins it in
+    ``walk.plan_probe``, and a legacy walk under ``options.semijoin``
+    applies it here to its located rows.
     """
     site = walk_site(ctx, walk, [info for _leaf, info in steps])
     ctx.report.merge_note(f"conjunction site {site}")
+    if walk.plan_mode is None and ctx.options.semijoin and len(steps) > 1:
+        from .cost import _probe_pays  # local import: cost imports us
+
+        strategy = ctx.options.primitive_strategy
+        walk.plan_probe = _probe_pays(
+            [(info, strategy) for _leaf, info in steps], ctx.network.link)
 
     handles: List[ResultHandle] = []
     probe_vars: frozenset = frozenset()

@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..net.sizes import HEADER_BYTES, size_of
 from ..net.transport import LinkModel
-from ..net.wire import DIGEST_HEADER_BYTES, PRUNED_COUNTER_BYTES
+from ..net.wire import DIGEST_HEADER_BYTES, PRUNED_COUNTER_BYTES, bloom_size
 from ..overlay.location_table import LocationEntry
 from ..sparql.algebra import BGP
 from ..sparql.optimizer import reorder_bgp
@@ -64,7 +64,10 @@ from .physical import (
     GraphScope, HashJoin, LeftJoinOp, LocalBGPScan, PhysOp, Ship, UnionOp,
     chain_leaves, note_lookup,
 )
-from .join_site import SEMIJOIN_EXACT_THRESHOLD, digest_request
+from .join_site import (
+    SEMIJOIN_BLOOM_BITS, SEMIJOIN_EXACT_THRESHOLD, digest_request,
+)
+from .plan import PatternInfo
 from .primitive import locate_leaves
 from .strategies import PrimitiveStrategy
 
@@ -290,50 +293,61 @@ def _walk_mode(ordered: List[ChainShip],
 
 
 def _digest_bytes(keys: float, variables) -> float:
-    """:meth:`~repro.net.wire.JoinDigest.wire_size` of an exact digest
-    of *keys* key tuples over *variables*, each term at the prior."""
-    return (DIGEST_HEADER_BYTES
-            + sum(size_of(v) + 2 for v in variables)
-            + keys * (TERM_BYTES * len(variables) + 2))
+    """:meth:`~repro.net.wire.JoinDigest.wire_size` of a digest of *keys*
+    key tuples over *variables*: exact up to
+    ``SEMIJOIN_EXACT_THRESHOLD`` keys, each term at the prior, else a
+    Bloom filter of ``SEMIJOIN_BLOOM_BITS`` bits per key."""
+    header = DIGEST_HEADER_BYTES + sum(size_of(v) + 2 for v in variables)
+    if keys > SEMIJOIN_EXACT_THRESHOLD:
+        return header + bloom_size(keys, SEMIJOIN_BLOOM_BITS) // 8
+    return header + keys * (TERM_BYTES * len(variables) + 2)
 
 
-def _probe_pays(ordered: List[ChainShip], link: LinkModel) -> bool:
-    """Should a shared-site walk land its first leaf alone, then send
-    that leaf's join-key digest with every other chain?
+#: One step of a conjunction walk as the probe rule sees it: the located
+#: row and the chain strategy it will run under (None: not pinned).
+ProbeStep = Tuple[PatternInfo, Optional[PrimitiveStrategy]]
 
-    A Pareto rule: only when probe-first beats all-parallel on bytes
-    *and* on time, and the first leaf fits an exact digest (a Bloom
-    check costs seven hashes per shed row).
 
-    * bytes saved: each later leaf sharing a variable with the probe
+def _probe_pays(steps: Sequence[ProbeStep], link: LinkModel) -> bool:
+    """Should a shared-site walk land its first step alone, then send
+    that step's join-key digest with every other chain?
+
+    The one rule of both planners: the cost annotator applies it at plan
+    time to the pinned join order and strategies, and a legacy
+    ``--semijoin`` walk at run time to its located rows under the
+    executor's primitive strategy. A Pareto rule: only when probe-first
+    beats all-parallel on bytes *and* on time.
+
+    * bytes saved: each later step sharing a variable with the probe
       shrinks to :func:`estimate_join_rows` of the two;
     * bytes added: one digest round trip per distinct shared-variable
       set, an embed in every message the digest rides in (the call and
-      one per provider) and a pruned counter per provider reply;
+      one per provider) and a pruned counter per provider reply, the
+      digest priced exact or Bloom by :func:`_digest_bytes`;
     * time: the probe chain plus the digest round trips, now serial,
       against the transfer time the largest chain saves.
     """
-    probe, rest = ordered[0], ordered[1:]
-    info = probe.lookup.info
-    rows = float(info.total_frequency)
-    if info.owner is None or rows > SEMIJOIN_EXACT_THRESHOLD:
+    (info, strategy), rest = steps[0], steps[1:]
+    if info.owner is None:
         return False
-    probe_vars = _leaf_vars(probe)
+    rows = float(info.total_frequency)
+    probe_vars = frozenset(info.pattern.variables())
     saved = added = largest = 0.0
     delay = {c.strategy: c.time for c in CostModel(link).predict(info.entries)}
-    serial = delay.get(probe.plan_strategy, min(delay.values()))
+    serial = delay.get(strategy, min(delay.values()))
     fetched = set()
-    for leaf in rest:
-        shared = probe_vars & _leaf_vars(leaf)
+    for later_info, _strategy in rest:
+        later_vars = frozenset(later_info.pattern.variables())
+        shared = probe_vars & later_vars
         if not shared:
             continue
-        later = float(leaf.lookup.info.total_frequency)
+        later = float(later_info.total_frequency)
         saving = ((later - estimate_join_rows(rows, later, True))
-                  * est_row_bytes(len(_leaf_vars(leaf))))
+                  * est_row_bytes(len(later_vars)))
         saved += saving
         largest = max(largest, saving)
         digest = _digest_bytes(rows, shared)
-        providers = len(leaf.lookup.info.entries)
+        providers = len(later_info.entries)
         added += ((1 + providers) * (size_of("digest") + digest + 2)
                   + providers * PRUNED_COUNTER_BYTES)
         if shared not in fetched:
@@ -353,8 +367,8 @@ def _landing_site(ctx, walk: BGPWalk) -> Optional[str]:
     A non-BASIC chain that lists the shared site among its providers
     ends there, so that provider's rows never travel. A BASIC chain's
     rows cross provider -> owner -> site wherever the site is, and the
-    probe chain of a probe-first walk is capped at an exact digest, so
-    neither is worth a site of its own: the walk combines where its
+    probe chain of a probe-first walk is the walk's most selective step,
+    so neither is worth a site of its own: the walk combines where its
     result is consumed, and makes no return trip. The rule reads only
     pinned strategies and provider lists, never an estimate.
     """
@@ -472,8 +486,9 @@ def _estimate(ctx, node: PhysOp) -> float:
         mode, rows = _walk_mode(ordered, row_bytes)
         node.plan_order = ordered
         node.plan_mode = mode
-        node.plan_probe = (mode == "optimized"
-                           and _probe_pays(ordered, ctx.network.link))
+        node.plan_probe = (mode == "optimized" and _probe_pays(
+            [(leaf.lookup.info, leaf.plan_strategy) for leaf in ordered],
+            ctx.network.link))
         if mode == "optimized" and not isinstance(node, CacheProbe):
             # A CacheProbe keeps walk_site's initiator-independent site,
             # so that every initiator finds the same cache fill.

@@ -248,6 +248,7 @@ class ExecutionContext:
         # From here on the transport notes every node this query's
         # messages address, so release() knows where its state can be.
         system.network.flow_peers[self.query_id] = {initiator}
+        system.network.flow_reports[self.query_id] = report
 
     def _reattach(self, storage) -> str:
         from ..chord.hashing import hash_string
@@ -408,6 +409,7 @@ class ExecutionContext:
         slot, self._slot = self._slot, None
         if slot is None:
             return 0
+        del network.flow_reports[self.query_id]
         # Stays registered (and growing) until the slot is freed, so the
         # delayed sweep also reaches a node first addressed after release.
         touched = network.flow_peers[self.query_id]

@@ -40,8 +40,9 @@ __all__ = ["pick_join_site", "least_loaded_site", "combine_handles",
            "ship_handle", "fetch_digest", "digest_request", "digest_embed_cost"]
 
 _PER_ITEM_OVERHEAD = 2
-#: Digest mode switch: at most this many distinct join keys ship as an
-#: exact key set; above it, a counting-free Bloom filter.
+#: The digest mode switch, and nothing more: at most this many distinct
+#: join keys ship as an exact key set; above it, a counting-free Bloom
+#: filter. Neither mode caps a probe (``cost._probe_pays`` prices both).
 SEMIJOIN_EXACT_THRESHOLD = 64
 #: Bloom digest density (bits per key).
 SEMIJOIN_BLOOM_BITS = 10

@@ -264,7 +264,7 @@ class TestReleaseVisitsTouchedPeersOnly:
             routes = node.__dict__.get("_qp_routes")
             if routes is not None:
                 assert node.node_id == "D1" and len(routes) <= ROUTE_CAP
-        assert system.network.flow_peers == {}
+        assert system.network.flow_peers == system.network.flow_reports == {}
         assert live_heap(system.sim) == []
         return per_query
 

@@ -233,6 +233,32 @@ class TestJoinDigest:
             DIGEST_HEADER_BYTES + size_of(X) + 2 + bloom.nbits // 8
         )
 
+    @pytest.mark.parametrize("keys", [200, 100])
+    def test_bloom_positions_are_fresh_hashes(self, keys):
+        """Seeded hashes are memoized before the modulus, so digests of
+        other sizes over the same keys still set and test exactly the
+        bits a fresh :func:`hash_terms_seeded` gives."""
+        JoinDigest.build(key_rows(300), [X], exact_threshold=64)  # warm
+        digest = JoinDigest.build(key_rows(keys), [X], exact_threshold=64)
+        assert digest.mode == "bloom"
+
+        def positions(key):
+            return [hash_terms_seeded(key, seed, digest.nbits)
+                    for seed in range(digest.nhashes)]
+
+        bits = 0
+        for mu in key_rows(keys):
+            for position in positions((mu[X],)):
+                bits |= 1 << position
+        assert digest.bits == bits
+        candidates = key_rows(400) | {
+            SolutionMapping({X: IRI(f"http://other.example/{i}")})
+            for i in range(400)}
+        admitted = {mu for mu in candidates
+                    if all(bits >> p & 1 for p in positions((mu[X],)))}
+        assert digest.filter(candidates) == admitted
+        assert admitted > key_rows(keys)  # false positives, kept as before
+
     def test_unbound_resident_row_disables_pruning(self):
         resident = key_rows(5) | {SolutionMapping({Y: LONG})}  # no X binding
         digest = JoinDigest.build(resident, [X])

@@ -18,10 +18,14 @@ from repro.query import ConjunctionMode, DistributedExecutor, ExecutionOptions
 from repro.query import cost
 from repro.query.executor import QueryFailed
 from repro.query.physical import BGPWalk, ChainShip, PhysOp
-from repro.rdf import FOAF, Literal, TriplePattern, Variable
+from repro.net.sizes import size_of
+from repro.net.wire import JoinDigest
+from repro.rdf import FOAF, IRI, Literal, TriplePattern, Variable
+from repro.sparql.solutions import SolutionMapping
 
 from helpers import build_system, foaf_ring, oracle_rows
 
+X = Variable("x")
 SMITH = """SELECT ?x ?y WHERE {
     ?x foaf:name "Smith" . ?x foaf:knows ?y . }"""
 NOBODY = """SELECT ?x ?y WHERE {
@@ -37,6 +41,12 @@ def walks(plan: PhysOp):
         yield plan
     for child in plan.children:
         yield from walks(child)
+
+
+def steps(walk: BGPWalk) -> list:
+    """The probe rule's view of a cost-planned walk: (row, pinned
+    strategy) per leaf, in the planned join order."""
+    return [(leaf.lookup.info, leaf.plan_strategy) for leaf in walk.plan_order]
 
 
 def run(system, query, **options):
@@ -69,28 +79,45 @@ class TestProbePays:
             assert found
             for walk in found:
                 assert walk.plan_mode == "optimized"
-                assert not cost._probe_pays(walk.plan_order,
-                                            system.network.link)
+                assert not cost._probe_pays(steps(walk), system.network.link)
                 assert not walk.plan_probe
 
     def test_true_at_fig_mix_scale(self):
         system = foaf_ring(400)
         _result, _report, (walk,) = run(system, SMITH, plan_mode="cost")
         assert walk.plan_probe
-        assert cost._probe_pays(walk.plan_order, system.network.link)
+        assert cost._probe_pays(steps(walk), system.network.link)
         assert "probe-first" in walk.describe()
 
-    def test_false_when_the_probe_exceeds_an_exact_digest(self):
+    @pytest.mark.parametrize("keys, mode", [(64, "exact"), (65, "bloom")])
+    def test_digest_price_is_the_built_digests_wire_size(self, keys, mode):
+        """Both digest modes are priced at what they cost on the wire:
+        *keys* distinct terms, each at the term prior."""
+        terms = [IRI(f"http://people/{i:014d}") for i in range(keys)]
+        assert {size_of(t) for t in terms} == {cost.TERM_BYTES}
+        digest = JoinDigest.build([SolutionMapping({X: t}) for t in terms],
+                                  [X])
+        assert digest.mode == mode
+        assert cost._digest_bytes(keys, [X]) == digest.wire_size()
+
+    def test_a_bloom_sized_probe_is_decided_by_bytes_and_time(self):
+        """No digest cap: a probe past the exact mode still pays when the
+        later leaf is large, and does not when there is little to shed."""
         system = foaf_ring(400)
         _result, _report, (walk,) = run(system, SMITH, plan_mode="cost")
-        probe = walk.plan_order[0]
-        info = probe.lookup.info
-        cap = cost.SEMIJOIN_EXACT_THRESHOLD
-        for rows, pays in ((cap, True), (cap + 1, False)):
-            probe.lookup.info = replace(
-                info, entries=(LocationEntry(info.entries[0].storage_id, rows),))
-            assert cost._probe_pays(walk.plan_order,
-                                    system.network.link) is pays
+        (info, strategy), (later, later_strategy) = steps(walk)
+        bloom = cost.SEMIJOIN_EXACT_THRESHOLD + 1
+
+        def with_rows(row, rows):
+            return replace(row, entries=(
+                LocationEntry(row.entries[0].storage_id, rows),))
+
+        link = system.network.link
+        probe = (with_rows(info, bloom), strategy)
+        assert later.total_frequency > 10 * bloom
+        assert cost._probe_pays([probe, (later, later_strategy)], link)
+        small = (with_rows(later, bloom + 1), later_strategy)
+        assert not cost._probe_pays([probe, small], link)
 
 
 class TestProbeFirstWalk:
@@ -103,7 +130,7 @@ class TestProbeFirstWalk:
         assert probed.digest_bytes > 0
         assert f"pruned={pruned}" in walk.plan_order[1].describe()
 
-        monkeypatch.setattr(cost, "_probe_pays", lambda ordered, link: False)
+        monkeypatch.setattr(cost, "_probe_pays", lambda steps, link: False)
         system = foaf_ring(150)
         plain_rows, plain, (walk,) = run(system, SMITH, plan_mode="cost")
         assert not walk.plan_probe

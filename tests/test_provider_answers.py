@@ -5,9 +5,12 @@ and its graph, so :meth:`StorageNode._answer` keeps it for as long as the
 same graph object stands at the same ``Graph.version``. These tests pin
 that contract: one evaluation per (sub-query, projection) and graph
 state, invalidation by every effective mutation and by a swapped-in
-graph, a digest that never enters the key, the memory bound, and — over
-random interleavings of mutations and queries — answers equal to a fresh
-evaluation over the graph as it is.
+graph, the memory bound, and — over random interleavings of mutations
+and queries — answers equal to a fresh evaluation over the graph as it
+is. Digests are interned values (:meth:`JoinDigest.build`), so the memo
+also keys a digest-carrying sub-query by the digest's identity: one
+shed per (sub-query, projection, digest) and graph state, over the one
+evaluation the plain sub-query shares.
 """
 
 import pytest
@@ -158,8 +161,7 @@ class TestMemo:
         assert ask(node, algebra, [X, Y], digest) == expected
         assert ask(node, algebra, None, digest) == shed(fresh(algebra, node.graph), digest, None)
         assert expected[1] > 0
-        # The digest never enters the key: both asks used one evaluation,
-        # which the plain ask shares.
+        # Both digest asks shed one evaluation, which the plain ask shares.
         assert ask(node, algebra)[0] == fresh(algebra, node.graph)
         assert len(spy) == 1
 
@@ -172,27 +174,91 @@ class TestMemo:
         assert len(node._answers) < len(subjects)
 
 
+def knows_digest(var=X):
+    """A digest over *var* of who knows whom among the first people:
+    built afresh from equal inputs, it is the one interned value."""
+    return JoinDigest.build(fresh(ONE_PATTERN, Graph(UNIVERSE[:4]), [var]),
+                            [var])
+
+
+@pytest.fixture
+def filters(monkeypatch):
+    """Counts the digest filters behind the memo."""
+    calls = []
+    real = JoinDigest.filter
+
+    def counted(self, rows):
+        calls.append(self)
+        return real(self, rows)
+
+    monkeypatch.setattr(JoinDigest, "filter", counted)
+    return calls
+
+
+class TestDigestMemo:
+    def test_equal_inputs_build_one_digest(self):
+        rows = fresh(ONE_PATTERN, Graph(UNIVERSE[:4]), [Y])
+        digest = JoinDigest.build(rows, [Y])
+        assert JoinDigest.build(set(rows), (Y,)) is digest
+        assert JoinDigest.build(list(rows), [Y, Y]) is digest
+        assert knows_digest(Y) is digest
+        assert knows_digest(X) is not digest  # other variables
+        assert JoinDigest.build(rows, [Y], exact_threshold=0) is not digest
+        assert JoinDigest.build(set(list(rows)[1:]), [Y]) is not digest
+
+    @pytest.mark.parametrize("algebra", SUB_QUERIES, ids=["bgp", "bgp2", "local"])
+    def test_repeat_with_the_same_digest_sheds_once(self, node, spy, filters,
+                                                    algebra):
+        first = ask(node, algebra, [X], knows_digest())
+        assert ask(node, algebra, (X,), knows_digest()) is first
+        assert filters == [knows_digest()]
+        # Another digest, or none, is another entry over the same
+        # evaluation.
+        ask(node, algebra, [X], knows_digest(Y))
+        ask(node, algebra)
+        assert len(filters) == 2 and len(spy) == 1
+        assert first == shed(fresh(algebra, node.graph), knows_digest(), [X])
+
+    @pytest.mark.parametrize("mutate", ["add", "remove"])
+    def test_mutations_invalidate_digest_entries(self, node, filters, mutate):
+        digest = knows_digest(Y)
+        before = ask(node, ONE_PATTERN, None, digest)
+        assert ask(node, ONE_PATTERN, None, digest) is before
+        triple = UNIVERSE[6] if mutate == "add" else BASE[0]
+        if mutate == "add":
+            assert node.add_triples([triple]) == 1
+        else:
+            assert node.remove_triples([triple]) == 1
+        after = ask(node, ONE_PATTERN, None, digest)
+        assert len(filters) == 2
+        assert after == shed(fresh(ONE_PATTERN, node.graph), digest, None)
+        assert after != before
+
+
 _ops = st.lists(st.one_of(
     st.tuples(st.just("add"), st.sampled_from(UNIVERSE)),
     st.tuples(st.just("remove"), st.sampled_from(UNIVERSE)),
     st.tuples(st.just("query"), st.sampled_from(SUB_QUERIES),
-              st.sampled_from((None, (X,), (Y, X), ())), st.booleans()),
+              st.sampled_from((None, (X,), (Y, X), ())),
+              st.sampled_from((None, X, Y))),
 ), max_size=30)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sets(st.sampled_from(UNIVERSE)), _ops)
 def test_interleavings_answer_like_a_fresh_evaluation(initial, ops):
+    """Each digest query rebuilds its digest, so a repeat re-sends the
+    interned one and may meet the memo's entry for it."""
     node = StorageNode("D1", initial)
-    digest = JoinDigest.build(fresh(ONE_PATTERN, Graph(UNIVERSE[:4]), [Y]), [Y])
     for op in ops:
         if op[0] == "add":
             node.add_triples([op[1]])
         elif op[0] == "remove":
             node.remove_triples([op[1]])
         else:
-            _, algebra, keep, with_digest = op
-            if with_digest:
+            _, algebra, keep, digest_var = op
+            if digest_var is not None:
+                digest = knows_digest(digest_var)
                 assert ask(node, algebra, keep, digest) == \
                     shed(fresh(algebra, node.graph), digest, keep)
             else:
