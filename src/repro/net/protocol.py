@@ -70,15 +70,15 @@ IndexLookup = record("IndexLookup", "key", "routed")
 # Sub-query shipping, mailboxes, the result cache and combining.
 ExecutePrimitive = record(
     "ExecutePrimitive", "algebra key strategy corr",
-    "project encode partial cache deposit final end_at notify notify_corr "
-    "digest storage_timeout time_weight deadline routed")
+    "project encode partial cache deposit final end_at notify digest "
+    "storage_timeout time_weight deadline routed")
 Evaluate = record("Evaluate", "algebra", "digest project encode")
 ChainStep = record("ChainStep", "algebra acc route final corr notify",
-                   "digest project encode notify_corr")
-Deliver = record("Deliver", "corr data", "notify notify_corr")
+                   "digest project encode")
+Deliver = record("Deliver", "corr data", "notify")
 Delivered = record("Delivered", "corr count")
 Ship = record("Ship", "corr dst dst_corr notify",
-              "project digest encode notify_corr")
+              "project digest encode")
 Digest = record("Digest", "corr vars exact_threshold bloom_bits")
 CacheProbe = record("CacheProbe", "ckey corr")
 CacheAdmit = record("CacheAdmit", "ckey corr vars stamps membership")
@@ -88,7 +88,7 @@ Fetch = record("Fetch", "corr", "encode")
 # Baselines. A flooded query's answer is landed by ``deliver`` as a
 # Deliver whose ``notify`` is always sent.
 Flood = record("Flood", "qid algebra ttl initiator")
-FloodAnswer = record("FloodAnswer", "corr data notify", "notify_corr")
+FloodAnswer = record("FloodAnswer", "corr data notify")
 StoreTriples = record("StoreTriples", "key triples")
 MatchPattern = record("MatchPattern", "key pattern")
 MatchWithCandidates = record("MatchWithCandidates", "key pattern candidates")

@@ -127,9 +127,11 @@ class QueryPeer:
 
     #: corr -> Set[SolutionMapping]: named intermediate results.
     mailbox = _lazy("_qp_mailbox", dict)
-    #: corr -> Event awaiting that corr's ``delivered`` notification.
+    #: (corr, landing site) -> Event awaiting that site's ``delivered``
+    #: notification for mailbox corr.
     _expected = _lazy("_qp_expected", dict)
-    #: corr -> count of a notification that beat its ``expect()``.
+    #: (corr, landing site) -> count of a notification that beat its
+    #: ``expect()``.
     _delivered_early = _lazy("_qp_delivered_early", dict)
     _dead_corrs = _lazy("_qp_dead_corrs", set, """Correlation ids
         abandoned after a delivery timeout: a late ``deliver``/``delivered``
@@ -260,11 +262,26 @@ class QueryPeer:
         """Forget all correlation state for *corr* and dead-letter any
         late arrival (the executor calls this on delivery timeout)."""
         self.mailbox.pop(corr, None)
-        self._delivered_early.pop(corr, None)
-        event = self._expected.pop(corr, None)
-        if event is not None:
-            event.cancel()
+        self._drop_notices({corr})
         self._dead_corrs.add(corr)
+
+    def _drop_notices(self, corrs) -> int:
+        """Cancel the expectations and drop the latched notifications of
+        every (corr, site) pair whose corr is in the set *corrs*. Returns
+        how many went."""
+        removed = 0
+        state = self.__dict__
+        expected = state.get("_qp_expected")
+        if expected:
+            for key in [key for key in expected if key[0] in corrs]:
+                expected.pop(key).cancel()
+                removed += 1
+        early = state.get("_qp_delivered_early")
+        if early:
+            for key in [key for key in early if key[0] in corrs]:
+                del early[key]
+                removed += 1
+        return removed
 
     def purge_corrs(self, corrs) -> int:
         """Drop every trace of the given correlation ids (mailbox,
@@ -272,21 +289,15 @@ class QueryPeer:
         the executor when a query finishes or fails, so long-running
         systems don't accumulate per-query state. Returns the number of
         entries removed."""
-        removed = 0
+        removed = self._drop_notices(set(corrs))
         state = self.__dict__
         ledgers = [ledger for ledger in map(state.get, (
-            "_qp_mailbox", "_qp_delivered_early", "_qp_replied")) if ledger]
-        expected = state.get("_qp_expected")
+            "_qp_mailbox", "_qp_replied")) if ledger]
         dead = state.get("_qp_dead_corrs")
         inflight = state.get("_qp_inflight")
         for corr in corrs:
             for ledger in ledgers:
                 if ledger.pop(corr, None) is not None:
-                    removed += 1
-            if expected:
-                event = expected.pop(corr, None)
-                if event is not None:
-                    event.cancel()
                     removed += 1
             if dead and corr in dead:
                 dead.discard(corr)
@@ -303,25 +314,31 @@ class QueryPeer:
 
     # ----------------------------------------------------- orchestrator side
 
-    def expect(self, corr: str) -> Event:
-        """Event that succeeds when a ``delivered`` notification for
-        *corr* reaches this node (value: the reported solution count).
+    def expect(self, corr: str, site: str) -> Event:
+        """Event that succeeds when *site*'s ``delivered`` notification
+        for mailbox *corr* reaches this node (value: the reported
+        solution count).
 
+        A notification is sent by the site its rows landed at, and a
+        query waits on one (corr, site) pair at most once, so the pair
+        names the wait: a copy of an earlier notification for *corr*
+        from another site can neither satisfy nor latch for this one.
         Notifications latch: if the delivery raced ahead of ``expect``,
         the event succeeds immediately.
         """
+        key = (corr, site)
         event = self.sim.event()
-        if corr in self._delivered_early:
-            event.succeed(self._delivered_early.pop(corr))
+        if key in self._delivered_early:
+            event.succeed(self._delivered_early.pop(key))
             return event
         # Collision-freedom: correlation ids are globally unique among
         # live queries (per-initiator slot namespaces), so two waiters on
-        # the same corr can only mean id-minting is broken.
-        assert corr not in self._expected, (
-            f"correlation id collision at {self.node_id}: {corr!r} already "
+        # the same pair can only mean id-minting is broken.
+        assert key not in self._expected, (
+            f"correlation id collision at {self.node_id}: {key!r} already "
             "has a pending expectation"
         )
-        self._expected[corr] = event
+        self._expected[key] = event
         return event
 
     def rpc_delivered(self, payload: Delivered, src: str) -> None:
@@ -332,12 +349,13 @@ class QueryPeer:
             # stays — further copies may trail in — until purge_corrs
             # sweeps it.
             return
+        key = (corr, src)
         count = payload.count
-        event = self._expected.pop(corr, None)
+        event = self._expected.pop(key, None)
         if event is not None and not event.triggered:
             event.succeed(count)
         else:
-            self._delivered_early[corr] = count
+            self._delivered_early[key] = count
 
     # ------------------------------------------------------------ messages
 
@@ -352,8 +370,7 @@ class QueryPeer:
             algebra=payload.algebra, acc=acc, route=route,
             final=payload.final, corr=payload.corr, notify=payload.notify,
             digest=payload.digest, project=payload.project,
-            encode=payload.encode, notify_corr=payload.notify_corr,
-            flow=payload.flow)
+            encode=payload.encode, flow=payload.flow)
 
     @staticmethod
     def _deliver_msg(payload, corr: str, data) -> Deliver:
@@ -361,7 +378,7 @@ class QueryPeer:
         *corr*, with the notification directives of the request
         (*payload*) that caused it."""
         return Deliver(corr=corr, data=data, notify=payload.notify,
-                       notify_corr=payload.notify_corr, flow=payload.flow)
+                       flow=payload.flow)
 
     # ------------------------------------------------------------- mailbox
 
@@ -384,12 +401,9 @@ class QueryPeer:
         notify = payload.notify
         if notify is None:
             return
-        # Under a fault plan the sender stamps each wait epoch with a
-        # fresh notification key: a duplicated copy of an *earlier*
-        # notification for this mailbox corr then cannot satisfy a later
-        # wait (e.g. a chain-completion dup forging a ship's arrival).
-        note = Delivered(corr=payload.notify_corr or corr, count=len(box),
-                         flow=payload.flow)
+        # Sent from here, the landing site: the initiator matches it to
+        # its wait by (corr, this site).
+        note = Delivered(corr=corr, count=len(box), flow=payload.flow)
         if notify == self.node_id:
             # The initiator is the final site: resolve locally, no message.
             self.rpc_delivered(note, self.node_id)

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..net.protocol import FilterBox
-from ..net.transport import RpcTimeout
 from ..sparql import ast
 from . import join_site
 from .failover import dispatch_primitive
@@ -144,12 +143,10 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
             if shared:
                 payload.digest = yield from fetch_digest(ctx, handle, shared)
         try:
-            ack, info, corr, _tag = yield from dispatch_primitive(
+            ack, info, corr = yield from dispatch_primitive(
                 ctx, info, payload, corr,
                 timeout=DELIVERY_TIMEOUT * 4)
-        except RpcTimeout:
-            if not opts.partial_results:
-                raise
+        except ctx.degradable:
             ctx.flag_partial(str(info.pattern), node=leaf)
             return None
         note_dropped(ctx, ack, info)
@@ -241,13 +238,12 @@ def _exec_optimized_mode(ctx, walk: BGPWalk, steps: List[Step]):
 def _pattern_to_site_or_drop(ctx, info: PatternInfo, site: str,
                              leaf: ChainShip, digest=None):
     """Generator: :func:`exec_pattern_to_site`, degrading an unreachable
-    pattern to ``None`` under ``options.partial_results``."""
+    pattern, or one whose rows never landed, to ``None`` under
+    ``options.partial_results``."""
     try:
         return (yield from exec_pattern_to_site(ctx, info, site, leaf=leaf,
                                                 digest=digest))
-    except RpcTimeout:
-        if not ctx.options.partial_results:
-            raise
+    except ctx.degradable:
         ctx.flag_partial(str(info.pattern), node=leaf)
         return None
 

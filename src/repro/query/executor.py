@@ -330,47 +330,38 @@ class ExecutionContext:
             node.detail["dropped"] = True
             node.actual_rows = 0
 
-    def delivery_tag(self, payload) -> Optional[str]:
-        """Stamp *payload* with ``notify_corr``, a fresh notification key
-        for one delivery-wait epoch of its mailbox corr, and return it.
+    @property
+    def degradable(self) -> Tuple[type, ...]:
+        """The failures an ``options.partial_results`` query degrades
+        instead of failing on: a peer that does not answer
+        (:class:`RpcTimeout`) and a delivery that never lands
+        (:class:`DeliveryTimeout`). The part that hit one is flagged and
+        contributes a safe subset; a spent query deadline
+        (:class:`QueryDeadlineExceeded`) still fails the query. Empty
+        without ``partial_results``, so ``except ctx.degradable`` then
+        catches nothing."""
+        return (RpcTimeout, DeliveryTimeout) if self.options.partial_results else ()
 
-        ``None`` (and *payload* untouched) without a fault plan: the
-        mailbox corr itself doubles as the notification key. Under
-        chaos the same mailbox corr can be waited on more than once (a
-        chain completes into it, then a ship lands in it), and message
-        duplication means a trailing copy of the *first* epoch's
-        notification could forge the second epoch's acknowledgement —
-        so each epoch gets its own key (swept with the query's other
-        corrs at release).
-        """
-        if self.network.faults is None:
-            return None
-        tag = payload.notify_corr = self.new_corr()
-        return tag
-
-    def wait_delivery(self, corr: str, site: Optional[str] = None,
-                      notify_corr: Optional[str] = None):
-        """Generator: wait for a `delivered` notification with a timeout.
+    def wait_delivery(self, corr: str, site: str):
+        """Generator: wait for *site*'s `delivered` notification for
+        mailbox *corr*, with a timeout.
 
         Returns the delivered solution count; raises DeliveryTimeout when
         the chain broke (e.g. a storage node on the route crashed). The
         loser of the race never lingers: a won delivery cancels the timer;
-        a timeout abandons the correlation id here and at *site* (the
-        delivery destination, when given), so a late arrival is dropped
-        instead of leaking into a mailbox no one reads. *notify_corr* (a
-        :meth:`delivery_tag`) keys the wait on this epoch's notification
-        instead of the shared mailbox corr.
+        a timeout abandons the correlation id here and at *site*, so a
+        late arrival is dropped instead of leaking into a mailbox no one
+        reads. The wait is keyed by (corr, site)
+        (:meth:`~repro.overlay.peer.QueryPeer.expect`).
         """
         wait = DELIVERY_TIMEOUT
         if self.deadline_at is not None:
             wait = min(wait, max(self.deadline_at - self.sim.now, 0.0))
-        expected = self.initiator_peer.expect(notify_corr or corr)
+        expected = self.initiator_peer.expect(corr, site)
         timer = self.sim.timeout(wait)
         index, value = yield self.sim.any_of([expected, timer])
         if index == 1:
             self.abandon(corr, site=site)
-            if notify_corr is not None:
-                self.abandon(notify_corr)
             if (self.deadline_at is not None
                     and self.sim.now >= self.deadline_at):
                 self.network.failover.deadline_exhausted += 1
@@ -379,13 +370,6 @@ class ExecutionContext:
             raise DeliveryTimeout(f"delivery {corr} timed out")
         timer.cancel()
         return value
-
-    def unexpect(self, corr: str) -> None:
-        """Withdraw a pending delivery expectation (no dead-lettering)."""
-        event = self.initiator_peer._expected.pop(corr, None)
-        if event is not None:
-            event.cancel()
-        self.initiator_peer._delivered_early.pop(corr, None)
 
     def release(self) -> int:
         """Sweep every correlation id this query minted out of the query

@@ -62,16 +62,15 @@ def owner_or_replica(ctx, key: int, owner_id: str, request,
 
 
 class PrimitiveCall:
-    """One ``execute_primitive`` request and the correlation ids its
-    answer arrives under: *corr*, and *tag*, the ``notify_corr``
-    delivery tag (None without a fault plan)."""
+    """One ``execute_primitive`` request and *corr*, the correlation id
+    its answer arrives under."""
 
     def __init__(self, ctx, payload: ExecutePrimitive,
                  timeout: Optional[float] = None) -> None:
         if ctx.deadline_at is not None:
             payload.deadline = ctx.deadline_at
         self.ctx, self.payload, self.timeout = ctx, payload, timeout
-        self.corr, self.tag = payload.corr, payload.notify_corr
+        self.corr = payload.corr
 
     def send(self, node_id: str, routed: bool = False):
         """Generator → the ack. A ``routed`` request is bounced (ack
@@ -99,12 +98,8 @@ class PrimitiveCall:
         of the first owner can pass for the replica's."""
         ctx = self.ctx
         ctx.abandon(self.corr, site=self.payload.final)
-        if self.tag is not None:
-            ctx.abandon(self.tag)
         self.corr = ctx.new_corr()
         self.payload = replace(self.payload, corr=self.corr)
-        if self.tag is not None:
-            self.tag = ctx.delivery_tag(self.payload)
 
     def failed_over(self, dead: str, alt: str) -> None:
         self.ctx.network.failover.dispatch_failovers += 1
@@ -116,10 +111,10 @@ def dispatch_primitive(ctx, info, payload: ExecutePrimitive, corr: str,
     """Generator: dispatch ``execute_primitive`` for *info*'s key,
     failing over to the replica holder if the owner times out.
 
-    Returns ``(ack, info, corr, tag)`` — *info* updated to the node that
-    actually served the step, and the :class:`PrimitiveCall`'s *corr* and
-    *tag*, re-minted on failover. Without ``options.failover`` this is
-    exactly one plain call to a located owner.
+    Returns ``(ack, info, corr)`` — *info* updated to the node that
+    actually served the step, and the :class:`PrimitiveCall`'s *corr*,
+    re-minted on failover. Without ``options.failover`` this is exactly
+    one plain call to a located owner.
 
     An unread *info* (no row, no owner yet) is resolved and dispatched
     in one step by :meth:`ExecutionContext.consult`: the owner reads its
@@ -137,4 +132,4 @@ def dispatch_primitive(ctx, info, payload: ExecutePrimitive, corr: str,
             ctx, info.key, info.owner, request)
         if owner_id != info.owner:
             info = replace(info, owner=owner_id)
-    return ack, info, request.corr, request.tag
+    return ack, info, request.corr

@@ -182,14 +182,12 @@ def ship_handle(ctx, handle: ResultHandle, site: str, live=None,
                        encode=opts.dictionary_encoding or None)
         if digest is not None:
             ctx.report.digest_bytes += digest_embed_cost(digest)
-        # The holder keeps its mailbox copy, so under a fault plan a
-        # transfer whose one-way deliver vanished can be re-shipped into
-        # a fresh landing corr (the timed-out one is tombstoned).
-        attempts = 1 if ctx.network.faults is None else 2
+        # The holder keeps its mailbox copy, so a transfer whose one-way
+        # deliver vanished is re-shipped once, into a fresh landing corr
+        # (the timed-out one is tombstoned).
         corr = handle.corr
-        for attempt in range(attempts):
+        for retry in (False, True):
             payload.dst_corr = corr
-            tag = ctx.delivery_tag(payload)
             ack = yield ctx.call(handle.site, "ship", payload)
             if isinstance(ack, dict):
                 count = ack["count"]
@@ -197,10 +195,10 @@ def ship_handle(ctx, handle: ResultHandle, site: str, live=None,
             else:
                 count = ack
             try:
-                yield from ctx.wait_delivery(corr, site=site, notify_corr=tag)
+                yield from ctx.wait_delivery(corr, site)
                 break
             except DeliveryTimeout:
-                if attempt + 1 >= attempts:
+                if retry:
                     raise
                 ctx.report.merge_note(f"ship retry for {handle.corr}")
                 corr = ctx.new_corr()

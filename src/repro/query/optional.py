@@ -10,7 +10,6 @@ operator order — chains of OPTIONALs evaluate left to right.
 
 from __future__ import annotations
 
-from ..net.transport import RpcTimeout
 from .join_site import combine_handles
 from .physical import LeftJoinOp
 
@@ -23,28 +22,26 @@ def exec_leftjoin(ctx, node: LeftJoinOp):
 
     span = ctx.tracer.span("optional")
     try:
-        partial = ctx.options.partial_results
-        mark = len(ctx.report.dropped_patterns) if partial else 0
+        mark = len(ctx.report.dropped_patterns)
         try:
             left, right = yield from exec_subtrees_parallel(
                 ctx, [node.left, node.right])
-        except RpcTimeout:
-            if not partial:
-                raise
-            left = right = None
-        if partial and (left is None
-                        or len(ctx.report.dropped_patterns) > mark):
-            # The left join is NOT monotone: a degraded (subset) operand
-            # on either side could manufacture unextended rows that are
-            # not in the true answer. The only always-safe subset when
-            # anything below this operator degraded is the empty set.
-            ctx.flag_partial("optional", node=node)
-            return ctx.local_deposit(ctx.new_corr(), set())
-        # Move-small is the paper's stated choice for OPTIONAL; other policies
-        # remain available for the join-site experiment (E3/E4).
-        return (yield from combine_handles(
-            ctx, "leftjoin", left, right, condition=node.condition,
-            edges=node.edges,
-        ))
+            if len(ctx.report.dropped_patterns) == mark:
+                # Move-small is the paper's stated choice for OPTIONAL;
+                # other policies remain available for the join-site
+                # experiment (E3/E4).
+                return (yield from combine_handles(
+                    ctx, "leftjoin", left, right, condition=node.condition,
+                    edges=node.edges,
+                ))
+        except ctx.degradable:
+            pass  # an operand, or this combine's own ship, degraded
+        # partial_results: the left join is NOT monotone: a degraded
+        # (subset) operand on either side could manufacture unextended
+        # rows that are not in the true answer. The only always-safe
+        # subset when anything below this operator degraded is the
+        # empty set.
+        ctx.flag_partial("optional", node=node)
+        return ctx.local_deposit(ctx.new_corr(), set())
     finally:
         span.close()

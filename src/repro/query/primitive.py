@@ -29,7 +29,6 @@ from typing import List, Optional
 
 from ..net.protocol import Deliver, Evaluate, ExecutePrimitive
 from ..net.sizes import size_of
-from ..net.transport import RpcTimeout
 from ..net.wire import PRUNED_COUNTER_BYTES, JoinDigest
 from ..sparql.solutions import union as omega_union
 from .failover import dispatch_primitive
@@ -79,12 +78,11 @@ def exec_primitive(ctx, leaf: ChainShip, at_home: bool = False):
             return (yield from exec_broadcast(ctx, subquery_algebra(info)))
         site = (at_home and info.heaviest_provider()) or ctx.initiator
         return (yield from exec_pattern_to_site(ctx, info, site, leaf=leaf))
-    except RpcTimeout:
+    except ctx.degradable:
         # partial_results: a pattern whose owner and replicas are all
-        # unreachable contributes the empty set (a safe subset), flagged
-        # on the report and the plan, instead of failing the query.
-        if not ctx.options.partial_results:
-            raise
+        # unreachable, or whose rows never landed, contributes the empty
+        # set (a safe subset), flagged on the report and the plan,
+        # instead of failing the query.
         ctx.flag_partial(str(lookup.pattern), node=leaf)
         return ctx.local_deposit(
             ctx.new_corr(), set(),
@@ -122,7 +120,7 @@ def _locate_leaf(ctx, leaf: ChainShip, partial: bool, flag: bool):
     try:
         return (yield from ctx.locate(leaf.lookup.pattern,
                                       leaf.lookup.condition))
-    except RpcTimeout:
+    except ctx.degradable:
         if not partial:
             raise
         if flag:
@@ -181,9 +179,8 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
         payload.time_weight = ctx.options.time_weight
         payload.storage_timeout = DELIVERY_TIMEOUT
         timeout = DELIVERY_TIMEOUT * 4
-    tag = ctx.delivery_tag(payload)
-    ack, info, corr, tag = yield from _dispatch(ctx, info, payload, corr,
-                                                leaf, timeout)
+    ack, info, corr = yield from _dispatch(ctx, info, payload, corr, leaf,
+                                           timeout)
     if strategy is None:
         from .cost import annotate_leaf  # local import: cost imports us
 
@@ -197,13 +194,12 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
         # Empty route (no providers left), or the owner's fan-out:
         # materialize its rows.
         note_dropped(ctx, ack, info)
-        ctx.unexpect(tag or corr)
         if site == ctx.initiator:
             return ctx.local_deposit(corr, ack["data"], vars=result_vars)
         yield ctx.call(site, "deliver", Deliver(corr=corr, data=ack["data"]))
         return ResultHandle(site, corr, len(ack["data"]), result_vars)
     try:
-        count = yield from ctx.wait_delivery(corr, site=site, notify_corr=tag)
+        count = yield from ctx.wait_delivery(corr, site)
     except DeliveryTimeout:
         # A storage node on the route died mid-chain. Re-execute with the
         # BASIC strategy: its per-node timeouts clean the stale entries.
@@ -237,11 +233,11 @@ def _dispatch(ctx, info: PatternInfo, payload: ExecutePrimitive, corr: str,
     resolved to the owner that read its own row, which is noted on
     *leaf*'s lookup; a read one was noted when it was read."""
     unread = info.entries is None
-    ack, info, corr, tag = yield from dispatch_primitive(ctx, info, payload,
-                                                         corr, timeout)
+    ack, info, corr = yield from dispatch_primitive(ctx, info, payload, corr,
+                                                    timeout)
     if unread and leaf is not None:
         note_owner(leaf.lookup, info)
-    return ack, info, corr, tag
+    return ack, info, corr
 
 
 def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
@@ -253,8 +249,7 @@ def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
     if site != ctx.initiator:
         payload.final = site
         payload.notify = ctx.initiator
-        tag = ctx.delivery_tag(payload)
-        ack, info, corr, tag = yield from _dispatch(
+        ack, info, corr = yield from _dispatch(
             ctx, info, payload, corr, leaf, timeout=DELIVERY_TIMEOUT * 4)
         note_dropped(ctx, ack, info)
         if digest is not None:  # only a leg of a walk, which read its row
@@ -262,9 +257,9 @@ def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
         if ack["mode"] == "direct":
             yield ctx.call(site, "deliver", Deliver(corr=corr, data=ack["data"]))
             return ResultHandle(site, corr, len(ack["data"]), result_vars)
-        yield from ctx.wait_delivery(corr, site=site, notify_corr=tag)
+        yield from ctx.wait_delivery(corr, site)
         return ResultHandle(site, corr, ack["count"], result_vars)
-    response, info, corr, _tag = yield from _dispatch(
+    response, info, corr = yield from _dispatch(
         ctx, info, payload, corr, leaf, timeout=DELIVERY_TIMEOUT * 4)
     note_dropped(ctx, response, info)
     if digest is not None:  # only a leg of a walk, which read its row
@@ -353,11 +348,9 @@ def exec_broadcast(ctx, algebra):
             for batch in results:
                 solutions = omega_union(solutions, batch)
         return ctx.local_deposit(corr, solutions)
-    except RpcTimeout:
+    except ctx.degradable:
         # partial_results: an unreachable node on the ring walk or in the
         # fan-out degrades the broadcast to the empty (safe) subset.
-        if not ctx.options.partial_results:
-            raise
         ctx.flag_partial("broadcast (?s ?p ?o)")
         return ctx.local_deposit(ctx.new_corr(), set())
     finally:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..net.transport import RpcTimeout
 from .join_site import combine_handles
 from .physical import ChainShip, PhysOp, UnionOp, note_result
 from .plan import choose_shared_site
@@ -58,14 +57,12 @@ def exec_union(ctx, node: UnionOp):
                         note_result(leaf, h)
                     return (yield from combine_handles(
                         ctx, "union", left, right, site=site, edges=node.edges))
-            except RpcTimeout:
+            except ctx.degradable:
                 # partial_results: the shared-site shortcut hit a dead
-                # node; fall through to the general path, whose
-                # per-branch guards degrade an unreachable branch instead
-                # of failing (union is monotone, so surviving branches
-                # are a safe subset).
-                if not ctx.options.partial_results:
-                    raise
+                # node or a lost delivery; fall through to the general
+                # path, whose per-branch guards degrade an unreachable
+                # branch instead of failing (union is monotone, so
+                # surviving branches are a safe subset).
                 ctx.report.merge_note("union shared-site path degraded")
 
         left, right = yield from exec_subtrees_parallel(

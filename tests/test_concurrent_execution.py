@@ -188,9 +188,9 @@ class TestQuerySlots:
     def test_collision_asserts(self):
         system = build_system()
         peer = system.storage_nodes["D1"]
-        peer.expect("dup#0")
+        peer.expect("dup#0", "D2")
         with pytest.raises(AssertionError, match="collision"):
-            peer.expect("dup#0")
+            peer.expect("dup#0", "D2")
         peer.purge_corrs(["dup#0"])
 
     def test_executor_has_no_per_query_state(self):

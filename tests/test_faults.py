@@ -367,19 +367,22 @@ class TestReplicaOf:
 
 
 class TestDispatchFailoverTag:
-    """A dispatch failover re-mints the delivery tag with the corr."""
+    """A dispatch failover re-mints the corr its delivery is waited on
+    under, with or without a fault plan."""
 
-    def test_late_delivery_of_the_first_owner_is_not_the_replicas(self):
+    @staticmethod
+    def _lose_first_owner_reply(plan):
         """Only the owner's ``execute_primitive`` reply is lost; its
-        chain still delivers, under the first corr and tag.
-        The initiator times out, tombstones that corr and re-dispatches
-        to the replica holder. Had the replica's step kept the first
-        tag, the first delivery's notification would satisfy the wait
-        for the replica's and the answer would be read from an empty
-        mailbox: zero rows, and nothing flagged."""
+        chain still delivers, under the first corr, to the same landing
+        site. The initiator times out, tombstones that corr and
+        re-dispatches to the replica holder. Had the replica's step kept
+        the first corr, the first delivery's notification would satisfy
+        the wait for the replica's and the answer would be read from an
+        empty mailbox: zero rows, and nothing flagged."""
         expected = _oracle(KNOWS_QUERY)
         system = build_system(replication_factor=2)
-        system.network.install_faults(FaultPlan(rules=()))
+        if plan is not None:
+            system.network.install_faults(plan)
         owner = knows_owner(system)
         initiator = next(sid for sid, node in sorted(system.storage_nodes.items())
                          if node.index_node_id != owner)
@@ -403,6 +406,12 @@ class TestDispatchFailoverTag:
         assert network.failover.dispatch_failovers == 1
         assert not report.incomplete
         assert _rows(result) == expected
+
+    def test_late_delivery_of_the_first_owner_is_not_the_replicas(self):
+        self._lose_first_owner_reply(FaultPlan(rules=()))
+
+    def test_late_delivery_of_the_first_owner_without_a_fault_plan(self):
+        self._lose_first_owner_reply(None)
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,9 @@ engine of PR 8); any drift — a single byte, a single hop, a float ULP of
 simulated time — fails this test. To re-capture after an *intentional*
 metrics change (never for a perf-only PR):
 
-    GOLDEN_REGEN=1 PYTHONPATH=src:tests python -m pytest tests/test_golden_metrics.py
+    GOLDEN_REGEN=1 PYTHONPATH=src:tests python -m pytest -s tests/test_golden_metrics.py
+
+It prints every cell and field that moved against the checked-in copy.
 
 The grid is fault-free, so it never reaches the transport's drop,
 duplicate, delay-spike and brownout branches. One more cell pins those:
@@ -213,21 +215,22 @@ def _digest(blob) -> str:
         json.dumps(blob, separators=(",", ":")).encode()).hexdigest()
 
 
-def capture_chaos(options=CHAOS_OPTIONS, contention=False):
-    """The Fig. 4-9 mix on one fresh rf=2 system under a seeded plan of
-    loss, duplication, delay spikes and a brownout: per query the outcome,
-    a row-multiset digest and the simulated cost, then the fault tally and
-    a hash of the traced message sequence.
+def run_chaos(options=CHAOS_OPTIONS, contention=False, seed=4):
+    """The Fig. 4-9 mix on one fresh rf=2 system under a plan of loss,
+    duplication, delay spikes and a brownout drawn from *seed* →
+    ``(outcomes, system, tracer, model)``. Each job's outcome is the
+    ``(result, report)`` pair, or ``{"outcome", "now"}`` for a typed
+    failure.
 
     Without *contention* the jobs run one after another. With it a
     :class:`ContentionModel` is installed first (so its service times
-    inherit the brownouts), every job starts at once so the flows queue
-    behind each other, and the queue statistics are captured too."""
+    inherit the brownouts) and every job starts at once, so the flows
+    queue behind each other."""
     system = build_system(replication_factor=2)
     model = ContentionModel() if contention else None
     system.network.contention = model
     system.network.install_faults(chaos_plan(
-        sorted(system.network.nodes), seed=4, loss=0.1, duplicate=0.15,
+        sorted(system.network.nodes), seed=seed, loss=0.1, duplicate=0.15,
         delay=0.15, brownouts=2))
     tracer = Tracer()
     executor = DistributedExecutor(system, options, tracer=tracer)
@@ -254,18 +257,31 @@ def capture_chaos(options=CHAOS_OPTIONS, contention=False):
             except QueryFailed as exc:
                 outcomes[key] = {"outcome": type(exc).__name__,
                                  "now": sim.now}
+    return outcomes, system, tracer, model
+
+
+def row_counts(result) -> Counter:
+    """The answer's rows as a multiset of sorted (variable, term) pairs."""
+    return Counter(tuple(sorted((v.name, t.n3()) for v, t in mu.items()))
+                   for mu in result.rows)
+
+
+def capture_chaos(options=CHAOS_OPTIONS, contention=False):
+    """:func:`run_chaos` at seed 4, pinned: per query the outcome, a
+    row-multiset digest and the simulated cost, then the fault tally and
+    a hash of the traced message sequence; with *contention* the queue
+    statistics too."""
+    outcomes, system, tracer, model = run_chaos(options, contention)
     out = {}
     for key, _query in CHAOS_JOBS:
         if isinstance(outcomes[key], dict):
             out[key] = outcomes[key]
             continue
         result, report = outcomes[key]
-        rows = sorted(Counter(
-            tuple(sorted((v.name, t.n3()) for v, t in mu.items()))
-            for mu in result.rows).items())
         out[key] = {
             "outcome": "incomplete" if report.incomplete else "ok",
-            "rows": _digest([result.boolean, rows]),
+            "rows": _digest([result.boolean,
+                             sorted(row_counts(result).items())]),
             "bytes_total": report.bytes_total,
             "messages": report.messages,
             "response_time": report.response_time,
@@ -283,9 +299,29 @@ def capture_chaos(options=CHAOS_OPTIONS, contention=False):
     return out
 
 
+def _golden_drift(old, new, prefix=""):
+    """``(path, old value, new value)`` for every leaf that differs
+    between two golden blobs, dicts compared key by key (a key on one
+    side only reads None on the other)."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            yield from _golden_drift(old.get(key), new.get(key),
+                                    f"{prefix}.{key}" if prefix else key)
+    elif old != new:
+        yield prefix, old, new
+
+
 def _check_golden(path: Path, got: dict) -> dict:
-    """Regenerate *path* under ``GOLDEN_REGEN``, else return its content."""
+    """Regenerate *path* under ``GOLDEN_REGEN``, printing each cell and
+    field that moved against the checked-in copy (run pytest with ``-s``
+    to see the list); else return its content."""
     if os.environ.get("GOLDEN_REGEN"):
+        # JSON round trip: compare as the file will read (tuples as lists).
+        new = json.loads(json.dumps(got))
+        old = json.loads(path.read_text()) if path.exists() else {}
+        print(f"\n{path.name}:")
+        for field, before, after in _golden_drift(old, new):
+            print(f"  {field}: {before!r} -> {after!r}")
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
         pytest.skip(f"golden file regenerated at {path}")
@@ -300,6 +336,28 @@ def test_chaos_cell_matches_golden():
 def test_contention_chaos_cell_matches_golden():
     got = capture_chaos(CHAOS_OPTIONS, contention=True)
     assert got == _check_golden(CONTENTION_GOLDEN_PATH, got)
+
+
+def test_lost_deliveries_degrade_like_unreachable_peers():
+    """At chaos seed 3 the contention cell loses deliveries: ``fig8.0``
+    in a walk leg, ``fig7.2`` in the ship of its OPTIONAL combine.
+    Under ``partial_results`` a delivery that never lands degrades like
+    a peer that does not answer: both come back flagged instead of
+    failing, and every answer is a sub-multiset of the fault-free one."""
+    executor = DistributedExecutor(build_system(replication_factor=2))
+    truth = {name: row_counts(executor.execute(query)[0])
+             for name, query in PAPER_FIG_QUERIES.items()}
+    outcomes, *_ = run_chaos(contention=True, seed=3)
+    for key in ("fig8.0", "fig7.2"):
+        assert not isinstance(outcomes[key], dict), outcomes[key]
+        assert outcomes[key][1].incomplete, key
+    for key, outcome in outcomes.items():
+        if isinstance(outcome, dict):
+            continue  # a typed failure is a permitted outcome
+        result, report = outcome
+        got = row_counts(result)
+        assert report.incomplete or got == truth[key.split(".")[0]], key
+        assert not got - truth[key.split(".")[0]], key
 
 
 def test_simulated_metrics_match_golden():

@@ -150,14 +150,14 @@ class TestDeadCorrelations:
     def test_late_delivered_after_abandon_is_dropped(self):
         system = build_system()
         peer = system.storage_nodes["D1"]
-        event = peer.expect("c2")
+        event = peer.expect("c2", "D2")
         peer.abandon_corr("c2")
         peer.rpc_delivered(Delivered(corr="c2", count=7), "D2")
         assert not event.triggered or event.cancelled
-        assert "c2" not in peer._delivered_early
+        assert ("c2", "D2") not in peer._delivered_early
         # A second late copy is dropped by the same tombstone.
         peer.rpc_delivered(Delivered(corr="c2", count=7), "D2")
-        assert "c2" not in peer._delivered_early
+        assert ("c2", "D2") not in peer._delivered_early
         assert "c2" in peer._dead_corrs
         assert peer.purge_corrs(["c2"]) == 1
 

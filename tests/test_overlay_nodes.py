@@ -175,8 +175,35 @@ class TestQueryPeerMailbox:
     def test_expect_latches_early_notification(self, paper_system):
         d1 = paper_system.storage_nodes["D1"]
         d1.rpc_delivered(Delivered(corr="early", count=3), "t")
-        event = d1.expect("early")
+        event = d1.expect("early", "t")
         assert event.triggered and event.value == 3
+
+    def test_notification_from_another_site_is_not_this_wait(self, paper_system):
+        """A chain lands mailbox corr C at S, and C's rows then ship on to
+        T: a copy of S's ``delivered`` for C neither satisfies nor latches
+        for the wait on (C, T)."""
+        d1 = paper_system.storage_nodes["D1"]
+        d1.rpc_delivered(Delivered(corr="c", count=3), "S")
+        event = d1.expect("c", "T")
+        d1.rpc_delivered(Delivered(corr="c", count=3), "S")
+        assert not event.triggered
+        assert ("c", "T") not in d1._delivered_early
+        d1.rpc_delivered(Delivered(corr="c", count=5), "T")
+        assert event.triggered and event.value == 5
+
+    def test_late_notification_of_an_abandoned_corr_is_not_the_replicas(
+            self, paper_system):
+        """A dispatch failover tombstones the first owner's corr and
+        re-dispatches under a fresh one to the same landing site: the
+        first chain's late ``delivered`` cannot complete the replica's
+        wait, nor latch for it."""
+        d1 = paper_system.storage_nodes["D1"]
+        d1.abandon_corr("first")
+        event = d1.expect("replica", "D2")
+        d1.rpc_delivered(Delivered(corr="first", count=9), "D2")
+        assert not event.triggered and not d1._delivered_early
+        d1.rpc_delivered(Delivered(corr="replica", count=4), "D2")
+        assert event.triggered and event.value == 4
 
     def test_filter_box(self, paper_system):
         from repro.sparql import parse_query

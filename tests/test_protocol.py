@@ -137,12 +137,18 @@ class TestRecordSizes:
 class TestFaultPlanReads:
     """Behaviour must not depend on whether a fault plan is installed.
     These are the sites that still read ``network.faults`` outside
-    ``net/``; the list may only shrink."""
+    ``net/``; the list may only shrink. Each stays for a reason:
+    ``release`` quarantines every corr under a plan, because a
+    duplicated one-way may trail in under any of them and corr names
+    recur when a query slot is reused (names that never recur would
+    cost bytes on every run); ``_execute_basic`` sweeps a silent
+    provider's rows only without a plan, because under one a single
+    timeout is no proof the provider is gone and the sweep has no
+    second witness yet; ``run_workload`` reports the plan's fault
+    tally."""
 
     ALLOWED = {
-        ("query/executor.py", "delivery_tag"),
         ("query/executor.py", "release"),
-        ("query/join_site.py", "ship_handle"),
         ("overlay/index_node.py", "_execute_basic"),
         ("workloads/load.py", "run_workload"),
     }

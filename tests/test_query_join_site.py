@@ -166,6 +166,33 @@ class TestCombine:
         opposite_bytes = paper_system.stats.delta(cp2).bytes
         assert move_small_bytes < opposite_bytes
 
+    def test_reship_reaches_a_recovered_combine_site(self, paper_system):
+        """No fault plan is installed. The combine site D4 is down when
+        the first one-way ``deliver`` arrives and back before the retry:
+        the holder kept its copy, so the one re-ship lands it under a
+        fresh corr and the join is exact."""
+        network, sim = paper_system.network, paper_system.sim
+        assert network.faults is None
+        ctx = make_ctx(paper_system)
+        a, b = IRI("http://x/a"), IRI("http://x/b")
+        left = deposit(paper_system, "D2", "l", [SolutionMapping({X: a})])
+        right = deposit(paper_system, "D4", "r",
+                        [SolutionMapping({X: a, Y: b}),
+                         SolutionMapping({X: IRI("http://x/c")})])
+        network.fail_node("D4")
+        sim.timeout(1.0).callbacks.append(
+            lambda _event: network.recover_node("D4"))
+
+        def proc():
+            return (yield from combine_handles(ctx, "join", left, right,
+                                               site="D4"))
+
+        out = sim.run_process(proc())
+        assert ctx.report.notes == ["ship retry for l"]
+        assert out.site == "D4" and out.count == 1
+        assert paper_system.storage_nodes["D4"].mailbox[out.corr] == {
+            SolutionMapping({X: a, Y: b})}
+
     def test_load_counter_increments(self, paper_system):
         ctx = make_ctx(paper_system)
         left = deposit(paper_system, "D2", "l", mus(1))
