@@ -172,7 +172,7 @@ class StorageNode(QueryPeer, Node):
             # rows shed here are credited to the query's report by flow.
             report = self.network.flow_reports.get(payload.flow)
             if report is not None:
-                report.rows_pruned += pruned
+                report.credit_chain_step(payload.corr, pruned)
         merged = local.union(shipped_rows(payload.acc))
         data = encode_solutions(merged, payload.encode)
         route = payload.route

@@ -13,10 +13,8 @@ from .cost import CostModel, StrategyCosts, annotate_plan, choose_strategy
 from .physical import (
     PhysOp,
     compile_distributed,
-    compile_local,
     compile_query_plan,
     format_plan,
-    interpret_local,
     walk_plan,
 )
 from .plan import PatternInfo, ResultHandle, choose_shared_site, subquery_algebra
@@ -30,10 +28,8 @@ from .executor import (
 
 __all__ = [
     "PhysOp",
-    "compile_local",
     "compile_distributed",
     "compile_query_plan",
-    "interpret_local",
     "format_plan",
     "walk_plan",
     "annotate_plan",

@@ -61,7 +61,7 @@ from ..sparql.optimizer import reorder_bgp
 from .conjunction import walk_site
 from .physical import (
     BGPWalk, CachedScan, CacheProbe, ChainShip, EmptyScan, FilterOp,
-    GraphScope, HashJoin, LeftJoinOp, LocalBGPScan, PhysOp, Ship, UnionOp,
+    HashJoin, LeftJoinOp, PhysOp, Ship, UnionOp,
     chain_leaves, note_lookup,
 )
 from .join_site import (
@@ -216,13 +216,8 @@ def _op_vars(node: PhysOp) -> frozenset:
         if isinstance(node, LeftJoinOp):
             return _op_vars(left)
         return _op_vars(left) | _op_vars(right)
-    if isinstance(node, (FilterOp, GraphScope, Ship)):
+    if isinstance(node, (FilterOp, Ship)):
         return _op_vars(node.children[0])
-    if isinstance(node, LocalBGPScan):
-        out = frozenset()
-        for p in node.bgp.patterns:
-            out |= frozenset(p.variables())
-        return out
     return frozenset()
 
 
@@ -504,7 +499,6 @@ def _estimate(ctx, node: PhysOp) -> float:
         return rows
 
     if isinstance(node, (HashJoin, UnionOp, LeftJoinOp)):
-        edges = node.edges
         left_rows = _estimate(ctx, node.left)
         right_rows = _estimate(ctx, node.right)
         shared = bool(_op_vars(node.left) & _op_vars(node.right))
@@ -515,26 +509,16 @@ def _estimate(ctx, node: PhysOp) -> float:
             rows = max(left_rows, matched)  # unmatched rows survive
         else:
             rows = estimate_join_rows(left_rows, right_rows, shared)
-        if edges is not None:
-            for edge, operand_rows, operand in (
-                (edges[0], left_rows, node.left),
-                (edges[1], right_rows, node.right),
-            ):
-                edge.est_rows = operand_rows
-                edge.est_bytes = operand_rows * est_row_bytes(
-                    len(_op_vars(operand)))
+        for edge, operand_rows, operand in zip(
+                node.edges, (left_rows, right_rows), (node.left, node.right)):
+            edge.est_rows = operand_rows
+            edge.est_bytes = operand_rows * est_row_bytes(len(_op_vars(operand)))
         node.est_rows = rows
         node.est_bytes = rows * row_bytes
         return rows
 
     if isinstance(node, FilterOp):
         rows = _estimate(ctx, node.operand) * FILTER_SELECTIVITY
-        node.est_rows = rows
-        node.est_bytes = rows * row_bytes
-        return rows
-
-    if isinstance(node, GraphScope):
-        rows = _estimate(ctx, node.operand)
         node.est_rows = rows
         node.est_bytes = rows * row_bytes
         return rows

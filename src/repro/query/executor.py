@@ -48,7 +48,7 @@ from ..sparql.parser import parse_query
 from ..sparql.solutions import EMPTY_MAPPING, SolutionMapping
 from ..rdf.namespaces import COMMON_PREFIXES
 from .physical import (
-    BGPWalk, CacheProbe, ChainShip, EmptyScan, FilterOp, GraphScope,
+    BGPWalk, CacheProbe, ChainShip, EmptyScan, FilterOp,
     HashJoin, LeftJoinOp, PhysOp, UnionOp, compile_query_plan,
     execution_root, note_result, pattern_leaf, record_postprocess,
 )
@@ -94,6 +94,10 @@ class ExecutionReport:
     cache_misses: int = 0
     #: Rows dropped by semijoin digests before they could cross a link.
     rows_pruned: int = 0
+    #: The part of ``rows_pruned`` each chain's steps dropped, by the
+    #: chain's correlation id (None until one does; see
+    #: :meth:`credit_chain_step`).
+    chain_pruned: Optional[Dict[str, int]] = None
     #: Exact overhead the semijoin technique added: digest round trips
     #: plus digest embeds in ship/evaluate payloads. The documented bound:
     #: enabling semijoin never costs more than this many extra bytes.
@@ -120,6 +124,16 @@ class ExecutionReport:
 
     def merge_note(self, note: str) -> None:
         self.notes.append(note)
+
+    def credit_chain_step(self, corr: str, pruned: int) -> None:
+        """Credit the rows a digest dropped at one step of chain *corr*:
+        a chain step sends no reply to carry the count, so the storage
+        node credits the report it finds by flow."""
+        self.rows_pruned += pruned
+        chains = self.chain_pruned
+        if chains is None:
+            chains = self.chain_pruned = {}
+        chains[corr] = chains.get(corr, 0) + pruned
 
     def phase_bytes(self, phase: str) -> int:
         stats = self.phases.get(phase)
@@ -661,11 +675,6 @@ def exec_plan(ctx: ExecutionContext, node: PhysOp, at_home: bool = False):
         handle = yield from union.exec_union(ctx, node)
     elif isinstance(node, LeftJoinOp):
         handle = yield from optional.exec_leftjoin(ctx, node)
-    elif isinstance(node, GraphScope):
-        raise QueryFailed(
-            "GRAPH patterns address named graphs; the ad-hoc system's dataset "
-            "is the union of all providers (Sect. IV-A) and has no named graphs"
-        )
     else:
         raise QueryFailed(
             f"cannot execute physical operator {type(node).__name__}")
@@ -787,22 +796,26 @@ class DistributedExecutor:
             )
         if report is None:
             report = ExecutionReport()
-        ctx = ExecutionContext(self.system, initiator, self.options, report,
-                               self.load, tracer=tracer)
-
         algebra = translate_pattern(query.where)
         if self.options.optimize:
             algebra = optimize_algebra(algebra, estimate=None, reorder=False)
+        # The distributed plan is a pure 1:1 image of the algebra under
+        # the legacy flags, and the surface `repro explain` renders after
+        # execution. Compiling sends nothing, so a refused query (GRAPH)
+        # fails here before it takes a query slot.
+        try:
+            plan = compile_query_plan(query, algebra, self.options)
+        except SparqlError as exc:
+            raise QueryFailed(str(exc)) from exc
+        report.plan = plan
+        root = execution_root(plan)
+
+        ctx = ExecutionContext(self.system, initiator, self.options, report,
+                               self.load, tracer=tracer)
+        if self.options.optimize:  # after a re-attachment's note, as ever
             report.merge_note("optimized")
         if self.options.projection_pushdown:
             ctx.live_vars = compute_live_vars(query, algebra)
-
-        # Both engines now run off the compiled physical plan: this walk
-        # is a pure 1:1 image of the algebra under the legacy flags, and
-        # the surface `repro explain` renders after execution.
-        plan = compile_query_plan(query, algebra, self.options)
-        report.plan = plan
-        root = execution_root(plan)
 
         checkpoint = self.system.stats.checkpoint()
         cache_before = self.system.network.cache.checkpoint()

@@ -1,23 +1,19 @@
-"""The physical-operator plan: one explainable DAG for both engines.
+"""The physical-operator plan: one explainable tree for the distributed
+engine.
 
 The paper's workflow (Fig. 3) compiles a query into SPARQL algebra and
 then *executes the algebra directly* — locally at storage nodes, and
-distributedly at the initiator. This module inserts the layer every
-database engine has between the two: an explicit tree of **physical
-operators**, each carrying its placement and its estimated and actual
-cardinality/wire cost.
+distributedly at the initiator. Local evaluation stays a plain algebra
+walk (:func:`repro.sparql.eval.evaluate_algebra`). For the distributed
+half this module inserts the layer every database engine has: an
+explicit tree of **physical operators**, each carrying its placement and
+its estimated and actual cardinality/wire cost.
 
-Both execution paths interpret the same node classes:
-
-* :func:`compile_local` + :func:`interpret_local` — the single-graph
-  evaluation ⟦P⟧_D of Sect. IV-B (what every storage node runs on an
-  arriving sub-query, and what the test oracle runs on the union graph);
-* :func:`compile_distributed` — the distributed plan the executor's
-  ``exec_plan`` walks: :class:`IndexLookup` leaves under
-  :class:`ChainShip` primitives, multi-pattern :class:`BGPWalk`
-  composites, and :class:`HashJoin` / :class:`LeftJoinOp` /
-  :class:`UnionOp` combines whose operands hang off explicit
-  :class:`Ship` / :class:`SemijoinShip` edges.
+:func:`compile_distributed` builds the plan the executor's ``exec_plan``
+walks: :class:`IndexLookup` leaves under :class:`ChainShip` primitives,
+multi-pattern :class:`BGPWalk` composites, and :class:`HashJoin` /
+:class:`LeftJoinOp` / :class:`UnionOp` combines whose operands hang off
+explicit :class:`Ship` / :class:`SemijoinShip` edges.
 
 Compilation is **pure** — no messages, no correlation ids — so the
 legacy strategy flags stay bit-identical: the compiled tree is a 1:1
@@ -35,23 +31,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from ..rdf.graph import Graph
-from ..rdf.terms import IRI
 from ..rdf.triple import TriplePattern
 from ..sparql import ast
 from ..sparql.algebra import (
     Algebra, BGP, Filter, GraphNode, Join, LeftJoin, Union,
 )
 from ..sparql.errors import SparqlError
-from ..sparql.expr import filter_rows, row_predicate
-from ..sparql.solutions import (
-    SolutionMapping,
-    SolutionSet,
-    conditional_left_outer_join,
-    join as omega_join,
-    left_outer_join,
-    union as omega_union,
-)
 
 __all__ = [
     "PhysOp",
@@ -59,9 +44,7 @@ __all__ = [
     "CachedScan", "CacheProbe",
     "Ship", "SemijoinShip",
     "HashJoin", "UnionOp", "LeftJoinOp", "FilterOp",
-    "LocalBGPScan", "GraphScope",
     "OrderBy", "Project", "Distinct", "Slice", "FormOp",
-    "compile_local", "interpret_local",
     "compile_distributed", "compile_query_plan",
     "pattern_leaf", "note_lookup", "note_owner", "note_result", "may_prune",
     "walk_plan", "chain_leaves", "count_ops", "format_plan",
@@ -285,32 +268,27 @@ class SemijoinShip(Ship):
 
 
 class _Binary(PhysOp):
-    """Shared shape of the two-operand combines.
-
-    Distributed compilation wraps each operand in a :class:`Ship` edge
-    (``children`` are the edges); local compilation holds the operands
-    directly. ``left`` / ``right`` always reference the operand plans.
-    """
+    """Shared shape of the two-operand combines: each operand hangs off
+    a :class:`Ship` edge (``children`` are the edges); ``left`` /
+    ``right`` reference the operand plans."""
 
     __slots__ = ("left", "right")
 
     def __init__(self, left: PhysOp, right: PhysOp,
-                 edges: Optional[Sequence[Ship]] = None) -> None:
-        super().__init__(edges if edges is not None else (left, right))
+                 edges: Sequence[Ship]) -> None:
+        super().__init__(edges)
         self.left = left
         self.right = right
 
     @property
     def edges(self):
-        """(left_edge, right_edge) when operands hang off ship edges."""
-        if self.children and isinstance(self.children[0], Ship):
-            return self.children[0], self.children[1]
-        return None
+        """(left_edge, right_edge): the operands' ship edges."""
+        return self.children[0], self.children[1]
 
 
 class HashJoin(_Binary):
-    """Ω1 ⋈ Ω2 — locally a schema-grouped hash join, distributedly a
-    combine at the join site the policy (or cost model) picks."""
+    """Ω1 ⋈ Ω2 — a combine at the join site the policy (or cost model)
+    picks."""
 
     __slots__ = ()
     kind = "HashJoin"
@@ -330,9 +308,8 @@ class LeftJoinOp(_Binary):
     __slots__ = ("condition",)
     kind = "LeftJoin"
 
-    def __init__(self, left: PhysOp, right: PhysOp,
-                 condition: Optional[ast.Expression] = None,
-                 edges: Optional[Sequence[Ship]] = None) -> None:
+    def __init__(self, left: PhysOp, right: PhysOp, edges: Sequence[Ship],
+                 condition: Optional[ast.Expression] = None) -> None:
         super().__init__(left, right, edges)
         self.condition = condition
 
@@ -350,38 +327,6 @@ class FilterOp(PhysOp):
     def __init__(self, condition: ast.Expression, child: PhysOp) -> None:
         super().__init__((child,))
         self.condition = condition
-
-    @property
-    def operand(self) -> PhysOp:
-        return self.children[0]
-
-
-class LocalBGPScan(PhysOp):
-    """Index nested-loop scan of a BGP over one local graph — the leaf
-    of the local interpreter (what a storage node's sub-query runs)."""
-
-    __slots__ = ("bgp",)
-    kind = "LocalBGPScan"
-
-    def __init__(self, bgp: BGP) -> None:
-        super().__init__()
-        self.bgp = bgp
-
-    def describe(self) -> str:
-        return ". ".join(_pattern_text(p) for p in self.bgp.patterns)
-
-
-class GraphScope(PhysOp):
-    """GRAPH <g> { P } — local evaluation against a named graph. The
-    distributed engine refuses it (the ad-hoc dataset has no named
-    graphs, Sect. IV-A)."""
-
-    __slots__ = ("graph",)
-    kind = "Graph"
-
-    def __init__(self, graph, child: PhysOp) -> None:
-        super().__init__((child,))
-        self.graph = graph
 
     @property
     def operand(self) -> PhysOp:
@@ -518,94 +463,6 @@ def count_ops(node: PhysOp) -> int:
     return sum(1 for _ in walk_plan(node))
 
 
-# ------------------------------------------------------- local compilation
-
-
-def compile_local(node: Algebra) -> PhysOp:
-    """Compile an algebra tree for single-graph interpretation.
-
-    A 1:1 structural mapping — the physical tree *is* the algebra tree,
-    with BGPs as scan leaves — so :func:`interpret_local` replaces the
-    old isinstance walk of ``sparql.eval`` without changing semantics.
-    """
-    if isinstance(node, BGP):
-        return LocalBGPScan(node)
-    if isinstance(node, Join):
-        return HashJoin(compile_local(node.left), compile_local(node.right))
-    if isinstance(node, Union):
-        return UnionOp(compile_local(node.left), compile_local(node.right))
-    if isinstance(node, LeftJoin):
-        return LeftJoinOp(compile_local(node.left), compile_local(node.right),
-                          node.condition)
-    if isinstance(node, Filter):
-        return FilterOp(node.condition, compile_local(node.pattern))
-    if isinstance(node, GraphNode):
-        return GraphScope(node.graph, compile_local(node.pattern))
-    raise SparqlError(f"cannot compile algebra node {type(node).__name__}")
-
-
-def interpret_local(
-    node: PhysOp,
-    graph: Graph,
-    named_graphs: Optional[Dict[IRI, Graph]] = None,
-) -> SolutionSet:
-    """⟦P⟧_D by interpreting the physical tree over one graph.
-
-    Implements exactly the Sect. IV-B semantics the old algebra walk
-    implemented; additionally records each operator's output cardinality
-    (``actual_rows``) for explain renders of local plans.
-    """
-    from ..sparql.eval import evaluate_bgp  # deferred: eval imports us lazily
-
-    out = _interpret_local(node, graph, named_graphs or {}, evaluate_bgp)
-    return out
-
-
-def _interpret_local(node, graph, named_graphs, evaluate_bgp) -> SolutionSet:
-    def rec(child: PhysOp, g: Graph = graph) -> SolutionSet:
-        return _interpret_local(child, g, named_graphs, evaluate_bgp)
-
-    if isinstance(node, LocalBGPScan):
-        out = evaluate_bgp(node.bgp, graph)
-    elif isinstance(node, HashJoin):
-        out = omega_join(rec(node.left), rec(node.right))
-    elif isinstance(node, UnionOp):
-        out = omega_union(rec(node.left), rec(node.right))
-    elif isinstance(node, LeftJoinOp):
-        left, right = rec(node.left), rec(node.right)
-        if node.condition is None:
-            out = left_outer_join(left, right)
-        else:
-            out = conditional_left_outer_join(
-                left, right, row_predicate(node.condition))
-    elif isinstance(node, FilterOp):
-        out = filter_rows(node.condition, rec(node.operand))
-    elif isinstance(node, GraphScope):
-        out = _interpret_graph_scope(node, named_graphs, rec)
-    else:
-        raise SparqlError(
-            f"cannot interpret physical operator {type(node).__name__} locally"
-        )
-    node.actual_rows = len(out)
-    return out
-
-
-def _interpret_graph_scope(node: GraphScope, named_graphs, rec) -> SolutionSet:
-    if isinstance(node.graph, IRI):
-        target = named_graphs.get(node.graph)
-        if target is None:
-            return set()
-        return rec(node.operand, target)
-    # Variable: union over all named graphs, binding the variable.
-    out: SolutionSet = set()
-    var = node.graph
-    for name, g in named_graphs.items():
-        binding = SolutionMapping({var: name})
-        for mu in rec(node.operand, g):
-            out.update(omega_join([binding], [mu]))
-    return out
-
-
 # -------------------------------------------------- distributed compilation
 
 
@@ -628,14 +485,11 @@ def _edge(op: str, role: str, child: PhysOp, options) -> Ship:
     return Ship(child)
 
 
-def _binary(cls, op: str, node, options,
-            condition: Optional[ast.Expression] = None) -> PhysOp:
+def _binary(cls, op: str, node, options, *extra) -> PhysOp:
     left = compile_distributed(node.left, options)
     right = compile_distributed(node.right, options)
     edges = (_edge(op, "left", left, options), _edge(op, "right", right, options))
-    if condition is not None:
-        return cls(left, right, condition, edges=edges)
-    return cls(left, right, edges=edges)
+    return cls(left, right, edges, *extra)
 
 
 def compile_distributed(node: Algebra, options) -> PhysOp:
@@ -676,11 +530,13 @@ def compile_distributed(node: Algebra, options) -> PhysOp:
         return _binary(UnionOp, "union", node, options)
 
     if isinstance(node, LeftJoin):
-        return _binary(LeftJoinOp, "leftjoin", node, options,
-                       condition=node.condition)
+        return _binary(LeftJoinOp, "leftjoin", node, options, node.condition)
 
     if isinstance(node, GraphNode):
-        return GraphScope(node.graph, compile_distributed(node.pattern, options))
+        raise SparqlError(
+            "GRAPH patterns address named graphs; the ad-hoc system's dataset "
+            "is the union of all providers (Sect. IV-A) and has no named graphs"
+        )
 
     raise SparqlError(f"cannot compile algebra node {type(node).__name__}")
 

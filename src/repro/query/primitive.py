@@ -187,8 +187,8 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
         info = replace(info, entries=tuple(ack["row"]))
         annotate_leaf(ctx, leaf, info)
         leaf.detail["strategy"] = leaf.plan_strategy.wire_name
-    # The digest rode in one chain_step per hop; chain steps report no
-    # pruned counts.
+    # The digest rode in one chain_step per hop; the steps credit what
+    # they pruned by flow (``ExecutionReport.credit_chain_step``).
     charge_digest(ctx, payload, ack, len(ack.get("route", ())), leaf)
     if ack["mode"] == "direct":
         # Empty route (no providers left), or the owner's fan-out:
@@ -209,6 +209,9 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
         return (yield from _basic(ctx, info, algebra, site, corr, keep=keep,
                                   result_vars=result_vars, digest=digest,
                                   leaf=leaf))
+    pruned = (ctx.report.chain_pruned or {}).pop(corr, None)
+    if pruned is not None and leaf is not None:
+        leaf.detail["pruned"] = pruned
     return ResultHandle(site, corr, count, result_vars)
 
 

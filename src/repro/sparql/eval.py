@@ -16,16 +16,22 @@ from ..rdf.graph import Graph
 from ..rdf.terms import IRI, RDFTerm, Variable
 from ..rdf.triple import TriplePattern
 from . import ast
-from .algebra import BGP, Algebra, translate_pattern
+from .algebra import (
+    BGP, Algebra, Filter, GraphNode, Join, LeftJoin, Union, translate_pattern,
+)
 from .errors import SparqlError
-from .expr import order_key
+from .expr import filter_rows, order_key, row_predicate
 from .solutions import (
     EMPTY_MAPPING,
     SolutionMapping,
     SolutionSet,
     canonical_key,
     compile_extractor,
+    conditional_left_outer_join,
+    join,
+    left_outer_join,
     project,
+    union,
 )
 
 __all__ = [
@@ -88,24 +94,34 @@ def evaluate_bgp(
     return set(solutions)
 
 
-def evaluate_algebra(
-    node: Algebra,
-    graph: Graph,
-    named_graphs: Optional[Dict[IRI, Graph]] = None,
-) -> SolutionSet:
+def evaluate_algebra(node: Algebra, graph: Graph) -> SolutionSet:
     """⟦P⟧_D for a full algebra tree (Sect. IV-B semantics).
 
-    Compiles to the shared physical-operator plan and interprets it —
-    the same operator classes the distributed engine executes
-    (:mod:`repro.query.physical`), so local and distributed evaluation
-    cannot drift apart. The import is deferred: the query package
-    imports this module at load time, and most callers (the storage
-    nodes' sub-query hot path) have it loaded long before the first
-    evaluation.
+    The one local evaluator: what every storage node runs on an arriving
+    sub-query and what the test oracle runs on the union graph. Operands
+    are evaluated left before right. ``GRAPH`` matches nothing: the
+    dataset is the union of all providers and has no named graphs.
     """
-    from ..query.physical import compile_local, interpret_local
-
-    return interpret_local(compile_local(node), graph, named_graphs)
+    if isinstance(node, BGP):
+        return evaluate_bgp(node, graph)
+    if isinstance(node, Join):
+        return join(evaluate_algebra(node.left, graph),
+                    evaluate_algebra(node.right, graph))
+    if isinstance(node, Union):
+        return union(evaluate_algebra(node.left, graph),
+                     evaluate_algebra(node.right, graph))
+    if isinstance(node, LeftJoin):
+        left = evaluate_algebra(node.left, graph)
+        right = evaluate_algebra(node.right, graph)
+        if node.condition is None:
+            return left_outer_join(left, right)
+        return conditional_left_outer_join(left, right,
+                                           row_predicate(node.condition))
+    if isinstance(node, Filter):
+        return filter_rows(node.condition, evaluate_algebra(node.pattern, graph))
+    if isinstance(node, GraphNode):
+        return set()
+    raise SparqlError(f"cannot evaluate algebra node {type(node).__name__}")
 
 
 # ----------------------------------------------------------- query results
@@ -182,18 +198,14 @@ def apply_modifiers(
     return rows
 
 
-def evaluate_query(
-    query: ast.Query,
-    graph: Graph,
-    named_graphs: Optional[Dict[IRI, Graph]] = None,
-) -> QueryResult:
+def evaluate_query(query: ast.Query, graph: Graph) -> QueryResult:
     """Evaluate a parsed query completely against a single graph.
 
     This is the reference ("oracle") evaluation path; the distributed
     executor must agree with it on the union of all storage-node graphs.
     """
     algebra = translate_pattern(query.where)
-    solutions = evaluate_algebra(algebra, graph, named_graphs)
+    solutions = evaluate_algebra(algebra, graph)
 
     if isinstance(query, ast.AskQuery):
         return QueryResult(boolean=bool(solutions))

@@ -1,7 +1,6 @@
 """The physical-operator plan layer (PR 8).
 
-* compilation: algebra -> operator DAG, for both the local interpreter
-  and the distributed engine;
+* compilation: algebra -> the distributed engine's operator tree;
 * execution annotation: placements, actual rows, actual bytes land on
   the operators both in legacy and cost mode;
 * the frequency-driven cost planner: answers match the legacy engine on
@@ -21,7 +20,6 @@ from repro.cli import main
 from repro.query import (
     DistributedExecutor,
     ExecutionOptions,
-    compile_local,
     compile_query_plan,
     walk_plan,
 )
@@ -36,7 +34,6 @@ from repro.query.physical import (
     ChainShip,
     HashJoin,
     IndexLookup,
-    LocalBGPScan,
     Project,
     Ship,
     count_ops,
@@ -66,14 +63,6 @@ def algebra_of(text: str):
 
 
 class TestCompile:
-    def test_local_compile_mirrors_algebra(self):
-        node = algebra_of(
-            "SELECT ?x WHERE { { ?x foaf:knows ?y . ?y foaf:knows ?z . } "
-            "UNION { ?x foaf:name ?n . } }")
-        plan = compile_local(node)
-        kinds = sorted(op.kind for op in walk_plan(plan))
-        assert kinds == ["LocalBGPScan", "LocalBGPScan", "Union"]
-
     def test_distributed_compile_produces_walks_and_leaves(self):
         query = parse_query(PREFIXED + "SELECT ?x ?z WHERE { "
                             "?x foaf:knows ?y . ?y foaf:knows ?z . }")
@@ -258,8 +247,3 @@ class TestExplainCli:
         walk_line = next(line for line in out.splitlines() if "BGPWalk" in line)
         # In cost mode the walk row carries a numeric estimate.
         assert any(tok.isdigit() for tok in walk_line.split())
-
-    def test_local_scan_kind_exists(self):
-        plan = compile_local(algebra_of(
-            "SELECT ?x WHERE { ?x foaf:knows ?y . }"))
-        assert isinstance(plan, LocalBGPScan)

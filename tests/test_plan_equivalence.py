@@ -2,8 +2,8 @@
 
 Random small BGP + FILTER + OPTIONAL / UNION queries over random graphs:
 the algebraic optimizer's rewrites (filter decomposition, filter pushing,
-frequency reordering) followed by physical compilation and interpretation
-must return exactly the solutions of evaluating the unrewritten algebra.
+frequency reordering) must return exactly the solutions of evaluating the
+unrewritten algebra.
 This is the soundness contract every plan-level decision in
 ``repro.query.physical`` / ``repro.query.cost`` rests on: reorderings and
 rewrites may change *where* and *in what order* work happens, never
@@ -16,7 +16,6 @@ import zlib
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.query.physical import compile_local, interpret_local, walk_plan
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 from repro.rdf.triple import Triple
@@ -116,21 +115,3 @@ def test_rewritten_plans_return_the_unrewritten_solutions(raw, text, reorder):
         reorder=reorder,
     )
     assert evaluate_algebra(rewritten, graph) == reference
-
-    # The physical compile/interpret pair is itself a pure pipeline:
-    # running the same compiled plan twice returns the same set.
-    plan = compile_local(rewritten)
-    assert interpret_local(plan, graph) == reference
-    assert interpret_local(plan, graph) == reference
-
-
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(raw=triples_st, text=query_text())
-def test_compiled_plans_record_actual_rows(raw, text):
-    graph = build_graph(raw)
-    algebra = translate_pattern(parse_query(text).where)
-    plan = compile_local(algebra)
-    out = interpret_local(plan, graph)
-    assert plan.actual_rows == len(out)
-    assert all(op.actual_rows is not None for op in walk_plan(plan))

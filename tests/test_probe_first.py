@@ -138,6 +138,26 @@ class TestProbeFirstWalk:
         assert probed_rows.rows == plain_rows.rows == oracle
         assert probed.bytes_total < plain.bytes_total
 
+    @pytest.mark.parametrize("options", [
+        dict(semijoin=True),
+        dict(plan_mode="cost"),
+        dict(plan_mode="cost", semijoin=True),
+    ], ids=["semijoin", "cost", "cost-semijoin"])
+    def test_every_pruned_row_shows_on_its_leaf(self, options):
+        """A fan-out leg's ack carries what its providers pruned; a
+        chain's steps send no reply, so they credit their leaf by flow.
+        Either way explain shows each leaf's share of ``rows_pruned``."""
+        system = foaf_ring(150)
+        result, report, (walk,) = run(system, SMITH, **options)
+        assert walk.plan_probe
+        assert result.rows == oracle_rows(system, SMITH)
+        pruned = [leaf.detail.get("pruned", 0) for leaf in walk.children]
+        assert report.rows_pruned > 0
+        assert sum(pruned) == report.rows_pruned
+        for leaf, count in zip(walk.children, pruned):
+            if count:
+                assert f"pruned={count}" in leaf.describe()
+
     def test_empty_probe_dispatches_no_other_chain(self, monkeypatch):
         calls = []
         real = IndexNode.rpc_execute_primitive

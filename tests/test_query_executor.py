@@ -220,9 +220,20 @@ class TestErrors:
             )
 
     def test_graph_pattern_rejected_distributedly(self, paper_system):
-        executor = DistributedExecutor(paper_system)
-        with pytest.raises(QueryFailed, match="named graphs"):
-            executor.execute(
-                "SELECT ?x WHERE { GRAPH <http://g> { ?x foaf:knows ?y . } }",
-                initiator="D1",
-            )
+        """The plan compiler refuses GRAPH (the dataset has no named
+        graphs) before the query sends a message or takes a query slot,
+        under either planner."""
+        peer = paper_system.storage_nodes["D1"]
+        for plan_mode, where in itertools.product(("legacy", "cost"), (
+                "GRAPH <http://g> { ?x foaf:knows ?y . }",
+                "GRAPH ?g { ?x foaf:knows ?y . }",
+                "?x foaf:name ?n . GRAPH ?g { ?x foaf:knows ?y . }")):
+            executor = DistributedExecutor(paper_system, plan_mode=plan_mode)
+            messages = paper_system.stats.messages
+            with pytest.raises(QueryFailed, match="named graphs"):
+                executor.execute(f"SELECT ?x WHERE {{ {where} }}",
+                                 initiator="D1")
+            assert paper_system.stats.messages == messages, (plan_mode, where)
+            slot = peer.acquire_query_slot()
+            peer.release_query_slot(slot)
+            assert slot == 0, (plan_mode, where)

@@ -129,6 +129,14 @@ class TestOtherForms:
         result = run(graph, "DESCRIBE <http://example.org/people/erik>")
         assert {t.p for t in result.graph} == {FOAF.name, FOAF.nick}
 
+    @pytest.mark.parametrize("scope", ["<http://g>", "?g"])
+    def test_graph_matches_nothing(self, graph, scope):
+        """The dataset is the union of all providers and has no named
+        graphs: GRAPH scopes match nothing, even over matching data."""
+        where = f"{{ GRAPH {scope} {{ ?x foaf:knows ?y . }} }}"
+        assert run(graph, f"SELECT * WHERE {where}").rows == []
+        assert run(graph, f"ASK {where}").boolean is False
+
 
 class TestBgpSemantics:
     def test_shared_variable_across_patterns(self):
