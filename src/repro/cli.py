@@ -69,7 +69,7 @@ import typing
 from typing import Callable, Optional, Sequence, Tuple
 
 from .overlay.system import HybridSystem
-from .query.executor import DistributedExecutor
+from .query.executor import DistributedExecutor, QueryFailed
 from .query.strategies import ExecutionOptions
 from .rdf.ntriples import parse_ntriples
 
@@ -658,8 +658,14 @@ def parse_args(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command. A query the system refuses or cannot finish (a
+    GRAPH pattern, a FROM dataset, unreachable sites) is a one-line
+    ``error:`` with exit status 1."""
     run, args = parse_args(sys.argv[1:] if argv is None else argv)
-    return run(args)
+    try:
+        return run(args)
+    except QueryFailed as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":  # pragma: no cover

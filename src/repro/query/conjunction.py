@@ -31,7 +31,10 @@ from ..sparql import ast
 from . import join_site
 from .failover import dispatch_primitive
 from .join_site import combine_handles, fetch_digest, least_loaded_site
-from .physical import BGPWalk, ChainShip, FilterOp, HashJoin, note_result
+from .physical import (
+    BGPWalk, ChainShip, FilterOp, HashJoin, certain_vars, note_result,
+    operand_digests, pick_digest,
+)
 from .plan import PatternInfo, ResultHandle, choose_shared_site, subquery_algebra
 from .primitive import (
     charge_digest, exec_broadcast, exec_pattern_to_site, locate_leaves,
@@ -39,15 +42,20 @@ from .primitive import (
 )
 from .strategies import DELIVERY_TIMEOUT, ConjunctionMode, JoinSitePolicy
 
-__all__ = ["exec_bgp", "empty_walk", "exec_join", "exec_filter", "walk_mode",
+__all__ = ["exec_bgp", "empty_walk", "exec_join", "exec_operands",
+           "empty_combine", "probe_detail", "exec_filter", "walk_mode",
            "walk_site"]
 
 #: One conjunction step: the plan leaf and its located index row.
 Step = Tuple[ChainShip, PatternInfo]
 
 
-def exec_bgp(ctx, walk: BGPWalk):
-    """Generator: execute a conjunction walk operator → ResultHandle."""
+def exec_bgp(ctx, walk: BGPWalk, digests: tuple = ()):
+    """Generator: execute a conjunction walk operator → ResultHandle.
+
+    *digests* were pushed down from probe-first combines above the walk
+    (:func:`exec_operands`), nearest first; a chain carries the walk's
+    own digest, else the nearest of them it binds every variable of."""
     mode = walk_mode(ctx, walk)
     span = ctx.tracer.span("conjunction", patterns=len(walk.children),
                            mode=mode.value)
@@ -76,7 +84,7 @@ def exec_bgp(ctx, walk: BGPWalk):
             walk.detail["mode"] = mode.value
             run = (_exec_basic_mode if mode is ConjunctionMode.BASIC
                    else _exec_optimized_mode)
-            handle = yield from run(ctx, walk, indexed_steps)
+            handle = yield from run(ctx, walk, indexed_steps, digests)
             if handle is None:
                 # A pattern on the walk had no reachable replica (flagged
                 # by the mode helper): degrade to the empty subset.
@@ -89,9 +97,7 @@ def exec_bgp(ctx, walk: BGPWalk):
             )
         return (yield from _apply_post_filter(ctx, handle, walk.post_filter))
     finally:
-        span.close(**{key: walk.detail[key]
-                      for key in ("probe", "digest", "digest_bytes")
-                      if key in walk.detail})
+        span.close(**probe_detail(walk))
 
 
 def empty_walk(ctx, walk: BGPWalk):
@@ -105,7 +111,7 @@ def empty_walk(ctx, walk: BGPWalk):
     return ctx.local_deposit(ctx.new_corr(), set(), vars=vars_)
 
 
-def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
+def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step], digests: tuple):
     """The paper's basic conjunction walk over index nodes.
 
     With the shipping optimizations on, each step also (a) pushes the
@@ -142,6 +148,8 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
             shared = handle.vars & pattern_vars[i]
             if shared:
                 payload.digest = yield from fetch_digest(ctx, handle, shared)
+        if payload.digest is None:
+            payload.digest = pick_digest(digests, pattern_vars[i])
         try:
             ack, info, corr = yield from dispatch_primitive(
                 ctx, info, payload, corr,
@@ -170,7 +178,8 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step]):
     return handle
 
 
-def _exec_optimized_mode(ctx, walk: BGPWalk, steps: List[Step]):
+def _exec_optimized_mode(ctx, walk: BGPWalk, steps: List[Step],
+                         digests: tuple):
     """Overlap-aware parallel chains ending at a shared storage node.
 
     A probe-first walk first lands its first chain alone, then sends
@@ -184,18 +193,27 @@ def _exec_optimized_mode(ctx, walk: BGPWalk, steps: List[Step]):
     site = walk_site(ctx, walk, [info for _leaf, info in steps])
     ctx.report.merge_note(f"conjunction site {site}")
     if walk.plan_mode is None and ctx.options.semijoin and len(steps) > 1:
-        from .cost import _probe_pays  # local import: cost imports us
+        from .cost import _probe_pays, chain_side  # local import: cost imports us
 
-        strategy = ctx.options.primitive_strategy
+        link = ctx.network.link
+        side = chain_side(steps[0][1], ctx.options.primitive_strategy, link)
         walk.plan_probe = _probe_pays(
-            [(info, strategy) for _leaf, info in steps], ctx.network.link)
+            side, [chain_side(info) for _leaf, info in steps[1:]], link)
 
     handles: List[ResultHandle] = []
     probe_vars: frozenset = frozenset()
-    digests = {}  # shared variables -> the probe's digest over them
+    walk_digests = {}  # shared variables -> the probe's digest over them
+
+    def digest_for(info: PatternInfo):
+        """The walk's own digest for a chain, else a pushed one."""
+        pattern_vars = frozenset(info.pattern.variables())
+        own = walk_digests.get(probe_vars & pattern_vars)
+        return own if own is not None else pick_digest(digests, pattern_vars)
+
     if walk.plan_probe:
         (leaf, info), steps = steps[0], steps[1:]
-        probe = yield from _pattern_to_site_or_drop(ctx, info, site, leaf)
+        probe = yield from _pattern_to_site_or_drop(ctx, info, site, leaf,
+                                                    digest_for(info))
         if probe is None:
             return None  # the probe dropped (flagged where it dropped)
         note_result(leaf, probe)
@@ -208,16 +226,14 @@ def _exec_optimized_mode(ctx, walk: BGPWalk, steps: List[Step]):
         probe_vars = probe.vars
         for _leaf, info in steps:
             shared = probe_vars & frozenset(info.pattern.variables())
-            if shared and shared not in digests:
-                digests[shared] = yield from fetch_digest(ctx, probe, shared)
-        sent = [d for d in digests.values() if d is not None]
-        walk.detail["digest"] = "/".join(sorted({d.mode for d in sent}))
-        walk.detail["digest_bytes"] = sum(d.wire_size() for d in sent)
+            if shared and shared not in walk_digests:
+                walk_digests[shared] = yield from fetch_digest(ctx, probe,
+                                                               shared)
+        _note_digests(walk, walk_digests.values())
 
     processes = [
-        ctx.sim.process(_pattern_to_site_or_drop(
-            ctx, info, site, leaf,
-            digests.get(probe_vars & frozenset(info.pattern.variables()))))
+        ctx.sim.process(_pattern_to_site_or_drop(ctx, info, site, leaf,
+                                                 digest_for(info)))
         for leaf, info in steps
     ]
     chained: List[ResultHandle] = yield ctx.sim.all_of(processes)
@@ -233,6 +249,14 @@ def _exec_optimized_mode(ctx, walk: BGPWalk, steps: List[Step]):
     for nxt in handles[1:]:
         handle = yield from combine_handles(ctx, "join", handle, nxt, site=site)
     return handle
+
+
+def _note_digests(node, digests) -> None:
+    """Record on *node* the mode and wire size of the probe digests it
+    sent, for its span and ``repro explain``."""
+    sent = [d for d in digests if d is not None]
+    node.detail["digest"] = "/".join(sorted({d.mode for d in sent}))
+    node.detail["digest_bytes"] = sum(d.wire_size() for d in sent)
 
 
 def _pattern_to_site_or_drop(ctx, info: PatternInfo, site: str,
@@ -290,7 +314,8 @@ def _apply_post_filter(ctx, handle: ResultHandle,
     return ResultHandle(handle.site, out, summary["count"], handle.vars)
 
 
-def exec_filter(ctx, node: FilterOp, at_home: bool = False):
+def exec_filter(ctx, node: FilterOp, at_home: bool = False,
+                digests: tuple = ()):
     """Generator: execute FilterOp(condition, operand) → ResultHandle.
 
     Compile-time placement sends a condition covered by one pattern with
@@ -302,22 +327,72 @@ def exec_filter(ctx, node: FilterOp, at_home: bool = False):
 
     span = ctx.tracer.span("filter")
     try:
-        handle = yield from exec_plan(ctx, node.operand, at_home=at_home)
+        handle = yield from exec_plan(ctx, node.operand, at_home=at_home,
+                                      digests=digests)
         return (yield from _apply_post_filter(ctx, handle, node.condition))
     finally:
         span.close()
 
 
-def exec_join(ctx, node: HashJoin):
+def exec_operands(ctx, node, digests: tuple = ()):
+    """Generator: land both operands of a join or left join → their
+    ``(left, right)`` handles.
+
+    They run in parallel, unless the cost planner pinned a probe
+    (``node.plan_probe``): then the probe operand lands first, and its
+    join-key digest goes down into the other operand's chains, ahead of
+    the *digests* pushed from above
+    (:func:`~repro.query.physical.operand_digests`). Landed at the
+    initiator, the probe builds its digest there and sends no message. A
+    probe that lands 0 rows ends the combine: the other handle is None,
+    and nothing else is dispatched.
+    """
+    from .executor import exec_plan, exec_subtrees_parallel
+
+    pushed = operand_digests(node, digests)
+    if node.plan_probe is None:
+        return (yield from exec_subtrees_parallel(
+            ctx, [node.left, node.right], pushed))
+    first = 0 if node.plan_probe == "left" else 1
+    operands = (node.left, node.right)
+    node.detail["probe"] = node.plan_probe
+    handles = [None, None]
+    probe = handles[first] = yield from exec_plan(
+        ctx, operands[first], at_home=True, digests=pushed[first])
+    if probe.count == 0:
+        return handles
+    other = operands[1 - first]
+    shared = (probe.vars or frozenset()) & certain_vars(other)
+    digest = (yield from fetch_digest(ctx, probe, shared)) if shared else None
+    _note_digests(node, [digest])
+    own = () if digest is None else (digest,)
+    handles[1 - first] = yield from exec_plan(
+        ctx, other, at_home=True, digests=own + pushed[1 - first])
+    return handles
+
+
+def empty_combine(node, handles) -> ResultHandle:
+    """The result of a probe-first combine whose probe landed 0 rows:
+    the probe's own empty box, binding what the combine would."""
+    probe = handles[0] if handles[0] is not None else handles[1]
+    return ResultHandle(probe.site, probe.corr, 0, certain_vars(node))
+
+
+def exec_join(ctx, node: HashJoin, digests: tuple = ()):
     """Generator: a general Join of two sub-plans (produced e.g. by the
     optimizer splitting a filtered BGP)."""
-    from .executor import exec_subtrees_parallel
-
     span = ctx.tracer.span("join")
     try:
-        left, right = yield from exec_subtrees_parallel(
-            ctx, [node.left, node.right])
+        left, right = yield from exec_operands(ctx, node, digests)
+        if left is None or right is None:
+            return empty_combine(node, (left, right))
         return (yield from combine_handles(ctx, "join", left, right,
                                            edges=node.edges))
     finally:
-        span.close()
+        span.close(**probe_detail(node))
+
+
+def probe_detail(node) -> dict:
+    """The probe facts a walk or combine span closes with."""
+    return {key: node.detail[key] for key in ("probe", "digest", "digest_bytes")
+            if key in node.detail}

@@ -49,8 +49,9 @@ plan's cost so the weight is scale-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..net.sizes import HEADER_BYTES, size_of
 from ..net.transport import LinkModel
@@ -61,8 +62,8 @@ from ..sparql.optimizer import reorder_bgp
 from .conjunction import walk_site
 from .physical import (
     BGPWalk, CachedScan, CacheProbe, ChainShip, EmptyScan, FilterOp,
-    HashJoin, LeftJoinOp, PhysOp, Ship, UnionOp,
-    chain_leaves, note_lookup,
+    HashJoin, LeftJoinOp, PhysOp, UnionOp,
+    certain_vars, chain_leaves, note_lookup, operand_digests, pick_digest,
 )
 from .join_site import (
     SEMIJOIN_BLOOM_BITS, SEMIJOIN_EXACT_THRESHOLD, digest_request,
@@ -196,31 +197,6 @@ def estimate_join_rows(left_rows: float, right_rows: float,
     return left_rows * right_rows
 
 
-def _leaf_vars(leaf: ChainShip) -> frozenset:
-    return frozenset(leaf.lookup.pattern.variables())
-
-
-def _op_vars(node: PhysOp) -> frozenset:
-    """Certain variables produced by a sub-plan (for sharing tests)."""
-    if isinstance(node, ChainShip):
-        return _leaf_vars(node)
-    if isinstance(node, BGPWalk):
-        out: frozenset = frozenset()
-        for leaf in node.children:
-            out |= _leaf_vars(leaf)
-        return out
-    if isinstance(node, (HashJoin, UnionOp, LeftJoinOp)):
-        left, right = node.left, node.right
-        if isinstance(node, UnionOp):
-            return _op_vars(left) & _op_vars(right)
-        if isinstance(node, LeftJoinOp):
-            return _op_vars(left)
-        return _op_vars(left) | _op_vars(right)
-    if isinstance(node, (FilterOp, Ship)):
-        return _op_vars(node.children[0])
-    return frozenset()
-
-
 # ------------------------------------------------------ walk-level choices
 
 
@@ -229,12 +205,12 @@ def order_walk_leaves(walk: BGPWalk) -> List[ChainShip]:
 
     Reuses the optimizer's greedy connected smallest-first reorder
     (start from the rarest pattern, always extend through a shared
-    variable to avoid Cartesian products) with the location-table
-    frequencies as the estimator, then maps the reordered patterns back
-    to their leaves.
+    variable to avoid Cartesian products) with the leaves' estimates
+    (location-table frequencies, cut by any digest pushed into the walk)
+    as the estimator, then maps the reordered patterns back to their
+    leaves.
     """
-    frequency = {id(leaf): leaf.lookup.info.total_frequency
-                 for leaf in walk.children}
+    frequency = {id(leaf): leaf.est_rows for leaf in walk.children}
     by_pattern: Dict[object, List[ChainShip]] = {}
     for leaf in walk.children:
         by_pattern.setdefault(leaf.lookup.pattern, []).append(leaf)
@@ -267,16 +243,16 @@ def _walk_mode(ordered: List[ChainShip],
     inter: Optional[float] = None
     basic_bytes = 0.0
     for leaf in ordered:
-        rows = float(leaf.lookup.info.total_frequency)
+        rows = leaf.est_rows
         sizes.append(rows)
         basic_bytes += rows * row_bytes  # providers -> the step's site
         if inter is None:
             inter = rows
         else:
-            shared = bool(bound & _leaf_vars(leaf))
+            shared = bool(bound & certain_vars(leaf))
             inter = estimate_join_rows(inter, rows, shared)
             basic_bytes += inter * row_bytes  # step result travels onward
-        bound |= _leaf_vars(leaf)
+        bound |= certain_vars(leaf)
     result_rows = inter if inter is not None else 0.0
     basic_bytes += result_rows * row_bytes  # final -> initiator
 
@@ -298,54 +274,79 @@ def _digest_bytes(keys: float, variables) -> float:
     return header + keys * (TERM_BYTES * len(variables) + 2)
 
 
-#: One step of a conjunction walk as the probe rule sees it: the located
-#: row and the chain strategy it will run under (None: not pinned).
-ProbeStep = Tuple[PatternInfo, Optional[PrimitiveStrategy]]
+class Side(NamedTuple):
+    """An operand as the probe rule sees it: its estimated rows and the
+    variables it binds; as a probe, the predicted time to land it and
+    whether it lands at the initiator (*home*), which builds its digest
+    with no message; as a target, the providers its chain fans out to."""
+
+    rows: float
+    variables: frozenset
+    serial: float = 0.0
+    providers: int = 0
+    home: bool = False
 
 
-def _probe_pays(steps: Sequence[ProbeStep], link: LinkModel) -> bool:
-    """Should a shared-site walk land its first step alone, then send
-    that step's join-key digest with every other chain?
+def chain_side(info: PatternInfo, strategy: Optional[PrimitiveStrategy] = None,
+               link: Optional[LinkModel] = None,
+               rows: Optional[float] = None) -> Side:
+    """One chain as a :class:`Side`: *rows* (default: the row's
+    frequency), the pattern's variables, its provider count and, given
+    the *link* (a probe needs it, a target does not), the time its
+    *strategy* (None: the faster one) takes to land it. A pattern with
+    no index row (a broadcast) never lands in time to probe."""
+    serial = 0.0
+    if link is not None and info.owner is None:
+        serial = math.inf
+    elif link is not None:
+        delay = {c.strategy: c.time
+                 for c in CostModel(link).predict(info.entries)}
+        serial = delay.get(strategy, min(delay.values()))
+    return Side(float(info.total_frequency) if rows is None else rows,
+                frozenset(info.pattern.variables()), serial,
+                len(info.entries or ()))
 
-    The one rule of both planners: the cost annotator applies it at plan
-    time to the pinned join order and strategies, and a legacy
+
+def _probe_pays(probe: Side, targets: Sequence[Side], link: LinkModel) -> bool:
+    """Should *probe* land alone first, then send its join-key digest
+    with every target chain that shares a variable with it?
+
+    The one rule of both planners, wherever the probe sits: the cost
+    annotator applies it to a walk's first leaf and to either operand of
+    a join (a left join's required side only), and a legacy
     ``--semijoin`` walk at run time to its located rows under the
     executor's primitive strategy. A Pareto rule: only when probe-first
     beats all-parallel on bytes *and* on time.
 
-    * bytes saved: each later step sharing a variable with the probe
+    * bytes saved: each target sharing a variable with the probe
       shrinks to :func:`estimate_join_rows` of the two;
     * bytes added: one digest round trip per distinct shared-variable
-      set, an embed in every message the digest rides in (the call and
-      one per provider) and a pruned counter per provider reply, the
-      digest priced exact or Bloom by :func:`_digest_bytes`;
-    * time: the probe chain plus the digest round trips, now serial,
-      against the transfer time the largest chain saves.
+      set (none for a probe at home), an embed in every message the
+      digest rides in (the call and one per provider) and a pruned
+      counter per provider reply, the digest priced exact or Bloom by
+      :func:`_digest_bytes`;
+    * time: landing the probe (a composite operand's slowest chain) plus
+      the digest round trips, now serial, against the transfer time the
+      largest target saves.
+
+    Only the cost planner knows, from its pins, where a probe lands; a
+    legacy walk prices the round trip wherever it lands.
     """
-    (info, strategy), rest = steps[0], steps[1:]
-    if info.owner is None:
-        return False
-    rows = float(info.total_frequency)
-    probe_vars = frozenset(info.pattern.variables())
+    rows, probe_vars, serial = probe.rows, probe.variables, probe.serial
     saved = added = largest = 0.0
-    delay = {c.strategy: c.time for c in CostModel(link).predict(info.entries)}
-    serial = delay.get(strategy, min(delay.values()))
     fetched = set()
-    for later_info, _strategy in rest:
-        later_vars = frozenset(later_info.pattern.variables())
-        shared = probe_vars & later_vars
+    for target in targets:
+        shared = probe_vars & target.variables
         if not shared:
             continue
-        later = float(later_info.total_frequency)
-        saving = ((later - estimate_join_rows(rows, later, True))
-                  * est_row_bytes(len(later_vars)))
+        saving = ((target.rows - estimate_join_rows(rows, target.rows, True))
+                  * est_row_bytes(len(target.variables)))
         saved += saving
         largest = max(largest, saving)
         digest = _digest_bytes(rows, shared)
-        providers = len(later_info.entries)
-        added += ((1 + providers) * (size_of("digest") + digest + 2)
-                  + providers * PRUNED_COUNTER_BYTES)
-        if shared not in fetched:
+        added += ((1 + target.providers) * (size_of("digest") + digest + 2)
+                  + target.providers * PRUNED_COUNTER_BYTES)
+        if not probe.home and shared not in fetched:
             fetched.add(shared)
             round_trip = (2 * HEADER_BYTES + size_of("digest") + digest
                           + size_of(digest_request("", shared)))
@@ -354,7 +355,7 @@ def _probe_pays(steps: Sequence[ProbeStep], link: LinkModel) -> bool:
     return saved > added and largest / link.bandwidth > serial
 
 
-def _landing_site(ctx, walk: BGPWalk) -> Optional[str]:
+def _landing_site(ctx, walk: BGPWalk, probe: bool) -> Optional[str]:
     """The initiator, when no chain of an OPTIMIZED walk would end
     resident at its shared site (:func:`~repro.query.conjunction.walk_site`);
     else None, which leaves the walk on that site.
@@ -365,14 +366,15 @@ def _landing_site(ctx, walk: BGPWalk) -> Optional[str]:
     probe chain of a probe-first walk is the walk's most selective step,
     so neither is worth a site of its own: the walk combines where its
     result is consumed, and makes no return trip. The rule reads only
-    pinned strategies and provider lists, never an estimate.
+    pinned strategies and provider lists, never an estimate; *probe*
+    says whether the walk probes first.
     """
     infos = [leaf.lookup.info for leaf in walk.plan_order
              if leaf.lookup.info.owner is not None]
     if not infos:
         return None
     site = walk_site(ctx, walk, infos)
-    chains = walk.plan_order[1:] if walk.plan_probe else walk.plan_order
+    chains = walk.plan_order[1:] if probe else walk.plan_order
     for leaf in chains:
         if leaf.plan_strategy is not PrimitiveStrategy.BASIC and any(
                 entry.storage_id == site for entry in leaf.lookup.info.entries):
@@ -445,10 +447,17 @@ def _pin_leaf_strategy(ctx, leaf: ChainShip) -> None:
     leaf.plan_strategy = strategy
 
 
-def _estimate(ctx, node: PhysOp) -> float:
+def _estimate(ctx, node: PhysOp, pushed: Tuple[Side, ...] = ()) -> float:
     """Bottom-up row estimation; writes est_rows/est_bytes and the plan
-    decisions as a side effect. Returns the node's estimated rows."""
-    row_bytes = est_row_bytes(len(_op_vars(node)))
+    decisions as a side effect. Returns the node's estimated rows.
+
+    *pushed* are the probes whose digests will reach this sub-plan,
+    nearest first (:func:`~repro.query.physical.operand_digests`), each
+    a :class:`Side` over the digest's variables; a chain that carries
+    the digest of a *k*-row probe is estimated at
+    :func:`estimate_join_rows` of *k* and its rows, and so are the
+    decisions read from it."""
+    row_bytes = est_row_bytes(len(certain_vars(node)))
 
     if isinstance(node, EmptyScan):
         node.est_rows, node.est_bytes = 1.0, 0.0
@@ -460,6 +469,11 @@ def _estimate(ctx, node: PhysOp) -> float:
             node.est_rows, node.est_bytes = 0.0, 0.0
             return 0.0
         rows = float(info.total_frequency)
+        if node.lookup.condition is not None:
+            rows *= FILTER_SELECTIVITY  # the providers apply it
+        digest = pick_digest(pushed, certain_vars(node))
+        if digest is not None:
+            rows = estimate_join_rows(digest.rows, rows, True)
         _pin_leaf_strategy(ctx, node)
         node.est_rows = rows
         node.est_bytes = rows * row_bytes
@@ -471,8 +485,10 @@ def _estimate(ctx, node: PhysOp) -> float:
         return rows
 
     if isinstance(node, BGPWalk):
+        if isinstance(node, CacheProbe):
+            pushed = ()  # a cache fill must hold the whole BGP
         for leaf in node.children:
-            _estimate(ctx, leaf)
+            _estimate(ctx, leaf, pushed)
         if any(leaf.lookup.info is None for leaf in node.children):
             # A dropped leaf empties the walk: nothing to decide.
             node.est_rows, node.est_bytes = 0.0, 0.0
@@ -481,13 +497,33 @@ def _estimate(ctx, node: PhysOp) -> float:
         mode, rows = _walk_mode(ordered, row_bytes)
         node.plan_order = ordered
         node.plan_mode = mode
-        node.plan_probe = (mode == "optimized" and _probe_pays(
-            [(leaf.lookup.info, leaf.plan_strategy) for leaf in ordered],
-            ctx.network.link))
-        if mode == "optimized" and not isinstance(node, CacheProbe):
-            # A CacheProbe keeps walk_site's initiator-independent site,
-            # so that every initiator finds the same cache fill.
-            node.plan_site = _landing_site(ctx, node)
+        node.plan_probe = False
+        # A CacheProbe keeps walk_site's initiator-independent site, so
+        # that every initiator finds the same cache fill.
+        cached = isinstance(node, CacheProbe)
+        if not cached:
+            node.plan_site = None  # a second pass decides afresh
+        if mode == "optimized":
+            link = ctx.network.link
+            first = ordered[0]
+            probe = chain_side(first.lookup.info, first.plan_strategy, link,
+                               first.est_rows)
+            home = not cached and (_landing_site(ctx, node, probe=True)
+                                   == ctx.initiator)
+            node.plan_probe = _probe_pays(
+                probe._replace(home=home),
+                [chain_side(leaf.lookup.info, rows=leaf.est_rows)
+                 for leaf in ordered[1:]], link)
+            if not cached:
+                node.plan_site = _landing_site(ctx, node, node.plan_probe)
+        if node.plan_probe:
+            # The walk's own digest is the nearest to every chain it
+            # shares a variable with.
+            for leaf in ordered[1:]:
+                shared = probe.variables & certain_vars(leaf)
+                if shared:
+                    _estimate(ctx, leaf,
+                              (probe._replace(variables=shared),) + pushed)
         node.est_rows = rows
         node.est_bytes = rows * row_bytes
         if node.post_filter is not None:
@@ -499,9 +535,21 @@ def _estimate(ctx, node: PhysOp) -> float:
         return rows
 
     if isinstance(node, (HashJoin, UnionOp, LeftJoinOp)):
-        left_rows = _estimate(ctx, node.left)
-        right_rows = _estimate(ctx, node.right)
-        shared = bool(_op_vars(node.left) & _op_vars(node.right))
+        operands = (node.left, node.right)
+        digests = operand_digests(node, pushed)
+        rows_of = [_estimate(ctx, operand, into)
+                   for operand, into in zip(operands, digests)]
+        if not isinstance(node, UnionOp):
+            node.plan_probe = _pin_probe(ctx, node)
+        if node.plan_probe is not None:
+            first = 0 if node.plan_probe == "left" else 1
+            probe, other = operands[first], operands[1 - first]
+            digest = Side(probe.est_rows,
+                          certain_vars(probe) & certain_vars(other))
+            rows_of[1 - first] = _estimate(ctx, other,
+                                           (digest,) + digests[1 - first])
+        left_rows, right_rows = rows_of
+        shared = bool(certain_vars(node.left) & certain_vars(node.right))
         if isinstance(node, UnionOp):
             rows = left_rows + right_rows
         elif isinstance(node, LeftJoinOp):
@@ -509,16 +557,15 @@ def _estimate(ctx, node: PhysOp) -> float:
             rows = max(left_rows, matched)  # unmatched rows survive
         else:
             rows = estimate_join_rows(left_rows, right_rows, shared)
-        for edge, operand_rows, operand in zip(
-                node.edges, (left_rows, right_rows), (node.left, node.right)):
+        for edge, operand_rows, operand in zip(node.edges, rows_of, operands):
             edge.est_rows = operand_rows
-            edge.est_bytes = operand_rows * est_row_bytes(len(_op_vars(operand)))
+            edge.est_bytes = operand_rows * est_row_bytes(len(certain_vars(operand)))
         node.est_rows = rows
         node.est_bytes = rows * row_bytes
         return rows
 
     if isinstance(node, FilterOp):
-        rows = _estimate(ctx, node.operand) * FILTER_SELECTIVITY
+        rows = _estimate(ctx, node.operand, pushed) * FILTER_SELECTIVITY
         node.est_rows = rows
         node.est_bytes = rows * row_bytes
         return rows
@@ -529,6 +576,73 @@ def _estimate(ctx, node: PhysOp) -> float:
         rows = _estimate(ctx, child)
     node.est_rows = rows if node.children else None
     return rows
+
+
+def _pin_probe(ctx, node) -> Optional[str]:
+    """Which operand of a join lands first and pushes its join-key
+    digest down into the other: the more selective one whose probe
+    pays (:func:`_probe_pays`) into the chains the digest reaches, else
+    None. A left join tries its required side only.
+
+    A composite probe lands in the time of its slowest chain, which run
+    in parallel."""
+    roles = [("left", node.left, node.right)]
+    if isinstance(node, HashJoin):
+        roles.append(("right", node.right, node.left))
+        roles.sort(key=lambda role: role[1].est_rows)  # stable: left on ties
+    link = ctx.network.link
+    for role, probe, other in roles:
+        shared = certain_vars(probe) & certain_vars(other)
+        if not shared:
+            continue
+        landed = [chain_side(leaf.lookup.info, leaf.plan_strategy, link).serial
+                  for leaf in chain_leaves(probe)
+                  if leaf.lookup.info is not None]
+        side = Side(probe.est_rows, shared, max(landed, default=0.0),
+                    home=_lands_home(ctx, probe))
+        targets = [chain_side(leaf.lookup.info, rows=leaf.est_rows)
+                   for leaf in _reached(other, side)]
+        if _probe_pays(side, targets, link):
+            return role
+    return None
+
+
+def _lands_home(ctx, node: PhysOp) -> bool:
+    """Does *node*'s result land at the initiator, by the plan's pins?
+
+    A leaf pinned BASIC does (:func:`~repro.query.primitive.exec_primitive`),
+    and so does an OPTIMIZED walk whose site is the initiator; a join
+    combines at one of its operands' sites, so one whose operands both
+    land there does too. Anything else may land elsewhere."""
+    if isinstance(node, ChainShip):
+        return node.plan_strategy is PrimitiveStrategy.BASIC
+    if isinstance(node, BGPWalk):
+        return node.plan_mode == "optimized" and node.plan_site == ctx.initiator
+    if isinstance(node, FilterOp):
+        return _lands_home(ctx, node.operand)
+    if isinstance(node, (HashJoin, LeftJoinOp)):
+        return _lands_home(ctx, node.left) and _lands_home(ctx, node.right)
+    return isinstance(node, EmptyScan)
+
+
+def _reached(node: PhysOp, digest: Side) -> Iterator[ChainShip]:
+    """The located chains of *node* that the digest of the probe
+    *digest* reaches under the push-down rule
+    (:func:`~repro.query.physical.operand_digests`)."""
+    if isinstance(node, CacheProbe):
+        return
+    if isinstance(node, ChainShip):
+        if (node.lookup.info is not None
+                and pick_digest((digest,), certain_vars(node)) is not None):
+            yield node
+    elif isinstance(node, (BGPWalk, FilterOp)):
+        for child in node.children:
+            yield from _reached(child, digest)
+    elif isinstance(node, (HashJoin, UnionOp, LeftJoinOp)):
+        for operand, into in zip((node.left, node.right),
+                                 operand_digests(node, (digest,))):
+            if into:
+                yield from _reached(operand, digest)
 
 
 # -------------------------------------------------------- combine placement

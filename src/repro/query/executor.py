@@ -638,7 +638,8 @@ class ExecutionContext:
             span.close()
 
 
-def exec_plan(ctx: ExecutionContext, node: PhysOp, at_home: bool = False):
+def exec_plan(ctx: ExecutionContext, node: PhysOp, at_home: bool = False,
+              digests: tuple = ()):
     """Generator: execute a physical operator distributedly → ResultHandle.
 
     Dispatches to the per-operator modules; subtrees of binary operators
@@ -646,6 +647,9 @@ def exec_plan(ctx: ExecutionContext, node: PhysOp, at_home: bool = False):
     union branches and conjunction chains). ``at_home`` asks primitive
     leaves to leave their results at a data site rather than dragging them
     to the initiator — see :func:`repro.query.primitive.exec_primitive`.
+    ``digests`` are the join-key digests probe-first combines above push
+    down into this sub-plan, nearest first
+    (:func:`repro.query.conjunction.exec_operands`).
 
     Every dispatch records the operator's observations — where its result
     landed, how many rows it produced, and the network-stats byte delta
@@ -660,21 +664,24 @@ def exec_plan(ctx: ExecutionContext, node: PhysOp, at_home: bool = False):
         handle = ctx.local_deposit(ctx.new_corr(), {EMPTY_MAPPING},
                                    vars=frozenset())
     elif isinstance(node, ChainShip):
-        handle = yield from primitive.exec_primitive(ctx, node, at_home=at_home)
+        handle = yield from primitive.exec_primitive(ctx, node, at_home,
+                                                     digests)
     elif isinstance(node, CacheProbe):
         from ..cache.runtime import exec_cache_probe  # deferred: PR 9 layer
 
+        # No pushed digest: a cache fill must hold the whole BGP.
         handle = yield from exec_cache_probe(ctx, node)
     elif isinstance(node, BGPWalk):
-        handle = yield from conjunction.exec_bgp(ctx, node)
+        handle = yield from conjunction.exec_bgp(ctx, node, digests)
     elif isinstance(node, FilterOp):
-        handle = yield from conjunction.exec_filter(ctx, node, at_home=at_home)
+        handle = yield from conjunction.exec_filter(ctx, node, at_home,
+                                                    digests)
     elif isinstance(node, HashJoin):
-        handle = yield from conjunction.exec_join(ctx, node)
+        handle = yield from conjunction.exec_join(ctx, node, digests)
     elif isinstance(node, UnionOp):
-        handle = yield from union.exec_union(ctx, node)
+        handle = yield from union.exec_union(ctx, node, digests)
     elif isinstance(node, LeftJoinOp):
-        handle = yield from optional.exec_leftjoin(ctx, node)
+        handle = yield from optional.exec_leftjoin(ctx, node, digests)
     else:
         raise QueryFailed(
             f"cannot execute physical operator {type(node).__name__}")
@@ -683,13 +690,16 @@ def exec_plan(ctx: ExecutionContext, node: PhysOp, at_home: bool = False):
     return handle
 
 
-def exec_subtrees_parallel(ctx: ExecutionContext, nodes: List[PhysOp]):
-    """Generator: run several sub-plans as concurrent processes.
+def exec_subtrees_parallel(ctx: ExecutionContext, nodes: List[PhysOp],
+                           digests: List[tuple]):
+    """Generator: run several sub-plans as concurrent processes, each
+    with its own pushed *digests*.
 
     Subtree results stay at their home sites (``at_home=True``) so that
     the caller's join-site policy decides what moves where.
     """
-    processes = [ctx.sim.process(exec_plan(ctx, n, at_home=True)) for n in nodes]
+    processes = [ctx.sim.process(exec_plan(ctx, n, at_home=True, digests=d))
+                 for n, d in zip(nodes, digests)]
     handles = yield ctx.sim.all_of(processes)
     return handles
 

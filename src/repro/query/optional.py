@@ -10,22 +10,26 @@ operator order — chains of OPTIONALs evaluate left to right.
 
 from __future__ import annotations
 
+from .conjunction import empty_combine, exec_operands, probe_detail
 from .join_site import combine_handles
 from .physical import LeftJoinOp
 
 __all__ = ["exec_leftjoin"]
 
 
-def exec_leftjoin(ctx, node: LeftJoinOp):
-    """Generator: execute LeftJoinOp(P1, P2, condition) → ResultHandle."""
-    from .executor import exec_subtrees_parallel
+def exec_leftjoin(ctx, node: LeftJoinOp, digests: tuple = ()):
+    """Generator: execute LeftJoinOp(P1, P2, condition) → ResultHandle.
 
+    A probe-first left join lands its required side first and prunes
+    the optional side with its digest (:func:`exec_operands`); a
+    required side of 0 rows is the answer."""
     span = ctx.tracer.span("optional")
     try:
         mark = len(ctx.report.dropped_patterns)
         try:
-            left, right = yield from exec_subtrees_parallel(
-                ctx, [node.left, node.right])
+            left, right = yield from exec_operands(ctx, node, digests)
+            if right is None and len(ctx.report.dropped_patterns) == mark:
+                return empty_combine(node, (left, right))
             if len(ctx.report.dropped_patterns) == mark:
                 # Move-small is the paper's stated choice for OPTIONAL;
                 # other policies remain available for the join-site
@@ -44,4 +48,4 @@ def exec_leftjoin(ctx, node: LeftJoinOp):
         ctx.flag_partial("optional", node=node)
         return ctx.local_deposit(ctx.new_corr(), set())
     finally:
-        span.close()
+        span.close(**probe_detail(node))

@@ -47,6 +47,7 @@ __all__ = [
     "OrderBy", "Project", "Distinct", "Slice", "FormOp",
     "compile_distributed", "compile_query_plan",
     "pattern_leaf", "note_lookup", "note_owner", "note_result", "may_prune",
+    "certain_vars", "operand_digests", "pick_digest",
     "walk_plan", "chain_leaves", "count_ops", "format_plan",
 ]
 
@@ -94,6 +95,15 @@ class PhysOp:
 
 def _pattern_text(pattern: TriplePattern) -> str:
     return pattern.n3().rstrip(" .")
+
+
+def _probe_text(side: str, detail: Dict[str, object]) -> str:
+    """``probe-first``, the side that probed (a combine's operand) and,
+    once it ran, the mode and wire size of the digests it sent."""
+    text = f"probe-first {side}".rstrip()
+    if detail.get("digest"):
+        text += f" {detail['digest']} {detail['digest_bytes']}B"
+    return text
 
 
 class IndexLookup(PhysOp):
@@ -187,7 +197,7 @@ class BGPWalk(PhysOp):
         mode = self.detail.get("mode") or self.plan_mode
         text = f"[{mode}]" if mode else ""
         if self.plan_probe:
-            text += " probe-first"
+            text += " " + _probe_text("", self.detail)
         if self.post_filter is not None:
             text += " +filter"
         return text
@@ -270,15 +280,27 @@ class SemijoinShip(Ship):
 class _Binary(PhysOp):
     """Shared shape of the two-operand combines: each operand hangs off
     a :class:`Ship` edge (``children`` are the edges); ``left`` /
-    ``right`` reference the operand plans."""
+    ``right`` reference the operand plans.
 
-    __slots__ = ("left", "right")
+    ``plan_probe`` (a join or left join only) is written by the cost
+    planner: ``"left"`` or ``"right"`` lands that operand first, then
+    pushes its join-key digest down into the other operand's chains
+    (:func:`operand_digests`); None runs both operands in parallel.
+    """
+
+    __slots__ = ("left", "right", "plan_probe")
 
     def __init__(self, left: PhysOp, right: PhysOp,
                  edges: Sequence[Ship]) -> None:
         super().__init__(edges)
         self.left = left
         self.right = right
+        self.plan_probe: Optional[str] = None
+
+    def describe(self) -> str:
+        if self.plan_probe is None:
+            return ""
+        return _probe_text(self.plan_probe, self.detail)
 
     @property
     def edges(self):
@@ -314,7 +336,10 @@ class LeftJoinOp(_Binary):
         self.condition = condition
 
     def describe(self) -> str:
-        return "+cond" if self.condition is not None else ""
+        text = super().describe()
+        if self.condition is not None:
+            text = ("+cond " + text).rstrip()
+        return text
 
 
 class FilterOp(PhysOp):
@@ -461,6 +486,64 @@ def number_plan(node: PhysOp) -> int:
 
 def count_ops(node: PhysOp) -> int:
     return sum(1 for _ in walk_plan(node))
+
+
+# ------------------------------------------------------ digest push-down
+
+
+def certain_vars(node: PhysOp) -> frozenset:
+    """The variables every solution of a sub-plan binds: a join keeps
+    both operands', a union those of both branches, a left join its
+    required side's (the OPTIONAL bindings are the uncertain ones)."""
+    if isinstance(node, ChainShip):
+        return frozenset(node.lookup.pattern.variables())
+    if isinstance(node, BGPWalk):
+        return frozenset().union(*map(certain_vars, node.children))
+    if isinstance(node, UnionOp):
+        return certain_vars(node.left) & certain_vars(node.right)
+    if isinstance(node, LeftJoinOp):
+        return certain_vars(node.left)
+    if isinstance(node, HashJoin):
+        return certain_vars(node.left) | certain_vars(node.right)
+    if isinstance(node, (FilterOp, Ship)):
+        return certain_vars(node.children[0])
+    return frozenset()
+
+
+def operand_digests(node: "_Binary", digests: tuple) -> tuple:
+    """The digests pushed into *node* that may prune each operand:
+    ``(left, right)``, nearest first.
+
+    The push-down rule, stated once (the planner's estimates and the
+    runtime both read it). A digest over variables V lists the join-key
+    values of a probe operand; a chain whose pattern binds all of V may
+    shed the rows it does not admit, because every row derived from such
+    a row carries those values up to the probe's join, where it needs a
+    compatible probe row. So a digest passes through a FILTER, through
+    both operands of a join, and through both branches of a union when V
+    is certain there. Through a left join it prunes the required side
+    only: an OPTIONAL row that never travels can leave its required row
+    unextended, and the unextended row may join where the extended one
+    would not. A left join's own probe is always its required side,
+    whose digest may prune the optional side: an optional row no
+    required row is compatible with can extend none of them. So the
+    optional side never prunes the required one.
+    """
+    if isinstance(node, UnionOp):
+        certain = certain_vars(node)
+        digests = tuple(d for d in digests if certain.issuperset(d.variables))
+    elif isinstance(node, LeftJoinOp):
+        return digests, ()
+    return digests, digests
+
+
+def pick_digest(digests: tuple, variables):
+    """The one digest a chain over *variables* carries: the nearest of
+    *digests* whose variables it binds all of, else None."""
+    for digest in digests:
+        if variables.issuperset(digest.variables):
+            return digest
+    return None
 
 
 # -------------------------------------------------- distributed compilation

@@ -33,7 +33,9 @@ from ..net.wire import PRUNED_COUNTER_BYTES, JoinDigest
 from ..sparql.solutions import union as omega_union
 from .failover import dispatch_primitive
 from .join_site import digest_embed_cost
-from .physical import ChainShip, note_lookup, note_owner
+from .physical import (
+    ChainShip, certain_vars, note_lookup, note_owner, pick_digest,
+)
 from .plan import PatternInfo, ResultHandle, subquery_algebra, unread_info
 from .strategies import DELIVERY_TIMEOUT, PrimitiveStrategy
 
@@ -41,13 +43,15 @@ __all__ = ["exec_primitive", "locate_leaves", "exec_pattern_to_site", "exec_broa
            "discover_all_storage", "note_dropped", "charge_digest"]
 
 
-def exec_primitive(ctx, leaf: ChainShip, at_home: bool = False):
+def exec_primitive(ctx, leaf: ChainShip, at_home: bool = False,
+                   digests: tuple = ()):
     """Generator: resolve a primitive leaf operator. Returns a ResultHandle.
 
     The leaf's :class:`~repro.query.physical.IndexLookup` carries the
     pattern and any pushed-down condition; when the cost planner already
     fetched its location-table row (``lookup.info``), the consultation is
-    skipped.
+    skipped. Of the *digests* pushed from probe-first combines above, the
+    nearest whose variables the pattern binds rides with the sub-query.
 
     ``at_home=False`` materializes at the initiator (the right choice for
     a top-level primitive query). ``at_home=True`` leaves the result at
@@ -77,7 +81,9 @@ def exec_primitive(ctx, leaf: ChainShip, at_home: bool = False):
         if info.key is None:
             return (yield from exec_broadcast(ctx, subquery_algebra(info)))
         site = (at_home and info.heaviest_provider()) or ctx.initiator
-        return (yield from exec_pattern_to_site(ctx, info, site, leaf=leaf))
+        digest = pick_digest(digests, certain_vars(leaf))
+        return (yield from exec_pattern_to_site(ctx, info, site, leaf=leaf,
+                                                digest=digest))
     except ctx.degradable:
         # partial_results: a pattern whose owner and replicas are all
         # unreachable, or whose rows never landed, contributes the empty
@@ -255,7 +261,7 @@ def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
         ack, info, corr = yield from _dispatch(
             ctx, info, payload, corr, leaf, timeout=DELIVERY_TIMEOUT * 4)
         note_dropped(ctx, ack, info)
-        if digest is not None:  # only a leg of a walk, which read its row
+        if digest is not None:  # only a planned leg, which read its row
             charge_digest(ctx, payload, ack, len(info.entries), leaf)
         if ack["mode"] == "direct":
             yield ctx.call(site, "deliver", Deliver(corr=corr, data=ack["data"]))
@@ -265,7 +271,7 @@ def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
     response, info, corr = yield from _dispatch(
         ctx, info, payload, corr, leaf, timeout=DELIVERY_TIMEOUT * 4)
     note_dropped(ctx, response, info)
-    if digest is not None:  # only a leg of a walk, which read its row
+    if digest is not None:  # only a planned leg, which read its row
         charge_digest(ctx, payload, response, len(info.entries), leaf)
     return ctx.local_deposit(corr, response["data"], vars=result_vars)
 

@@ -17,7 +17,10 @@ from __future__ import annotations
 from typing import Optional
 
 from .join_site import combine_handles
-from .physical import ChainShip, PhysOp, UnionOp, note_result
+from .physical import (
+    ChainShip, PhysOp, UnionOp, certain_vars, note_result, operand_digests,
+    pick_digest,
+)
 from .plan import choose_shared_site
 
 __all__ = ["exec_union"]
@@ -29,13 +32,18 @@ def _leaf(node: PhysOp) -> Optional[ChainShip]:
     return node if isinstance(node, ChainShip) else None
 
 
-def exec_union(ctx, node: UnionOp):
-    """Generator: execute UnionOp(P1, P2) → ResultHandle."""
+def exec_union(ctx, node: UnionOp, digests: tuple = ()):
+    """Generator: execute UnionOp(P1, P2) → ResultHandle.
+
+    A digest pushed from a probe-first join above reaches both branches
+    when its variables are certain in the union
+    (:func:`~repro.query.physical.operand_digests`)."""
     from .executor import exec_subtrees_parallel
     from .primitive import exec_pattern_to_site, locate_leaves
 
     span = ctx.tracer.span("union")
     try:
+        pushed = operand_digests(node, digests)
         leaves = [_leaf(node.left), _leaf(node.right)]
         if None not in leaves:
             # Plan the collection site from the location tables (Sect.
@@ -49,9 +57,10 @@ def exec_union(ctx, node: UnionOp):
                 if site is not None:
                     ctx.report.merge_note(f"union site {site}")
                     left, right = yield ctx.sim.all_of([
-                        ctx.sim.process(
-                            exec_pattern_to_site(ctx, info, site, leaf=leaf))
-                        for leaf, info in zip(leaves, infos)
+                        ctx.sim.process(exec_pattern_to_site(
+                            ctx, info, site, leaf=leaf,
+                            digest=pick_digest(into, certain_vars(leaf))))
+                        for leaf, info, into in zip(leaves, infos, pushed)
                     ])
                     for leaf, h in zip(leaves, (left, right)):
                         note_result(leaf, h)
@@ -66,7 +75,7 @@ def exec_union(ctx, node: UnionOp):
                 ctx.report.merge_note("union shared-site path degraded")
 
         left, right = yield from exec_subtrees_parallel(
-            ctx, [node.left, node.right])
+            ctx, [node.left, node.right], pushed)
         # Branches that ended at one node union there; otherwise the
         # join-site policy picks where.
         site = left.site if left.site == right.site else None

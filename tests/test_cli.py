@@ -156,6 +156,25 @@ class TestCli:
         assert message.startswith("error:")
         assert str(paths[0]) in message and str(paths[1]) in message
 
+    @pytest.mark.parametrize("command", [["--query"], ["explain"]],
+                             ids=["query", "explain"])
+    @pytest.mark.parametrize("query, message", [
+        ("SELECT ?x WHERE { GRAPH ?g { ?x foaf:knows ?y . } }",
+         "GRAPH patterns address named graphs"),
+        ("SELECT ?x FROM <http://example.org/g> WHERE { ?x foaf:knows ?y . }",
+         "FROM / FROM NAMED datasets are not addressable"),
+    ], ids=["graph", "from"])
+    def test_refused_query_is_a_one_line_error(self, data_files, command,
+                                               query, message):
+        """A query the system refuses exits 1 with an ``error:`` line,
+        like the other CLI errors, not a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main([*command, PREFIXED + query,
+                  *[arg for f in data_files for arg in ("--data", f)]])
+        text = str(exc.value)
+        assert text.startswith("error: ") and message in text
+        assert "\n" not in text
+
     def test_data_stem_naming_an_index_node_errors(self, data_files, tmp_path):
         path = tmp_path / "N0.nt"
         path.write_text(pathlib.Path(data_files[0]).read_text(encoding="utf-8"),

@@ -37,9 +37,13 @@ The paper example pins FREQ on every cost-planned leaf, so one more
 cell runs the cost planner at ``fig_mix`` scale: Fig. 4-9 on
 ``foaf_ring(400)`` from D1, no contention (``cost_fig_mix_scale.json``).
 There most leaves pin BASIC, and a change of placement, walk mode or
-probe shows here, not only in the benchmark.
+probe shows here, not only in the benchmark. The same run's Fig. 4 and
+Fig. 9 plan tables, where probe-first combines push digests down, are
+pinned beside the paper-example ones (``fig4|cost|fig_mix``,
+``fig9|cost|fig_mix``).
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -180,14 +184,24 @@ def capture_cost_cells():
     return out
 
 
-def capture_fig_mix_scale():
-    """The cost planner's cells at ``fig_mix`` scale, one fresh system,
-    the queries in figure order. Fig. 4's ORDER BY ties many rows at
-    this scale; tied rows come out in canonical term order."""
+@functools.lru_cache(maxsize=None)
+def fig_mix_scale_run():
+    """The cost planner at ``fig_mix`` scale, one fresh system, the
+    queries in figure order → ``{name: (cell, plan table lines)}``. Fig.
+    4's ORDER BY ties many rows at this scale; tied rows come out in
+    canonical term order."""
     executor = DistributedExecutor(foaf_ring(400),
                                    ExecutionOptions(plan_mode="cost"))
-    return {name: _cell(executor.execute(text, initiator="D1"))
-            for name, text in PAPER_FIG_QUERIES.items()}
+    out = {}
+    for name, text in PAPER_FIG_QUERIES.items():
+        outcome = executor.execute(text, initiator="D1")
+        out[name] = (_cell(outcome),
+                     tuple(format_plan(outcome[1].plan).splitlines()))
+    return out
+
+
+def capture_fig_mix_scale():
+    return {name: cell for name, (cell, _plan) in fig_mix_scale_run().items()}
 
 
 def _cell(outcome) -> dict:
@@ -383,8 +397,10 @@ def test_fig_mix_scale_cost_cells_match_golden():
 
 def capture_explain():
     """``repro explain``'s plan table for every grid query in both plan
-    modes at default options, one fresh system per mode, as lines."""
-    out = {}
+    modes at default options, one fresh system per mode, as lines; plus
+    Fig. 4 and Fig. 9 under the cost planner at ``fig_mix`` scale."""
+    out = {f"{name}|cost|fig_mix": list(fig_mix_scale_run()[name][1])
+           for name in ("fig4", "fig9")}
     for plan_mode in ("legacy", "cost"):
         system = build_system()
         executor = DistributedExecutor(

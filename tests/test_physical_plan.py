@@ -146,6 +146,7 @@ def stub_leaf(text_pattern, frequency):
     bgp = algebra_of(f"SELECT * WHERE {{ {text_pattern} }}")
     leaf = pattern_leaf(bgp.patterns[0])
     leaf.lookup.info = types.SimpleNamespace(total_frequency=frequency)
+    leaf.est_rows = frequency
     return leaf
 
 

@@ -43,10 +43,14 @@ def walks(plan: PhysOp):
         yield from walks(child)
 
 
-def steps(walk: BGPWalk) -> list:
-    """The probe rule's view of a cost-planned walk: (row, pinned
-    strategy) per leaf, in the planned join order."""
-    return [(leaf.lookup.info, leaf.plan_strategy) for leaf in walk.plan_order]
+def sides(walk: BGPWalk, link) -> tuple:
+    """The probe rule's view of a cost-planned walk that nothing pushes
+    a digest into: its first leaf as the probe and the others as
+    targets, in the planned join order, each at its row's frequency
+    under its pinned strategy."""
+    found = [cost.chain_side(leaf.lookup.info, leaf.plan_strategy, link)
+             for leaf in walk.plan_order]
+    return found[0], found[1:]
 
 
 def run(system, query, **options):
@@ -79,14 +83,19 @@ class TestProbePays:
             assert found
             for walk in found:
                 assert walk.plan_mode == "optimized"
-                assert not cost._probe_pays(steps(walk), system.network.link)
+                # Not even with the digest built at home for free.
+                probe, rest = sides(walk, system.network.link)
+                assert not cost._probe_pays(probe._replace(home=True), rest,
+                                            system.network.link)
                 assert not walk.plan_probe
 
     def test_true_at_fig_mix_scale(self):
         system = foaf_ring(400)
         _result, _report, (walk,) = run(system, SMITH, plan_mode="cost")
         assert walk.plan_probe
-        assert cost._probe_pays(steps(walk), system.network.link)
+        # It pays even with the digest round trip priced.
+        assert cost._probe_pays(*sides(walk, system.network.link),
+                                system.network.link)
         assert "probe-first" in walk.describe()
 
     @pytest.mark.parametrize("keys, mode", [(64, "exact"), (65, "bloom")])
@@ -105,7 +114,8 @@ class TestProbePays:
         later leaf is large, and does not when there is little to shed."""
         system = foaf_ring(400)
         _result, _report, (walk,) = run(system, SMITH, plan_mode="cost")
-        (info, strategy), (later, later_strategy) = steps(walk)
+        first, second = walk.plan_order
+        info, later = first.lookup.info, second.lookup.info
         bloom = cost.SEMIJOIN_EXACT_THRESHOLD + 1
 
         def with_rows(row, rows):
@@ -113,11 +123,14 @@ class TestProbePays:
                 LocationEntry(row.entries[0].storage_id, rows),))
 
         link = system.network.link
-        probe = (with_rows(info, bloom), strategy)
+        probe = cost.chain_side(with_rows(info, bloom), first.plan_strategy,
+                                link)
         assert later.total_frequency > 10 * bloom
-        assert cost._probe_pays([probe, (later, later_strategy)], link)
-        small = (with_rows(later, bloom + 1), later_strategy)
-        assert not cost._probe_pays([probe, small], link)
+        large = cost.chain_side(later, second.plan_strategy, link)
+        assert cost._probe_pays(probe, [large], link)
+        small = cost.chain_side(with_rows(later, bloom + 1),
+                                second.plan_strategy, link)
+        assert not cost._probe_pays(probe, [small], link)
 
 
 class TestProbeFirstWalk:
@@ -130,7 +143,8 @@ class TestProbeFirstWalk:
         assert probed.digest_bytes > 0
         assert f"pruned={pruned}" in walk.plan_order[1].describe()
 
-        monkeypatch.setattr(cost, "_probe_pays", lambda steps, link: False)
+        monkeypatch.setattr(cost, "_probe_pays",
+                            lambda probe, targets, link: False)
         system = foaf_ring(150)
         plain_rows, plain, (walk,) = run(system, SMITH, plan_mode="cost")
         assert not walk.plan_probe
