@@ -18,7 +18,6 @@ index for the same query on the same data.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..net.protocol import Flood, FloodAnswer
@@ -57,7 +56,7 @@ class FloodingNode(StorageNode):
         ttl = payload.ttl - 1
         if ttl <= 0:
             return
-        forward = replace(payload, ttl=ttl)
+        forward = payload.copy(ttl=ttl)
         for neighbor in self.neighbors:
             if neighbor != src:
                 self.network.send(self.node_id, neighbor, "flood", forward)

@@ -64,10 +64,11 @@ def canonical_rows(solutions, variables: Tuple[Variable, ...]):
 
 
 def rebind_rows(rows, variables: Tuple[Variable, ...]):
-    """Canonical term tuples → solution mappings over *variables* (the
-    requesting pattern's own canonical variable order): one schema plan,
-    then one pass over the rows."""
-    return set(compile_extractor(variables)(rows))
+    """Canonical term tuples → the frozen set of solution mappings over
+    *variables* (the requesting pattern's own canonical variable order):
+    one schema plan, then one pass over the rows. Frozen, so a hit ships
+    the set itself."""
+    return frozenset(compile_extractor(variables)(rows))
 
 
 def bgp_cache_key(

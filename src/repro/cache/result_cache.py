@@ -33,9 +33,14 @@ DEFAULT_ADMIT_THRESHOLD = 2
 
 
 class CacheEntry:
-    """One memoized sub-result plus everything needed to revalidate it."""
+    """One memoized sub-result plus everything needed to revalidate it.
 
-    __slots__ = ("value", "vars", "stamp", "nbytes", "last_used")
+    ``terms`` is the (count, bytes) of the distinct terms in ``value``,
+    taken by the first hit that ships the entry as a batch
+    (:func:`repro.net.wire.rebound_batch`); None until then.
+    """
+
+    __slots__ = ("value", "vars", "stamp", "nbytes", "last_used", "terms")
 
     def __init__(self, value: Any, vars: Any, stamp: Stamp,
                  nbytes: int, last_used: int) -> None:
@@ -44,6 +49,7 @@ class CacheEntry:
         self.stamp = stamp
         self.nbytes = nbytes
         self.last_used = last_used
+        self.terms = None
 
 
 class ResultCache:

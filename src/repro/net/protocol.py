@@ -54,8 +54,25 @@ def record(name: str, sent: str, optional: str = "") -> type:
         namespace={"__module__": __name__, "SENT": sent_fields,
                    "OPTIONAL": optional_fields})
     cls.SIZE = staticmethod(record_rule(cls, sent_fields, optional_fields))
+    cls.copy = _copier(cls, sent_fields + optional_fields + ("flow",))
     RECORDS[name] = cls
     return cls
+
+
+def _copier(cls: type, names: tuple):
+    """The ``copy(**changes)`` method of a record type: a new record with
+    the same fields, *changes* applied. Generated per record, one
+    attribute copy per field, so it costs a fraction of
+    ``dataclasses.replace``, which re-validates every field through
+    ``__init__``. A name that is no field raises AttributeError."""
+    body = ["def copy(self, **changes):\n    new = new_record(cls)\n"]
+    body += [f"    new.{name} = self.{name}\n" for name in names]
+    body.append("    for name, value in changes.items():\n"
+                "        setattr(new, name, value)\n"
+                "    return new\n")
+    namespace = {"new_record": object.__new__, "cls": cls}
+    exec("".join(body), namespace)
+    return namespace["copy"]
 
 
 # Ring lookups and key transfer (Chord).
@@ -70,21 +87,21 @@ IndexLookup = record("IndexLookup", "key", "routed")
 # Sub-query shipping, mailboxes, the result cache and combining.
 ExecutePrimitive = record(
     "ExecutePrimitive", "algebra key strategy corr",
-    "project encode partial cache deposit final end_at notify digest "
+    "project plain partial cache deposit final end_at notify digest "
     "storage_timeout time_weight deadline routed")
-Evaluate = record("Evaluate", "algebra", "digest project encode")
+Evaluate = record("Evaluate", "algebra", "digest project plain")
 ChainStep = record("ChainStep", "algebra acc route final corr notify",
-                   "digest project encode")
+                   "digest project plain")
 Deliver = record("Deliver", "corr data", "notify")
 Delivered = record("Delivered", "corr count")
 Ship = record("Ship", "corr dst dst_corr notify",
-              "project digest encode")
+              "project digest plain")
 Digest = record("Digest", "corr vars exact_threshold bloom_bits")
 CacheProbe = record("CacheProbe", "ckey corr")
 CacheAdmit = record("CacheAdmit", "ckey corr vars stamps membership")
 Combine = record("Combine", "op left right out condition")
 FilterBox = record("FilterBox", "corr out condition")
-Fetch = record("Fetch", "corr", "encode")
+Fetch = record("Fetch", "corr", "plain")
 # Baselines. A flooded query's answer is landed by ``deliver`` as a
 # Deliver whose ``notify`` is always sent.
 Flood = record("Flood", "qid algebra ttl initiator")

@@ -122,23 +122,29 @@ def record_rule(cls: type, sent: tuple, optional: tuple):
     """Install and return the rule of a request record type
     (:mod:`repro.net.protocol`): what :func:`_size_dict` charges for the
     dict of its wire fields — every *sent* field, None included, and
-    each *optional* one that is not None, field names included."""
+    each *optional* one that is not None, field names included.
+
+    The rule is generated per record, as dataclasses generate their
+    ``__init__``: one attribute read per field, name costs folded into
+    constants, and an unset optional field costs one ``is None`` test.
+    Field names are identifiers (``make_dataclass`` checks them)."""
     fixed = _CONTAINER_OVERHEAD + sum(_PER_ITEM_OVERHEAD + len(n) for n in sent)
-    costs = tuple(_PER_ITEM_OVERHEAD + len(n) for n in optional)
-    count = len(sent)
-    values = attrgetter(*sent, *optional, "flow")  # a tuple, however few
-    rule_of = _DISPATCH.get
-
-    def size(record) -> int:
-        fields = values(record)
-        n = fixed
-        for value in fields[:count]:
-            n += (rule_of(type(value)) or size_of)(value)
-        for cost, value in zip(costs, fields[count:]):  # flow is never zipped
-            if value is not None:
-                n += cost + (rule_of(type(value)) or size_of)(value)
-        return n
-
+    # Most fields are ASCII strings (ids, names): their rule is inlined.
+    value = ("(len(v) if type(v) is str and v.isascii() "
+             "else (rule_of(type(v)) or size_of)(v))")
+    body = [f"def size(record):\n    n = {fixed}\n"]
+    for name in sent:
+        body.append(f"    v = record.{name}\n"
+                    f"    n += {value}\n")
+    for name in optional:
+        body.append(f"    v = record.{name}\n"
+                    f"    if v is not None:\n"
+                    f"        n += {_PER_ITEM_OVERHEAD + len(name)} + {value}\n")
+    body.append("    return n\n")
+    namespace = {"rule_of": _DISPATCH.get, "size_of": size_of}
+    exec("".join(body), namespace)
+    size = namespace["size"]
+    size.__qualname__ = f"record_rule.<{cls.__name__}>"
     _DISPATCH[cls] = size
     return size
 

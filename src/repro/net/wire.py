@@ -10,9 +10,11 @@ module provides the two payload types that cut that cost:
   variables and terms are tabled once, rows become small index pairs.
   ``wire_size()`` is exact and *adaptive*: when the dictionary would be
   larger than the naive list (tiny sets with no repetition), the batch is
-  charged at the naive size instead, so a batch never costs more than
-  ``naive + BATCH_HEADER_BYTES``. The size is the model: payloads travel
-  by reference inside the simulator, so the format is priced, not built.
+  charged at the naive size behind a one-byte mode flag instead, so a
+  batch never costs more than ``naive + PLAIN_HEADER_BYTES``. It is the
+  default wire for every shipped solution set. The size is the model:
+  payloads travel by reference inside the simulator, so the format is
+  priced, not built.
 * :class:`JoinDigest` — a semijoin pre-filter: the projection of a
   resident solution set onto the prospective join variables, shipped as
   an exact key set when small and as a counting-free Bloom filter above
@@ -28,35 +30,48 @@ ship (digest filter, then projection).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from itertools import chain, compress
-from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+from operator import attrgetter, itemgetter
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple,
+)
 
 from ..chord.hashing import hash_terms_seeded
 from ..rdf.terms import RDFTerm, Variable
 from ..sparql.solutions import (
-    SolutionMapping, _getter, _groups, canonical_key as mapping_sort_key, project,
+    SolutionMapping, _getter, _groups, _schema_of, _values_of,
+    canonical_key as mapping_sort_key, project,
 )
-from .sizes import _CONTAINER_OVERHEAD, _PER_ITEM_OVERHEAD, size_of
+from .sizes import (
+    _CONTAINER_OVERHEAD, _DISPATCH, _PER_ITEM_OVERHEAD, size_of,
+)
 
 __all__ = [
     "SolutionBatch",
     "JoinDigest",
     "FilteredResult",
     "BATCH_HEADER_BYTES",
+    "PLAIN_HEADER_BYTES",
     "DIGEST_HEADER_BYTES",
     "bloom_size",
     "PRUNED_COUNTER_BYTES",
     "as_solution_set",
     "encode_solutions",
+    "merge_solutions",
+    "rebound_batch",
     "shipped_rows",
     "mapping_sort_key",
     "shed",
 ]
 
-#: Fixed batch envelope: mode flag + three table lengths (the bounded
-#: header of the "never larger than naive" guarantee).
+#: Fixed envelope of a dictionary-mode batch: the mode flag and the three
+#: table lengths.
 BATCH_HEADER_BYTES = 6
+
+#: A plain-mode batch is the naive row list behind the mode flag alone
+#: (the bounded header of the "never larger than naive" guarantee).
+PLAIN_HEADER_BYTES = 1
 
 #: Fixed digest envelope: mode flag, variable count, key/bit count.
 DIGEST_HEADER_BYTES = 8
@@ -67,17 +82,11 @@ DIGEST_HEADER_BYTES = 8
 PRUNED_COUNTER_BYTES = 4
 
 
-#: The intern table of :meth:`SolutionBatch.encode`, by row set. Mappings
-#: hash by address, so an equal key holds the very same rows and a kept
-#: batch is never stale. Cleared when full: a memory bound (DESIGN.md §4).
-_BATCHES: Dict[FrozenSet[SolutionMapping], "SolutionBatch"] = {}
-_MAX_BATCHES = 256
-
 #: The intern table of :meth:`JoinDigest.build`, by (row set, variables,
 #: exact threshold, bits per key): equal inputs give the very same
 #: digest, so a provider's memo keyed by the digest's identity
 #: (``StorageNode._answer``) sheds a repeated sub-query once. Nothing
-#: mutates a digest. Cleared when full, like :data:`_BATCHES`.
+#: mutates a digest. Cleared when it holds this many digests.
 _DIGESTS: Dict[tuple, "JoinDigest"] = {}
 _MAX_DIGESTS = 256
 
@@ -116,6 +125,11 @@ def _index_width(count: int) -> int:
     return 4
 
 
+_domain_of = attrgetter("domain")
+#: The three empty tables' containers and the dictionary-mode header.
+_DICT_FIXED = BATCH_HEADER_BYTES + 3 * _CONTAINER_OVERHEAD
+
+
 class SolutionBatch:
     """A solution set charged at its dictionary-delta wire size.
 
@@ -126,45 +140,106 @@ class SolutionBatch:
     the row and pair counts and the cached per-term sizes, and hands the
     rows over by reference. A batch is an immutable value, interned by
     its row set like terms and mappings (:data:`_BATCHES`), so rows that
-    ship again are sized once. Receivers merge ``rows`` into their own
-    container; ``decode`` hands a fresh set to a caller that mutates.
+    ship again are priced once, and a chain step's merge is priced from
+    the accumulated batch's counts (:meth:`extend`). Receivers
+    merge ``rows`` into their own container; ``decode`` hands a fresh
+    set to a caller that mutates.
     """
 
-    __slots__ = ("rows", "mode", "_wire")
+    __slots__ = ("rows", "mode", "_wire", "_naive", "_pairs", "_vars",
+                 "_table", "_terms")
 
-    def __init__(self, rows: FrozenSet[SolutionMapping], mode: str,
-                 wire: int) -> None:
+    def __init__(self, rows: FrozenSet[SolutionMapping], naive: int,
+                 pairs: int, nterms: int, variables: FrozenSet[Variable],
+                 table: int, terms: Optional[AbstractSet[RDFTerm]] = None) -> None:
         self.rows = rows
-        self.mode = mode
-        self._wire = wire
+        # What the price is derived from, kept for extend(): the naive
+        # list's size, the pair count, the distinct variables and the
+        # bytes of every table entry, and the distinct terms (never
+        # mutated) while _BATCHES does not keep the batch: a chain step's
+        # batch is extended by the next step.
+        self._naive, self._pairs = naive, pairs
+        self._vars, self._table, self._terms = variables, table, terms
+        nvars = len(variables)
+        plain = PLAIN_HEADER_BYTES + naive
+        full = (_DICT_FIXED + table
+                + _PER_ITEM_OVERHEAD * (nvars + nterms + len(rows))
+                + pairs * (_index_width(nvars) + _index_width(nterms)))
+        if full <= plain:
+            self.mode, self._wire = "dict", full
+        else:
+            self.mode, self._wire = "plain", plain
 
     @classmethod
     def encode(cls, solutions: Iterable[SolutionMapping]) -> "SolutionBatch":
         rows = frozenset(solutions)
         batch = _BATCHES.get(rows)
+        if batch is None:
+            return _BATCHES.keep(cls._price(rows))
+        return batch
+
+    @classmethod
+    def _price(cls, rows: FrozenSet[SolutionMapping]) -> "SolutionBatch":
+        """The batch of *rows*; a single row that repeats no term takes
+        an exact fast path past the table scan."""
+        if len(rows) == 1:
+            (mu,) = rows
+            values = mu._values
+            terms = set(values)
+            if len(terms) == len(values):
+                # The tables hold exactly this row's variables and terms,
+                # whose bytes its own size holds beside its overheads.
+                # The dictionary then costs the naive list plus 14 bytes
+                # and 4 per pair: it cannot win.
+                size = mu._size or size_of(mu)
+                return cls(rows, _CONTAINER_OVERHEAD + _PER_ITEM_OVERHEAD + size,
+                           len(values), len(values), mu._schema.domain,
+                           size - _CONTAINER_OVERHEAD
+                           - _PER_ITEM_OVERHEAD * len(values), terms)
+        return cls._scanned(rows)
+
+    @classmethod
+    def _scanned(cls, rows: FrozenSet[SolutionMapping]) -> "SolutionBatch":
+        """The batch of *rows*, its tables scanned from every row."""
+        naive, pairs, terms, variables = _scan(rows)
+        return cls(rows, naive, pairs, len(terms), variables,
+                   _bytes_of(terms) + _bytes_of(variables), terms)
+
+    def extend(self, solutions: AbstractSet[SolutionMapping]) -> "SolutionBatch":
+        """The batch of these rows and *solutions* (one chain step's
+        merge): this batch's counts plus what the rows not already here
+        add to them. Only the distinct terms are re-derived from every
+        row, and only for a batch :data:`_BATCHES` keeps, which drops
+        its term set; that still costs about 60% of a scan of the union.
+        Interned like :meth:`encode`, since a repeated query's chain
+        accumulates the same rows again."""
+        mine = self.rows
+        rows = mine.union(solutions)
+        if len(rows) == len(mine):
+            return self
+        batch = _BATCHES.get(rows)
         if batch is not None:
             return batch
-        if len(_BATCHES) >= _MAX_BATCHES:
-            _BATCHES.clear()
-        naive = size_of(rows)
-        values = [mu._values for mu in rows]
-        terms = set(chain.from_iterable(values))
-        variables = set(chain.from_iterable(
-            [schema.vars for schema in {mu._schema for mu in rows}]))
-        # Sizing the rows above cached the size of every term and
-        # variable they hold.
-        dict_size = (
-            3 * _CONTAINER_OVERHEAD
-            + sum([v._size for v in variables])
-            + sum([t._size for t in terms])
-            + _PER_ITEM_OVERHEAD * (len(variables) + len(terms) + len(rows))
-            + sum(map(len, values))
-            * (_index_width(len(variables)) + _index_width(len(terms)))
-        )
-        mode = "dict" if dict_size <= naive else "plain"
-        batch = _BATCHES[rows] = cls(
-            rows, mode, BATCH_HEADER_BYTES + min(dict_size, naive))
-        return batch
+        if len(rows) != len(mine) + len(solutions):
+            solutions = rows.difference(mine)
+        naive, pairs, fresh, variables = _scan(solutions)
+        terms = self._terms
+        if terms is None:
+            terms = set(chain.from_iterable(map(_values_of, mine)))
+        fresh.difference_update(terms)
+        table = self._table
+        if fresh:
+            terms = terms.union(fresh)
+            table += _bytes_of(fresh)
+        known = self._vars
+        if variables <= known:
+            variables = known
+        else:
+            table += _bytes_of(variables.difference(known))
+            variables = known.union(variables)
+        return _BATCHES.keep(SolutionBatch(
+            rows, self._naive + naive - _CONTAINER_OVERHEAD,
+            self._pairs + pairs, len(terms), variables, table, terms))
 
     def decode(self) -> Set[SolutionMapping]:
         return set(self.rows)
@@ -177,6 +252,96 @@ class SolutionBatch:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SolutionBatch {len(self.rows)} rows, {self.mode}, {self._wire}B>"
+
+
+#: A batch's wire size is its price, read straight off the slot wherever
+#: :func:`~repro.net.sizes.size_of` meets one.
+_DISPATCH[SolutionBatch] = attrgetter("_wire")
+
+
+def _scan(rows: AbstractSet[SolutionMapping]):
+    """The naive list size, the pair count, the distinct terms (a fresh
+    set) and the distinct variables (a frozenset) of *rows*, in C
+    passes. Sizing them caches the size of every term and variable they
+    hold."""
+    naive = size_of(rows)
+    terms = set(chain.from_iterable(map(_values_of, rows)))
+    schemas = set(map(_schema_of, rows))
+    if len(schemas) == 1:
+        # Every row binds the one schema's variables.
+        schema = schemas.pop()
+        return naive, len(rows) * len(schema.vars), terms, schema.domain
+    return (naive, sum(map(len, map(_values_of, rows))), terms,
+            frozenset(chain.from_iterable(map(_domain_of, schemas))))
+
+
+def _bytes_of(entries: AbstractSet) -> int:
+    """The summed cached sizes of table *entries*."""
+    size = 0
+    for entry in entries:
+        size += entry._size
+    return size
+
+
+#: A batch of at most this many rows is priced afresh each time it
+#: ships, never kept: keeping every 1-8-row point answer held about
+#: 1.5 MiB on ``point_lookup``, and one short scan costs less.
+_UNKEPT_ROWS = 8
+
+#: The bound of :data:`_BATCHES`: rows held by its batches between them.
+_MAX_BATCH_ROWS = 8192
+
+
+class _BatchTable:
+    """The intern table of :meth:`SolutionBatch.encode`, by row set.
+
+    Mappings hash by address, so an equal key holds the very same rows
+    and a kept batch is never stale. Bounded by the rows its batches
+    hold between them (:data:`_MAX_BATCH_ROWS`), not by their count: one
+    batch of a big join weighs what hundreds of point answers do. The
+    least recently used batches make room for a new one; a batch of a
+    few rows (:data:`_UNKEPT_ROWS`), or of more than the whole bound, is
+    not kept (DESIGN.md §4).
+    """
+
+    __slots__ = ("batches", "rows")
+
+    def __init__(self) -> None:
+        self.batches: "OrderedDict[FrozenSet[SolutionMapping], SolutionBatch]" = OrderedDict()
+        self.rows = 0  # held by the kept batches between them
+
+    def get(self, rows: FrozenSet[SolutionMapping]) -> Optional[SolutionBatch]:
+        """The kept batch of *rows*, now the most recently used, or None."""
+        if len(rows) <= _UNKEPT_ROWS:
+            return None
+        batch = self.batches.get(rows)
+        if batch is not None:
+            self.batches.move_to_end(rows)
+        return batch
+
+    def keep(self, batch: SolutionBatch) -> SolutionBatch:
+        """Keep *batch*, dropping the least recently used batches until
+        its rows fit the bound, and return it."""
+        count = len(batch.rows)
+        if count <= _UNKEPT_ROWS or count > _MAX_BATCH_ROWS:
+            return batch
+        held = self.rows + count
+        while held > _MAX_BATCH_ROWS:
+            held -= len(self.batches.popitem(last=False)[1].rows)
+        self.batches[batch.rows] = batch
+        self.rows = held
+        # A kept batch holds no term set: extend() re-derives it on a
+        # miss, which a repeated chain, the reason the batch is kept,
+        # does not have.
+        batch._terms = None
+        return batch
+
+    def clear(self) -> None:
+        self.batches.clear()
+        self.rows = 0
+
+
+_BATCHES = _BatchTable()
 
 
 class JoinDigest:
@@ -356,13 +521,52 @@ def shed(rows, digest: Optional[JoinDigest], keep):
     return rows, pruned
 
 
-def encode_solutions(solutions: Iterable[SolutionMapping], encode: bool):
+def encode_solutions(solutions: Iterable[SolutionMapping], plain=None):
     """The on-wire representation of a solution set: a
-    :class:`SolutionBatch` when dictionary encoding is on, else the rows
-    themselves, charged as the plain list of mappings they model."""
-    if encode:
-        return SolutionBatch.encode(solutions)
-    return frozenset(solutions)
+    :class:`SolutionBatch`, or with *plain* (the request's ``plain``
+    field: dictionary encoding is off) the rows themselves, charged as
+    the plain list of mappings they model. A batch is already encoded."""
+    if plain:
+        return frozenset(solutions)
+    if type(solutions) is SolutionBatch:
+        return solutions
+    return SolutionBatch.encode(solutions)
+
+
+def rebound_batch(rows: AbstractSet[SolutionMapping], entry) -> SolutionBatch:
+    """The batch of *rows*: the term tuples of result-cache *entry* (a
+    :class:`~repro.cache.result_cache.CacheEntry`) bound to a requester's
+    variables (:func:`~repro.cache.keys.rebind_rows`), all of them.
+
+    No row is scanned. Every row binds the same variables, so the naive
+    list is the entry's own size (``nbytes``) plus each row's variable
+    names, and the tables hold those names and the entry's distinct
+    terms, counted once per entry (``entry.terms``). The batch is not
+    kept: the entry is the memo."""
+    rows = frozenset(rows)
+    if not rows:
+        return SolutionBatch.encode(rows)
+    if entry.terms is None:
+        terms = set(chain.from_iterable(entry.value))
+        entry.terms = (len(terms), sum(map(size_of, terms)))
+    nterms, term_bytes = entry.terms
+    schema = next(iter(rows))._schema
+    names = sum(map(size_of, schema.vars))
+    return SolutionBatch(rows, entry.nbytes + len(rows) * names,
+                         len(rows) * len(schema.vars), nterms, schema.domain,
+                         names + term_bytes)
+
+
+def merge_solutions(solutions: FrozenSet[SolutionMapping], acc, plain=None):
+    """The on-wire representation of *solutions* merged into *acc*, the
+    rows a chain step received: a batch is extended by the rows it
+    lacks (:meth:`SolutionBatch.extend`); the chain's first step, which
+    received an empty list, encodes its own rows."""
+    if plain:
+        return solutions.union(shipped_rows(acc))
+    if type(acc) is SolutionBatch:
+        return acc.extend(solutions)
+    return SolutionBatch.encode(solutions.union(acc) if acc else solutions)
 
 
 def shipped_rows(data):

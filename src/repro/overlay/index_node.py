@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter, deque
-from dataclasses import replace
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
@@ -24,7 +23,9 @@ from ..net.protocol import (
     StorageRef,
 )
 from ..net.transport import RpcError
-from ..net.wire import FilteredResult, encode_solutions, shed, shipped_rows
+from ..net.wire import (
+    FilteredResult, encode_solutions, rebound_batch, shed, shipped_rows,
+)
 from .location_table import LocationEntry, LocationTable
 from .peer import QueryPeer
 
@@ -352,17 +353,17 @@ class IndexNode(QueryPeer, ChordNode):
         """
         corr = payload.corr
         final = payload.final
-        encode = payload.encode
+        plain = payload.plain
         if payload.deposit:
             self.mailbox[corr] = set(result)
             ack = {"mode": "deposited", "count": len(result)}
         elif final is not None and final != src:
             assert self.network is not None
             self.network.send(self.node_id, final, "deliver", self._deliver_msg(
-                payload, corr, encode_solutions(result, encode)))
+                payload, corr, encode_solutions(result, plain)))
             ack = {"mode": "shipped", "count": len(result)}
         else:
-            ack = {"mode": "direct", "data": encode_solutions(result, encode)}
+            ack = {"mode": "direct", "data": encode_solutions(result, plain)}
         # *pruned* is set only when a digest rode with the request: a
         # basic walk's deposited step or a later leg of a probe-first walk.
         if pruned is not None:
@@ -397,21 +398,25 @@ class IndexNode(QueryPeer, ChordNode):
         tracer = self.sim.tracer
         if entry is not None:
             span = tracer.span("cache", key=ckey, outcome="hit")
-            result, pruned = shed(rebind_rows(entry.value, variables),
-                                  payload.digest, payload.project)
-            span.close(rows=len(result))
-            return self._primitive_reply(payload, src, result, pruned)
-        if not admit:
+            rows = rebind_rows(entry.value, variables)
+        elif admit:
+            # The stamp is taken before the fan-out: a delta racing the
+            # evaluation makes the admitted entry dead on arrival.
+            stamp = self.network.data_epochs.stamp((payload.key,))
+            span = tracer.span("cache", key=ckey, outcome="fill")
+            bare = payload.copy(digest=None, project=None)
+            rows, _, _dropped = yield from self._execute_basic(bare, entries)
+            cache.admit(ckey, canonical_rows(rows, variables), variables,
+                        stamp.epochs, stamp.membership)
+            entry = cache.entries.get(ckey)
+        else:
             return None
-        # The stamp is taken before the fan-out: a delta racing the
-        # evaluation makes the admitted entry dead on arrival.
-        stamp = self.network.data_epochs.stamp((payload.key,))
-        span = tracer.span("cache", key=ckey, outcome="fill")
-        bare = replace(payload, digest=None, project=None)
-        full, _, _dropped = yield from self._execute_basic(bare, entries)
-        cache.admit(ckey, canonical_rows(full, variables), variables,
-                    stamp.epochs, stamp.membership)
-        result, pruned = shed(full, payload.digest, payload.project)
+        result, pruned = shed(rows, payload.digest, payload.project)
+        if entry is not None and (payload.digest is None
+                                  and payload.project is None
+                                  and not (payload.plain or payload.deposit)):
+            # The entry's own rows ship: priced from the entry.
+            result = rebound_batch(result, entry)
         span.close(rows=len(result))
         return self._primitive_reply(payload, src, result, pruned)
 
@@ -438,7 +443,7 @@ class IndexNode(QueryPeer, ChordNode):
                 blame_timeouts = False
         # The sub-queries contend as the query's flow, copied forward.
         sub_query = Evaluate(algebra=payload.algebra, digest=payload.digest,
-                             project=payload.project, encode=payload.encode,
+                             project=payload.project, plain=payload.plain,
                              flow=payload.flow)
         calls = [(entry.storage_id, self.call(entry.storage_id, "evaluate",
                                               sub_query, timeout=per_node_timeout))

@@ -370,7 +370,7 @@ class QueryPeer:
             algebra=payload.algebra, acc=acc, route=route,
             final=payload.final, corr=payload.corr, notify=payload.notify,
             digest=payload.digest, project=payload.project,
-            encode=payload.encode, flow=payload.flow)
+            plain=payload.plain, flow=payload.flow)
 
     @staticmethod
     def _deliver_msg(payload, corr: str, data) -> Deliver:
@@ -413,12 +413,12 @@ class QueryPeer:
     def rpc_fetch(self, payload: Fetch, src: str):
         """Return a mailbox entry — the final result transfer to the
         query initiator, charged as reply traffic."""
-        return encode_solutions(self.mailbox.get(payload.corr, set()), payload.encode)
+        return encode_solutions(self.mailbox.get(payload.corr, set()), payload.plain)
 
     def rpc_ship(self, payload: Ship, src: str):
         """Forward a mailbox entry to another site's mailbox (one-way),
         shed by the ``digest`` (a :class:`~repro.net.wire.JoinDigest`)
-        and ``project`` fields and encoded per ``encode``. The reply is
+        and ``project`` fields and encoded per ``plain``. The reply is
         the shipped count, with the pruned-row count when a digest rode.
         """
         data, pruned = shed(self.mailbox.get(payload.corr, set()),
@@ -426,7 +426,7 @@ class QueryPeer:
         assert self.network is not None
         self.network.send(self.node_id, payload.dst, "deliver", self._deliver_msg(
             payload, payload.dst_corr,
-            encode_solutions(data, payload.encode)))
+            encode_solutions(data, payload.plain)))
         if pruned is not None:
             return {"count": len(data), "pruned": pruned}
         return len(data)

@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 from ..chord.idspace import IdentifierSpace
 from ..net.protocol import ChainStep, Evaluate
 from ..net.transport import Node
-from ..net.wire import FilteredResult, encode_solutions, shed, shipped_rows
+from ..net.wire import FilteredResult, encode_solutions, merge_solutions, shed
 from ..rdf.graph import Graph
 from ..rdf.triple import Triple
 from ..sparql.algebra import BGP, Algebra
@@ -104,10 +104,10 @@ class StorageNode(QueryPeer, Node):
         (the BASIC strategy's storage-node step). A ``digest`` drops rows
         that cannot join before they leave this node (the reply then
         reports the dropped count), ``project`` prunes dead variables and
-        ``encode`` picks the dictionary-delta wire format.
+        ``plain`` asks for the plain row list instead of a batch.
         """
         solutions, pruned = self._eval_shippable(payload)
-        encoded = encode_solutions(solutions, payload.encode)
+        encoded = encode_solutions(solutions, payload.plain)
         if pruned is not None:
             return FilteredResult(encoded, pruned)
         return encoded
@@ -173,8 +173,7 @@ class StorageNode(QueryPeer, Node):
             report = self.network.flow_reports.get(payload.flow)
             if report is not None:
                 report.credit_chain_step(payload.corr, pruned)
-        merged = local.union(shipped_rows(payload.acc))
-        data = encode_solutions(merged, payload.encode)
+        data = merge_solutions(local, payload.acc, payload.plain)
         route = payload.route
         if route:
             self.network.send(self.node_id, route[0], "chain_step",

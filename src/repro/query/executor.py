@@ -194,6 +194,10 @@ class ExecutionContext:
             if options.query_deadline is not None else None
         )
         self._retry = options.retry_policy()
+        #: The ``plain`` field of every request that ships solution sets:
+        #: None (rows travel as dictionary-delta batches) unless
+        #: dictionary encoding is off.
+        self.plain: Optional[bool] = None if options.dictionary_encoding else True
         if options.breaker and system.network.health is None:
             # First breaker-enabled query installs the network-wide
             # ledger; later queries (and the transport) share it, so
@@ -613,8 +617,13 @@ class ExecutionContext:
         The ring answers an ``avoid`` hint with the first other member of
         the owner's successor list, which under successor-list replication
         (Sect. III-D) is the node taking over the dead owner's keys.
-        Raises :class:`RpcTimeout` when the ring knows no alternative.
+        Raises :class:`RpcTimeout` when the ring knows no alternative, and
+        when the system keeps no replicas (``replication_factor`` 1): the
+        successor then holds no copy of the owner's rows, and its empty
+        row would pass for the answer.
         """
+        if self.system.replication_factor <= 1:
+            raise RpcTimeout(f"{dead}: no replica holder for key {key}")
         result = yield from self.ring_resolve(key, (dead,))
         if result.ref.node_id == dead:
             raise RpcTimeout(f"{dead}: no replica holder for key {key}")
@@ -630,9 +639,8 @@ class ExecutionContext:
             if handle.site == self.initiator:
                 data = self.initiator_peer.mailbox.pop(handle.corr, set())
                 return data
-            data = yield self.call(handle.site, "fetch", Fetch(
-                corr=handle.corr,
-                encode=self.options.dictionary_encoding or None))
+            data = yield self.call(handle.site, "fetch",
+                                   Fetch(corr=handle.corr, plain=self.plain))
             return shipped_rows(data)
         finally:
             span.close()

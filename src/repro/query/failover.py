@@ -79,7 +79,7 @@ class PrimitiveCall:
         if routed:  # only ever the first send
             payload.routed = True
         elif payload.routed:  # the routed one may still be in flight
-            payload = self.payload = replace(payload, routed=None)
+            payload = self.payload = payload.copy(routed=None)
         return (yield self.ctx.call(node_id, "execute_primitive", payload,
                                     timeout=self.timeout))
 
@@ -99,7 +99,7 @@ class PrimitiveCall:
         ctx = self.ctx
         ctx.abandon(self.corr, site=self.payload.final)
         self.corr = ctx.new_corr()
-        self.payload = replace(self.payload, corr=self.corr)
+        self.payload = self.payload.copy(corr=self.corr)
 
     def failed_over(self, dead: str, alt: str) -> None:
         self.ctx.network.failover.dispatch_failovers += 1

@@ -7,8 +7,9 @@ the distributed-database machinery the paper imports into SPARQL
 processing.
 
 This module is also the choke point for the transmission-minimizing
-shipping optimizations (all off by default, toggled per-technique via
-:class:`~repro.query.strategies.ExecutionOptions`):
+shipping optimizations (toggled per-technique via
+:class:`~repro.query.strategies.ExecutionOptions`; only dictionary
+encoding is on by default):
 
 * **projection pushdown** — every ship projects the moving rows onto the
   plan's live variables (``ctx.live_vars``, or a tighter per-edge set
@@ -19,7 +20,8 @@ shipping optimizations (all off by default, toggled per-technique via
   digest round-trip and its embeds are charged to
   ``report.digest_bytes`` — the technique's exact overhead bound;
 * **dictionary encoding** — moving rows travel as
-  :class:`~repro.net.wire.SolutionBatch` payloads.
+  :class:`~repro.net.wire.SolutionBatch` payloads, or as the plain row
+  list when the option is off (the request's ``plain`` field).
 """
 
 from __future__ import annotations
@@ -161,7 +163,6 @@ def ship_handle(ctx, handle: ResultHandle, site: str, live=None,
 
     if handle.site == site:
         return handle
-    opts = ctx.options
     keep = _projection_for(ctx, handle, live)
     shipped_vars = frozenset(keep) if keep is not None else handle.vars
     span = ctx.tracer.span("ship", phase=PHASE_SHIP,
@@ -174,12 +175,11 @@ def ship_handle(ctx, handle: ResultHandle, site: str, live=None,
                 ctx.report.rows_pruned += pruned
             corr = handle.corr
             yield ctx.call(site, "deliver", Deliver(
-                corr=corr,
-                data=encode_solutions(data, opts.dictionary_encoding)))
+                corr=corr, data=encode_solutions(data, ctx.plain)))
             return ResultHandle(site, corr, len(data), shipped_vars)
         payload = Ship(corr=handle.corr, dst=site, dst_corr=handle.corr,
                        notify=ctx.initiator, project=keep, digest=digest,
-                       encode=opts.dictionary_encoding or None)
+                       plain=ctx.plain)
         if digest is not None:
             ctx.report.digest_bytes += digest_embed_cost(digest)
         # The holder keeps its mailbox copy, so a transfer whose one-way

@@ -29,8 +29,7 @@ from typing import List, Optional
 
 from ..net.protocol import Deliver, Evaluate, ExecutePrimitive
 from ..net.sizes import size_of
-from ..net.wire import PRUNED_COUNTER_BYTES, JoinDigest
-from ..sparql.solutions import union as omega_union
+from ..net.wire import PRUNED_COUNTER_BYTES, JoinDigest, shipped_rows
 from .failover import dispatch_primitive
 from .join_site import digest_embed_cost
 from .physical import (
@@ -226,12 +225,12 @@ def primitive_payload(ctx, info: PatternInfo, algebra, strategy: str,
     """The fields every ``execute_primitive`` request carries: the
     sub-query, its ring key, the scheme and the correlation id, plus the
     shipping directives the options turn on — ``project`` (*keep*),
-    ``encode``, ``partial`` and the result-cache ``cache`` flag — and
+    ``plain``, ``partial`` and the result-cache ``cache`` flag — and
     the caller's own *path* fields."""
     opts = ctx.options
     return ExecutePrimitive(
         algebra=algebra, key=info.key, strategy=strategy, corr=corr,
-        project=keep, encode=opts.dictionary_encoding or None,
+        project=keep, plain=ctx.plain,
         partial=opts.partial_results or None, cache=opts.result_cache or None,
         **path)
 
@@ -348,14 +347,15 @@ def exec_broadcast(ctx, algebra):
         ctx.report.merge_note(f"broadcast to {len(storages)} storage nodes")
         corr = ctx.new_corr()
         events = [
-            ctx.call(storage_id, "evaluate", Evaluate(algebra=algebra))
+            ctx.call(storage_id, "evaluate",
+                     Evaluate(algebra=algebra, plain=ctx.plain))
             for storage_id in sorted(set(storages))
         ]
         solutions = set()
         if events:
             results = yield ctx.sim.all_of(events)
             for batch in results:
-                solutions = omega_union(solutions, batch)
+                solutions.update(shipped_rows(batch))
         return ctx.local_deposit(corr, solutions)
     except ctx.degradable:
         # partial_results: an unreachable node on the ring walk or in the

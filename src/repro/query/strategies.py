@@ -126,7 +126,9 @@ class ExecutionOptions:
 
     # --- transmission-minimizing shipping optimizations ------------------
     # Each technique is independently toggleable so benchmarks can
-    # attribute savings; all default off (the paper-faithful wire).
+    # attribute savings. Dictionary encoding defaults on: an adaptive
+    # batch never costs more than the plain row list plus one mode byte.
+    # The two row-dropping techniques default off (the paper's wire).
 
     semijoin: bool = _option(
         False, "semijoin/Bloom pre-filtering: ship join-key digests so "
@@ -134,10 +136,14 @@ class ExecutionOptions:
     projection_pushdown: bool = _option(
         False, "prune dead variables from intermediate results before "
                "every ship (sound for DISTINCT/ASK/CONSTRUCT queries)")
-    #: The encoding is :class:`repro.net.wire.SolutionBatch`.
+    #: The encoding is :class:`repro.net.wire.SolutionBatch`; off, every
+    #: request that ships rows carries ``plain`` and they travel as the
+    #: plain list of mappings.
     dictionary_encoding: bool = _option(
-        False, "dictionary-delta wire encoding for shipped solution sets",
-        flag="--dict-encoding")
+        True, "ship solution sets as plain mapping lists instead of "
+              "adaptive dictionary-delta batches (never more than one "
+              "byte larger)",
+        flag="--no-dict-encoding")
 
     # --- fault tolerance (PR 6) ------------------------------------------
     # All default off/None. ``retries``/``failover`` only change
@@ -153,7 +159,9 @@ class ExecutionOptions:
     per_attempt_timeout: Optional[float] = _option(
         None, "cap on each RPC attempt's timeout (None = the call's own "
               "timeout)", metavar="SECS")
-    #: Requires ``replication_factor >= 2`` to return correct answers.
+    #: At ``replication_factor`` 1 it never re-routes: a dead owner's
+    #: rows are dropped (flagged, with ``partial_results``) or fail the
+    #: query.
     failover: bool = _option(
         False, "re-route timed-out lookups and primitive dispatches to "
                "replica holders via the successor list (needs --replicas>=2)")

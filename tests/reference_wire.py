@@ -1,9 +1,11 @@
 """The table-building dictionary-delta encoder, kept as the test oracle.
 
-This is ``repro.net.wire.SolutionBatch`` exactly as it stood before the
-data plane went size-only (PR 17): it canonically sorts the rows, builds
-the variable and term tables in first-appearance order and rewrites every
-row as index pairs. The engine no longer does any of that — it derives
+This is ``repro.net.wire.SolutionBatch`` as it stood before the data
+plane went size-only: it canonically sorts the rows, builds the variable
+and term tables in first-appearance order and rewrites every row as
+index pairs. Only its envelope has changed since: a plain-mode batch
+carries the one-byte mode flag, a dictionary-mode batch the six-byte
+header with the three table lengths. The engine no longer does any of that — it derives
 the same ``wire_size()`` and ``mode`` arithmetically — so this copy is
 what ``tests/test_net_wire.py`` holds the arithmetic to.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.net.sizes import size_of
-from repro.net.wire import BATCH_HEADER_BYTES, mapping_sort_key
+from repro.net.wire import BATCH_HEADER_BYTES, PLAIN_HEADER_BYTES, mapping_sort_key
 from repro.rdf.terms import RDFTerm, Variable
 from repro.sparql.solutions import SolutionMapping, _Schema
 
@@ -109,8 +111,12 @@ class ReferenceBatch:
             + len(rows) * _PER_ITEM_OVERHEAD
             + npairs * (var_w + term_w)
         )
-        mode = "dict" if dict_size <= naive else "plain"
-        wire = BATCH_HEADER_BYTES + min(dict_size, naive)
+        # The dictionary carries its three table lengths; the plain list
+        # only the mode flag.
+        dict_wire = BATCH_HEADER_BYTES + dict_size
+        plain_wire = PLAIN_HEADER_BYTES + naive
+        mode = "dict" if dict_wire <= plain_wire else "plain"
+        wire = min(dict_wire, plain_wire)
         return cls(tuple(variables), tuple(terms), tuple(rows), mode, wire)
 
     def decode(self) -> Set[SolutionMapping]:

@@ -7,7 +7,7 @@ here:
 * an interned batch is priced exactly like the table-building encoder
   (``tests/reference_wire.py``), on a miss and on a hit;
 * equal row sets, however built, share one batch, and the table is
-  bounded;
+  bounded by the rows it holds;
 * ``decode`` and ``as_solution_set`` still hand out fresh mutable sets;
 * the chain step's one union equals the copy-then-update it replaced;
 * under duplicated deliveries every mailbox is a set of its own.
@@ -73,31 +73,68 @@ class TestInterning:
         assert SolutionBatch.encode(set(rows[::2]) | set(rows[1::2])) is batch
         assert SolutionBatch.encode(rows[1:]) is not batch
 
-    def test_the_bound_clears_the_table(self):
-        first = SolutionBatch.encode(rows_of(3, "t0-"))
-        for i in range(1, wire._MAX_BATCHES):
-            SolutionBatch.encode(rows_of(3, f"t{i}-"))
-        assert len(wire._BATCHES) == wire._MAX_BATCHES
-        assert SolutionBatch.encode(rows_of(3, "t0-")) is first
-        SolutionBatch.encode(rows_of(3, "one-more"))
-        assert len(wire._BATCHES) == 1
-        again = SolutionBatch.encode(rows_of(3, "t0-"))
-        assert again is not first
-        assert (again.mode, again.wire_size()) == (first.mode, first.wire_size())
+    def test_the_bound_is_on_rows_held(self):
+        """The table holds at most ``_MAX_BATCH_ROWS`` rows between its
+        batches, however few they are; the least recently used make
+        room."""
+        bound, n = wire._MAX_BATCH_ROWS, 16
+        first = SolutionBatch.encode(rows_of(n, "t0-"))
+        second = SolutionBatch.encode(rows_of(n, "t1-"))
+        for i in range(2, bound // n):
+            SolutionBatch.encode(rows_of(n, f"t{i}-"))
+        assert wire._BATCHES.rows == bound == sum(map(len, wire._BATCHES.batches))
+        # A hit makes the first batch the most recently used ...
+        assert SolutionBatch.encode(rows_of(n, "t0-")) is first
+        # ... so one more batch evicts the second, not the first.
+        SolutionBatch.encode(rows_of(n - 1, "one-more"))
+        assert wire._BATCHES.rows == bound - 1 == sum(map(len, wire._BATCHES.batches))
+        assert SolutionBatch.encode(rows_of(n, "t0-")) is first
+        again = SolutionBatch.encode(rows_of(n, "t1-"))
+        assert again is not second
+        assert (again.mode, again.wire_size()) == (second.mode, second.wire_size())
+        # One batch of half the bound weighs what all those small ones did.
+        SolutionBatch.encode(rows_of(bound // 2, "half-"))
+        assert bound // 2 < wire._BATCHES.rows <= bound
+        assert wire._BATCHES.rows == sum(map(len, wire._BATCHES.batches))
+        assert SolutionBatch.encode(rows_of(n, "t1-")) is again
+        # Clearing the table clears the count it is bounded by.
+        wire._BATCHES.clear()
+        assert not wire._BATCHES.batches and wire._BATCHES.rows == 0
 
+    def test_a_batch_over_the_bound_is_priced_but_not_kept(self):
+        SolutionBatch.encode(rows_of(12, "kept-"))
+        rows = rows_of(wire._MAX_BATCH_ROWS + 1, "big-")
+        batch = SolutionBatch.encode(rows)
+        assert batch.wire_size() == ReferenceBatch.encode(rows).wire_size()
+        assert list(wire._BATCHES.batches) == [frozenset(rows_of(12, "kept-"))]
+        assert wire._BATCHES.rows == 12
+
+    @pytest.mark.parametrize("n", [0, 1, wire._UNKEPT_ROWS])
+    def test_a_few_rows_are_priced_but_not_kept(self, n):
+        """A set of a few rows is priced afresh each time it ships, and
+        so is its chain-step merge: one short pass costs less than a
+        table entry holds."""
+        batch = SolutionBatch.encode(rows_of(n, "few-"))
+        assert batch.wire_size() == ReferenceBatch.encode(rows_of(n, "few-")).wire_size()
+        again = SolutionBatch.encode(rows_of(n, "few-"))
+        assert again.wire_size() == batch.wire_size()
+        grown = SolutionBatch.encode(rows_of(1, "acc-")).extend(
+            frozenset(rows_of(wire._UNKEPT_ROWS - 1, "few-")))
+        assert len(grown) == wire._UNKEPT_ROWS
+        assert not wire._BATCHES.batches and wire._BATCHES.rows == 0
 
 class TestFreshSets:
     def test_decode_returns_an_independent_mutable_set(self):
-        batch = SolutionBatch.encode(rows_of(5))
+        batch = SolutionBatch.encode(rows_of(12))
         first, second = batch.decode(), batch.decode()
         assert type(first) is set and first is not second
         first.clear()
-        assert second == set(batch.rows) and len(batch) == 5
-        assert SolutionBatch.encode(rows_of(5)) is batch
+        assert second == set(batch.rows) and len(batch) == 12
+        assert SolutionBatch.encode(rows_of(12)) is batch
 
-    @pytest.mark.parametrize("encode", [True, False], ids=["batch", "plain"])
-    def test_as_solution_set_copies_shipped_rows(self, encode):
-        data = wire.encode_solutions(rows_of(4), encode)
+    @pytest.mark.parametrize("plain", [None, True], ids=["batch", "plain"])
+    def test_as_solution_set_copies_shipped_rows(self, plain):
+        data = wire.encode_solutions(rows_of(4), plain)
         rows = as_solution_set(data)
         assert type(rows) is set and rows is not shipped_rows(data)
         rows.add(SolutionMapping({Z: LONG_TERM}))
@@ -115,17 +152,17 @@ NICK = TriplePattern(X, FOAF.nick, Y)
 
 
 class TestChainStepMerge:
-    @pytest.mark.parametrize("encode", [True, False], ids=["batch", "plain"])
-    def test_one_union_equals_copy_then_update(self, paper_system, encode):
+    @pytest.mark.parametrize("plain", [None, True], ids=["batch", "plain"])
+    def test_one_union_equals_copy_then_update(self, paper_system, plain):
         d2 = paper_system.storage_nodes["D2"]
         d4 = paper_system.storage_nodes["D4"]
         algebra = BGP((NICK,))
         acc = wire.encode_solutions(
-            d4.local_eval(algebra) | rows_of(3, "acc"), encode)
+            d4.local_eval(algebra) | rows_of(3, "acc"), plain)
         acc_rows = frozenset(shipped_rows(acc))
         d2.rpc_chain_step(ChainStep(algebra=algebra, acc=acc, route=[],
                                     final="D2", corr="merge", notify=None,
-                                    encode=encode), "test")
+                                    plain=plain), "test")
         old = as_solution_set(acc)
         old.update(d2.local_eval(algebra))
         assert d2.mailbox["merge"] == old
@@ -158,7 +195,7 @@ class TestMailboxesUnderDuplication:
             rules=(FaultRule("duplicate", probability=1.0, delay=0.2,
                              jitter=0.5),), seed=3))
         executor = DistributedExecutor(system, ExecutionOptions(
-            primitive_strategy=strategy, dictionary_encoding=True))
+            primitive_strategy=strategy))
         for name in ("fig4", "fig9"):
             query = PAPER_FIG_QUERIES[name]
             result, _ = executor.execute(query, initiator="D1")

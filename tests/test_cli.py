@@ -206,13 +206,13 @@ class TestCli:
         _, args = parse_args([
             "--query", "ASK {}", "--strategy", "basic", "--conjunction",
             "basic", "--join-site", "third-site", "--plan", "cost",
-            "--no-optimize", "--dict-encoding",
+            "--no-optimize", "--no-dict-encoding",
         ])
         assert cli._options(args) == ExecutionOptions(
             primitive_strategy=PrimitiveStrategy.BASIC,
             conjunction_mode=ConjunctionMode.BASIC,
             join_site_policy=JoinSitePolicy.THIRD_SITE,
-            plan_mode="cost", optimize=False, dictionary_encoding=True,
+            plan_mode="cost", optimize=False, dictionary_encoding=False,
         )
 
     @pytest.mark.parametrize("words", [

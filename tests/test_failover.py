@@ -17,14 +17,15 @@ replication:
 
 from collections import Counter
 
+import pytest
 
 from repro.net import RpcError
 from repro.overlay import depart_index_node, fail_index_node, key_for_pattern
 from repro.query import DistributedExecutor, ExecutionOptions
-from repro.query.executor import ExecutionContext, ExecutionReport
+from repro.query.executor import ExecutionContext, ExecutionReport, QueryFailed
 from repro.rdf import FOAF, TriplePattern, Variable
 
-from helpers import build_system
+from helpers import build_system, foaf_ring, oracle_rows
 from test_churn_under_load import KNOWS_QUERY, KNOWS_WALK, fail_at, knows_owner
 from test_lifecycle_leaks import CLEAN, live_heap, peer_state
 
@@ -106,6 +107,35 @@ class TestLookupFailover:
         assert counters.lookup_failovers + counters.dispatch_failovers >= 1
         assert peer_state(system) == CLEAN
         assert live_heap(system.sim) == []
+
+
+class TestNoReplicaHolder:
+    """At ``replication_factor`` 1 a dead owner's ring successor holds no
+    copy of its rows. Failing over there would read its empty row as the
+    answer; the query must instead flag the leaf or fail."""
+
+    @pytest.mark.parametrize("plan_mode", ["legacy", "cost"])
+    @pytest.mark.parametrize("query", [KNOWS_QUERY, KNOWS_WALK],
+                             ids=["dispatch", "walk"])
+    def test_dead_owner_is_flagged_never_silently_empty(self, plan_mode,
+                                                        query):
+        system = foaf_ring(150)
+        assert system.replication_factor == 1
+        expected = oracle_rows(system, query)
+        victim = knows_owner(system)
+        initiator = next(sid for sid, node in sorted(system.storage_nodes.items())
+                         if node.index_node_id != victim)
+        system.network.fail_node(victim)
+        options = ExecutionOptions(failover=True, partial_results=True,
+                                   plan_mode=plan_mode)
+        try:
+            result, report = DistributedExecutor(system, options).execute(
+                query, initiator=initiator)
+        except QueryFailed:
+            return
+        assert expected and report.incomplete and report.dropped_patterns
+        assert all(row in expected for row in result.rows)
+        assert system.network.failover.dispatch_failovers == 0
 
 
 class TestCoalescedLookups:

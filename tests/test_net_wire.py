@@ -6,7 +6,7 @@ Pins the PR's core size invariants:
   repeated term its full size on every row — the inefficiency the
   dictionary-delta batch exists to remove;
 * a batch is deterministic, lossless, and **never** costs more than the
-  plain encoding plus the bounded ``BATCH_HEADER_BYTES`` envelope;
+  plain encoding plus the one-byte ``PLAIN_HEADER_BYTES`` mode flag;
 * a digest never produces a false negative, and refuses to prune at all
   when pruning would be unsound.
 """
@@ -14,16 +14,24 @@ Pins the PR's core size invariants:
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.epoch import Stamp
+from repro.cache.keys import rebind_rows
+from repro.cache.result_cache import CacheEntry
 from repro.chord.hashing import hash_terms_seeded
+from repro.net import wire
+from repro.net.protocol import ChainStep, Evaluate, ExecutePrimitive, Fetch, Ship
 from repro.net.sizes import size_of
 from repro.net.wire import (
-    BATCH_HEADER_BYTES,
     DIGEST_HEADER_BYTES,
+    PLAIN_HEADER_BYTES,
     JoinDigest,
     SolutionBatch,
     as_solution_set,
     encode_solutions,
     mapping_sort_key,
+    merge_solutions,
+    rebound_batch,
+    shipped_rows,
 )
 from repro.rdf import IRI, Literal, Variable
 from repro.sparql.solutions import SolutionMapping
@@ -72,7 +80,7 @@ class TestSolutionBatch:
     ], ids=["empty", "unique", "repetitive"])
     def test_never_larger_than_plain_plus_header(self, solutions):
         batch = SolutionBatch.encode(solutions)
-        assert batch.wire_size() <= plain_size(solutions) + BATCH_HEADER_BYTES
+        assert batch.wire_size() <= plain_size(solutions) + PLAIN_HEADER_BYTES
 
     def test_deterministic_across_input_orders(self):
         rows = sorted(repetitive(), key=mapping_sort_key)
@@ -94,9 +102,20 @@ class TestSolutionBatch:
         assert batch.wire_size() < 0.6 * plain_size(sols)
 
     def test_falls_back_to_plain_mode_when_dictionary_loses(self):
-        batch = SolutionBatch.encode({SolutionMapping({X: IRI("http://e/1")})})
+        rows = {SolutionMapping({X: IRI("http://e/1")})}
+        batch = SolutionBatch.encode(rows)
         assert batch.mode == "plain"
-        assert batch.decode() == {SolutionMapping({X: IRI("http://e/1")})}
+        assert batch.decode() == rows
+        # The plain fallback carries the mode flag alone, never the
+        # dictionary's three table lengths.
+        assert batch.wire_size() == plain_size(rows) + PLAIN_HEADER_BYTES
+
+    def test_one_row_repeating_a_long_term_is_dictionary_encoded(self):
+        rows = {SolutionMapping({X: LONG, Y: LONG, Z: LONG})}
+        batch = SolutionBatch.encode(rows)
+        assert batch.mode == "dict"
+        assert batch.wire_size() == ReferenceBatch.encode(rows).wire_size()
+        assert batch.wire_size() < plain_size(rows)
 
     def test_size_of_integration_is_exactly_additive(self):
         batch = SolutionBatch.encode(repetitive())
@@ -110,13 +129,32 @@ class TestSolutionBatch:
         assert with_batch == (without + size_of("data")
                               + batch.wire_size() + per_entry)
 
-    def test_encode_solutions_off_is_the_original_wire_format(self):
+    def test_plain_flag_is_the_original_wire_format(self):
+        """Rows travel as batches by default; a request's ``plain`` flag
+        (dictionary encoding off) gives the original list of mappings."""
         sols = unique_rows()
-        plain = encode_solutions(sols, False)
+        plain = encode_solutions(sols, plain=True)
         assert set(plain) == sols and len(plain) == len(sols)
         assert size_of(plain) == plain_size(sols)
         assert as_solution_set(plain) == sols
-        assert as_solution_set(encode_solutions(sols, True)) == sols
+        batch = encode_solutions(sols)
+        assert type(batch) is SolutionBatch
+        assert size_of(encode_solutions(sols, None)) == size_of(batch)
+        assert as_solution_set(batch) == sols
+
+    @pytest.mark.parametrize("record,fields", [
+        (ExecutePrimitive, dict(algebra=None, key=1, strategy="freq", corr="q#1")),
+        (Evaluate, dict(algebra=None)),
+        (ChainStep, dict(algebra=None, acc=[], route=[], final="D1",
+                         corr="q#1", notify=None)),
+        (Ship, dict(corr="q#1", dst="D2", dst_corr="q#1", notify=None)),
+        (Fetch, dict(corr="q#1")),
+    ], ids=lambda v: getattr(v, "__name__", ""))
+    def test_a_default_request_carries_no_format_bytes(self, record, fields):
+        assert "encode" not in record.OPTIONAL
+        default = record(**fields)
+        asked = record(**fields, plain=True)
+        assert size_of(asked) - size_of(default) == size_of("plain") + 2 + 1
 
 
 # A small term pool forces repetition (the dictionary wins); the wide one
@@ -178,7 +216,7 @@ class TestSizeOnlyEncoding:
 
     def test_encoding_does_not_alias_the_senders_set(self):
         rows = repetitive(5)
-        batch, plain = SolutionBatch.encode(rows), encode_solutions(rows, False)
+        batch, plain = SolutionBatch.encode(rows), encode_solutions(rows, True)
         rows.clear()
         assert len(batch.decode()) == len(as_solution_set(plain)) == 5
 
@@ -189,6 +227,100 @@ class TestSizeOnlyEncoding:
         as_list = sorted(solutions, key=mapping_sort_key)
         assert (size_of(frozenset(solutions)) == size_of(set(solutions))
                 == size_of(as_list) == size_of(tuple(reversed(as_list))))
+
+
+@st.composite
+def _one_row(draw):
+    """A single row; over the narrow pool it often repeats a term."""
+    pool = draw(st.sampled_from([_narrow, _wide]))
+    return [SolutionMapping(draw(
+        st.dictionaries(st.sampled_from([X, Y, Z]), pool, max_size=3)))]
+
+
+_any_rows = st.one_of(_rows(), _one_row())
+
+
+def _priced_from(batch):
+    """Everything a batch is priced from, and its price."""
+    return (batch.rows, batch.mode, batch.wire_size(), batch._naive,
+            batch._pairs, batch._vars, batch._table)
+
+
+class TestPricingPaths:
+    """The single-row fast path, the chain step's :meth:`extend` and a
+    cache hit's :func:`rebound_batch` are shortcuts; the scan of every
+    row is their oracle, and the table-building encoder the oracle of
+    the scan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_any_rows)
+    def test_wire_size_is_the_reference_and_at_most_plain_plus_one(self, rows):
+        wire._BATCHES.clear()  # price every example, never a kept batch
+        batch, reference = SolutionBatch.encode(rows), ReferenceBatch.encode(rows)
+        assert (batch.mode, batch.wire_size()) == (reference.mode,
+                                                   reference.wire_size())
+        assert batch.wire_size() <= plain_size(rows) + PLAIN_HEADER_BYTES
+
+    @settings(max_examples=200, deadline=None)
+    @given(_any_rows)
+    def test_fast_path_agrees_with_the_full_computation(self, rows):
+        rows = frozenset(rows)
+        assert (_priced_from(SolutionBatch._price(rows))
+                == _priced_from(SolutionBatch._scanned(rows)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_any_rows, _any_rows, _any_rows)
+    def test_extend_prices_like_the_union_from_scratch(self, acc, local, more):
+        """Two chain steps: the first extends a batch without its term
+        set, as one :data:`~repro.net.wire._BATCHES` keeps, the second
+        the first's batch, which holds its term set unless kept."""
+        batch = SolutionBatch._price(frozenset(acc))
+        batch._terms = None
+        union = batch.rows
+        for rows in (frozenset(local), frozenset(more)):
+            batch, union = batch.extend(rows), union | rows
+            assert batch.rows == union
+            assert (_priced_from(batch)
+                    == _priced_from(SolutionBatch._scanned(union)))
+            reference = ReferenceBatch.encode(union)
+            assert ((batch.mode, batch.wire_size())
+                    == (reference.mode, reference.wire_size()))
+            if batch._terms is not None:
+                assert batch._terms == {t for mu in union for t in mu._values}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3).flatmap(lambda k: st.sets(
+        st.tuples(*[st.one_of(_narrow, _wide)] * k), max_size=40)))
+    def test_a_cache_hit_prices_like_a_scan_of_its_rows(self, table):
+        """A result-cache entry's term tuples, bound to a requester's
+        variables, are priced from the entry without a scan; the second
+        binding reads the entry's memoized term counts."""
+        value = tuple(table)
+        width = len(value[0]) if value else 1
+        entry = CacheEntry(value, None, Stamp({}, 0), size_of(value), 0)
+        for names in ("abc", ["long_name_%d" % i for i in range(3)]):
+            variables = tuple(Variable(n) for n in names[:width])
+            rows = rebind_rows(value, variables)
+            assert (_priced_from(rebound_batch(rows, entry))
+                    == _priced_from(SolutionBatch._scanned(frozenset(rows))))
+            assert entry.terms is not None or not value
+
+    @pytest.mark.parametrize("plain", [None, True], ids=["batch", "plain"])
+    def test_merge_solutions_is_the_encoded_union(self, plain):
+        acc = encode_solutions(unique_rows(3), plain)
+        merged = merge_solutions(frozenset(repetitive(4)), acc, plain)
+        assert type(merged) is type(acc)
+        assert shipped_rows(merged) == unique_rows(3) | repetitive(4)
+        assert size_of(merged) == size_of(encode_solutions(
+            unique_rows(3) | repetitive(4), plain))
+        # A chain step's first merge starts from the kickoff's empty list.
+        first = merge_solutions(frozenset(repetitive(4)), [], plain)
+        assert size_of(first) == size_of(encode_solutions(repetitive(4), plain))
+
+    def test_extend_by_known_rows_is_the_same_batch(self):
+        batch = SolutionBatch.encode(repetitive(6))
+        assert batch.extend(frozenset(list(repetitive(6))[:3])) is batch
+        assert batch.extend(frozenset()) is batch
 
 
 def key_rows(n, var=X):

@@ -6,6 +6,7 @@ from repro.net.protocol import (
     ChainStep, Combine, Deliver, Delivered, Evaluate, ExecutePrimitive, Fetch,
     FilterBox,
 )
+from repro.net.wire import shipped_rows
 from repro.overlay import KeyKind, key_for_pattern
 from repro.rdf import FOAF, IRI, Literal, TriplePattern, Variable
 from repro.sparql.algebra import BGP
@@ -89,7 +90,7 @@ class TestIndexNode:
         oracle = set()
         for node in paper_system.storage_nodes.values():
             oracle |= node.local_eval(BGP((KNOWS,)))
-        assert set(response["data"]) == oracle
+        assert shipped_rows(response["data"]) == oracle
 
     def test_execute_primitive_deposit_mode(self, paper_system):
         kind, key = key_for_pattern(KNOWS, paper_system.space)
@@ -167,9 +168,9 @@ class TestQueryPeerMailbox:
         d1 = paper_system.storage_nodes["D1"]
         mu = SolutionMapping({X: IRI("http://x/a")})
         d1.mailbox["f"] = {mu}
-        assert set(d1.rpc_fetch(Fetch(corr="f"), "t")) == {mu}
+        assert shipped_rows(d1.rpc_fetch(Fetch(corr="f"), "t")) == {mu}
         # A repeated fetch reads the same answer until release purges it.
-        assert set(d1.rpc_fetch(Fetch(corr="f"), "t")) == {mu}
+        assert shipped_rows(d1.rpc_fetch(Fetch(corr="f"), "t")) == {mu}
         assert d1.purge_corrs(["f"]) == 1 and "f" not in d1.mailbox
 
     def test_expect_latches_early_notification(self, paper_system):

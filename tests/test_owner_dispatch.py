@@ -311,7 +311,7 @@ class TestLearnedStarts:
         system = build_system(num_index=64)
         result, report, spans = traced_run(system, NOTHING_QUERY, DISPATCH)
         assert (report.lookup_hops, report.messages,
-                report.bytes_total) == (4, 14, 1578)
+                report.bytes_total) == (4, 14, 1550)
         assert "start" not in spans[0]
         assert result.rows == oracle_rows(system, NOTHING_QUERY)
 

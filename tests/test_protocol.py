@@ -4,6 +4,7 @@ delivery semantics; record sizes equal the dict sizes they replace; and
 no receiver reads the fault plan."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -115,8 +116,8 @@ class TestRecordSizes:
             "op": "join", "left": "q#1", "right": "q#2", "out": "q#3",
             "condition": None})
         assert size_of(Fetch(corr="q#1")) == size_of({"corr": "q#1"})
-        assert size_of(Fetch(corr="q#1", encode=True)) == \
-            size_of({"corr": "q#1", "encode": True})
+        assert size_of(Fetch(corr="q#1", plain=True)) == \
+            size_of({"corr": "q#1", "plain": True})
         # The flow is never charged.
         assert size_of(Fetch(corr="q#1", flow="q")) == size_of(Fetch(corr="q#1"))
 
@@ -132,6 +133,30 @@ class TestRecordSizes:
         expected = reference_size(fields)
         assert size_of(record) == size_of(fields) == expected
         assert cls.SIZE(record) == expected
+
+
+class TestRecordCopies:
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(sorted(RECORDS)), st.data())
+    def test_copy_is_dataclasses_replace(self, name, data):
+        """``copy`` is the generated stand-in for ``dataclasses.replace``:
+        the same fields, the flow included, with the changes applied."""
+        cls = RECORDS[name]
+        record = cls(**{field: data.draw(_leaves) for field in cls.SENT},
+                     flow=data.draw(st.none() | st.text(max_size=4)))
+        names = cls.SENT + cls.OPTIONAL
+        changes = {field: data.draw(_leaves) for field in data.draw(
+            st.lists(st.sampled_from(names), unique=True, max_size=3))}
+        copied = record.copy(**changes)
+        expected = dataclasses.replace(record, **changes)
+        assert copied is not record and copied == expected
+        assert [getattr(copied, f) for f in names] == \
+            [getattr(expected, f) for f in names]
+        assert copied.flow == record.flow
+
+    def test_copy_rejects_an_unknown_field(self):
+        with pytest.raises(AttributeError):
+            Fetch(corr="q#1").copy(encode=True)
 
 
 class TestFaultPlanReads:

@@ -285,7 +285,7 @@ class TestLearnedStarts:
         walks = spy_calls(system, "find_successor")
         result, report, spans = traced_run(system, self.NOTHING_QUERY)
         assert (report.lookup_hops, report.messages,
-                report.bytes_total) == (4, 24, 2492)
+                report.bytes_total) == (4, 24, 2493)
         # The originator sends every probe: the entry, then one per hop.
         assert [src for src, _dst, _p in walks] == ["D1"] * 5
         assert walks[0][1] == system.storage_nodes["D1"].index_node_id
