@@ -22,12 +22,10 @@ from ..net.protocol import (
     Evaluate, ExecutePrimitive, IndexEntries, IndexLookup, Publish, RingKeys,
     StorageRef,
 )
-from ..net.transport import RpcError
-from ..net.wire import (
-    FilteredResult, encode_solutions, rebound_batch, shed, shipped_rows,
-)
+from ..net.wire import encode_solutions, rebound_batch, shed
 from .location_table import LocationEntry, LocationTable
 from .peer import QueryPeer
+from .storage_node import fan_out
 
 __all__ = ["IndexNode", "IndexPut", "PublicationFailed", "PRIMITIVE_STRATEGIES"]
 
@@ -445,36 +443,23 @@ class IndexNode(QueryPeer, ChordNode):
         sub_query = Evaluate(algebra=payload.algebra, digest=payload.digest,
                              project=payload.project, plain=payload.plain,
                              flow=payload.flow)
-        calls = [(entry.storage_id, self.call(entry.storage_id, "evaluate",
-                                              sub_query, timeout=per_node_timeout))
-                 for entry in entries]
-        solutions: set = set()
-        pruned = 0 if payload.digest is not None else None
-        dropped = 0
-        for storage_id, event in calls:
-            try:
-                batch = yield event
-            except RpcError:
-                if not blame_timeouts:
-                    raise ValueError(
-                        "query deadline exceeded during storage fan-out")
-                # No acknowledgement within the timeout: the storage node
-                # is gone — drop its stale entries (Sect. III-D), which
-                # keeps a crash-stop answer exact. Under a fault plan a
-                # timeout is ambiguous (the provider may be alive and its
-                # reply lost): deleting its row would shrink every later
-                # answer, so only the drop count is kept, which rides
-                # back to initiators that asked for partial results.
-                if self.network.faults is None:
-                    self.table.remove_storage_node(storage_id)
-                    self.replicas.remove_storage_node(storage_id)
-                dropped += 1
-                continue
-            if isinstance(batch, FilteredResult):
-                pruned = (pruned or 0) + batch.pruned
-                batch = batch.data
-            solutions |= shipped_rows(batch)
-        return solutions, pruned, dropped
+        solutions, pruned, silent = yield from fan_out(
+            self.call, [entry.storage_id for entry in entries], sub_query,
+            per_node_timeout)
+        if silent and not blame_timeouts:
+            raise ValueError("query deadline exceeded during storage fan-out")
+        if self.network.faults is None:
+            # No acknowledgement within the timeout: the storage node is
+            # gone — drop its stale entries (Sect. III-D), which keeps a
+            # crash-stop answer exact. Under a fault plan a timeout is
+            # ambiguous (the provider may be alive and its reply lost):
+            # deleting its row would shrink every later answer, so only
+            # the drop count is kept, which rides back to initiators that
+            # asked for partial results.
+            for storage_id in silent:
+                self.table.remove_storage_node(storage_id)
+                self.replicas.remove_storage_node(storage_id)
+        return solutions, pruned, len(silent)
 
     def _route(
         self,

@@ -11,12 +11,15 @@ join-site flexibility.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..chord.idspace import IdentifierSpace
 from ..net.protocol import ChainStep, Evaluate
-from ..net.transport import Node
-from ..net.wire import FilteredResult, encode_solutions, merge_solutions, shed
+from ..net.transport import Node, RpcError
+from ..net.wire import (
+    FilteredResult, SolutionBatch, encode_solutions, merge_solutions, shed,
+    shipped_rows,
+)
 from ..rdf.graph import Graph
 from ..rdf.triple import Triple
 from ..sparql.algebra import BGP, Algebra
@@ -24,11 +27,39 @@ from ..sparql.eval import evaluate_algebra, evaluate_bgp
 from .keys import KeyKind, index_keys
 from .peer import QueryPeer
 
-__all__ = ["StorageNode"]
+__all__ = ["StorageNode", "fan_out"]
 
 #: Memoized sub-query answers one node keeps; the memo is cleared when
 #: full. A memory bound, not a tuning knob (DESIGN.md §6).
 _MAX_ANSWERS = 256
+
+
+def fan_out(call, providers: List[str], request: Evaluate,
+            timeout: Optional[float] = None):
+    """Generator: the BASIC scheme's fan-out (Sect. IV-C). Put the
+    ``evaluate`` *request* to every provider in parallel through *call*
+    (an index node's or a query's ``call``) and union the replies →
+    ``(rows, pruned, silent)``: the rows that came back, the rows a
+    digest in *request* shed at the providers that answered (None
+    without one), and the providers that did not answer, in *providers*
+    order. What a silent provider means is the caller's to decide.
+    """
+    events = [(provider, call(provider, "evaluate", request, timeout))
+              for provider in providers]
+    rows: set = set()
+    pruned = 0 if request.digest is not None else None
+    silent: List[str] = []
+    for provider, event in events:
+        try:
+            batch = yield event
+        except RpcError:
+            silent.append(provider)
+            continue
+        if isinstance(batch, FilteredResult):
+            pruned += batch.pruned
+            batch = batch.data
+        rows |= shipped_rows(batch)
+    return rows, pruned, silent
 
 
 class StorageNode(QueryPeer, Node):
@@ -58,6 +89,10 @@ class StorageNode(QueryPeer, Node):
         #: ones in ``_answers_at``.
         self._answers: Dict[tuple, Tuple[FrozenSet, Optional[int]]] = {}
         self._answers_at: Tuple[Optional[Graph], int] = (None, -1)
+        #: frozen answer → its priced batch, valid and cleared with
+        #: ``_answers``: a memoized answer is priced once, whether or
+        #: not ``wire._BATCHES`` still keeps its batch.
+        self._batches: Dict[FrozenSet, SolutionBatch] = {}
 
     # ------------------------------------------------------------- data mgmt
 
@@ -107,7 +142,12 @@ class StorageNode(QueryPeer, Node):
         ``plain`` asks for the plain row list instead of a batch.
         """
         solutions, pruned = self._eval_shippable(payload)
-        encoded = encode_solutions(solutions, payload.plain)
+        if payload.plain:
+            encoded = encode_solutions(solutions, True)
+        else:
+            encoded = self._batches.get(solutions)
+            if encoded is None:
+                encoded = self._batches[solutions] = SolutionBatch.encode(solutions)
         if pruned is not None:
             return FilteredResult(encoded, pruned)
         return encoded
@@ -138,6 +178,7 @@ class StorageNode(QueryPeer, Node):
         at_graph, at_version = self._answers_at
         if at_graph is not graph or at_version != graph.version:
             answers.clear()
+            self._batches.clear()
             self._answers_at = (graph, graph.version)
         key = (algebra, None if keep is None else frozenset(keep), digest)
         answer = answers.get(key)
@@ -151,6 +192,7 @@ class StorageNode(QueryPeer, Node):
                 rows, pruned = shed(self.local_eval(algebra), None, keep)
             if len(answers) >= _MAX_ANSWERS:
                 answers.clear()
+                self._batches.clear()
             answer = answers[key] = (frozenset(rows), pruned)
         return answer
 

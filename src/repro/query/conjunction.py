@@ -158,7 +158,8 @@ def _exec_basic_mode(ctx, walk: BGPWalk, steps: List[Step], digests: tuple):
             ctx.flag_partial(str(info.pattern), node=leaf)
             return None
         note_dropped(ctx, ack, info)
-        charge_digest(ctx, payload, ack, len(info.entries), leaf)
+        charge_digest(ctx, payload.digest, len(info.entries),
+                      ack.get("pruned"), leaf)
         hvars = frozenset(keep) if keep is not None else pattern_vars[i]
         mine = ResultHandle(info.owner, corr, ack["count"], hvars)
         note_result(leaf, mine)

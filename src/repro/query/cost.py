@@ -41,6 +41,12 @@ U, the deduplicated union, is unknowable a priori; the model takes
 U = Σ s_i, i.e. it assumes no cross-provider duplication (the
 conservative estimate: duplication only ever shrinks what ships).
 
+The BASIC line prices the owner's assembly hop, which a leaf the
+annotator pins to BASIC no longer takes: it lands at the initiator, which
+fans out itself (:mod:`repro.query.primitive`), so it costs about Σ s_i
+and 2L. The model is left as it is, so plan shapes do not move; the
+over-estimate is one of the estimate causes of ROADMAP item 12.
+
 The mixture knob ``time_weight`` ∈ [0, 1]: 0 minimizes transmission, 1
 minimizes response time; intermediate values scalarize the bi-objective
 the way Sect. V asks for. Both objectives are normalized by the BASIC

@@ -231,6 +231,10 @@ class ExecutionContext:
         #: Per-query memo over (key kind, ring key) → (stamp, done event,
         #: (owner, entries) or None while in flight); see ``locate``.
         self._lookup_cache: Dict[Tuple[Any, int], tuple] = {}
+        #: Providers that did not answer this query's own fan-out of a
+        #: planned BASIC leaf: a later leaf whose row lists one goes
+        #: straight to its owner (:func:`~repro.query.primitive._basic`).
+        self.silent: Set[str] = set()
         node = system.network.node(initiator)
         if not isinstance(node, QueryPeer):
             raise QueryFailed(f"initiator {initiator!r} is not a query peer")

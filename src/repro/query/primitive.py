@@ -5,7 +5,10 @@ Implements the three processing schemes of the paper:
 * **basic** — the owner index node fans the sub-query out to every target
   storage node in parallel, assembles the union, and sends it to the
   initiator. "Parallelism is exploited, but ... high transmission
-  overhead may be incurred."
+  overhead may be incurred." Under the cost planner a leaf pinned to
+  basic lands at the initiator, which read its row at plan time, so the
+  initiator fans out itself and each row crosses one link, not two; the
+  owner path is its fallback when a provider does not answer.
 * **chained** — the index node forwards the query with a sequence of
   target nodes; each node merges its matches into the accumulated
   solutions and passes them on; the last node returns the final mappings
@@ -29,7 +32,8 @@ from typing import List, Optional
 
 from ..net.protocol import Deliver, Evaluate, ExecutePrimitive
 from ..net.sizes import size_of
-from ..net.wire import PRUNED_COUNTER_BYTES, JoinDigest, shipped_rows
+from ..net.wire import PRUNED_COUNTER_BYTES, JoinDigest
+from ..overlay.storage_node import fan_out
 from .failover import dispatch_primitive
 from .join_site import digest_embed_cost
 from .physical import (
@@ -58,9 +62,9 @@ def exec_primitive(ctx, leaf: ChainShip, at_home: bool = False,
     that a downstream join/union/left-join's site selection has a real
     decision to make (otherwise everything would already sit at the query
     site and every policy would degenerate to Query-Site). A leaf the
-    cost planner pinned to BASIC has no home: its owner index node
-    assembles the rows, so they cross the network whichever site they
-    land at, and they land at the initiator, where they are consumed.
+    cost planner pinned to BASIC has no home: it lands at the initiator,
+    where it is consumed, and the initiator fans it out to the providers
+    of the row the planner read (:func:`_fan_out_here`).
 
     Only a home site is picked from the row, so a leaf landing at the
     initiator does not read it: the sub-query goes straight to the key's
@@ -194,7 +198,8 @@ def exec_pattern_to_site(ctx, info: PatternInfo, site: str,
         leaf.detail["strategy"] = leaf.plan_strategy.wire_name
     # The digest rode in one chain_step per hop; the steps credit what
     # they pruned by flow (``ExecutionReport.credit_chain_step``).
-    charge_digest(ctx, payload, ack, len(ack.get("route", ())), leaf)
+    charge_digest(ctx, digest, len(ack.get("route", ())), ack.get("pruned"),
+                  leaf)
     if ack["mode"] == "direct":
         # Empty route (no providers left), or the owner's fan-out:
         # materialize its rows.
@@ -250,6 +255,14 @@ def _dispatch(ctx, info: PatternInfo, payload: ExecutePrimitive, corr: str,
 
 def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
            keep=None, result_vars=None, digest=None, leaf=None):
+    if (site == ctx.initiator and leaf is not None
+            and leaf.plan_strategy is PrimitiveStrategy.BASIC
+            and info.entries is not None and not ctx.options.result_cache
+            and ctx.silent.isdisjoint(e.storage_id for e in info.entries)):
+        rows = yield from _fan_out_here(ctx, info, algebra, corr, keep,
+                                        digest, leaf)
+        if rows is not None:
+            return ctx.local_deposit(corr, rows, vars=result_vars)
     # Bound the owner's per-provider wait so the whole fan-out always
     # finishes inside our own call deadline below.
     payload = primitive_payload(ctx, info, algebra, "basic", corr, keep,
@@ -261,7 +274,8 @@ def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
             ctx, info, payload, corr, leaf, timeout=DELIVERY_TIMEOUT * 4)
         note_dropped(ctx, ack, info)
         if digest is not None:  # only a planned leg, which read its row
-            charge_digest(ctx, payload, ack, len(info.entries), leaf)
+            charge_digest(ctx, digest, len(info.entries), ack.get("pruned"),
+                          leaf)
         if ack["mode"] == "direct":
             yield ctx.call(site, "deliver", Deliver(corr=corr, data=ack["data"]))
             return ResultHandle(site, corr, len(ack["data"]), result_vars)
@@ -271,30 +285,68 @@ def _basic(ctx, info: PatternInfo, algebra, site: str, corr: str,
         ctx, info, payload, corr, leaf, timeout=DELIVERY_TIMEOUT * 4)
     note_dropped(ctx, response, info)
     if digest is not None:  # only a planned leg, which read its row
-        charge_digest(ctx, payload, response, len(info.entries), leaf)
+        charge_digest(ctx, digest, len(info.entries), response.get("pruned"),
+                      leaf)
     return ctx.local_deposit(corr, response["data"], vars=result_vars)
 
 
-def charge_digest(ctx, payload, ack, embeds: int,
-                  leaf: Optional[ChainShip] = None) -> None:
-    """Charge the digest of an ``execute_primitive`` *payload*, if one
-    rode in it, to ``report.digest_bytes`` and credit the rows it pruned.
+def _fan_out_here(ctx, info: PatternInfo, algebra, corr: str, keep,
+                  digest: Optional[JoinDigest], leaf: ChainShip):
+    """Generator: a planned BASIC leaf's fan-out, sent by the initiator
+    itself to every provider of the row the planner read → the union of
+    their rows, or None when a provider did not answer.
 
-    The digest rides in the call itself and in *embeds* provider
-    messages (the owner's fan-out sub-queries or the chain steps). A
-    fan-out's provider replies each carry the pruned counter, and the
-    ack carries their sum; it is also noted on *leaf* for explain.
+    The leaf lands here, so an owner would only relay rows that already
+    crossed one link. Each provider waits out ``DELIVERY_TIMEOUT`` under
+    the query's retry policy and deadline (:meth:`ExecutionContext.call`).
+    A silent provider sends the leaf down the owner path, whose fan-out
+    drops the stale entry of a crashed provider (Sect. III-D) and keeps
+    the answer exact.
     """
-    digest = payload.digest
+    providers = [entry.storage_id for entry in info.entries]
+    request = Evaluate(algebra=algebra, digest=digest, project=keep,
+                       plain=ctx.plain)
+    rows, pruned, silent = yield from fan_out(ctx.call, providers, request,
+                                              DELIVERY_TIMEOUT)
+    if silent:
+        ctx.silent.update(silent)
+        # The embeds and the answered replies' counters were spent; the
+        # owner path credits the rows it prunes again.
+        charge_digest(ctx, digest, len(providers), relayed=False)
+        if digest is not None:
+            ctx.report.digest_bytes += ((len(providers) - len(silent))
+                                        * PRUNED_COUNTER_BYTES)
+        ctx.report.retries += 1
+        ctx.report.merge_note(
+            f"basic fallback for {corr}: {len(silent)} providers silent")
+        return None
+    charge_digest(ctx, digest, len(providers), pruned, leaf, relayed=False)
+    return rows
+
+
+def charge_digest(ctx, digest: Optional[JoinDigest], embeds: int,
+                  pruned: Optional[int] = None,
+                  leaf: Optional[ChainShip] = None,
+                  relayed: bool = True) -> None:
+    """Charge *digest*, if there is one, to ``report.digest_bytes`` and
+    credit the *pruned* rows it shed.
+
+    The digest rides in *embeds* provider messages (fan-out sub-queries
+    or chain steps) and, when *relayed*, in the ``execute_primitive``
+    that took it to the owner. Each fan-out reply carries its provider's
+    pruned counter; an owner's ack carries their sum too. *pruned* is
+    None where no reply carries a counter (a chain credits its steps by
+    flow); it is also noted on *leaf* for explain.
+    """
     if digest is None:
         return
-    ctx.report.digest_bytes += (1 + embeds) * digest_embed_cost(digest)
-    pruned = ack.get("pruned")
+    ctx.report.digest_bytes += (relayed + embeds) * digest_embed_cost(digest)
     if pruned is None:
         return
     ctx.report.rows_pruned += pruned
-    ctx.report.digest_bytes += (embeds * PRUNED_COUNTER_BYTES
-                                + size_of("pruned") + size_of(pruned) + 2)
+    ctx.report.digest_bytes += embeds * PRUNED_COUNTER_BYTES
+    if relayed:
+        ctx.report.digest_bytes += size_of("pruned") + size_of(pruned) + 2
     if leaf is not None:
         leaf.detail["pruned"] = pruned
 
@@ -346,16 +398,17 @@ def exec_broadcast(ctx, algebra):
         storages = yield from discover_all_storage(ctx)
         ctx.report.merge_note(f"broadcast to {len(storages)} storage nodes")
         corr = ctx.new_corr()
-        events = [
-            ctx.call(storage_id, "evaluate",
-                     Evaluate(algebra=algebra, plain=ctx.plain))
-            for storage_id in sorted(set(storages))
-        ]
-        solutions = set()
-        if events:
-            results = yield ctx.sim.all_of(events)
-            for batch in results:
-                solutions.update(shipped_rows(batch))
+        solutions, _pruned, silent = yield from fan_out(
+            ctx.call, sorted(set(storages)),
+            Evaluate(algebra=algebra, plain=ctx.plain))
+        if silent:
+            if not ctx.options.partial_results:
+                from .executor import QueryFailed  # local import: avoid cycle
+
+                raise QueryFailed(
+                    f"broadcast: {len(silent)} storage nodes did not answer")
+            # partial_results: the nodes that answered give a safe subset.
+            ctx.flag_partial("broadcast (?s ?p ?o)")
         return ctx.local_deposit(corr, solutions)
     except ctx.degradable:
         # partial_results: an unreachable node on the ring walk or in the

@@ -34,7 +34,9 @@ class PrimitiveStrategy(enum.Enum):
 
     #: Parallel fan-out from the index node; union at the index node
     #: (assembly site); result forwarded to the initiator. Lowest response
-    #: time, highest transmission.
+    #: time, highest transmission. A leaf the cost planner pins to it is
+    #: fanned out by the initiator itself, from the row the planner
+    #: read: no assembly hop (DESIGN.md §5).
     BASIC = "basic"
     #: In-network aggregation: the query visits the target storage nodes
     #: in sequence, merging results along the way; the last node returns

@@ -58,6 +58,30 @@ def foaf_ring(num_people: int) -> HybridSystem:
     return build_system(num_index=16, parts=parts)
 
 
+def spy_dispatches(monkeypatch, initiator: str) -> list:
+    """The sub-queries dispatched by queries from *initiator*, by algebra
+    in arrival order, for the rest of the test: every
+    ``execute_primitive`` an owner receives and every ``evaluate`` the
+    initiator sends itself (a planned BASIC leaf's fan-out)."""
+    from repro.overlay import IndexNode, StorageNode
+
+    calls = []
+    execute, evaluate = IndexNode.rpc_execute_primitive, StorageNode.rpc_evaluate
+
+    def spy_execute(self, payload, src):
+        calls.append(payload.algebra)
+        return execute(self, payload, src)
+
+    def spy_evaluate(self, payload, src):
+        if src == initiator:
+            calls.append(payload.algebra)
+        return evaluate(self, payload, src)
+
+    monkeypatch.setattr(IndexNode, "rpc_execute_primitive", spy_execute)
+    monkeypatch.setattr(StorageNode, "rpc_evaluate", spy_evaluate)
+    return calls
+
+
 def oracle_rows(system, query_text: str):
     """*query_text*'s rows over the union of the storage nodes' graphs."""
     from repro.rdf import COMMON_PREFIXES

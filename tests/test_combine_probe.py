@@ -13,15 +13,15 @@ from collections import Counter
 
 import pytest
 
-from repro.overlay.index_node import IndexNode
 from repro.query import DistributedExecutor, ExecutionOptions, cost
 from repro.query.physical import (
     BGPWalk, ChainShip, HashJoin, LeftJoinOp, PhysOp, operand_digests,
     walk_plan,
 )
+from repro.query.plan import subquery_algebra
 from repro.rdf import Variable
 
-from helpers import foaf_ring, oracle_rows
+from helpers import foaf_ring, oracle_rows, spy_dispatches
 
 SMITH = 'FILTER regex(?name, "Smith")'
 FIG4 = f"""SELECT ?x ?y ?z WHERE {{
@@ -106,18 +106,14 @@ def test_fig4_probes_at_both_levels():
 
 
 def test_empty_probe_dispatches_nothing_else(monkeypatch):
-    calls = []
-    real = IndexNode.rpc_execute_primitive
-
-    def spy(self, payload, src):
-        calls.append(payload.algebra)
-        return real(self, payload, src)
-
-    monkeypatch.setattr(IndexNode, "rpc_execute_primitive", spy)
+    calls = spy_dispatches(monkeypatch, "D1")
     _system, result, report = run(NOBODY)
     (join,) = ops(report.plan, HashJoin)
     assert join.plan_probe == "left"
-    assert result.rows == [] and len(calls) == 1
+    # Only the probe's sub-query went out: to its owner, or to each of
+    # its providers when the initiator fans it out itself.
+    probe = subquery_algebra(join.left.lookup.info)
+    assert result.rows == [] and calls and set(calls) == {probe}
 
 
 def test_optional_side_never_prunes_the_required_side(monkeypatch):

@@ -16,6 +16,7 @@ evaluation the plain sub-query shares.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.net import wire
 from repro.net.protocol import Evaluate
 from repro.net.wire import JoinDigest, shed
 from repro.overlay import storage_node as storage_module
@@ -172,6 +173,48 @@ class TestMemo:
             ask(node, algebra)
             assert len(node._answers) <= 3
         assert len(node._answers) < len(subjects)
+
+
+class TestPricedAnswer:
+    """``rpc_evaluate`` keeps the batch it priced beside the memoized
+    answer, so a repeat is priced once whether or not ``wire._BATCHES``
+    still keeps that batch (a few rows it never keeps)."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        scan = wire._scan
+
+        def counted(rows):
+            calls.append(len(rows))
+            return scan(rows)
+
+        monkeypatch.setattr(wire, "_scan", counted)
+        return calls
+
+    def test_repeat_is_not_rescanned(self, node, scans):
+        request = Evaluate(algebra=ONE_PATTERN)
+        first = node.rpc_evaluate(request, "N0")
+        wire._BATCHES.clear()
+        again = node.rpc_evaluate(request, "N0")
+        assert again is first and again.wire_size() == first.wire_size()
+        assert scans == [len(first.rows)] and len(first.rows) > 1
+
+    def test_a_mutation_reprices(self, node, scans):
+        request = Evaluate(algebra=ONE_PATTERN)
+        first = node.rpc_evaluate(request, "N0")
+        node.add_triples([UNIVERSE[8]])
+        grown = node.rpc_evaluate(request, "N0")
+        assert grown.rows == fresh(ONE_PATTERN, node.graph) != first.rows
+        wire._BATCHES.clear()
+        assert grown.wire_size() == wire.SolutionBatch.encode(
+            fresh(ONE_PATTERN, node.graph)).wire_size()
+        assert len(scans) == 3
+
+    def test_plain_reply_keeps_no_batch(self, node):
+        reply = node.rpc_evaluate(Evaluate(algebra=ONE_PATTERN, plain=True), "N0")
+        assert type(reply) is frozenset and reply
+        assert node._batches == {}
 
 
 def knows_digest(var=X):

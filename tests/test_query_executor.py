@@ -13,9 +13,12 @@ from repro.query import (
     PrimitiveStrategy,
     QueryFailed,
 )
-from repro.rdf import COMMON_PREFIXES, PatternShape
+from repro.overlay import fail_storage_node
+from repro.rdf import COMMON_PREFIXES, Graph, PatternShape
 from repro.sparql import evaluate_query, parse_query
 from repro.workloads import QueryWorkload
+
+from helpers import build_system
 
 
 
@@ -94,6 +97,25 @@ class TestCorrectnessAgainstOracle:
             paper_system, "SELECT * WHERE { ?s ?p ?o . }"
         )
         assert any("broadcast" in n for n in report.notes)
+
+    def test_broadcast_with_a_crashed_node(self):
+        """A storage node that does not answer the broadcast fails the
+        query, or under partial results flags the rows the others sent."""
+        system = build_system()
+        fail_storage_node(system, "D2")
+        scan = "SELECT * WHERE { ?s ?p ?o . }"
+        with pytest.raises(QueryFailed):
+            DistributedExecutor(system).execute(scan, initiator="D1")
+        result, report = DistributedExecutor(
+            system, ExecutionOptions(partial_results=True)).execute(
+                scan, initiator="D1")
+        live = Graph()
+        for node in system.storage_nodes.values():
+            if node.node_id != "D2":
+                live.update(iter(node.graph))
+        oracle = evaluate_query(parse_query(scan, COMMON_PREFIXES), live)
+        assert report.incomplete
+        assert sorted(map(repr, result.rows)) == sorted(map(repr, oracle.rows))
 
     def test_ask_and_construct(self, paper_system):
         assert_matches_oracle(paper_system, "ASK { ?x foaf:nick ?n . }")
